@@ -39,7 +39,7 @@ from mpmath import mp
 
 from . import __version__
 from .core import TolerancePolicy, to_scalar
-from .families import even_modifier, generate_all, mp_family, mp_symmetry_residual, pj_family, recurrence_residual
+from .families import eval_with_derivative, even_modifier, generate_all, mp_family, mp_symmetry_residual, pj_family, recurrence_residual
 from .associated import associated_identity_residual, extension_identity_residual
 from .transform import christoffel_transform, connection_decompose, connection_degree_law
 from .zeros import (
@@ -317,6 +317,31 @@ def run_table(table_id: int, config: RunConfig) -> Report:
     )
 
 
+def _grid_interlace(decomp, shifted, n: int, m: int, zp, policy: TolerancePolicy) -> str:
+    """Interlace verdict of G g_{n-m,k} against the zeros ``zp`` of p_n (see :func:`run_grid`)."""
+    G, dG = decomp.G_poly, decomp.G_poly.derivative()
+    verdict = None
+    if G.degree == m - 1:
+
+        def q(x):  # G g and its derivative
+            v, d = eval_with_derivative(shifted, n - m, x, policy)
+            gx = G(x)
+            return gx * v, dG(x) * v + gx * d
+
+        verdict = interlace_strict(q, n - 1, zp, policy)
+        if verdict.strict:
+            return "holds"
+    g_roots, nonreal = ([decomp.B], 0) if G.degree == 1 else polynomial_real_roots(G, policy)
+    if nonreal:
+        return f"fails({nonreal} nonreal G roots)"
+    if verdict is not None:
+        return "fails(common zeros)" if verdict.common else "fails"
+    product = list(zeros_golub_welsch(shifted, n - m, policy).values) + g_roots
+    with policy.workprec():
+        outside = sum(1 for v in product if v < zp[0] or v > zp[-1])
+    return f"fails(size {len(product)} vs {len(zp) - 1}, {outside} outside span)"
+
+
 def run_grid(config: RunConfig) -> Report:
     """Degree-law and interlacing grid for the Meixner-Pollaczek family.
 
@@ -324,10 +349,12 @@ def run_grid(config: RunConfig) -> Report:
     cell the measured degrees of (a, G) must match the law and the identity
     residual must sit below tolerance.  When deg G = m-1 the zeros of
     G * g_{n-m,k} are checked for strict interlacing with the zeros of p_n;
-    that is asserted for m = 2, k <= 2.  For m = 2, k = 3 the product has
-    n+1 zeros, which cannot interlace n zeros one-per-gap; the grid asserts
-    that failure (and records how many product zeros escape the span of the
-    extreme zeros of p_n).
+    that is asserted for m = 2, k <= 2.  It is decided by the sign
+    alternation of G * g at the zeros of p_n (G by Horner, g by its
+    recurrence); the roots of G are only computed to name a failed cell.
+    For m = 2, k = 3 the product has n+1 zeros, which cannot interlace n
+    zeros one-per-gap; the grid asserts that failure (and records how many
+    product zeros escape the span of the extreme zeros of p_n).
     """
     policy = config.policy()
     lam = config.lam or "0.5"
@@ -341,7 +368,6 @@ def run_grid(config: RunConfig) -> Report:
     modifiers = {k: even_modifier(fam, k, policy) for k in range(0, k_top + 1)}
     shifted = {k: fam.shifted(k) for k in range(0, k_top + 1)}
     zeros_p = {}
-    zeros_g = {}
     rows = []
     for n in range(4, n_max + 1):
         for m in range(2, n + 1):
@@ -357,26 +383,8 @@ def run_grid(config: RunConfig) -> Report:
                 if deg_g == m - 1 or (m == 2 and k == 3):
                     if n not in zeros_p:
                         zeros_p[n] = zeros_golub_welsch(fam, n, policy)
-                    if (k, n - m) not in zeros_g:
-                        zeros_g[(k, n - m)] = zeros_golub_welsch(shifted[k], n - m, policy)
                     zp = zeros_p[n]
-                    zg = zeros_g[(k, n - m)]
-                    if decomp.G_poly.degree == 1:
-                        g_roots, nonreal = [decomp.B], 0
-                    else:
-                        g_roots, nonreal = polynomial_real_roots(decomp.G_poly, policy)
-                    product = sorted(list(zg.values) + list(g_roots))
-                    if nonreal:
-                        interlace = f"fails({nonreal} nonreal G roots)"
-                    elif len(product) == len(zp) - 1:
-                        verdict = interlace_strict(product, zp, policy)
-                        interlace = "holds" if verdict.strict else "fails"
-                        if verdict.common:
-                            interlace = "fails(common zeros)"
-                    else:
-                        with policy.workprec():
-                            outside = sum(1 for v in product if v < zp[0] or v > zp[-1])
-                        interlace = f"fails(size {len(product)} vs {len(zp) - 1}, {outside} outside span)"
+                    interlace = _grid_interlace(decomp, shifted[k], n, m, zp, policy)
                     if m == 2 and k <= 2:
                         interlace_ok = interlace == "holds"
                     elif m == 2 and k == 3:
@@ -460,23 +468,16 @@ def _verify_rows(policy: TolerancePolicy) -> list:
         res_row("mp-symmetry", f"MP(lambda={lam}, phi={phi})", worst)
 
     with policy.workprec():
-        fam = mp_family("0.5", "0.9", policy)
-        for k in (1, 2, 3):
+        mp_oracle = mp_family("0.5", "0.9", policy)
+        pj_oracle = pj_family("-12", "8", policy)
+        for fam, tag, k in [(mp_oracle, "MP", k) for k in (1, 2, 3)] + [(pj_oracle, "PJ", 1)]:
             mod = even_modifier(fam, k, policy)
             worst = mp.mpf(0)
             for deg in range(0, 7):
                 det = christoffel_transform(fam, mod, deg, policy)
                 ref = generate_all(fam.shifted(k), deg, policy)[deg]
                 worst = max(worst, (det - ref).inf_norm() / max(1, ref.inf_norm()))
-            res_row("transform-oracle", f"MP k={k}", worst)
-        pj = pj_family("-12", "8", policy)
-        mod = even_modifier(pj, 1, policy)
-        worst = mp.mpf(0)
-        for deg in range(0, 7):
-            det = christoffel_transform(pj, mod, deg, policy)
-            ref = generate_all(pj.shifted(1), deg, policy)[deg]
-            worst = max(worst, (det - ref).inf_norm() / max(1, ref.inf_norm()))
-        res_row("transform-oracle", "PJ k=1", worst)
+            res_row("transform-oracle", f"{tag} k={k}", worst)
 
     for fam, cells in (
         (mp_family("0.5", "0.9", policy), [(8, 2, 0), (8, 2, 1), (8, 2, 2), (8, 2, 3), (9, 3, 2), (4, 2, 4)]),

@@ -9,6 +9,11 @@ p_n.  Eigenvalues of a symmetric tridiagonal are perfectly conditioned;
 root-finding on monic coefficients at n = 30 is not, which is why the
 coefficients are never touched here.
 
+Interlacing is decided in one place, :func:`interlace_strict`, by sign
+alternation at the already computed zeros of p_n; no zero of the inner
+polynomial is solved for.  General root finding (:func:`polynomial_real_roots`)
+only names failures, such as nonreal roots of a connection coefficient.
+
 The inner bounds B_n(k), k in {0, 1, 2}, are the roots of the linear
 connection coefficient G in the gap-2 decomposition; they sit strictly
 between the extreme zeros of p_n.  Closed forms:
@@ -58,7 +63,7 @@ class ZeroSet:
 
 @dataclass(frozen=True)
 class InterlaceVerdict:
-    """strict: alternation holds with all zeros distinct; common: coincidences found."""
+    """strict: q alternates in sign over the outer zeros; common: outer zeros that are zeros of q."""
 
     strict: bool
     common: tuple = ()
@@ -245,35 +250,28 @@ def _local_gap(sorted_vals, idx) -> mp.mpf:
     return min(gaps) if gaps else mp.mpf(1)
 
 
-def _coincidences(inner, outer, policy):
-    """Pairs (i, j) with inner[i] matching outer[j] within the scaled tolerance."""
-    matches = []
-    for i, u in enumerate(inner):
-        best_j = min(range(len(outer)), key=lambda j: abs(outer[j] - u)) if outer else None
-        if best_j is None:
-            continue
-        thr = policy.abs_tol * max(1, _local_gap(outer, best_j))
-        if abs(outer[best_j] - u) <= thr:
-            matches.append((i, best_j))
-    return matches
+def _is_zero(value, slope, x, policy) -> bool:
+    """x is a zero at tolerance: the Newton step |value/slope| is within abs_tol * max(1, |x|)."""
+    return abs(value) <= policy.abs_tol * max(1, abs(x)) * abs(slope)
 
 
-def interlace_strict(inner, outer, policy: TolerancePolicy = DEFAULT_POLICY) -> InterlaceVerdict:
-    """Strict interlacing of |inner| zeros between |inner|+1 outer zeros.
+def interlace_strict(q, degree: int, outer, policy: TolerancePolicy = DEFAULT_POLICY) -> InterlaceVerdict:
+    """Whether the zeros of q strictly interlace the ascending zeros in ``outer``.
 
-    Coincidences within the scaled tolerance are reported through ``common``
-    instead of being silently counted either way.
+    ``q`` maps x to (q(x), q'(x)).  A q of degree len(outer) - 1 interlaces
+    exactly when q(x_i) q(x_{i+1}) < 0 for every i (Markov's sign argument
+    and its converse, Wendroff 1961); for any other degree the signs prove
+    nothing, so that raises ``ValueError``.  Outer zeros that are zeros of q
+    at tolerance are reported in ``common`` and make the verdict non-strict.
     """
-    a = _values(inner)
-    b = _values(outer)
-    if len(b) != len(a) + 1:
-        raise ValueError(f"outer set must have one more zero than inner ({len(b)} vs {len(a)})")
+    xs = _values(outer)
+    if degree != len(xs) - 1:
+        raise ValueError(f"q must have degree {len(xs) - 1} to interlace {len(xs)} zeros, got {degree}")
     with policy.workprec():
-        matches = _coincidences(a, b, policy)
-        if matches:
-            return InterlaceVerdict(strict=False, common=tuple(a[i] for i, _ in matches))
-        ok = all(b[i] < a[i] < b[i + 1] for i in range(len(a)))
-        return InterlaceVerdict(strict=ok)
+        vals = [q(x) for x in xs]
+        common = tuple(x for x, (v, d) in zip(xs, vals) if _is_zero(v, d, x, policy))
+        alternates = all(u * w < 0 for (u, _), (w, _) in zip(vals, vals[1:]))
+        return InterlaceVerdict(strict=alternates and not common, common=common)
 
 
 def mp_bound(lam, phi, n: int, k: int, policy: TolerancePolicy = DEFAULT_POLICY) -> mp.mpf:
@@ -335,24 +333,18 @@ def bound_separation(family: RecurrenceFamily, n: int, policy: TolerancePolicy =
         zs = zeros_golub_welsch(family, n, policy)
         x_min, x_max = zs[0], zs[-1]
         separated = {k: bool(x_min < bounds[k] < x_max) for k in (0, 1, 2)}
+        # direction > 0 means B(0) < B(1) < B(2).  cot > 0 pushes MP bounds
+        # negative with B(0) lowest; b > 0 puts PJ bounds positive with B(0)
+        # highest, hence the sign flip.  At direction 0 all bounds are 0.
         if family.kind == MEIXNER_POLLACZEK:
-            sign = _snapped_cot(family.params["phi"])
+            direction = _snapped_cot(family.params["phi"])
         else:
-            sign = family.params["b"]
-        if sign == 0:
+            direction = -family.params["b"]
+        if direction == 0:
             ordering = all(bounds[k] == 0 for k in (0, 1, 2))
-        elif sign > 0:
-            # cot > 0 pushes MP bounds negative with B(0) lowest; b > 0 puts
-            # PJ bounds positive with B(0) highest.  Both read the same way.
-            if family.kind == MEIXNER_POLLACZEK:
-                ordering = bounds[0] < bounds[1] < bounds[2]
-            else:
-                ordering = bounds[2] < bounds[1] < bounds[0]
         else:
-            if family.kind == MEIXNER_POLLACZEK:
-                ordering = bounds[2] < bounds[1] < bounds[0]
-            else:
-                ordering = bounds[0] < bounds[1] < bounds[2]
+            lo, mid, hi = (0, 1, 2) if direction > 0 else (2, 1, 0)
+            ordering = bounds[lo] < bounds[mid] < bounds[hi]
         return BoundReport(
             n=n,
             bounds=bounds,
@@ -371,6 +363,10 @@ def stieltjes_check(family: RecurrenceFamily, k: int, n: int, policy: ToleranceP
     the n zeros of p_n, with B_n(k) strictly inside the extreme zeros.
     Common-zero branch: exactly one shared zero, equal to B_n(k), interior;
     the n-2 zeros of g interlace the n-1 non-common zeros of p_n.
+
+    g is evaluated at the zeros of p_n through its recurrence; common zeros
+    and both interlacing claims are read off those values, so no zero of g
+    is solved for.
     """
     if k not in (0, 1, 2):
         raise ValueError("modifier order k must be 0, 1 or 2 for the gap-2 check")
@@ -382,31 +378,32 @@ def stieltjes_check(family: RecurrenceFamily, k: int, n: int, policy: ToleranceP
     with policy.workprec():
         bound = _family_bound(family, n, k, policy)
         zp = zeros_golub_welsch(family, n, policy)
-        zg = zeros_golub_welsch(shifted, n - 2, policy)
-        matches = _coincidences(zg.values, zp.values, policy)
+        g_at = {x: eval_with_derivative(shifted, n - 2, x, policy) for x in zp.values}
+        shared = [j for j, x in enumerate(zp.values) if _is_zero(*g_at[x], x, policy)]
+        common = tuple(zp[j] for j in shared)
         violations = []
-        if not matches:
+        if not shared:
             branch = "coprime"
-            near_g = _coincidences((bound,), zg.values, policy) if zg.values else []
-            if near_g:
+            g_bound, dg_bound = eval_with_derivative(shifted, n - 2, bound, policy)
+            if _is_zero(g_bound, dg_bound, bound, policy):
                 violations.append("bound coincides with a zero of the modified polynomial")
-            combined = tuple(sorted(zg.values + (bound,)))
-            verdict = interlace_strict(combined, zp, policy)
+
+            def q(x):  # (x - B) g and its derivative
+                v, d = g_at[x]
+                return (x - bound) * v, v + (x - bound) * d
+
+            verdict = interlace_strict(q, n - 1, zp, policy)
             if verdict.common:
                 violations.append(
                     f"common zeros detected between (x-B) g and p_n at {verdict.common}"
                 )
             elif not verdict.strict:
                 violations.append("zeros of (x-B) g do not interlace the zeros of p_n")
-            if not zp[0] < bound < zp[-1]:
-                violations.append("bound is not strictly inside the extreme zeros")
-            common_vals = ()
         else:
             branch = "common_zero"
-            common_vals = tuple(zp[j] for _, j in matches)
-            if len(matches) != 1:
-                violations.append(f"expected exactly one common zero, found {len(matches)}")
-            for _, j in matches:
+            if len(shared) != 1:
+                violations.append(f"expected exactly one common zero, found {len(shared)}")
+            for j in shared:
                 thr = policy.abs_tol * max(1, _local_gap(zp.values, j))
                 if abs(zp[j] - bound) > thr:
                     violations.append(
@@ -414,16 +411,12 @@ def stieltjes_check(family: RecurrenceFamily, k: int, n: int, policy: ToleranceP
                     )
                 if j in (0, n - 1):
                     violations.append(f"common zero is an extreme zero of p_n (index {j})")
-            if len(matches) == 1:
-                j = matches[0][1]
-                rest = tuple(v for t, v in enumerate(zp.values) if t != j)
-                verdict = interlace_strict(zg, rest, policy)
-                if not verdict.strict:
-                    violations.append(
-                        "zeros of g do not interlace the non-common zeros of p_n"
-                    )
-            if not zp[0] < bound < zp[-1]:
-                violations.append("bound is not strictly inside the extreme zeros")
+            if len(shared) == 1:
+                rest = tuple(x for x in zp.values if x not in common)
+                if not interlace_strict(g_at.__getitem__, n - 2, rest, policy).strict:
+                    violations.append("zeros of g do not interlace the non-common zeros of p_n")
+        if not zp[0] < bound < zp[-1]:
+            violations.append("bound is not strictly inside the extreme zeros")
         return StieltjesVerdict(
             label=family.label,
             n=n,
@@ -431,7 +424,7 @@ def stieltjes_check(family: RecurrenceFamily, k: int, n: int, policy: ToleranceP
             branch=branch,
             bound=bound,
             ok=not violations,
-            common=common_vals,
+            common=common,
             violations=tuple(violations),
         )
 

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -17,10 +19,19 @@ from christoffel.cli import (
 )
 
 
+REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
+
+
 def _strip_timestamp(text: str) -> str:
     data = json.loads(text)
     data["meta"].pop("timestamp")
     return json.dumps(data, indent=2, ensure_ascii=False)
+
+
+def _matches_reference(text: str, key: str) -> bool:
+    """The report, without meta.timestamp, hashes to the recorded digest."""
+    digest = hashlib.sha256((_strip_timestamp(text) + "\n").encode("utf-8")).hexdigest()
+    return digest == json.loads(REFERENCE.read_text(encoding="utf-8"))["reports"][key]["sha256"]
 
 
 def test_table2_all_rows_pass():
@@ -152,7 +163,9 @@ def test_verify_scales_to_low_precision(capsys):
 
 def test_verify_default_precision_passes(capsys):
     assert main(["--verify"]) == 0
-    data = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    assert _matches_reference(out, "verify")
+    data = json.loads(out)
     assert data["summary"]["fail"] == 0
     suites = {r["suite"] for r in data["rows"]}
     assert {
@@ -168,6 +181,11 @@ def test_verify_default_precision_passes(capsys):
         "transform-discrete-orthogonality",
         "bound-separation",
     } <= suites
+
+
+def test_default_grid_is_byte_identical_to_reference(capsys):
+    assert main(["--grid"]) == 0
+    assert _matches_reference(capsys.readouterr().out, "grid")
 
 
 def test_small_grid_runs_clean(capsys):

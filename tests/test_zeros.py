@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from mpmath import mp
@@ -21,7 +22,15 @@ from christoffel import (
     stieltjes_check,
     zeros_golub_welsch,
 )
+from christoffel import zeros
 from christoffel.core import Polynomial
+
+
+def _poly_map(coeffs):
+    """x -> (p(x), p'(x)) for the polynomial with ascending ``coeffs``."""
+    p = Polynomial(coeffs)
+    dp = p.derivative()
+    return lambda x: (p(x), dp(x))
 
 
 def test_degree_one_zero_is_recurrence_offset(policy):
@@ -119,16 +128,16 @@ def test_gauss_rule_orthogonality_and_positivity(policy):
 
 
 def test_interlace_basic_cases(policy):
-    assert interlace_strict([0], [-1, 1], policy).strict
-    assert not interlace_strict([2], [-1, 1], policy).strict
+    assert interlace_strict(_poly_map([0, 1]), 1, [-1, 1], policy).strict
+    assert not interlace_strict(_poly_map([-2, 1]), 1, [-1, 1], policy).strict
     with pytest.raises(ValueError):
-        interlace_strict([0, 2], [-1, 1], policy)
-    # sizes n and n+1 with a coincidence: reported, not an error
-    assert interlace_strict([0, 2], [-1, 0, 1], policy).common == (0,)
+        interlace_strict(_poly_map([0, -2, 1]), 2, [-1, 1], policy)
+    # right degree with a zero on an outer zero: reported, not an error
+    assert interlace_strict(_poly_map([0, -2, 1]), 2, [-1, 0, 1], policy).common == (0,)
 
 
 def test_interlace_reports_common_zeros(policy):
-    verdict = interlace_strict([0, 1], [-1, 0, 2], policy)
+    verdict = interlace_strict(_poly_map([0, -1, 1]), 2, [-1, 0, 2], policy)  # x (x - 1)
     assert not verdict.strict
     assert verdict.common == (0,)
 
@@ -141,9 +150,32 @@ def test_consecutive_degrees_interlace(policy):
         for n in (2, 12, 30):
             if fam.max_valid_degree is not None and n > fam.max_valid_degree:
                 continue
-            inner = zeros_golub_welsch(fam, n - 1, policy)
+            inner = partial(eval_with_derivative, fam, n - 1, policy=policy)
             outer = zeros_golub_welsch(fam, n, policy)
-            assert interlace_strict(inner, outer, policy).strict
+            assert interlace_strict(inner, n - 1, outer, policy).strict
+
+
+def test_sign_verdict_matches_direct_zero_comparison(policy):
+    """Sign alternation agrees with b[i] < a[i] < b[i+1] on solved zero sets."""
+    cases = [
+        (mp_family("0.5", "0.9", policy), mp_family(lam, phi, policy), 8)
+        for lam in ("0.5", "1.5", "4")
+        for phi in ("0.9", "0.7", "1.2")
+    ] + [
+        (pj_family(-35, 8, policy), pj_family(a, b, policy), 12)
+        for a in (-35, -30, -20)
+        for b in (8, 6, -2)
+    ]
+    outcomes = set()
+    for outer_fam, inner_fam, n in cases:
+        b = zeros_golub_welsch(outer_fam, n, policy)
+        a = zeros_golub_welsch(inner_fam, n - 1, policy)
+        with policy.workprec():
+            direct = all(b[i] < a[i] < b[i + 1] for i in range(n - 1))
+        q = partial(eval_with_derivative, inner_fam, n - 1, policy=policy)
+        assert interlace_strict(q, n - 1, b, policy).strict == direct, inner_fam.label
+        outcomes.add(direct)
+    assert outcomes == {True, False}
 
 
 def test_mp_bound_reference_values(policy):
@@ -260,6 +292,29 @@ def test_stieltjes_common_zero_branch_mp_right_angle(policy):
     verdict = stieltjes_check(fam, 2, 9, policy)
     assert verdict.ok and verdict.branch == "common_zero"
     assert len(verdict.common) == 1
+
+
+def test_stieltjes_failure_path_reports_violations(policy, monkeypatch):
+    fam = mp_family("0.5", "0.9", policy)
+    n, k = 10, 2
+    zp = zeros_golub_welsch(fam, n, policy)
+    zg = zeros_golub_welsch(fam.shifted(k), n - 2, policy)
+    with policy.workprec():
+        beyond = zp[-1] + 1
+    monkeypatch.setattr(zeros, "_family_bound", lambda *args: beyond)
+    verdict = stieltjes_check(fam, k, n, policy)
+    assert verdict.ok is False and verdict.branch == "coprime"
+    assert verdict.violations == (
+        "zeros of (x-B) g do not interlace the zeros of p_n",
+        "bound is not strictly inside the extreme zeros",
+    )
+    monkeypatch.setattr(zeros, "_family_bound", lambda *args: zg[len(zg) // 2])
+    verdict = stieltjes_check(fam, k, n, policy)
+    assert verdict.ok is False and verdict.branch == "coprime"
+    assert verdict.violations == (
+        "bound coincides with a zero of the modified polynomial",
+        "zeros of (x-B) g do not interlace the zeros of p_n",
+    )
 
 
 def test_stieltjes_parameter_validation(policy):

@@ -30,7 +30,6 @@ from .families import (
     recurrence_residual,
 )
 from .associated import (
-    AssociatedSequence,
     associated,
     associated_identity_residual,
     extension_identity_residual,
@@ -80,7 +79,6 @@ __all__ = [
     "mp_symmetry_residual",
     "pj_family",
     "recurrence_residual",
-    "AssociatedSequence",
     "associated",
     "associated_identity_residual",
     "extension_identity_residual",

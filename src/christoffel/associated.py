@@ -21,51 +21,27 @@ exposed here as relative residual checks:
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from mpmath import mp
 
 from .core import DEFAULT_POLICY, Polynomial, TolerancePolicy, X, relative_residual, to_scalar
 from .families import RecurrenceFamily, _ladder
 
 
-class AssociatedSequence:
-    """Lazily extended cache of S_0 .. S_n for one family and anchor.
-
-    Construction is cheap; polynomials are built on first request and kept.
-    Safe for concurrent reads once fully built.
-    """
-
-    def __init__(self, family: RecurrenceFamily, n: int, policy: TolerancePolicy = DEFAULT_POLICY):
-        family.require_degree(n)
-        self.family = family
-        self.n = n
-        self.precision_bits = policy.precision_bits
-        self._polys = [Polynomial([1])]
-
-    def poly(self, m: int) -> Polynomial:
-        if not 0 <= m <= self.n:
-            raise ValueError(f"order {m} outside 0..{self.n} for anchor {self.n}")
-        with mp.workprec(self.precision_bits):
-            while len(self._polys) <= m:
-                j = len(self._polys)  # building S_j
-                head = X - Polynomial([self.family.C(self.n - j + 1)])
-                if j == 1:
-                    self._polys.append(head)
-                else:
-                    lam = self.family.Lambda(self.n - j + 2)
-                    self._polys.append(head * self._polys[j - 1] - lam * self._polys[j - 2])
-        return self._polys[m]
-
-
-@lru_cache(maxsize=None)
-def _sequence(family: RecurrenceFamily, n: int, prec: int) -> AssociatedSequence:
-    return AssociatedSequence(family, n, TolerancePolicy(precision_bits=prec))
-
-
 def associated(family: RecurrenceFamily, n: int, m: int, policy: TolerancePolicy = DEFAULT_POLICY) -> Polynomial:
-    """S_m anchored at n: monic, exact degree m."""
-    return _sequence(family, n, policy.precision_bits).poly(m)
+    """S_m anchored at n: monic, exact degree m (S_0, S_1, ... kept by the family per anchor and precision)."""
+    family.require_degree(n)
+    if not 0 <= m <= n:
+        raise ValueError(f"order {m} outside 0..{n} for anchor {n}")
+    prec = policy.precision_bits
+    polys = family.owned(("associated", n, prec), lambda: [Polynomial([1])])
+    if len(polys) <= m:
+        C, L = family.recurrence(n, prec)
+        with mp.workprec(prec):
+            while len(polys) <= m:
+                j = len(polys)  # building S_j
+                head = X - Polynomial([C[n - j + 1]])
+                polys.append(head if j == 1 else head * polys[j - 1] - polys[j - 2] * L[n - j + 2])
+    return polys[m]
 
 
 def associated_identity_residual(

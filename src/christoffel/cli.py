@@ -317,8 +317,10 @@ def run_table(table_id: int, config: RunConfig) -> Report:
     )
 
 
-def _grid_interlace(decomp, shifted, n: int, m: int, zp, policy: TolerancePolicy) -> str:
+def _grid_interlace(fam, decomp, zp, policy: TolerancePolicy) -> str:
     """Interlace verdict of G g_{n-m,k} against the zeros ``zp`` of p_n (see :func:`run_grid`)."""
+    n, m = decomp.n, decomp.m
+    shifted = fam.shifted(decomp.k)
     G, dG = decomp.G_poly, decomp.G_poly.derivative()
     verdict = None
     if G.degree == m - 1:
@@ -352,6 +354,7 @@ def run_grid(config: RunConfig) -> Report:
     that is asserted for m = 2, k <= 2.  It is decided by the sign
     alternation of G * g at the zeros of p_n (G by Horner, g by its
     recurrence); the roots of G are only computed to name a failed cell.
+    The modifiers and shifted families are kept by the family.
     For m = 2, k = 3 the product has n+1 zeros, which cannot interlace n
     zeros one-per-gap; the grid asserts that failure (and records how many
     product zeros escape the span of the extreme zeros of p_n).
@@ -364,15 +367,12 @@ def run_grid(config: RunConfig) -> Report:
         raise ValueError("grid needs --n of at least 4")
     started = time.monotonic()
     fam = mp_family(lam, phi, policy)
-    k_top = min(n_max, 12) + 2
-    modifiers = {k: even_modifier(fam, k, policy) for k in range(0, k_top + 1)}
-    shifted = {k: fam.shifted(k) for k in range(0, k_top + 1)}
-    zeros_p = {}
     rows = []
     for n in range(4, n_max + 1):
+        zp = zeros_golub_welsch(fam, n, policy)  # every n has interlace cells (m = 2)
         for m in range(2, n + 1):
             for k in range(0, m + 3):
-                decomp = connection_decompose(fam, modifiers[k], n, m, policy)
+                decomp = connection_decompose(fam, even_modifier(fam, k, policy), n, m, policy)
                 law = connection_degree_law(k, m)
                 deg_a = decomp.a_poly.degree
                 deg_g = decomp.G_poly.degree
@@ -381,10 +381,7 @@ def run_grid(config: RunConfig) -> Report:
                 interlace = "n/a"
                 interlace_ok = True
                 if deg_g == m - 1 or (m == 2 and k == 3):
-                    if n not in zeros_p:
-                        zeros_p[n] = zeros_golub_welsch(fam, n, policy)
-                    zp = zeros_p[n]
-                    interlace = _grid_interlace(decomp, shifted[k], n, m, zp, policy)
+                    interlace = _grid_interlace(fam, decomp, zp, policy)
                     if m == 2 and k <= 2:
                         interlace_ok = interlace == "holds"
                     elif m == 2 and k == 3:

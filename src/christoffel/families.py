@@ -27,12 +27,16 @@ by the even polynomial ``c_{2k}`` produced by :func:`even_modifier` shifts
 the family parameter (lambda -> lambda + k, a -> a + k), which is the cheap
 independent route to the modified polynomials used as an oracle for the
 determinant-based Christoffel transform.
+
+Everything derived from a recurrence (coefficient arrays, ladder, zeros,
+associated sequences, shifted families, canonical modifiers) is built on
+first request and kept by the family, in :meth:`RecurrenceFamily.owned`;
+dropping the last reference to a family frees all of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Mapping, Optional
 
 from mpmath import mp
@@ -61,8 +65,9 @@ class RecurrenceFamily:
     """Recurrence coefficient provider plus parameter record and validity range.
 
     ``max_valid_degree`` is None for an unbounded family.  Instances are
-    immutable and compared by identity, which lets the module-level caches
-    key generated polynomials on the family object itself.
+    immutable and compared by identity.  Everything derived from the
+    recurrence lives in a private store, filled through :meth:`owned` and
+    freed together with the family.
     """
 
     kind: str
@@ -72,6 +77,29 @@ class RecurrenceFamily:
     max_valid_degree: Optional[int]
     label: str
     precision_bits: int = 256
+    _store: dict = field(default_factory=dict, init=False, repr=False)
+
+    def owned(self, key, build: Callable[[], object]):
+        """The value kept under ``key``: ``build()`` on the first request, then the same object."""
+        try:
+            return self._store[key]
+        except KeyError:
+            value = self._store[key] = build()
+            return value
+
+    def recurrence(self, n: int, prec: int) -> tuple:
+        """C(j) and Lambda(j) at ``prec`` bits as shared, read-only lists indexed by degree.
+
+        C[0], Lambda[0] and Lambda[1] are 0.  Extended lazily, never past n: beyond
+        the validity range the maps may be undefined (PJ Lambda divides by zero).
+        """
+        C, L = self.owned(("recurrence", prec), lambda: ([mp.mpf(0)], [mp.mpf(0), mp.mpf(0)]))
+        with mp.workprec(prec):
+            while len(C) <= n:
+                C.append(self.C(len(C)))
+            while len(L) <= n:
+                L.append(self.Lambda(len(L)))
+        return C, L
 
     def require_degree(self, n: int):
         if n < 0:
@@ -87,22 +115,22 @@ class RecurrenceFamily:
         return self.kind in (MEIXNER_POLLACZEK, PSEUDO_JACOBI)
 
     def shifted(self, k: int) -> "RecurrenceFamily":
-        """The family orthogonal with respect to c_{2k}(x) w(x), via parameter shift."""
+        """The family orthogonal with respect to c_{2k}(x) w(x), via parameter shift (kept)."""
         if k < 0:
             raise ValueError("shift must be nonnegative")
         policy = TolerancePolicy(precision_bits=self.precision_bits)
-        # the parameter sum must round at the family's precision, not at
-        # whatever ambient precision the caller happens to be running under
-        with policy.workprec():
-            if self.kind == MEIXNER_POLLACZEK:
-                lam = self.params["lambda"] + k
-            elif self.kind == PSEUDO_JACOBI:
-                a = self.params["a"] + k
-            else:
-                raise ValueError(f"{self.label} has no canonical parameter shift")
-        if self.kind == MEIXNER_POLLACZEK:
-            return mp_family(lam, self.params["phi"], policy)
-        return pj_family(a, self.params["b"], policy)
+
+        def build() -> "RecurrenceFamily":
+            # the parameter sum must round at the family's precision, not at
+            # whatever ambient precision the caller happens to be running under
+            with policy.workprec():
+                if self.kind == MEIXNER_POLLACZEK:
+                    return mp_family(self.params["lambda"] + k, self.params["phi"], policy)
+                if self.kind == PSEUDO_JACOBI:
+                    return pj_family(self.params["a"] + k, self.params["b"], policy)
+            raise ValueError(f"{self.label} has no canonical parameter shift")
+
+        return self.owned(("shifted", k), build)
 
 
 def mp_family(lam, phi, policy: TolerancePolicy = DEFAULT_POLICY) -> RecurrenceFamily:
@@ -182,23 +210,24 @@ def custom_family(
     )
 
 
-@lru_cache(maxsize=None)
 def _ladder(family: RecurrenceFamily, n: int, prec: int) -> tuple:
-    with mp.workprec(prec):
-        if n == 0:
-            return (Polynomial([1]),)
-        prev = _ladder(family, n - 1, prec)
-        if n == 1:
-            p = Polynomial([-family.C(1), 1])
-        else:
-            lam = family.Lambda(n)
-            if not lam > 0:
-                raise ValueError(
-                    f"Lambda({n}) = {mp.nstr(lam, 8)} is not positive for {family.label}; "
-                    "recurrence is outside the orthogonality range"
-                )
-            p = (X - Polynomial([family.C(n)])) * prev[-1] - lam * prev[-2]
-        return prev + (p,)
+    """p_0, ..., p_n at ``prec`` bits, built by a loop and kept by the family."""
+    polys = family.owned(("ladder", prec), lambda: [Polynomial([1])])
+    if len(polys) <= n:
+        C, L = family.recurrence(n, prec)
+        with mp.workprec(prec):
+            while len(polys) <= n:
+                j = len(polys)
+                if j == 1:
+                    polys.append(Polynomial([-C[1], 1]))
+                    continue
+                if not L[j] > 0:
+                    raise ValueError(
+                        f"Lambda({j}) = {mp.nstr(L[j], 8)} is not positive for {family.label}; "
+                        "recurrence is outside the orthogonality range"
+                    )
+                polys.append((X - Polynomial([C[j]])) * polys[j - 1] - polys[j - 2] * L[j])
+    return tuple(polys[: n + 1])
 
 
 def generate(family: RecurrenceFamily, n: int, policy: TolerancePolicy = DEFAULT_POLICY) -> Polynomial:
@@ -221,21 +250,17 @@ def eval_with_derivative(family: RecurrenceFamily, n: int, x, policy: ToleranceP
     solver relies on.
     """
     family.require_degree(n)
+    C, L = family.recurrence(n, policy.precision_bits)
     with policy.workprec():
         x = to_scalar(x)
-        p_prev, p = mp.mpf(1), mp.mpf(0)  # p_0, p_{-1}
-        d_prev, d = mp.mpf(0), mp.mpf(0)
-        if n == 0:
-            return p_prev, d_prev
-        p, p_prev = p_prev, p  # now p = p_0, p_prev = p_{-1}
-        d, d_prev = d_prev, d
+        p, p_prev = mp.mpf(1), mp.mpf(0)  # p_0, p_{-1}
+        d, d_prev = mp.mpf(0), mp.mpf(0)
         for j in range(1, n + 1):
-            lam = family.Lambda(j) if j >= 2 else mp.mpf(0)
-            xc = x - family.C(j)
+            xc = x - C[j]
             # order matters: the derivative update reads p_prev after the
             # value update, when it already holds p_{j-1}
-            p, p_prev = xc * p - lam * p_prev, p
-            d, d_prev = p_prev + xc * d - lam * d_prev, d
+            p, p_prev = xc * p - L[j] * p_prev, p
+            d, d_prev = p_prev + xc * d - L[j] * d_prev, d
         return p, d
 
 
@@ -303,7 +328,7 @@ class ModifierSpec:
 
 
 def even_modifier(family: RecurrenceFamily, k: int, policy: TolerancePolicy = DEFAULT_POLICY) -> ModifierSpec:
-    """The canonical even modifier of order k for the family.
+    """The canonical even modifier of order k for the family, kept per (k, policy).
 
     Meixner-Pollaczek: c = prod_{j<k} ((lambda+j)^2 + x^2), nodes i(lambda+j).
     Pseudo-Jacobi: c = (1+x^2)^k with the single node i; k >= 2 repeats the
@@ -313,22 +338,26 @@ def even_modifier(family: RecurrenceFamily, k: int, policy: TolerancePolicy = DE
     """
     if k < 0:
         raise ValueError("modifier order k must be nonnegative")
-    with policy.workprec():
-        if k == 0:
-            return ModifierSpec(k=0, c=Polynomial([1]), nodes=())
-        if family.kind == MEIXNER_POLLACZEK:
-            lam = family.params["lambda"]
-            return ModifierSpec.from_nodes(
-                [mp.mpc(0, lam + j) for j in range(k)], policy
-            )
-        if family.kind == PSEUDO_JACOBI:
-            if k > 1:
-                raise ValueError(
-                    "Pseudo-Jacobi modifiers with k >= 2 repeat the node pair +-i; "
-                    "use the parameter-shift route instead of the determinant transform"
+
+    def build() -> ModifierSpec:
+        with policy.workprec():
+            if k == 0:
+                return ModifierSpec(k=0, c=Polynomial([1]), nodes=())
+            if family.kind == MEIXNER_POLLACZEK:
+                lam = family.params["lambda"]
+                return ModifierSpec.from_nodes(
+                    [mp.mpc(0, lam + j) for j in range(k)], policy
                 )
-            return ModifierSpec.from_nodes([mp.mpc(0, 1)], policy)
-        raise ValueError(f"{family.label} has no canonical even modifier")
+            if family.kind == PSEUDO_JACOBI:
+                if k > 1:
+                    raise ValueError(
+                        "Pseudo-Jacobi modifiers with k >= 2 repeat the node pair +-i; "
+                        "use the parameter-shift route instead of the determinant transform"
+                    )
+                return ModifierSpec.from_nodes([mp.mpc(0, 1)], policy)
+            raise ValueError(f"{family.label} has no canonical even modifier")
+
+    return family.owned(("even_modifier", k, policy), build)
 
 
 def recurrence_residual(family: RecurrenceFamily, n: int, x, policy: TolerancePolicy = DEFAULT_POLICY) -> mp.mpf:
@@ -345,34 +374,17 @@ def recurrence_residual(family: RecurrenceFamily, n: int, x, policy: TolerancePo
         return relative_residual(t1 - t2 + t3, (t1, t2, t3))
 
 
-@lru_cache(maxsize=None)
-def _mp_mirror_pair(lam, phi, prec: int):
-    policy = TolerancePolicy(precision_bits=prec)
-    fam = mp_family(lam, phi, policy)
-    with policy.workprec():
-        cot = _snapped_cot(to_scalar(phi))
-        lam_s = to_scalar(lam)
-        inv_four_sin2 = 1 / (4 * mp.sin(to_scalar(phi)) ** 2)
-
-    # phi -> -phi flips the sign of cot(phi) and leaves Lambda unchanged,
-    # so the mirrored recurrence is legal even though -phi itself is not.
-    def C(n: int):
-        return (lam_s + n - 1) * cot
-
-    def Lambda(n: int):
-        return (n - 1) * (2 * lam_s + n - 2) * inv_four_sin2
-
-    mirror = custom_family(C, Lambda, None, label=f"MP-mirror(lambda={lam}, phi={phi})", policy=policy)
-    return fam, mirror
-
-
 def mp_symmetry_residual(lam, phi, n: int, x, policy: TolerancePolicy = DEFAULT_POLICY) -> mp.mpf:
     """Relative defect of P_n(x; phi) = (-1)^n P_n(-x; -phi) for Meixner-Pollaczek."""
     with policy.workprec():
-        lam = to_scalar(lam)
-        phi = to_scalar(phi)
         x = to_scalar(x)
-        fam, mirror = _mp_mirror_pair(lam, phi, policy.precision_bits)
+        fam = mp_family(lam, phi, policy)
+        # phi -> -phi flips the sign of C and leaves Lambda unchanged, so the
+        # mirrored recurrence is legal even though -phi itself is not; the
+        # negation is exact, so the mirror matches a closed form bit for bit.
+        mirror = custom_family(
+            lambda j: -fam.C(j), fam.Lambda, None, label=f"MP-mirror(lambda={lam}, phi={phi})", policy=policy
+        )
         lhs = generate(fam, n, policy)(x)
         rhs = generate(mirror, n, policy)(-x)
         if n % 2:

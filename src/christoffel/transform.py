@@ -143,7 +143,7 @@ def christoffel_transform(
                     f"imaginary residue {mp.nstr(abs(d.imag), 6)} in expansion "
                     "coefficients; modifier nodes are inconsistent"
                 )
-            combo = combo + d.real * polys[j]
+            combo = combo + polys[j] * d.real
         g = combo.divide_exact(modifier.c, policy).monic()
         return g.chop(policy.rel_tol * max(1, g.inf_norm()))
 
@@ -256,14 +256,14 @@ def connection_decompose(
             for t in range(m - j - 1):
                 prod *= family.Lambda(n - t)
             w = d[j] / prod
-            a_poly = a_poly - w * associated(family, n - 1, m - j - 2, policy)
-            g_proof = g_proof + w * associated(family, n, m - j - 1, policy)
+            a_poly = a_poly - associated(family, n - 1, m - j - 2, policy) * w
+            g_proof = g_proof + associated(family, n, m - j - 1, policy) * w
         if m - 1 <= 2 * k:
             g_proof = g_proof + Polynomial([d[m - 1]])
         for j in range(m, 2 * k + 1):
-            a_poly = a_poly + d[j] * associated(family, n - m + j, j - m, policy)
+            a_poly = a_poly + associated(family, n - m + j, j - m, policy) * d[j]
         for j in range(m + 1, 2 * k + 1):
-            g_proof = g_proof - lam_n1 * d[j] * associated(family, n - m + j, j - m - 1, policy)
+            g_proof = g_proof - associated(family, n - m + j, j - m - 1, policy) * (lam_n1 * d[j])
         G_poly = -g_proof
 
         a_poly = a_poly.chop(policy.rel_tol * max(1, a_poly.inf_norm()))

@@ -148,22 +148,18 @@ def _polish(family, n, lo, hi, policy):
     return x
 
 
-def zeros_golub_welsch(family: RecurrenceFamily, n: int, policy: TolerancePolicy = DEFAULT_POLICY) -> ZeroSet:
-    """All n zeros of the degree-n member, ascending, at working precision."""
-    family.require_degree(n)
-    if n == 0:
-        return ZeroSet((), family.label, 0)
+def _solve(family: RecurrenceFamily, n: int, policy: TolerancePolicy) -> ZeroSet:
+    """Sturm bisection at 64 bits, then Newton polish at working precision (n >= 1)."""
+    C, L = family.recurrence(n, policy.precision_bits)
     with policy.workprec():
-        diag = [family.C(j) for j in range(1, n + 1)]
-        offsq = []
+        diag = C[1 : n + 1]
         for j in range(2, n + 1):
-            lam = family.Lambda(j)
-            if not lam > 0:
+            if not L[j] > 0:
                 raise ValueError(
-                    f"Lambda({j}) = {mp.nstr(lam, 8)} not positive for {family.label}; "
+                    f"Lambda({j}) = {mp.nstr(L[j], 8)} not positive for {family.label}; "
                     "Jacobi matrix is not defined"
                 )
-            offsq.append(lam)
+        offsq = L[2 : n + 1]
         if n == 1:
             values = [diag[0]]
         else:
@@ -197,13 +193,28 @@ def zeros_golub_welsch(family: RecurrenceFamily, n: int, policy: TolerancePolicy
                     brackets.append((a, b))
             values = [_polish(family, n, a, b, policy) for a, b in brackets]
         values.sort()
-        for u, v in zip(values, values[1:]):
+        return ZeroSet(tuple(values), family.label, n)
+
+
+def zeros_golub_welsch(family: RecurrenceFamily, n: int, policy: TolerancePolicy = DEFAULT_POLICY) -> ZeroSet:
+    """All n zeros of the degree-n member, ascending, at working precision.
+
+    The zeros depend only on the precision, so they are solved once per
+    (n, precision) and kept by the family; the simple-zero check runs on
+    every call, under the caller's ``abs_tol``.
+    """
+    family.require_degree(n)
+    if n == 0:
+        return ZeroSet((), family.label, 0)
+    zs = family.owned(("zeros", n, policy.precision_bits), lambda: _solve(family, n, policy))
+    with policy.workprec():
+        for u, v in zip(zs.values, zs.values[1:]):
             if not v - u > policy.abs_tol:
                 raise ArithmeticError(
                     f"zeros of {family.label} degree {n} are not simple at tolerance: "
                     f"{mp.nstr(u, 12)} vs {mp.nstr(v, 12)}"
                 )
-        return ZeroSet(tuple(values), family.label, n)
+        return zs
 
 
 def gauss_rule(family: RecurrenceFamily, n: int, policy: TolerancePolicy = DEFAULT_POLICY):
@@ -217,17 +228,17 @@ def gauss_rule(family: RecurrenceFamily, n: int, policy: TolerancePolicy = DEFAU
     if n < 1:
         raise ValueError("Gauss rule needs n >= 1")
     nodes = zeros_golub_welsch(family, n, policy)
+    C, L = family.recurrence(n, policy.precision_bits)
     with policy.workprec():
         h = [mp.mpf(1)]
         for j in range(2, n + 1):
-            h.append(h[-1] * family.Lambda(j))
+            h.append(h[-1] * L[j])
         weights = []
         for x in nodes.values:
             p_prev, p = mp.mpf(0), mp.mpf(1)  # p_{-1}, p_0
             denom = mp.mpf(1)  # j = 0 term
             for j in range(1, n):
-                lam = family.Lambda(j) if j >= 2 else mp.mpf(0)
-                p, p_prev = (x - family.C(j)) * p - lam * p_prev, p
+                p, p_prev = (x - C[j]) * p - L[j] * p_prev, p
                 denom += p * p / h[j]
             weights.append(1 / denom)
         total = sum(weights)

@@ -188,6 +188,13 @@ def test_default_grid_is_byte_identical_to_reference(capsys):
     assert _matches_reference(capsys.readouterr().out, "grid")
 
 
+def test_grid_beyond_default_degree_cap(capsys):
+    # k runs to m + 2 = 15 at n = 13, past the modifiers the default grid needs
+    assert main(["--grid", "--n", "13"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["summary"] == {"rows": 660, "pass": 660, "flagged": 0, "fail": 0}
+
+
 def test_small_grid_runs_clean(capsys):
     assert main(["--grid", "--n", "5"]) == 0
     data = json.loads(capsys.readouterr().out)

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import gc
+import inspect
 import random
+import sys
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -9,6 +13,9 @@ from mpmath import mp
 from christoffel import (
     ModifierSpec,
     Polynomial,
+    TolerancePolicy,
+    associated,
+    connection_decompose,
     even_modifier,
     eval_with_derivative,
     generate,
@@ -17,6 +24,7 @@ from christoffel import (
     mp_symmetry_residual,
     pj_family,
     recurrence_residual,
+    zeros_golub_welsch,
 )
 
 
@@ -188,3 +196,27 @@ def test_generate_all_prefix_consistency(policy):
     ladder = generate_all(fam, 12, policy)
     assert len(ladder) == 13
     assert ladder[7] == generate(fam, 7, policy)
+
+
+def test_dropped_family_frees_what_it_derived(policy):
+    fam = mp_family("0.5", "0.9", policy)
+    generate(fam, 12, policy)
+    zeros_golub_welsch(fam, 8, policy)
+    associated(fam, 9, 4, policy)
+    fam.shifted(2)
+    connection_decompose(fam, even_modifier(fam, 2, policy), 8, 3, policy)
+    ref = weakref.ref(fam)
+    del fam
+    gc.collect()
+    assert ref() is None
+
+
+def test_ladder_is_not_recursive():
+    p64 = TolerancePolicy(precision_bits=64)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        p = generate(mp_family("0.5", "0.9", p64), 300, p64)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert p.degree == 300 and p.coeffs[-1] == 1

@@ -23,7 +23,7 @@ from christoffel import (
     zeros_golub_welsch,
 )
 from christoffel import zeros
-from christoffel.core import Polynomial
+from christoffel.core import Polynomial, TolerancePolicy
 
 
 def _poly_map(coeffs):
@@ -73,6 +73,42 @@ def test_zero_simplicity_gaps(policy):
         zs = zeros_golub_welsch(fam, n, policy)
         with policy.workprec():
             assert min(b - a for a, b in zip(zs.values, zs.values[1:])) > policy.abs_tol
+
+
+def _count_polish(monkeypatch) -> list:
+    """Replace zeros._polish by a wrapper that appends to the returned list on every call."""
+    calls = []
+    polish = zeros._polish
+
+    def counted(*args):
+        calls.append(args[1])
+        return polish(*args)
+
+    monkeypatch.setattr(zeros, "_polish", counted)
+    return calls
+
+
+def test_zeros_are_solved_once_per_family(policy, monkeypatch):
+    calls = _count_polish(monkeypatch)
+    fam, n = mp_family("0.5", "0.9", policy), 12
+    report = bound_separation(fam, n, policy)
+    assert stieltjes_check(fam, 1, n, policy).ok
+    nodes, _ = gauss_rule(fam, n, policy)
+    assert nodes.values[0] == report.x_min
+    assert len(calls) == n
+
+
+def test_cached_zeros_are_checked_under_each_tolerance(policy, monkeypatch):
+    fam, n = pj_family(-35, 8, policy), 25
+    zs = zeros_golub_welsch(fam, n, policy)
+    with policy.workprec():
+        gap = min(b - a for a, b in zip(zs.values, zs.values[1:]))
+    loose = TolerancePolicy(precision_bits=policy.precision_bits, abs_tol=2 * gap)
+    calls = _count_polish(monkeypatch)
+    with pytest.raises(ArithmeticError, match="not simple at tolerance"):
+        zeros_golub_welsch(fam, n, loose)
+    assert calls == []
+    assert zeros_golub_welsch(fam, n, policy) is zs
 
 
 def test_invalid_family_ranges_rejected(policy):

@@ -28,6 +28,7 @@ import io
 import json
 import os
 import random
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -625,6 +626,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="christoffel",
         description="Orthogonal polynomial connection formulas, zero bounds and reference-table reproduction.",
     )
+    # argparse takes "-1e30" for an option flag because its negative-number
+    # pattern has no exponent; with this one "--a -1e30" parses as "--a=-1e30".
+    parser._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$|^-inf$")
     mode = parser.add_mutually_exclusive_group(required=True)
     mode.add_argument("--table", type=int, choices=(1, 2, 3), help="reproduce a reference table")
     mode.add_argument("--grid", action="store_true", help="run the degree-law grid")

@@ -2,12 +2,15 @@
 
 Zeros of the degree-n family member are the eigenvalues of the symmetric
 tridiagonal Jacobi matrix with diagonal C(1..n) and off-diagonal
-sqrt(Lambda(2..n)).  They are located by bisection on the Sturm negative
-pivot count (which needs only the Lambda values, no square roots) and then
-polished by safeguarded Newton iteration on the recurrence evaluation of
-p_n.  Eigenvalues of a symmetric tridiagonal are perfectly conditioned;
-root-finding on monic coefficients at n = 30 is not, which is why the
-coefficients are never touched here.
+sqrt(Lambda(2..n)).  They are isolated by bisection on the Sturm negative
+pivot count (which needs only the Lambda values, no square roots), counted
+in Python floats on the shifted and power-of-two scaled matrix, and then
+polished by safeguarded Newton iteration at working precision on the
+recurrence evaluation of p_n; only zeros closer than the bisection's 64-bit
+midpoints resolve are bisected at working precision.  Eigenvalues of a
+symmetric tridiagonal are perfectly conditioned; root-finding on monic
+coefficients at n = 30 is not, which is why the coefficients are never
+touched here.
 
 Interlacing is decided in one place, :func:`interlace_strict`, by sign
 alternation at the already computed zeros of p_n; no zero of the inner
@@ -35,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from mpmath import mp
+from mpmath.libmp import mpf_add, mpf_le, mpf_shift, mpf_sub, round_nearest, to_float
 
 from .core import DEFAULT_POLICY, Polynomial, TolerancePolicy, to_scalar
 from .families import (
@@ -99,8 +103,21 @@ class StieltjesVerdict:
     violations: tuple = ()
 
 
+# Sturm counts in doubles on the shifted, scaled Jacobi matrix, whose entries
+# are below 1/2 in size, are exact counts of a matrix within about 2**-51 of
+# it (Kahan's backward error bound plus the roundings to double), so no
+# eigenvalue lies within this band of x when the counts at x -/+ _BAND agree.
+_BAND = 2.0**-49
+
+# Newton iterations allowed per zero; from a 2**-44 bracket it needs four.
+_POLISH_CAP = 150
+
+
 def _count_below(diag, offsq, x, tiny):
-    """Eigenvalues of the Jacobi matrix strictly below x (Sturm pivot count)."""
+    """Eigenvalues of the Jacobi matrix strictly below x (Sturm pivot count).
+
+    Runs in the arithmetic of its arguments: Python floats or mpf.
+    """
     count = 0
     d = diag[0] - x
     if d == 0:
@@ -116,40 +133,85 @@ def _count_below(diag, offsq, x, tiny):
     return count
 
 
-def _polish(family, n, lo, hi, policy):
+def _isolate(count, a, b, ca, cb, width, prec):
+    """Ascending brackets (a, b, ca, cb) of the eigenvalues in [a, b), by bisection.
+
+    a, b and ``width`` are raw mpf values, and midpoints are rounded to
+    ``prec`` bits.  ``ca`` and ``cb`` are the Sturm counts at a and b, so a
+    bracket holds the eigenvalues of index ca+1..cb; ``count(x, ca, cb)``
+    returns the count at x, or any number that clamps to the same value in
+    [ca, cb].  A bracket stops once it is no wider than ``width`` and holds
+    exactly one eigenvalue, or once its midpoint rounds to an end, so only a
+    cluster closer than ``prec`` bits resolve stops holding more than one.
+    """
+    out = []
+    todo = [(a, b, ca, cb)] if ca < cb else []
+    while todo:
+        a, b, ca, cb = todo.pop()
+        mid = mpf_shift(mpf_add(a, b, prec, round_nearest), -1)
+        if (cb - ca == 1 and mpf_le(mpf_sub(b, a, prec, round_nearest), width)) or mid in (a, b):
+            out.append((a, b, ca, cb))
+            continue
+        cm = min(max(count(mid, ca, cb), ca), cb)
+        if cm < cb:
+            todo.append((mid, b, cm, cb))
+        if ca < cm:
+            todo.append((a, mid, ca, cm))
+    return out
+
+
+def _polish(family, n, lo, hi, policy, unit):
     """Newton on p_n from the centre of the isolating bracket (lo, hi).
 
     The bracket is already a few dozen bits wide, so plain Newton converges
     quadratically; iterates are merely clamped to an inflated copy of the
     bracket.  Termination is on the step size reaching the precision floor,
-    not on sign tests, which become meaningless roundoff at the end.
+    not on sign tests, which become meaningless roundoff at the end; steps
+    are measured relative to max(unit, |x|).  Running out of iterations
+    raises ``ArithmeticError``.
     """
-    w0 = max(hi - lo, mp.ldexp(max(1, abs(lo)), -mp.prec))
+    w0 = max(hi - lo, mp.ldexp(max(unit, abs(lo)), -mp.prec))
+    x_min, x_max = lo - w0, hi + w0
     x = (lo + hi) / 2
     eps_stop = mp.ldexp(1, -(mp.prec - 8))
     floor_step = mp.ldexp(w0, -16)
     prev_step = None
-    for _ in range(150):
+    for _ in range(_POLISH_CAP):
         p, dp = eval_with_derivative(family, n, x, policy)
         if p == 0 or dp == 0:
             return x
         xn = x - p / dp
-        if xn < lo - w0:
-            xn = lo - w0
-        elif xn > hi + w0:
-            xn = hi + w0
+        if xn < x_min:
+            xn = x_min
+        elif xn > x_max:
+            xn = x_max
         step = abs(xn - x)
-        if step <= eps_stop * max(1, abs(xn)):
+        if step <= eps_stop * max(unit, abs(xn)):
             return xn
         if prev_step is not None and step >= prev_step and prev_step <= floor_step:
             return x
         prev_step = step
         x = xn
-    return x
+    raise ArithmeticError(
+        f"Newton polish of a zero of {family.label} degree {n} did not converge in "
+        f"{_POLISH_CAP} iterations on the bracket [{mp.nstr(lo, 20)}, {mp.nstr(hi, 20)}]"
+    )
 
 
 def _solve(family: RecurrenceFamily, n: int, policy: TolerancePolicy) -> ZeroSet:
-    """Sturm bisection at 64 bits, then Newton polish at working precision (n >= 1)."""
+    """Sturm bisection with counts in doubles, then Newton polish at working precision (n >= 1).
+
+    The brackets are cells of a bisection of the padded Gershgorin interval
+    down to 2**-44 of its width, with midpoints rounded to 64 bits.  Newton's
+    last bits depend on where it starts, and reports print roundoff-level
+    residuals, so these cells stay fixed however the counts are done.  The
+    counts run in doubles on the Jacobi matrix shifted by its Gershgorin
+    midpoint and scaled by a power of two at working precision, which fits
+    any recurrence mpf holds; a count is redone at 64 bits only when an
+    eigenvalue lies within ``_BAND`` of the midpoint.  A cell that 64-bit
+    midpoints cannot split into single zeros is bisected again at working
+    precision.
+    """
     C, L = family.recurrence(n, policy.precision_bits)
     with policy.workprec():
         diag = C[1 : n + 1]
@@ -161,38 +223,62 @@ def _solve(family: RecurrenceFamily, n: int, policy: TolerancePolicy) -> ZeroSet
                 )
         offsq = L[2 : n + 1]
         if n == 1:
-            values = [diag[0]]
-        else:
-            # Bracketing needs only isolation, not accuracy, so the Sturm
-            # bisection runs at 64 bits; the Newton polish below restores
-            # full working precision.
-            brackets = []
+            return ZeroSet((diag[0],), family.label, 1)
+        with mp.workprec(64):
+            d64 = [+c for c in diag]
+            o64 = [+v for v in offsq]
+            beta = [mp.mpf(0)] + [mp.sqrt(v) for v in o64] + [mp.mpf(0)]
+            lo = min(d - (beta[i] + beta[i + 1]) for i, d in enumerate(d64))
+            hi = max(d + (beta[i] + beta[i + 1]) for i, d in enumerate(d64))
+            # Newton's step floors are relative to max(unit, |x|): unit is 1,
+            # or the Gershgorin width of a smaller spectrum.
+            unit = min(hi - lo, 1)
+            pad = (hi - lo) * mp.mpf("0.001")
+            lo -= pad
+            hi += pad
+            spread = hi - lo
+            tiny = mp.ldexp(spread, -120)
+            width = spread * mp.ldexp(1, -44)
+        centre = (lo + hi) / 2
+        e = mp.frexp(spread)[1]
+        fdiag = [float(mp.ldexp(d - centre, -e)) for d in diag]
+        foffsq = [float(mp.ldexp(v, -2 * e)) for v in offsq]
+
+        def count64(x, ca, cb):
+            xs = to_float(mpf_shift(mpf_sub(x, centre._mpf_, 64, round_nearest), -e))
+            below = _count_below(fdiag, foffsq, xs - _BAND, 2.0**-120)
+            if below >= cb:
+                return below
+            upto = _count_below(fdiag, foffsq, xs + _BAND, 2.0**-120)
+            if min(max(upto, ca), cb) == max(below, ca):
+                return upto
             with mp.workprec(64):
-                d64 = [+c for c in diag]
-                o64 = [+l for l in offsq]
-                beta = [mp.sqrt(l) for l in o64]
-                lo = hi = d64[0]
-                for i in range(n):
-                    r = (beta[i - 1] if i > 0 else mp.mpf(0)) + (beta[i] if i < n - 1 else mp.mpf(0))
-                    lo = min(lo, d64[i] - r)
-                    hi = max(hi, d64[i] + r)
-                pad = max(hi - lo, mp.mpf(1)) * mp.mpf("0.001")
-                lo -= pad
-                hi += pad
-                spread = hi - lo
-                tiny = mp.ldexp(max(spread, mp.mpf(1)), -120)
-                width_target = spread * mp.ldexp(1, -44)
-                for i in range(1, n + 1):
-                    a, b = lo, hi
-                    while b - a > width_target:
-                        mid = (a + b) / 2
-                        if _count_below(d64, o64, mid, tiny) >= i:
-                            b = mid
-                        else:
-                            a = mid
-                    brackets.append((a, b))
-            values = [_polish(family, n, a, b, policy) for a, b in brackets]
-        values.sort()
+                return _count_below(d64, o64, mp.make_mpf(x), tiny)
+
+        # A cell that 64-bit midpoints cannot split into single zeros is
+        # bisected again at working precision.  64-bit counts are exact for a
+        # matrix within about 2**-62 max(|lo|, |hi|) of this one, so the cell
+        # is first widened past that reach, and only its own indices are kept.
+        reach = (width + mp.ldexp(max(abs(lo), abs(hi)), -60))._mpf_
+        tiny_wp = mp.ldexp(tiny, -mp.prec)
+
+        def count_wp(x, *_):
+            return _count_below(diag, offsq, mp.make_mpf(x), tiny_wp)
+
+        brackets = []
+        for a, b, ca, cb in _isolate(count64, lo._mpf_, hi._mpf_, 0, n, width._mpf_, 64):
+            if cb - ca == 1:
+                brackets.append((a, b))
+                continue
+            a = mpf_sub(a, reach, mp.prec, round_nearest)
+            b = mpf_add(b, reach, mp.prec, round_nearest)
+            for u, v, cu, cv in _isolate(count_wp, a, b, count_wp(a), count_wp(b), width._mpf_, mp.prec):
+                brackets += [(u, v)] * max(0, min(cv, cb) - max(cu, ca))
+        if len(brackets) != n:
+            raise ArithmeticError(f"isolated {len(brackets)} of the {n} zeros of {family.label} degree {n}")
+        values = sorted(
+            _polish(family, n, mp.make_mpf(a), mp.make_mpf(b), policy, unit) for a, b in brackets
+        )
         return ZeroSet(tuple(values), family.label, n)
 
 

@@ -139,6 +139,18 @@ def test_argparse_rejects_unknown_modes():
         build_parser().parse_args([])
 
 
+@pytest.mark.parametrize("argv", [["--a", "-1e30", "--b", "-2.5e3"], ["--a=-1e30", "--b=-2.5e3"]])
+def test_negative_exponent_values_parse(argv):
+    args = build_parser().parse_args(["--decompose", "--family", "pj", *argv])
+    assert (args.a, args.b) == ("-1e30", "-2.5e3")
+
+
+@pytest.mark.parametrize("a", [["--a", "-2e1"], ["--a=-2e1"]])
+def test_negative_exponent_values_run(a, capsys):
+    assert main(["--decompose", "--family", "pj", *a, "--b", "8", "--n", "9", "--m", "4", "--k", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["summary"]["pass"] == 1
+
+
 def test_env_precision_override(monkeypatch, capsys):
     monkeypatch.setenv(ENV_PRECISION, "128")
     assert main(["--table", "2"]) == 0

@@ -111,6 +111,78 @@ def test_cached_zeros_are_checked_under_each_tolerance(policy, monkeypatch):
     assert zeros_golub_welsch(fam, n, policy) is zs
 
 
+def _jacobi_eigenvalues(fam, n, policy):
+    """Eigenvalues of the Jacobi matrix by mpmath's dense symmetric solver."""
+    C, L = fam.recurrence(n, policy.precision_bits)
+    with policy.workprec():
+        T = mp.zeros(n, n)
+        for i in range(n):
+            T[i, i] = C[i + 1]
+            if i + 1 < n:
+                T[i, i + 1] = T[i + 1, i] = mp.sqrt(L[i + 2])
+        return sorted(mp.eigsy(T, eigvals_only=True))
+
+
+@pytest.mark.parametrize("m", [10, 15])
+def test_wilkinson_close_pairs_are_separated(policy, m):
+    # W+_{2m+1}: its top pair is 7.2e-14 apart at m = 10, which doubles
+    # resolve, and 4.9e-25 apart at m = 15, which needs working precision.
+    fam = custom_family(lambda j: mp.mpf(abs(m - (j - 1))), lambda j: mp.mpf(1), label=f"W+{2 * m + 1}", policy=policy)
+    n = 2 * m + 1
+    zs = zeros_golub_welsch(fam, n, policy)
+    ev = _jacobi_eigenvalues(fam, n, policy)
+    assert len(zs) == n
+    with policy.workprec():
+        assert ev[-1] - ev[-2] < mp.mpf("1e-13")
+        assert max(abs(z - e) for z, e in zip(zs.values, ev)) <= policy.abs_tol
+
+
+@pytest.mark.parametrize(
+    "C, Lam, abs_tol",
+    [
+        (lambda j: j * mp.mpf(10) ** 400, lambda j: mp.mpf(10) ** 799, None),
+        (lambda j: j * mp.mpf(10) ** -400, lambda j: mp.mpf(10) ** -801, "1e-480"),
+        (lambda j: mp.mpf(10) ** 10, lambda j: mp.mpf(1), None),
+        (lambda j: mp.mpf(10) ** 30, lambda j: mp.mpf(1), None),
+    ],
+    ids=["1e400", "1e-400", "offset-1e10", "offset-1e30"],
+)
+def test_zeros_at_extreme_scales(policy, C, Lam, abs_tol):
+    # Entries outside the double range need the shift and scale.  Zeros 1e10
+    # or 1e30 from the origin but O(1) apart are closer than 64-bit midpoints
+    # resolve.  The 1e-400 zeros are 1e-400 apart, so the simple-zero check
+    # needs an abs_tol below that.
+    pol = TolerancePolicy(precision_bits=policy.precision_bits, abs_tol=abs_tol)
+    fam, n = custom_family(C, Lam, policy=pol), 12
+    zs = zeros_golub_welsch(fam, n, pol)
+    ev = _jacobi_eigenvalues(fam, n, pol)
+    with pol.workprec():
+        assert all(abs(z - e) <= pol.rel_tol * abs(e) for z, e in zip(zs.values, ev))
+
+
+def test_float_counts_keep_the_64_bit_cells(monkeypatch):
+    # A zero of this family lies within double rounding of a cell midpoint;
+    # only the recount at 64 bits puts it on the side a 64-bit count does,
+    # and Newton's last bits depend on the cell it starts from.
+    pol = TolerancePolicy(precision_bits=64)
+    fast = zeros._solve(mp_family("3.901", "2.473", pol), 30, pol).values
+    monkeypatch.setattr(zeros, "_BAND", 1.0)  # every count at 64 bits
+    assert zeros._solve(mp_family("3.901", "2.473", pol), 30, pol).values == fast
+
+
+def test_polish_raises_at_the_iteration_cap(policy, monkeypatch):
+    # Newton steps that flip direction each time never shrink, so the polish
+    # runs into its cap instead of returning its last iterate.
+    def flipping(fam, n, x, pol):
+        flipping.sign = -flipping.sign
+        return mp.mpf(flipping.sign), mp.mpf(1)
+
+    flipping.sign = 1
+    monkeypatch.setattr(zeros, "eval_with_derivative", flipping)
+    with pytest.raises(ArithmeticError, match=r"MP\(lambda=0.5, phi=0.9\) degree 6 did not converge .* bracket \[-"):
+        zeros_golub_welsch(mp_family("0.5", "0.9", policy), 6, policy)
+
+
 def test_invalid_family_ranges_rejected(policy):
     with pytest.raises(ValueError):
         zeros_golub_welsch(pj_family(-5, 1, policy), 5, policy)

@@ -50,9 +50,8 @@ from .zeros import (
     ZeroSet,
     bound_separation,
     gauss_rule,
+    inner_bound,
     interlace_strict,
-    mp_bound,
-    pj_bound,
     polynomial_real_roots,
     stieltjes_check,
     zeros_golub_welsch,
@@ -95,9 +94,8 @@ __all__ = [
     "ZeroSet",
     "bound_separation",
     "gauss_rule",
+    "inner_bound",
     "interlace_strict",
-    "mp_bound",
-    "pj_bound",
     "polynomial_real_roots",
     "stieltjes_check",
     "zeros_golub_welsch",

@@ -54,9 +54,10 @@ def associated_identity_residual(
     with policy.workprec():
         x = to_scalar(x)
         ladder = _ladder(family, n, policy.precision_bits)
+        L = family.recurrence(n, policy.precision_bits)[1]
         prefix = mp.mpf(1)
         for t in range(n - m + 2, n + 1):
-            prefix *= family.Lambda(t)
+            prefix *= L[t]
         t1 = prefix * ladder[n - m](x)
         t2 = associated(family, n, m - 1, policy)(x) * ladder[n - 1](x)
         t3 = associated(family, n - 1, m - 2, policy)(x) * ladder[n](x)
@@ -78,5 +79,6 @@ def extension_identity_residual(
         if m == 0:
             t3 = mp.mpf(0)
         else:
-            t3 = family.Lambda(n + 1) * associated(family, n + m, m - 1, policy)(x) * ladder[n - 1](x)
+            L = family.recurrence(n + 1, policy.precision_bits)[1]
+            t3 = L[n + 1] * associated(family, n + m, m - 1, policy)(x) * ladder[n - 1](x)
         return relative_residual(t1 - t2 + t3, (t1, t2, t3))

@@ -12,7 +12,10 @@ Four modes, selected by a mutually exclusive flag:
 
 Reports are emitted as JSON (default) or CSV.  Exit status: 0 when nothing
 failed (flagged cells are allowed), 1 on any failure, 2 on configuration
-errors.
+errors (``ValueError``: bad flags, parameters outside a family's range,
+non-finite values or tolerances), 3 on numerical failure (``ArithmeticError``:
+a degenerate transform, zeros that are not simple at tolerance, a Newton
+polish that does not converge).
 
 A handful of printed table cells disagree with their recomputed values at
 far beyond the printed rounding; these are embedded as flagged cells with
@@ -46,9 +49,8 @@ from .transform import christoffel_transform, connection_decompose, connection_d
 from .zeros import (
     bound_separation,
     gauss_rule,
+    inner_bound,
     interlace_strict,
-    mp_bound,
-    pj_bound,
     polynomial_real_roots,
     stieltjes_check,
     zeros_golub_welsch,
@@ -263,10 +265,8 @@ def run_table(table_id: int, config: RunConfig) -> Report:
         with policy.workprec():
             if spec["family"] == "mp":
                 fam = mp_family(params["lambda"], params["phi"], policy)
-                bound = lambda k: mp_bound(params["lambda"], params["phi"], n, k, policy)
             else:
                 fam = pj_family(params["a"], params["b"], policy)
-                bound = lambda k: pj_bound(params["a"], params["b"], n, k, policy)
             zs = zeros_golub_welsch(fam, n, policy)
             computed = {}
             for col in spec["columns"]:
@@ -275,7 +275,7 @@ def run_table(table_id: int, config: RunConfig) -> Report:
                 elif col == "x_max":
                     computed[col] = zs[-1]
                 else:
-                    computed[col] = bound(int(col[1]))
+                    computed[col] = inner_bound(fam, n, int(col[1]), policy)
             cell_verdicts = {}
             deviation = {}
             tolerance = {}
@@ -430,10 +430,12 @@ def _verify_rows(policy: TolerancePolicy) -> list:
     def res_row(suite, case, residual):
         record(suite, case, _fmt(residual, 3), _fmt(policy.rel_tol, 3), residual <= policy.rel_tol)
 
-    mp_cases = [("0.5", "0.9"), ("20", "0.1"), ("3.25", "2.4")]
-    pj_cases = [("-35", "8"), ("-26", "-4"), ("-23.5", "0")]
-    families = [mp_family(l, p, policy) for l, p in mp_cases]
-    families += [pj_family(a, b, policy) for a, b in pj_cases]
+    # each parameter set is built once, so its ladder, zeros and shifted
+    # families are shared by every suite that uses it
+    mp_fams = {case: mp_family(*case, policy) for case in (("0.5", "0.9"), ("20", "0.1"), ("3.25", "2.4"))}
+    pj_fams = {case: pj_family(*case, policy) for case in (("-35", "8"), ("-26", "-4"), ("-23.5", "0"))}
+    families = [*mp_fams.values(), *pj_fams.values()]
+    mp_base, pj_base = mp_fams["0.5", "0.9"], pj_fams["-35", "8"]
 
     for fam in families:
         worst = mp.mpf(0)
@@ -457,18 +459,17 @@ def _verify_rows(policy: TolerancePolicy) -> list:
                 worst = max(worst, extension_identity_residual(fam, n, m, x, policy))
         res_row("extension", fam.label, worst)
 
-    for lam, phi in mp_cases:
+    for (lam, phi), fam in mp_fams.items():
         worst = mp.mpf(0)
         for n in (5, 12):
             for _ in range(3):
                 x = to_scalar(rng.uniform(-5, 5))
-                worst = max(worst, mp_symmetry_residual(lam, phi, n, x, policy))
+                worst = max(worst, mp_symmetry_residual(fam, n, x, policy))
         res_row("mp-symmetry", f"MP(lambda={lam}, phi={phi})", worst)
 
     with policy.workprec():
-        mp_oracle = mp_family("0.5", "0.9", policy)
         pj_oracle = pj_family("-12", "8", policy)
-        for fam, tag, k in [(mp_oracle, "MP", k) for k in (1, 2, 3)] + [(pj_oracle, "PJ", 1)]:
+        for fam, tag, k in [(mp_base, "MP", k) for k in (1, 2, 3)] + [(pj_oracle, "PJ", 1)]:
             mod = even_modifier(fam, k, policy)
             worst = mp.mpf(0)
             for deg in range(0, 7):
@@ -478,7 +479,7 @@ def _verify_rows(policy: TolerancePolicy) -> list:
             res_row("transform-oracle", f"{tag} k={k}", worst)
 
     for fam, cells in (
-        (mp_family("0.5", "0.9", policy), [(8, 2, 0), (8, 2, 1), (8, 2, 2), (8, 2, 3), (9, 3, 2), (4, 2, 4)]),
+        (mp_base, [(8, 2, 0), (8, 2, 1), (8, 2, 2), (8, 2, 3), (9, 3, 2), (4, 2, 4)]),
         (pj_family("-20", "8", policy), [(7, 2, 0), (7, 2, 1), (9, 4, 1)]),
     ):
         worst = mp.mpf(0)
@@ -493,15 +494,15 @@ def _verify_rows(policy: TolerancePolicy) -> list:
 
     with policy.workprec():
         stieltjes_cases = [
-            (mp_family("0.5", "0.9", policy), 0, 10, "coprime"),
-            (mp_family("0.5", "0.9", policy), 1, 10, "coprime"),
-            (mp_family("0.5", "0.9", policy), 2, 10, "coprime"),
-            (pj_family("-35", "8", policy), 0, 12, "coprime"),
-            (pj_family("-35", "8", policy), 1, 12, "coprime"),
-            (pj_family("-35", "8", policy), 2, 12, "coprime"),
+            (mp_base, 0, 10, "coprime"),
+            (mp_base, 1, 10, "coprime"),
+            (mp_base, 2, 10, "coprime"),
+            (pj_base, 0, 12, "coprime"),
+            (pj_base, 1, 12, "coprime"),
+            (pj_base, 2, 12, "coprime"),
             (pj_family("-5.5", "0", policy), 1, 5, "common_zero"),
             (mp_family("0.5", mp.pi / 2, policy), 2, 9, "common_zero"),
-            (mp_family("20", "0.1", policy), 0, 8, "coprime"),
+            (mp_fams["20", "0.1"], 0, 8, "coprime"),
         ]
     for fam, k, n, branch in stieltjes_cases:
         verdict = stieltjes_check(fam, k, n, policy)
@@ -515,7 +516,7 @@ def _verify_rows(policy: TolerancePolicy) -> list:
         )
 
     # normalised by the discrete norms so the gate scales with precision
-    for fam, n in ((mp_family("0.5", "0.9", policy), 10), (pj_family("-35", "8", policy), 10)):
+    for fam, n in ((mp_base, 10), (pj_base, 10)):
         nodes, weights = gauss_rule(fam, n, policy)
         with policy.workprec():
             ladder = generate_all(fam, n - 1, policy)
@@ -531,10 +532,9 @@ def _verify_rows(policy: TolerancePolicy) -> list:
 
     # discrete orthogonality of the transform output under the modified weight
     with policy.workprec():
-        fam = mp_family("0.5", "0.9", policy)
-        mod = even_modifier(fam, 2, policy)
-        nodes, weights = gauss_rule(fam, 12, policy)
-        gs = [christoffel_transform(fam, mod, d, policy) for d in range(5)]
+        mod = even_modifier(mp_base, 2, policy)
+        nodes, weights = gauss_rule(mp_base, 12, policy)
+        gs = [christoffel_transform(mp_base, mod, d, policy) for d in range(5)]
         worst = mp.mpf(0)
         for j in range(5):
             for l in range(j):
@@ -543,8 +543,7 @@ def _verify_rows(policy: TolerancePolicy) -> list:
                 worst = max(worst, abs(s) / norm)
     record("transform-discrete-orthogonality", "MP(0.5,0.9) k=2", _fmt(worst, 3), _fmt(policy.rel_tol, 3), worst <= policy.rel_tol)
 
-    bound_cases = [mp_family(l, p, policy) for l, p in mp_cases]
-    bound_cases += [pj_family(a, b, policy) for a, b in pj_cases]
+    bound_cases = list(families)
     for _ in range(4):
         bound_cases.append(mp_family(to_scalar(rng.uniform(0.1, 25)), to_scalar(rng.uniform(0.05, 3.1)), policy))
         bound_cases.append(pj_family(to_scalar(rng.uniform(-60, -22)), to_scalar(rng.uniform(-10, 10)), policy))
@@ -686,7 +685,10 @@ def main(argv=None) -> int:
     try:
         config = config_from_args(args)
         report = dispatch(config)
-    except (ValueError, ArithmeticError) as exc:
+    except ArithmeticError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     text = report.to_csv() if config.fmt == "csv" else report.to_json()

@@ -75,6 +75,9 @@ class TolerancePolicy:
             object.__setattr__(self, "abs_tol", half)
         else:
             object.__setattr__(self, "abs_tol", to_scalar(self.abs_tol))
+        for name in ("rel_tol", "abs_tol"):
+            if not 0 < getattr(self, name) < mp.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
 
     def workprec(self):
         """Context manager setting the ambient mpmath precision."""

@@ -138,8 +138,8 @@ def mp_family(lam, phi, policy: TolerancePolicy = DEFAULT_POLICY) -> RecurrenceF
     with policy.workprec():
         lam = to_scalar(lam)
         phi = to_scalar(phi)
-        if not lam > 0:
-            raise ValueError(f"lambda must be positive, got {lam}")
+        if not 0 < lam < mp.inf:
+            raise ValueError(f"lambda must be positive and finite, got {lam}")
         if not (0 < phi < mp.pi):
             raise ValueError(f"phi must lie strictly in (0, pi), got {phi}")
         cot = _snapped_cot(phi)
@@ -167,8 +167,10 @@ def pj_family(a, b, policy: TolerancePolicy = DEFAULT_POLICY) -> RecurrenceFamil
     with policy.workprec():
         a = to_scalar(a)
         b = to_scalar(b)
-        if not a < -2:
-            raise ValueError(f"parameter a must satisfy a < -2, got {a}")
+        if not -mp.inf < a < -2:
+            raise ValueError(f"parameter a must be finite and satisfy a < -2, got {a}")
+        if not mp.isfinite(b):
+            raise ValueError(f"parameter b must be finite, got {b}")
         nmax = int(mp.floor(-a))
         if mp.mpf(nmax) == -a:
             nmax -= 1
@@ -368,24 +370,28 @@ def recurrence_residual(family: RecurrenceFamily, n: int, x, policy: TolerancePo
     with policy.workprec():
         x = to_scalar(x)
         ladder = _ladder(family, n, policy.precision_bits)
+        C, L = family.recurrence(n, policy.precision_bits)
         t1 = ladder[n](x)
-        t2 = (x - family.C(n)) * ladder[n - 1](x)
-        t3 = family.Lambda(n) * ladder[n - 2](x)
+        t2 = (x - C[n]) * ladder[n - 1](x)
+        t3 = L[n] * ladder[n - 2](x)
         return relative_residual(t1 - t2 + t3, (t1, t2, t3))
 
 
-def mp_symmetry_residual(lam, phi, n: int, x, policy: TolerancePolicy = DEFAULT_POLICY) -> mp.mpf:
-    """Relative defect of P_n(x; phi) = (-1)^n P_n(-x; -phi) for Meixner-Pollaczek."""
+def mp_symmetry_residual(family: RecurrenceFamily, n: int, x, policy: TolerancePolicy = DEFAULT_POLICY) -> mp.mpf:
+    """Relative defect of P_n(x; phi) = (-1)^n P_n(-x; -phi) for a Meixner-Pollaczek family."""
+    if family.kind != MEIXNER_POLLACZEK:
+        raise ValueError(f"the phi -> -phi symmetry holds for Meixner-Pollaczek families, not {family.label}")
+    # phi -> -phi flips the sign of C and leaves Lambda unchanged, so the
+    # mirrored recurrence is legal even though -phi itself is not; the
+    # negation is exact, so the mirror matches a closed form bit for bit.  The
+    # mirror holds C, not the family, so keeping it makes no reference cycle.
+    C = family.C
+    mirror = family.owned(
+        "mirror", lambda: custom_family(lambda j: -C(j), family.Lambda, label=f"mirror of {family.label}", policy=policy)
+    )
     with policy.workprec():
         x = to_scalar(x)
-        fam = mp_family(lam, phi, policy)
-        # phi -> -phi flips the sign of C and leaves Lambda unchanged, so the
-        # mirrored recurrence is legal even though -phi itself is not; the
-        # negation is exact, so the mirror matches a closed form bit for bit.
-        mirror = custom_family(
-            lambda j: -fam.C(j), fam.Lambda, None, label=f"MP-mirror(lambda={lam}, phi={phi})", policy=policy
-        )
-        lhs = generate(fam, n, policy)(x)
+        lhs = generate(family, n, policy)(x)
         rhs = generate(mirror, n, policy)(-x)
         if n % 2:
             rhs = -rhs

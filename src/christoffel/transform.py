@@ -26,9 +26,9 @@ c_{2k} g_{n-m,k} in the monic basis p_{n-m}, ..., p_{n-m+2k} combined with
 associated polynomials.  This construction pins the canonical pair: when
 2k >= n+m+1 the representation a p_n - G p_{n-1} is not unique (any multiple
 of (h p_{n-1}, h p_n) can be added), so a bare linear solve on coefficients
-may return a different, lower-degree member of the solution family.  A
-coefficient-matching least-squares solve is kept as a cross-check for the
-well-posed cells.
+may return a different, lower-degree member of the solution family.  The
+tests keep a coefficient-matching least-squares solve as a cross-check for
+the well-posed cells.
 """
 
 from __future__ import annotations
@@ -179,19 +179,14 @@ def modified_polynomial(
     modifier: ModifierSpec,
     deg: int,
     policy: TolerancePolicy = DEFAULT_POLICY,
-    method: str = "auto",
 ) -> Polynomial:
-    """g_{deg,k} via the requested route: "shift", "determinant" or "auto".
+    """g_{deg,k}, orthogonal with respect to c_{2k}(x) w(x).
 
-    "auto" takes the parameter shift when the modifier is the family's
-    canonical one (exact and cheap) and falls back to the determinant.
+    Taken from the parameter shift when the modifier is the family's
+    canonical one (exact and cheap), otherwise from the determinant route.
     """
-    if method not in ("auto", "shift", "determinant"):
-        raise ValueError(f"unknown method {method!r}")
-    if method in ("auto", "shift") and _is_canonical_modifier(family, modifier, policy):
+    if _is_canonical_modifier(family, modifier, policy):
         return generate(family.shifted(modifier.k), deg, policy)
-    if method == "shift":
-        raise ValueError("parameter-shift route requires the family's canonical modifier")
     return christoffel_transform(family, modifier, deg, policy)
 
 
@@ -225,7 +220,6 @@ def connection_decompose(
     n: int,
     m: int,
     policy: TolerancePolicy = DEFAULT_POLICY,
-    g_method: str = "auto",
 ) -> ConnectionDecomposition:
     """Canonical connection pair (a, G) for the modified family, 2 <= m <= n."""
     if not 2 <= m <= n:
@@ -234,7 +228,7 @@ def connection_decompose(
     k = modifier.k
     top = max(n, n - m + 2 * k)
     family.require_degree(top)
-    g = modified_polynomial(family, modifier, n - m, policy, method=g_method)
+    g = modified_polynomial(family, modifier, n - m, policy)
     with policy.workprec():
         ladder = _ladder(family, top, policy.precision_bits)
         lhs = modifier.c * g
@@ -248,13 +242,13 @@ def connection_decompose(
                 )
         d = [e / coeffs[-1] for e in coeffs[n - m :]]
 
-        lam_n1 = family.Lambda(n + 1) if 2 * k >= m + 1 else None
+        L = family.recurrence(top, policy.precision_bits)[1]
         a_poly = Polynomial()
         g_proof = Polynomial()
         for j in range(0, min(m - 2, 2 * k) + 1):
             prod = mp.mpf(1)
             for t in range(m - j - 1):
-                prod *= family.Lambda(n - t)
+                prod *= L[n - t]
             w = d[j] / prod
             a_poly = a_poly - associated(family, n - 1, m - j - 2, policy) * w
             g_proof = g_proof + associated(family, n, m - j - 1, policy) * w
@@ -263,7 +257,7 @@ def connection_decompose(
         for j in range(m, 2 * k + 1):
             a_poly = a_poly + associated(family, n - m + j, j - m, policy) * d[j]
         for j in range(m + 1, 2 * k + 1):
-            g_proof = g_proof - associated(family, n - m + j, j - m - 1, policy) * (lam_n1 * d[j])
+            g_proof = g_proof - associated(family, n - m + j, j - m - 1, policy) * (L[n + 1] * d[j])
         G_poly = -g_proof
 
         a_poly = a_poly.chop(policy.rel_tol * max(1, a_poly.inf_norm()))
@@ -287,44 +281,3 @@ def connection_decompose(
             residual=residual,
             work=tuple(d),
         )
-
-
-def decompose_by_solve(
-    family: RecurrenceFamily,
-    modifier: ModifierSpec,
-    n: int,
-    m: int,
-    policy: TolerancePolicy = DEFAULT_POLICY,
-):
-    """Least-squares coefficient matching for (a, G); cross-check path only.
-
-    Solves for the unknown coefficients of a and G at the degrees the law
-    predicts.  Unique (and equal to the canonical pair) whenever
-    2k < n + m + 1; for larger k the system is underdetermined and the
-    returned pair is just one member of the solution family.
-    """
-    if not 2 <= m <= n:
-        raise ValueError(f"need 2 <= m <= n, got m={m}, n={n}")
-    k = modifier.k
-    law = connection_degree_law(k, m)
-    top = max(n, n - m + 2 * k)
-    family.require_degree(top)
-    g = modified_polynomial(family, modifier, n - m, policy)
-    with policy.workprec():
-        ladder = _ladder(family, top, policy.precision_bits)
-        lhs = modifier.c * g
-        pn, pn1 = ladder[n], ladder[n - 1]
-        na, ng = law.deg_a + 1, law.deg_G + 1
-        rows = top + 1
-        mat = mp.matrix(rows, na + ng)
-        rhsv = mp.matrix(rows, 1)
-        for t in range(rows):
-            for i in range(na):
-                mat[t, i] = pn.coeff(t - i)
-            for i in range(ng):
-                mat[t, na + i] = -pn1.coeff(t - i)
-            rhsv[t] = lhs.coeff(t)
-        sol = mp.qr_solve(mat, rhsv)[0]
-        a = Polynomial([sol[i] for i in range(na)])
-        G = Polynomial([sol[na + i] for i in range(ng)])
-        return a, G

@@ -19,7 +19,8 @@ only names failures, such as nonreal roots of a connection coefficient.
 
 The inner bounds B_n(k), k in {0, 1, 2}, are the roots of the linear
 connection coefficient G in the gap-2 decomposition; they sit strictly
-between the extreme zeros of p_n.  Closed forms:
+between the extreme zeros of p_n.  :func:`inner_bound` evaluates the closed
+forms from a family's parameters:
 
     Meixner-Pollaczek: B_n(k) = -(lam)_k (lam)_n / ((lam)_{n+k-1} tan(phi)),
     evaluated in cancelled form (no large Pochhammer ratios):
@@ -371,48 +372,32 @@ def interlace_strict(q, degree: int, outer, policy: TolerancePolicy = DEFAULT_PO
         return InterlaceVerdict(strict=alternates and not common, common=common)
 
 
-def mp_bound(lam, phi, n: int, k: int, policy: TolerancePolicy = DEFAULT_POLICY) -> mp.mpf:
-    """Inner bound B_n(k) for Meixner-Pollaczek extreme zeros, k in {0, 1, 2}."""
+def inner_bound(family: RecurrenceFamily, n: int, k: int, policy: TolerancePolicy = DEFAULT_POLICY) -> mp.mpf:
+    """Inner bound B_n(k) for the extreme zeros of p_n, k in {0, 1, 2}, in closed form.
+
+    The parameters were checked when the family was built; the degree is
+    checked against its validity range, which is Pseudo-Jacobi's a < -n.
+    """
     if k not in (0, 1, 2):
         raise ValueError("bound order k must be 0, 1 or 2")
     if n < 1:
         raise ValueError("bound needs n >= 1")
+    family.require_degree(n)
     with policy.workprec():
-        lam = to_scalar(lam)
-        phi = to_scalar(phi)
-        if not lam > 0:
-            raise ValueError(f"lambda must be positive, got {lam}")
-        if not (0 < phi < mp.pi):
-            raise ValueError(f"phi must lie strictly in (0, pi), got {phi}")
-        cot = _snapped_cot(phi)
-        if k == 0:
-            return -(lam + n - 1) * cot
-        if k == 1:
-            return -lam * cot
-        return -lam * (lam + 1) / (lam + n) * cot
-
-
-def pj_bound(a, b, n: int, k: int, policy: TolerancePolicy = DEFAULT_POLICY) -> mp.mpf:
-    """Inner bound B_n(k) for Pseudo-Jacobi extreme zeros, k in {0, 1, 2}."""
-    if k not in (0, 1, 2):
-        raise ValueError("bound order k must be 0, 1 or 2")
-    with policy.workprec():
-        a = to_scalar(a)
-        b = to_scalar(b)
-        if not a < -n:
-            raise ValueError(f"Pseudo-Jacobi bounds need a < -n, got a={a}, n={n}")
-        if k == 0:
-            return -a * b / ((a + n) * (a + n - 1))
-        if k == 1:
-            return -b / (a + n)
-        return -b / (a + 1)
-
-
-def _family_bound(family: RecurrenceFamily, n: int, k: int, policy: TolerancePolicy) -> mp.mpf:
-    if family.kind == MEIXNER_POLLACZEK:
-        return mp_bound(family.params["lambda"], family.params["phi"], n, k, policy)
-    if family.kind == PSEUDO_JACOBI:
-        return pj_bound(family.params["a"], family.params["b"], n, k, policy)
+        if family.kind == MEIXNER_POLLACZEK:
+            lam, cot = family.params["lambda"], _snapped_cot(family.params["phi"])
+            if k == 0:
+                return -(lam + n - 1) * cot
+            if k == 1:
+                return -lam * cot
+            return -lam * (lam + 1) / (lam + n) * cot
+        if family.kind == PSEUDO_JACOBI:
+            a, b = family.params["a"], family.params["b"]
+            if k == 0:
+                return -a * b / ((a + n) * (a + n - 1))
+            if k == 1:
+                return -b / (a + n)
+            return -b / (a + 1)
     raise ValueError(f"no closed-form bounds for {family.label}")
 
 
@@ -426,7 +411,7 @@ def bound_separation(family: RecurrenceFamily, n: int, policy: TolerancePolicy =
     if n < 2:
         raise ValueError("bound separation needs n >= 2")
     with policy.workprec():
-        bounds = {k: _family_bound(family, n, k, policy) for k in (0, 1, 2)}
+        bounds = {k: inner_bound(family, n, k, policy) for k in (0, 1, 2)}
         zs = zeros_golub_welsch(family, n, policy)
         x_min, x_max = zs[0], zs[-1]
         separated = {k: bool(x_min < bounds[k] < x_max) for k in (0, 1, 2)}
@@ -473,7 +458,7 @@ def stieltjes_check(family: RecurrenceFamily, k: int, n: int, policy: ToleranceP
     shifted = family if k == 0 else family.shifted(k)
     shifted.require_degree(n - 2)
     with policy.workprec():
-        bound = _family_bound(family, n, k, policy)
+        bound = inner_bound(family, n, k, policy)
         zp = zeros_golub_welsch(family, n, policy)
         g_at = {x: eval_with_derivative(shifted, n - 2, x, policy) for x in zp.values}
         shared = [j for j, x in enumerate(zp.values) if _is_zero(*g_at[x], x, policy)]

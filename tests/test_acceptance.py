@@ -94,7 +94,7 @@ def _rational_pj_bounds(a_str: str, b_str: str, n: int):
 
 
 def test_criterion_2_table2_reproduction():
-    from christoffel import pj_bound
+    from christoffel import inner_bound
 
     started = time.monotonic()
     report = run_table(2, RunConfig(command="table", table_id=2))
@@ -112,7 +112,7 @@ def test_criterion_2_table2_reproduction():
             # bound cells against exact rational evaluation
             exact = _rational_pj_bounds(row["inputs"]["a"], row["inputs"]["b"], 5)
             for k in (0, 1, 2):
-                got = pj_bound(row["inputs"]["a"], row["inputs"]["b"], 5, k, POLICY)
+                got = inner_bound(pj_family(row["inputs"]["a"], row["inputs"]["b"], POLICY), 5, k, POLICY)
                 want = mp.mpf(exact[k].numerator) / exact[k].denominator
                 ok = ok and abs(got - want) <= mp.ldexp(1, -100) * max(1, abs(want))
     ok = ok and elapsed < 2.0
@@ -121,7 +121,7 @@ def test_criterion_2_table2_reproduction():
 
 
 def test_criterion_3_table3_reproduction():
-    from christoffel import pj_bound
+    from christoffel import inner_bound
 
     started = time.monotonic()
     report = run_table(3, RunConfig(command="table", table_id=3))
@@ -132,9 +132,9 @@ def test_criterion_3_table3_reproduction():
     with POLICY.workprec():
         # spec-recorded discrepancies: recomputed values accepted
         ok = ok and rows[("-55", "5")]["cells"]["B2"] == "flagged"
-        ok = ok and abs(pj_bound(-55, 5, 25, 2, POLICY) - mp.mpf(5) / 54) < mp.mpf("1e-30")
+        ok = ok and abs(inner_bound(pj_family(-55, 5, POLICY), 25, 2, POLICY) - mp.mpf(5) / 54) < mp.mpf("1e-30")
         ok = ok and rows[("-35", "1")]["cells"]["B0"] == "flagged"
-        ok = ok and abs(pj_bound(-35, 1, 25, 0, POLICY) - mp.mpf(35) / 110) < mp.mpf("1e-30")
+        ok = ok and abs(inner_bound(pj_family(-35, 1, POLICY), 25, 0, POLICY) - mp.mpf(35) / 110) < mp.mpf("1e-30")
         # all remaining 4-decimal cells match print, except the two smallest-zero
         # cells that are themselves misprints (see the xfail test below)
         misprinted = {(("-35", "8"), "x_min"), (("-35", "1"), "x_min")}
@@ -151,7 +151,7 @@ def test_criterion_3_table3_reproduction():
         for (a, b), row in rows.items():
             exact = _rational_pj_bounds(a, b, 25)
             for k in (0, 2):
-                got = pj_bound(a, b, 25, k, POLICY)
+                got = inner_bound(pj_family(a, b, POLICY), 25, k, POLICY)
                 want = mp.mpf(exact[k].numerator) / exact[k].denominator
                 ok = ok and abs(got - want) <= mp.ldexp(1, -100) * max(1, abs(want))
         # the recomputed smallest zeros behind the two flagged x_min cells
@@ -235,9 +235,8 @@ def test_criterion_5_identity_residual_suites():
 
             if family_kind == "mp":
                 n = rng.randint(0, 20)
-                lam, phi = fam.params["lambda"], fam.params["phi"]
                 for x in draw_points():
-                    worst = max(worst, mp_symmetry_residual(lam, phi, n, x, POLICY))
+                    worst = max(worst, mp_symmetry_residual(fam, n, x, POLICY))
 
             n = rng.randint(4, 20)
             m = rng.randint(2, 5)

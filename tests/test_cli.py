@@ -4,10 +4,12 @@ import csv
 import hashlib
 import io
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from christoffel import mp_family, mp_symmetry_residual, zeros
 from christoffel.cli import (
     ENV_PRECISION,
     RunConfig,
@@ -16,6 +18,7 @@ from christoffel.cli import (
     main,
     run_decompose,
     run_table,
+    run_verify,
 )
 
 
@@ -120,6 +123,51 @@ def test_exit_code_on_config_errors(capsys):
     assert main(["--decompose", "--family", "mp", "--lambda", "0.5", "--phi", "0.9", "--n", "8", "--m", "2"]) == 2
     assert main(["--table", "2", "--precision-bits", "32"]) == 2
     capsys.readouterr()
+
+
+def test_exit_code_on_numerical_failure(capsys):
+    # phi next to pi: c g has components below the basis range of the expansion
+    argv = ["--decompose", "--family", "mp", "--lambda", "0.5", "--phi", "3.14159265", "--n", "8", "--m", "2", "--k", "2"]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith("numerical failure: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--decompose", "--family", "mp", "--lambda", "inf", "--phi", "0.9", "--n", "5", "--m", "2", "--k", "1"],
+        ["--decompose", "--family", "pj", "--a", "-inf", "--b", "1", "--n", "5", "--m", "2", "--k", "1"],
+        ["--decompose", "--family", "pj", "--a", "-20", "--b", "nan", "--n", "5", "--m", "2", "--k", "1"],
+        ["--grid", "--n", "4", "--rel-tol", "nan"],
+        ["--verify", "--rel-tol", "-1"],
+        ["--table", "2", "--abs-tol", "inf"],
+    ],
+)
+def test_non_finite_or_negative_inputs_are_configuration_errors(argv, capsys):
+    # rejected where the value is read, not later as a numerical failure
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and "must be" in err and "finite" in err
+
+
+def test_verify_shares_its_families(monkeypatch, policy):
+    solved = Counter()
+    solve = zeros._solve
+
+    def counted(family, n, policy):
+        solved[family.label, n] += 1
+        return solve(family, n, policy)
+
+    monkeypatch.setattr(zeros, "_solve", counted)
+    run_verify(RunConfig(command="verify"))
+    assert sum(solved.values()) == 19
+    assert set(solved.values()) == {1}
+
+    fam = mp_family("0.5", "0.9", policy)
+    mp_symmetry_residual(fam, 5, "1.3", policy)
+    mirror = fam.owned("mirror", lambda: pytest.fail("the mirror is not kept by the family"))
+    mp_symmetry_residual(fam, 7, "0.4", policy)
+    assert fam.owned("mirror", lambda: None) is mirror
 
 
 def test_exit_code_contract_on_failures():

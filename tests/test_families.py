@@ -162,11 +162,14 @@ def test_modifier_validation_rejects_repeated_nodes(policy):
 
 
 def test_symmetry_residual(policy):
-    assert mp_symmetry_residual("0.5", "0.9", 0, "1.3", policy) == 0
-    assert mp_symmetry_residual("0.5", "0.9", 5, "1.3", policy) <= policy.rel_tol
-    assert mp_symmetry_residual(20, "0.1", 8, -4, policy) <= policy.rel_tol
+    fam = mp_family("0.5", "0.9", policy)
+    assert mp_symmetry_residual(fam, 0, "1.3", policy) == 0
+    assert mp_symmetry_residual(fam, 5, "1.3", policy) <= policy.rel_tol
+    assert mp_symmetry_residual(mp_family(20, "0.1", policy), 8, -4, policy) <= policy.rel_tol
     # non-dyadic lambda exercises precision handling of the mirror family
-    assert mp_symmetry_residual("0.2", "2.2", 9, "0.37", policy) <= policy.rel_tol
+    assert mp_symmetry_residual(mp_family("0.2", "2.2", policy), 9, "0.37", policy) <= policy.rel_tol
+    with pytest.raises(ValueError, match="Meixner-Pollaczek"):
+        mp_symmetry_residual(pj_family(-10, 8, policy), 5, "1.3", policy)
 
 
 def test_shift_keeps_parameter_precision(policy):
@@ -205,6 +208,7 @@ def test_dropped_family_frees_what_it_derived(policy):
     associated(fam, 9, 4, policy)
     fam.shifted(2)
     connection_decompose(fam, even_modifier(fam, 2, policy), 8, 3, policy)
+    mp_symmetry_residual(fam, 6, "0.7", policy)
     ref = weakref.ref(fam)
     del fam
     gc.collect()

@@ -9,6 +9,7 @@ from christoffel import (
     christoffel_transform,
     connection_decompose,
     connection_degree_law,
+    custom_family,
     even_modifier,
     gauss_rule,
     generate,
@@ -16,7 +17,36 @@ from christoffel import (
     pj_family,
 )
 from christoffel.core import max_rel_coeff_diff
-from christoffel.transform import decompose_by_solve
+from christoffel.families import _ladder
+from christoffel.transform import modified_polynomial
+
+
+def _decompose_by_solve(family, modifier, n, m, policy):
+    """Least-squares coefficient matching for (a, G): the cross-check oracle.
+
+    Solves for the coefficients of a and G at the degrees the law predicts.
+    Unique (and equal to the canonical pair) whenever 2k < n + m + 1; for
+    larger k the system is underdetermined and the returned pair is just one
+    member of the solution family.
+    """
+    law = connection_degree_law(modifier.k, m)
+    top = max(n, n - m + 2 * modifier.k)
+    g = modified_polynomial(family, modifier, n - m, policy)
+    with policy.workprec():
+        ladder = _ladder(family, top, policy.precision_bits)
+        lhs = modifier.c * g
+        pn, pn1 = ladder[n], ladder[n - 1]
+        na, ng = law.deg_a + 1, law.deg_G + 1
+        mat = mp.matrix(top + 1, na + ng)
+        rhs = mp.matrix(top + 1, 1)
+        for t in range(top + 1):
+            for i in range(na):
+                mat[t, i] = pn.coeff(t - i)
+            for i in range(ng):
+                mat[t, na + i] = -pn1.coeff(t - i)
+            rhs[t] = lhs.coeff(t)
+        sol = mp.qr_solve(mat, rhs)[0]
+        return Polynomial([sol[i] for i in range(na)]), Polynomial([sol[na + i] for i in range(ng)])
 
 
 def test_order_zero_transform_is_identity(policy):
@@ -150,8 +180,6 @@ def test_decomposition_expansion_coefficients(policy):
     assert decomp.work[-1] == 1
     with policy.workprec():
         # the expansion coefficients reproduce c * g in the monic basis
-        from christoffel.families import _ladder
-
         ladder = _ladder(fam, n - m + 2 * k, policy.precision_bits)
         combo = Polynomial()
         for j, d in enumerate(decomp.work):
@@ -165,7 +193,7 @@ def test_solve_crosscheck_on_well_posed_cell(policy):
     n, m, k = 8, 2, 2
     mod = even_modifier(fam, k, policy)
     decomp = connection_decompose(fam, mod, n, m, policy)
-    a, G = decompose_by_solve(fam, mod, n, m, policy)
+    a, G = _decompose_by_solve(fam, mod, n, m, policy)
     with policy.workprec():
         assert max_rel_coeff_diff(a, decomp.a_poly) <= mp.mpf("1e-40")
         assert max_rel_coeff_diff(G, decomp.G_poly) <= mp.mpf("1e-40")
@@ -182,12 +210,15 @@ def test_decompose_needs_valid_gap(policy):
 
 def test_determinant_path_inside_decompose(policy):
     fam = mp_family("0.5", "0.9", policy)
-    mod = even_modifier(fam, 2, policy)
-    auto = connection_decompose(fam, mod, 7, 2, policy)
-    det = connection_decompose(fam, mod, 7, 2, policy, g_method="determinant")
+    shift = connection_decompose(fam, even_modifier(fam, 2, policy), 7, 2, policy)
+    # a copy without parameters has no parameter shift, so g comes from the determinant
+    copy = custom_family(fam.C, fam.Lambda, policy=policy)
     with policy.workprec():
-        assert max_rel_coeff_diff(det.g_poly, auto.g_poly) <= policy.rel_tol
-        assert max_rel_coeff_diff(det.G_poly, auto.G_poly) <= policy.rel_tol
+        mod = ModifierSpec.from_nodes([mp.mpc(0, "0.5"), mp.mpc(0, "1.5")], policy)
+    det = connection_decompose(copy, mod, 7, 2, policy)
+    with policy.workprec():
+        assert max_rel_coeff_diff(det.g_poly, shift.g_poly) <= policy.rel_tol
+        assert max_rel_coeff_diff(det.G_poly, shift.G_poly) <= policy.rel_tol
 
 
 def test_modifier_node_consistency_checked(policy):

@@ -13,10 +13,9 @@ from christoffel import (
     eval_with_derivative,
     gauss_rule,
     generate_all,
+    inner_bound,
     interlace_strict,
-    mp_bound,
     mp_family,
-    pj_bound,
     pj_family,
     polynomial_real_roots,
     stieltjes_check,
@@ -288,35 +287,43 @@ def test_sign_verdict_matches_direct_zero_comparison(policy):
 
 def test_mp_bound_reference_values(policy):
     with policy.workprec():
-        assert abs(mp_bound("0.5", "0.08", 30, 0, policy) - mp.mpf("-367.963")) < mp.mpf("5e-3")
-        assert abs(mp_bound(20, "0.1", 30, 2, policy) - mp.mpf("-83.720")) < mp.mpf("5e-3")
+        assert abs(inner_bound(mp_family("0.5", "0.08", policy), 30, 0, policy) - mp.mpf("-367.963")) < mp.mpf("5e-3")
+        assert abs(inner_bound(mp_family(20, "0.1", policy), 30, 2, policy) - mp.mpf("-83.720")) < mp.mpf("5e-3")
         # cancelled Pochhammer form cross-check
         lam, phi = mp.mpf("0.5"), mp.mpf("0.9")
         cot = mp.cos(phi) / mp.sin(phi)
         expect = -lam * (lam + 1) / (lam + 30) * cot
-        assert abs(mp_bound(lam, phi, 30, 2, policy) - expect) <= policy.rel_tol
+        assert abs(inner_bound(mp_family(lam, phi, policy), 30, 2, policy) - expect) <= policy.rel_tol
         assert abs(expect - mp.mpf("-0.0195")) < mp.mpf("5e-4")
     with pytest.raises(ValueError):
-        mp_bound("0.5", "0.9", 30, 3, policy)
+        inner_bound(mp_family("0.5", "0.9", policy), 30, 3, policy)
 
 
 def test_mp_bound_equals_recurrence_offset(policy):
     fam = mp_family("0.5", "0.9", policy)
     with policy.workprec():
-        assert abs(mp_bound("0.5", "0.9", 30, 0, policy) - fam.C(30)) <= policy.rel_tol
+        assert abs(inner_bound(fam, 30, 0, policy) - fam.C(30)) <= policy.rel_tol
 
 
 def test_pj_bound_reference_values(policy):
     with policy.workprec():
-        b = [pj_bound(-10, 8, 5, k, policy) for k in (0, 1, 2)]
+        b = [inner_bound(pj_family(-10, 8, policy), 5, k, policy) for k in (0, 1, 2)]
         for got, frac in zip(b, (Fraction(80, 30), Fraction(8, 5), Fraction(8, 9))):
             assert abs(got - mp.mpf(frac.numerator) / frac.denominator) <= policy.rel_tol
-        assert abs(pj_bound("-5.0001", 3, 5, 1, policy) - 30000) < mp.mpf("0.5")
-        assert all(pj_bound("-5.5", 0, 5, k, policy) == 0 for k in (0, 1, 2))
+        assert abs(inner_bound(pj_family("-5.0001", 3, policy), 5, 1, policy) - 30000) < mp.mpf("0.5")
+        assert all(inner_bound(pj_family("-5.5", 0, policy), 5, k, policy) == 0 for k in (0, 1, 2))
     with pytest.raises(ValueError):
-        pj_bound(-10, 8, 5, 3, policy)
+        inner_bound(pj_family(-10, 8, policy), 5, 3, policy)
+    # PJ bounds need a < -n: a = -5 is a valid family, but not at degree 5
     with pytest.raises(ValueError):
-        pj_bound(-5, 3, 5, 0, policy)
+        inner_bound(pj_family(-5, 3, policy), 5, 0, policy)
+
+
+def test_inner_bound_needs_a_built_in_family(policy):
+    fam = mp_family("0.5", "0.9", policy)
+    copy = custom_family(fam.C, fam.Lambda, policy=policy)
+    with pytest.raises(ValueError, match="no closed-form bounds"):
+        inner_bound(copy, 5, 0, policy)
 
 
 def test_bound_separation_table_rows(policy):
@@ -350,9 +357,9 @@ def test_bound_ordering_reverses(policy):
 
 def test_right_angle_phi_bounds_are_exactly_zero(policy):
     with policy.workprec():
-        phi = mp.pi / 2
+        fam = mp_family("0.5", mp.pi / 2, policy)
         for k in (0, 1, 2):
-            assert mp_bound("0.5", phi, 12, k, policy) == 0
+            assert inner_bound(fam, 12, k, policy) == 0
 
 
 def test_bound_separation_random_draws(policy):
@@ -409,14 +416,14 @@ def test_stieltjes_failure_path_reports_violations(policy, monkeypatch):
     zg = zeros_golub_welsch(fam.shifted(k), n - 2, policy)
     with policy.workprec():
         beyond = zp[-1] + 1
-    monkeypatch.setattr(zeros, "_family_bound", lambda *args: beyond)
+    monkeypatch.setattr(zeros, "inner_bound", lambda *args: beyond)
     verdict = stieltjes_check(fam, k, n, policy)
     assert verdict.ok is False and verdict.branch == "coprime"
     assert verdict.violations == (
         "zeros of (x-B) g do not interlace the zeros of p_n",
         "bound is not strictly inside the extreme zeros",
     )
-    monkeypatch.setattr(zeros, "_family_bound", lambda *args: zg[len(zg) // 2])
+    monkeypatch.setattr(zeros, "inner_bound", lambda *args: zg[len(zg) // 2])
     verdict = stieltjes_check(fam, k, n, policy)
     assert verdict.ok is False and verdict.branch == "coprime"
     assert verdict.violations == (

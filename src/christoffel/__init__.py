@@ -13,7 +13,6 @@ from .core import (
     Polynomial,
     RemainderError,
     TolerancePolicy,
-    pochhammer,
     to_scalar,
 )
 from .families import (
@@ -65,7 +64,6 @@ __all__ = [
     "Polynomial",
     "RemainderError",
     "TolerancePolicy",
-    "pochhammer",
     "to_scalar",
     "ModifierSpec",
     "RecurrenceFamily",

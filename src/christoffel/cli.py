@@ -12,8 +12,9 @@ Four modes, selected by a mutually exclusive flag:
 
 Reports are emitted as JSON (default) or CSV.  Exit status: 0 when nothing
 failed (flagged cells are allowed), 1 on any failure, 2 on configuration
-errors (``ValueError``: bad flags, parameters outside a family's range,
-non-finite values or tolerances), 3 on numerical failure (``ArithmeticError``:
+errors (``ValueError``: bad flags or flags the mode does not read,
+parameters outside a family's range, non-finite values or tolerances; and
+an ``--out`` path that cannot be written), 3 on numerical failure (``ArithmeticError``:
 a degenerate transform, zeros that are not simple at tolerance, a Newton
 polish that does not converge).
 
@@ -152,12 +153,9 @@ class RunConfig:
     out: Optional[str] = None
 
     def policy(self) -> TolerancePolicy:
+        # the tolerances are rounded at the working precision, not at 53 bits
         with mp.workprec(max(self.precision_bits, 64)):
-            return TolerancePolicy(
-                precision_bits=self.precision_bits,
-                rel_tol=to_scalar(self.rel_tol) if self.rel_tol else None,
-                abs_tol=to_scalar(self.abs_tol) if self.abs_tol else None,
-            )
+            return TolerancePolicy(self.precision_bits, self.rel_tol or None, self.abs_tol or None)
 
     def make_family(self, policy: TolerancePolicy):
         if self.family == "mp":
@@ -608,16 +606,31 @@ def run_decompose(config: RunConfig) -> Report:
     return Report(meta=_meta(config, policy, elapsed), rows=[row], summary=_summarise([row]))
 
 
+# The RunConfig fields that pick a table, a family or a cell, by flag, and
+# which of them each mode reads; --decompose reads only its family's two.
+_FLAGS = {"table_id": "--table", "family": "--family", "lam": "--lambda", "phi": "--phi",
+          "a": "--a", "b": "--b", "n": "--n", "m": "--m", "k": "--k"}
+_READS = {"table": {"table_id"}, "grid": {"lam", "phi", "n"}, "verify": set(),
+          "decompose": {"family", "n", "m", "k"}}
+_FAMILY_PARAMS = {"mp": {"lam", "phi"}, "pj": {"a", "b"}}
+
+
 def dispatch(config: RunConfig) -> Report:
+    if config.command not in _READS:
+        raise ValueError(f"unknown command {config.command!r}")
+    reads = _READS[config.command]
+    if config.command == "decompose":
+        reads = reads | _FAMILY_PARAMS.get(config.family, {"lam", "phi", "a", "b"})
+    unread = [flag for field, flag in _FLAGS.items() if getattr(config, field) is not None and field not in reads]
+    if unread:
+        raise ValueError(f"--{config.command} does not read {', '.join(unread)}")
     if config.command == "table":
         return run_table(config.table_id, config)
     if config.command == "grid":
         return run_grid(config)
     if config.command == "verify":
         return run_verify(config)
-    if config.command == "decompose":
-        return run_decompose(config)
-    raise ValueError(f"unknown command {config.command!r}")
+    return run_decompose(config)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -693,7 +706,11 @@ def main(argv=None) -> int:
         return 2
     text = report.to_csv() if config.fmt == "csv" else report.to_json()
     if config.out:
-        Path(config.out).write_text(text, encoding="utf-8")
+        try:
+            Path(config.out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            print(f"configuration error: cannot write {config.out}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return report.exit_code

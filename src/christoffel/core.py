@@ -10,6 +10,12 @@ re-rounded by the first operation that touches them.
 Polynomials are dense, real-coefficient and immutable.  Degrees in this
 package stay tiny (a few dozen), so schoolbook multiplication and long
 division are used throughout.
+
+Coefficients are finite mpf values.  That is checked once, where a
+:class:`Polynomial` is built from outside data (and on a scalar factor);
+the ring operations preserve it, because finite mpf inputs give finite mpf
+results (mpf exponents are unbounded), so they build their results without
+re-checking.
 """
 
 from __future__ import annotations
@@ -66,18 +72,12 @@ class TolerancePolicy:
     def __post_init__(self):
         if self.precision_bits < 64:
             raise ValueError("precision_bits must be at least 64")
-        half = mp.ldexp(1, -(self.precision_bits // 2))
-        if self.rel_tol is None:
-            object.__setattr__(self, "rel_tol", half)
-        else:
-            object.__setattr__(self, "rel_tol", to_scalar(self.rel_tol))
-        if self.abs_tol is None:
-            object.__setattr__(self, "abs_tol", half)
-        else:
-            object.__setattr__(self, "abs_tol", to_scalar(self.abs_tol))
         for name in ("rel_tol", "abs_tol"):
-            if not 0 < getattr(self, name) < mp.inf:
-                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+            given = getattr(self, name)
+            value = mp.ldexp(1, -(self.precision_bits // 2)) if given is None else to_scalar(given)
+            if not 0 < value < mp.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+            object.__setattr__(self, name, value)
 
     def workprec(self):
         """Context manager setting the ambient mpmath precision."""
@@ -85,17 +85,6 @@ class TolerancePolicy:
 
 
 DEFAULT_POLICY = TolerancePolicy()
-
-
-def pochhammer(alpha, n: int) -> mp.mpf:
-    """Rising factorial alpha * (alpha+1) * ... * (alpha+n-1), with the empty product 1."""
-    if n < 0:
-        raise ValueError("pochhammer order must be nonnegative")
-    alpha = to_scalar(alpha)
-    out = mp.mpf(1)
-    for j in range(n):
-        out *= alpha + j
-    return out
 
 
 class Polynomial:
@@ -111,12 +100,17 @@ class Polynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [to_scalar(c) for c in coeffs]
+        cs = [require_finite(to_scalar(c), "polynomial coefficient") for c in coeffs]
+        object.__setattr__(self, "coeffs", Polynomial._of(cs).coeffs)
+
+    @classmethod
+    def _of(cls, cs: list) -> "Polynomial":
+        """The ring operations' constructor: ``cs`` are finite mpf already, so it only trims them."""
         while cs and cs[-1] == 0:
             cs.pop()
-        for c in cs:
-            require_finite(c, "polynomial coefficient")
-        object.__setattr__(self, "coeffs", tuple(cs))
+        p = object.__new__(cls)
+        object.__setattr__(p, "coeffs", tuple(cs))
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -142,10 +136,6 @@ class Polynomial:
     def __repr__(self) -> str:
         return f"Polynomial([{', '.join(mp.nstr(c, 8) for c in self.coeffs)}])"
 
-    def coeff(self, i: int) -> mp.mpf:
-        """Coefficient of x**i (zero beyond the degree)."""
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else mp.mpf(0)
-
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
@@ -155,34 +145,30 @@ class Polynomial:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return Polynomial(out)
+        return Polynomial._of(out)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial([-c for c in self.coeffs])
+        return Polynomial._of([-c for c in self.coeffs])
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
             if self.is_zero() or other.is_zero():
-                return Polynomial()
+                return Polynomial._of([])
             out = [mp.mpf(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
             for i, a in enumerate(self.coeffs):
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
-            return Polynomial(out)
-        c = to_scalar(other)
-        return Polynomial([c * a for a in self.coeffs])
+            return Polynomial._of(out)
+        c = require_finite(to_scalar(other), "scalar factor")
+        return Polynomial._of([c * a for a in self.coeffs])
 
     __rmul__ = __mul__
 
-    def reflected(self) -> "Polynomial":
-        """p(-x): negate the odd-degree coefficients."""
-        return Polynomial([-c if i % 2 else c for i, c in enumerate(self.coeffs)])
-
     def derivative(self) -> "Polynomial":
-        return Polynomial([i * c for i, c in enumerate(self.coeffs)][1:])
+        return Polynomial._of([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def monic(self) -> "Polynomial":
         if self.is_zero():
@@ -190,7 +176,7 @@ class Polynomial:
         lead = self.coeffs[-1]
         if lead == 1:
             return self
-        return Polynomial([c / lead for c in self.coeffs])
+        return Polynomial._of([c / lead for c in self.coeffs])
 
     # -- evaluation ----------------------------------------------------------
 
@@ -220,7 +206,7 @@ class Polynomial:
                 for j, c in enumerate(den.coeffs):
                     rem[i - dn + j] -= f * c
             rem[i] = mp.mpf(0)
-        return Polynomial(quo), Polynomial(rem)
+        return Polynomial._of(quo), Polynomial._of(rem)
 
     def divide_exact(self, den: "Polynomial", policy: TolerancePolicy = DEFAULT_POLICY) -> "Polynomial":
         """Quotient of an (expected) exact division.
@@ -246,16 +232,10 @@ class Polynomial:
     def chop(self, threshold) -> "Polynomial":
         """Zero every coefficient with absolute value <= threshold."""
         t = to_scalar(threshold)
-        return Polynomial([c if abs(c) > t else mp.mpf(0) for c in self.coeffs])
+        return Polynomial._of([c if abs(c) > t else mp.mpf(0) for c in self.coeffs])
 
 
 X = Polynomial([0, 1])
-
-
-def max_rel_coeff_diff(p: Polynomial, q: Polynomial) -> mp.mpf:
-    """Coefficientwise deviation of p from q, relative to max(1, ||q||_inf)."""
-    scale = max(q.inf_norm(), mp.mpf(1))
-    return (p - q).inf_norm() / scale
 
 
 def relative_residual(total, terms: Sequence) -> mp.mpf:

@@ -92,13 +92,22 @@ class RecurrenceFamily:
 
         C[0], Lambda[0] and Lambda[1] are 0.  Extended lazily, never past n: beyond
         the validity range the maps may be undefined (PJ Lambda divides by zero).
+        This is where the maps' values enter, so each is checked once, here:
+        C(j) finite and Lambda(j) positive and finite, ``ValueError`` otherwise.
         """
-        C, L = self.owned(("recurrence", prec), lambda: ([mp.mpf(0)], [mp.mpf(0), mp.mpf(0)]))
+        C, L = self.owned(("recurrence", prec), lambda: ([mp.mpf(0)], [mp.mpf(0)]))
         with mp.workprec(prec):
-            while len(C) <= n:
-                C.append(self.C(len(C)))
-            while len(L) <= n:
-                L.append(self.Lambda(len(L)))
+            for j in range(len(C), n + 1):
+                c, v = self.C(j), (self.Lambda(j) if j > 1 else mp.mpf(0))
+                if not mp.isfinite(c):
+                    raise ValueError(f"C({j}) = {mp.nstr(c, 8)} is not finite for {self.label}")
+                if j > 1 and not 0 < v < mp.inf:
+                    raise ValueError(
+                        f"Lambda({j}) = {mp.nstr(v, 8)} is not positive and finite for {self.label}; "
+                        "the recurrence is outside the orthogonality range"
+                    )
+                C.append(c)
+                L.append(v)
         return C, L
 
     def require_degree(self, n: int):
@@ -118,11 +127,11 @@ class RecurrenceFamily:
         """The family orthogonal with respect to c_{2k}(x) w(x), via parameter shift (kept)."""
         if k < 0:
             raise ValueError("shift must be nonnegative")
-        policy = TolerancePolicy(precision_bits=self.precision_bits)
 
         def build() -> "RecurrenceFamily":
             # the parameter sum must round at the family's precision, not at
             # whatever ambient precision the caller happens to be running under
+            policy = TolerancePolicy(precision_bits=self.precision_bits)
             with policy.workprec():
                 if self.kind == MEIXNER_POLLACZEK:
                     return mp_family(self.params["lambda"] + k, self.params["phi"], policy)
@@ -223,11 +232,6 @@ def _ladder(family: RecurrenceFamily, n: int, prec: int) -> tuple:
                 if j == 1:
                     polys.append(Polynomial([-C[1], 1]))
                     continue
-                if not L[j] > 0:
-                    raise ValueError(
-                        f"Lambda({j}) = {mp.nstr(L[j], 8)} is not positive for {family.label}; "
-                        "recurrence is outside the orthogonality range"
-                    )
                 polys.append((X - Polynomial([C[j]])) * polys[j - 1] - polys[j - 2] * L[j])
     return tuple(polys[: n + 1])
 
@@ -289,7 +293,7 @@ class ModifierSpec:
                 )
             if len(self.nodes) != self.k:
                 raise ValueError(f"expected {self.k} nodes, got {len(self.nodes)}")
-            if self.k and self.c.coeffs[-1] != 1:
+            if self.c.coeffs[-1] != 1:
                 raise ValueError("modifier polynomial must be monic")
             for i, coeff in enumerate(self.c.coeffs):
                 if i % 2 == 1 and coeff != 0:

@@ -163,15 +163,11 @@ def _expand_in_monic_basis(f: Polynomial, ladder) -> list:
 
 
 def _is_canonical_modifier(family, modifier, policy) -> bool:
-    if not family.supports_shift:
-        return False
+    """``modifier`` equals the family's canonical one, which was validated when it was built."""
     try:
-        canon = even_modifier(family, modifier.k, policy)
+        return family.supports_shift and modifier == even_modifier(family, modifier.k, policy)
     except ValueError:
         return False
-    with policy.workprec():
-        diff = (canon.c - modifier.c).inf_norm()
-        return diff <= policy.rel_tol * max(1, canon.c.inf_norm())
 
 
 def modified_polynomial(
@@ -183,7 +179,8 @@ def modified_polynomial(
     """g_{deg,k}, orthogonal with respect to c_{2k}(x) w(x).
 
     Taken from the parameter shift when the modifier is the family's
-    canonical one (exact and cheap), otherwise from the determinant route.
+    canonical one (exact and cheap), otherwise from the determinant route,
+    which validates the modifier.
     """
     if _is_canonical_modifier(family, modifier, policy):
         return generate(family.shifted(modifier.k), deg, policy)
@@ -221,10 +218,14 @@ def connection_decompose(
     m: int,
     policy: TolerancePolicy = DEFAULT_POLICY,
 ) -> ConnectionDecomposition:
-    """Canonical connection pair (a, G) for the modified family, 2 <= m <= n."""
+    """Canonical connection pair (a, G) for the modified family, 2 <= m <= n.
+
+    The modifier is validated once: a canonical one when
+    :meth:`ModifierSpec.from_nodes` built it, any other by
+    :func:`christoffel_transform` on the way to g.
+    """
     if not 2 <= m <= n:
         raise ValueError(f"need 2 <= m <= n, got m={m}, n={n}")
-    modifier.validate(policy)
     k = modifier.k
     top = max(n, n - m + 2 * k)
     family.require_degree(top)

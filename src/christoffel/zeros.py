@@ -216,12 +216,6 @@ def _solve(family: RecurrenceFamily, n: int, policy: TolerancePolicy) -> ZeroSet
     C, L = family.recurrence(n, policy.precision_bits)
     with policy.workprec():
         diag = C[1 : n + 1]
-        for j in range(2, n + 1):
-            if not L[j] > 0:
-                raise ValueError(
-                    f"Lambda({j}) = {mp.nstr(L[j], 8)} not positive for {family.label}; "
-                    "Jacobi matrix is not defined"
-                )
         offsq = L[2 : n + 1]
         if n == 1:
             return ZeroSet((diag[0],), family.label, 1)

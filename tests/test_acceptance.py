@@ -35,9 +35,10 @@ from christoffel import (
     zeros_golub_welsch,
 )
 from christoffel.associated import associated_identity_residual, extension_identity_residual
-from christoffel.core import max_rel_coeff_diff, relative_residual
+from christoffel.core import relative_residual
 from christoffel.families import _ladder
 from christoffel.cli import RunConfig, run_grid, run_table
+from polyhelpers import max_rel_coeff_diff
 
 POLICY = TolerancePolicy()
 

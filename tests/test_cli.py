@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from christoffel import mp_family, mp_symmetry_residual, zeros
+from christoffel import ModifierSpec, mp_family, mp_symmetry_residual, zeros
 from christoffel.cli import (
     ENV_PRECISION,
     RunConfig,
@@ -106,6 +106,33 @@ def test_main_writes_file_and_prints(tmp_path, capsys):
     assert capsys.readouterr().out == ""
     assert main(["--table", "2"]) == 0
     assert json.loads(capsys.readouterr().out)["summary"]["pass"] == 4
+
+
+def test_main_unwritable_out_is_configuration_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    assert main(["--table", "2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"configuration error: cannot write {out}")
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, unread",
+    [
+        (["--table", "2", "--lambda", "3", "--n", "9"], "--lambda, --n"),
+        (["--verify", "--family", "mp", "--k", "2"], "--family, --k"),
+        (["--grid", "--family", "pj", "--a", "-20", "--b", "8"], "--family, --a, --b"),
+        (["--grid", "--n", "5", "--m", "3"], "--m"),
+        (["--decompose", "--family", "mp", "--lambda", "0.5", "--phi", "0.9", "--b", "8",
+          "--n", "8", "--m", "2", "--k", "2"], "--b"),
+        (["--decompose", "--family", "pj", "--a", "-20", "--b", "8", "--lambda", "0.5",
+          "--n", "8", "--m", "2", "--k", "1"], "--lambda"),
+    ],
+)
+def test_flags_the_mode_does_not_read_are_rejected(argv, unread, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"configuration error: --{argv[0][2:]} does not read {unread}\n"
 
 
 def test_main_csv_format(capsys):
@@ -243,6 +270,12 @@ def test_verify_default_precision_passes(capsys):
     } <= suites
 
 
+@pytest.mark.parametrize("table", [1, 2, 3])
+def test_tables_are_byte_identical_to_reference(table, capsys):
+    assert main(["--table", str(table)]) == 0
+    assert _matches_reference(capsys.readouterr().out, f"table{table}")
+
+
 def test_default_grid_is_byte_identical_to_reference(capsys):
     assert main(["--grid"]) == 0
     assert _matches_reference(capsys.readouterr().out, "grid")
@@ -253,6 +286,21 @@ def test_grid_beyond_default_degree_cap(capsys):
     assert main(["--grid", "--n", "13"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["summary"] == {"rows": 660, "pass": 660, "flagged": 0, "fail": 0}
+
+
+def test_grid_validates_each_modifier_once(monkeypatch, capsys):
+    validated = []
+    validate = ModifierSpec.validate
+
+    def counted(self, policy):
+        validated.append(self.k)
+        return validate(self, policy)
+
+    monkeypatch.setattr(ModifierSpec, "validate", counted)
+    assert main(["--grid", "--n", "6"]) == 0
+    capsys.readouterr()
+    # k runs to m + 2 = 8; the order-zero modifier c = 1 has nothing to check
+    assert validated == list(range(1, 9))
 
 
 def test_small_grid_runs_clean(capsys):

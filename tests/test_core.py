@@ -4,20 +4,14 @@ import pytest
 from hypothesis import given, strategies as st
 from mpmath import mp
 
-from christoffel import Polynomial, RemainderError, TolerancePolicy, pochhammer
-from christoffel.core import NonFiniteError, X, max_rel_coeff_diff
+from christoffel import Polynomial, RemainderError, TolerancePolicy
+from christoffel.core import NonFiniteError, X
+from polyhelpers import max_rel_coeff_diff
 
 
 def test_difference_of_squares():
     p = Polynomial([1, 1]) * Polynomial([-1, 1])
     assert p == Polynomial([-1, 0, 1])
-
-
-def test_reflection_flips_odd_powers():
-    cubed = Polynomial([0, 0, 0, 1])
-    assert cubed.reflected() == Polynomial([0, 0, 0, -1])
-    mixed = Polynomial([3, -2, 5, 7])
-    assert mixed.reflected() == Polynomial([3, 2, 5, -7])
 
 
 def test_even_factor_product_expands_by_hand():
@@ -60,14 +54,6 @@ def test_divmod_round_trip():
     assert max_rel_coeff_diff(quo * den + rem, num) < mp.mpf("1e-70")
 
 
-def test_pochhammer_values():
-    assert pochhammer("0.5", 0) == 1
-    assert pochhammer("0.5", 2) == mp.mpf("0.75")
-    assert pochhammer(2, 3) == 24
-    with pytest.raises(ValueError):
-        pochhammer(1, -1)
-
-
 def test_zero_polynomial_conventions():
     z = Polynomial([0, 0])
     assert z.is_zero() and z.degree == -1 and not z
@@ -84,6 +70,13 @@ def test_degree_of_product_adds():
 def test_nonfinite_coefficients_rejected():
     with pytest.raises(NonFiniteError):
         Polynomial([mp.inf])
+    with pytest.raises(NonFiniteError):
+        Polynomial(["nan"])
+    with pytest.raises(NonFiniteError):
+        Polynomial([1, float("inf")])
+    # a scalar factor is outside data too; the ring's own results are not re-checked
+    with pytest.raises(NonFiniteError):
+        Polynomial([1, 2]) * mp.inf
 
 
 def test_chop_and_trim():
@@ -137,13 +130,6 @@ def test_conjugate_symmetry(a, re, im):
         p = Polynomial(a)
         z = mp.mpc(re, im) / mp.mpf(4)
         assert p(mp.conj(z)) == mp.conj(p(z))
-
-
-@given(_coeffs)
-def test_reflection_is_involution(a):
-    p = Polynomial(a)
-    assert p.reflected().reflected() == p
-    assert p.reflected()(mp.mpf(2)) == p(mp.mpf(-2))
 
 
 def test_monic_normalisation():

@@ -16,6 +16,7 @@ from christoffel import (
     TolerancePolicy,
     associated,
     connection_decompose,
+    custom_family,
     even_modifier,
     eval_with_derivative,
     generate,
@@ -26,6 +27,8 @@ from christoffel import (
     recurrence_residual,
     zeros_golub_welsch,
 )
+from christoffel import families
+from polyhelpers import coeff
 
 
 def test_mp_recurrence_coefficients(policy):
@@ -129,7 +132,8 @@ def test_pj_even_weight_parity(policy):
     with policy.workprec():
         for n in range(0, 13):
             p = generate(fam, n, policy)
-            assert p.reflected() == (-1 * p if n % 2 else p)
+            # p_n(-x) = (-1)^n p_n(x): the coefficients of the other parity vanish
+            assert all(c == 0 for c in p.coeffs[(n + 1) % 2 :: 2])
 
 
 def test_even_modifier_shapes(policy):
@@ -151,7 +155,7 @@ def test_even_modifier_has_no_odd_coefficients(policy):
     for k in range(6):
         mod = even_modifier(fam, k, policy)
         assert mod.c.degree == 2 * k
-        assert all(mod.c.coeff(i) == 0 for i in range(1, 2 * k, 2))
+        assert all(coeff(mod.c, i) == 0 for i in range(1, 2 * k, 2))
 
 
 def test_modifier_validation_rejects_repeated_nodes(policy):
@@ -180,6 +184,47 @@ def test_shift_keeps_parameter_precision(policy):
     with policy.workprec():
         expect = mp.mpf("0.2") + 1
     assert shifted.params["lambda"] == expect
+
+
+def test_kept_shift_builds_no_policy(policy, monkeypatch):
+    fam = mp_family("0.5", "0.9", policy)
+    first = fam.shifted(2)
+    built = []
+
+    def counting(**kwargs):
+        built.append(kwargs)
+        return TolerancePolicy(**kwargs)
+
+    monkeypatch.setattr(families, "TolerancePolicy", counting)
+    for _ in range(3):
+        assert fam.shifted(2) is first
+    assert built == []
+
+
+@pytest.mark.parametrize(
+    "C, Lambda, bad",
+    [
+        (lambda j: mp.mpf(0), lambda j: mp.nan, r"Lambda\(2\) = nan is not positive"),
+        (lambda j: mp.mpf(0), lambda j: mp.mpf(-1), r"Lambda\(2\) = -1.0 is not positive"),
+        (lambda j: mp.inf, lambda j: mp.mpf(1), r"C\(1\) = \+inf is not finite"),
+    ],
+)
+@pytest.mark.parametrize(
+    "use",
+    [
+        lambda fam, pol: eval_with_derivative(fam, 4, "0.5", pol),
+        lambda fam, pol: generate(fam, 4, pol),
+        lambda fam, pol: zeros_golub_welsch(fam, 4, pol),
+    ],
+    ids=["eval_with_derivative", "generate", "zeros_golub_welsch"],
+)
+def test_recurrence_values_checked_where_they_enter(C, Lambda, bad, use, policy):
+    # every reader of the recurrence arrays gets the error, never nan values;
+    # the second call shows that no bad value was kept by the family
+    fam = custom_family(C, Lambda, label="bad", policy=policy)
+    for _ in range(2):
+        with pytest.raises(ValueError, match=bad):
+            use(fam, policy)
 
 
 def test_eval_with_derivative_matches_coefficients(policy):

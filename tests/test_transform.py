@@ -16,9 +16,9 @@ from christoffel import (
     mp_family,
     pj_family,
 )
-from christoffel.core import max_rel_coeff_diff
 from christoffel.families import _ladder
 from christoffel.transform import modified_polynomial
+from polyhelpers import coeff, max_rel_coeff_diff
 
 
 def _decompose_by_solve(family, modifier, n, m, policy):
@@ -41,10 +41,10 @@ def _decompose_by_solve(family, modifier, n, m, policy):
         rhs = mp.matrix(top + 1, 1)
         for t in range(top + 1):
             for i in range(na):
-                mat[t, i] = pn.coeff(t - i)
+                mat[t, i] = coeff(pn, t - i)
             for i in range(ng):
-                mat[t, na + i] = -pn1.coeff(t - i)
-            rhs[t] = lhs.coeff(t)
+                mat[t, na + i] = -coeff(pn1, t - i)
+            rhs[t] = coeff(lhs, t)
         sol = mp.qr_solve(mat, rhs)[0]
         return Polynomial([sol[i] for i in range(na)]), Polynomial([sol[na + i] for i in range(ng)])
 
@@ -139,7 +139,7 @@ def test_decomposition_mp_gap_two_closed_form(policy):
         assert (decomp.G_poly - g_expect).inf_norm() <= policy.rel_tol
         assert abs(decomp.B - (-lam * cot)) <= policy.rel_tol
         # leading coefficients balance: coefficient of x^n on both sides
-        assert abs(decomp.a_poly.coeff(0) - decomp.G_poly.coeffs[-1] - 1) <= policy.rel_tol
+        assert abs(coeff(decomp.a_poly, 0) - decomp.G_poly.coeffs[-1] - 1) <= policy.rel_tol
         # the identity scale renormalises G to monic
         assert abs(decomp.scale * decomp.G_poly.coeffs[-1] - 1) <= policy.rel_tol
 
@@ -219,6 +219,24 @@ def test_determinant_path_inside_decompose(policy):
     with policy.workprec():
         assert max_rel_coeff_diff(det.g_poly, shift.g_poly) <= policy.rel_tol
         assert max_rel_coeff_diff(det.G_poly, shift.G_poly) <= policy.rel_tol
+
+
+@pytest.mark.parametrize(
+    "modifier, reason",
+    [
+        (ModifierSpec(k=2, c=Polynomial([1, 0, 2, 0, 1]), nodes=(mp.mpc(0, 1), mp.mpc(0, 1))), "pairwise distinct"),
+        (ModifierSpec(k=1, c=Polynomial([2, 0, 2]), nodes=(mp.mpc(0, 1),)), "monic"),
+        (ModifierSpec(k=0, c=Polynomial([2]), nodes=()), "monic"),
+        # the canonical c of the family with a node that is not its zero
+        (ModifierSpec(k=1, c=Polynomial([1, 0, 1]), nodes=(mp.mpc(0, "0.5"),)), "not a zero"),
+    ],
+)
+def test_decompose_validates_user_built_modifiers(modifier, reason, policy):
+    # connection_decompose does not validate; a modifier that is not the
+    # family's canonical one is validated on the determinant route to g
+    fam = pj_family(-20, 8, policy)
+    with pytest.raises(ValueError, match=reason):
+        connection_decompose(fam, modifier, 8, 2, policy)
 
 
 def test_modifier_node_consistency_checked(policy):

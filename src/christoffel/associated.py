@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from mpmath import mp
 
-from .core import DEFAULT_POLICY, Polynomial, TolerancePolicy, X, relative_residual, to_scalar
+from .core import DEFAULT_POLICY, Polynomial, TolerancePolicy, relative_residual, to_scalar
 from .families import RecurrenceFamily, _ladder
 
 
@@ -39,8 +39,8 @@ def associated(family: RecurrenceFamily, n: int, m: int, policy: TolerancePolicy
         with mp.workprec(prec):
             while len(polys) <= m:
                 j = len(polys)  # building S_j
-                head = X - Polynomial([C[n - j + 1]])
-                polys.append(head if j == 1 else head * polys[j - 1] - polys[j - 2] * L[n - j + 2])
+                head = Polynomial._of([-C[n - j + 1], mp.mpf(1)])  # C, L were checked by recurrence
+                polys.append(head if j == 1 else head * polys[j - 1] - polys[j - 2]._scaled(L[n - j + 2]))
     return polys[m]
 
 

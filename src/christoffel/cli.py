@@ -10,6 +10,10 @@ Four modes, selected by a mutually exclusive flag:
 * ``--verify``       run the identity residual suites of all modules;
 * ``--decompose``    run a single connection decomposition and dump it.
 
+Each mode is a row function ``(config, policy) -> (rows, extra_meta)``;
+:func:`dispatch` checks the flags, builds the tolerance policy, times the
+mode and builds the :class:`Report` from its rows.
+
 Reports are emitted as JSON (default) or CSV.  Exit status: 0 when nothing
 failed (flagged cells are allowed), 1 on any failure, 2 on configuration
 errors (``ValueError``: bad flags or flags the mode does not read,
@@ -61,6 +65,14 @@ ENV_PRECISION = "CHRISTOFFEL_PRECISION_BITS"
 
 # Tolerance for matching a flagged cell against its recomputed reference.
 _FLAG_TOL = "5e-4"
+
+# The RunConfig fields that pick a table, a family or a cell, by flag.
+_FLAGS = {"table_id": "--table", "family": "--family", "lam": "--lambda", "phi": "--phi",
+          "a": "--a", "b": "--b", "n": "--n", "m": "--m", "k": "--k"}
+
+# Each family's name, constructor and parameter fields, in the constructor's order.
+_FAMILIES = {"mp": ("Meixner-Pollaczek", mp_family, ("lam", "phi")),
+             "pj": ("Pseudo-Jacobi", pj_family, ("a", "b"))}
 
 # Reference tables.  Cells are kept exactly as printed; "accepted" entries
 # carry the recomputed value for cells whose printed figure disagrees with
@@ -153,20 +165,7 @@ class RunConfig:
     out: Optional[str] = None
 
     def policy(self) -> TolerancePolicy:
-        # the tolerances are rounded at the working precision, not at 53 bits
-        with mp.workprec(max(self.precision_bits, 64)):
-            return TolerancePolicy(self.precision_bits, self.rel_tol or None, self.abs_tol or None)
-
-    def make_family(self, policy: TolerancePolicy):
-        if self.family == "mp":
-            if self.lam is None or self.phi is None:
-                raise ValueError("Meixner-Pollaczek needs --lambda and --phi")
-            return mp_family(self.lam, self.phi, policy)
-        if self.family == "pj":
-            if self.a is None or self.b is None:
-                raise ValueError("Pseudo-Jacobi needs --a and --b")
-            return pj_family(self.a, self.b, policy)
-        raise ValueError("--family must be mp or pj")
+        return TolerancePolicy(self.precision_bits, self.rel_tol, self.abs_tol)
 
 
 @dataclass
@@ -218,16 +217,15 @@ def _fmt(x, sig: int = 12) -> str:
     return mp.nstr(x, sig)
 
 
-def _meta(config: RunConfig, policy: TolerancePolicy, elapsed: float, extra: Optional[dict] = None) -> dict:
+def _meta(config: RunConfig, policy: TolerancePolicy, elapsed: float, extra: dict) -> dict:
     meta = {
         "version": __version__,
         "command": config.command,
         "precision_bits": policy.precision_bits,
         "rel_tol": _fmt(policy.rel_tol, 6),
         "abs_tol": _fmt(policy.abs_tol, 6),
+        **extra,
     }
-    if extra:
-        meta.update(extra)
     # everything under "timestamp" is exempt from the byte-identical
     # reproducibility contract
     meta["timestamp"] = {
@@ -250,21 +248,17 @@ def _cell_tolerance(printed: str) -> mp.mpf:
     return mp.mpf(5) * mp.mpf(10) ** (-decimals)
 
 
-def run_table(table_id: int, config: RunConfig) -> Report:
-    if table_id not in _TABLES:
-        raise ValueError(f"unknown table {table_id}")
-    spec = _TABLES[table_id]
-    policy = config.policy()
+def _table_rows(config: RunConfig, policy: TolerancePolicy):
+    if config.table_id not in _TABLES:
+        raise ValueError(f"unknown table {config.table_id}")
+    spec = _TABLES[config.table_id]
+    build = _FAMILIES[spec["family"]][1]
     n = spec["n"]
-    started = time.monotonic()
     rows = []
     for fixture in spec["rows"]:
         params = fixture["params"]
         with policy.workprec():
-            if spec["family"] == "mp":
-                fam = mp_family(params["lambda"], params["phi"], policy)
-            else:
-                fam = pj_family(params["a"], params["b"], policy)
+            fam = build(*params.values(), policy)
             zs = zeros_golub_welsch(fam, n, policy)
             computed = {}
             for col in spec["columns"]:
@@ -308,16 +302,24 @@ def run_table(table_id: int, config: RunConfig) -> Report:
                 "verdict": verdict,
             }
         )
-    elapsed = time.monotonic() - started
-    return Report(
-        meta=_meta(config, policy, elapsed, {"table": table_id}),
-        rows=rows,
-        summary=_summarise(rows),
-    )
+    return rows, {"table": config.table_id}
+
+
+def _degree_law(decomp) -> tuple:
+    """The measured and predicted degrees of (a, G), as report fields, and whether they match."""
+    law = connection_degree_law(decomp.k, decomp.m)
+    fields = {
+        "deg_a": decomp.a_poly.degree,
+        "deg_G": decomp.G_poly.degree,
+        "law_deg_a": law.deg_a,
+        "law_deg_G": law.deg_G,
+        "linear_G": law.linear_G,
+    }
+    return fields, fields["deg_a"] == law.deg_a and fields["deg_G"] == law.deg_G
 
 
 def _grid_interlace(fam, decomp, zp, policy: TolerancePolicy) -> str:
-    """Interlace verdict of G g_{n-m,k} against the zeros ``zp`` of p_n (see :func:`run_grid`)."""
+    """Interlace verdict of G g_{n-m,k} against the zeros ``zp`` of p_n (see :func:`_grid_rows`)."""
     n, m = decomp.n, decomp.m
     shifted = fam.shifted(decomp.k)
     G, dG = decomp.G_poly, decomp.G_poly.derivative()
@@ -332,7 +334,7 @@ def _grid_interlace(fam, decomp, zp, policy: TolerancePolicy) -> str:
         verdict = interlace_strict(q, n - 1, zp, policy)
         if verdict.strict:
             return "holds"
-    g_roots, nonreal = ([decomp.B], 0) if G.degree == 1 else polynomial_real_roots(G, policy)
+    g_roots, nonreal = polynomial_real_roots(G, policy)
     if nonreal:
         return f"fails({nonreal} nonreal G roots)"
     if verdict is not None:
@@ -343,7 +345,7 @@ def _grid_interlace(fam, decomp, zp, policy: TolerancePolicy) -> str:
     return f"fails(size {len(product)} vs {len(zp) - 1}, {outside} outside span)"
 
 
-def run_grid(config: RunConfig) -> Report:
+def _grid_rows(config: RunConfig, policy: TolerancePolicy):
     """Degree-law and interlacing grid for the Meixner-Pollaczek family.
 
     Cells: n in 4..n_max (default 12), m in 2..n, k in 0..m+2.  For every
@@ -358,13 +360,11 @@ def run_grid(config: RunConfig) -> Report:
     zeros one-per-gap; the grid asserts that failure (and records how many
     product zeros escape the span of the extreme zeros of p_n).
     """
-    policy = config.policy()
     lam = config.lam or "0.5"
     phi = config.phi or "0.9"
     n_max = config.n or 12
     if n_max < 4:
         raise ValueError("grid needs --n of at least 4")
-    started = time.monotonic()
     fam = mp_family(lam, phi, policy)
     rows = []
     for n in range(4, n_max + 1):
@@ -372,14 +372,11 @@ def run_grid(config: RunConfig) -> Report:
         for m in range(2, n + 1):
             for k in range(0, m + 3):
                 decomp = connection_decompose(fam, even_modifier(fam, k, policy), n, m, policy)
-                law = connection_degree_law(k, m)
-                deg_a = decomp.a_poly.degree
-                deg_g = decomp.G_poly.degree
-                degrees_ok = deg_a == law.deg_a and deg_g == law.deg_G
+                degrees, degrees_ok = _degree_law(decomp)
                 residual_ok = decomp.residual <= policy.rel_tol
                 interlace = "n/a"
                 interlace_ok = True
-                if deg_g == m - 1 or (m == 2 and k == 3):
+                if degrees["deg_G"] == m - 1 or (m == 2 and k == 3):
                     interlace = _grid_interlace(fam, decomp, zp, policy)
                     if m == 2 and k <= 2:
                         interlace_ok = interlace == "holds"
@@ -390,11 +387,7 @@ def run_grid(config: RunConfig) -> Report:
                     {
                         "inputs": {"n": n, "m": m, "k": k},
                         "computed": {
-                            "deg_a": deg_a,
-                            "deg_G": deg_g,
-                            "law_deg_a": law.deg_a,
-                            "law_deg_G": law.deg_G,
-                            "linear_G": law.linear_G,
+                            **degrees,
                             "residual": _fmt(decomp.residual, 3),
                             "interlace": interlace,
                             "B": _fmt(decomp.B) if decomp.B is not None else None,
@@ -402,15 +395,10 @@ def run_grid(config: RunConfig) -> Report:
                         "verdict": "pass" if ok else "fail",
                     }
                 )
-    elapsed = time.monotonic() - started
-    return Report(
-        meta=_meta(config, policy, elapsed, {"lambda": lam, "phi": phi, "n_max": n_max}),
-        rows=rows,
-        summary=_summarise(rows),
-    )
+    return rows, {"lambda": lam, "phi": phi, "n_max": n_max}
 
 
-def _verify_rows(policy: TolerancePolicy) -> list:
+def _verify_rows(config: RunConfig, policy: TolerancePolicy):
     rng = random.Random(20250810)
     rows = []
 
@@ -428,6 +416,14 @@ def _verify_rows(policy: TolerancePolicy) -> list:
     def res_row(suite, case, residual):
         record(suite, case, _fmt(residual, 3), _fmt(policy.rel_tol, 3), residual <= policy.rel_tol)
 
+    def sampled(residual, fam, cases, span):
+        """The worst residual(fam, *case, x) over three random x in [-span, span] per case."""
+        worst = mp.mpf(0)
+        for case in cases:
+            for _ in range(3):
+                worst = max(worst, residual(fam, *case, to_scalar(rng.uniform(-span, span)), policy))
+        return worst
+
     # each parameter set is built once, so its ladder, zeros and shifted
     # families are shared by every suite that uses it
     mp_fams = {case: mp_family(*case, policy) for case in (("0.5", "0.9"), ("20", "0.1"), ("3.25", "2.4"))}
@@ -436,34 +432,14 @@ def _verify_rows(policy: TolerancePolicy) -> list:
     mp_base, pj_base = mp_fams["0.5", "0.9"], pj_fams["-35", "8"]
 
     for fam in families:
-        worst = mp.mpf(0)
-        for n in (2, 9, 17):
-            for _ in range(3):
-                x = to_scalar(rng.uniform(-4, 4))
-                worst = max(worst, recurrence_residual(fam, n, x, policy))
-        res_row("recurrence", fam.label, worst)
+        res_row("recurrence", fam.label, sampled(recurrence_residual, fam, [(2,), (9,), (17,)], 4))
 
     for fam in families:
-        worst = mp.mpf(0)
-        for n, m in ((6, 3), (12, 7), (20, 20)):
-            for _ in range(3):
-                x = to_scalar(rng.uniform(-3, 3))
-                worst = max(worst, associated_identity_residual(fam, n, m, x, policy))
-        res_row("associated-bridge", fam.label, worst)
-        worst = mp.mpf(0)
-        for n, m in ((5, 0), (5, 1), (8, 5), (10, 10)):
-            for _ in range(3):
-                x = to_scalar(rng.uniform(-3, 3))
-                worst = max(worst, extension_identity_residual(fam, n, m, x, policy))
-        res_row("extension", fam.label, worst)
+        res_row("associated-bridge", fam.label, sampled(associated_identity_residual, fam, [(6, 3), (12, 7), (20, 20)], 3))
+        res_row("extension", fam.label, sampled(extension_identity_residual, fam, [(5, 0), (5, 1), (8, 5), (10, 10)], 3))
 
     for (lam, phi), fam in mp_fams.items():
-        worst = mp.mpf(0)
-        for n in (5, 12):
-            for _ in range(3):
-                x = to_scalar(rng.uniform(-5, 5))
-                worst = max(worst, mp_symmetry_residual(fam, n, x, policy))
-        res_row("mp-symmetry", f"MP(lambda={lam}, phi={phi})", worst)
+        res_row("mp-symmetry", f"MP(lambda={lam}, phi={phi})", sampled(mp_symmetry_residual, fam, [(5,), (12,)], 5))
 
     with policy.workprec():
         pj_oracle = pj_family("-12", "8", policy)
@@ -484,9 +460,8 @@ def _verify_rows(policy: TolerancePolicy) -> list:
         deg_ok = True
         for n, m, k in cells:
             decomp = connection_decompose(fam, even_modifier(fam, k, policy), n, m, policy)
-            law = connection_degree_law(k, m)
             worst = max(worst, decomp.residual)
-            deg_ok = deg_ok and decomp.a_poly.degree == law.deg_a and decomp.G_poly.degree == law.deg_G
+            deg_ok = deg_ok and _degree_law(decomp)[1]
         res_row("decomposition-residual", fam.label, worst)
         record("decomposition-degrees", fam.label, "match" if deg_ok else "mismatch", "match", deg_ok)
 
@@ -526,7 +501,7 @@ def _verify_rows(policy: TolerancePolicy) -> list:
                     if j + l <= 2 * n - 1:
                         s = sum(w * a * b for a, b, w in zip(vals[j], vals[l], weights))
                         worst = max(worst, abs(s) / mp.sqrt(norms[j] * norms[l]))
-        record("gauss-orthogonality", f"{fam.label} n={n}", _fmt(worst, 3), _fmt(policy.rel_tol, 3), worst <= policy.rel_tol)
+        res_row("gauss-orthogonality", f"{fam.label} n={n}", worst)
 
     # discrete orthogonality of the transform output under the modified weight
     with policy.workprec():
@@ -539,7 +514,7 @@ def _verify_rows(policy: TolerancePolicy) -> list:
                 s = sum(w * mod.c(x) * gs[j](x) * gs[l](x) for x, w in zip(nodes.values, weights))
                 norm = sum(w * mod.c(x) * gs[j](x) ** 2 for x, w in zip(nodes.values, weights))
                 worst = max(worst, abs(s) / norm)
-    record("transform-discrete-orthogonality", "MP(0.5,0.9) k=2", _fmt(worst, 3), _fmt(policy.rel_tol, 3), worst <= policy.rel_tol)
+    res_row("transform-discrete-orthogonality", "MP(0.5,0.9) k=2", worst)
 
     bound_cases = list(families)
     for _ in range(4):
@@ -557,27 +532,25 @@ def _verify_rows(policy: TolerancePolicy) -> list:
             ok,
         )
 
-    return rows
+    return rows, {}
 
 
-def run_verify(config: RunConfig) -> Report:
-    policy = config.policy()
-    started = time.monotonic()
-    rows = _verify_rows(policy)
-    elapsed = time.monotonic() - started
-    return Report(meta=_meta(config, policy, elapsed), rows=rows, summary=_summarise(rows))
+def _family(config: RunConfig, policy: TolerancePolicy):
+    if config.family not in _FAMILIES:
+        raise ValueError("--family must be mp or pj")
+    name, build, fields = _FAMILIES[config.family]
+    values = [getattr(config, field) for field in fields]
+    if None in values:
+        raise ValueError(f"{name} needs {' and '.join(_FLAGS[field] for field in fields)}")
+    return build(*values, policy)
 
 
-def run_decompose(config: RunConfig) -> Report:
-    policy = config.policy()
+def _decompose_rows(config: RunConfig, policy: TolerancePolicy):
     if config.n is None or config.m is None or config.k is None:
         raise ValueError("--decompose needs --n, --m and --k")
-    fam = config.make_family(policy)
-    started = time.monotonic()
-    modifier = even_modifier(fam, config.k, policy)
-    decomp = connection_decompose(fam, modifier, config.n, config.m, policy)
-    law = connection_degree_law(config.k, config.m)
-    degrees_ok = decomp.a_poly.degree == law.deg_a and decomp.G_poly.degree == law.deg_G
+    fam = _family(config, policy)
+    decomp = connection_decompose(fam, even_modifier(fam, config.k, policy), config.n, config.m, policy)
+    degrees, degrees_ok = _degree_law(decomp)
     residual_ok = decomp.residual <= policy.rel_tol
     row = {
         "inputs": {
@@ -587,11 +560,7 @@ def run_decompose(config: RunConfig) -> Report:
             "k": config.k,
         },
         "computed": {
-            "deg_a": decomp.a_poly.degree,
-            "deg_G": decomp.G_poly.degree,
-            "law_deg_a": law.deg_a,
-            "law_deg_G": law.deg_G,
-            "linear_G": law.linear_G,
+            **degrees,
             "a_coeffs": [_fmt(c) for c in decomp.a_poly.coeffs],
             "G_coeffs": [_fmt(c) for c in decomp.G_poly.coeffs],
             "g_coeffs": [_fmt(c) for c in decomp.g_poly.coeffs],
@@ -602,38 +571,38 @@ def run_decompose(config: RunConfig) -> Report:
         },
         "verdict": "pass" if (degrees_ok and residual_ok) else "fail",
     }
-    elapsed = time.monotonic() - started
-    return Report(meta=_meta(config, policy, elapsed), rows=[row], summary=_summarise([row]))
+    return [row], {}
 
 
-# The RunConfig fields that pick a table, a family or a cell, by flag, and
-# which of them each mode reads; --decompose reads only its family's two.
-_FLAGS = {"table_id": "--table", "family": "--family", "lam": "--lambda", "phi": "--phi",
-          "a": "--a", "b": "--b", "n": "--n", "m": "--m", "k": "--k"}
-_READS = {"table": {"table_id"}, "grid": {"lam", "phi", "n"}, "verify": set(),
-          "decompose": {"family", "n", "m", "k"}}
-_FAMILY_PARAMS = {"mp": {"lam", "phi"}, "pj": {"a", "b"}}
+# Each command's row function and the RunConfig fields of _FLAGS it reads;
+# --decompose also reads its family's two parameters.
+_MODES = {
+    "table": (_table_rows, {"table_id"}),
+    "grid": (_grid_rows, {"lam", "phi", "n"}),
+    "verify": (_verify_rows, set()),
+    "decompose": (_decompose_rows, {"family", "n", "m", "k"}),
+}
 
 
 def dispatch(config: RunConfig) -> Report:
-    if config.command not in _READS:
+    if config.command not in _MODES:
         raise ValueError(f"unknown command {config.command!r}")
-    reads = _READS[config.command]
+    rows_of, reads = _MODES[config.command]
     if config.command == "decompose":
-        reads = reads | _FAMILY_PARAMS.get(config.family, {"lam", "phi", "a", "b"})
+        families = [config.family] if config.family in _FAMILIES else _FAMILIES
+        reads = reads.union(*(_FAMILIES[family][2] for family in families))
     unread = [flag for field, flag in _FLAGS.items() if getattr(config, field) is not None and field not in reads]
     if unread:
         raise ValueError(f"--{config.command} does not read {', '.join(unread)}")
-    if config.command == "table":
-        return run_table(config.table_id, config)
-    if config.command == "grid":
-        return run_grid(config)
-    if config.command == "verify":
-        return run_verify(config)
-    return run_decompose(config)
+    policy = config.policy()
+    started = time.monotonic()
+    rows, extra_meta = rows_of(config, policy)
+    elapsed = time.monotonic() - started
+    return Report(meta=_meta(config, policy, elapsed, extra_meta), rows=rows, summary=_summarise(rows))
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser; every destination is a :class:`RunConfig` field."""
     parser = argparse.ArgumentParser(
         prog="christoffel",
         description="Orthogonal polynomial connection formulas, zero bounds and reference-table reproduction.",
@@ -642,10 +611,11 @@ def build_parser() -> argparse.ArgumentParser:
     # pattern has no exponent; with this one "--a -1e30" parses as "--a=-1e30".
     parser._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$|^-inf$")
     mode = parser.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--table", type=int, choices=(1, 2, 3), help="reproduce a reference table")
-    mode.add_argument("--grid", action="store_true", help="run the degree-law grid")
-    mode.add_argument("--verify", action="store_true", help="run the identity verification suites")
-    mode.add_argument("--decompose", action="store_true", help="run one connection decomposition")
+    mode.add_argument("--table", dest="table_id", type=int, choices=(1, 2, 3), help="reproduce a reference table")
+    mode.add_argument("--grid", dest="command", action="store_const", const="grid", help="run the degree-law grid")
+    mode.add_argument("--verify", dest="command", action="store_const", const="verify", help="run the identity verification suites")
+    mode.add_argument("--decompose", dest="command", action="store_const", const="decompose", help="run one connection decomposition")
+    parser.set_defaults(command="table")
     parser.add_argument("--family", choices=("mp", "pj"), help="family for --decompose")
     parser.add_argument("--lambda", dest="lam", help="Meixner-Pollaczek lambda")
     parser.add_argument("--phi", help="Meixner-Pollaczek phi")
@@ -657,40 +627,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--precision-bits", type=int, default=None)
     parser.add_argument("--rel-tol", default=None)
     parser.add_argument("--abs-tol", default=None)
-    parser.add_argument("--format", choices=("csv", "json"), default="json")
+    parser.add_argument("--format", dest="fmt", choices=("csv", "json"), default="json")
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
     return parser
 
 
 def config_from_args(args) -> RunConfig:
-    if args.table is not None:
-        command = "table"
-    elif args.grid:
-        command = "grid"
-    elif args.verify:
-        command = "verify"
-    else:
-        command = "decompose"
     bits = args.precision_bits
     if bits is None:
         bits = int(os.environ.get(ENV_PRECISION, "256"))
-    return RunConfig(
-        command=command,
-        table_id=args.table,
-        family=args.family,
-        lam=args.lam,
-        phi=args.phi,
-        a=args.a,
-        b=args.b,
-        n=args.n,
-        m=args.m,
-        k=args.k,
-        precision_bits=bits,
-        rel_tol=args.rel_tol,
-        abs_tol=args.abs_tol,
-        fmt=args.format,
-        out=args.out,
-    )
+    return RunConfig(**{**vars(args), "precision_bits": bits})
 
 
 def main(argv=None) -> int:

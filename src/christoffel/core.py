@@ -39,13 +39,19 @@ def to_scalar(x) -> mp.mpf:
 
     Decimal strings are the preferred way to state exact decimal inputs such
     as table parameters: ``to_scalar("0.9")`` rounds the decimal 0.9 at the
-    working precision instead of going through a 53-bit float.
+    working precision instead of going through a 53-bit float.  A string
+    mpmath cannot read and a complex value raise ``ValueError``.
     """
     if isinstance(x, mp.mpf):
         return x
-    value = mp.mpmathify(x)
+    try:
+        value = mp.mpmathify(x)
+    except TypeError:
+        if not isinstance(x, str):
+            raise
+        raise ValueError(f"expected a real number, got {x!r}") from None
     if isinstance(value, mp.mpc):
-        raise TypeError(f"expected a real scalar, got complex {x!r}")
+        raise ValueError(f"expected a real number, got complex {x!r}")
     return value
 
 
@@ -62,7 +68,7 @@ class TolerancePolicy:
     ``rel_tol`` and ``abs_tol`` both default to ``2**(-precision_bits // 2)``,
     half the working precision.  That leaves the other half as headroom, so a
     residual above tolerance signals a genuine identity violation rather than
-    accumulated roundoff.
+    accumulated roundoff.  Given tolerances are rounded at ``precision_bits``.
     """
 
     precision_bits: int = 256
@@ -72,12 +78,13 @@ class TolerancePolicy:
     def __post_init__(self):
         if self.precision_bits < 64:
             raise ValueError("precision_bits must be at least 64")
-        for name in ("rel_tol", "abs_tol"):
-            given = getattr(self, name)
-            value = mp.ldexp(1, -(self.precision_bits // 2)) if given is None else to_scalar(given)
-            if not 0 < value < mp.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value}")
-            object.__setattr__(self, name, value)
+        with mp.workprec(self.precision_bits):
+            for name in ("rel_tol", "abs_tol"):
+                given = getattr(self, name)
+                value = mp.ldexp(1, -(self.precision_bits // 2)) if given is None else to_scalar(given)
+                if not 0 < value < mp.inf:
+                    raise ValueError(f"{name} must be positive and finite, got {value}")
+                object.__setattr__(self, name, value)
 
     def workprec(self):
         """Context manager setting the ambient mpmath precision."""
@@ -162,10 +169,13 @@ class Polynomial:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
             return Polynomial._of(out)
-        c = require_finite(to_scalar(other), "scalar factor")
-        return Polynomial._of([c * a for a in self.coeffs])
+        return self._scaled(require_finite(to_scalar(other), "scalar factor"))
 
     __rmul__ = __mul__
+
+    def _scaled(self, c) -> "Polynomial":
+        """``c`` times the polynomial, for a finite mpf ``c`` the caller has already checked or computed."""
+        return Polynomial._of([c * a for a in self.coeffs])
 
     def derivative(self) -> "Polynomial":
         return Polynomial._of([i * c for i, c in enumerate(self.coeffs)][1:])

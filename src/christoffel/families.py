@@ -41,7 +41,7 @@ from typing import Callable, Mapping, Optional
 
 from mpmath import mp
 
-from .core import DEFAULT_POLICY, Polynomial, TolerancePolicy, X, relative_residual, to_scalar
+from .core import DEFAULT_POLICY, Polynomial, TolerancePolicy, relative_residual, to_scalar
 
 MEIXNER_POLLACZEK = "meixner_pollaczek"
 PSEUDO_JACOBI = "pseudo_jacobi"
@@ -229,10 +229,8 @@ def _ladder(family: RecurrenceFamily, n: int, prec: int) -> tuple:
         with mp.workprec(prec):
             while len(polys) <= n:
                 j = len(polys)
-                if j == 1:
-                    polys.append(Polynomial([-C[1], 1]))
-                    continue
-                polys.append((X - Polynomial([C[j]])) * polys[j - 1] - polys[j - 2] * L[j])
+                head = Polynomial._of([-C[j], mp.mpf(1)])  # x - C(j); C was checked by recurrence
+                polys.append(head if j == 1 else head * polys[j - 1] - polys[j - 2]._scaled(L[j]))
     return tuple(polys[: n + 1])
 
 

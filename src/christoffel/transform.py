@@ -143,7 +143,7 @@ def christoffel_transform(
                     f"imaginary residue {mp.nstr(abs(d.imag), 6)} in expansion "
                     "coefficients; modifier nodes are inconsistent"
                 )
-            combo = combo + polys[j] * d.real
+            combo = combo + polys[j]._scaled(d.real)
         g = combo.divide_exact(modifier.c, policy).monic()
         return g.chop(policy.rel_tol * max(1, g.inf_norm()))
 
@@ -251,14 +251,14 @@ def connection_decompose(
             for t in range(m - j - 1):
                 prod *= L[n - t]
             w = d[j] / prod
-            a_poly = a_poly - associated(family, n - 1, m - j - 2, policy) * w
-            g_proof = g_proof + associated(family, n, m - j - 1, policy) * w
+            a_poly = a_poly - associated(family, n - 1, m - j - 2, policy)._scaled(w)
+            g_proof = g_proof + associated(family, n, m - j - 1, policy)._scaled(w)
         if m - 1 <= 2 * k:
             g_proof = g_proof + Polynomial([d[m - 1]])
         for j in range(m, 2 * k + 1):
-            a_poly = a_poly + associated(family, n - m + j, j - m, policy) * d[j]
+            a_poly = a_poly + associated(family, n - m + j, j - m, policy)._scaled(d[j])
         for j in range(m + 1, 2 * k + 1):
-            g_proof = g_proof - associated(family, n - m + j, j - m - 1, policy) * (L[n + 1] * d[j])
+            g_proof = g_proof - associated(family, n - m + j, j - m - 1, policy)._scaled(L[n + 1] * d[j])
         G_poly = -g_proof
 
         a_poly = a_poly.chop(policy.rel_tol * max(1, a_poly.inf_norm()))

@@ -37,7 +37,7 @@ from christoffel import (
 from christoffel.associated import associated_identity_residual, extension_identity_residual
 from christoffel.core import relative_residual
 from christoffel.families import _ladder
-from christoffel.cli import RunConfig, run_grid, run_table
+from christoffel.cli import RunConfig, dispatch
 from polyhelpers import max_rel_coeff_diff
 
 POLICY = TolerancePolicy()
@@ -59,7 +59,7 @@ def _cell_values(report):
 
 def test_criterion_1_table1_reproduction():
     started = time.monotonic()
-    report = run_table(1, RunConfig(command="table", table_id=1))
+    report = dispatch(RunConfig(command="table", table_id=1))
     elapsed = time.monotonic() - started
 
     ok = report.summary["fail"] == 0
@@ -98,7 +98,7 @@ def test_criterion_2_table2_reproduction():
     from christoffel import inner_bound
 
     started = time.monotonic()
-    report = run_table(2, RunConfig(command="table", table_id=2))
+    report = dispatch(RunConfig(command="table", table_id=2))
     elapsed = time.monotonic() - started
 
     ok = report.summary == {"rows": 4, "pass": 4, "flagged": 0, "fail": 0}
@@ -125,7 +125,7 @@ def test_criterion_3_table3_reproduction():
     from christoffel import inner_bound
 
     started = time.monotonic()
-    report = run_table(3, RunConfig(command="table", table_id=3))
+    report = dispatch(RunConfig(command="table", table_id=3))
     elapsed = time.monotonic() - started
 
     ok = report.summary["fail"] == 0
@@ -175,7 +175,7 @@ def test_criterion_3_table3_reproduction():
     ),
 )
 def test_criterion_3_literal_xmin_prints():
-    report = run_table(3, RunConfig(command="table", table_id=3))
+    report = dispatch(RunConfig(command="table", table_id=3))
     rows = {(r["inputs"]["a"], r["inputs"]["b"]): r for r in report.rows}
     with POLICY.workprec():
         assert abs(mp.mpf(rows[("-35", "8")]["computed"]["x_min"]) - mp.mpf("-1.6655")) <= mp.mpf("5e-4")
@@ -184,7 +184,7 @@ def test_criterion_3_literal_xmin_prints():
 
 def test_criterion_4_degree_law_grid():
     started = time.monotonic()
-    report = run_grid(RunConfig(command="grid"))
+    report = dispatch(RunConfig(command="grid"))
     elapsed = time.monotonic() - started
 
     expected_cells = sum(m + 3 for n in range(4, 13) for m in range(2, n + 1))

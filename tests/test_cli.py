@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -15,10 +16,8 @@ from christoffel.cli import (
     RunConfig,
     _flatten,
     build_parser,
+    dispatch,
     main,
-    run_decompose,
-    run_table,
-    run_verify,
 )
 
 
@@ -31,15 +30,19 @@ def _strip_timestamp(text: str) -> str:
     return json.dumps(data, indent=2, ensure_ascii=False)
 
 
+def _digest(text: str) -> str:
+    """SHA-256 of the report without meta.timestamp."""
+    return hashlib.sha256((_strip_timestamp(text) + "\n").encode("utf-8")).hexdigest()
+
+
 def _matches_reference(text: str, key: str) -> bool:
     """The report, without meta.timestamp, hashes to the recorded digest."""
-    digest = hashlib.sha256((_strip_timestamp(text) + "\n").encode("utf-8")).hexdigest()
-    return digest == json.loads(REFERENCE.read_text(encoding="utf-8"))["reports"][key]["sha256"]
+    return _digest(text) == json.loads(REFERENCE.read_text(encoding="utf-8"))["reports"][key]["sha256"]
 
 
 def test_table2_all_rows_pass():
     config = RunConfig(command="table", table_id=2)
-    report = run_table(2, config)
+    report = dispatch(config)
     assert report.summary == {"rows": 4, "pass": 4, "flagged": 0, "fail": 0}
     assert report.exit_code == 0
     for row in report.rows:
@@ -47,7 +50,7 @@ def test_table2_all_rows_pass():
 
 
 def test_table1_has_single_flagged_cell():
-    report = run_table(1, RunConfig(command="table", table_id=1))
+    report = dispatch(RunConfig(command="table", table_id=1))
     assert report.summary["fail"] == 0
     assert report.summary["flagged"] == 1
     flagged = [r for r in report.rows if r["verdict"] == "flagged"]
@@ -57,7 +60,7 @@ def test_table1_has_single_flagged_cell():
 
 
 def test_table3_flags_recorded_and_extra_misprints():
-    report = run_table(3, RunConfig(command="table", table_id=3))
+    report = dispatch(RunConfig(command="table", table_id=3))
     assert report.summary["fail"] == 0
     cells = {
         (row["inputs"]["a"], row["inputs"]["b"]): row["cells"] for row in report.rows
@@ -72,14 +75,14 @@ def test_table3_flags_recorded_and_extra_misprints():
 
 def test_json_deterministic_modulo_timestamp():
     config = RunConfig(command="table", table_id=2)
-    first = run_table(2, config).to_json()
-    second = run_table(2, config).to_json()
+    first = dispatch(config).to_json()
+    second = dispatch(config).to_json()
     assert _strip_timestamp(first) == _strip_timestamp(second)
 
 
 def test_csv_and_json_carry_identical_row_data():
     config = RunConfig(command="table", table_id=2)
-    report = run_table(2, config)
+    report = dispatch(config)
     parsed = list(csv.DictReader(io.StringIO(report.to_csv())))
     assert len(parsed) == len(report.rows)
     for row, csv_row in zip(report.rows, parsed):
@@ -90,7 +93,7 @@ def test_csv_and_json_carry_identical_row_data():
 
 def test_decompose_command_row():
     config = RunConfig(command="decompose", family="mp", lam="0.5", phi="0.9", n=8, m=2, k=2)
-    report = run_decompose(config)
+    report = dispatch(config)
     row = report.rows[0]
     assert row["verdict"] == "pass"
     assert row["computed"]["deg_a"] == 2
@@ -140,6 +143,67 @@ def test_main_csv_format(capsys):
     out = capsys.readouterr().out
     header = out.splitlines()[0]
     assert header.startswith("inputs.a,inputs.b,inputs.n,computed.")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "00fdc1302270ca14ab51497ddcc7b61ef611c494648060dc6bc7799140a3db58"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["--decompose", "--family", "mp", "--lambda", "0.5", "--phi", "0.9", "--n", "8", "--m", "2", "--k", "2"],
+         "b2fe3b55df2f51950b5eef5d86502160a70053038becff3e34ccbf7d1db481c2"),
+        (["--decompose", "--family", "pj", "--a", "-20", "--b", "8", "--n", "9", "--m", "4", "--k", "1"],
+         "c0ca1f2b0f88a0b5504943bb6d926d66dd1e149a98e0210cbd932444b1466c38"),
+    ],
+)
+def test_decompose_reports_are_pinned(argv, digest, capsys):
+    assert main(argv) == 0
+    assert _digest(capsys.readouterr().out) == digest
+
+
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        (["--decompose", "--family", "pj", "--a", "-20", "--b", "8", "--n", "8", "--m", "2", "--k", "2"], 2,
+         "configuration error: Pseudo-Jacobi modifiers with k >= 2 repeat the node pair +-i; "
+         "use the parameter-shift route instead of the determinant transform\n"),
+        (["--decompose", "--family", "mp", "--lambda", "0.5", "--phi", "3.14159265", "--n", "8", "--m", "2", "--k", "2"], 3,
+         "numerical failure: modified polynomial has components below the expected basis range; "
+         "the transform inputs are inconsistent\n"),
+        (["--decompose", "--family", "mp", "--lambda", "0.5", "--n", "8", "--m", "2", "--k", "2"], 2,
+         "configuration error: Meixner-Pollaczek needs --lambda and --phi\n"),
+        (["--decompose", "--family", "pj", "--a", "-20", "--n", "8", "--m", "2", "--k", "1"], 2,
+         "configuration error: Pseudo-Jacobi needs --a and --b\n"),
+    ],
+)
+def test_decompose_failures_are_pinned(argv, code, err, capsys):
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == err
+
+
+@pytest.mark.parametrize(
+    "argv, value",
+    [
+        (["--table", "2", "--rel-tol", "abc"], "'abc'"),
+        (["--table", "2", "--rel-tol", ""], "''"),
+        (["--decompose", "--family", "mp", "--lambda", "abc", "--phi", "0.9", "--n", "8", "--m", "2", "--k", "2"], "'abc'"),
+        (["--grid", "--lambda", "1+2j", "--n", "4"], "complex '1+2j'"),
+    ],
+)
+def test_flag_values_that_are_not_real_numbers_are_configuration_errors(argv, value, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"configuration error: expected a real number, got {value}\n"
+
+
+def test_parser_destinations_are_run_config_fields():
+    # config_from_args copies the parsed flags into RunConfig by name
+    dests = {action.dest for action in build_parser()._actions if action.dest != "help"}
+    assert dests == {field.name for field in dataclasses.fields(RunConfig)}
 
 
 def test_exit_code_on_config_errors(capsys):
@@ -186,7 +250,7 @@ def test_verify_shares_its_families(monkeypatch, policy):
         return solve(family, n, policy)
 
     monkeypatch.setattr(zeros, "_solve", counted)
-    run_verify(RunConfig(command="verify"))
+    dispatch(RunConfig(command="verify"))
     assert sum(solved.values()) == 19
     assert set(solved.values()) == {1}
 

@@ -91,7 +91,8 @@ def test_policy_defaults_and_validation():
     assert pol.rel_tol == mp.ldexp(1, -128)
     assert pol.abs_tol == mp.ldexp(1, -128)
     custom = TolerancePolicy(precision_bits=128, rel_tol="1e-20")
-    assert custom.rel_tol == mp.mpf("1e-20")
+    with mp.workprec(128):  # a given tolerance is rounded at the policy's precision
+        assert custom.rel_tol == mp.mpf("1e-20")
     assert custom.abs_tol == mp.ldexp(1, -64)
     with pytest.raises(ValueError):
         TolerancePolicy(precision_bits=32)

@@ -17,10 +17,11 @@ mode and builds the :class:`Report` from its rows.
 Reports are emitted as JSON (default) or CSV.  Exit status: 0 when nothing
 failed (flagged cells are allowed), 1 on any failure, 2 on configuration
 errors (``ValueError``: bad flags or flags the mode does not read,
-parameters outside a family's range, non-finite values or tolerances; and
-an ``--out`` path that cannot be written), 3 on numerical failure (``ArithmeticError``:
-a degenerate transform, zeros that are not simple at tolerance, a Newton
-polish that does not converge).
+parameters outside a family's range, non-finite values or tolerances, an
+``abs_tol`` as wide as a gap between zeros, and an ``--out`` path that
+cannot be written), 3 on numerical failure (``ArithmeticError``: a
+degenerate transform, zeros that are not simple, a Newton polish that does
+not converge).
 
 A handful of printed table cells disagree with their recomputed values at
 far beyond the printed rounding; these are embedded as flagged cells with
@@ -360,9 +361,9 @@ def _grid_rows(config: RunConfig, policy: TolerancePolicy):
     zeros one-per-gap; the grid asserts that failure (and records how many
     product zeros escape the span of the extreme zeros of p_n).
     """
-    lam = config.lam or "0.5"
-    phi = config.phi or "0.9"
-    n_max = config.n or 12
+    lam = "0.5" if config.lam is None else config.lam
+    phi = "0.9" if config.phi is None else config.phi
+    n_max = 12 if config.n is None else config.n
     if n_max < 4:
         raise ValueError("grid needs --n of at least 4")
     fam = mp_family(lam, phi, policy)

@@ -268,56 +268,22 @@ def eval_with_derivative(family: RecurrenceFamily, n: int, x, policy: ToleranceP
         return p, d
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ModifierSpec:
-    """An even monic polynomial c_{2k} together with one node per conjugate zero pair.
+    """The even monic polynomial c_{2k}(x) = prod (x^2 - x_i^2), given by its nodes.
 
-    ``nodes`` holds x_1, ..., x_k with c(+-x_i) = 0; for the built-in
-    families the nodes are purely imaginary.  The determinant form of the
-    Christoffel transform requires the node pairs to be pairwise distinct.
+    ``nodes`` holds x_1, ..., x_k, one per conjugate zero pair +-x_i; for the
+    built-in families they are purely imaginary.  ``c`` is built from them and
+    k is their number, so a modifier is checked once, here: each node must
+    give real coefficients (purely imaginary or purely real nodes do), and the
+    node pairs must be pairwise distinct up to sign at ``policy.abs_tol``, as
+    the determinant form of the Christoffel transform requires.
     """
 
-    k: int
+    nodes: tuple
     c: Polynomial
-    nodes: tuple = field(default_factory=tuple)
 
-    def validate(self, policy: TolerancePolicy = DEFAULT_POLICY):
-        with policy.workprec():
-            if self.k < 0:
-                raise ValueError("modifier order k must be nonnegative")
-            if self.c.degree != 2 * self.k:
-                raise ValueError(
-                    f"modifier polynomial has degree {self.c.degree}, expected {2 * self.k}"
-                )
-            if len(self.nodes) != self.k:
-                raise ValueError(f"expected {self.k} nodes, got {len(self.nodes)}")
-            if self.c.coeffs[-1] != 1:
-                raise ValueError("modifier polynomial must be monic")
-            for i, coeff in enumerate(self.c.coeffs):
-                if i % 2 == 1 and coeff != 0:
-                    raise ValueError("modifier polynomial must be even in x")
-            scale = max(self.c.inf_norm(), mp.mpf(1))
-            for z in self.nodes:
-                if abs(self.c(z)) > policy.abs_tol * scale:
-                    raise ValueError(f"node {z} is not a zero of the modifier polynomial")
-            for i in range(len(self.nodes)):
-                for j in range(i + 1, len(self.nodes)):
-                    if abs(self.nodes[i] - self.nodes[j]) <= policy.abs_tol or abs(
-                        self.nodes[i] + self.nodes[j]
-                    ) <= policy.abs_tol:
-                        raise ValueError(
-                            "modifier nodes must be pairwise distinct (up to sign); "
-                            f"nodes {i} and {j} coincide"
-                        )
-        return self
-
-    @classmethod
-    def from_nodes(cls, nodes, policy: TolerancePolicy = DEFAULT_POLICY) -> "ModifierSpec":
-        """Build c(x) = prod (x^2 - x_i^2) from conjugate-pair representatives.
-
-        The nodes must produce real coefficients (purely imaginary or purely
-        real nodes do).
-        """
+    def __init__(self, nodes=(), policy: TolerancePolicy = DEFAULT_POLICY):
         with policy.workprec():
             c = Polynomial([1])
             clean = []
@@ -328,7 +294,21 @@ class ModifierSpec:
                     raise ValueError(f"node {z} would give a non-real modifier polynomial")
                 c = c * Polynomial([-z2.real, 0, 1])
                 clean.append(z)
-            return cls(k=len(clean), c=c, nodes=tuple(clean)).validate(policy)
+            for i in range(len(clean)):
+                for j in range(i + 1, len(clean)):
+                    if abs(clean[i] - clean[j]) <= policy.abs_tol or abs(
+                        clean[i] + clean[j]
+                    ) <= policy.abs_tol:
+                        raise ValueError(
+                            "modifier nodes must be pairwise distinct (up to sign); "
+                            f"nodes {i} and {j} coincide"
+                        )
+        object.__setattr__(self, "nodes", tuple(clean))
+        object.__setattr__(self, "c", c)
+
+    @property
+    def k(self) -> int:
+        return len(self.nodes)
 
 
 def even_modifier(family: RecurrenceFamily, k: int, policy: TolerancePolicy = DEFAULT_POLICY) -> ModifierSpec:
@@ -346,19 +326,17 @@ def even_modifier(family: RecurrenceFamily, k: int, policy: TolerancePolicy = DE
     def build() -> ModifierSpec:
         with policy.workprec():
             if k == 0:
-                return ModifierSpec(k=0, c=Polynomial([1]), nodes=())
+                return ModifierSpec((), policy)
             if family.kind == MEIXNER_POLLACZEK:
                 lam = family.params["lambda"]
-                return ModifierSpec.from_nodes(
-                    [mp.mpc(0, lam + j) for j in range(k)], policy
-                )
+                return ModifierSpec([mp.mpc(0, lam + j) for j in range(k)], policy)
             if family.kind == PSEUDO_JACOBI:
                 if k > 1:
                     raise ValueError(
                         "Pseudo-Jacobi modifiers with k >= 2 repeat the node pair +-i; "
                         "use the parameter-shift route instead of the determinant transform"
                     )
-                return ModifierSpec.from_nodes([mp.mpc(0, 1)], policy)
+                return ModifierSpec([mp.mpc(0, 1)], policy)
             raise ValueError(f"{family.label} has no canonical even modifier")
 
     return family.owned(("even_modifier", k, policy), build)

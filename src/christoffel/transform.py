@@ -109,11 +109,9 @@ def christoffel_transform(
 ) -> Polynomial:
     """Monic degree-``deg`` polynomial orthogonal with respect to c_{2k}(x) w(x).
 
-    Uses the bordered-determinant construction; requires the modifier node
-    pairs to be pairwise distinct and the base family to be valid up to
-    degree deg + 2k.
+    Uses the bordered-determinant construction; requires the base family to
+    be valid up to degree deg + 2k.
     """
-    modifier.validate(policy)
     k = modifier.k
     if k == 0:
         return generate(family, deg, policy)
@@ -163,7 +161,7 @@ def _expand_in_monic_basis(f: Polynomial, ladder) -> list:
 
 
 def _is_canonical_modifier(family, modifier, policy) -> bool:
-    """``modifier`` equals the family's canonical one, which was validated when it was built."""
+    """``modifier`` equals the family's canonical one."""
     try:
         return family.supports_shift and modifier == even_modifier(family, modifier.k, policy)
     except ValueError:
@@ -179,8 +177,7 @@ def modified_polynomial(
     """g_{deg,k}, orthogonal with respect to c_{2k}(x) w(x).
 
     Taken from the parameter shift when the modifier is the family's
-    canonical one (exact and cheap), otherwise from the determinant route,
-    which validates the modifier.
+    canonical one (exact and cheap), otherwise from the determinant route.
     """
     if _is_canonical_modifier(family, modifier, policy):
         return generate(family.shifted(modifier.k), deg, policy)
@@ -218,12 +215,7 @@ def connection_decompose(
     m: int,
     policy: TolerancePolicy = DEFAULT_POLICY,
 ) -> ConnectionDecomposition:
-    """Canonical connection pair (a, G) for the modified family, 2 <= m <= n.
-
-    The modifier is validated once: a canonical one when
-    :meth:`ModifierSpec.from_nodes` built it, any other by
-    :func:`christoffel_transform` on the way to g.
-    """
+    """Canonical connection pair (a, G) for the modified family, 2 <= m <= n."""
     if not 2 <= m <= n:
         raise ValueError(f"need 2 <= m <= n, got m={m}, n={n}")
     k = modifier.k

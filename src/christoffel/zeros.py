@@ -282,7 +282,9 @@ def zeros_golub_welsch(family: RecurrenceFamily, n: int, policy: TolerancePolicy
 
     The zeros depend only on the precision, so they are solved once per
     (n, precision) and kept by the family; the simple-zero check runs on
-    every call, under the caller's ``abs_tol``.
+    every call, under the caller's ``abs_tol``.  Zeros out of order are a
+    numerical failure (``ArithmeticError``); a gap no wider than ``abs_tol``
+    is the tolerance's fault (``ValueError``).
     """
     family.require_degree(n)
     if n == 0:
@@ -290,10 +292,16 @@ def zeros_golub_welsch(family: RecurrenceFamily, n: int, policy: TolerancePolicy
     zs = family.owned(("zeros", n, policy.precision_bits), lambda: _solve(family, n, policy))
     with policy.workprec():
         for u, v in zip(zs.values, zs.values[1:]):
-            if not v - u > policy.abs_tol:
+            gap = v - u
+            if not gap > 0:
                 raise ArithmeticError(
-                    f"zeros of {family.label} degree {n} are not simple at tolerance: "
+                    f"zeros of {family.label} degree {n} are not simple: "
                     f"{mp.nstr(u, 12)} vs {mp.nstr(v, 12)}"
+                )
+            if gap <= policy.abs_tol:
+                raise ValueError(
+                    f"abs_tol {mp.nstr(policy.abs_tol, 6)} is at least the gap {mp.nstr(gap, 6)} "
+                    f"between two zeros of {family.label} degree {n}"
                 )
         return zs
 

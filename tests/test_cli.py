@@ -191,6 +191,8 @@ def test_decompose_failures_are_pinned(argv, code, err, capsys):
         (["--table", "2", "--rel-tol", ""], "''"),
         (["--decompose", "--family", "mp", "--lambda", "abc", "--phi", "0.9", "--n", "8", "--m", "2", "--k", "2"], "'abc'"),
         (["--grid", "--lambda", "1+2j", "--n", "4"], "complex '1+2j'"),
+        (["--grid", "--lambda="], "''"),
+        (["--grid", "--phi="], "''"),
     ],
 )
 def test_flag_values_that_are_not_real_numbers_are_configuration_errors(argv, value, capsys):
@@ -214,6 +216,11 @@ def test_exit_code_on_config_errors(capsys):
     assert main(["--decompose", "--family", "mp", "--lambda", "0.5", "--phi", "0.9", "--n", "8", "--m", "2"]) == 2
     assert main(["--table", "2", "--precision-bits", "32"]) == 2
     capsys.readouterr()
+    assert main(["--grid", "--n", "0"]) == 2
+    assert capsys.readouterr().err == "configuration error: grid needs --n of at least 4\n"
+    # two zeros of p_30 are 0.95 apart: the tolerance, not the solver, is at fault
+    assert main(["--table", "1", "--abs-tol", "1"]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: abs_tol 1.0 is at least the gap ")
 
 
 def test_exit_code_on_numerical_failure(capsys):
@@ -352,19 +359,19 @@ def test_grid_beyond_default_degree_cap(capsys):
     assert data["summary"] == {"rows": 660, "pass": 660, "flagged": 0, "fail": 0}
 
 
-def test_grid_validates_each_modifier_once(monkeypatch, capsys):
-    validated = []
-    validate = ModifierSpec.validate
+def test_grid_builds_each_modifier_once(monkeypatch, capsys):
+    built = []
+    init = ModifierSpec.__init__
 
-    def counted(self, policy):
-        validated.append(self.k)
-        return validate(self, policy)
+    def counted(self, *args):
+        init(self, *args)
+        built.append(self.k)
 
-    monkeypatch.setattr(ModifierSpec, "validate", counted)
+    monkeypatch.setattr(ModifierSpec, "__init__", counted)
     assert main(["--grid", "--n", "6"]) == 0
     capsys.readouterr()
-    # k runs to m + 2 = 8; the order-zero modifier c = 1 has nothing to check
-    assert validated == list(range(1, 9))
+    # k runs to m + 2 = 8
+    assert built == list(range(9))
 
 
 def test_small_grid_runs_clean(capsys):

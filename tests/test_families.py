@@ -160,9 +160,15 @@ def test_even_modifier_has_no_odd_coefficients(policy):
 
 def test_modifier_validation_rejects_repeated_nodes(policy):
     with pytest.raises(ValueError):
-        ModifierSpec.from_nodes([mp.mpc(0, 1), mp.mpc(0, 1)], policy)
+        ModifierSpec([mp.mpc(0, 1), mp.mpc(0, 1)], policy)
     with pytest.raises(ValueError):
-        ModifierSpec.from_nodes([mp.mpc(0, 1), mp.mpc(0, -1)], policy)
+        ModifierSpec([mp.mpc(0, 1), mp.mpc(0, -1)], policy)
+
+
+def test_modifier_without_nodes_is_one():
+    empty = ModifierSpec([])
+    assert empty.k == 0
+    assert empty.c == Polynomial([1])
 
 
 def test_symmetry_residual(policy):

@@ -16,6 +16,7 @@ from christoffel import (
     mp_family,
     pj_family,
 )
+from christoffel import transform
 from christoffel.families import _ladder
 from christoffel.transform import modified_polynomial
 from polyhelpers import coeff, max_rel_coeff_diff
@@ -82,7 +83,7 @@ def test_transform_with_noncanonical_modifier_is_orthogonal(policy):
     # no closed form for arbitrary nodes; the oracle is discrete
     # orthogonality under c(x) w(x) through a Gauss rule of the base weight
     fam = mp_family("1.5", "1.1", policy)
-    mod = ModifierSpec.from_nodes([mp.mpc(0, "0.8"), mp.mpc(0, "2.3")], policy)
+    mod = ModifierSpec([mp.mpc(0, "0.8"), mp.mpc(0, "2.3")], policy)
     degs = range(4)
     gs = [christoffel_transform(fam, mod, d, policy) for d in degs]
     nodes, weights = gauss_rule(fam, 10, policy)
@@ -96,14 +97,9 @@ def test_transform_with_noncanonical_modifier_is_orthogonal(policy):
 
 
 def test_transform_requires_distinct_nodes(policy):
-    fam = mp_family("1.5", "1.1", policy)
-    doubled = ModifierSpec(
-        k=2,
-        c=Polynomial([1, 0, 2, 0, 1]),
-        nodes=(mp.mpc(0, 1), mp.mpc(0, 1)),
-    )
+    # the determinant needs distinct node pairs; a modifier without them cannot be built
     with pytest.raises(ValueError):
-        christoffel_transform(fam, doubled, 3, policy)
+        ModifierSpec([mp.mpc(0, 1), mp.mpc(0, 1)], policy)
 
 
 def test_transform_degree_budget_enforced(policy):
@@ -214,7 +210,7 @@ def test_determinant_path_inside_decompose(policy):
     # a copy without parameters has no parameter shift, so g comes from the determinant
     copy = custom_family(fam.C, fam.Lambda, policy=policy)
     with policy.workprec():
-        mod = ModifierSpec.from_nodes([mp.mpc(0, "0.5"), mp.mpc(0, "1.5")], policy)
+        mod = ModifierSpec([mp.mpc(0, "0.5"), mp.mpc(0, "1.5")], policy)
     det = connection_decompose(copy, mod, 7, 2, policy)
     with policy.workprec():
         assert max_rel_coeff_diff(det.g_poly, shift.g_poly) <= policy.rel_tol
@@ -222,27 +218,23 @@ def test_determinant_path_inside_decompose(policy):
 
 
 @pytest.mark.parametrize(
-    "modifier, reason",
+    "nodes, reason",
     [
-        (ModifierSpec(k=2, c=Polynomial([1, 0, 2, 0, 1]), nodes=(mp.mpc(0, 1), mp.mpc(0, 1))), "pairwise distinct"),
-        (ModifierSpec(k=1, c=Polynomial([2, 0, 2]), nodes=(mp.mpc(0, 1),)), "monic"),
-        (ModifierSpec(k=0, c=Polynomial([2]), nodes=()), "monic"),
-        # the canonical c of the family with a node that is not its zero
-        (ModifierSpec(k=1, c=Polynomial([1, 0, 1]), nodes=(mp.mpc(0, "0.5"),)), "not a zero"),
+        ((mp.mpc(0, 1), mp.mpc(0, 1)), "pairwise distinct"),
+        ((mp.mpc(1, 1),), "non-real"),
     ],
 )
-def test_decompose_validates_user_built_modifiers(modifier, reason, policy):
-    # connection_decompose does not validate; a modifier that is not the
-    # family's canonical one is validated on the determinant route to g
-    fam = pj_family(-20, 8, policy)
+def test_user_built_modifiers_are_checked_when_built(nodes, reason, policy):
     with pytest.raises(ValueError, match=reason):
-        connection_decompose(fam, modifier, 8, 2, policy)
+        ModifierSpec(nodes, policy)
 
 
-def test_modifier_node_consistency_checked(policy):
-    bad = ModifierSpec(k=1, c=Polynomial([1, 0, 1]), nodes=(mp.mpc(0, "0.5"),))
-    with pytest.raises(ValueError):
-        bad.validate(policy)
-    not_monic = ModifierSpec(k=1, c=Polynomial([2, 0, 2]), nodes=(mp.mpc(0, 1),))
-    with pytest.raises(ValueError):
-        not_monic.validate(policy)
+def test_modifier_from_canonical_nodes_takes_the_shift(policy, monkeypatch):
+    fam = mp_family("0.5", "0.9", policy)
+    with policy.workprec():
+        mod = ModifierSpec([mp.mpc(0, mp.mpf("0.5") + j) for j in range(3)], policy)
+    canonical = even_modifier(fam, 3, policy)
+    assert mod == canonical and hash(mod) == hash(canonical)
+    monkeypatch.setattr(transform, "christoffel_transform", lambda *args: pytest.fail("determinant route taken"))
+    decomp = connection_decompose(fam, mod, 7, 2, policy)
+    assert decomp.g_poly == generate(fam.shifted(3), 5, policy)

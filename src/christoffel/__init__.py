@@ -27,6 +27,7 @@ from .families import (
     mp_symmetry_residual,
     pj_family,
     recurrence_residual,
+    values_ladder,
 )
 from .associated import (
     associated,
@@ -76,6 +77,7 @@ __all__ = [
     "mp_symmetry_residual",
     "pj_family",
     "recurrence_residual",
+    "values_ladder",
     "associated",
     "associated_identity_residual",
     "extension_identity_residual",

@@ -49,7 +49,7 @@ from mpmath import mp
 
 from . import __version__
 from .core import TolerancePolicy, to_scalar
-from .families import eval_with_derivative, even_modifier, generate_all, mp_family, mp_symmetry_residual, pj_family, recurrence_residual
+from .families import even_modifier, generate_all, mp_family, mp_symmetry_residual, pj_family, recurrence_residual, values_ladder
 from .associated import associated_identity_residual, extension_identity_residual
 from .transform import christoffel_transform, connection_decompose, connection_degree_law
 from .zeros import (
@@ -319,16 +319,18 @@ def _degree_law(decomp) -> tuple:
     return fields, fields["deg_a"] == law.deg_a and fields["deg_G"] == law.deg_G
 
 
-def _grid_interlace(fam, decomp, zp, policy: TolerancePolicy) -> str:
-    """Interlace verdict of G g_{n-m,k} against the zeros ``zp`` of p_n (see :func:`_grid_rows`)."""
+def _grid_interlace(fam, decomp, zp, g_at, policy: TolerancePolicy) -> str:
+    """Interlace verdict of G g_{n-m,k} against the zeros ``zp`` of p_n (see :func:`_grid_rows`).
+
+    ``g_at`` maps each zero of p_n to (g_{n-m,k}, g_{n-m,k}') there.
+    """
     n, m = decomp.n, decomp.m
-    shifted = fam.shifted(decomp.k)
     G, dG = decomp.G_poly, decomp.G_poly.derivative()
     verdict = None
     if G.degree == m - 1:
 
         def q(x):  # G g and its derivative
-            v, d = eval_with_derivative(shifted, n - m, x, policy)
+            v, d = g_at[x]
             gx = G(x)
             return gx * v, dG(x) * v + gx * d
 
@@ -340,7 +342,7 @@ def _grid_interlace(fam, decomp, zp, policy: TolerancePolicy) -> str:
         return f"fails({nonreal} nonreal G roots)"
     if verdict is not None:
         return "fails(common zeros)" if verdict.common else "fails"
-    product = list(zeros_golub_welsch(shifted, n - m, policy).values) + g_roots
+    product = list(zeros_golub_welsch(fam.shifted(decomp.k), n - m, policy).values) + g_roots
     with policy.workprec():
         outside = sum(1 for v in product if v < zp[0] or v > zp[-1])
     return f"fails(size {len(product)} vs {len(zp) - 1}, {outside} outside span)"
@@ -356,7 +358,10 @@ def _grid_rows(config: RunConfig, policy: TolerancePolicy):
     that is asserted for m = 2, k <= 2.  It is decided by the sign
     alternation of G * g at the zeros of p_n (G by Horner, g by its
     recurrence); the roots of G are only computed to name a failed cell.
-    The modifiers and shifted families are kept by the family.
+    g is evaluated once per (n, k): one recurrence sweep of the shifted
+    family at each zero of p_n, to the degree n-m of the first cell that
+    needs it, gives g_{n-m,k} for every later m.
+    The modifiers, shifted families and left sides are kept by the family.
     For m = 2, k = 3 the product has n+1 zeros, which cannot interlace n
     zeros one-per-gap; the grid asserts that failure (and records how many
     product zeros escape the span of the extreme zeros of p_n).
@@ -370,6 +375,7 @@ def _grid_rows(config: RunConfig, policy: TolerancePolicy):
     rows = []
     for n in range(4, n_max + 1):
         zp = zeros_golub_welsch(fam, n, policy)  # every n has interlace cells (m = 2)
+        sweeps = {}  # k -> [(g_{j,k}, g_{j,k}') for j <= n-m] at each zero of p_n
         for m in range(2, n + 1):
             for k in range(0, m + 3):
                 decomp = connection_decompose(fam, even_modifier(fam, k, policy), n, m, policy)
@@ -378,7 +384,12 @@ def _grid_rows(config: RunConfig, policy: TolerancePolicy):
                 interlace = "n/a"
                 interlace_ok = True
                 if degrees["deg_G"] == m - 1 or (m == 2 and k == 3):
-                    interlace = _grid_interlace(fam, decomp, zp, policy)
+                    if k not in sweeps:  # m is the smallest gap of this k, so n - m the highest degree
+                        sweeps[k] = [values_ladder(fam.shifted(k), n - m, x, policy) for x in zp.values]
+                    g_at = {x: sweep[n - m] for x, sweep in zip(zp.values, sweeps[k])}
+                    for sweep in sweeps[k]:  # later cells (larger m) read lower degrees only
+                        del sweep[n - m :]
+                    interlace = _grid_interlace(fam, decomp, zp, g_at, policy)
                     if m == 2 and k <= 2:
                         interlace_ok = interlace == "holds"
                     elif m == 2 and k == 3:

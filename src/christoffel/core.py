@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from mpmath import mp
+from mpmath.libmp import fzero, mpf_add, mpf_mul, round_nearest
 
 
 class NonFiniteError(ArithmeticError):
@@ -155,7 +156,11 @@ class Polynomial:
         return Polynomial._of(out)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
+        a, b = self.coeffs, other.coeffs
+        out = list(a) + [mp.mpf(0)] * (len(b) - len(a))
+        for i, c in enumerate(b):
+            out[i] -= c
+        return Polynomial._of(out)
 
     def __neg__(self) -> "Polynomial":
         return Polynomial._of([-c for c in self.coeffs])
@@ -164,11 +169,15 @@ class Polynomial:
         if isinstance(other, Polynomial):
             if self.is_zero() or other.is_zero():
                 return Polynomial._of([])
-            out = [mp.mpf(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+            # schoolbook on raw libmp values: the calls mpf's * and += make
+            prec, rnd = mp.prec, round_nearest
+            bs = [b._mpf_ for b in other.coeffs]
+            out = [fzero] * (len(self.coeffs) + len(bs) - 1)
             for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return Polynomial._of(out)
+                a = a._mpf_
+                for j, b in enumerate(bs, i):
+                    out[j] = mpf_add(out[j], mpf_mul(a, b, prec, rnd), prec, rnd)
+            return Polynomial._of([mp.make_mpf(c) for c in out])
         return self._scaled(require_finite(to_scalar(other), "scalar factor"))
 
     __rmul__ = __mul__
@@ -194,9 +203,15 @@ class Polynomial:
         """Horner evaluation; the result type follows the argument (mpf or mpc)."""
         if not isinstance(z, (mp.mpf, mp.mpc)):
             z = to_scalar(z)
-        acc = mp.mpf(0)
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
+        if isinstance(z, mp.mpf):  # raw libmp values: the calls mpf's * and + make
+            prec, zr, acc = mp.prec, z._mpf_, fzero
+            for c in reversed(self.coeffs):
+                acc = mpf_add(mpf_mul(acc, zr, prec, round_nearest), c._mpf_, prec, round_nearest)
+            acc = mp.make_mpf(acc)
+        else:
+            acc = mp.mpf(0)
+            for c in reversed(self.coeffs):
+                acc = acc * z + c
         require_finite(acc, "polynomial value")
         return acc
 

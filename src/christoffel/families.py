@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional
 
 from mpmath import mp
+from mpmath.libmp import fone, fzero, mpf_add, mpf_mul, mpf_sub, round_nearest
 
 from .core import DEFAULT_POLICY, Polynomial, TolerancePolicy, relative_residual, to_scalar
 
@@ -246,26 +247,38 @@ def generate_all(family: RecurrenceFamily, n: int, policy: TolerancePolicy = DEF
     return list(_ladder(family, n, policy.precision_bits))
 
 
-def eval_with_derivative(family: RecurrenceFamily, n: int, x, policy: TolerancePolicy = DEFAULT_POLICY):
-    """(p_n(x), p_n'(x)) straight from the recurrence, without forming coefficients.
+def values_ladder(family: RecurrenceFamily, n: int, x, policy: TolerancePolicy = DEFAULT_POLICY) -> list:
+    """[(p_j(x), p_j'(x)) for j = 0..n], one sweep of the recurrence, without forming coefficients.
 
     The recurrence evaluation is far better conditioned than Horner on monic
     coefficients at n = 30, which is what the Newton polish in the zero
-    solver relies on.
+    solver relies on.  Row j is the same bits whatever n the sweep runs to.
     """
     family.require_degree(n)
     C, L = family.recurrence(n, policy.precision_bits)
     with policy.workprec():
-        x = to_scalar(x)
-        p, p_prev = mp.mpf(1), mp.mpf(0)  # p_0, p_{-1}
-        d, d_prev = mp.mpf(0), mp.mpf(0)
+        # raw libmp values: the calls mpf's -, * and + make, in the same order
+        prec, rnd, make = mp.prec, round_nearest, mp.make_mpf
+        x = to_scalar(x)._mpf_
+        p, p_prev = fone, fzero  # p_0, p_{-1}
+        d, d_prev = fzero, fzero
+        rows = [(make(p), make(d))]
         for j in range(1, n + 1):
-            xc = x - C[j]
+            xc = mpf_sub(x, C[j]._mpf_, prec, rnd)
+            lj = L[j]._mpf_
             # order matters: the derivative update reads p_prev after the
             # value update, when it already holds p_{j-1}
-            p, p_prev = xc * p - L[j] * p_prev, p
-            d, d_prev = p_prev + xc * d - L[j] * d_prev, d
-        return p, d
+            p, p_prev = mpf_sub(mpf_mul(xc, p, prec, rnd), mpf_mul(lj, p_prev, prec, rnd), prec, rnd), p
+            d, d_prev = mpf_sub(
+                mpf_add(p_prev, mpf_mul(xc, d, prec, rnd), prec, rnd), mpf_mul(lj, d_prev, prec, rnd), prec, rnd
+            ), d
+            rows.append((make(p), make(d)))
+        return rows
+
+
+def eval_with_derivative(family: RecurrenceFamily, n: int, x, policy: TolerancePolicy = DEFAULT_POLICY):
+    """(p_n(x), p_n'(x)): the last row of :func:`values_ladder`."""
+    return values_ladder(family, n, x, policy)[n]
 
 
 @dataclass(frozen=True, init=False)

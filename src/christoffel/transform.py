@@ -178,6 +178,9 @@ def modified_polynomial(
 
     Taken from the parameter shift when the modifier is the family's
     canonical one (exact and cheap), otherwise from the determinant route.
+    The shift route needs exact equality with ``even_modifier(family, k)``:
+    nodes that differ in their last bits, such as canonical nodes rounded at
+    another precision, take the determinant route.
     """
     if _is_canonical_modifier(family, modifier, policy):
         return generate(family.shifted(modifier.k), deg, policy)
@@ -208,6 +211,23 @@ class ConnectionDecomposition:
     work: tuple
 
 
+def _expansion(family, modifier, d, policy) -> tuple:
+    """(g_{d,k}, c_{2k} g_{d,k}, its coefficients in the monic basis), kept by the family.
+
+    Every connection cell with n - m = d shares them.  The key holds the
+    whole policy, not only its precision: the determinant route's gates and
+    chop read its tolerances.
+    """
+
+    def build() -> tuple:
+        g = modified_polynomial(family, modifier, d, policy)
+        with policy.workprec():
+            lhs = modifier.c * g
+            return g, lhs, tuple(_expand_in_monic_basis(lhs, _ladder(family, lhs.degree, policy.precision_bits)))
+
+    return family.owned(("expansion", modifier, d, policy), build)
+
+
 def connection_decompose(
     family: RecurrenceFamily,
     modifier: ModifierSpec,
@@ -215,17 +235,20 @@ def connection_decompose(
     m: int,
     policy: TolerancePolicy = DEFAULT_POLICY,
 ) -> ConnectionDecomposition:
-    """Canonical connection pair (a, G) for the modified family, 2 <= m <= n."""
+    """Canonical connection pair (a, G) for the modified family, 2 <= m <= n.
+
+    The left side and its expansion depend on n - m and the modifier only,
+    so they are built once per (modifier, n - m, policy) and kept by the
+    family; the check on the expansion runs on every call.
+    """
     if not 2 <= m <= n:
         raise ValueError(f"need 2 <= m <= n, got m={m}, n={n}")
     k = modifier.k
     top = max(n, n - m + 2 * k)
     family.require_degree(top)
-    g = modified_polynomial(family, modifier, n - m, policy)
+    g, lhs, coeffs = _expansion(family, modifier, n - m, policy)
     with policy.workprec():
-        ladder = _ladder(family, top, policy.precision_bits)
-        lhs = modifier.c * g
-        coeffs = _expand_in_monic_basis(lhs, ladder)
+        ladder = _ladder(family, n, policy.precision_bits)
         escale = max(max(abs(e) for e in coeffs), mp.mpf(1))
         for low in coeffs[: n - m]:
             if abs(low) > policy.rel_tol * escale:
@@ -235,23 +258,30 @@ def connection_decompose(
                 )
         d = [e / coeffs[-1] for e in coeffs[n - m :]]
 
+        # a and G on coefficient lists, term by term in the order of the formula
         L = family.recurrence(top, policy.precision_bits)[1]
-        a_poly = Polynomial()
-        g_proof = Polynomial()
+        a_out = [mp.mpf(0)] * max(m - 1, 2 * k - m + 1)
+        g_out = [mp.mpf(0)] * max(m, 2 * k - m)
         for j in range(0, min(m - 2, 2 * k) + 1):
             prod = mp.mpf(1)
             for t in range(m - j - 1):
                 prod *= L[n - t]
             w = d[j] / prod
-            a_poly = a_poly - associated(family, n - 1, m - j - 2, policy)._scaled(w)
-            g_proof = g_proof + associated(family, n, m - j - 1, policy)._scaled(w)
+            for i, s in enumerate(associated(family, n - 1, m - j - 2, policy).coeffs):
+                a_out[i] -= w * s
+            for i, s in enumerate(associated(family, n, m - j - 1, policy).coeffs):
+                g_out[i] += w * s
         if m - 1 <= 2 * k:
-            g_proof = g_proof + Polynomial([d[m - 1]])
+            g_out[0] += d[m - 1]
         for j in range(m, 2 * k + 1):
-            a_poly = a_poly + associated(family, n - m + j, j - m, policy)._scaled(d[j])
+            for i, s in enumerate(associated(family, n - m + j, j - m, policy).coeffs):
+                a_out[i] += d[j] * s
         for j in range(m + 1, 2 * k + 1):
-            g_proof = g_proof - associated(family, n - m + j, j - m - 1, policy)._scaled(L[n + 1] * d[j])
-        G_poly = -g_proof
+            w = L[n + 1] * d[j]
+            for i, s in enumerate(associated(family, n - m + j, j - m - 1, policy).coeffs):
+                g_out[i] -= w * s
+        a_poly = Polynomial._of(a_out)
+        G_poly = Polynomial._of([-c for c in g_out])
 
         a_poly = a_poly.chop(policy.rel_tol * max(1, a_poly.inf_norm()))
         G_poly = G_poly.chop(policy.rel_tol * max(1, G_poly.inf_norm()))

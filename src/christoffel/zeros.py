@@ -284,13 +284,16 @@ def zeros_golub_welsch(family: RecurrenceFamily, n: int, policy: TolerancePolicy
     (n, precision) and kept by the family; the simple-zero check runs on
     every call, under the caller's ``abs_tol``.  Zeros out of order are a
     numerical failure (``ArithmeticError``); a gap no wider than ``abs_tol``
-    is the tolerance's fault (``ValueError``).
+    times max(unit, |u|, |v|) is the tolerance's fault (``ValueError``).  As
+    in the Newton polish, the unit is 1, or the span of a smaller spectrum,
+    so the check means the same at every scale.
     """
     family.require_degree(n)
     if n == 0:
         return ZeroSet((), family.label, 0)
     zs = family.owned(("zeros", n, policy.precision_bits), lambda: _solve(family, n, policy))
     with policy.workprec():
+        unit = min(1, zs.values[-1] - zs.values[0])
         for u, v in zip(zs.values, zs.values[1:]):
             gap = v - u
             if not gap > 0:
@@ -298,10 +301,11 @@ def zeros_golub_welsch(family: RecurrenceFamily, n: int, policy: TolerancePolicy
                     f"zeros of {family.label} degree {n} are not simple: "
                     f"{mp.nstr(u, 12)} vs {mp.nstr(v, 12)}"
                 )
-            if gap <= policy.abs_tol:
+            scale = max(unit, abs(u), abs(v))
+            if gap <= policy.abs_tol * scale:
                 raise ValueError(
-                    f"abs_tol {mp.nstr(policy.abs_tol, 6)} is at least the gap {mp.nstr(gap, 6)} "
-                    f"between two zeros of {family.label} degree {n}"
+                    f"abs_tol {mp.nstr(policy.abs_tol, 6)} is at least the gap {mp.nstr(gap / scale, 6)} "
+                    f"between two zeros of {family.label} degree {n}, relative to {mp.nstr(scale, 6)}"
                 )
         return zs
 

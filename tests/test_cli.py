@@ -355,8 +355,26 @@ def test_default_grid_is_byte_identical_to_reference(capsys):
 def test_grid_beyond_default_degree_cap(capsys):
     # k runs to m + 2 = 15 at n = 13, past the modifiers the default grid needs
     assert main(["--grid", "--n", "13"]) == 0
-    data = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    data = json.loads(out)
     assert data["summary"] == {"rows": 660, "pass": 660, "flagged": 0, "fail": 0}
+    assert _digest(out) == "1246341c3863f0e73df0d610b144fc6f735bc5e7059971e496026522d8a38124"
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["--grid", "--lambda", "3.25", "--phi", "2.4", "--n", "9"],
+         "934f4166d64639fae572c1cb85c04f6712e7b59959ca690761288569939f0a68"),
+        (["--grid", "--phi", "1.5707963267948966", "--n", "8"],
+         "d1d3db285a870c7af11b3947788fadf6000b7f51fd4d473a3c113a8dbec6983c"),
+        (["--grid", "--lambda", "0.05", "--phi", "3.0", "--n", "8"],
+         "c38f885ee10e766ba07deb1b7d42657ecf77ea5fe9d5b3b03116b9f6b72bd8df"),
+    ],
+)
+def test_grid_reports_are_pinned(argv, digest, capsys):
+    assert main(argv) == 0
+    assert _digest(capsys.readouterr().out) == digest
 
 
 def test_grid_builds_each_modifier_once(monkeypatch, capsys):

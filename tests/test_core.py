@@ -6,7 +6,7 @@ from mpmath import mp
 
 from christoffel import Polynomial, RemainderError, TolerancePolicy
 from christoffel.core import NonFiniteError, X
-from polyhelpers import max_rel_coeff_diff
+from polyhelpers import max_rel_coeff_diff, schoolbook_product
 
 
 def test_difference_of_squares():
@@ -139,3 +139,40 @@ def test_monic_normalisation():
     assert (X * X + X).monic() == Polynomial([0, 1, 1])
     with pytest.raises(ValueError):
         Polynomial().monic()
+
+
+def _bits(p: Polynomial) -> list:
+    return [c._mpf_ for c in p.coeffs]
+
+
+def test_product_is_the_mpf_schoolbook_bit_for_bit():
+    # operands carry 256 bits and are multiplied at 113, so every rounding shows
+    with mp.workprec(256):
+        p = Polynomial([mp.mpf(1) / (i + 3) - mp.sqrt(i + 2) for i in range(9)])
+        q = Polynomial([mp.exp(mp.mpf(i) / 5) * (-1) ** i for i in range(6)] + [0, mp.pi])
+    with mp.workprec(113):
+        for a, b in ((p, q), (q, p), (p, p), (p, Polynomial([0, 0, 1]))):
+            assert _bits(a * b) == _bits(schoolbook_product(a, b))
+        assert (p * Polynomial()).is_zero() and (Polynomial() * q).is_zero()
+
+
+def test_real_horner_is_the_mpf_loop_bit_for_bit():
+    with mp.workprec(256):
+        p = Polynomial([mp.mpf(1) / (i + 3) - mp.sqrt(i + 2) for i in range(9)])
+        xs = [mp.mpf(-7) / 3, mp.mpf(0), mp.sqrt(2) * 10**6]
+    with mp.workprec(113):
+        for x in xs:
+            acc = mp.mpf(0)
+            for c in reversed(p.coeffs):
+                acc = acc * x + c
+            assert p(x)._mpf_ == acc._mpf_
+
+
+def test_difference_is_sum_with_negation():
+    with mp.workprec(128):
+        p = Polynomial([mp.mpf(1) / (i + 3) for i in range(7)])
+        q = Polynomial([mp.sqrt(i + 2) for i in range(4)])
+        r = Polynomial([mp.mpf(5) / 7 for _ in range(6)] + [p.coeffs[-1]])  # leading terms cancel in p - r
+        for a, b in ((p, q), (q, p), (p, r), (r, p), (p, p), (p, Polynomial()), (Polynomial(), q)):
+            assert _bits(a - b) == _bits(a + (-b))
+        assert (p - r).degree < p.degree and (p - p).is_zero()

@@ -25,6 +25,7 @@ from christoffel import (
     mp_symmetry_residual,
     pj_family,
     recurrence_residual,
+    values_ladder,
     zeros_golub_welsch,
 )
 from christoffel import families
@@ -243,6 +244,34 @@ def test_eval_with_derivative_matches_coefficients(policy):
             v, d = eval_with_derivative(fam, 9, x, policy)
             assert abs(v - p(x)) <= policy.rel_tol * max(1, abs(v))
             assert abs(d - dp(x)) <= policy.rel_tol * max(1, abs(d))
+
+
+def _recurrence_value_and_derivative(fam, n, x, pol):
+    """(p_n(x), p_n'(x)) by the mpf recurrence loop, written out independently."""
+    C, L = fam.recurrence(n, pol.precision_bits)
+    with pol.workprec():
+        x = mp.mpf(x)
+        p, p_prev, d, d_prev = mp.mpf(1), mp.mpf(0), mp.mpf(0), mp.mpf(0)
+        for j in range(1, n + 1):
+            xc = x - C[j]
+            p, p_prev = xc * p - L[j] * p_prev, p
+            d, d_prev = p_prev + xc * d - L[j] * d_prev, d
+        return p, d
+
+
+@pytest.mark.parametrize("bits", [64, 256])
+@pytest.mark.parametrize(
+    "make", [lambda pol: mp_family("0.5", "0.9", pol), lambda pol: pj_family(-20, 8, pol)], ids=["MP", "PJ"]
+)
+def test_values_ladder_rows_are_eval_with_derivative_bit_for_bit(make, bits):
+    pol = TolerancePolicy(precision_bits=bits)
+    fam, n = make(pol), 16
+    for x in ("-3.7", "0.25", "11"):
+        rows = values_ladder(fam, n, x, pol)
+        assert len(rows) == n + 1
+        for j, (v, d) in enumerate(rows):
+            for ev, ed in (eval_with_derivative(fam, j, x, pol), _recurrence_value_and_derivative(fam, j, x, pol)):
+                assert (v._mpf_, d._mpf_) == (ev._mpf_, ed._mpf_)
 
 
 def test_generate_all_prefix_consistency(policy):

@@ -6,6 +6,7 @@ from mpmath import mp
 from christoffel import (
     ModifierSpec,
     Polynomial,
+    TolerancePolicy,
     christoffel_transform,
     connection_decompose,
     connection_degree_law,
@@ -238,3 +239,58 @@ def test_modifier_from_canonical_nodes_takes_the_shift(policy, monkeypatch):
     monkeypatch.setattr(transform, "christoffel_transform", lambda *args: pytest.fail("determinant route taken"))
     decomp = connection_decompose(fam, mod, 7, 2, policy)
     assert decomp.g_poly == generate(fam.shifted(3), 5, policy)
+
+
+def _expansion_keys(fam) -> list:
+    return [key for key in fam._store if isinstance(key, tuple) and key[0] == "expansion"]
+
+
+def test_cells_with_one_gap_share_their_expansion(policy):
+    fam = mp_family("0.5", "0.9", policy)
+    mod = even_modifier(fam, 2, policy)
+    first = connection_decompose(fam, mod, 7, 3, policy)
+    second = connection_decompose(fam, mod, 8, 4, policy)
+    assert _expansion_keys(fam) == [("expansion", mod, 4, policy)]
+    assert second.g_poly is first.g_poly
+    fresh = mp_family("0.5", "0.9", policy)
+    assert second == connection_decompose(fresh, even_modifier(fresh, 2, policy), 8, 4, policy)
+
+
+def test_expansions_are_kept_per_policy(policy):
+    # same precision, other rel_tol: the determinant route's gates and chop read it
+    fam = mp_family("0.5", "0.9", policy)
+    mod = even_modifier(fam, 2, policy)
+    other = TolerancePolicy(precision_bits=policy.precision_bits, rel_tol="1e-30")
+    connection_decompose(fam, mod, 7, 3, policy)
+    connection_decompose(fam, mod, 7, 3, other)
+    assert _expansion_keys(fam) == [("expansion", mod, 4, policy), ("expansion", mod, 4, other)]
+
+
+def test_low_component_check_runs_under_each_callers_policy(policy):
+    # near phi = pi the expansion has components below degree n - m that the
+    # default rel_tol rejects and a loose one accepts; the kept expansion
+    # answers each caller under its own policy, every time
+    fam = mp_family("0.5", "3.14159265", policy)
+    mod = even_modifier(fam, 2, policy)
+    loose = TolerancePolicy(precision_bits=policy.precision_bits, rel_tol="1e-20")
+    for _ in range(2):
+        with pytest.raises(ArithmeticError, match="components below the expected basis range"):
+            connection_decompose(fam, mod, 8, 2, policy)
+        assert connection_decompose(fam, mod, 8, 2, loose).G_poly.degree == 1
+
+
+def test_canonical_nodes_at_53_bits_take_the_determinant_route(policy, monkeypatch):
+    # the shift route needs a modifier equal to even_modifier bit for bit;
+    # nodes rounded at mpmath's default precision are close, not equal
+    fam = mp_family("0.1", "0.9", policy)
+    with mp.workprec(53):
+        nodes = [mp.mpc(0, mp.mpf("0.1") + j) for j in range(2)]
+    mod = ModifierSpec(nodes, policy)
+    assert mod != even_modifier(fam, 2, policy)
+    routes = []
+    determinant = transform.christoffel_transform
+    monkeypatch.setattr(transform, "christoffel_transform", lambda *args: routes.append(1) or determinant(*args))
+    g = modified_polynomial(fam, mod, 6, policy)
+    assert routes == [1]
+    with policy.workprec():
+        assert max_rel_coeff_diff(g, generate(fam.shifted(2), 6, policy)) <= mp.mpf("1e-12")

@@ -141,16 +141,18 @@ def test_wilkinson_close_pairs_are_separated(policy, m):
     [
         (lambda j: j * mp.mpf(10) ** 400, lambda j: mp.mpf(10) ** 799, None),
         (lambda j: j * mp.mpf(10) ** -400, lambda j: mp.mpf(10) ** -801, "1e-480"),
+        (lambda j: j * mp.mpf(10) ** -400, lambda j: mp.mpf(10) ** -801, None),
         (lambda j: mp.mpf(10) ** 10, lambda j: mp.mpf(1), None),
         (lambda j: mp.mpf(10) ** 30, lambda j: mp.mpf(1), None),
     ],
-    ids=["1e400", "1e-400", "offset-1e10", "offset-1e30"],
+    ids=["1e400", "1e-400", "1e-400-default-tol", "offset-1e10", "offset-1e30"],
 )
 def test_zeros_at_extreme_scales(policy, C, Lam, abs_tol):
     # Entries outside the double range need the shift and scale.  Zeros 1e10
     # or 1e30 from the origin but O(1) apart are closer than 64-bit midpoints
-    # resolve.  The 1e-400 zeros are 1e-400 apart, so the simple-zero check
-    # needs an abs_tol below that.
+    # resolve.  The 1e-400 zeros are 1e-400 apart; the simple-zero check
+    # measures gaps relative to the spectrum's scale, so the default abs_tol
+    # passes them as a tiny one does.
     pol = TolerancePolicy(precision_bits=policy.precision_bits, abs_tol=abs_tol)
     fam, n = custom_family(C, Lam, policy=pol), 12
     zs = zeros_golub_welsch(fam, n, pol)

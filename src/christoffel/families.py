@@ -285,12 +285,14 @@ def eval_with_derivative(family: RecurrenceFamily, n: int, x, policy: ToleranceP
 class ModifierSpec:
     """The even monic polynomial c_{2k}(x) = prod (x^2 - x_i^2), given by its nodes.
 
-    ``nodes`` holds x_1, ..., x_k, one per conjugate zero pair +-x_i; for the
+    ``nodes`` holds x_1, ..., x_k, one per zero pair +-x_i of c; for the
     built-in families they are purely imaginary.  ``c`` is built from them and
     k is their number, so a modifier is checked once, here: each node must
-    give real coefficients (purely imaginary or purely real nodes do), and the
-    node pairs must be pairwise distinct up to sign at ``policy.abs_tol``, as
-    the determinant form of the Christoffel transform requires.
+    give real coefficients (purely imaginary or purely real nodes do).  Any
+    multiset of nodes is a modifier: a node repeated, repeated up to sign, or
+    the node 0 is a zero of c with multiplicity, which the determinant
+    transform takes with confluent rows, the derivatives p^{(s)} at that zero
+    (Szego, Orthogonal Polynomials, Thm 2.5).
     """
 
     nodes: tuple
@@ -307,15 +309,6 @@ class ModifierSpec:
                     raise ValueError(f"node {z} would give a non-real modifier polynomial")
                 c = c * Polynomial([-z2.real, 0, 1])
                 clean.append(z)
-            for i in range(len(clean)):
-                for j in range(i + 1, len(clean)):
-                    if abs(clean[i] - clean[j]) <= policy.abs_tol or abs(
-                        clean[i] + clean[j]
-                    ) <= policy.abs_tol:
-                        raise ValueError(
-                            "modifier nodes must be pairwise distinct (up to sign); "
-                            f"nodes {i} and {j} coincide"
-                        )
         object.__setattr__(self, "nodes", tuple(clean))
         object.__setattr__(self, "c", c)
 
@@ -328,12 +321,12 @@ def even_modifier(family: RecurrenceFamily, k: int, policy: TolerancePolicy = DE
     """The canonical even modifier of order k for the family, kept per (k, policy).
 
     Meixner-Pollaczek: c = prod_{j<k} ((lambda+j)^2 + x^2), nodes i(lambda+j).
-    Pseudo-Jacobi: c = (1+x^2)^k with the single node i; k >= 2 repeats the
-    node pair +-i, which the determinant construction cannot handle, so it is
-    rejected here.  The k = 2 transform is still reachable through the
-    parameter shift (see :meth:`RecurrenceFamily.shifted`).
+    Pseudo-Jacobi: c = (1+x^2)^k, the node i repeated k times, so +-i are
+    zeros of multiplicity k; the determinant transform takes them with the
+    confluent rows p^{(s)}(+-i), s < k (Szego, Thm 2.5), and agrees with the
+    parameter shift a -> a + k.
     """
-    if k < 0:
+    if k < 0:  # [i] * k would silently give the order-0 modifier
         raise ValueError("modifier order k must be nonnegative")
 
     def build() -> ModifierSpec:
@@ -344,12 +337,7 @@ def even_modifier(family: RecurrenceFamily, k: int, policy: TolerancePolicy = DE
                 lam = family.params["lambda"]
                 return ModifierSpec([mp.mpc(0, lam + j) for j in range(k)], policy)
             if family.kind == PSEUDO_JACOBI:
-                if k > 1:
-                    raise ValueError(
-                        "Pseudo-Jacobi modifiers with k >= 2 repeat the node pair +-i; "
-                        "use the parameter-shift route instead of the determinant transform"
-                    )
-                return ModifierSpec([mp.mpc(0, 1)], policy)
+                return ModifierSpec([mp.mpc(0, 1)] * k, policy)
             raise ValueError(f"{family.label} has no canonical even modifier")
 
     return family.owned(("even_modifier", k, policy), build)

@@ -1,8 +1,8 @@
 """Christoffel transform of a recurrence family and its connection decomposition.
 
 Multiplying the orthogonality weight w(x) by an even monic polynomial
-c_{2k}(x) with conjugate zero pairs +-x_1, ..., +-x_k produces a new
-orthogonal sequence g_{d,k}.  Two routes to g are implemented:
+c_{2k}(x) with zero pairs +-x_1, ..., +-x_k produces a new orthogonal
+sequence g_{d,k}.  Two routes to g are implemented:
 
 * the determinant route (:func:`christoffel_transform`): expand the classical
   bordered determinant along its polynomial row,
@@ -10,7 +10,11 @@ orthogonal sequence g_{d,k}.  Two routes to g are implemented:
       U_{d,2k} c_{2k}(x) g_{d,k}(x) = sum_j (-1)^j U_{d,j} p_{d+j}(x),
 
   where U_{d,j} are numeric 2k x 2k minors of the matrix of values
-  p_{d+i}(+-x_l); divide by c_{2k} and normalise monic;
+  p_{d+i}(+-x_l); divide by c_{2k} and normalise monic.  A zero of c of
+  multiplicity r (a repeated node, a node repeated up to sign, or the node
+  0) gives the confluent rows p_{d+i}^{(s)}, s < r, at that zero:
+  Christoffel's theorem with multiple zeros (Szego, Orthogonal Polynomials,
+  Thm 2.5; Gautschi, Orthogonal Polynomials, 2004, section 2.4);
 
 * the parameter-shift route for the built-in families, where the canonical
   modifier corresponds to lambda -> lambda + k (Meixner-Pollaczek) or
@@ -110,7 +114,12 @@ def christoffel_transform(
     """Monic degree-``deg`` polynomial orthogonal with respect to c_{2k}(x) w(x).
 
     Uses the bordered-determinant construction; requires the base family to
-    be valid up to degree deg + 2k.
+    be valid up to degree deg + 2k.  Its rows run over the zeros z_1, -z_1,
+    z_2, -z_2, ... of c: the s-th earlier occurrence of a value w gives the
+    row p^{(s)}(w), so a zero of multiplicity r contributes the confluent
+    rows s < r (Szego, Thm 2.5) and distinct zeros give the plain values.
+    Nodes that nearly coincide without being equal make the determinant
+    numerically singular and raise an ``ArithmeticError``.
     """
     k = modifier.k
     if k == 0:
@@ -119,10 +128,13 @@ def christoffel_transform(
     with policy.workprec():
         ladder = _ladder(family, deg + 2 * k, policy.precision_bits)
         polys = ladder[deg : deg + 2 * k + 1]
+        zeros = [w for z in modifier.nodes for w in (z, -z)]
         node_rows = []
-        for z in modifier.nodes:
-            node_rows.append([p(z) for p in polys])
-            node_rows.append([p(-z) for p in polys])
+        for i, w in enumerate(zeros):
+            derived = polys  # the s-th derivatives, s = earlier occurrences of w
+            for _ in range(zeros[:i].count(w)):
+                derived = [p.derivative() for p in derived]
+            node_rows.append([p(w) for p in derived])
         minors = _cofactor_minors(node_rows)
         scale = max(abs(u) for u in minors)
         if scale == 0 or abs(minors[-1]) <= policy.rel_tol * scale:
@@ -160,14 +172,6 @@ def _expand_in_monic_basis(f: Polynomial, ladder) -> list:
     return out
 
 
-def _is_canonical_modifier(family, modifier, policy) -> bool:
-    """``modifier`` equals the family's canonical one."""
-    try:
-        return family.supports_shift and modifier == even_modifier(family, modifier.k, policy)
-    except ValueError:
-        return False
-
-
 def modified_polynomial(
     family: RecurrenceFamily,
     modifier: ModifierSpec,
@@ -182,7 +186,7 @@ def modified_polynomial(
     nodes that differ in their last bits, such as canonical nodes rounded at
     another precision, take the determinant route.
     """
-    if _is_canonical_modifier(family, modifier, policy):
+    if family.supports_shift and modifier == even_modifier(family, modifier.k, policy):
         return generate(family.shifted(modifier.k), deg, policy)
     return christoffel_transform(family, modifier, deg, policy)
 

@@ -9,13 +9,16 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from mpmath import mp
 
-from christoffel import ModifierSpec, mp_family, mp_symmetry_residual, zeros
+from christoffel import DEFAULT_POLICY, ModifierSpec, inner_bound, mp_family, mp_symmetry_residual, zeros
 from christoffel.cli import (
     ENV_PRECISION,
     RunConfig,
+    _family,
     _flatten,
     build_parser,
+    config_from_args,
     dispatch,
     main,
 )
@@ -155,19 +158,27 @@ def test_main_csv_format(capsys):
          "b2fe3b55df2f51950b5eef5d86502160a70053038becff3e34ccbf7d1db481c2"),
         (["--decompose", "--family", "pj", "--a", "-20", "--b", "8", "--n", "9", "--m", "4", "--k", "1"],
          "c0ca1f2b0f88a0b5504943bb6d926d66dd1e149a98e0210cbd932444b1466c38"),
+        # (1+x^2)^2: the zero pair +-i twice
+        (["--decompose", "--family", "pj", "--a", "-20", "--b", "8", "--n", "8", "--m", "2", "--k", "2"],
+         "b6874b9c9b486891b5fc908ed3dc6a513b0301e7a086ac36720a7cee7f30811a"),
     ],
 )
 def test_decompose_reports_are_pinned(argv, digest, capsys):
     assert main(argv) == 0
-    assert _digest(capsys.readouterr().out) == digest
+    out = capsys.readouterr().out
+    assert _digest(out) == digest
+    row = json.loads(out)["rows"][0]
+    assert row["verdict"] == "pass"
+    if row["computed"]["B"] is not None:
+        # G is linear, and its root is the inner bound B_n(k) of the report's family
+        config = config_from_args(build_parser().parse_args(argv))
+        bound = inner_bound(_family(config, DEFAULT_POLICY), config.n, config.k)
+        assert row["computed"]["B"] == mp.nstr(bound, 12)
 
 
 @pytest.mark.parametrize(
     "argv, code, err",
     [
-        (["--decompose", "--family", "pj", "--a", "-20", "--b", "8", "--n", "8", "--m", "2", "--k", "2"], 2,
-         "configuration error: Pseudo-Jacobi modifiers with k >= 2 repeat the node pair +-i; "
-         "use the parameter-shift route instead of the determinant transform\n"),
         (["--decompose", "--family", "mp", "--lambda", "0.5", "--phi", "3.14159265", "--n", "8", "--m", "2", "--k", "2"], 3,
          "numerical failure: modified polynomial has components below the expected basis range; "
          "the transform inputs are inconsistent\n"),

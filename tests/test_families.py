@@ -147,8 +147,12 @@ def test_even_modifier_shapes(policy):
         assert [mp.im(z) for z in mod.nodes] == [mp.mpf("0.5"), mp.mpf("1.5")]
     pj = pj_family(-10, 8, policy)
     assert even_modifier(pj, 1, policy).c == Polynomial([1, 0, 1])
+    # (1 + x^2)^k: the node i, k times
+    assert even_modifier(pj, 2, policy).c == Polynomial([1, 0, 2, 0, 1])
+    assert even_modifier(pj, 3, policy).c == Polynomial([1, 0, 3, 0, 3, 0, 1])
+    assert even_modifier(pj, 3, policy).nodes == (mp.mpc(0, 1),) * 3
     with pytest.raises(ValueError):
-        even_modifier(pj, 2, policy)
+        even_modifier(pj, -1, policy)
 
 
 def test_even_modifier_has_no_odd_coefficients(policy):
@@ -159,11 +163,14 @@ def test_even_modifier_has_no_odd_coefficients(policy):
         assert all(coeff(mod.c, i) == 0 for i in range(1, 2 * k, 2))
 
 
-def test_modifier_validation_rejects_repeated_nodes(policy):
-    with pytest.raises(ValueError):
-        ModifierSpec([mp.mpc(0, 1), mp.mpc(0, 1)], policy)
-    with pytest.raises(ValueError):
-        ModifierSpec([mp.mpc(0, 1), mp.mpc(0, -1)], policy)
+def test_repeated_nodes_are_zeros_of_multiplicity(policy):
+    # a node repeated, or repeated up to sign, doubles the zero pair +-i
+    for nodes in ([mp.mpc(0, 1), mp.mpc(0, 1)], [mp.mpc(0, 1), mp.mpc(0, -1)]):
+        mod = ModifierSpec(nodes, policy)
+        assert mod.k == 2
+        assert mod.c == Polynomial([1, 0, 2, 0, 1])
+    # the node 0 is a double zero of c = x^2
+    assert ModifierSpec([0], policy).c == Polynomial([0, 0, 1])
 
 
 def test_modifier_without_nodes_is_one():

@@ -14,6 +14,7 @@ from christoffel import (
     even_modifier,
     gauss_rule,
     generate,
+    inner_bound,
     mp_family,
     pj_family,
 )
@@ -97,10 +98,57 @@ def test_transform_with_noncanonical_modifier_is_orthogonal(policy):
                 assert abs(s) / norm <= mp.mpf("1e-30")
 
 
-def test_transform_requires_distinct_nodes(policy):
-    # the determinant needs distinct node pairs; a modifier without them cannot be built
-    with pytest.raises(ValueError):
-        ModifierSpec([mp.mpc(0, 1), mp.mpc(0, 1)], policy)
+def _pj_copy(a, b, policy):
+    """PJ(a, b) without parameters: no parameter shift, so g comes from the determinant."""
+    fam = pj_family(a, b, policy)
+    return fam, custom_family(fam.C, fam.Lambda, fam.max_valid_degree, policy=policy)
+
+
+def test_determinant_takes_zeros_of_multiplicity(policy):
+    fam, copy = _pj_copy(-20, 8, policy)
+    # +-i twice: confluent rows p(+-i), p'(+-i) give the shift a -> a + 2
+    mod = ModifierSpec([mp.mpc(0, 1), mp.mpc(0, -1)], policy)
+    for deg in (0, 3, 8):
+        det = christoffel_transform(copy, mod, deg, policy)
+        ref = generate(fam.shifted(2), deg, policy)
+        with policy.workprec():
+            assert max_rel_coeff_diff(det, ref) <= policy.rel_tol
+    # the node 0 is the double zero of c = x^2: rows p(0), p'(0)
+    zero = ModifierSpec([0], policy)
+    gs = [christoffel_transform(copy, zero, d, policy) for d in range(4)]
+    nodes, weights = gauss_rule(fam, 10, policy)
+    with policy.workprec():
+        for j, g in enumerate(gs):
+            assert g.degree == j
+            norm = sum(w * x**2 * g(x) ** 2 for x, w in zip(nodes.values, weights))
+            for l in range(j):
+                s = sum(w * x**2 * g(x) * gs[l](x) for x, w in zip(nodes.values, weights))
+                assert abs(s) / norm <= mp.mpf("1e-60")
+
+
+@pytest.mark.parametrize("node, step", [("1j", "1e-60j"), ("0.3", "1e-60")], ids=["imaginary", "real"])
+def test_nearly_coincident_nodes_fail_loudly(node, step, policy):
+    # equal nodes get confluent rows; nodes that differ by 1e-60 get two
+    # nearly equal rows, and the transform must not return a polynomial
+    _, copy = _pj_copy(-20, 8, policy)
+    with policy.workprec():
+        node = mp.mpmathify(node)
+        mod = ModifierSpec([node, node + mp.mpmathify(step)], policy)
+    for deg in (0, 3, 6):
+        with pytest.raises(ArithmeticError):
+            christoffel_transform(copy, mod, deg, policy)
+
+
+@pytest.mark.parametrize("a, b", [("-35", "8"), ("-35", "1"), ("-35", "0"), ("-55", "5")])
+def test_table_3_bound_from_the_connection_formula(a, b, policy):
+    # B_25(2) of table 3 is the root of the linear G for c = (1+x^2)^2, m = 2;
+    # for (-55, 5) this is 5/54, not the printed 0.09926
+    fam = pj_family(a, b, policy)
+    decomp = connection_decompose(fam, even_modifier(fam, 2, policy), 25, 2, policy)
+    assert (decomp.a_poly.degree, decomp.G_poly.degree) == (2, 1)
+    bound = inner_bound(fam, 25, 2, policy)
+    with policy.workprec():
+        assert abs(decomp.B - bound) <= policy.rel_tol * max(1, abs(bound))
 
 
 def test_transform_degree_budget_enforced(policy):
@@ -221,7 +269,6 @@ def test_determinant_path_inside_decompose(policy):
 @pytest.mark.parametrize(
     "nodes, reason",
     [
-        ((mp.mpc(0, 1), mp.mpc(0, 1)), "pairwise distinct"),
         ((mp.mpc(1, 1),), "non-real"),
     ],
 )

@@ -20,8 +20,8 @@ errors (``ValueError``: bad flags or flags the mode does not read,
 parameters outside a family's range, non-finite values or tolerances, an
 ``abs_tol`` as wide as a gap between zeros, and an ``--out`` path that
 cannot be written), 3 on numerical failure (``ArithmeticError``: a
-degenerate transform, zeros that are not simple, a Newton polish that does
-not converge).
+degenerate transform, zeros that are not simple, a Newton polish or a root
+finder that does not converge).
 
 A handful of printed table cells disagree with their recomputed values at
 far beyond the printed rounding; these are embedded as flagged cells with
@@ -353,9 +353,9 @@ def _grid_rows(config: RunConfig, policy: TolerancePolicy):
 
     Cells: n in 4..n_max (default 12), m in 2..n, k in 0..m+2.  For every
     cell the measured degrees of (a, G) must match the law and the identity
-    residual must sit below tolerance.  When deg G = m-1 the zeros of
-    G * g_{n-m,k} are checked for strict interlacing with the zeros of p_n;
-    that is asserted for m = 2, k <= 2.  It is decided by the sign
+    residual must sit below tolerance.  When deg G = m-1, which the law gives
+    for every k <= m, the zeros of G * g_{n-m,k} must strictly interlace the
+    zeros of p_n (the paper's theorem).  That is decided by the sign
     alternation of G * g at the zeros of p_n (G by Horner, g by its
     recurrence); the roots of G are only computed to name a failed cell.
     g is evaluated once per (n, k): one recurrence sweep of the shifted
@@ -390,10 +390,7 @@ def _grid_rows(config: RunConfig, policy: TolerancePolicy):
                     for sweep in sweeps[k]:  # later cells (larger m) read lower degrees only
                         del sweep[n - m :]
                     interlace = _grid_interlace(fam, decomp, zp, g_at, policy)
-                    if m == 2 and k <= 2:
-                        interlace_ok = interlace == "holds"
-                    elif m == 2 and k == 3:
-                        interlace_ok = interlace.startswith("fails")
+                    interlace_ok = (interlace == "holds") == (degrees["deg_G"] == m - 1)
                 ok = degrees_ok and residual_ok and interlace_ok
                 rows.append(
                     {

@@ -125,9 +125,15 @@ class RecurrenceFamily:
         return self.kind in (MEIXNER_POLLACZEK, PSEUDO_JACOBI)
 
     def shifted(self, k: int) -> "RecurrenceFamily":
-        """The family orthogonal with respect to c_{2k}(x) w(x), via parameter shift (kept)."""
+        """The family orthogonal with respect to c_{2k}(x) w(x), via parameter shift (kept).
+
+        c_0 = 1, so ``shifted(0)`` is the family itself, not stored: a family
+        that stored itself would be a reference cycle, left to the collector.
+        """
         if k < 0:
             raise ValueError("shift must be nonnegative")
+        if k == 0:
+            return self
 
         def build() -> "RecurrenceFamily":
             # the parameter sum must round at the family's precision, not at
@@ -208,12 +214,11 @@ def custom_family(
     Lambda: Callable[[int], mp.mpf],
     max_valid_degree: Optional[int] = None,
     label: str = "custom",
-    params: Optional[Mapping[str, mp.mpf]] = None,
     policy: TolerancePolicy = DEFAULT_POLICY,
 ) -> RecurrenceFamily:
     return RecurrenceFamily(
         kind=CUSTOM,
-        params=dict(params or {}),
+        params={},
         C=C,
         Lambda=Lambda,
         max_valid_degree=max_valid_degree,

@@ -22,6 +22,7 @@ from christoffel import (
     TolerancePolicy,
     christoffel_transform,
     connection_decompose,
+    connection_degree_law,
     even_modifier,
     gauss_rule,
     generate,
@@ -210,8 +211,25 @@ def test_criterion_5_identity_residual_suites():
     worst = mp.mpf(0)
     ok = True
 
-    def draw_points():
-        return [rng.uniform(-6, 6) for _ in range(10)]
+    def draw_points(source=rng):
+        return [source.uniform(-6, 6) for _ in range(10)]
+
+    def check_decomposition(fam, n, m, k, source=rng):
+        """The connection identity at ten drawn points, and the degree law."""
+        nonlocal worst, ok
+        decomp = connection_decompose(fam, even_modifier(fam, k, POLICY), n, m, POLICY)
+        law = connection_degree_law(k, m)
+        ok = ok and (decomp.a_poly.degree, decomp.G_poly.degree) == (law.deg_a, law.deg_G)
+        worst = max(worst, decomp.residual)
+        with POLICY.workprec():
+            ladder = _ladder(fam, n, POLICY.precision_bits)
+            mod_c = even_modifier(fam, k, POLICY).c
+            for x in draw_points(source):
+                x = mp.mpf(x)
+                t1 = mod_c(x) * decomp.g_poly(x)
+                t2 = decomp.a_poly(x) * ladder[n](x)
+                t3 = decomp.G_poly(x) * ladder[n - 1](x)
+                worst = max(worst, relative_residual(t1 - t2 + t3, (t1, t2, t3)))
 
     for family_kind in ("mp", "pj"):
         for _ in range(50):
@@ -242,21 +260,22 @@ def test_criterion_5_identity_residual_suites():
             n = rng.randint(4, 20)
             m = rng.randint(2, 5)
             k = rng.randint(0, 3 if family_kind == "mp" else 1)
-            decomp = connection_decompose(fam, even_modifier(fam, k, POLICY), n, m, POLICY)
-            worst = max(worst, decomp.residual)
-            with POLICY.workprec():
-                ladder = _ladder(fam, n, POLICY.precision_bits)
-                mod_c = even_modifier(fam, k, POLICY).c
-                for x in draw_points():
-                    x = mp.mpf(x)
-                    t1 = mod_c(x) * decomp.g_poly(x)
-                    t2 = decomp.a_poly(x) * ladder[n](x)
-                    t3 = decomp.G_poly(x) * ladder[n - 1](x)
-                    worst = max(worst, relative_residual(t1 - t2 + t3, (t1, t2, t3)))
+            check_decomposition(fam, n, m, k)
 
-    ok = worst <= tol
+    # Pseudo-Jacobi at k = 2 and 3, where the modifier (1+x^2)^k repeats its
+    # zeros; drawn from their own generator so the draws above stay as they are
+    pj_rng = random.Random(20250811)
+    for _ in range(30):
+        fam = pj_family(pj_rng.uniform(-60, -21), pj_rng.uniform(-12, 12), POLICY)
+        for k in (2, 3):
+            m = pj_rng.randint(2, 5)
+            # the decomposition reads degrees up to n - m + 2k
+            n = pj_rng.randint(max(4, m), min(20, fam.max_valid_degree + m - 2 * k))
+            check_decomposition(fam, n, m, k, pj_rng)
+
+    ok = ok and worst <= tol
     elapsed = time.monotonic() - started
-    _announce(5, "identity residual suites (50 draws/family, 10 points each)", ok, elapsed,
+    _announce(5, "identity residual suites (50 draws/family and 60 PJ k=2,3 cells, 10 points each)", ok, elapsed,
               f"worst relative residual {mp.nstr(worst, 3)} vs tolerance {mp.nstr(tol, 3)}")
     assert ok
 

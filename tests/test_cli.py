@@ -11,7 +11,20 @@ from pathlib import Path
 import pytest
 from mpmath import mp
 
-from christoffel import DEFAULT_POLICY, ModifierSpec, inner_bound, mp_family, mp_symmetry_residual, zeros
+from christoffel import (
+    DEFAULT_POLICY,
+    ModifierSpec,
+    Polynomial,
+    cli,
+    connection_decompose,
+    eval_with_derivative,
+    even_modifier,
+    inner_bound,
+    mp_family,
+    mp_symmetry_residual,
+    zeros,
+    zeros_golub_welsch,
+)
 from christoffel.cli import (
     ENV_PRECISION,
     RunConfig,
@@ -401,6 +414,66 @@ def test_grid_builds_each_modifier_once(monkeypatch, capsys):
     capsys.readouterr()
     # k runs to m + 2 = 8
     assert built == list(range(9))
+
+
+def test_grid_asserts_interlacing_for_every_k_up_to_m(monkeypatch, capsys):
+    # cell (6, 3, 3) forced not to interlace: the theorem covers it, not only m = 2
+    cell = {}
+    decompose = cli.connection_decompose
+
+    def recorded(*args):
+        decomp = decompose(*args)
+        cell["nmk"] = (decomp.n, decomp.m, decomp.k)
+        return decomp
+
+    def interlace(*args):
+        verdict = zeros.interlace_strict(*args)
+        return dataclasses.replace(verdict, strict=False) if cell["nmk"] == (6, 3, 3) else verdict
+
+    monkeypatch.setattr(cli, "connection_decompose", recorded)
+    monkeypatch.setattr(cli, "interlace_strict", interlace)
+    assert main(["--grid", "--n", "6"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["summary"] == {"rows": 79, "pass": 78, "flagged": 0, "fail": 1}
+    [failed] = [r for r in data["rows"] if r["verdict"] == "fail"]
+    assert failed["inputs"] == {"n": 6, "m": 3, "k": 3}
+    assert failed["computed"]["interlace"] == "fails"
+
+
+def test_grid_keeps_no_shift_by_zero(monkeypatch, capsys):
+    built = []
+
+    def recorded(*args):
+        built.append(mp_family(*args))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "mp_family", recorded)
+    assert main(["--grid"]) == 0
+    capsys.readouterr()
+    [fam] = built
+    # k = 0 cells read the family itself; k = 1..14 each keep one shifted family
+    assert sorted(key[1] for key in fam._store if key[0] == "shifted") == list(range(1, 15))
+    assert fam.shifted(0) is fam
+    assert ("shifted", 0) not in fam._store
+
+
+def test_grid_interlace_names_each_failure(policy):
+    fam = mp_family("0.5", "0.9", policy)
+    n, m, k = 6, 3, 2
+    decomp = connection_decompose(fam, even_modifier(fam, k, policy), n, m, policy)
+    zp = zeros_golub_welsch(fam, n, policy)
+    g_at = {x: eval_with_derivative(fam.shifted(k), n - m, x, policy) for x in zp.values}
+    with policy.workprec():
+        gap = zp[1] - zp[0]
+        mid, third = zp[0] + gap / 2, zp[0] + gap / 3
+        cases = [
+            (decomp.G_poly, "holds"),
+            (Polynomial([1, 0, 1]), "fails(2 nonreal G roots)"),
+            (Polynomial([zp[2] * mid, -(zp[2] + mid), 1]), "fails(common zeros)"),  # through the zero zp[2]
+            (Polynomial([third * mid, -(third + mid), 1]), "fails"),  # both roots in the first gap
+        ]
+    for G, label in cases:
+        assert cli._grid_interlace(fam, dataclasses.replace(decomp, G_poly=G), zp, g_at, policy) == label
 
 
 def test_small_grid_runs_clean(capsys):

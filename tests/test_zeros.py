@@ -22,6 +22,7 @@ from christoffel import (
     zeros_golub_welsch,
 )
 from christoffel import zeros
+from christoffel.cli import main
 from christoffel.core import Polynomial, TolerancePolicy
 
 
@@ -432,6 +433,64 @@ def test_stieltjes_failure_path_reports_violations(policy, monkeypatch):
         "bound coincides with a zero of the modified polynomial",
         "zeros of (x-B) g do not interlace the zeros of p_n",
     )
+
+
+def test_stieltjes_common_zero_failures_report_violations(policy, monkeypatch):
+    # PJ(-5.5, 0) at n = 5 shares its middle zero 0 with g_{3,1}, and B_5(1) = 0
+    fam, k, n = pj_family("-5.5", "0", policy), 1, 5
+    shifted = fam.shifted(k)
+    zp = zeros_golub_welsch(fam, n, policy)
+    assert stieltjes_check(fam, k, n, policy).ok
+    evaluate = zeros.eval_with_derivative
+
+    monkeypatch.setattr(zeros, "inner_bound", lambda *args: mp.mpf("0.25"))
+    verdict = stieltjes_check(fam, k, n, policy)
+    assert verdict.ok is False and verdict.branch == "common_zero"
+    assert verdict.violations == ("common zero 0.0 differs from bound 0.25",)
+    monkeypatch.undo()
+
+    # g vanishing at every zero of p_n
+    monkeypatch.setattr(
+        zeros,
+        "eval_with_derivative",
+        lambda f, *args: (mp.mpf(0), mp.mpf(1)) if f is shifted else evaluate(f, *args),
+    )
+    verdict = stieltjes_check(fam, k, n, policy)
+    assert verdict.ok is False and verdict.branch == "common_zero"
+    x = [mp.nstr(z, 10) for z in zp.values]
+    assert verdict.violations == (
+        "expected exactly one common zero, found 5",
+        f"common zero {x[0]} differs from bound 0.0",
+        "common zero is an extreme zero of p_n (index 0)",
+        f"common zero {x[1]} differs from bound 0.0",
+        f"common zero {x[3]} differs from bound 0.0",
+        f"common zero {x[4]} differs from bound 0.0",
+        "common zero is an extreme zero of p_n (index 4)",
+    )
+
+    # g of one sign at the four zeros of p_n it does not share
+    monkeypatch.setattr(
+        zeros,
+        "eval_with_derivative",
+        lambda f, m, z, *args: (mp.mpf(1), mp.mpf(0)) if f is shifted and z != 0 else evaluate(f, m, z, *args),
+    )
+    verdict = stieltjes_check(fam, k, n, policy)
+    assert verdict.ok is False and verdict.branch == "common_zero"
+    assert verdict.violations == ("zeros of g do not interlace the non-common zeros of p_n",)
+
+
+def test_root_finder_failure_is_a_numerical_failure(policy, monkeypatch, capsys):
+    def no_convergence(*args, **kwargs):
+        raise mp.NoConvergence("polyroots failed to converge")
+
+    monkeypatch.setattr(mp, "polyroots", no_convergence)
+    with pytest.raises(ArithmeticError, match="degree-2 polynomial did not converge"):
+        polynomial_real_roots(Polynomial([-1, 0, 1]), policy)
+    # the grid names its m = 2, k = 3 cells by the roots of their cubic G
+    assert main(["--grid", "--n", "4"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "numerical failure: root finding on a degree-3 polynomial did not converge\n"
 
 
 def test_stieltjes_parameter_validation(policy):

@@ -16,6 +16,16 @@ Coefficients are finite mpf values.  That is checked once, where a
 the ring operations preserve it, because finite mpf inputs give finite mpf
 results (mpf exponents are unbounded), so they build their results without
 re-checking.
+
+Real Horner, the schoolbook product and the recurrence sweep of
+:mod:`christoffel.families` run on an exact-rounding kernel instead of mpf
+objects: signed Python-int mantissas with exponents, each sum or product
+formed exactly and rounded once, nearest with ties to even.  That is how
+mpmath rounds every product and every sum of operands whose exponents
+differ by at most 100, so the bits are the same; sums further apart go to
+mpmath's ``mpf_add`` (which never aligns 1e400000000 with 1 bit by bit), and
+non-finite points are rejected where they enter.  :func:`_round` gives the
+argument.
 """
 
 from __future__ import annotations
@@ -24,7 +34,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from mpmath import mp
-from mpmath.libmp import fzero, mpf_add, mpf_mul, round_nearest
+from mpmath.libmp import from_man_exp, mpf_add, round_nearest
 
 
 class NonFiniteError(ArithmeticError):
@@ -93,6 +103,72 @@ class TolerancePolicy:
 
 
 DEFAULT_POLICY = TolerancePolicy()
+
+
+# -- exact-rounding kernel ---------------------------------------------------
+
+_NEAR = 100  # the largest exponent gap at which mpf_add aligns its operands exactly
+
+
+def _unpack(v: tuple) -> tuple:
+    """(m, e) with a signed mantissa from a finite raw ``_mpf_`` tuple (0 reads as (0, 0))."""
+    sign, man, exp, _ = v
+    return (-man if sign else man), exp
+
+
+def _to_mpf(m: int, e: int) -> mp.mpf:
+    """The mpf m * 2**e, exactly (``from_man_exp`` without a precision only normalizes)."""
+    return mp.make_mpf(from_man_exp(m, e))
+
+
+def _round(m: int, e: int, prec: int) -> tuple:
+    """m * 2**e rounded to ``prec`` bits, nearest with ties to even.
+
+    Why the kernel gives mpmath's bits: ``mpf_mul`` forms the exact product
+    and rounds it once with this rule (``normalize`` at ``round_nearest``),
+    so ``_round(ma * mb, ea + eb, prec)`` is the mpf product.  ``mpf_add``
+    aligns its operands exactly and rounds once the same way whenever their
+    exponents differ by at most ``_NEAR``, which :func:`_add` does there too.
+    Further apart, if the magnitudes also differ by more than ``prec + 4``
+    bits, ``mpf_add`` nudges the larger operand by one unit ``prec + 4``
+    bits below its last bit instead of aligning; that is correctly rounded
+    only for an operand of at most ``prec`` bits (a point or coefficient kept
+    at a higher precision can have more), so :func:`_add` hands those sums
+    to ``mpf_add`` itself, which also spares aligning 1e400000000 with 1.
+    Inf and nan carry mantissa 0 and would read as zero; the callers reject
+    them.
+
+    The rounding works on the signed mantissa: ``>>`` floors, so t below is
+    floor(2 m / 2**n) for either sign, its low bit says whether the dropped
+    part is at least one half, and the bits below it (two's complement)
+    whether it is more.  A mantissa that rounds up to 2**prec keeps that
+    value; ``_to_mpf`` stores it as a power of two.
+    """
+    n = m.bit_length() - prec
+    if n <= 0:
+        return m, e
+    t = m >> (n - 1)
+    if t & 1 and (t & 2 or m & ((1 << (n - 1)) - 1)):
+        t += 2
+    return t >> 1, e + n
+
+
+def _add(m1: int, e1: int, m2: int, e2: int, prec: int) -> tuple:
+    """m1 * 2**e1 + m2 * 2**e2 rounded to ``prec`` bits, the bits of ``mpf_add`` (see :func:`_round`).
+
+    Aligned exactly up to an exponent gap of ``_NEAR``; beyond it a zero
+    operand leaves the other rounded, and any other sum goes to ``mpf_add``.
+    """
+    d = e1 - e2
+    if -_NEAR <= d <= _NEAR:
+        if d >= 0:
+            return _round((m1 << d) + m2, e2, prec)
+        return _round(m1 + (m2 << -d), e1, prec)
+    if not m1:
+        return _round(m2, e2, prec)
+    if not m2:
+        return _round(m1, e1, prec)
+    return _unpack(mpf_add(from_man_exp(m1, e1), from_man_exp(m2, e2), prec, round_nearest))
 
 
 class Polynomial:
@@ -169,15 +245,16 @@ class Polynomial:
         if isinstance(other, Polynomial):
             if self.is_zero() or other.is_zero():
                 return Polynomial._of([])
-            # schoolbook on raw libmp values: the calls mpf's * and += make
-            prec, rnd = mp.prec, round_nearest
-            bs = [b._mpf_ for b in other.coeffs]
-            out = [fzero] * (len(self.coeffs) + len(bs) - 1)
+            prec = mp.prec
+            bs = [_unpack(b._mpf_) for b in other.coeffs]
+            out = [(0, 0)] * (len(self.coeffs) + len(bs) - 1)
             for i, a in enumerate(self.coeffs):
-                a = a._mpf_
-                for j, b in enumerate(bs, i):
-                    out[j] = mpf_add(out[j], mpf_mul(a, b, prec, rnd), prec, rnd)
-            return Polynomial._of([mp.make_mpf(c) for c in out])
+                am, ae = _unpack(a._mpf_)
+                for j, (bm, be) in enumerate(bs, i):
+                    om, oe = out[j]
+                    pm, pe = _round(am * bm, ae + be, prec)
+                    out[j] = _add(om, oe, pm, pe, prec)
+            return Polynomial._of([_to_mpf(m, e) for m, e in out])
         return self._scaled(require_finite(to_scalar(other), "scalar factor"))
 
     __rmul__ = __mul__
@@ -200,18 +277,25 @@ class Polynomial:
     # -- evaluation ----------------------------------------------------------
 
     def __call__(self, z):
-        """Horner evaluation; the result type follows the argument (mpf or mpc)."""
+        """Horner evaluation; the result type follows the argument (mpf or mpc).
+
+        A real point runs on the exact-rounding kernel and must be finite
+        (``NonFiniteError`` otherwise).
+        """
         if not isinstance(z, (mp.mpf, mp.mpc)):
             z = to_scalar(z)
-        if isinstance(z, mp.mpf):  # raw libmp values: the calls mpf's * and + make
-            prec, zr, acc = mp.prec, z._mpf_, fzero
+        if isinstance(z, mp.mpf):
+            prec = mp.prec
+            zm, ze = _unpack(require_finite(z, "evaluation point")._mpf_)
+            am, ae = 0, 0
             for c in reversed(self.coeffs):
-                acc = mpf_add(mpf_mul(acc, zr, prec, round_nearest), c._mpf_, prec, round_nearest)
-            acc = mp.make_mpf(acc)
-        else:
-            acc = mp.mpf(0)
-            for c in reversed(self.coeffs):
-                acc = acc * z + c
+                am, ae = _round(am * zm, ae + ze, prec)
+                cm, ce = _unpack(c._mpf_)
+                am, ae = _add(am, ae, cm, ce, prec)
+            return _to_mpf(am, ae)
+        acc = mp.mpf(0)
+        for c in reversed(self.coeffs):
+            acc = acc * z + c
         require_finite(acc, "polynomial value")
         return acc
 

@@ -40,9 +40,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional
 
 from mpmath import mp
-from mpmath.libmp import fone, fzero, mpf_add, mpf_mul, mpf_sub, round_nearest
 
 from .core import DEFAULT_POLICY, Polynomial, TolerancePolicy, relative_residual, to_scalar
+from .core import _add, _round, _to_mpf, _unpack  # the exact-rounding kernel
 
 MEIXNER_POLLACZEK = "meixner_pollaczek"
 PSEUDO_JACOBI = "pseudo_jacobi"
@@ -252,38 +252,58 @@ def generate_all(family: RecurrenceFamily, n: int, policy: TolerancePolicy = DEF
     return list(_ladder(family, n, policy.precision_bits))
 
 
+def _sweep(family: RecurrenceFamily, n: int, x, policy: TolerancePolicy) -> list:
+    """(p_j(x), p_j'(x)) for j = 0..n as kernel rows (m, e, dm, de); see :func:`values_ladder`.
+
+    Every operation is the mpf operation of the recurrence, in the same
+    order, on the exact-rounding kernel of :mod:`christoffel.core`.
+    """
+    family.require_degree(n)
+    C, L = family.recurrence(n, policy.precision_bits)
+    with policy.workprec():
+        x = to_scalar(x)
+    if not mp.isfinite(x):  # the kernel would read inf and nan as 0
+        raise ValueError(f"evaluation point {x} is not finite")
+    prec = policy.precision_bits
+    xm, xe = _unpack(x._mpf_)
+    pm, pe, ppm, ppe = 1, 0, 0, 0  # p_0, p_{-1}
+    dm, de, dpm, dpe = 0, 0, 0, 0
+    rows = [(pm, pe, dm, de)]
+    for j in range(1, n + 1):
+        cm, ce = _unpack(C[j]._mpf_)
+        lm, le = _unpack(L[j]._mpf_)
+        xcm, xce = _add(xm, xe, -cm, ce, prec)  # x - C(j)
+        # p_j = (x - C(j)) p_{j-1} - L(j) p_{j-2}
+        am, ae = _round(xcm * pm, xce + pe, prec)
+        bm, be = _round(lm * ppm, le + ppe, prec)
+        am, ae = _add(am, ae, -bm, be, prec)
+        pm, pe, ppm, ppe = am, ae, pm, pe
+        # p_j' = (p_{j-1} + (x - C(j)) p_{j-1}') - L(j) p_{j-2}'
+        am, ae = _round(xcm * dm, xce + de, prec)
+        am, ae = _add(ppm, ppe, am, ae, prec)
+        bm, be = _round(lm * dpm, le + dpe, prec)
+        am, ae = _add(am, ae, -bm, be, prec)
+        dm, de, dpm, dpe = am, ae, dm, de
+        rows.append((pm, pe, dm, de))
+    return rows
+
+
 def values_ladder(family: RecurrenceFamily, n: int, x, policy: TolerancePolicy = DEFAULT_POLICY) -> list:
     """[(p_j(x), p_j'(x)) for j = 0..n], one sweep of the recurrence, without forming coefficients.
 
     The recurrence evaluation is far better conditioned than Horner on monic
     coefficients at n = 30, which is what the Newton polish in the zero
-    solver relies on.  Row j is the same bits whatever n the sweep runs to.
+    solver relies on.  Row j is the same bits whatever n the sweep runs to,
+    and the same bits as the recurrence written with mpf operations.  A
+    non-finite ``x`` raises ``ValueError``.
     """
-    family.require_degree(n)
-    C, L = family.recurrence(n, policy.precision_bits)
-    with policy.workprec():
-        # raw libmp values: the calls mpf's -, * and + make, in the same order
-        prec, rnd, make = mp.prec, round_nearest, mp.make_mpf
-        x = to_scalar(x)._mpf_
-        p, p_prev = fone, fzero  # p_0, p_{-1}
-        d, d_prev = fzero, fzero
-        rows = [(make(p), make(d))]
-        for j in range(1, n + 1):
-            xc = mpf_sub(x, C[j]._mpf_, prec, rnd)
-            lj = L[j]._mpf_
-            # order matters: the derivative update reads p_prev after the
-            # value update, when it already holds p_{j-1}
-            p, p_prev = mpf_sub(mpf_mul(xc, p, prec, rnd), mpf_mul(lj, p_prev, prec, rnd), prec, rnd), p
-            d, d_prev = mpf_sub(
-                mpf_add(p_prev, mpf_mul(xc, d, prec, rnd), prec, rnd), mpf_mul(lj, d_prev, prec, rnd), prec, rnd
-            ), d
-            rows.append((make(p), make(d)))
-        return rows
+    return [(_to_mpf(pm, pe), _to_mpf(dm, de)) for pm, pe, dm, de in _sweep(family, n, x, policy)]
 
 
 def eval_with_derivative(family: RecurrenceFamily, n: int, x, policy: TolerancePolicy = DEFAULT_POLICY):
-    """(p_n(x), p_n'(x)): the last row of :func:`values_ladder`."""
-    return values_ladder(family, n, x, policy)[n]
+    """(p_n(x), p_n'(x)): the last row of :func:`values_ladder`, the only one made an mpf."""
+    pm, pe, dm, de = _sweep(family, n, x, policy)[n]
+    return _to_mpf(pm, pe), _to_mpf(dm, de)
 
 
 @dataclass(frozen=True, init=False)

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from mpmath import mp
+from mpmath.libmp import from_man_exp, mpf_add, mpf_mul, mpf_sub, round_nearest
 
 from christoffel import Polynomial, RemainderError, TolerancePolicy
-from christoffel.core import NonFiniteError, X
+from christoffel.core import NonFiniteError, X, _add, _round, _to_mpf, _unpack, to_scalar
 from polyhelpers import max_rel_coeff_diff, schoolbook_product
 
 
@@ -145,27 +146,90 @@ def _bits(p: Polynomial) -> list:
     return [c._mpf_ for c in p.coeffs]
 
 
-def test_product_is_the_mpf_schoolbook_bit_for_bit():
-    # operands carry 256 bits and are multiplied at 113, so every rounding shows
-    with mp.workprec(256):
+_WIDTHS = (64, 113, 256, 512)
+
+
+def _operands(bits: int) -> tuple:
+    """Polynomials carrying 2 * bits bits, so that every rounding at ``bits`` shows, plus the edge values.
+
+    ``ones`` has a mantissa of ``bits`` ones: ones + 1/2 is a tie that rounds
+    up and carries into a new bit.  1 + ``half_ulp`` is a tie that rounds
+    down to the even neighbour 1.
+    """
+    with mp.workprec(2 * bits):
         p = Polynomial([mp.mpf(1) / (i + 3) - mp.sqrt(i + 2) for i in range(9)])
         q = Polynomial([mp.exp(mp.mpf(i) / 5) * (-1) ** i for i in range(6)] + [0, mp.pi])
-    with mp.workprec(113):
-        for a, b in ((p, q), (q, p), (p, p), (p, Polynomial([0, 0, 1]))):
+        ones, half_ulp = mp.ldexp(1, bits) - 1, mp.ldexp(1, -bits)
+        edge = Polynomial([ones, 1, half_ulp - 1, -ones])
+    return p, q, edge, ones, half_ulp
+
+
+@pytest.mark.parametrize("bits", _WIDTHS)
+def test_product_is_the_mpf_schoolbook_bit_for_bit(bits):
+    p, q, edge, ones, half_ulp = _operands(bits)
+    carry, tie = (Polynomial([ones, 1]), Polynomial(["0.5", 1])), (Polynomial([1, 1]), Polynomial([half_ulp, 1]))
+    with mp.workprec(bits):
+        for a, b in ((p, q), (q, p), (p, p), (p, Polynomial([0, 0, 1])), (edge, p), (edge, edge), carry, tie):
             assert _bits(a * b) == _bits(schoolbook_product(a, b))
+        assert (carry[0] * carry[1]).coeffs[1] == mp.ldexp(1, bits)  # ones + 1/2 carried
+        assert (tie[0] * tie[1]).coeffs[1] == 1  # 1 + half_ulp tied to even
         assert (p * Polynomial()).is_zero() and (Polynomial() * q).is_zero()
 
 
-def test_real_horner_is_the_mpf_loop_bit_for_bit():
-    with mp.workprec(256):
-        p = Polynomial([mp.mpf(1) / (i + 3) - mp.sqrt(i + 2) for i in range(9)])
-        xs = [mp.mpf(-7) / 3, mp.mpf(0), mp.sqrt(2) * 10**6]
-    with mp.workprec(113):
-        for x in xs:
-            acc = mp.mpf(0)
-            for c in reversed(p.coeffs):
-                acc = acc * x + c
-            assert p(x)._mpf_ == acc._mpf_
+@pytest.mark.parametrize("bits", _WIDTHS)
+def test_real_horner_is_the_mpf_loop_bit_for_bit(bits):
+    p, q, edge, ones, half_ulp = _operands(bits)
+    with mp.workprec(2 * bits):
+        xs = [mp.mpf(-7) / 3, mp.mpf(0), mp.sqrt(2) * 10**6, "-2.5", 5, half_ulp, mp.mpf("0.5")]
+    with mp.workprec(bits):
+        for poly in (p, q, edge, Polynomial([ones, 1]), Polynomial([1, 1])):
+            for x in xs:
+                acc, z = mp.mpf(0), to_scalar(x)  # a wide mpf point enters unrounded
+                for c in reversed(poly.coeffs):
+                    acc = acc * z + c
+                assert poly(x)._mpf_ == acc._mpf_
+        assert Polynomial([ones, 1])("0.5") == mp.ldexp(1, bits)  # ones + 1/2 carried
+        assert Polynomial([1, 1])(half_ulp) == 1  # 1 + half_ulp tied to even
+
+
+def test_real_horner_rejects_a_nonfinite_point():
+    # the kernel would read inf and nan as 0, so they are rejected where they enter
+    for x in (mp.inf, -mp.inf, mp.nan, "inf"):
+        with pytest.raises(NonFiniteError, match="evaluation point is not finite"):
+            Polynomial([1, 2])(x)
+
+
+_mantissas = st.one_of(
+    st.integers(-(2**1200), 2**1200),
+    # runs of ones round up with a carry; 2**k + 1 rounds to a tie at k bits
+    st.builds(
+        lambda k, s, shift: s * ((1 << k) - 1) << shift, st.integers(1, 600), st.sampled_from((1, -1)), st.integers(0, 9)
+    ),
+    st.builds(lambda k, s: s * ((1 << k) + 1), st.integers(1, 600), st.sampled_from((1, -1))),
+)
+_exponents = st.integers(-1500, 1500)
+_precisions = st.sampled_from((2, 53, *_WIDTHS))
+
+
+@settings(max_examples=400)
+@given(_precisions, _mantissas, _exponents, _mantissas, _exponents)
+def test_kernel_is_mpf_add_sub_and_mul(prec, m1, e1, m2, e2):
+    a, b = from_man_exp(m1, e1), from_man_exp(m2, e2)
+    assert _to_mpf(*_unpack(a))._mpf_ == a
+    assert _to_mpf(*_add(m1, e1, m2, e2, prec))._mpf_ == mpf_add(a, b, prec, round_nearest)
+    assert _to_mpf(*_add(m1, e1, -m2, e2, prec))._mpf_ == mpf_sub(a, b, prec, round_nearest)
+    assert _to_mpf(*_round(m1 * m2, e1 + e2, prec))._mpf_ == mpf_mul(a, b, prec, round_nearest)
+    assert _to_mpf(*_round(m1, e1, prec))._mpf_ == from_man_exp(m1, e1, prec, round_nearest)
+
+
+def test_kernel_sum_of_far_apart_wide_operands_is_mpf_add():
+    # past an exponent gap of 100 mpf_add perturbs the larger operand instead of
+    # aligning; for an operand wider than prec that is not the correctly
+    # rounded sum, and the kernel gives mpf_add's bits, not the exact rounding
+    m1, e1, m2, e2 = 2**999 + 2**935 - 1, 0, 2**102 + 1, -101
+    exact = from_man_exp((m1 << 101) + m2, e2, 64, round_nearest)
+    ours = _to_mpf(*_add(m1, e1, m2, e2, 64))._mpf_
+    assert ours == mpf_add(from_man_exp(m1, e1), from_man_exp(m2, e2), 64, round_nearest) != exact
 
 
 def test_difference_is_sum_with_negation():

@@ -28,7 +28,8 @@ from christoffel import (
     values_ladder,
     zeros_golub_welsch,
 )
-from christoffel import families
+from christoffel import core, families
+from christoffel.core import to_scalar
 from polyhelpers import coeff
 
 
@@ -257,7 +258,7 @@ def _recurrence_value_and_derivative(fam, n, x, pol):
     """(p_n(x), p_n'(x)) by the mpf recurrence loop, written out independently."""
     C, L = fam.recurrence(n, pol.precision_bits)
     with pol.workprec():
-        x = mp.mpf(x)
+        x = to_scalar(x)  # an mpf point enters unrounded, as in the sweep
         p, p_prev, d, d_prev = mp.mpf(1), mp.mpf(0), mp.mpf(0), mp.mpf(0)
         for j in range(1, n + 1):
             xc = x - C[j]
@@ -266,19 +267,63 @@ def _recurrence_value_and_derivative(fam, n, x, pol):
         return p, d
 
 
-@pytest.mark.parametrize("bits", [64, 256])
+def _mp_at_half_pi(pol):
+    with pol.workprec():
+        return mp_family("0.5", mp.pi / 2, pol)  # C(j) == 0 for every j
+
+
+@pytest.mark.parametrize("bits", [64, 113, 256, 512])
 @pytest.mark.parametrize(
-    "make", [lambda pol: mp_family("0.5", "0.9", pol), lambda pol: pj_family(-20, 8, pol)], ids=["MP", "PJ"]
+    "make",
+    [lambda pol: mp_family("0.5", "0.9", pol), lambda pol: pj_family(-20, 8, pol), _mp_at_half_pi],
+    ids=["MP", "PJ", "MP-half-pi"],
 )
 def test_values_ladder_rows_are_eval_with_derivative_bit_for_bit(make, bits):
     pol = TolerancePolicy(precision_bits=bits)
     fam, n = make(pol), 16
-    for x in ("-3.7", "0.25", "11"):
+    C, _ = fam.recurrence(n, bits)
+    with mp.workprec(2 * bits):
+        wide = mp.mpf(-7) / 3  # enters unrounded, rounded by the first subtraction
+    with pol.workprec():
+        ones = mp.ldexp(mp.ldexp(1, bits) - 1, 3 - bits)  # a mantissa of bits ones, just below 8
+    for x in ("-3.7", "0.25", "11", 11, -2, C[5], C[16], ones, wide):
         rows = values_ladder(fam, n, x, pol)
         assert len(rows) == n + 1
         for j, (v, d) in enumerate(rows):
             for ev, ed in (eval_with_derivative(fam, j, x, pol), _recurrence_value_and_derivative(fam, j, x, pol)):
                 assert (v._mpf_, d._mpf_) == (ev._mpf_, ed._mpf_)
+
+
+@pytest.mark.parametrize(
+    "x", ["inf", "-inf", "nan", mp.inf, mp.nan], ids=["inf-str", "-inf-str", "nan-str", "inf", "nan"]
+)
+def test_sweep_rejects_a_nonfinite_point(x, policy):
+    # the sweep's kernel would read inf and nan as 0 and return p(0)
+    fam = mp_family("0.5", "0.9", policy)
+    for sweep in (eval_with_derivative, values_ladder):
+        with pytest.raises(ValueError, match="evaluation point .* is not finite"):
+            sweep(fam, 4, x, policy)
+
+
+def test_far_apart_sums_are_mpf_add_bit_for_bit(policy, monkeypatch):
+    # x - C(j) with x = 1e400000000 is an exponent gap of about 1.3e9 bits: the
+    # kernel hands such sums to mpf_add instead of aligning the mantissas
+    calls = []
+    mpf_add = core.mpf_add
+    monkeypatch.setattr(core, "mpf_add", lambda *args: calls.append(args) or mpf_add(*args))
+    fam, x = mp_family("0.5", "0.9", policy), "1e400000000"
+    v, d = eval_with_derivative(fam, 8, x, policy)
+    ev, ed = _recurrence_value_and_derivative(fam, 8, x, policy)
+    assert (v._mpf_, d._mpf_) == (ev._mpf_, ed._mpf_)
+    assert calls
+    calls.clear()
+    p = generate(fam, 8, policy)
+    with policy.workprec():
+        acc, z = mp.mpf(0), mp.mpf(x)
+        for c in reversed(p.coeffs):
+            acc = acc * z + c
+        assert p(x)._mpf_ == acc._mpf_
+    assert calls
 
 
 def test_generate_all_prefix_consistency(policy):

@@ -316,8 +316,8 @@ def test_far_apart_sums_are_mpf_add_bit_for_bit(policy, monkeypatch):
     ev, ed = _recurrence_value_and_derivative(fam, 8, x, policy)
     assert (v._mpf_, d._mpf_) == (ev._mpf_, ed._mpf_)
     assert calls
-    calls.clear()
     p = generate(fam, 8, policy)
+    calls.clear()
     with policy.workprec():
         acc, z = mp.mpf(0), mp.mpf(x)
         for c in reversed(p.coeffs):

@@ -17,11 +17,13 @@ the ring operations preserve it, because finite mpf inputs give finite mpf
 results (mpf exponents are unbounded), so they build their results without
 re-checking.
 
-Real Horner, the schoolbook product and the recurrence sweep of
-:mod:`christoffel.families` run on an exact-rounding kernel instead of mpf
-objects: signed Python-int mantissas with exponents, each sum or product
-formed exactly and rounded once, nearest with ties to even.  That is how
-mpmath rounds every product and every sum of operands whose exponents
+Real Horner, the schoolbook product, the recurrence sweep of
+:mod:`christoffel.families` and the weights of
+:func:`christoffel.zeros.gauss_rule` run on an exact-rounding kernel instead
+of mpf objects: signed Python-int mantissas with exponents, each sum,
+product or quotient (:func:`_div`) formed exactly, or with a sticky bit,
+and rounded once, nearest with ties to even.  That is how mpmath rounds
+every product and quotient and every sum of operands whose exponents
 differ by at most 100, so the bits are the same; sums further apart go to
 mpmath's ``mpf_add`` (which never aligns 1e400000000 with 1 bit by bit), and
 non-finite points are rejected where they enter.  :func:`_round` gives the
@@ -169,6 +171,22 @@ def _add(m1: int, e1: int, m2: int, e2: int, prec: int) -> tuple:
     if not m2:
         return _round(m1, e1, prec)
     return _unpack(mpf_add(from_man_exp(m1, e1), from_man_exp(m2, e2), prec, round_nearest))
+
+
+def _div(m1: int, e1: int, m2: int, e2: int, prec: int) -> tuple:
+    """m1 * 2**e1 / (m2 * 2**e2) rounded to ``prec`` bits, the bits of ``mpf_div``.
+
+    As ``mpf_div`` does, the quotient is taken to at least ``prec + 4`` bits
+    and a nonzero remainder is kept as a sticky low bit, so the one rounding
+    is the correctly rounded quotient (``mpf_div`` divides exactly by a power
+    of two, which rounds the same).  A zero divisor raises ``ZeroDivisionError``.
+    """
+    a, b = abs(m1), abs(m2)
+    extra = max(5, prec - a.bit_length() + b.bit_length() + 5)
+    q, r = divmod(a << extra, b)
+    if r:
+        q, extra = (q << 1) | 1, extra + 1
+    return _round(-q if (m1 < 0) != (m2 < 0) else q, e1 - e2 - extra, prec)
 
 
 class Polynomial:

@@ -7,10 +7,13 @@ pivot count (which needs only the Lambda values, no square roots), counted
 in Python floats on the shifted and power-of-two scaled matrix, and then
 polished by safeguarded Newton iteration at working precision on the
 recurrence evaluation of p_n; only zeros closer than the bisection's 64-bit
-midpoints resolve are bisected at working precision.  Eigenvalues of a
-symmetric tridiagonal are perfectly conditioned; root-finding on monic
-coefficients at n = 30 is not, which is why the coefficients are never
-touched here.
+midpoints resolve are bisected at working precision.  Once a cell holds a
+single zero, one eigenvalue computed in doubles and certified by two counts
+decides the counts at the cell's later midpoints (the argument is next to
+``_BAND``), so the cells, and every polished bit, are those of counting at
+each midpoint.  Eigenvalues of a symmetric tridiagonal are perfectly
+conditioned; root-finding on monic coefficients at n = 30 is not, which is
+why the coefficients are never touched here.
 
 Interlacing is decided in one place, :func:`interlace_strict`, by sign
 alternation at the already computed zeros of p_n; no zero of the inner
@@ -37,12 +40,14 @@ forms from a family's parameters:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from mpmath import mp
 from mpmath.libmp import mpf_add, mpf_le, mpf_shift, mpf_sub, round_nearest, to_float
 
 from .core import DEFAULT_POLICY, Polynomial, TolerancePolicy, to_scalar
+from .core import _add, _div, _round, _to_mpf, _unpack  # the exact-rounding kernel
 from .families import (
     MEIXNER_POLLACZEK,
     PSEUDO_JACOBI,
@@ -109,7 +114,15 @@ class StieltjesVerdict:
 # are below 1/2 in size, are exact counts of a matrix within about 2**-51 of
 # it (Kahan's backward error bound plus the roundings to double), so no
 # eigenvalue lies within this band of x when the counts at x -/+ _BAND agree.
+# _ETA bounds that distance with room for the roundings of the comparisons
+# against _enclose's bounds.  By Weyl's theorem it also certifies an eigenvalue: counts
+# below k at u and at least k at v put eigenvalue k in [u - _ETA, v + _ETA]
+# (Kahan 1966; Barth, Martin & Wilkinson 1967), and at a point more than
+# _BAND + _ETA outside that enclosure both float counts of a 64-bit count
+# fall on the same side of eigenvalue k, which decides its clamped value.
 _BAND = 2.0**-49
+_ETA = 2.0**-50
+_TINY = 2.0**-120  # stands in for a zero pivot in double counts
 
 # Newton iterations allowed per zero; from a 2**-44 bracket it needs four.
 _POLISH_CAP = 150
@@ -135,16 +148,48 @@ def _count_below(diag, offsq, x, tiny):
     return count
 
 
+def _enclose(fdiag, foffsq, lo, hi, k):
+    """(u, v): a 64-bit count at a scaled point below u clamps to k - 1, above v to k.
+
+    (lo, hi) is the cell of eigenvalue k (from 1), in scaled doubles.
+    Safeguarded Newton on det(T - x) = prod d_j over the Sturm pivots, whose
+    log-derivative is sum d_j'/d_j with d_j' = -1 + o_{j-1} d_{j-1}'/d_{j-1}**2:
+    the pivot count narrows the cell, an iterate outside it is replaced by
+    its midpoint, and a step below 2**-45 ends it (quadratic convergence
+    leaves the limit far closer).  Counts at the limit -/+ _ETA certify it;
+    (u, v) is that enclosure widened by _BAND + _ETA (see _BAND), or
+    (-inf, inf), which decides no count, when 60 steps give no certificate.
+    """
+    x = (lo + hi) / 2
+    for _ in range(60):
+        below, s, d, dd = 0, 0.0, 1.0, 0.0
+        for a, o in zip(fdiag, (0.0, *foffsq)):
+            q = o / d
+            d, dd = (a - x) - q or -_TINY, q * dd / d - 1.0  # a zero pivot counts as negative
+            below += d < 0
+            s += dd / d
+        lo, hi = (lo, x) if below >= k else (x, hi)
+        xn = x - 1 / s if s else x
+        if abs(xn - x) <= 2.0**-45:
+            m = _BAND + 3 * _ETA  # the enclosure's half-width 2 _ETA, plus _BAND + _ETA
+            if _count_below(fdiag, foffsq, xn - _ETA, _TINY) < k <= _count_below(fdiag, foffsq, xn + _ETA, _TINY):
+                return xn - m, xn + m
+            break
+        x = xn if lo < xn < hi else (lo + hi) / 2
+    return -math.inf, math.inf
+
+
 def _isolate(count, a, b, ca, cb, width, prec):
     """Ascending brackets (a, b, ca, cb) of the eigenvalues in [a, b), by bisection.
 
     a, b and ``width`` are raw mpf values, and midpoints are rounded to
     ``prec`` bits.  ``ca`` and ``cb`` are the Sturm counts at a and b, so a
-    bracket holds the eigenvalues of index ca+1..cb; ``count(x, ca, cb)``
-    returns the count at x, or any number that clamps to the same value in
-    [ca, cb].  A bracket stops once it is no wider than ``width`` and holds
-    exactly one eigenvalue, or once its midpoint rounds to an end, so only a
-    cluster closer than ``prec`` bits resolve stops holding more than one.
+    bracket holds the eigenvalues of index ca+1..cb; ``count(x, a, b, ca,
+    cb)`` returns the count at the bracket's midpoint x, or any number that
+    clamps to the same value in [ca, cb].  A bracket stops once it is no
+    wider than ``width`` and holds exactly one eigenvalue, or once its
+    midpoint rounds to an end, so only a cluster closer than ``prec`` bits
+    resolve stops holding more than one.
     """
     out = []
     todo = [(a, b, ca, cb)] if ca < cb else []
@@ -154,7 +199,7 @@ def _isolate(count, a, b, ca, cb, width, prec):
         if (cb - ca == 1 and mpf_le(mpf_sub(b, a, prec, round_nearest), width)) or mid in (a, b):
             out.append((a, b, ca, cb))
             continue
-        cm = min(max(count(mid, ca, cb), ca), cb)
+        cm = min(max(count(mid, a, b, ca, cb), ca), cb)
         if cm < cb:
             todo.append((mid, b, cm, cb))
         if ca < cm:
@@ -210,9 +255,11 @@ def _solve(family: RecurrenceFamily, n: int, policy: TolerancePolicy) -> ZeroSet
     counts run in doubles on the Jacobi matrix shifted by its Gershgorin
     midpoint and scaled by a power of two at working precision, which fits
     any recurrence mpf holds; a count is redone at 64 bits only when an
-    eigenvalue lies within ``_BAND`` of the midpoint.  A cell that 64-bit
-    midpoints cannot split into single zeros is bisected again at working
-    precision.
+    eigenvalue lies within ``_BAND`` of the midpoint.  In a cell holding one
+    zero, its certified enclosure from :func:`_enclose` gives the count
+    without counting, except at a midpoint within ``_BAND + _ETA`` of it (the
+    argument is next to ``_BAND``).  A cell that 64-bit midpoints cannot
+    split into single zeros is bisected again at working precision.
     """
     C, L = family.recurrence(n, policy.precision_bits)
     with policy.workprec():
@@ -240,12 +287,21 @@ def _solve(family: RecurrenceFamily, n: int, policy: TolerancePolicy) -> ZeroSet
         fdiag = [float(mp.ldexp(d - centre, -e)) for d in diag]
         foffsq = [float(mp.ldexp(v, -2 * e)) for v in offsq]
 
-        def count64(x, ca, cb):
-            xs = to_float(mpf_shift(mpf_sub(x, centre._mpf_, 64, round_nearest), -e))
-            below = _count_below(fdiag, foffsq, xs - _BAND, 2.0**-120)
+        def scaled(x):
+            return to_float(mpf_shift(mpf_sub(x, centre._mpf_, 64, round_nearest), -e))
+
+        boxes = {}
+
+        def count64(x, a, b, ca, cb):
+            xs = scaled(x)
+            if cb - ca == 1:
+                u, v = boxes[cb] = boxes.get(cb) or _enclose(fdiag, foffsq, scaled(a), scaled(b), cb)
+                if not u <= xs <= v:
+                    return ca if xs < u else cb
+            below = _count_below(fdiag, foffsq, xs - _BAND, _TINY)
             if below >= cb:
                 return below
-            upto = _count_below(fdiag, foffsq, xs + _BAND, 2.0**-120)
+            upto = _count_below(fdiag, foffsq, xs + _BAND, _TINY)
             if min(max(upto, ca), cb) == max(below, ca):
                 return upto
             with mp.workprec(64):
@@ -322,31 +378,30 @@ def gauss_rule(family: RecurrenceFamily, n: int, policy: TolerancePolicy = DEFAU
     if n < 1:
         raise ValueError("Gauss rule needs n >= 1")
     nodes = zeros_golub_welsch(family, n, policy)
-    C, L = family.recurrence(n, policy.precision_bits)
+    prec = policy.precision_bits
+    C, L = family.recurrence(n, prec)
     with policy.workprec():
         h = [mp.mpf(1)]
         for j in range(2, n + 1):
             h.append(h[-1] * L[j])
+        # (C(j), L(j), h_j) for j = 1..n-1; the loop below is the mpf loop
+        # p_j = (x - C(j)) p_{j-1} - L(j) p_{j-2}, denom += p_j * p_j / h_j,
+        # w = 1 / denom, with the same operations in the same order
+        rows = [(*_unpack(C[j]._mpf_), *_unpack(L[j]._mpf_), *_unpack(h[j]._mpf_)) for j in range(1, n)]
         weights = []
         for x in nodes.values:
-            p_prev, p = mp.mpf(0), mp.mpf(1)  # p_{-1}, p_0
-            denom = mp.mpf(1)  # j = 0 term
-            for j in range(1, n):
-                p, p_prev = (x - C[j]) * p - L[j] * p_prev, p
-                denom += p * p / h[j]
-            weights.append(1 / denom)
+            xm, xe = _unpack(x._mpf_)
+            pm, pe, qm, qe = 1, 0, 0, 0  # p_0, p_{-1}
+            dm, de = 1, 0  # j = 0 term
+            for cm, ce, lm, le, hm, he in rows:
+                am, ae = _add(xm, xe, -cm, ce, prec)
+                am, ae = _round(am * pm, ae + pe, prec)
+                bm, be = _round(lm * qm, le + qe, prec)
+                pm, pe, qm, qe = *_add(am, ae, -bm, be, prec), pm, pe
+                dm, de = _add(dm, de, *_div(*_round(pm * pm, 2 * pe, prec), hm, he, prec), prec)
+            weights.append(_to_mpf(*_div(1, 0, dm, de, prec)))
         total = sum(weights)
-        weights = [w / total for w in weights]
-        return nodes, tuple(weights)
-
-
-def _local_gap(sorted_vals, idx) -> mp.mpf:
-    gaps = []
-    if idx > 0:
-        gaps.append(sorted_vals[idx] - sorted_vals[idx - 1])
-    if idx + 1 < len(sorted_vals):
-        gaps.append(sorted_vals[idx + 1] - sorted_vals[idx])
-    return min(gaps) if gaps else mp.mpf(1)
+        return nodes, tuple(w / total for w in weights)
 
 
 def _is_zero(value, slope, x, policy) -> bool:
@@ -485,7 +540,8 @@ def stieltjes_check(family: RecurrenceFamily, k: int, n: int, policy: ToleranceP
             if len(shared) != 1:
                 violations.append(f"expected exactly one common zero, found {len(shared)}")
             for j in shared:
-                thr = policy.abs_tol * max(1, _local_gap(zp.values, j))
+                gap = min(zp[i + 1] - zp[i] for i in (j - 1, j) if 0 <= i < n - 1)
+                thr = policy.abs_tol * max(1, gap)
                 if abs(zp[j] - bound) > thr:
                     violations.append(
                         f"common zero {mp.nstr(zp[j], 10)} differs from bound {mp.nstr(bound, 10)}"

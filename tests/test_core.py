@@ -3,10 +3,10 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
-from mpmath.libmp import from_man_exp, mpf_add, mpf_mul, mpf_sub, round_nearest
+from mpmath.libmp import from_man_exp, mpf_add, mpf_div, mpf_mul, mpf_sub, round_nearest
 
 from christoffel import Polynomial, RemainderError, TolerancePolicy
-from christoffel.core import NonFiniteError, X, _add, _round, _to_mpf, _unpack, to_scalar
+from christoffel.core import NonFiniteError, X, _add, _div, _round, _to_mpf, _unpack, to_scalar
 from polyhelpers import max_rel_coeff_diff, schoolbook_product
 
 
@@ -220,6 +220,20 @@ def test_kernel_is_mpf_add_sub_and_mul(prec, m1, e1, m2, e2):
     assert _to_mpf(*_add(m1, e1, -m2, e2, prec))._mpf_ == mpf_sub(a, b, prec, round_nearest)
     assert _to_mpf(*_round(m1 * m2, e1 + e2, prec))._mpf_ == mpf_mul(a, b, prec, round_nearest)
     assert _to_mpf(*_round(m1, e1, prec))._mpf_ == from_man_exp(m1, e1, prec, round_nearest)
+
+
+@settings(max_examples=400)
+@given(
+    _precisions, _mantissas, _exponents, _mantissas.filter(bool), _exponents, st.integers(0, 1200), st.sampled_from((1, -1))
+)
+def test_kernel_division_is_mpf_div(prec, m1, e1, m2, e2, k, sign):
+    a, b = from_man_exp(m1, e1), from_man_exp(m2, e2)
+    assert _to_mpf(*_div(m1, e1, m2, e2, prec))._mpf_ == mpf_div(a, b, prec, round_nearest)
+    # mpf_div's branch for a power-of-two divisor, and an exact quotient
+    two = sign << k
+    assert _to_mpf(*_div(m1, e1, two, e2, prec))._mpf_ == mpf_div(a, from_man_exp(two, e2), prec, round_nearest)
+    exact = mpf_div(from_man_exp(m1 * m2, e1), b, prec, round_nearest)
+    assert _to_mpf(*_div(m1 * m2, e1, m2, e2, prec))._mpf_ == exact == from_man_exp(m1, e1 - e2, prec, round_nearest)
 
 
 def test_kernel_sum_of_far_apart_wide_operands_is_mpf_add():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from functools import partial
@@ -137,16 +138,17 @@ def test_wilkinson_close_pairs_are_separated(policy, m):
         assert max(abs(z - e) for z, e in zip(zs.values, ev)) <= policy.abs_tol
 
 
+_EXTREME_SCALES = [
+    (lambda j: j * mp.mpf(10) ** 400, lambda j: mp.mpf(10) ** 799, None),
+    (lambda j: j * mp.mpf(10) ** -400, lambda j: mp.mpf(10) ** -801, "1e-480"),
+    (lambda j: j * mp.mpf(10) ** -400, lambda j: mp.mpf(10) ** -801, None),
+    (lambda j: mp.mpf(10) ** 10, lambda j: mp.mpf(1), None),
+    (lambda j: mp.mpf(10) ** 30, lambda j: mp.mpf(1), None),
+]
+
+
 @pytest.mark.parametrize(
-    "C, Lam, abs_tol",
-    [
-        (lambda j: j * mp.mpf(10) ** 400, lambda j: mp.mpf(10) ** 799, None),
-        (lambda j: j * mp.mpf(10) ** -400, lambda j: mp.mpf(10) ** -801, "1e-480"),
-        (lambda j: j * mp.mpf(10) ** -400, lambda j: mp.mpf(10) ** -801, None),
-        (lambda j: mp.mpf(10) ** 10, lambda j: mp.mpf(1), None),
-        (lambda j: mp.mpf(10) ** 30, lambda j: mp.mpf(1), None),
-    ],
-    ids=["1e400", "1e-400", "1e-400-default-tol", "offset-1e10", "offset-1e30"],
+    "C, Lam, abs_tol", _EXTREME_SCALES, ids=["1e400", "1e-400", "1e-400-default-tol", "offset-1e10", "offset-1e30"]
 )
 def test_zeros_at_extreme_scales(policy, C, Lam, abs_tol):
     # Entries outside the double range need the shift and scale.  Zeros 1e10
@@ -165,11 +167,109 @@ def test_zeros_at_extreme_scales(policy, C, Lam, abs_tol):
 def test_float_counts_keep_the_64_bit_cells(monkeypatch):
     # A zero of this family lies within double rounding of a cell midpoint;
     # only the recount at 64 bits puts it on the side a 64-bit count does,
-    # and Newton's last bits depend on the cell it starts from.
+    # and Newton's last bits depend on the cell it starts from.  The
+    # enclosures' margins are read from _BAND when a zero is solved, so at
+    # _BAND = 1 they cover every scaled point (all lie within 1/2 of 0) and
+    # decide no count, and both float counts disagree: every count is the
+    # recount at 64 bits.
     pol = TolerancePolicy(precision_bits=64)
     fast = zeros._solve(mp_family("3.901", "2.473", pol), 30, pol).values
     monkeypatch.setattr(zeros, "_BAND", 1.0)  # every count at 64 bits
     assert zeros._solve(mp_family("3.901", "2.473", pol), 30, pol).values == fast
+
+
+def test_enclosures_decide_only_where_both_float_counts_agree():
+    # Just outside _enclose's (u, v), the float counts count64 takes at
+    # x -/+ _BAND already fall on the decided side of eigenvalue k, so a
+    # decision there gives count64's clamped count; a tighter margin fails
+    # this.  Newton in a cell without eigenvalue k, here converging to
+    # eigenvalue k + 1, gets no certificate.
+    rng = random.Random(5)
+    for n in (2, 7, 30):
+        fdiag = [rng.uniform(-0.4, 0.4) for _ in range(n)]
+        foffsq = [rng.uniform(0, 0.2) ** 2 for _ in range(n - 1)]
+        with mp.workprec(128):
+            T = mp.zeros(n, n)
+            for i in range(n):
+                T[i, i] = fdiag[i]
+                if i + 1 < n:
+                    T[i, i + 1] = T[i + 1, i] = mp.sqrt(foffsq[i])
+            ev = [float(v) for v in sorted(mp.eigsy(T, eigvals_only=True))]
+        halves = [min(abs(lam - e) for e in ev if e != lam) / 3 for lam in ev]
+        cells = [(lam - h, lam + h) for lam, h in zip(ev, halves)]
+        for k, (lam, (lo, hi)) in enumerate(zip(ev, cells), 1):
+            u, v = zeros._enclose(fdiag, foffsq, lo, hi, k)
+            assert u < lam < v and v - u < 2.0**-46
+            below, above = math.nextafter(u, -1), math.nextafter(v, 1)
+            assert zeros._count_below(fdiag, foffsq, below + zeros._BAND, zeros._TINY) < k
+            assert zeros._count_below(fdiag, foffsq, above - zeros._BAND, zeros._TINY) >= k
+        for k, (lo, hi) in enumerate(cells[1:], 1):
+            assert zeros._enclose(fdiag, foffsq, lo, hi, k) == (-math.inf, math.inf)
+
+
+def _undecided_cells(monkeypatch) -> list:
+    """Record each zero whose certified enclosure sent a midpoint back to the float counts of count64.
+
+    Wraps ``_isolate`` to know the cell each count is for, ``_enclose`` to
+    keep each zero's enclosure (its own certifying counts are not count64's)
+    and ``_count_below`` to see a float count in a single-zero cell.
+    """
+    isolate, enclose, count_below = zeros._isolate, zeros._enclose, zeros._count_below
+    boxes, cells, undecided = {}, [], []
+
+    def in_cells(cell, f, *args):
+        cells.append(cell)
+        try:
+            return f(*args)
+        finally:
+            cells.pop()
+
+    def spied_isolate(count, *args):
+        return isolate(lambda x, a, b, ca, cb: in_cells((ca, cb), count, x, a, b, ca, cb), *args)
+
+    def spied_enclose(*args):
+        boxes[args[-1]] = in_cells(None, enclose, *args)
+        return boxes[args[-1]]
+
+    def spied_count_below(diag, offsq, x, tiny):
+        if cells and cells[-1] and isinstance(x, float):
+            ca, cb = cells[-1]
+            if cb - ca == 1 and boxes[cb][0] > -math.inf:
+                undecided.append(cb)
+        return count_below(diag, offsq, x, tiny)
+
+    monkeypatch.setattr(zeros, "_isolate", spied_isolate)
+    monkeypatch.setattr(zeros, "_enclose", spied_enclose)
+    monkeypatch.setattr(zeros, "_count_below", spied_count_below)
+    return undecided
+
+
+def _isolation_cases():
+    for bits in (64, 113, 256, 512):
+        pol = TolerancePolicy(precision_bits=bits)
+        for fam in (mp_family("0.5", "0.9", pol), pj_family(-60, 8, pol)):
+            for n in (1, 2, 5, 12, 30, 48):
+                yield fam, n, pol
+    for C, Lam, abs_tol in _EXTREME_SCALES:
+        pol = TolerancePolicy(abs_tol=abs_tol)
+        yield custom_family(C, Lam, policy=pol), 12, pol
+    yield custom_family(lambda j: mp.mpf(abs(15 - (j - 1))), lambda j: mp.mpf(1), label="W+31"), 31, TolerancePolicy()
+    pol = TolerancePolicy(precision_bits=64)
+    yield mp_family("3.901", "2.473", pol), 30, pol
+
+
+def test_certified_enclosures_keep_every_zero_of_the_count_route(monkeypatch):
+    # An enclosure that certifies nothing decides no count, so every midpoint
+    # goes through count64; the zeros must not change in a single bit.  Some
+    # midpoint inside an enclosure's margin must reach count64 as well.
+    cases = list(_isolation_cases())
+    undecided = _undecided_cells(monkeypatch)
+    fast = [zeros._solve(fam, n, pol).values for fam, n, pol in cases]
+    assert undecided, "no midpoint fell inside a certified enclosure's margin"
+    monkeypatch.undo()
+    monkeypatch.setattr(zeros, "_enclose", lambda *args: (-math.inf, math.inf))
+    for (fam, n, pol), values in zip(cases, fast):
+        assert zeros._solve(fam, n, pol).values == values, f"{fam.label} degree {n} at {pol.precision_bits} bits"
 
 
 def test_polish_raises_at_the_iteration_cap(policy, monkeypatch):
@@ -235,6 +335,37 @@ def test_gauss_rule_orthogonality_and_positivity(policy):
                         assert abs(s) <= mp.mpf("1e-30")
             norm3 = sum(w * ladder[3](x) ** 2 for x, w in zip(nodes.values, weights))
             assert norm3 > 0
+
+
+def _mpf_gauss_weights(family, n, policy) -> tuple:
+    """The Christoffel-function weights by the loop on mpf values that gauss_rule ran before its kernel."""
+    nodes = zeros_golub_welsch(family, n, policy)
+    C, L = family.recurrence(n, policy.precision_bits)
+    with policy.workprec():
+        h = [mp.mpf(1)]
+        for j in range(2, n + 1):
+            h.append(h[-1] * L[j])
+        weights = []
+        for x in nodes.values:
+            p_prev, p = mp.mpf(0), mp.mpf(1)  # p_{-1}, p_0
+            denom = mp.mpf(1)  # j = 0 term
+            for j in range(1, n):
+                p, p_prev = (x - C[j]) * p - L[j] * p_prev, p
+                denom += p * p / h[j]
+            weights.append(1 / denom)
+        total = sum(weights)
+        return tuple(w / total for w in weights)
+
+
+@pytest.mark.parametrize("bits", [64, 113, 256, 512])
+def test_gauss_weights_are_the_mpf_loop_bit_for_bit(bits):
+    pol = TolerancePolicy(precision_bits=bits)
+    with pol.workprec():
+        right_angle = mp_family("1.5", mp.pi / 2, pol)  # C == 0
+    for fam in (mp_family("0.5", "0.9", pol), pj_family(-60, 8, pol), right_angle):
+        for n in (1, 2, 3, 7, 12, 19, 48):
+            _, weights = gauss_rule(fam, n, pol)
+            assert [w._mpf_ for w in weights] == [w._mpf_ for w in _mpf_gauss_weights(fam, n, pol)], (fam.label, n)
 
 
 def test_interlace_basic_cases(policy):

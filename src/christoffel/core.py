@@ -18,13 +18,14 @@ results (mpf exponents are unbounded), so they build their results without
 re-checking.
 
 Real Horner, the schoolbook product, the recurrence sweep of
-:mod:`christoffel.families` and the weights of
-:func:`christoffel.zeros.gauss_rule` run on an exact-rounding kernel instead
+:mod:`christoffel.families`, and the bisection, Newton steps and Gauss
+weights of :mod:`christoffel.zeros` run on an exact-rounding kernel instead
 of mpf objects: signed Python-int mantissas with exponents, each sum,
 product or quotient (:func:`_div`) formed exactly, or with a sticky bit,
-and rounded once, nearest with ties to even.  That is how mpmath rounds
-every product and quotient and every sum of operands whose exponents
-differ by at most 100, so the bits are the same; sums further apart go to
+and rounded once, nearest with ties to even, and comparisons (:func:`_cmp`)
+exact.  That is how mpmath rounds every product and quotient and every sum
+whose operands it aligns (exponents at most 100 apart, or leading bits at
+most ``prec + 4`` apart), so the bits are the same; other sums go to
 mpmath's ``mpf_add`` (which never aligns 1e400000000 with 1 bit by bit), and
 non-finite points are rejected where they enter.  :func:`_round` gives the
 argument.
@@ -131,12 +132,13 @@ def _round(m: int, e: int, prec: int) -> tuple:
     so ``_round(ma * mb, ea + eb, prec)`` is the mpf product.  ``mpf_add``
     aligns its operands exactly and rounds once the same way whenever their
     exponents differ by at most ``_NEAR``, which :func:`_add` does there too.
-    Further apart, if the magnitudes also differ by more than ``prec + 4``
-    bits, ``mpf_add`` nudges the larger operand by one unit ``prec + 4``
-    bits below its last bit instead of aligning; that is correctly rounded
-    only for an operand of at most ``prec`` bits (a point or coefficient kept
-    at a higher precision can have more), so :func:`_add` hands those sums
-    to ``mpf_add`` itself, which also spares aligning 1e400000000 with 1.
+    Further apart it still aligns them when their leading bits lie at most
+    ``prec + 4`` bits apart, and so does :func:`_add`.  Otherwise
+    ``mpf_add`` may nudge the larger operand by one unit ``prec + 4`` bits
+    below its last bit instead of aligning; that is correctly rounded only
+    for an operand of at most ``prec`` bits (a point or coefficient kept at
+    a higher precision can have more), so :func:`_add` hands those sums to
+    ``mpf_add`` itself, which also spares aligning 1e400000000 with 1.
     Inf and nan carry mantissa 0 and would read as zero; the callers reject
     them.
 
@@ -158,11 +160,12 @@ def _round(m: int, e: int, prec: int) -> tuple:
 def _add(m1: int, e1: int, m2: int, e2: int, prec: int) -> tuple:
     """m1 * 2**e1 + m2 * 2**e2 rounded to ``prec`` bits, the bits of ``mpf_add`` (see :func:`_round`).
 
-    Aligned exactly up to an exponent gap of ``_NEAR``; beyond it a zero
+    Aligned exactly up to an exponent gap of ``_NEAR``, or at any gap when
+    the leading bits lie at most ``prec + 4`` bits apart; otherwise a zero
     operand leaves the other rounded, and any other sum goes to ``mpf_add``.
     """
     d = e1 - e2
-    if -_NEAR <= d <= _NEAR:
+    if -_NEAR <= d <= _NEAR or abs(m1.bit_length() - m2.bit_length() + d) <= prec + 4:
         if d >= 0:
             return _round((m1 << d) + m2, e2, prec)
         return _round(m1 + (m2 << -d), e1, prec)
@@ -187,6 +190,28 @@ def _div(m1: int, e1: int, m2: int, e2: int, prec: int) -> tuple:
     if r:
         q, extra = (q << 1) | 1, extra + 1
     return _round(-q if (m1 < 0) != (m2 < 0) else q, e1 - e2 - extra, prec)
+
+
+def _cmp(m1: int, e1: int, m2: int, e2: int) -> int:
+    """-1, 0 or 1 as m1 * 2**e1 is below, equal to or above m2 * 2**e2, the value of ``mpf_cmp``.
+
+    Exact whatever the exponents: beyond an exponent gap of ``_NEAR``,
+    operands of opposite sign or different leading-bit positions are ordered
+    without aligning them, and the rest align within their own lengths.
+    """
+    d = e1 - e2
+    if not -_NEAR <= d <= _NEAR:
+        s1, s2 = (m1 > 0) - (m1 < 0), (m2 > 0) - (m2 < 0)
+        if s1 != s2 or not s1:
+            return (s1 > s2) - (s1 < s2)
+        t1, t2 = m1.bit_length() + e1, m2.bit_length() + e2
+        if t1 != t2:
+            return s1 if t1 > t2 else -s1
+    if d >= 0:
+        m1 <<= d
+    else:
+        m2 <<= -d
+    return (m1 > m2) - (m1 < m2)
 
 
 class Polynomial:

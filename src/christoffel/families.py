@@ -28,10 +28,11 @@ the family parameter (lambda -> lambda + k, a -> a + k), which is the cheap
 independent route to the modified polynomials used as an oracle for the
 determinant-based Christoffel transform.
 
-Everything derived from a recurrence (coefficient arrays, ladder, zeros,
-associated sequences, shifted families, canonical modifiers) is built on
-first request and kept by the family, in :meth:`RecurrenceFamily.owned`;
-dropping the last reference to a family frees all of it.
+Everything derived from a recurrence (coefficient arrays and their kernel
+rows, ladder, zeros, associated sequences, shifted families, canonical
+modifiers) is built on first request and kept by the family, in
+:meth:`RecurrenceFamily.owned`; dropping the last reference to a family
+frees all of it.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from typing import Callable, Mapping, Optional
 from mpmath import mp
 
 from .core import DEFAULT_POLICY, Polynomial, TolerancePolicy, relative_residual, to_scalar
-from .core import _add, _round, _to_mpf, _unpack  # the exact-rounding kernel
+from .core import _NEAR, _add, _to_mpf, _unpack  # the exact-rounding kernel
 
 MEIXNER_POLLACZEK = "meixner_pollaczek"
 PSEUDO_JACOBI = "pseudo_jacobi"
@@ -96,7 +97,19 @@ class RecurrenceFamily:
         This is where the maps' values enter, so each is checked once, here:
         C(j) finite and Lambda(j) positive and finite, ``ValueError`` otherwise.
         """
-        C, L = self.owned(("recurrence", prec), lambda: ([mp.mpf(0)], [mp.mpf(0)]))
+        return self._recurrence(n, prec)[:2]
+
+    def kernel_rows(self, n: int, prec: int) -> list:
+        """The recurrence of :meth:`recurrence` as a shared, read-only list of kernel rows.
+
+        Row j is (cm, ce, lm, le) with C(j) = cm * 2**ce and Lambda(j) =
+        lm * 2**le exactly (signed mantissas, see :mod:`christoffel.core`);
+        the rows grow with the mpf lists and are checked with them.
+        """
+        return self._recurrence(n, prec)[2]
+
+    def _recurrence(self, n: int, prec: int) -> tuple:
+        C, L, K = self.owned(("recurrence", prec), lambda: ([mp.mpf(0)], [mp.mpf(0)], [(0, 0, 0, 0)]))
         with mp.workprec(prec):
             for j in range(len(C), n + 1):
                 c, v = self.C(j), (self.Lambda(j) if j > 1 else mp.mpf(0))
@@ -109,7 +122,8 @@ class RecurrenceFamily:
                     )
                 C.append(c)
                 L.append(v)
-        return C, L
+                K.append((*_unpack(to_scalar(c)._mpf_), *_unpack(to_scalar(v)._mpf_)))
+        return C, L, K
 
     def require_degree(self, n: int):
         if n < 0:
@@ -252,40 +266,125 @@ def generate_all(family: RecurrenceFamily, n: int, policy: TolerancePolicy = DEF
     return list(_ladder(family, n, policy.precision_bits))
 
 
-def _sweep(family: RecurrenceFamily, n: int, x, policy: TolerancePolicy) -> list:
-    """(p_j(x), p_j'(x)) for j = 0..n as kernel rows (m, e, dm, de); see :func:`values_ladder`.
-
-    Every operation is the mpf operation of the recurrence, in the same
-    order, on the exact-rounding kernel of :mod:`christoffel.core`.
-    """
-    family.require_degree(n)
-    C, L = family.recurrence(n, policy.precision_bits)
+def _point(x, policy: TolerancePolicy) -> tuple:
+    """x as a kernel pair (m, e), converted at the working precision; a non-finite x raises ``ValueError``."""
     with policy.workprec():
         x = to_scalar(x)
     if not mp.isfinite(x):  # the kernel would read inf and nan as 0
         raise ValueError(f"evaluation point {x} is not finite")
-    prec = policy.precision_bits
-    xm, xe = _unpack(x._mpf_)
+    return _unpack(x._mpf_)
+
+
+def _sweep(rows: list, n: int, xm: int, xe: int, prec: int, out: Optional[list] = None) -> tuple:
+    """(p_n(x), p_n'(x)) as kernel pairs (m, e, dm, de) at x = xm * 2**xe, from a family's kernel rows.
+
+    The one loop that runs the recurrence at a point, behind
+    :func:`values_ladder`, :func:`eval_with_derivative` and the zero
+    solver's Newton steps.  Every operation is the mpf operation of the
+    recurrence, in the same order, on the exact-rounding kernel of
+    :mod:`christoffel.core`, with ``_round`` and the near case of ``_add``
+    written out; sums of operands more than ``_NEAR`` exponents apart still
+    go to ``_add``.  With ``out``, the rows (m, e, dm, de) for j = 0..n are
+    appended to it.
+    """
+    near = _NEAR
     pm, pe, ppm, ppe = 1, 0, 0, 0  # p_0, p_{-1}
     dm, de, dpm, dpe = 0, 0, 0, 0
-    rows = [(pm, pe, dm, de)]
-    for j in range(1, n + 1):
-        cm, ce = _unpack(C[j]._mpf_)
-        lm, le = _unpack(L[j]._mpf_)
-        xcm, xce = _add(xm, xe, -cm, ce, prec)  # x - C(j)
+    if out is not None:
+        out.append((pm, pe, dm, de))
+    for cm, ce, lm, le in rows[1 : n + 1]:
+        # x - C(j)
+        g = xe - ce
+        if g > near or g < -near:
+            cm, ce = _add(xm, xe, -cm, ce, prec)
+        else:
+            if g >= 0:
+                cm = (xm << g) - cm
+            else:
+                cm, ce = xm - (cm << -g), xe
+            k = cm.bit_length() - prec
+            if k > 0:
+                t = cm >> (k - 1)
+                if t & 1 and (t & 2 or cm & ((1 << (k - 1)) - 1)):
+                    t += 2
+                cm, ce = t >> 1, ce + k
         # p_j = (x - C(j)) p_{j-1} - L(j) p_{j-2}
-        am, ae = _round(xcm * pm, xce + pe, prec)
-        bm, be = _round(lm * ppm, le + ppe, prec)
-        am, ae = _add(am, ae, -bm, be, prec)
+        am, ae = cm * pm, ce + pe
+        k = am.bit_length() - prec
+        if k > 0:
+            t = am >> (k - 1)
+            if t & 1 and (t & 2 or am & ((1 << (k - 1)) - 1)):
+                t += 2
+            am, ae = t >> 1, ae + k
+        bm, be = lm * ppm, le + ppe
+        k = bm.bit_length() - prec
+        if k > 0:
+            t = bm >> (k - 1)
+            if t & 1 and (t & 2 or bm & ((1 << (k - 1)) - 1)):
+                t += 2
+            bm, be = t >> 1, be + k
+        g = ae - be
+        if g > near or g < -near:
+            am, ae = _add(am, ae, -bm, be, prec)
+        else:
+            if g >= 0:
+                am, ae = (am << g) - bm, be
+            else:
+                am -= bm << -g
+            k = am.bit_length() - prec
+            if k > 0:
+                t = am >> (k - 1)
+                if t & 1 and (t & 2 or am & ((1 << (k - 1)) - 1)):
+                    t += 2
+                am, ae = t >> 1, ae + k
         pm, pe, ppm, ppe = am, ae, pm, pe
         # p_j' = (p_{j-1} + (x - C(j)) p_{j-1}') - L(j) p_{j-2}'
-        am, ae = _round(xcm * dm, xce + de, prec)
-        am, ae = _add(ppm, ppe, am, ae, prec)
-        bm, be = _round(lm * dpm, le + dpe, prec)
-        am, ae = _add(am, ae, -bm, be, prec)
+        am, ae = cm * dm, ce + de
+        k = am.bit_length() - prec
+        if k > 0:
+            t = am >> (k - 1)
+            if t & 1 and (t & 2 or am & ((1 << (k - 1)) - 1)):
+                t += 2
+            am, ae = t >> 1, ae + k
+        g = ppe - ae
+        if g > near or g < -near:
+            am, ae = _add(ppm, ppe, am, ae, prec)
+        else:
+            if g >= 0:
+                am = (ppm << g) + am
+            else:
+                am, ae = ppm + (am << -g), ppe
+            k = am.bit_length() - prec
+            if k > 0:
+                t = am >> (k - 1)
+                if t & 1 and (t & 2 or am & ((1 << (k - 1)) - 1)):
+                    t += 2
+                am, ae = t >> 1, ae + k
+        bm, be = lm * dpm, le + dpe
+        k = bm.bit_length() - prec
+        if k > 0:
+            t = bm >> (k - 1)
+            if t & 1 and (t & 2 or bm & ((1 << (k - 1)) - 1)):
+                t += 2
+            bm, be = t >> 1, be + k
+        g = ae - be
+        if g > near or g < -near:
+            am, ae = _add(am, ae, -bm, be, prec)
+        else:
+            if g >= 0:
+                am, ae = (am << g) - bm, be
+            else:
+                am -= bm << -g
+            k = am.bit_length() - prec
+            if k > 0:
+                t = am >> (k - 1)
+                if t & 1 and (t & 2 or am & ((1 << (k - 1)) - 1)):
+                    t += 2
+                am, ae = t >> 1, ae + k
         dm, de, dpm, dpe = am, ae, dm, de
-        rows.append((pm, pe, dm, de))
-    return rows
+        if out is not None:
+            out.append((pm, pe, dm, de))
+    return pm, pe, dm, de
 
 
 def values_ladder(family: RecurrenceFamily, n: int, x, policy: TolerancePolicy = DEFAULT_POLICY) -> list:
@@ -297,12 +396,19 @@ def values_ladder(family: RecurrenceFamily, n: int, x, policy: TolerancePolicy =
     and the same bits as the recurrence written with mpf operations.  A
     non-finite ``x`` raises ``ValueError``.
     """
-    return [(_to_mpf(pm, pe), _to_mpf(dm, de)) for pm, pe, dm, de in _sweep(family, n, x, policy)]
+    family.require_degree(n)
+    prec = policy.precision_bits
+    rows = family.kernel_rows(n, prec)
+    out = []
+    _sweep(rows, n, *_point(x, policy), prec, out)
+    return [(_to_mpf(pm, pe), _to_mpf(dm, de)) for pm, pe, dm, de in out]
 
 
 def eval_with_derivative(family: RecurrenceFamily, n: int, x, policy: TolerancePolicy = DEFAULT_POLICY):
     """(p_n(x), p_n'(x)): the last row of :func:`values_ladder`, the only one made an mpf."""
-    pm, pe, dm, de = _sweep(family, n, x, policy)[n]
+    family.require_degree(n)
+    prec = policy.precision_bits
+    pm, pe, dm, de = _sweep(family.kernel_rows(n, prec), n, *_point(x, policy), prec)
     return _to_mpf(pm, pe), _to_mpf(dm, de)
 
 

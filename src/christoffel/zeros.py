@@ -11,9 +11,13 @@ midpoints resolve are bisected at working precision.  Once a cell holds a
 single zero, one eigenvalue computed in doubles and certified by two counts
 decides the counts at the cell's later midpoints (the argument is next to
 ``_BAND``), so the cells, and every polished bit, are those of counting at
-each midpoint.  Eigenvalues of a symmetric tridiagonal are perfectly
-conditioned; root-finding on monic coefficients at n = 30 is not, which is
-why the coefficients are never touched here.
+each midpoint.  Midpoints and Newton iterates are kernel pairs of
+:mod:`christoffel.core` (an integer mantissa and an exponent), rounded as the
+mpf operations they replace would round them, and Newton evaluates p_n with
+the recurrence sweep of :mod:`christoffel.families` on those pairs; a zero
+becomes an mpf once, when it is polished.  Eigenvalues of a symmetric
+tridiagonal are perfectly conditioned; root-finding on monic coefficients
+at n = 30 is not, which is why the coefficients are never touched here.
 
 Interlacing is decided in one place, :func:`interlace_strict`, by sign
 alternation at the already computed zeros of p_n; no zero of the inner
@@ -44,15 +48,15 @@ import math
 from dataclasses import dataclass
 
 from mpmath import mp
-from mpmath.libmp import mpf_add, mpf_le, mpf_shift, mpf_sub, round_nearest, to_float
 
 from .core import DEFAULT_POLICY, Polynomial, TolerancePolicy, to_scalar
-from .core import _add, _div, _round, _to_mpf, _unpack  # the exact-rounding kernel
+from .core import _add, _cmp, _div, _round, _to_mpf, _unpack  # the exact-rounding kernel
 from .families import (
     MEIXNER_POLLACZEK,
     PSEUDO_JACOBI,
     RecurrenceFamily,
     _snapped_cot,
+    _sweep,
     eval_with_derivative,
 )
 
@@ -182,21 +186,26 @@ def _enclose(fdiag, foffsq, lo, hi, k):
 def _isolate(count, a, b, ca, cb, width, prec):
     """Ascending brackets (a, b, ca, cb) of the eigenvalues in [a, b), by bisection.
 
-    a, b and ``width`` are raw mpf values, and midpoints are rounded to
-    ``prec`` bits.  ``ca`` and ``cb`` are the Sturm counts at a and b, so a
-    bracket holds the eigenvalues of index ca+1..cb; ``count(x, a, b, ca,
-    cb)`` returns the count at the bracket's midpoint x, or any number that
-    clamps to the same value in [ca, cb].  A bracket stops once it is no
-    wider than ``width`` and holds exactly one eigenvalue, or once its
-    midpoint rounds to an end, so only a cluster closer than ``prec`` bits
-    resolve stops holding more than one.
+    a, b and ``width`` are kernel pairs (m, e), and midpoints are rounded
+    to ``prec`` bits.  Kernel pairs are not normalised, so ends and widths
+    are compared by value.  ``ca`` and ``cb`` are the Sturm counts at a and
+    b, so a bracket holds the eigenvalues of index ca+1..cb; ``count(x, a,
+    b, ca, cb)`` returns the count at the bracket's midpoint x, or any
+    number that clamps to the same value in [ca, cb].  A bracket stops once
+    it is no wider than ``width`` and holds exactly one eigenvalue, or once
+    its midpoint rounds to an end, so only a cluster closer than ``prec``
+    bits resolve stops holding more than one.
     """
     out = []
     todo = [(a, b, ca, cb)] if ca < cb else []
     while todo:
         a, b, ca, cb = todo.pop()
-        mid = mpf_shift(mpf_add(a, b, prec, round_nearest), -1)
-        if (cb - ca == 1 and mpf_le(mpf_sub(b, a, prec, round_nearest), width)) or mid in (a, b):
+        (am, ae), (bm, be) = a, b
+        mm, me = _add(am, ae, bm, be, prec)
+        mid = mm, me - 1
+        if (cb - ca == 1 and _cmp(*_add(bm, be, -am, ae, prec), *width) <= 0) or not (
+            _cmp(*mid, am, ae) and _cmp(*mid, bm, be)
+        ):
             out.append((a, b, ca, cb))
             continue
         cm = min(max(count(mid, a, b, ca, cb), ca), cb)
@@ -207,8 +216,8 @@ def _isolate(count, a, b, ca, cb, width, prec):
     return out
 
 
-def _polish(family, n, lo, hi, policy, unit):
-    """Newton on p_n from the centre of the isolating bracket (lo, hi).
+def _polish(family, n, lo, hi, prec, unit):
+    """Newton on p_n from the centre of the isolating bracket (lo, hi), at ``prec`` bits.
 
     The bracket is already a few dozen bits wide, so plain Newton converges
     quadratically; iterates are merely clamped to an inflated copy of the
@@ -216,32 +225,47 @@ def _polish(family, n, lo, hi, policy, unit):
     not on sign tests, which become meaningless roundoff at the end; steps
     are measured relative to max(unit, |x|).  Running out of iterations
     raises ``ArithmeticError``.
+
+    lo, hi and ``unit`` are kernel pairs, and so is every iterate: a step is
+    the sweep of :mod:`christoffel.families`, ``_div`` and ``_add``, the mpf
+    operations of the same loop on mpf values, and every test is an exact
+    comparison, so the zero, made an mpf once, has the same bits.
     """
-    w0 = max(hi - lo, mp.ldexp(max(unit, abs(lo)), -mp.prec))
-    x_min, x_max = lo - w0, hi + w0
-    x = (lo + hi) / 2
-    eps_stop = mp.ldexp(1, -(mp.prec - 8))
-    floor_step = mp.ldexp(w0, -16)
+    rows = family.kernel_rows(n, prec)
+    (lm, le), (hm, he), (um, ue) = lo, hi, unit
+    # w0 = max(hi - lo, max(unit, |lo|) 2**-prec); eps_stop = 2**(8 - prec)
+    wm, we = _add(hm, he, -lm, le, prec)
+    fm, fe = (um, ue) if _cmp(um, ue, abs(lm), le) >= 0 else (abs(lm), le)
+    if _cmp(fm, fe - prec, wm, we) > 0:
+        wm, we = fm, fe - prec
+    x_min = _add(lm, le, -wm, we, prec)
+    x_max = _add(hm, he, wm, we, prec)
+    xm, xe = _add(lm, le, hm, he, prec)
+    xe -= 1
+    floor_step = wm, we - 16
     prev_step = None
     for _ in range(_POLISH_CAP):
-        p, dp = eval_with_derivative(family, n, x, policy)
-        if p == 0 or dp == 0:
-            return x
-        xn = x - p / dp
-        if xn < x_min:
-            xn = x_min
-        elif xn > x_max:
-            xn = x_max
-        step = abs(xn - x)
-        if step <= eps_stop * max(unit, abs(xn)):
-            return xn
-        if prev_step is not None and step >= prev_step and prev_step <= floor_step:
-            return x
-        prev_step = step
-        x = xn
+        pm, pe, dm, de = _sweep(rows, n, xm, xe, prec)
+        if not pm or not dm:
+            return _to_mpf(xm, xe)
+        qm, qe = _div(pm, pe, dm, de, prec)
+        nm, ne = _add(xm, xe, -qm, qe, prec)
+        if _cmp(nm, ne, *x_min) < 0:
+            nm, ne = x_min
+        elif _cmp(nm, ne, *x_max) > 0:
+            nm, ne = x_max
+        sm, se = _add(nm, ne, -xm, xe, prec)
+        sm = abs(sm)
+        bm, be = (um, ue) if _cmp(um, ue, abs(nm), ne) >= 0 else (abs(nm), ne)
+        if _cmp(sm, se, bm, be + 8 - prec) <= 0:
+            return _to_mpf(nm, ne)
+        if prev_step is not None and _cmp(sm, se, *prev_step) >= 0 and _cmp(*prev_step, *floor_step) <= 0:
+            return _to_mpf(xm, xe)
+        prev_step = sm, se
+        xm, xe = nm, ne
     raise ArithmeticError(
         f"Newton polish of a zero of {family.label} degree {n} did not converge in "
-        f"{_POLISH_CAP} iterations on the bracket [{mp.nstr(lo, 20)}, {mp.nstr(hi, 20)}]"
+        f"{_POLISH_CAP} iterations on the bracket [{mp.nstr(_to_mpf(*lo), 20)}, {mp.nstr(_to_mpf(*hi), 20)}]"
     )
 
 
@@ -260,8 +284,17 @@ def _solve(family: RecurrenceFamily, n: int, policy: TolerancePolicy) -> ZeroSet
     without counting, except at a midpoint within ``_BAND + _ETA`` of it (the
     argument is next to ``_BAND``).  A cell that 64-bit midpoints cannot
     split into single zeros is bisected again at working precision.
+
+    From the cells to the polished zeros everything runs on kernel pairs
+    (m, e) of :mod:`christoffel.core`, with the roundings of the mpf loop it
+    replaces: midpoints, widths and Newton steps are ``_add``, ``_div`` and
+    the recurrence sweep, tests are exact comparisons (``_cmp``), and a
+    point enters the double counts as the mpf ``to_float`` would give it,
+    its 64-bit offset from the centre cut toward zero to 53 bits.  Only the
+    64-bit recounts and the working-precision counts see mpf values.
     """
-    C, L = family.recurrence(n, policy.precision_bits)
+    prec = policy.precision_bits
+    C, L = family.recurrence(n, prec)
     with policy.workprec():
         diag = C[1 : n + 1]
         offsq = L[2 : n + 1]
@@ -283,12 +316,18 @@ def _solve(family: RecurrenceFamily, n: int, policy: TolerancePolicy) -> ZeroSet
             tiny = mp.ldexp(spread, -120)
             width = spread * mp.ldexp(1, -44)
         centre = (lo + hi) / 2
-        e = mp.frexp(spread)[1]
-        fdiag = [float(mp.ldexp(d - centre, -e)) for d in diag]
-        foffsq = [float(mp.ldexp(v, -2 * e)) for v in offsq]
+        scale = mp.frexp(spread)[1]
+        fdiag = [float(mp.ldexp(d - centre, -scale)) for d in diag]
+        foffsq = [float(mp.ldexp(v, -2 * scale)) for v in offsq]
+        cm, ce = _unpack(centre._mpf_)
 
         def scaled(x):
-            return to_float(mpf_shift(mpf_sub(x, centre._mpf_, 64, round_nearest), -e))
+            # to_float of the 64-bit x - centre: cut toward zero to 53 bits
+            m, e = _add(*x, -cm, ce, 64)
+            k = abs(m).bit_length() - 53
+            if k > 0:
+                m, e = (m >> k if m > 0 else -(-m >> k)), e + k
+            return math.ldexp(m, e - scale)
 
         boxes = {}
 
@@ -305,33 +344,31 @@ def _solve(family: RecurrenceFamily, n: int, policy: TolerancePolicy) -> ZeroSet
             if min(max(upto, ca), cb) == max(below, ca):
                 return upto
             with mp.workprec(64):
-                return _count_below(d64, o64, mp.make_mpf(x), tiny)
+                return _count_below(d64, o64, _to_mpf(*x), tiny)
 
         # A cell that 64-bit midpoints cannot split into single zeros is
         # bisected again at working precision.  64-bit counts are exact for a
         # matrix within about 2**-62 max(|lo|, |hi|) of this one, so the cell
         # is first widened past that reach, and only its own indices are kept.
-        reach = (width + mp.ldexp(max(abs(lo), abs(hi)), -60))._mpf_
-        tiny_wp = mp.ldexp(tiny, -mp.prec)
+        rm, rexp = _unpack((width + mp.ldexp(max(abs(lo), abs(hi)), -60))._mpf_)
+        tiny_wp = mp.ldexp(tiny, -prec)
+        width = _unpack(width._mpf_)
 
         def count_wp(x, *_):
-            return _count_below(diag, offsq, mp.make_mpf(x), tiny_wp)
+            return _count_below(diag, offsq, _to_mpf(*x), tiny_wp)
 
         brackets = []
-        for a, b, ca, cb in _isolate(count64, lo._mpf_, hi._mpf_, 0, n, width._mpf_, 64):
+        for a, b, ca, cb in _isolate(count64, _unpack(lo._mpf_), _unpack(hi._mpf_), 0, n, width, 64):
             if cb - ca == 1:
                 brackets.append((a, b))
                 continue
-            a = mpf_sub(a, reach, mp.prec, round_nearest)
-            b = mpf_add(b, reach, mp.prec, round_nearest)
-            for u, v, cu, cv in _isolate(count_wp, a, b, count_wp(a), count_wp(b), width._mpf_, mp.prec):
+            a, b = _add(*a, -rm, rexp, prec), _add(*b, rm, rexp, prec)
+            for u, v, cu, cv in _isolate(count_wp, a, b, count_wp(a), count_wp(b), width, prec):
                 brackets += [(u, v)] * max(0, min(cv, cb) - max(cu, ca))
         if len(brackets) != n:
             raise ArithmeticError(f"isolated {len(brackets)} of the {n} zeros of {family.label} degree {n}")
-        values = sorted(
-            _polish(family, n, mp.make_mpf(a), mp.make_mpf(b), policy, unit) for a, b in brackets
-        )
-        return ZeroSet(tuple(values), family.label, n)
+        unit = _unpack(mp.mpf(unit)._mpf_)  # min(hi - lo, 1) may be the int 1
+        return ZeroSet(tuple(sorted(_polish(family, n, a, b, prec, unit) for a, b in brackets)), family.label, n)
 
 
 def zeros_golub_welsch(family: RecurrenceFamily, n: int, policy: TolerancePolicy = DEFAULT_POLICY) -> ZeroSet:
@@ -379,21 +416,23 @@ def gauss_rule(family: RecurrenceFamily, n: int, policy: TolerancePolicy = DEFAU
         raise ValueError("Gauss rule needs n >= 1")
     nodes = zeros_golub_welsch(family, n, policy)
     prec = policy.precision_bits
-    C, L = family.recurrence(n, prec)
+    rows = family.kernel_rows(n, prec)
     with policy.workprec():
-        h = [mp.mpf(1)]
-        for j in range(2, n + 1):
-            h.append(h[-1] * L[j])
-        # (C(j), L(j), h_j) for j = 1..n-1; the loop below is the mpf loop
+        # (C(j), L(j), h_j) for j = 1..n-1, with h_j = L(2) ... L(j + 1)
+        # multiplied in that order; the loop below is the mpf loop
         # p_j = (x - C(j)) p_{j-1} - L(j) p_{j-2}, denom += p_j * p_j / h_j,
         # w = 1 / denom, with the same operations in the same order
-        rows = [(*_unpack(C[j]._mpf_), *_unpack(L[j]._mpf_), *_unpack(h[j]._mpf_)) for j in range(1, n)]
+        terms, hm, he = [], 1, 0
+        for j in range(1, n):
+            _, _, lm, le = rows[j + 1]
+            hm, he = _round(hm * lm, he + le, prec)
+            terms.append((*rows[j], hm, he))
         weights = []
         for x in nodes.values:
             xm, xe = _unpack(x._mpf_)
             pm, pe, qm, qe = 1, 0, 0, 0  # p_0, p_{-1}
             dm, de = 1, 0  # j = 0 term
-            for cm, ce, lm, le, hm, he in rows:
+            for cm, ce, lm, le, hm, he in terms:
                 am, ae = _add(xm, xe, -cm, ce, prec)
                 am, ae = _round(am * pm, ae + pe, prec)
                 bm, be = _round(lm * qm, le + qe, prec)

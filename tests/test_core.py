@@ -3,10 +3,10 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
-from mpmath.libmp import from_man_exp, mpf_add, mpf_div, mpf_mul, mpf_sub, round_nearest
+from mpmath.libmp import from_man_exp, mpf_add, mpf_cmp, mpf_div, mpf_mul, mpf_sub, round_nearest
 
-from christoffel import Polynomial, RemainderError, TolerancePolicy
-from christoffel.core import NonFiniteError, X, _add, _div, _round, _to_mpf, _unpack, to_scalar
+from christoffel import Polynomial, RemainderError, TolerancePolicy, core
+from christoffel.core import NonFiniteError, X, _add, _cmp, _div, _round, _to_mpf, _unpack, to_scalar
 from polyhelpers import max_rel_coeff_diff, schoolbook_product
 
 
@@ -223,6 +223,18 @@ def test_kernel_is_mpf_add_sub_and_mul(prec, m1, e1, m2, e2):
 
 
 @settings(max_examples=400)
+@given(_mantissas, _exponents, _mantissas, _exponents, st.integers(0, 40))
+def test_kernel_comparison_is_mpf_cmp(m1, e1, m2, e2, shift):
+    a, b = from_man_exp(m1, e1), from_man_exp(m2, e2)
+    assert _cmp(m1, e1, m2, e2) == mpf_cmp(a, b)
+    # kernel pairs are not normalised: the same value with trailing zeros,
+    # against itself, its negation and a neighbour one unit away
+    assert _cmp(m1 << shift, e1 - shift, m1, e1) == 0
+    assert _cmp(m1 << shift, e1 - shift, -m1, e1) == mpf_cmp(a, from_man_exp(-m1, e1))
+    assert _cmp(m1 << shift, e1 - shift, m1 + 1, e1) == -1
+
+
+@settings(max_examples=400)
 @given(
     _precisions, _mantissas, _exponents, _mantissas.filter(bool), _exponents, st.integers(0, 1200), st.sampled_from((1, -1))
 )
@@ -244,6 +256,19 @@ def test_kernel_sum_of_far_apart_wide_operands_is_mpf_add():
     exact = from_man_exp((m1 << 101) + m2, e2, 64, round_nearest)
     ours = _to_mpf(*_add(m1, e1, m2, e2, 64))._mpf_
     assert ours == mpf_add(from_man_exp(m1, e1), from_man_exp(m2, e2), 64, round_nearest) != exact
+
+
+def test_kernel_aligns_far_exponents_of_close_magnitudes(monkeypatch):
+    # a 65-bit point minus a 256-bit coefficient of about its size: the
+    # exponents lie 191 apart, but the leading bits do not, so mpf_add aligns
+    # the sum exactly, and the kernel does so itself
+    calls = []
+    monkeypatch.setattr(core, "mpf_add", lambda *args: calls.append(args))
+    (m1, e1), (m2, e2) = ((1 << 64) + 1, -70), (-(3 << 254) - 1, -261)
+    expected = mpf_add(from_man_exp(m1, e1), from_man_exp(m2, e2), 256, round_nearest)
+    assert _to_mpf(*_add(m1, e1, m2, e2, 256))._mpf_ == expected
+    assert _to_mpf(*_add(m2, e2, m1, e1, 256))._mpf_ == expected
+    assert not calls
 
 
 def test_difference_is_sum_with_negation():

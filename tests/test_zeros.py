@@ -26,6 +26,8 @@ from christoffel import zeros
 from christoffel.cli import main
 from christoffel.core import Polynomial, TolerancePolicy
 
+from polyhelpers import mpf_zeros
+
 
 def _poly_map(coeffs):
     """x -> (p(x), p'(x)) for the polynomial with ascending ``coeffs``."""
@@ -272,15 +274,36 @@ def test_certified_enclosures_keep_every_zero_of_the_count_route(monkeypatch):
         assert zeros._solve(fam, n, pol).values == values, f"{fam.label} degree {n} at {pol.precision_bits} bits"
 
 
+@pytest.mark.parametrize("bits", [64, 113, 256, 512])
+def test_solver_is_the_mpf_bisection_and_newton_bit_for_bit(bits):
+    # _solve bisects and polishes on kernel pairs; the zeros must be the bits
+    # of the mpf loops it replaced, counting at 64 bits at every midpoint.
+    # W+31 takes the re-bisection at working precision.
+    pol = TolerancePolicy(precision_bits=bits)
+    with pol.workprec():
+        right_angle = mp_family("1.5", mp.pi / 2, pol)  # C == 0
+    families = (mp_family("0.5", "0.9", pol), pj_family(-60, 8, pol), right_angle)
+    cases = [(fam, n) for fam in families for n in (1, 2, 5, 12, 30, 48)]
+    for i, (C, Lam, _) in enumerate(_EXTREME_SCALES):
+        if bits > 64 or i < 4:  # 64 bits cannot tell apart zeros 1e30 from the origin and O(1) apart
+            cases.append((custom_family(C, Lam, label=f"extreme scale {i}", policy=pol), 12))
+    cases.append((custom_family(lambda j: mp.mpf(abs(15 - (j - 1))), lambda j: mp.mpf(1), label="W+31", policy=pol), 31))
+    for fam, n in cases:
+        assert [z._mpf_ for z in zeros._solve(fam, n, pol).values] == [z._mpf_ for z in mpf_zeros(fam, n, pol)], (
+            f"{fam.label} degree {n}"
+        )
+
+
 def test_polish_raises_at_the_iteration_cap(policy, monkeypatch):
     # Newton steps that flip direction each time never shrink, so the polish
-    # runs into its cap instead of returning its last iterate.
-    def flipping(fam, n, x, pol):
+    # runs into its cap instead of returning its last iterate.  The polish
+    # evaluates p_n through the recurrence sweep, on kernel pairs.
+    def flipping(rows, n, xm, xe, prec, out=None):
         flipping.sign = -flipping.sign
-        return mp.mpf(flipping.sign), mp.mpf(1)
+        return flipping.sign, 0, 1, 0  # p_n = -/+1, p_n' = 1
 
     flipping.sign = 1
-    monkeypatch.setattr(zeros, "eval_with_derivative", flipping)
+    monkeypatch.setattr(zeros, "_sweep", flipping)
     with pytest.raises(ArithmeticError, match=r"MP\(lambda=0.5, phi=0.9\) degree 6 did not converge .* bracket \[-"):
         zeros_golub_welsch(mp_family("0.5", "0.9", policy), 6, policy)
 

@@ -55,7 +55,6 @@ from .transform import christoffel_transform, connection_decompose, connection_d
 from .zeros import (
     bound_separation,
     gauss_rule,
-    inner_bound,
     interlace_strict,
     polynomial_real_roots,
     stieltjes_check,
@@ -259,16 +258,8 @@ def _table_rows(config: RunConfig, policy: TolerancePolicy):
     for fixture in spec["rows"]:
         params = fixture["params"]
         with policy.workprec():
-            fam = build(*params.values(), policy)
-            zs = zeros_golub_welsch(fam, n, policy)
-            computed = {}
-            for col in spec["columns"]:
-                if col == "x_min":
-                    computed[col] = zs[0]
-                elif col == "x_max":
-                    computed[col] = zs[-1]
-                else:
-                    computed[col] = inner_bound(fam, n, int(col[1]), policy)
+            report = bound_separation(build(*params.values(), policy), n, policy)
+            computed = {c: report.bounds[int(c[1])] if c[0] == "B" else getattr(report, c) for c in spec["columns"]}
             cell_verdicts = {}
             deviation = {}
             tolerance = {}
@@ -319,10 +310,17 @@ def _degree_law(decomp) -> tuple:
     return fields, fields["deg_a"] == law.deg_a and fields["deg_G"] == law.deg_G
 
 
-def _grid_interlace(fam, decomp, zp, g_at, policy: TolerancePolicy) -> str:
+def _sign_changes(values) -> int:
+    """Sign changes along ``values``, zero entries dropped."""
+    signs = [v > 0 for v in values if v]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def _grid_interlace(decomp, zp, rows, policy: TolerancePolicy) -> str:
     """Interlace verdict of G g_{n-m,k} against the zeros ``zp`` of p_n (see :func:`_grid_rows`).
 
-    ``g_at`` maps each zero of p_n to (g_{n-m,k}, g_{n-m,k}') there.
+    ``rows[i]`` is the shifted family's sweep [(g_{j,k}, g_{j,k}') for j = 0, 1, ...] at zp[i]; the
+    sign changes of g_0..g_{n-m} at x count g's zeros above x (Sturm), and one at x_1 is not outside.
     """
     n, m = decomp.n, decomp.m
     G, dG = decomp.G_poly, decomp.G_poly.derivative()
@@ -330,7 +328,7 @@ def _grid_interlace(fam, decomp, zp, g_at, policy: TolerancePolicy) -> str:
     if G.degree == m - 1:
 
         def q(x):  # G g and its derivative
-            v, d = g_at[x]
+            v, d = rows[zp.values.index(x)][n - m]
             gx = G(x)
             return gx * v, dG(x) * v + gx * d
 
@@ -342,10 +340,11 @@ def _grid_interlace(fam, decomp, zp, g_at, policy: TolerancePolicy) -> str:
         return f"fails({nonreal} nonreal G roots)"
     if verdict is not None:
         return "fails(common zeros)" if verdict.common else "fails"
-    product = list(zeros_golub_welsch(fam.shifted(decomp.k), n - m, policy).values) + g_roots
+    first, last = ([v for v, _ in row[: n - m + 1]] for row in (rows[0], rows[-1]))
+    outside = n - m - _sign_changes(first) - (first[-1] == 0) + _sign_changes(last)
     with policy.workprec():
-        outside = sum(1 for v in product if v < zp[0] or v > zp[-1])
-    return f"fails(size {len(product)} vs {len(zp) - 1}, {outside} outside span)"
+        outside += sum(1 for v in g_roots if v < zp[0] or v > zp[-1])
+    return f"fails(size {n - m + len(g_roots)} vs {len(zp) - 1}, {outside} outside span)"
 
 
 def _grid_rows(config: RunConfig, policy: TolerancePolicy):
@@ -363,8 +362,8 @@ def _grid_rows(config: RunConfig, policy: TolerancePolicy):
     needs it, gives g_{n-m,k} for every later m.
     The modifiers, shifted families and left sides are kept by the family.
     For m = 2, k = 3 the product has n+1 zeros, which cannot interlace n
-    zeros one-per-gap; the grid asserts that failure (and records how many
-    product zeros escape the span of the extreme zeros of p_n).
+    zeros one-per-gap; the grid asserts that failure and counts the roots of G
+    and, by sign changes of the same sweep rows (Sturm), the zeros of g outside [x_1, x_n].
     """
     lam = "0.5" if config.lam is None else config.lam
     phi = "0.9" if config.phi is None else config.phi
@@ -386,10 +385,9 @@ def _grid_rows(config: RunConfig, policy: TolerancePolicy):
                 if degrees["deg_G"] == m - 1 or (m == 2 and k == 3):
                     if k not in sweeps:  # m is the smallest gap of this k, so n - m the highest degree
                         sweeps[k] = [values_ladder(fam.shifted(k), n - m, x, policy) for x in zp.values]
-                    g_at = {x: sweep[n - m] for x, sweep in zip(zp.values, sweeps[k])}
+                    interlace = _grid_interlace(decomp, zp, sweeps[k], policy)
                     for sweep in sweeps[k]:  # later cells (larger m) read lower degrees only
                         del sweep[n - m :]
-                    interlace = _grid_interlace(fam, decomp, zp, g_at, policy)
                     interlace_ok = (interlace == "holds") == (degrees["deg_G"] == m - 1)
                 ok = degrees_ok and residual_ok and interlace_ok
                 rows.append(
@@ -455,11 +453,13 @@ def _verify_rows(config: RunConfig, policy: TolerancePolicy):
         for fam, tag, k in [(mp_base, "MP", k) for k in (1, 2, 3)] + [(pj_oracle, "PJ", 1)]:
             mod = even_modifier(fam, k, policy)
             worst = mp.mpf(0)
-            for deg in range(0, 7):
-                det = christoffel_transform(fam, mod, deg, policy)
+            dets = [christoffel_transform(fam, mod, deg, policy) for deg in range(0, 7)]
+            for deg, det in enumerate(dets):
                 ref = generate_all(fam.shifted(k), deg, policy)[deg]
                 worst = max(worst, (det - ref).inf_norm() / max(1, ref.inf_norm()))
             res_row("transform-oracle", f"{tag} k={k}", worst)
+            if (tag, k) == ("MP", 2):
+                gs = dets[:5]  # read again by the discrete-orthogonality suite
 
     for fam, cells in (
         (mp_base, [(8, 2, 0), (8, 2, 1), (8, 2, 2), (8, 2, 3), (9, 3, 2), (4, 2, 4)]),
@@ -512,16 +512,16 @@ def _verify_rows(config: RunConfig, policy: TolerancePolicy):
                         worst = max(worst, abs(s) / mp.sqrt(norms[j] * norms[l]))
         res_row("gauss-orthogonality", f"{fam.label} n={n}", worst)
 
-    # discrete orthogonality of the transform output under the modified weight
+    # discrete orthogonality of the transform oracle's MP k=2 output under the modified weight
     with policy.workprec():
-        mod = even_modifier(mp_base, 2, policy)
         nodes, weights = gauss_rule(mp_base, 12, policy)
-        gs = [christoffel_transform(mp_base, mod, d, policy) for d in range(5)]
+        cs = list(map(even_modifier(mp_base, 2, policy).c, nodes.values))
+        gs = [[g(x) for x in nodes.values] for g in gs]
         worst = mp.mpf(0)
         for j in range(5):
             for l in range(j):
-                s = sum(w * mod.c(x) * gs[j](x) * gs[l](x) for x, w in zip(nodes.values, weights))
-                norm = sum(w * mod.c(x) * gs[j](x) ** 2 for x, w in zip(nodes.values, weights))
+                s = sum(w * c * a * b for w, c, a, b in zip(weights, cs, gs[j], gs[l]))
+                norm = sum(w * c * a**2 for w, c, a in zip(weights, cs, gs[j]))
                 worst = max(worst, abs(s) / norm)
     res_row("transform-discrete-orthogonality", "MP(0.5,0.9) k=2", worst)
 
@@ -644,7 +644,11 @@ def build_parser() -> argparse.ArgumentParser:
 def config_from_args(args) -> RunConfig:
     bits = args.precision_bits
     if bits is None:
-        bits = int(os.environ.get(ENV_PRECISION, "256"))
+        raw = os.environ.get(ENV_PRECISION, "256")
+        try:
+            bits = int(raw)
+        except ValueError:
+            raise ValueError(f"{ENV_PRECISION} must be an integer number of bits, got {raw!r}") from None
     return RunConfig(**{**vars(args), "precision_bits": bits})
 
 

@@ -76,8 +76,6 @@ def _bareiss_det(rows) -> mp.mpc:
     """Fraction-free Gaussian elimination with partial pivoting; returns det."""
     a = [list(r) for r in rows]
     n = len(a)
-    if n == 0:
-        return mp.mpc(1)
     sign = 1
     prev = mp.mpc(1)
     for r in range(n - 1):
@@ -97,7 +95,7 @@ def _bareiss_det(rows) -> mp.mpc:
 
 def _cofactor_minors(node_rows) -> list:
     """All 2k minors U_j of the 2k x (2k+1) node-value matrix (delete column j)."""
-    width = len(node_rows[0]) if node_rows else 1
+    width = len(node_rows[0])
     minors = []
     for j in range(width):
         sub = [[row[t] for t in range(width) if t != j] for row in node_rows]

@@ -313,7 +313,7 @@ def _solve(family: RecurrenceFamily, n: int, policy: TolerancePolicy) -> ZeroSet
             lo -= pad
             hi += pad
             spread = hi - lo
-            tiny = mp.ldexp(spread, -120)
+            tiny = mp.ldexp(spread or abs(hi), -120)
             width = spread * mp.ldexp(1, -44)
         centre = (lo + hi) / 2
         scale = mp.frexp(spread)[1]

@@ -94,7 +94,7 @@ def mpf_zeros(family, n: int, policy) -> tuple:
             pad = (hi - lo) * mp.mpf("0.001")
             lo, hi = lo - pad, hi + pad
             spread = hi - lo
-            tiny = mp.ldexp(spread, -120)
+            tiny = mp.ldexp(spread or abs(hi), -120)
             width = (spread * mp.ldexp(1, -44))._mpf_
         reach = (mp.make_mpf(width) + mp.ldexp(max(abs(lo), abs(hi)), -60))._mpf_
         tiny_wp = mp.ldexp(tiny, -mp.prec)

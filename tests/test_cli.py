@@ -17,11 +17,14 @@ from christoffel import (
     Polynomial,
     cli,
     connection_decompose,
-    eval_with_derivative,
+    custom_family,
     even_modifier,
     inner_bound,
     mp_family,
     mp_symmetry_residual,
+    polynomial_real_roots,
+    transform,
+    values_ladder,
     zeros,
     zeros_golub_welsch,
 )
@@ -280,10 +283,22 @@ def test_verify_shares_its_families(monkeypatch, policy):
         solved[family.label, n] += 1
         return solve(family, n, policy)
 
+    built = []
+    determinant = transform.christoffel_transform
+
+    def transformed(family, modifier, deg, policy):
+        built.append((family.label, modifier.k, deg))
+        return determinant(family, modifier, deg, policy)
+
     monkeypatch.setattr(zeros, "_solve", counted)
+    for module in (cli, transform):
+        monkeypatch.setattr(module, "christoffel_transform", transformed)
     dispatch(RunConfig(command="verify"))
     assert sum(solved.values()) == 19
     assert set(solved.values()) == {1}
+    # the transform oracle's 4 x 7 transforms; the discrete-orthogonality
+    # suite reads its MP k = 2 ones instead of building them again
+    assert len(built) == len(set(built)) == 28
 
     fam = mp_family("0.5", "0.9", policy)
     mp_symmetry_residual(fam, 5, "1.3", policy)
@@ -327,6 +342,14 @@ def test_env_precision_override(monkeypatch, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["meta"]["precision_bits"] == 128
     assert data["summary"]["fail"] == 0
+
+
+def test_env_precision_must_be_an_integer(monkeypatch, capsys):
+    monkeypatch.setenv(ENV_PRECISION, "abc")
+    assert main(["--table", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"configuration error: {ENV_PRECISION} must be an integer number of bits, got 'abc'\n"
 
 
 def test_explicit_precision_beats_env(monkeypatch, capsys):
@@ -457,12 +480,89 @@ def test_grid_keeps_no_shift_by_zero(monkeypatch, capsys):
     assert ("shifted", 0) not in fam._store
 
 
+def test_grid_solves_only_the_zeros_of_p_n(monkeypatch, capsys):
+    solved = Counter()
+    solve = zeros._solve
+
+    def counted(family, n, policy):
+        solved[family.label, n] += 1
+        return solve(family, n, policy)
+
+    monkeypatch.setattr(zeros, "_solve", counted)
+    assert main(["--grid"]) == 0
+    capsys.readouterr()
+    # once per n; the zeros of g outside the span are sign counts on the sweep
+    assert solved == {(mp_family("0.5", "0.9").label, n): 1 for n in range(4, 13)}
+
+
+def _solved_span_label(fam, n, policy):
+    """The grid's m = 2, k = 3 label from solved zeros: g's by the zero solver, G's by polyroots."""
+    decomp = connection_decompose(fam, even_modifier(fam, 3, policy), n, 2, policy)
+    g_roots, nonreal = polynomial_real_roots(decomp.G_poly, policy)
+    if nonreal:
+        return f"fails({nonreal} nonreal G roots)"
+    product = list(zeros_golub_welsch(fam.shifted(3), n - 2, policy).values) + g_roots
+    zp = zeros_golub_welsch(fam, n, policy)
+    with policy.workprec():
+        outside = sum(1 for v in product if v < zp[0] or v > zp[-1])
+    return f"fails(size {len(product)} vs {n - 1}, {outside} outside span)"
+
+
+@pytest.mark.parametrize(
+    "lam, phi, n_max",
+    [
+        ("0.5", "0.9", 13),  # the default grid's cells and n = 13
+        ("3.25", "2.4", 9),
+        ("0.5", "1.5707963267948966", 8),
+        ("0.05", "3.0", 8),
+        ("20", "0.1", 9),
+    ],
+)
+def test_grid_span_counts_match_solved_zeros(lam, phi, n_max, policy):
+    # the m = 2, k = 3 cells name their failure from sign counts on the sweep
+    # rows; solving g's zeros, the grid's former route, is the oracle
+    report = dispatch(RunConfig(command="grid", lam=lam, phi=phi, n=n_max))
+    labels = {r["inputs"]["n"]: r["computed"]["interlace"] for r in report.rows if r["inputs"]["m"] == 2 and r["inputs"]["k"] == 3}
+    assert sorted(labels) == list(range(4, n_max + 1))
+    fam = mp_family(lam, phi, policy)
+    assert labels == {n: _solved_span_label(fam, n, policy) for n in labels}
+
+
+def test_sweep_sign_changes_count_the_zeros_above(policy):
+    # Sturm property: sign changes of p_0(x), ..., p_d(x), zero entries
+    # dropped, count the zeros of p_d above x.  With C = 0 and Lambda = 1,
+    # p_j(0) = 0 for every odd j, so the zero entries are exact.
+    fam = custom_family(lambda j: mp.mpf(0), lambda j: mp.mpf(1), policy=policy)
+    for d in range(1, 8):
+        zs = zeros_golub_welsch(fam, d, policy)
+        with policy.workprec():
+            near = [z + s * mp.mpf("1e-9") for z in zs.values for s in (-1, 1)]
+            points = [mp.mpf(0), mp.mpf(-3), mp.mpf(3), mp.mpf("0.3"), *near]
+            for x in points:
+                values = [v for v, _ in values_ladder(fam, d, x, policy)]
+                assert cli._sign_changes(values) == sum(1 for z in zs.values if z > x and abs(z - x) > policy.abs_tol)
+
+
+def test_grid_span_count_keeps_zeros_at_the_extremes_inside(policy):
+    # g = p_5 of C = 0, Lambda = 1, with zeros 0, +-1, +-sqrt(3), against the
+    # span [0, 1]: the zeros at both ends are not outside, -sqrt(3), -1 and
+    # sqrt(3) are; a constant G adds no roots
+    fam = mp_family("0.5", "0.9", policy)
+    decomp = connection_decompose(fam, even_modifier(fam, 3, policy), 7, 2, policy)
+    g_fam = custom_family(lambda j: mp.mpf(0), lambda j: mp.mpf(1), policy=policy)
+    zp = zeros.ZeroSet((mp.mpf(0), mp.mpf(1)), "span", 2)
+    rows = [values_ladder(g_fam, 5, x, policy) for x in zp.values]
+    assert rows[0][5][0] == rows[1][5][0] == 0
+    cell = dataclasses.replace(decomp, G_poly=Polynomial([1]))
+    assert cli._grid_interlace(cell, zp, rows, policy) == "fails(size 5 vs 1, 3 outside span)"
+
+
 def test_grid_interlace_names_each_failure(policy):
     fam = mp_family("0.5", "0.9", policy)
     n, m, k = 6, 3, 2
     decomp = connection_decompose(fam, even_modifier(fam, k, policy), n, m, policy)
     zp = zeros_golub_welsch(fam, n, policy)
-    g_at = {x: eval_with_derivative(fam.shifted(k), n - m, x, policy) for x in zp.values}
+    rows = [values_ladder(fam.shifted(k), n - m, x, policy) for x in zp.values]
     with policy.workprec():
         gap = zp[1] - zp[0]
         mid, third = zp[0] + gap / 2, zp[0] + gap / 3
@@ -473,7 +573,7 @@ def test_grid_interlace_names_each_failure(policy):
             (Polynomial([third * mid, -(third + mid), 1]), "fails"),  # both roots in the first gap
         ]
     for G, label in cases:
-        assert cli._grid_interlace(fam, dataclasses.replace(decomp, G_poly=G), zp, g_at, policy) == label
+        assert cli._grid_interlace(dataclasses.replace(decomp, G_poly=G), zp, rows, policy) == label
 
 
 def test_small_grid_runs_clean(capsys):

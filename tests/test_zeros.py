@@ -166,6 +166,28 @@ def test_zeros_at_extreme_scales(policy, C, Lam, abs_tol):
         assert all(abs(z - e) <= pol.rel_tol * abs(e) for z, e in zip(zs.values, ev))
 
 
+@pytest.mark.parametrize("exponent", [20, 22, 25, 30])
+def test_zeros_far_from_the_origin_against_their_width(policy, exponent):
+    # Diagonal 10**e and Lambda = 1: the zeros are 10**e + 2 cos(j pi / 13).
+    # The 64-bit Gershgorin width rounds to 0, and with it the zero-pivot
+    # stand-in, which ended in a bare ZeroDivisionError for e = 20, 22, 25.
+    fam = custom_family(lambda j: mp.mpf(10) ** exponent, lambda j: mp.mpf(1), label=f"offset 1e{exponent}", policy=policy)
+    zs = zeros_golub_welsch(fam, 12, policy)
+    with policy.workprec():
+        exact = [mp.mpf(10) ** exponent + 2 * mp.cos(j * mp.pi / 13) for j in range(12, 0, -1)]
+        assert max(abs(z - e) for z, e in zip(zs.values, exact)) <= policy.abs_tol
+
+
+def test_zeros_closer_than_64_bits_resolve_fail_by_name():
+    # 64 bits cannot tell these zeros apart; the failure names the family and
+    # the degree instead of dividing by a zero pivot
+    pol = TolerancePolicy(precision_bits=64)
+    fam = custom_family(lambda j: mp.mpf(10) ** 30, lambda j: mp.mpf(1), label="offset 1e30", policy=pol)
+    with pytest.raises(ArithmeticError, match="offset 1e30 degree 12") as err:
+        zeros_golub_welsch(fam, 12, pol)
+    assert not isinstance(err.value, ZeroDivisionError)
+
+
 def test_float_counts_keep_the_64_bit_cells(monkeypatch):
     # A zero of this family lies within double rounding of a cell midpoint;
     # only the recount at 64 bits puts it on the side a 64-bit count does,
@@ -285,8 +307,8 @@ def test_solver_is_the_mpf_bisection_and_newton_bit_for_bit(bits):
     families = (mp_family("0.5", "0.9", pol), pj_family(-60, 8, pol), right_angle)
     cases = [(fam, n) for fam in families for n in (1, 2, 5, 12, 30, 48)]
     for i, (C, Lam, _) in enumerate(_EXTREME_SCALES):
-        if bits > 64 or i < 4:  # 64 bits cannot tell apart zeros 1e30 from the origin and O(1) apart
-            cases.append((custom_family(C, Lam, label=f"extreme scale {i}", policy=pol), 12))
+        # at 64 bits, zeros 1e30 from the origin and O(1) apart share cells
+        cases.append((custom_family(C, Lam, label=f"extreme scale {i}", policy=pol), 12))
     cases.append((custom_family(lambda j: mp.mpf(abs(15 - (j - 1))), lambda j: mp.mpf(1), label="W+31", policy=pol), 31))
     for fam, n in cases:
         assert [z._mpf_ for z in zeros._solve(fam, n, pol).values] == [z._mpf_ for z in mpf_zeros(fam, n, pol)], (

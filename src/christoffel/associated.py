@@ -24,7 +24,7 @@ from __future__ import annotations
 from mpmath import mp
 
 from .core import DEFAULT_POLICY, Polynomial, TolerancePolicy, relative_residual, to_scalar
-from .families import RecurrenceFamily, _ladder
+from .families import RecurrenceFamily, _ladder, _three_term
 
 
 def associated(family: RecurrenceFamily, n: int, m: int, policy: TolerancePolicy = DEFAULT_POLICY) -> Polynomial:
@@ -35,12 +35,8 @@ def associated(family: RecurrenceFamily, n: int, m: int, policy: TolerancePolicy
     prec = policy.precision_bits
     polys = family.owned(("associated", n, prec), lambda: [Polynomial([1])])
     if len(polys) <= m:
-        C, L = family.recurrence(n, prec)
-        with mp.workprec(prec):
-            while len(polys) <= m:
-                j = len(polys)  # building S_j
-                head = Polynomial._of([-C[n - j + 1], mp.mpf(1)])  # C, L were checked by recurrence
-                polys.append(head if j == 1 else head * polys[j - 1] - polys[j - 2]._scaled(L[n - j + 2]))
+        rows = family.kernel_rows(n, prec)
+        _three_term(polys, m, lambda j: (*rows[n - j + 1][:2], *rows[n - j + 2 if j > 1 else 0][2:]), prec)
     return polys[m]
 
 

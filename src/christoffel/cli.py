@@ -326,13 +326,13 @@ def _grid_interlace(decomp, zp, rows, policy: TolerancePolicy) -> str:
     G, dG = decomp.G_poly, decomp.G_poly.derivative()
     verdict = None
     if G.degree == m - 1:
-
-        def q(x):  # G g and its derivative
-            v, d = rows[zp.values.index(x)][n - m]
-            gx = G(x)
-            return gx * v, dG(x) * v + gx * d
-
-        verdict = interlace_strict(q, n - 1, zp, policy)
+        q = {}  # G g and its derivative at each zero of p_n, the row at the same position
+        with policy.workprec():
+            for x, row in zip(zp.values, rows):
+                v, d = row[n - m]
+                gx = G(x)
+                q[x] = gx * v, dG(x) * v + gx * d
+        verdict = interlace_strict(q.__getitem__, n - 1, zp, policy)
         if verdict.strict:
             return "holds"
     g_roots, nonreal = polynomial_real_roots(G, policy)

@@ -1,6 +1,6 @@
 """Precision-configurable scalar and dense polynomial arithmetic.
 
-Every numeric quantity in this package is an mpmath real (``mpf``) or
+Every number the public API takes or returns is an mpmath real (``mpf``) or
 complex (``mpc``) value.  Precision is a property of operations, not of
 values: public entry points take a :class:`TolerancePolicy` and run their
 arithmetic under ``mp.workprec(policy.precision_bits)``.  Values produced
@@ -9,26 +9,21 @@ re-rounded by the first operation that touches them.
 
 Polynomials are dense, real-coefficient and immutable.  Degrees in this
 package stay tiny (a few dozen), so schoolbook multiplication and long
-division are used throughout.
+division are used throughout.  A polynomial keeps its coefficients once, as
+finite pairs of the exact-rounding kernel below; that they are finite is
+checked where a :class:`Polynomial` is built from outside data (and on a
+scalar factor), and the ring operations keep it (exponents are unbounded).
 
-Coefficients are finite mpf values.  That is checked once, where a
-:class:`Polynomial` is built from outside data (and on a scalar factor);
-the ring operations preserve it, because finite mpf inputs give finite mpf
-results (mpf exponents are unbounded), so they build their results without
-re-checking.
-
-Real Horner, the schoolbook product, the recurrence sweep of
-:mod:`christoffel.families`, and the bisection, Newton steps and Gauss
-weights of :mod:`christoffel.zeros` run on an exact-rounding kernel instead
-of mpf objects: signed Python-int mantissas with exponents, each sum,
-product or quotient (:func:`_div`) formed exactly, or with a sticky bit,
-and rounded once, nearest with ties to even, and comparisons (:func:`_cmp`)
+The kernel works on signed Python-int mantissas with exponents: each sum,
+product or quotient (:func:`_div`) is formed exactly, or with a sticky bit,
+and rounded once, nearest with ties to even; comparisons (:func:`_cmp`) are
 exact.  That is how mpmath rounds every product and quotient and every sum
 whose operands it aligns (exponents at most 100 apart, or leading bits at
 most ``prec + 4`` apart), so the bits are the same; other sums go to
 mpmath's ``mpf_add`` (which never aligns 1e400000000 with 1 bit by bit), and
 non-finite points are rejected where they enter.  :func:`_round` gives the
-argument.
+argument.  Polynomials, the recurrences of :mod:`christoffel.families`, the
+connection pair and the zero solver run on it; results leave it as mpf values.
 """
 
 from __future__ import annotations
@@ -222,21 +217,25 @@ class Polynomial:
     is identically zero (``degree == -1``, empty coefficient tuple).
     Approximate dust is never trimmed implicitly; callers decide via
     :meth:`chop` with a threshold from their tolerance policy.
+
+    The coefficients are kept once, as kernel pairs (m, e) = m * 2**e in ``_pairs``, and
+    :attr:`coeffs` makes mpf values of them on each access.  Each operation is the mpf one in
+    the same order at the ambient precision, where negation, ``abs`` and ``int *`` round too.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_pairs",)
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [require_finite(to_scalar(c), "polynomial coefficient") for c in coeffs]
-        object.__setattr__(self, "coeffs", Polynomial._of(cs).coeffs)
+        pairs = [_unpack(require_finite(to_scalar(c), "polynomial coefficient")._mpf_) for c in coeffs]
+        object.__setattr__(self, "_pairs", Polynomial._of(pairs)._pairs)
 
     @classmethod
-    def _of(cls, cs: list) -> "Polynomial":
-        """The ring operations' constructor: ``cs`` are finite mpf already, so it only trims them."""
-        while cs and cs[-1] == 0:
-            cs.pop()
+    def _of(cls, pairs: list) -> "Polynomial":
+        """The ring operations' constructor: ``pairs`` are finite already, so it only trims them."""
+        while pairs and not pairs[-1][0]:
+            pairs.pop()
         p = object.__new__(cls)
-        object.__setattr__(p, "coeffs", tuple(cs))
+        object.__setattr__(p, "_pairs", tuple(pairs))
         return p
 
     def __setattr__(self, name, value):
@@ -245,14 +244,18 @@ class Polynomial:
     # -- basic structure ---------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple:
+        return tuple(_to_mpf(m, e) for m, e in self._pairs)
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._pairs) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._pairs
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self._pairs)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Polynomial) and self.coeffs == other.coeffs
@@ -266,64 +269,65 @@ class Polynomial:
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial._of(out)
+        if len(self._pairs) < len(other._pairs):  # the longer side's own coefficients are kept unrounded
+            return other._plus(self, 1)
+        return self._plus(other, 1)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coeffs, other.coeffs
-        out = list(a) + [mp.mpf(0)] * (len(b) - len(a))
-        for i, c in enumerate(b):
-            out[i] -= c
+        return self._plus(other, -1)
+
+    def _plus(self, other: "Polynomial", sign: int) -> "Polynomial":
+        """self + sign * other, with ``mpf_add`` or ``mpf_sub`` on each coefficient of other."""
+        prec = mp.prec
+        out = list(self._pairs) + [(0, 0)] * (len(other._pairs) - len(self._pairs))
+        for i, (m, e) in enumerate(other._pairs):
+            out[i] = _add(*out[i], sign * m, e, prec)
         return Polynomial._of(out)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial._of([-c for c in self.coeffs])
+        return self._scaled(-1, 0)  # mpf negation rounds, as the product by -1 does
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
             if self.is_zero() or other.is_zero():
                 return Polynomial._of([])
             prec = mp.prec
-            bs = [_unpack(b._mpf_) for b in other.coeffs]
-            out = [(0, 0)] * (len(self.coeffs) + len(bs) - 1)
-            for i, a in enumerate(self.coeffs):
-                am, ae = _unpack(a._mpf_)
+            bs = other._pairs
+            out = [(0, 0)] * (len(self._pairs) + len(bs) - 1)
+            for i, (am, ae) in enumerate(self._pairs):
                 for j, (bm, be) in enumerate(bs, i):
                     om, oe = out[j]
                     pm, pe = _round(am * bm, ae + be, prec)
                     out[j] = _add(om, oe, pm, pe, prec)
-            return Polynomial._of([_to_mpf(m, e) for m, e in out])
-        return self._scaled(require_finite(to_scalar(other), "scalar factor"))
+            return Polynomial._of(out)
+        return self._scaled(*_unpack(require_finite(to_scalar(other), "scalar factor")._mpf_))
 
     __rmul__ = __mul__
 
-    def _scaled(self, c) -> "Polynomial":
-        """``c`` times the polynomial, for a finite mpf ``c`` the caller has already checked or computed."""
-        return Polynomial._of([c * a for a in self.coeffs])
+    def _scaled(self, cm: int, ce: int) -> "Polynomial":
+        """c times the polynomial, for a finite c = cm * 2**ce the caller has already checked or computed."""
+        prec = mp.prec
+        return Polynomial._of([_round(cm * m, ce + e, prec) for m, e in self._pairs])
 
     def derivative(self) -> "Polynomial":
-        return Polynomial._of([i * c for i, c in enumerate(self.coeffs)][1:])
+        prec = mp.prec
+        return Polynomial._of([_round(i * m, e, prec) for i, (m, e) in enumerate(self._pairs)][1:])
 
     def monic(self) -> "Polynomial":
         if self.is_zero():
             raise ValueError("zero polynomial has no monic form")
-        lead = self.coeffs[-1]
-        if lead == 1:
+        lm, le = self._pairs[-1]
+        if not _cmp(lm, le, 1, 0):
             return self
-        return Polynomial._of([c / lead for c in self.coeffs])
+        prec = mp.prec
+        return Polynomial._of([_div(m, e, lm, le, prec) for m, e in self._pairs])
 
     # -- evaluation ----------------------------------------------------------
 
     def __call__(self, z):
         """Horner evaluation; the result type follows the argument (mpf or mpc).
 
-        A real point runs on the exact-rounding kernel and must be finite
-        (``NonFiniteError`` otherwise).
+        A real point runs on the kernel and must be finite (``NonFiniteError`` otherwise).
         """
         if not isinstance(z, (mp.mpf, mp.mpc)):
             z = to_scalar(z)
@@ -331,9 +335,8 @@ class Polynomial:
             prec = mp.prec
             zm, ze = _unpack(require_finite(z, "evaluation point")._mpf_)
             am, ae = 0, 0
-            for c in reversed(self.coeffs):
+            for cm, ce in reversed(self._pairs):
                 am, ae = _round(am * zm, ae + ze, prec)
-                cm, ce = _unpack(c._mpf_)
                 am, ae = _add(am, ae, cm, ce, prec)
             return _to_mpf(am, ae)
         acc = mp.mpf(0)
@@ -347,17 +350,18 @@ class Polynomial:
     def __divmod__(self, den: "Polynomial"):
         if den.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dlead = den.coeffs[-1]
+        prec = mp.prec
+        rem = list(self._pairs)
+        dm, de = den._pairs[-1]
         dn = den.degree
-        quo = [mp.mpf(0)] * max(len(rem) - dn, 0)
+        quo = [(0, 0)] * max(len(rem) - dn, 0)
         for i in range(len(rem) - 1, dn - 1, -1):
-            f = rem[i] / dlead
-            quo[i - dn] = f
-            if f != 0:
-                for j, c in enumerate(den.coeffs):
-                    rem[i - dn + j] -= f * c
-            rem[i] = mp.mpf(0)
+            fm, fe = quo[i - dn] = _div(*rem[i], dm, de, prec)
+            if fm:
+                for j, (cm, ce) in enumerate(den._pairs, i - dn):
+                    pm, pe = _round(fm * cm, fe + ce, prec)
+                    rem[j] = _add(*rem[j], -pm, pe, prec)
+            rem[i] = (0, 0)
         return Polynomial._of(quo), Polynomial._of(rem)
 
     def divide_exact(self, den: "Polynomial", policy: TolerancePolicy = DEFAULT_POLICY) -> "Polynomial":
@@ -379,12 +383,19 @@ class Polynomial:
     # -- norms and cleanup ----------------------------------------------------
 
     def inf_norm(self) -> mp.mpf:
-        return max((abs(c) for c in self.coeffs), default=mp.mpf(0))
+        prec = mp.prec
+        top = (0, 0)
+        for m, e in self._pairs:
+            m, e = _round(abs(m), e, prec)
+            if _cmp(m, e, *top) > 0:
+                top = m, e
+        return _to_mpf(*top)
 
     def chop(self, threshold) -> "Polynomial":
-        """Zero every coefficient with absolute value <= threshold."""
-        t = to_scalar(threshold)
-        return Polynomial._of([c if abs(c) > t else mp.mpf(0) for c in self.coeffs])
+        """Zero every coefficient with absolute value <= threshold, which must be finite."""
+        prec = mp.prec
+        tm, te = _unpack(require_finite(to_scalar(threshold), "chop threshold")._mpf_)
+        return Polynomial._of([(m, e) if _cmp(*_round(abs(m), e, prec), tm, te) > 0 else (0, 0) for m, e in self._pairs])
 
 
 X = Polynomial([0, 1])

@@ -28,11 +28,11 @@ the family parameter (lambda -> lambda + k, a -> a + k), which is the cheap
 independent route to the modified polynomials used as an oracle for the
 determinant-based Christoffel transform.
 
-Everything derived from a recurrence (coefficient arrays and their kernel
-rows, ladder, zeros, associated sequences, shifted families, canonical
-modifiers) is built on first request and kept by the family, in
-:meth:`RecurrenceFamily.owned`; dropping the last reference to a family
-frees all of it.
+Everything derived from a recurrence is built on first request and kept by
+the family, in :meth:`RecurrenceFamily.owned`: its coefficients, once, as
+exact kernel rows (:meth:`RecurrenceFamily.kernel_rows`), the ladder, zeros,
+associated sequences, shifted families and canonical modifiers.  Dropping
+the last reference to a family frees all of it.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from typing import Callable, Mapping, Optional
 from mpmath import mp
 
 from .core import DEFAULT_POLICY, Polynomial, TolerancePolicy, relative_residual, to_scalar
-from .core import _NEAR, _add, _to_mpf, _unpack  # the exact-rounding kernel
+from .core import _NEAR, _add, _round, _to_mpf, _unpack  # the exact-rounding kernel
 
 MEIXNER_POLLACZEK = "meixner_pollaczek"
 PSEUDO_JACOBI = "pseudo_jacobi"
@@ -89,30 +89,19 @@ class RecurrenceFamily:
             value = self._store[key] = build()
             return value
 
-    def recurrence(self, n: int, prec: int) -> tuple:
-        """C(j) and Lambda(j) at ``prec`` bits as shared, read-only lists indexed by degree.
-
-        C[0], Lambda[0] and Lambda[1] are 0.  Extended lazily, never past n: beyond
-        the validity range the maps may be undefined (PJ Lambda divides by zero).
-        This is where the maps' values enter, so each is checked once, here:
-        C(j) finite and Lambda(j) positive and finite, ``ValueError`` otherwise.
-        """
-        return self._recurrence(n, prec)[:2]
-
     def kernel_rows(self, n: int, prec: int) -> list:
-        """The recurrence of :meth:`recurrence` as a shared, read-only list of kernel rows.
+        """C(j) and Lambda(j) at ``prec`` bits as a shared, read-only list of kernel rows, the family's one copy.
 
-        Row j is (cm, ce, lm, le) with C(j) = cm * 2**ce and Lambda(j) =
-        lm * 2**le exactly (signed mantissas, see :mod:`christoffel.core`);
-        the rows grow with the mpf lists and are checked with them.
+        Row j is (cm, ce, lm, le), C(j) = cm * 2**ce and Lambda(j) = lm * 2**le exactly; row 0
+        and Lambda(1) are 0.  Extended lazily, never past n: beyond the validity range the maps
+        may be undefined (PJ Lambda divides by zero).  This is where the maps' values enter, so
+        each is read as an mpf and checked once, here: C(j) finite and Lambda(j) positive and
+        finite, ``ValueError`` otherwise.
         """
-        return self._recurrence(n, prec)[2]
-
-    def _recurrence(self, n: int, prec: int) -> tuple:
-        C, L, K = self.owned(("recurrence", prec), lambda: ([mp.mpf(0)], [mp.mpf(0)], [(0, 0, 0, 0)]))
+        rows = self.owned(("recurrence", prec), lambda: [(0, 0, 0, 0)])
         with mp.workprec(prec):
-            for j in range(len(C), n + 1):
-                c, v = self.C(j), (self.Lambda(j) if j > 1 else mp.mpf(0))
+            for j in range(len(rows), n + 1):
+                c, v = to_scalar(self.C(j)), (to_scalar(self.Lambda(j)) if j > 1 else mp.mpf(0))
                 if not mp.isfinite(c):
                     raise ValueError(f"C({j}) = {mp.nstr(c, 8)} is not finite for {self.label}")
                 if j > 1 and not 0 < v < mp.inf:
@@ -120,10 +109,13 @@ class RecurrenceFamily:
                         f"Lambda({j}) = {mp.nstr(v, 8)} is not positive and finite for {self.label}; "
                         "the recurrence is outside the orthogonality range"
                     )
-                C.append(c)
-                L.append(v)
-                K.append((*_unpack(to_scalar(c)._mpf_), *_unpack(to_scalar(v)._mpf_)))
-        return C, L, K
+                rows.append((*_unpack(c._mpf_), *_unpack(v._mpf_)))
+        return rows
+
+    def recurrence(self, n: int, prec: int) -> tuple:
+        """The lists C(0..n) and Lambda(0..n) of :meth:`kernel_rows` as mpf values, made on each call."""
+        rows = self.kernel_rows(n, prec)[: n + 1]
+        return [_to_mpf(cm, ce) for cm, ce, _, _ in rows], [_to_mpf(lm, le) for _, _, lm, le in rows]
 
     def require_degree(self, n: int):
         if n < 0:
@@ -241,16 +233,23 @@ def custom_family(
     )
 
 
+def _three_term(polys: list, m: int, row: Callable[[int], tuple], prec: int) -> None:
+    """Extend ``polys`` = [1, P_1, ...] in place to P_m, P_j = (x - c) P_{j-1} - l P_{j-2} at ``prec`` bits.
+
+    ``row(j)`` is the kernel row (c, l) of step j (l is not read at j = 1); the
+    ladder and the associated sequences are both grown here."""
+    with mp.workprec(prec):
+        for j in range(len(polys), m + 1):
+            cm, ce, lm, le = row(j)
+            head = Polynomial._of([_round(-cm, ce, prec), (1, 0)])
+            polys.append(head if j == 1 else head * polys[j - 1] - polys[j - 2]._scaled(lm, le))
+
+
 def _ladder(family: RecurrenceFamily, n: int, prec: int) -> tuple:
-    """p_0, ..., p_n at ``prec`` bits, built by a loop and kept by the family."""
+    """p_0, ..., p_n at ``prec`` bits, built by :func:`_three_term` and kept by the family."""
     polys = family.owned(("ladder", prec), lambda: [Polynomial([1])])
     if len(polys) <= n:
-        C, L = family.recurrence(n, prec)
-        with mp.workprec(prec):
-            while len(polys) <= n:
-                j = len(polys)
-                head = Polynomial._of([-C[j], mp.mpf(1)])  # x - C(j); C was checked by recurrence
-                polys.append(head if j == 1 else head * polys[j - 1] - polys[j - 2]._scaled(L[j]))
+        _three_term(polys, n, family.kernel_rows(n, prec).__getitem__, prec)
     return tuple(polys[: n + 1])
 
 

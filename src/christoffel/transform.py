@@ -43,6 +43,7 @@ from typing import NamedTuple, Optional
 from mpmath import mp
 
 from .core import DEFAULT_POLICY, Polynomial, TolerancePolicy
+from .core import _div, _round, _to_mpf, _unpack  # the exact-rounding kernel
 from .families import ModifierSpec, RecurrenceFamily, _ladder, even_modifier, generate
 from .associated import associated
 
@@ -151,22 +152,21 @@ def christoffel_transform(
                     f"imaginary residue {mp.nstr(abs(d.imag), 6)} in expansion "
                     "coefficients; modifier nodes are inconsistent"
                 )
-            combo = combo + polys[j]._scaled(d.real)
+            combo = combo + polys[j]._scaled(*_unpack(d.real._mpf_))
         g = combo.divide_exact(modifier.c, policy).monic()
         return g.chop(policy.rel_tol * max(1, g.inf_norm()))
 
 
 def _expand_in_monic_basis(f: Polynomial, ladder) -> list:
-    """Coefficients e with f = sum e_i p_i over the monic ladder p_0..p_N."""
-    rem = list(f.coeffs)
-    out = [mp.mpf(0)] * (f.degree + 1)
+    """Kernel pairs e with f = sum e_i p_i over the monic ladder p_0..p_N, top down.
+
+    Subtracting e_i p_i leaves exactly 0 at x**i: p_i is monic, and e_i has at most the
+    working precision's bits, as f is a product rounded there."""
+    out = [(0, 0)] * (f.degree + 1)
     for i in range(f.degree, -1, -1):
-        e = rem[i]
-        out[i] = e
-        if e != 0:
-            for t, c in enumerate(ladder[i].coeffs):
-                rem[t] -= e * c
-        rem[i] = mp.mpf(0)
+        if f.degree == i:
+            out[i] = f._pairs[i]
+            f = f - ladder[i]._scaled(*out[i])
     return out
 
 
@@ -214,7 +214,7 @@ class ConnectionDecomposition:
 
 
 def _expansion(family, modifier, d, policy) -> tuple:
-    """(g_{d,k}, c_{2k} g_{d,k}, its coefficients in the monic basis), kept by the family.
+    """(g_{d,k}, c_{2k} g_{d,k}, its monic-basis coefficients as kernel pairs), kept by the family.
 
     Every connection cell with n - m = d shares them.  The key holds the
     whole policy, not only its precision: the determinant route's gates and
@@ -249,41 +249,35 @@ def connection_decompose(
     top = max(n, n - m + 2 * k)
     family.require_degree(top)
     g, lhs, coeffs = _expansion(family, modifier, n - m, policy)
+    prec = policy.precision_bits
     with policy.workprec():
-        ladder = _ladder(family, n, policy.precision_bits)
-        escale = max(max(abs(e) for e in coeffs), mp.mpf(1))
-        for low in coeffs[: n - m]:
-            if abs(low) > policy.rel_tol * escale:
-                raise ArithmeticError(
-                    "modified polynomial has components below the expected basis "
-                    "range; the transform inputs are inconsistent"
-                )
-        d = [e / coeffs[-1] for e in coeffs[n - m :]]
+        ladder = _ladder(family, n, prec)
+        escale = max(Polynomial._of(list(coeffs)).inf_norm(), mp.mpf(1))
+        if Polynomial._of(list(coeffs[: n - m])).inf_norm() > policy.rel_tol * escale:
+            raise ArithmeticError(
+                "modified polynomial has components below the expected basis "
+                "range; the transform inputs are inconsistent"
+            )
+        d = [_div(em, ee, *coeffs[-1], prec) for em, ee in coeffs[n - m :]]
 
-        # a and G on coefficient lists, term by term in the order of the formula
-        L = family.recurrence(top, policy.precision_bits)[1]
-        a_out = [mp.mpf(0)] * max(m - 1, 2 * k - m + 1)
-        g_out = [mp.mpf(0)] * max(m, 2 * k - m)
+        # a and G term by term in the order of the formula, w * s rounded before it is added
+        rows = family.kernel_rows(top, prec)
+        a_poly = minus_G = Polynomial()
         for j in range(0, min(m - 2, 2 * k) + 1):
-            prod = mp.mpf(1)
+            pm, pe = 1, 0
             for t in range(m - j - 1):
-                prod *= L[n - t]
-            w = d[j] / prod
-            for i, s in enumerate(associated(family, n - 1, m - j - 2, policy).coeffs):
-                a_out[i] -= w * s
-            for i, s in enumerate(associated(family, n, m - j - 1, policy).coeffs):
-                g_out[i] += w * s
+                pm, pe = _round(pm * rows[n - t][2], pe + rows[n - t][3], prec)
+            w = _div(*d[j], pm, pe, prec)
+            a_poly = a_poly - associated(family, n - 1, m - j - 2, policy)._scaled(*w)
+            minus_G = minus_G + associated(family, n, m - j - 1, policy)._scaled(*w)
         if m - 1 <= 2 * k:
-            g_out[0] += d[m - 1]
+            minus_G = minus_G + Polynomial._of([d[m - 1]])
         for j in range(m, 2 * k + 1):
-            for i, s in enumerate(associated(family, n - m + j, j - m, policy).coeffs):
-                a_out[i] += d[j] * s
+            a_poly = a_poly + associated(family, n - m + j, j - m, policy)._scaled(*d[j])
         for j in range(m + 1, 2 * k + 1):
-            w = L[n + 1] * d[j]
-            for i, s in enumerate(associated(family, n - m + j, j - m - 1, policy).coeffs):
-                g_out[i] -= w * s
-        a_poly = Polynomial._of(a_out)
-        G_poly = Polynomial._of([-c for c in g_out])
+            w = _round(rows[n + 1][2] * d[j][0], rows[n + 1][3] + d[j][1], prec)
+            minus_G = minus_G - associated(family, n - m + j, j - m - 1, policy)._scaled(*w)
+        G_poly = -minus_G
 
         a_poly = a_poly.chop(policy.rel_tol * max(1, a_poly.inf_norm()))
         G_poly = G_poly.chop(policy.rel_tol * max(1, G_poly.inf_norm()))
@@ -304,5 +298,5 @@ def connection_decompose(
             scale=scale,
             B=B,
             residual=residual,
-            work=tuple(d),
+            work=tuple(_to_mpf(em, ee) for em, ee in d),
         )

@@ -5,7 +5,14 @@ from __future__ import annotations
 from mpmath import mp
 from mpmath.libmp import mpf_add, mpf_le, mpf_shift, mpf_sub, round_nearest, to_float
 
-from christoffel import Polynomial, eval_with_derivative
+from christoffel import (
+    Polynomial,
+    TolerancePolicy,
+    connection_decompose,
+    eval_with_derivative,
+    even_modifier,
+    mp_family,
+)
 from christoffel.zeros import _BAND, _TINY, _count_below
 
 
@@ -22,13 +29,226 @@ def max_rel_coeff_diff(p: Polynomial, q: Polynomial) -> mp.mpf:
 
 def schoolbook_product(p: Polynomial, q: Polynomial) -> Polynomial:
     """p * q by the schoolbook loop on mpf values at the ambient precision."""
-    if p.is_zero() or q.is_zero():
-        return Polynomial()
-    out = [mp.mpf(0)] * (len(p.coeffs) + len(q.coeffs) - 1)
-    for i, a in enumerate(p.coeffs):
-        for j, b in enumerate(q.coeffs):
-            out[i + j] += a * b
-    return Polynomial(out)
+    return Polynomial(poly_mul(p.coeffs, q.coeffs))
+
+
+# -- the polynomial ring on mpf values -------------------------------------------
+#
+# Polynomial keeps its coefficients as kernel pairs; these are the mpf loops its
+# operations replaced, on coefficient lists (ascending, trailing zeros trimmed)
+# at the ambient precision, kept as the oracle its bits are checked against.
+
+
+def _trimmed(cs: list) -> list:
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def poly_add(a, b) -> list:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return _trimmed(out)
+
+
+def poly_sub(a, b) -> list:
+    out = list(a) + [mp.mpf(0)] * (len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] -= c
+    return _trimmed(out)
+
+
+def poly_neg(a) -> list:
+    return _trimmed([-c for c in a])
+
+
+def poly_mul(a, b) -> list:
+    if not a or not b:
+        return []
+    out = [mp.mpf(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trimmed(out)
+
+
+def poly_scaled(a, c) -> list:
+    return _trimmed([c * x for x in a])
+
+
+def poly_derivative(a) -> list:
+    return _trimmed([i * c for i, c in enumerate(a)][1:])
+
+
+def poly_monic(a) -> list:
+    lead = a[-1]
+    if lead == 1:
+        return list(a)
+    return _trimmed([c / lead for c in a])
+
+
+def poly_divmod(a, den) -> tuple:
+    rem = list(a)
+    dlead, dn = den[-1], len(den) - 1
+    quo = [mp.mpf(0)] * max(len(rem) - dn, 0)
+    for i in range(len(rem) - 1, dn - 1, -1):
+        f = rem[i] / dlead
+        quo[i - dn] = f
+        if f != 0:
+            for j, c in enumerate(den):
+                rem[i - dn + j] -= f * c
+        rem[i] = mp.mpf(0)
+    return _trimmed(quo), _trimmed(rem)
+
+
+def poly_inf_norm(a):
+    return max((abs(c) for c in a), default=mp.mpf(0))
+
+
+def poly_chop(a, threshold) -> list:
+    return _trimmed([c if abs(c) > threshold else mp.mpf(0) for c in a])
+
+
+def poly_horner(a, x):
+    acc = mp.mpf(0)
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+# -- the connection decomposition on mpf values ----------------------------------
+#
+# transform.connection_decompose, its monic-basis expansion and the ladders and
+# associated sequences it reads run on kernel pairs; these are the mpf loops
+# they replaced.
+
+
+def poly_three_term(polys: list, m: int, cs, ls) -> list:
+    """Extend polys = [[1], P_1, ...] in place to P_m, P_j = (x - cs[j]) P_{j-1} - ls[j] P_{j-2}."""
+    for j in range(len(polys), m + 1):
+        head = [-cs[j], mp.mpf(1)]
+        polys.append(head if j == 1 else poly_sub(poly_mul(head, polys[j - 1]), poly_scaled(polys[j - 2], ls[j])))
+    return polys
+
+
+def poly_ladder(family, n: int, prec: int, built: dict) -> list:
+    """p_0..p_n of the family by the mpf three-term loop at ``prec`` bits, kept in ``built``."""
+    polys = built.setdefault(("ladder", family, prec), [[mp.mpf(1)]])
+    if len(polys) <= n:
+        C, L = family.recurrence(n, prec)
+        with mp.workprec(prec):
+            poly_three_term(polys, n, C, L)
+    return polys
+
+
+def poly_associated(family, n: int, m: int, prec: int, built: dict) -> list:
+    """S_m anchored at n by the mpf three-term loop, C(n - j + 1) and Lambda(n - j + 2) at step j, kept in ``built``."""
+    key = ("associated", family, n, prec)
+    if key not in built:
+        C, L = family.recurrence(n, prec)
+        cs = [None] + [C[n - j + 1] for j in range(1, n + 1)]
+        ls = [None, None] + [L[n - j + 2] for j in range(2, n + 1)]
+        with mp.workprec(prec):
+            built[key] = poly_three_term([[mp.mpf(1)]], n, cs, ls)
+    return built[key][m]
+
+
+def poly_expand_in_monic_basis(f, ladder) -> list:
+    """Coefficients e with f = sum e_i p_i over the monic ladder p_0..p_N."""
+    rem = list(f)
+    out = [mp.mpf(0)] * len(f)
+    for i in range(len(f) - 1, -1, -1):
+        e = rem[i]
+        out[i] = e
+        if e != 0:
+            for t, c in enumerate(ladder[i]):
+                rem[t] -= e * c
+        rem[i] = mp.mpf(0)
+    return out
+
+
+def poly_decompose(family, modifier, n: int, m: int, policy, built: dict) -> tuple:
+    """(a, G, residual, B, scale, work, g) of ``connection_decompose`` by its mpf loops, for a canonical modifier.
+
+    g is the shifted family's p_{n-m}; polynomials are coefficient lists.  ``built`` keeps
+    ladders, associated sequences and expansions for the next cell.
+    """
+    k, prec = modifier.k, policy.precision_bits
+    top = max(n, n - m + 2 * k)
+    L = family.recurrence(top, prec)[1]
+    with policy.workprec():
+        ladder = poly_ladder(family, top, prec, built)
+        g = poly_ladder(family.shifted(k), n - m, prec, built)[n - m]
+        key = ("expansion", family, modifier, n - m, policy)
+        if key not in built:
+            lhs = poly_mul(modifier.c.coeffs, g)
+            built[key] = lhs, poly_expand_in_monic_basis(lhs, ladder)
+        lhs, coeffs = built[key]
+        escale = max(max(abs(e) for e in coeffs), mp.mpf(1))
+        for low in coeffs[: n - m]:
+            if abs(low) > policy.rel_tol * escale:
+                raise ArithmeticError("modified polynomial has components below the expected basis range")
+        d = [e / coeffs[-1] for e in coeffs[n - m :]]
+
+        a_out = [mp.mpf(0)] * max(m - 1, 2 * k - m + 1)
+        g_out = [mp.mpf(0)] * max(m, 2 * k - m)
+        for j in range(0, min(m - 2, 2 * k) + 1):
+            prod = mp.mpf(1)
+            for t in range(m - j - 1):
+                prod *= L[n - t]
+            w = d[j] / prod
+            for i, s in enumerate(poly_associated(family, n - 1, m - j - 2, prec, built)):
+                a_out[i] -= w * s
+            for i, s in enumerate(poly_associated(family, n, m - j - 1, prec, built)):
+                g_out[i] += w * s
+        if m - 1 <= 2 * k:
+            g_out[0] += d[m - 1]
+        for j in range(m, 2 * k + 1):
+            for i, s in enumerate(poly_associated(family, n - m + j, j - m, prec, built)):
+                a_out[i] += d[j] * s
+        for j in range(m + 1, 2 * k + 1):
+            w = L[n + 1] * d[j]
+            for i, s in enumerate(poly_associated(family, n - m + j, j - m - 1, prec, built)):
+                g_out[i] -= w * s
+        a = _trimmed(a_out)
+        G = _trimmed([-c for c in g_out])
+        a = poly_chop(a, policy.rel_tol * max(1, poly_inf_norm(a)))
+        G = poly_chop(G, policy.rel_tol * max(1, poly_inf_norm(G)))
+        if not G:
+            raise ArithmeticError("connection coefficient G vanished")
+        rhs = poly_sub(poly_mul(a, ladder[n]), poly_mul(G, ladder[n - 1]))
+        residual = poly_inf_norm(poly_sub(lhs, rhs)) / max(poly_inf_norm(lhs), mp.mpf(1))
+        B = -G[0] / G[1] if len(G) == 2 else None
+        return a, G, residual, B, 1 / G[-1], tuple(d), g
+
+
+def _mpf_bits(values) -> list:
+    return [v._mpf_ for v in values]
+
+
+def assert_grid_decompositions_are_the_mpf_loops(lam, phi, bits: int, n_max: int) -> int:
+    """Every ``--grid`` cell (4 <= n <= n_max, 2 <= m <= n, k <= m + 2) of MP(lam, phi) at ``bits``
+    against :func:`poly_decompose`, bit for bit; returns the number of cells."""
+    policy = TolerancePolicy(precision_bits=bits)
+    family = mp_family(lam, phi, policy)
+    cells, built = 0, {}
+    for n in range(4, n_max + 1):
+        for m in range(2, n + 1):
+            for k in range(0, m + 3):
+                modifier = even_modifier(family, k, policy)
+                got = connection_decompose(family, modifier, n, m, policy)
+                a, G, residual, B, scale, work, g = poly_decompose(family, modifier, n, m, policy, built)
+                assert _mpf_bits(got.a_poly.coeffs) == _mpf_bits(a), (n, m, k)
+                assert _mpf_bits(got.G_poly.coeffs) == _mpf_bits(G), (n, m, k)
+                assert _mpf_bits(got.g_poly.coeffs) == _mpf_bits(g), (n, m, k)
+                assert _mpf_bits(got.work) == _mpf_bits(work), (n, m, k)
+                assert (got.residual._mpf_, got.scale._mpf_) == (residual._mpf_, scale._mpf_), (n, m, k)
+                assert (got.B is None and B is None) or got.B._mpf_ == B._mpf_, (n, m, k)
+                cells += 1
+    return cells
 
 
 # -- the zero solver on mpf values ----------------------------------------------

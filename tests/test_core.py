@@ -7,7 +7,20 @@ from mpmath.libmp import from_man_exp, mpf_add, mpf_cmp, mpf_div, mpf_mul, mpf_s
 
 from christoffel import Polynomial, RemainderError, TolerancePolicy, core
 from christoffel.core import NonFiniteError, X, _add, _cmp, _div, _round, _to_mpf, _unpack, to_scalar
-from polyhelpers import max_rel_coeff_diff, schoolbook_product
+from polyhelpers import (
+    max_rel_coeff_diff,
+    poly_add,
+    poly_chop,
+    poly_derivative,
+    poly_divmod,
+    poly_horner,
+    poly_inf_norm,
+    poly_monic,
+    poly_neg,
+    poly_scaled,
+    poly_sub,
+    schoolbook_product,
+)
 
 
 def test_difference_of_squares():
@@ -84,6 +97,10 @@ def test_chop_and_trim():
     p = Polynomial([1, mp.mpf("1e-60"), 2])
     assert p.chop(mp.mpf("1e-50")).coeffs[1] == 0
     assert Polynomial([1, mp.mpf("1e-60")]).chop(mp.mpf("1e-50")) == Polynomial([1])
+    # the kernel would read inf and nan as 0 and keep every coefficient
+    for threshold in (mp.inf, mp.nan):
+        with pytest.raises(NonFiniteError, match="chop threshold is not finite"):
+            p.chop(threshold)
 
 
 def test_policy_defaults_and_validation():
@@ -184,10 +201,8 @@ def test_real_horner_is_the_mpf_loop_bit_for_bit(bits):
     with mp.workprec(bits):
         for poly in (p, q, edge, Polynomial([ones, 1]), Polynomial([1, 1])):
             for x in xs:
-                acc, z = mp.mpf(0), to_scalar(x)  # a wide mpf point enters unrounded
-                for c in reversed(poly.coeffs):
-                    acc = acc * z + c
-                assert poly(x)._mpf_ == acc._mpf_
+                # a wide mpf point enters unrounded
+                assert poly(x)._mpf_ == poly_horner(poly.coeffs, to_scalar(x))._mpf_
         assert Polynomial([ones, 1])("0.5") == mp.ldexp(1, bits)  # ones + 1/2 carried
         assert Polynomial([1, 1])(half_ulp) == 1  # 1 + half_ulp tied to even
 
@@ -279,3 +294,51 @@ def test_difference_is_sum_with_negation():
         for a, b in ((p, q), (q, p), (p, r), (r, p), (p, p), (p, Polynomial()), (Polynomial(), q)):
             assert _bits(a - b) == _bits(a + (-b))
         assert (p - r).degree < p.degree and (p - p).is_zero()
+
+
+# Coefficients for the ring oracle: exact zeros, small integers, and values
+# of any length up to 1100 bits (more than every working precision below)
+# whose exponents lie far more than 100 apart, where mpf_add stops aligning.
+_lengths = st.builds(
+    lambda n, low, sign: sign * ((1 << n) + low % (1 << n)),
+    st.integers(0, 1100),
+    st.integers(0, 2**1100),
+    st.sampled_from((1, -1)),
+)
+_wide = st.builds(_to_mpf, st.one_of(_mantissas, _lengths), st.integers(-400, 400))
+_coefficient = st.one_of(st.just(mp.mpf(0)), st.integers(-3, 3).map(mp.mpf), _wide)
+_polys = st.lists(_coefficient, max_size=7).map(Polynomial)
+
+
+def _values(cs) -> list:
+    return [c._mpf_ for c in cs]
+
+
+def _magnitude(v) -> mp.mpf:
+    """|v| exactly; abs() would round it at the ambient precision."""
+    m, e = _unpack(v._mpf_)
+    return _to_mpf(abs(m), e)
+
+
+@settings(max_examples=150)
+@given(st.sampled_from(_WIDTHS), _polys, _polys, _wide.filter(bool), _coefficient, st.integers(0, 6))
+def test_ring_operations_are_the_mpf_loops_bit_for_bit(bits, p, q, c, x, pick):
+    with mp.workprec(bits):
+        a, b = p.coeffs, q.coeffs
+        assert _bits(p + q) == _values(poly_add(a, b)) and _bits(q + p) == _values(poly_add(b, a))
+        assert _bits(p - q) == _values(poly_sub(a, b)) and _bits(q - p) == _values(poly_sub(b, a))
+        assert _bits(-p) == _values(poly_neg(a))
+        assert _bits(p * c) == _bits(c * p) == _values(poly_scaled(a, c))
+        assert _bits(p._scaled(*_unpack(c._mpf_))) == _values(poly_scaled(a, c))
+        assert _bits(p.derivative()) == _values(poly_derivative(a))
+        assert p.inf_norm()._mpf_ == poly_inf_norm(a)._mpf_
+        assert p(x)._mpf_ == poly_horner(a, x)._mpf_
+        # thresholds: one coefficient's unrounded magnitude, and c's, rounded and not
+        for t in (_magnitude(a[pick % len(a)]) if a else c, _magnitude(c), abs(c)):
+            assert _bits(p.chop(t)) == _values(poly_chop(a, t))
+        if a:
+            assert _bits(p.monic()) == _values(poly_monic(a))
+        if b:
+            quo, rem = divmod(p, q)
+            oq, orem = poly_divmod(a, b)
+            assert (_bits(quo), _bits(rem)) == (_values(oq), _values(orem))

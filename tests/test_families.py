@@ -15,6 +15,7 @@ from christoffel import (
     Polynomial,
     TolerancePolicy,
     associated,
+    christoffel_transform,
     connection_decompose,
     custom_family,
     even_modifier,
@@ -240,6 +241,36 @@ def test_recurrence_values_checked_where_they_enter(C, Lambda, bad, use, policy)
     for _ in range(2):
         with pytest.raises(ValueError, match=bad):
             use(fam, policy)
+
+
+@pytest.mark.parametrize(
+    "C, Lambda",
+    [
+        (lambda j: 0, lambda j: 1),
+        (lambda j: j % 3 - 1, lambda j: j * (j - 1)),
+        (lambda j: j / 4, lambda j: (j - 1) / 2),
+    ],
+    ids=["constant", "integer", "quarters"],
+)
+def test_int_float_and_mpf_maps_give_the_same_polynomials(C, Lambda, policy):
+    # the maps' values are read as mpf values once, where they enter, so a
+    # map may return an int or a float; equal values give equal bits
+    def derived(c_map, lambda_map):
+        fam = custom_family(c_map, lambda_map, policy=policy)
+        modifier = ModifierSpec([mp.mpc(0, 1)], policy)
+        with policy.workprec():
+            polys = [
+                *generate_all(fam, 8, policy),
+                *(associated(fam, 8, m, policy) for m in range(9)),
+                christoffel_transform(fam, modifier, 4, policy),
+            ]
+            residual = recurrence_residual(fam, 8, "0.3", policy)
+        return [[c._mpf_ for c in p.coeffs] for p in polys], residual._mpf_
+
+    with policy.workprec():
+        exact = derived(lambda j: mp.mpf(C(j)), lambda j: mp.mpf(Lambda(j)))
+    assert derived(C, Lambda) == exact
+    assert derived(lambda j: float(C(j)), lambda j: float(Lambda(j))) == exact
 
 
 def test_eval_with_derivative_matches_coefficients(policy):

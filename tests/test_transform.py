@@ -21,7 +21,7 @@ from christoffel import (
 from christoffel import transform
 from christoffel.families import _ladder
 from christoffel.transform import modified_polynomial
-from polyhelpers import coeff, max_rel_coeff_diff
+from polyhelpers import assert_grid_decompositions_are_the_mpf_loops, coeff, max_rel_coeff_diff
 
 
 def _decompose_by_solve(family, modifier, n, m, policy):
@@ -341,3 +341,14 @@ def test_canonical_nodes_at_53_bits_take_the_determinant_route(policy, monkeypat
     assert routes == [1]
     with policy.workprec():
         assert max_rel_coeff_diff(g, generate(fam.shifted(2), 6, policy)) <= mp.mpf("1e-12")
+
+
+@pytest.mark.parametrize(
+    "lam, phi, bits, n_max, cells",
+    [("0.5", "0.9", 256, 12, 534), ("0.5", "0.9", 64, 8, 180)],
+    ids=["default-grid", "64-bits-n8"],
+)
+def test_grid_decompositions_are_the_mpf_loops_bit_for_bit(lam, phi, bits, n_max, cells):
+    # (a, G, g, work, residual, scale, B) against the mpf loops the kernel
+    # pairs replaced; the larger grids are in tests/slow_oracles.py
+    assert assert_grid_decompositions_are_the_mpf_loops(lam, phi, bits, n_max) == cells

@@ -49,7 +49,8 @@ from mpmath import mp
 
 from . import __version__
 from .core import TolerancePolicy, to_scalar
-from .families import even_modifier, generate_all, mp_family, mp_symmetry_residual, pj_family, recurrence_residual, values_ladder
+from .core import _add, _horner, _round, _unpack  # the exact-rounding kernel
+from .families import _sweep, even_modifier, generate_all, mp_family, mp_symmetry_residual, pj_family, recurrence_residual
 from .associated import associated_identity_residual, extension_identity_residual
 from .transform import christoffel_transform, connection_decompose, connection_degree_law
 from .zeros import (
@@ -316,23 +317,34 @@ def _sign_changes(values) -> int:
     return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
-def _grid_interlace(decomp, zp, rows, policy: TolerancePolicy) -> str:
+def _grid_q(G, points, rows, d: int, policy: TolerancePolicy) -> dict:
+    """{x: (q(x), q'(x))} for q = G g_{d,k} at the zeros x of p_n, kernel pairs (see :func:`_grid_interlace`):
+    G and G' by Horner, then G g and G' g + G g', rounded as the mpf products and sum would be."""
+    prec = policy.precision_bits
+    with policy.workprec():
+        G, dG = G._pairs, G.derivative()._pairs
+    q = {}
+    for (xm, xe), row in zip(points, rows):
+        vm, ve, dm, de = row[d]
+        gm, ge = _horner(G, xm, xe, prec)
+        sm, se = _horner(dG, xm, xe, prec)
+        tm, te = _round(sm * vm, se + ve, prec)
+        q[xm, xe] = (*_round(gm * vm, ge + ve, prec), *_add(tm, te, *_round(gm * dm, ge + de, prec), prec))
+    return q
+
+
+def _grid_interlace(decomp, zp, points, rows, policy: TolerancePolicy) -> str:
     """Interlace verdict of G g_{n-m,k} against the zeros ``zp`` of p_n (see :func:`_grid_rows`).
 
-    ``rows[i]`` is the shifted family's sweep [(g_{j,k}, g_{j,k}') for j = 0, 1, ...] at zp[i]; the
-    sign changes of g_0..g_{n-m} at x count g's zeros above x (Sturm), and one at x_1 is not outside.
+    ``points[i]`` is zp[i] as a kernel pair, ``rows[i]`` the shifted family's sweep rows there,
+    (g_{j,k}, g_{j,k}') as kernel pairs (m, e, dm, de) for j = 0, 1, ...; the sign changes of
+    g_0..g_{n-m} at x count g's zeros above x (Sturm), and one at x_1 is not outside.
     """
     n, m = decomp.n, decomp.m
-    G, dG = decomp.G_poly, decomp.G_poly.derivative()
+    G = decomp.G_poly
     verdict = None
     if G.degree == m - 1:
-        q = {}  # G g and its derivative at each zero of p_n, the row at the same position
-        with policy.workprec():
-            for x, row in zip(zp.values, rows):
-                v, d = row[n - m]
-                gx = G(x)
-                q[x] = gx * v, dG(x) * v + gx * d
-        verdict = interlace_strict(q.__getitem__, n - 1, zp, policy)
+        verdict = interlace_strict(_grid_q(G, points, rows, n - m, policy).__getitem__, n - 1, zp, policy)
         if verdict.strict:
             return "holds"
     g_roots, nonreal = polynomial_real_roots(G, policy)
@@ -340,7 +352,7 @@ def _grid_interlace(decomp, zp, rows, policy: TolerancePolicy) -> str:
         return f"fails({nonreal} nonreal G roots)"
     if verdict is not None:
         return "fails(common zeros)" if verdict.common else "fails"
-    first, last = ([v for v, _ in row[: n - m + 1]] for row in (rows[0], rows[-1]))
+    first, last = ([r[0] for r in row[: n - m + 1]] for row in (rows[0], rows[-1]))
     outside = n - m - _sign_changes(first) - (first[-1] == 0) + _sign_changes(last)
     with policy.workprec():
         outside += sum(1 for v in g_roots if v < zp[0] or v > zp[-1])
@@ -359,7 +371,8 @@ def _grid_rows(config: RunConfig, policy: TolerancePolicy):
     recurrence); the roots of G are only computed to name a failed cell.
     g is evaluated once per (n, k): one recurrence sweep of the shifted
     family at each zero of p_n, to the degree n-m of the first cell that
-    needs it, gives g_{n-m,k} for every later m.
+    needs it, gives g_{n-m,k} for every later m.  The zeros, unpacked once per n, and the sweep
+    rows stay kernel pairs, so q = G g, q' and the interlacing rule run on pairs, rounded as by mpf.
     The modifiers, shifted families and left sides are kept by the family.
     For m = 2, k = 3 the product has n+1 zeros, which cannot interlace n
     zeros one-per-gap; the grid asserts that failure and counts the roots of G
@@ -371,10 +384,12 @@ def _grid_rows(config: RunConfig, policy: TolerancePolicy):
     if n_max < 4:
         raise ValueError("grid needs --n of at least 4")
     fam = mp_family(lam, phi, policy)
+    prec = policy.precision_bits
     rows = []
     for n in range(4, n_max + 1):
         zp = zeros_golub_welsch(fam, n, policy)  # every n has interlace cells (m = 2)
-        sweeps = {}  # k -> [(g_{j,k}, g_{j,k}') for j <= n-m] at each zero of p_n
+        points = [_unpack(x._mpf_) for x in zp.values]
+        sweeps = {}  # k -> [(g_{j,k}, g_{j,k}') for j <= n-m] at each zero of p_n, kernel pairs
         for m in range(2, n + 1):
             for k in range(0, m + 3):
                 decomp = connection_decompose(fam, even_modifier(fam, k, policy), n, m, policy)
@@ -384,8 +399,11 @@ def _grid_rows(config: RunConfig, policy: TolerancePolicy):
                 interlace_ok = True
                 if degrees["deg_G"] == m - 1 or (m == 2 and k == 3):
                     if k not in sweeps:  # m is the smallest gap of this k, so n - m the highest degree
-                        sweeps[k] = [values_ladder(fam.shifted(k), n - m, x, policy) for x in zp.values]
-                    interlace = _grid_interlace(decomp, zp, sweeps[k], policy)
+                        table = fam.shifted(k).kernel_rows(n - m, prec)
+                        sweeps[k] = [[] for _ in points]
+                        for p, out in zip(points, sweeps[k]):
+                            _sweep(table, n - m, *p, prec, out)
+                    interlace = _grid_interlace(decomp, zp, points, sweeps[k], policy)
                     for sweep in sweeps[k]:  # later cells (larger m) read lower degrees only
                         del sweep[n - m :]
                     interlace_ok = (interlace == "holds") == (degrees["deg_G"] == m - 1)

@@ -1,7 +1,8 @@
 """Precision-configurable scalar and dense polynomial arithmetic.
 
 Every number the public API takes or returns is an mpmath real (``mpf``) or
-complex (``mpc``) value.  Precision is a property of operations, not of
+complex (``mpc``) value, apart from the map ``zeros.interlace_strict`` reads,
+which works on the kernel pairs below.  Precision is a property of operations, not of
 values: public entry points take a :class:`TolerancePolicy` and run their
 arithmetic under ``mp.workprec(policy.precision_bits)``.  Values produced
 at one precision can be fed into a computation at another; they are simply
@@ -171,6 +172,76 @@ def _add(m1: int, e1: int, m2: int, e2: int, prec: int) -> tuple:
     return _unpack(mpf_add(from_man_exp(m1, e1), from_man_exp(m2, e2), prec, round_nearest))
 
 
+def _accumulate(out: list, wm: int, we: int, pairs, i: int, prec: int) -> None:
+    """out[i + j] += w * pairs[j] for every j, in place, the product and the sum each rounded once as by mpf.
+
+    The multiply-add loop of the product, division and connection pair.  As in ``families._sweep``,
+    the near paths of :func:`_round` and :func:`_add` are written out (sums more than ``_NEAR``
+    exponents apart still go to ``_add``), and a zero accumulator takes the rounded product as it is.
+    """
+    near = _NEAR
+    for j, (bm, be) in enumerate(pairs, i):
+        pm, pe = wm * bm, we + be
+        k = pm.bit_length() - prec
+        if k > 0:
+            t = pm >> (k - 1)
+            if t & 1 and (t & 2 or pm & ((1 << (k - 1)) - 1)):
+                t += 2
+            pm, pe = t >> 1, pe + k
+        om, oe = out[j]
+        if om:
+            g = oe - pe
+            if g > near or g < -near:
+                pm, pe = _add(om, oe, pm, pe, prec)
+            else:
+                if g >= 0:
+                    pm += om << g
+                else:
+                    pm, pe = om + (pm << -g), oe
+                k = pm.bit_length() - prec
+                if k > 0:
+                    t = pm >> (k - 1)
+                    if t & 1 and (t & 2 or pm & ((1 << (k - 1)) - 1)):
+                        t += 2
+                    pm, pe = t >> 1, pe + k
+        out[j] = pm, pe
+
+
+def _horner(pairs, xm: int, xe: int, prec: int) -> tuple:
+    """The polynomial with ascending coefficient pairs ``pairs`` at x = xm * 2**xe, by Horner.
+
+    Each step is the mpf acc * x + c, written out as in :func:`_accumulate`; a zero acc only rounds c.
+    """
+    near = _NEAR
+    am = ae = 0
+    for cm, ce in reversed(pairs):
+        if am:
+            am, ae = am * xm, ae + xe
+            k = am.bit_length() - prec
+            if k > 0:
+                t = am >> (k - 1)
+                if t & 1 and (t & 2 or am & ((1 << (k - 1)) - 1)):
+                    t += 2
+                am, ae = t >> 1, ae + k
+            g = ae - ce
+            if g > near or g < -near:
+                am, ae = _add(am, ae, cm, ce, prec)
+                continue
+            if g >= 0:
+                am, ae = (am << g) + cm, ce
+            else:
+                am += cm << -g
+        else:
+            am, ae = cm, ce
+        k = am.bit_length() - prec
+        if k > 0:
+            t = am >> (k - 1)
+            if t & 1 and (t & 2 or am & ((1 << (k - 1)) - 1)):
+                t += 2
+            am, ae = t >> 1, ae + k
+    return am, ae
+
+
 def _div(m1: int, e1: int, m2: int, e2: int, prec: int) -> tuple:
     """m1 * 2**e1 / (m2 * 2**e2) rounded to ``prec`` bits, the bits of ``mpf_div``.
 
@@ -257,11 +328,15 @@ class Polynomial:
     def __bool__(self) -> bool:
         return bool(self._pairs)
 
+    def _value_form(self) -> tuple:
+        """The pairs with their mantissas' trailing zero bits stripped: equal values give equal forms."""
+        return tuple((m >> t, e + t) if m else (0, 0) for m, e in self._pairs for t in ((m & -m).bit_length() - 1,))
+
     def __eq__(self, other) -> bool:
-        return isinstance(other, Polynomial) and self.coeffs == other.coeffs
+        return isinstance(other, Polynomial) and self._value_form() == other._value_form()
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash(self._value_form())
 
     def __repr__(self) -> str:
         return f"Polynomial([{', '.join(mp.nstr(c, 8) for c in self.coeffs)}])"
@@ -292,13 +367,9 @@ class Polynomial:
             if self.is_zero() or other.is_zero():
                 return Polynomial._of([])
             prec = mp.prec
-            bs = other._pairs
-            out = [(0, 0)] * (len(self._pairs) + len(bs) - 1)
+            out = [(0, 0)] * (len(self._pairs) + len(other._pairs) - 1)
             for i, (am, ae) in enumerate(self._pairs):
-                for j, (bm, be) in enumerate(bs, i):
-                    om, oe = out[j]
-                    pm, pe = _round(am * bm, ae + be, prec)
-                    out[j] = _add(om, oe, pm, pe, prec)
+                _accumulate(out, am, ae, other._pairs, i, prec)
             return Polynomial._of(out)
         return self._scaled(*_unpack(require_finite(to_scalar(other), "scalar factor")._mpf_))
 
@@ -332,13 +403,7 @@ class Polynomial:
         if not isinstance(z, (mp.mpf, mp.mpc)):
             z = to_scalar(z)
         if isinstance(z, mp.mpf):
-            prec = mp.prec
-            zm, ze = _unpack(require_finite(z, "evaluation point")._mpf_)
-            am, ae = 0, 0
-            for cm, ce in reversed(self._pairs):
-                am, ae = _round(am * zm, ae + ze, prec)
-                am, ae = _add(am, ae, cm, ce, prec)
-            return _to_mpf(am, ae)
+            return _to_mpf(*_horner(self._pairs, *_unpack(require_finite(z, "evaluation point")._mpf_), mp.prec))
         acc = mp.mpf(0)
         for c in reversed(self.coeffs):
             acc = acc * z + c
@@ -358,9 +423,7 @@ class Polynomial:
         for i in range(len(rem) - 1, dn - 1, -1):
             fm, fe = quo[i - dn] = _div(*rem[i], dm, de, prec)
             if fm:
-                for j, (cm, ce) in enumerate(den._pairs, i - dn):
-                    pm, pe = _round(fm * cm, fe + ce, prec)
-                    rem[j] = _add(*rem[j], -pm, pe, prec)
+                _accumulate(rem, -fm, fe, den._pairs, i - dn, prec)
             rem[i] = (0, 0)
         return Polynomial._of(quo), Polynomial._of(rem)
 

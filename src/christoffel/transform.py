@@ -43,7 +43,7 @@ from typing import NamedTuple, Optional
 from mpmath import mp
 
 from .core import DEFAULT_POLICY, Polynomial, TolerancePolicy
-from .core import _div, _round, _to_mpf, _unpack  # the exact-rounding kernel
+from .core import _accumulate, _add, _div, _round, _to_mpf, _unpack  # the exact-rounding kernel
 from .families import ModifierSpec, RecurrenceFamily, _ladder, even_modifier, generate
 from .associated import associated
 
@@ -157,16 +157,17 @@ def christoffel_transform(
         return g.chop(policy.rel_tol * max(1, g.inf_norm()))
 
 
-def _expand_in_monic_basis(f: Polynomial, ladder) -> list:
+def _expand_in_monic_basis(f: Polynomial, ladder, prec: int) -> list:
     """Kernel pairs e with f = sum e_i p_i over the monic ladder p_0..p_N, top down.
 
     Subtracting e_i p_i leaves exactly 0 at x**i: p_i is monic, and e_i has at most the
     working precision's bits, as f is a product rounded there."""
-    out = [(0, 0)] * (f.degree + 1)
-    for i in range(f.degree, -1, -1):
-        if f.degree == i:
-            out[i] = f._pairs[i]
-            f = f - ladder[i]._scaled(*out[i])
+    rem = list(f._pairs)
+    out = [(0, 0)] * len(rem)
+    for i in range(len(rem) - 1, -1, -1):
+        em, ee = out[i] = rem[i]
+        if em:
+            _accumulate(rem, -em, ee, ladder[i]._pairs, 0, prec)
     return out
 
 
@@ -214,18 +215,27 @@ class ConnectionDecomposition:
 
 
 def _expansion(family, modifier, d, policy) -> tuple:
-    """(g_{d,k}, c_{2k} g_{d,k}, its monic-basis coefficients as kernel pairs), kept by the family.
+    """What the cells with n - m = d share, kept by the family: g_{d,k}, the left side c_{2k} g_{d,k},
+    max(1, its sup norm), and its monic-basis coefficients from p_d up over the last one (kernel pairs, mpf).
 
-    Every connection cell with n - m = d shares them.  The key holds the
-    whole policy, not only its precision: the determinant route's gates and
-    chop read its tolerances.
+    The key holds the whole policy: the determinant route's gates and chop, and the check that the
+    coefficients below p_d vanish, read its tolerances.  A failed check keeps nothing, so it raises on every call.
     """
 
     def build() -> tuple:
         g = modified_polynomial(family, modifier, d, policy)
+        prec = policy.precision_bits
         with policy.workprec():
             lhs = modifier.c * g
-            return g, lhs, tuple(_expand_in_monic_basis(lhs, _ladder(family, lhs.degree, policy.precision_bits)))
+            coeffs = _expand_in_monic_basis(lhs, _ladder(family, lhs.degree, prec), prec)
+            escale = max(Polynomial._of(list(coeffs)).inf_norm(), mp.mpf(1))
+            if Polynomial._of(coeffs[:d]).inf_norm() > policy.rel_tol * escale:
+                raise ArithmeticError(
+                    "modified polynomial has components below the expected basis "
+                    "range; the transform inputs are inconsistent"
+                )
+            work = [_div(em, ee, *coeffs[-1], prec) for em, ee in coeffs[d:]]
+            return g, lhs, max(lhs.inf_norm(), mp.mpf(1)), work, tuple(_to_mpf(*w) for w in work)
 
     return family.owned(("expansion", modifier, d, policy), build)
 
@@ -240,44 +250,40 @@ def connection_decompose(
     """Canonical connection pair (a, G) for the modified family, 2 <= m <= n.
 
     The left side and its expansion depend on n - m and the modifier only,
-    so they are built once per (modifier, n - m, policy) and kept by the
-    family; the check on the expansion runs on every call.
+    so they are built, and checked, once per (modifier, n - m, policy) and
+    kept by the family (see :func:`_expansion`).
     """
     if not 2 <= m <= n:
         raise ValueError(f"need 2 <= m <= n, got m={m}, n={n}")
     k = modifier.k
     top = max(n, n - m + 2 * k)
     family.require_degree(top)
-    g, lhs, coeffs = _expansion(family, modifier, n - m, policy)
+    g, lhs, lhs_scale, d, work = _expansion(family, modifier, n - m, policy)
     prec = policy.precision_bits
     with policy.workprec():
         ladder = _ladder(family, n, prec)
-        escale = max(Polynomial._of(list(coeffs)).inf_norm(), mp.mpf(1))
-        if Polynomial._of(list(coeffs[: n - m])).inf_norm() > policy.rel_tol * escale:
-            raise ArithmeticError(
-                "modified polynomial has components below the expected basis "
-                "range; the transform inputs are inconsistent"
-            )
-        d = [_div(em, ee, *coeffs[-1], prec) for em, ee in coeffs[n - m :]]
-
-        # a and G term by term in the order of the formula, w * s rounded before it is added
+        # Lambda(n) Lambda(n-1) ... in that order: the product for j is a prefix of the one for j - 1
         rows = family.kernel_rows(top, prec)
-        a_poly = minus_G = Polynomial()
+        prods = [(1, 0)]
+        for t in range(m - 1):
+            prods.append(_round(prods[-1][0] * rows[n - t][2], prods[-1][1] + rows[n - t][3], prec))
+
+        # a and -G term by term in the order of the formula, each w * s rounded before it is added
+        a_out = [(0, 0)] * max(m - 1, 2 * k - m + 1)
+        minus_G = [(0, 0)] * max(m, 2 * k - m)
         for j in range(0, min(m - 2, 2 * k) + 1):
-            pm, pe = 1, 0
-            for t in range(m - j - 1):
-                pm, pe = _round(pm * rows[n - t][2], pe + rows[n - t][3], prec)
-            w = _div(*d[j], pm, pe, prec)
-            a_poly = a_poly - associated(family, n - 1, m - j - 2, policy)._scaled(*w)
-            minus_G = minus_G + associated(family, n, m - j - 1, policy)._scaled(*w)
+            wm, we = _div(*d[j], *prods[m - j - 1], prec)
+            _accumulate(a_out, -wm, we, associated(family, n - 1, m - j - 2, policy)._pairs, 0, prec)
+            _accumulate(minus_G, wm, we, associated(family, n, m - j - 1, policy)._pairs, 0, prec)
         if m - 1 <= 2 * k:
-            minus_G = minus_G + Polynomial._of([d[m - 1]])
+            minus_G[0] = _add(*minus_G[0], *d[m - 1], prec)
         for j in range(m, 2 * k + 1):
-            a_poly = a_poly + associated(family, n - m + j, j - m, policy)._scaled(*d[j])
+            _accumulate(a_out, *d[j], associated(family, n - m + j, j - m, policy)._pairs, 0, prec)
         for j in range(m + 1, 2 * k + 1):
-            w = _round(rows[n + 1][2] * d[j][0], rows[n + 1][3] + d[j][1], prec)
-            minus_G = minus_G - associated(family, n - m + j, j - m - 1, policy)._scaled(*w)
-        G_poly = -minus_G
+            wm, we = _round(rows[n + 1][2] * d[j][0], rows[n + 1][3] + d[j][1], prec)
+            _accumulate(minus_G, -wm, we, associated(family, n - m + j, j - m - 1, policy)._pairs, 0, prec)
+        a_poly = Polynomial._of(a_out)
+        G_poly = Polynomial._of([(-cm, ce) for cm, ce in minus_G])  # rounded sums: negation is exact
 
         a_poly = a_poly.chop(policy.rel_tol * max(1, a_poly.inf_norm()))
         G_poly = G_poly.chop(policy.rel_tol * max(1, G_poly.inf_norm()))
@@ -285,9 +291,9 @@ def connection_decompose(
             raise DegenerateTransformError("connection coefficient G vanished")
 
         rhs = a_poly * ladder[n] - G_poly * ladder[n - 1]
-        residual = (lhs - rhs).inf_norm() / max(lhs.inf_norm(), mp.mpf(1))
-        scale = 1 / G_poly.coeffs[-1]
-        B = -G_poly.coeffs[0] / G_poly.coeffs[1] if G_poly.degree == 1 else None
+        residual = (lhs - rhs).inf_norm() / lhs_scale
+        scale = 1 / _to_mpf(*G_poly._pairs[-1])
+        B = -_to_mpf(*G_poly._pairs[0]) / _to_mpf(*G_poly._pairs[1]) if G_poly.degree == 1 else None
         return ConnectionDecomposition(
             n=n,
             m=m,
@@ -298,5 +304,5 @@ def connection_decompose(
             scale=scale,
             B=B,
             residual=residual,
-            work=tuple(_to_mpf(em, ee) for em, ee in d),
+            work=work,
         )

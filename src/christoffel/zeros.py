@@ -20,8 +20,8 @@ tridiagonal are perfectly conditioned; root-finding on monic coefficients
 at n = 30 is not, which is why the coefficients are never touched here.
 
 Interlacing is decided in one place, :func:`interlace_strict`, by sign
-alternation at the already computed zeros of p_n; no zero of the inner
-polynomial is solved for.  General root finding (:func:`polynomial_real_roots`)
+alternation on kernel pairs at the already computed zeros of p_n; no zero
+of the inner polynomial is solved for.  General root finding (:func:`polynomial_real_roots`)
 only names failures, such as nonreal roots of a connection coefficient; when
 it does not converge it raises ``ArithmeticError`` instead of retrying.
 
@@ -51,14 +51,7 @@ from mpmath import mp
 
 from .core import DEFAULT_POLICY, Polynomial, TolerancePolicy, to_scalar
 from .core import _add, _cmp, _div, _round, _to_mpf, _unpack  # the exact-rounding kernel
-from .families import (
-    MEIXNER_POLLACZEK,
-    PSEUDO_JACOBI,
-    RecurrenceFamily,
-    _snapped_cot,
-    _sweep,
-    eval_with_derivative,
-)
+from .families import MEIXNER_POLLACZEK, PSEUDO_JACOBI, RecurrenceFamily, _point, _snapped_cot, _sweep
 
 
 @dataclass(frozen=True)
@@ -443,28 +436,43 @@ def gauss_rule(family: RecurrenceFamily, n: int, policy: TolerancePolicy = DEFAU
         return nodes, tuple(w / total for w in weights)
 
 
-def _is_zero(value, slope, x, policy) -> bool:
-    """x is a zero at tolerance: the Newton step |value/slope| is within abs_tol * max(1, |x|)."""
-    return abs(value) <= policy.abs_tol * max(1, abs(x)) * abs(slope)
+def _is_zero(vm, ve, dm, de, xm, xe, policy) -> bool:
+    """x is a zero at tolerance: the Newton step |value/slope| is within abs_tol * max(1, |x|).
+
+    On kernel pairs, the mpf test |value| <= abs_tol * max(1, |x|) * |slope| with its roundings
+    (abs rounds too) and an exact comparison.
+    """
+    prec = policy.precision_bits
+    tm, te = _unpack(policy.abs_tol._mpf_)
+    xm, xe = _round(abs(xm), xe, prec)
+    if _cmp(xm, xe, 1, 0) > 0:
+        tm, te = tm * xm, te + xe
+    tm, te = _round(tm, te, prec)
+    dm, de = _round(abs(dm), de, prec)
+    return _cmp(*_round(abs(vm), ve, prec), *_round(tm * dm, te + de, prec)) <= 0
 
 
 def interlace_strict(q, degree: int, outer, policy: TolerancePolicy = DEFAULT_POLICY) -> InterlaceVerdict:
     """Whether the zeros of q strictly interlace the ascending zeros in ``outer``.
 
-    ``q`` maps x to (q(x), q'(x)).  A q of degree len(outer) - 1 interlaces
+    ``q`` maps each outer zero x, given as its kernel pair (m, e) with
+    x = m * 2**e, to the kernel pairs (vm, ve, dm, de) of q(x) and q'(x) at
+    the working precision.  A q of degree len(outer) - 1 interlaces
     exactly when q(x_i) q(x_{i+1}) < 0 for every i (Markov's sign argument
-    and its converse, Wendroff 1961); for any other degree the signs prove
-    nothing, so that raises ``ValueError``.  Outer zeros that are zeros of q
-    at tolerance are reported in ``common`` and make the verdict non-strict.
+    and its converse, Wendroff 1961), read off the mantissas' signs; for any
+    other degree the signs prove nothing, so that raises ``ValueError``.
+    Outer zeros that are zeros of q at tolerance (:func:`_is_zero`) are
+    reported in ``common`` and make the verdict non-strict.
     """
-    xs = tuple(sorted(to_scalar(v) for v in outer))
+    with policy.workprec():  # a decimal string is rounded at the working precision
+        xs = tuple(sorted(to_scalar(v) for v in outer))
     if degree != len(xs) - 1:
         raise ValueError(f"q must have degree {len(xs) - 1} to interlace {len(xs)} zeros, got {degree}")
-    with policy.workprec():
-        vals = [q(x) for x in xs]
-        common = tuple(x for x, (v, d) in zip(xs, vals) if _is_zero(v, d, x, policy))
-        alternates = all(u * w < 0 for (u, _), (w, _) in zip(vals, vals[1:]))
-        return InterlaceVerdict(strict=alternates and not common, common=common)
+    points = [_unpack(x._mpf_) for x in xs]
+    vals = [q(p) for p in points]
+    common = tuple(x for x, p, v in zip(xs, points, vals) if _is_zero(*v, *p, policy))
+    alternates = all(u[0] * w[0] < 0 for u, w in zip(vals, vals[1:]))
+    return InterlaceVerdict(strict=alternates and not common, common=common)
 
 
 def inner_bound(family: RecurrenceFamily, n: int, k: int, policy: TolerancePolicy = DEFAULT_POLICY) -> mp.mpf:
@@ -541,31 +549,36 @@ def stieltjes_check(family: RecurrenceFamily, k: int, n: int, policy: ToleranceP
     Common-zero branch: exactly one shared zero, equal to B_n(k), interior;
     the n-2 zeros of g interlace the n-1 non-common zeros of p_n.
 
-    g is evaluated at the zeros of p_n through its recurrence; common zeros
-    and both interlacing claims are read off those values, so no zero of g
-    is solved for.
+    g is evaluated at the zeros of p_n by its recurrence sweep, on kernel
+    pairs; common zeros and both interlacing claims are read off those
+    values, so no zero of g is solved for.
     """
     if k not in (0, 1, 2):
         raise ValueError("modifier order k must be 0, 1 or 2 for the gap-2 check")
     if n < 2:
         raise ValueError("check needs n >= 2")
     shifted = family.shifted(k)
+    shifted.require_degree(n - 2)
+    prec = policy.precision_bits
+    rows = shifted.kernel_rows(n - 2, prec)
     with policy.workprec():
         bound = inner_bound(family, n, k, policy)
         zp = zeros_golub_welsch(family, n, policy)
-        g_at = {x: eval_with_derivative(shifted, n - 2, x, policy) for x in zp.values}
-        shared = [j for j, x in enumerate(zp.values) if _is_zero(*g_at[x], x, policy)]
+        points = [_unpack(x._mpf_) for x in zp.values]
+        g_at = {p: _sweep(rows, n - 2, *p, prec) for p in points}
+        shared = [j for j, p in enumerate(points) if _is_zero(*g_at[p], *p, policy)]
         common = tuple(zp[j] for j in shared)
         violations = []
         if not shared:
             branch = "coprime"
-            g_bound, dg_bound = eval_with_derivative(shifted, n - 2, bound, policy)
-            if _is_zero(g_bound, dg_bound, bound, policy):
+            bm, be = _point(bound, policy)
+            if _is_zero(*_sweep(rows, n - 2, bm, be, prec), bm, be, policy):
                 violations.append("bound coincides with a zero of the modified polynomial")
 
-            def q(x):  # (x - B) g and its derivative
-                v, d = g_at[x]
-                return (x - bound) * v, v + (x - bound) * d
+            def q(p):  # (x - B) g and its derivative
+                vm, ve, dm, de = g_at[p]
+                sm, se = _add(*p, -bm, be, prec)
+                return (*_round(sm * vm, se + ve, prec), *_add(vm, ve, *_round(sm * dm, se + de, prec), prec))
 
             verdict = interlace_strict(q, n - 1, zp, policy)
             if verdict.common:

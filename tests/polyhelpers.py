@@ -11,8 +11,15 @@ from christoffel import (
     connection_decompose,
     eval_with_derivative,
     even_modifier,
+    interlace_strict,
     mp_family,
+    to_scalar,
+    values_ladder,
+    zeros_golub_welsch,
 )
+from christoffel.cli import _grid_q
+from christoffel.core import _to_mpf, _unpack
+from christoffel.families import _sweep
 from christoffel.zeros import _BAND, _TINY, _count_below
 
 
@@ -347,3 +354,79 @@ def mpf_zeros(family, n: int, policy) -> tuple:
                 brackets += [(u, v)] * max(0, min(cv, cb) - max(cu, ca))
         assert len(brackets) == n
         return tuple(sorted(mpf_polish(family, n, mp.make_mpf(a), mp.make_mpf(b), policy, unit) for a, b in brackets))
+
+
+# -- the interlacing rule and the grid's q on mpf values -----------------------------
+#
+# zeros.interlace_strict decides on kernel pairs, and the grid evaluates q = G g
+# on them; these are the mpf rule and the mpf q they replaced.
+
+
+def mpf_is_zero(value, slope, x, policy) -> bool:
+    """x is a zero at tolerance: the Newton step |value/slope| is within abs_tol * max(1, |x|)."""
+    return abs(value) <= policy.abs_tol * max(1, abs(x)) * abs(slope)
+
+
+def mpf_interlace_strict(q, degree: int, outer, policy) -> tuple:
+    """(strict, common) by the mpf rule, for q mapping an mpf x to the mpf values (q(x), q'(x))."""
+    xs = tuple(sorted(to_scalar(v) for v in outer))
+    assert degree == len(xs) - 1
+    with policy.workprec():
+        vals = [q(x) for x in xs]
+        common = tuple(x for x, (v, d) in zip(xs, vals) if mpf_is_zero(v, d, x, policy))
+        alternates = all(u * w < 0 for (u, _), (w, _) in zip(vals, vals[1:]))
+        return alternates and not common, common
+
+
+def pair_map(q, policy):
+    """The map on kernel pairs that interlace_strict reads, from a map x -> (q(x), q'(x)) on mpf values."""
+
+    def on_pairs(point):
+        with policy.workprec():
+            v, d = q(_to_mpf(*point))
+        return (*_unpack(v._mpf_), *_unpack(d._mpf_))
+
+    return on_pairs
+
+
+def mpf_grid_q(G: Polynomial, xs, shifted, d: int, policy) -> dict:
+    """{x: (q(x), q'(x))} for q = G g_{d,k}: g by ``values_ladder``, G and G' by the mpf Horner loop."""
+    with policy.workprec():
+        a = G.coeffs
+        da = poly_derivative(a)
+        out = {}
+        for x in xs:
+            v, dv = values_ladder(shifted, d, x, policy)[d]
+            gx = poly_horner(a, x)
+            out[x] = gx * v, poly_horner(da, x) * v + gx * dv
+        return out
+
+
+def assert_grid_q_is_the_mpf_route(lam, phi, bits: int, n_max: int) -> int:
+    """For every ``--grid`` cell of MP(lam, phi) at ``bits`` that decides interlacing (deg G = m - 1),
+    the grid's kernel q and q' at the zeros of p_n against :func:`mpf_grid_q`, bit for bit, and the
+    verdict of ``interlace_strict`` against :func:`mpf_interlace_strict`; returns the number of cells."""
+    policy = TolerancePolicy(precision_bits=bits)
+    family = mp_family(lam, phi, policy)
+    cells = 0
+    for n in range(4, n_max + 1):
+        zp = zeros_golub_welsch(family, n, policy)
+        points = [_unpack(x._mpf_) for x in zp.values]
+        for m in range(2, n + 1):
+            for k in range(0, m + 3):
+                G = connection_decompose(family, even_modifier(family, k, policy), n, m, policy).G_poly
+                if G.degree != m - 1:
+                    continue
+                shifted, d = family.shifted(k), n - m
+                rows = [[] for _ in points]
+                for p, out in zip(points, rows):
+                    _sweep(shifted.kernel_rows(d, bits), d, *p, bits, out)
+                ours = _grid_q(G, points, rows, d, policy)
+                theirs = mpf_grid_q(G, zp.values, shifted, d, policy)
+                for x, p in zip(zp.values, points):
+                    vm, ve, dm, de = ours[p]
+                    assert (_to_mpf(vm, ve)._mpf_, _to_mpf(dm, de)._mpf_) == tuple(v._mpf_ for v in theirs[x]), (n, m, k)
+                verdict = interlace_strict(ours.__getitem__, n - 1, zp, policy)
+                assert (verdict.strict, verdict.common) == mpf_interlace_strict(theirs.__getitem__, n - 1, zp, policy), (n, m, k)
+                cells += 1
+    return cells

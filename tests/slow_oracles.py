@@ -10,18 +10,23 @@ from __future__ import annotations
 
 import pytest
 
-from polyhelpers import assert_grid_decompositions_are_the_mpf_loops
+from polyhelpers import assert_grid_decompositions_are_the_mpf_loops, assert_grid_q_is_the_mpf_route
+
+_CONFIGS = [
+    ("0.5", "0.9", 256, 13),
+    ("0.5", "0.9", 512, 9),
+    ("20", "0.1", 256, 9),
+    ("0.5", "0.9", 113, 12),
+]
+_IDS = ["grid-n13", "512-bits-n9", "lambda20-phi0.1-n9", "113-bits"]
 
 
-@pytest.mark.parametrize(
-    "lam, phi, bits, n_max, cells",
-    [
-        ("0.5", "0.9", 256, 13, 660),
-        ("0.5", "0.9", 512, 9, 248),
-        ("20", "0.1", 256, 9, 248),
-        ("0.5", "0.9", 113, 12, 534),
-    ],
-    ids=["grid-n13", "512-bits-n9", "lambda20-phi0.1-n9", "113-bits"],
-)
+@pytest.mark.parametrize("lam, phi, bits, n_max, cells", [(*c, n) for c, n in zip(_CONFIGS, (660, 248, 248, 534))], ids=_IDS)
 def test_larger_grid_decompositions_are_the_mpf_loops_bit_for_bit(lam, phi, bits, n_max, cells):
     assert assert_grid_decompositions_are_the_mpf_loops(lam, phi, bits, n_max) == cells
+
+
+@pytest.mark.parametrize("lam, phi, bits, n_max", _CONFIGS, ids=_IDS)
+def test_larger_grid_q_and_verdicts_are_the_mpf_route_bit_for_bit(lam, phi, bits, n_max):
+    # every cell with deg G = m - 1 is checked; the law gives that for each k <= m
+    assert assert_grid_q_is_the_mpf_route(lam, phi, bits, n_max) == sum(m + 1 for n in range(4, n_max + 1) for m in range(2, n + 1))

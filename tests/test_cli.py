@@ -38,6 +38,9 @@ from christoffel.cli import (
     dispatch,
     main,
 )
+from christoffel.core import _unpack
+
+from polyhelpers import assert_grid_q_is_the_mpf_route
 
 
 REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
@@ -543,6 +546,13 @@ def test_sweep_sign_changes_count_the_zeros_above(policy):
                 assert cli._sign_changes(values) == sum(1 for z in zs.values if z > x and abs(z - x) > policy.abs_tol)
 
 
+def _kernel_sweeps(fam, d, zp, policy) -> tuple:
+    """``_grid_interlace``'s points and rows: the zeros zp as kernel pairs, and fam's sweep rows there as kernel pairs."""
+    points = [_unpack(x._mpf_) for x in zp.values]
+    rows = [[(*_unpack(v._mpf_), *_unpack(s._mpf_)) for v, s in values_ladder(fam, d, x, policy)] for x in zp.values]
+    return points, rows
+
+
 def test_grid_span_count_keeps_zeros_at_the_extremes_inside(policy):
     # g = p_5 of C = 0, Lambda = 1, with zeros 0, +-1, +-sqrt(3), against the
     # span [0, 1]: the zeros at both ends are not outside, -sqrt(3), -1 and
@@ -551,10 +561,10 @@ def test_grid_span_count_keeps_zeros_at_the_extremes_inside(policy):
     decomp = connection_decompose(fam, even_modifier(fam, 3, policy), 7, 2, policy)
     g_fam = custom_family(lambda j: mp.mpf(0), lambda j: mp.mpf(1), policy=policy)
     zp = zeros.ZeroSet((mp.mpf(0), mp.mpf(1)), "span", 2)
-    rows = [values_ladder(g_fam, 5, x, policy) for x in zp.values]
+    points, rows = _kernel_sweeps(g_fam, 5, zp, policy)
     assert rows[0][5][0] == rows[1][5][0] == 0
     cell = dataclasses.replace(decomp, G_poly=Polynomial([1]))
-    assert cli._grid_interlace(cell, zp, rows, policy) == "fails(size 5 vs 1, 3 outside span)"
+    assert cli._grid_interlace(cell, zp, points, rows, policy) == "fails(size 5 vs 1, 3 outside span)"
 
 
 def test_grid_interlace_names_each_failure(policy):
@@ -562,7 +572,7 @@ def test_grid_interlace_names_each_failure(policy):
     n, m, k = 6, 3, 2
     decomp = connection_decompose(fam, even_modifier(fam, k, policy), n, m, policy)
     zp = zeros_golub_welsch(fam, n, policy)
-    rows = [values_ladder(fam.shifted(k), n - m, x, policy) for x in zp.values]
+    points, rows = _kernel_sweeps(fam.shifted(k), n - m, zp, policy)
     with policy.workprec():
         gap = zp[1] - zp[0]
         mid, third = zp[0] + gap / 2, zp[0] + gap / 3
@@ -573,7 +583,18 @@ def test_grid_interlace_names_each_failure(policy):
             (Polynomial([third * mid, -(third + mid), 1]), "fails"),  # both roots in the first gap
         ]
     for G, label in cases:
-        assert cli._grid_interlace(dataclasses.replace(decomp, G_poly=G), zp, rows, policy) == label
+        assert cli._grid_interlace(dataclasses.replace(decomp, G_poly=G), zp, points, rows, policy) == label
+
+
+@pytest.mark.parametrize(
+    "lam, phi, bits, n_max, cells",
+    [("0.5", "0.9", 256, 12, 408), ("0.5", "0.9", 64, 8, 130)],
+    ids=["default-grid", "64-bits-n8"],
+)
+def test_grid_q_and_verdicts_are_the_mpf_route_bit_for_bit(lam, phi, bits, n_max, cells):
+    # q = G g and q' on kernel pairs, and the interlacing rule on them, against
+    # the mpf loops and rule they replaced; the larger grids are in tests/slow_oracles.py
+    assert assert_grid_q_is_the_mpf_route(lam, phi, bits, n_max) == cells
 
 
 def test_small_grid_runs_clean(capsys):

@@ -6,7 +6,7 @@ from mpmath import mp
 from mpmath.libmp import from_man_exp, mpf_add, mpf_cmp, mpf_div, mpf_mul, mpf_sub, round_nearest
 
 from christoffel import Polynomial, RemainderError, TolerancePolicy, core
-from christoffel.core import NonFiniteError, X, _add, _cmp, _div, _round, _to_mpf, _unpack, to_scalar
+from christoffel.core import NonFiniteError, X, _accumulate, _add, _cmp, _div, _horner, _round, _to_mpf, _unpack, to_scalar
 from polyhelpers import (
     max_rel_coeff_diff,
     poly_add,
@@ -342,3 +342,26 @@ def test_ring_operations_are_the_mpf_loops_bit_for_bit(bits, p, q, c, x, pick):
             quo, rem = divmod(p, q)
             oq, orem = poly_divmod(a, b)
             assert (_bits(quo), _bits(rem)) == (_values(oq), _values(orem))
+        # the multiply-add loop at offset ``pick``, into p's coefficients and zero accumulators
+        acc = list(p._pairs) + [(0, 0)] * (pick + len(b))
+        _accumulate(acc, *_unpack(c._mpf_), q._pairs, pick, bits)
+        oracle = list(a) + [mp.mpf(0)] * (pick + len(b))
+        for j, y in enumerate(b, pick):
+            oracle[j] += c * y
+        assert [_to_mpf(*v)._mpf_ for v in acc] == _values(oracle)
+        # Horner on kernel pairs, of p and of its derivative, as the grid evaluates G and G'
+        xm, xe = _unpack(x._mpf_)
+        assert _to_mpf(*_horner(p._pairs, xm, xe, bits))._mpf_ == poly_horner(a, x)._mpf_
+        assert _to_mpf(*_horner(p.derivative()._pairs, xm, xe, bits))._mpf_ == poly_horner(poly_derivative(a), x)._mpf_
+        assert p == Polynomial(a) and hash(p) == hash(Polynomial(a))
+
+
+def test_equal_values_in_other_pair_forms_compare_and_hash_equal():
+    # kernel pairs are not normalised: (2, 0) and (1, 1) are both 2, and a zero has any exponent
+    p = Polynomial._of([(2, 0), (3, -1), (0, 5), (-1, 4)])
+    q = Polynomial._of([(1, 1), (12, -3), (0, 0), (-16, 0)])
+    assert p._pairs != q._pairs and p.coeffs == q.coeffs
+    assert p == q and hash(p) == hash(q)
+    assert p == Polynomial([2, "1.5", 0, -16]) and hash(p) == hash(Polynomial([2, "1.5", 0, -16]))
+    other = Polynomial._of([(1, 1), (12, -3), (0, 0), (-17, 0)])
+    assert p != other and q != other

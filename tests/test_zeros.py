@@ -24,16 +24,16 @@ from christoffel import (
 )
 from christoffel import zeros
 from christoffel.cli import main
-from christoffel.core import Polynomial, TolerancePolicy
+from christoffel.core import DEFAULT_POLICY, Polynomial, TolerancePolicy, _unpack
 
-from polyhelpers import mpf_zeros
+from polyhelpers import mpf_zeros, pair_map
 
 
 def _poly_map(coeffs):
-    """x -> (p(x), p'(x)) for the polynomial with ascending ``coeffs``."""
+    """x -> (p(x), p'(x)) on kernel pairs at 256 bits, for the polynomial with ascending ``coeffs``."""
     p = Polynomial(coeffs)
     dp = p.derivative()
-    return lambda x: (p(x), dp(x))
+    return pair_map(lambda x: (p(x), dp(x)), DEFAULT_POLICY)
 
 
 def test_degree_one_zero_is_recurrence_offset(policy):
@@ -420,6 +420,11 @@ def test_interlace_basic_cases(policy):
         interlace_strict(_poly_map([0, -2, 1]), 2, [-1, 1], policy)
     # right degree with a zero on an outer zero: reported, not an error
     assert interlace_strict(_poly_map([0, -2, 1]), 2, [-1, 0, 1], policy).common == (0,)
+    # a decimal string is an outer zero at the working precision, not at mpmath's default 53 bits
+    seen = []
+    assert interlace_strict(lambda p: seen.append(p) or (1, 0, 1, 0), 0, ["0.1"], policy).strict
+    with policy.workprec():
+        assert seen == [_unpack(mp.mpf("0.1")._mpf_)]
 
 
 def test_interlace_reports_common_zeros(policy):
@@ -436,7 +441,7 @@ def test_consecutive_degrees_interlace(policy):
         for n in (2, 12, 30):
             if fam.max_valid_degree is not None and n > fam.max_valid_degree:
                 continue
-            inner = partial(eval_with_derivative, fam, n - 1, policy=policy)
+            inner = pair_map(partial(eval_with_derivative, fam, n - 1, policy=policy), policy)
             outer = zeros_golub_welsch(fam, n, policy)
             assert interlace_strict(inner, n - 1, outer, policy).strict
 
@@ -458,7 +463,7 @@ def test_sign_verdict_matches_direct_zero_comparison(policy):
         a = zeros_golub_welsch(inner_fam, n - 1, policy)
         with policy.workprec():
             direct = all(b[i] < a[i] < b[i + 1] for i in range(n - 1))
-        q = partial(eval_with_derivative, inner_fam, n - 1, policy=policy)
+        q = pair_map(partial(eval_with_derivative, inner_fam, n - 1, policy=policy), policy)
         assert interlace_strict(q, n - 1, b, policy).strict == direct, inner_fam.label
         outcomes.add(direct)
     assert outcomes == {True, False}
@@ -617,7 +622,7 @@ def test_stieltjes_common_zero_failures_report_violations(policy, monkeypatch):
     shifted = fam.shifted(k)
     zp = zeros_golub_welsch(fam, n, policy)
     assert stieltjes_check(fam, k, n, policy).ok
-    evaluate = zeros.eval_with_derivative
+    sweep, g_rows = zeros._sweep, shifted.kernel_rows(n - 2, policy.precision_bits)
 
     monkeypatch.setattr(zeros, "inner_bound", lambda *args: mp.mpf("0.25"))
     verdict = stieltjes_check(fam, k, n, policy)
@@ -626,11 +631,7 @@ def test_stieltjes_common_zero_failures_report_violations(policy, monkeypatch):
     monkeypatch.undo()
 
     # g vanishing at every zero of p_n
-    monkeypatch.setattr(
-        zeros,
-        "eval_with_derivative",
-        lambda f, *args: (mp.mpf(0), mp.mpf(1)) if f is shifted else evaluate(f, *args),
-    )
+    monkeypatch.setattr(zeros, "_sweep", lambda rows, *args: (0, 0, 1, 0) if rows is g_rows else sweep(rows, *args))
     verdict = stieltjes_check(fam, k, n, policy)
     assert verdict.ok is False and verdict.branch == "common_zero"
     x = [mp.nstr(z, 10) for z in zp.values]
@@ -646,9 +647,7 @@ def test_stieltjes_common_zero_failures_report_violations(policy, monkeypatch):
 
     # g of one sign at the four zeros of p_n it does not share
     monkeypatch.setattr(
-        zeros,
-        "eval_with_derivative",
-        lambda f, m, z, *args: (mp.mpf(1), mp.mpf(0)) if f is shifted and z != 0 else evaluate(f, m, z, *args),
+        zeros, "_sweep", lambda rows, m, xm, *args: (1, 0, 0, 0) if rows is g_rows and xm else sweep(rows, m, xm, *args)
     )
     verdict = stieltjes_check(fam, k, n, policy)
     assert verdict.ok is False and verdict.branch == "common_zero"

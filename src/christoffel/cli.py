@@ -49,7 +49,6 @@ from mpmath import mp
 
 from . import __version__
 from .core import TolerancePolicy, to_scalar
-from .core import _add, _horner, _round, _unpack  # the exact-rounding kernel
 from .families import _sweep, even_modifier, generate_all, mp_family, mp_symmetry_residual, pj_family, recurrence_residual
 from .associated import associated_identity_residual, extension_identity_residual
 from .transform import christoffel_transform, connection_decompose, connection_degree_law
@@ -215,6 +214,11 @@ def _flatten(obj, prefix: str = "") -> dict:
 
 
 def _fmt(x, sig: int = 12) -> str:
+    # nstr writes the whole mantissa as a decimal integer, which Python refuses past 4300 digits
+    # (about 14,300 bits), so a value wider than 4096 bits is rounded first; others print as they are
+    if x._mpf_[3] > 4096:
+        with mp.workprec(4096):
+            x = +x
     return mp.nstr(x, sig)
 
 
@@ -317,34 +321,18 @@ def _sign_changes(values) -> int:
     return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
-def _grid_q(G, points, rows, d: int, policy: TolerancePolicy) -> dict:
-    """{x: (q(x), q'(x))} for q = G g_{d,k} at the zeros x of p_n, kernel pairs (see :func:`_grid_interlace`):
-    G and G' by Horner, then G g and G' g + G g', rounded as the mpf products and sum would be."""
-    prec = policy.precision_bits
-    with policy.workprec():
-        G, dG = G._pairs, G.derivative()._pairs
-    q = {}
-    for (xm, xe), row in zip(points, rows):
-        vm, ve, dm, de = row[d]
-        gm, ge = _horner(G, xm, xe, prec)
-        sm, se = _horner(dG, xm, xe, prec)
-        tm, te = _round(sm * vm, se + ve, prec)
-        q[xm, xe] = (*_round(gm * vm, ge + ve, prec), *_add(tm, te, *_round(gm * dm, ge + de, prec), prec))
-    return q
-
-
-def _grid_interlace(decomp, zp, points, rows, policy: TolerancePolicy) -> str:
+def _grid_interlace(decomp, zp, rows, policy: TolerancePolicy) -> str:
     """Interlace verdict of G g_{n-m,k} against the zeros ``zp`` of p_n (see :func:`_grid_rows`).
 
-    ``points[i]`` is zp[i] as a kernel pair, ``rows[i]`` the shifted family's sweep rows there,
-    (g_{j,k}, g_{j,k}') as kernel pairs (m, e, dm, de) for j = 0, 1, ...; the sign changes of
-    g_0..g_{n-m} at x count g's zeros above x (Sturm), and one at x_1 is not outside.
+    ``rows[i]`` holds the shifted family's sweep rows at zp[i], (g_{j,k}, g_{j,k}') as kernel
+    pairs (m, e, dm, de) for j = 0, 1, ...; the sign changes of g_0..g_{n-m} at x count g's
+    zeros above x (Sturm), and one at x_1 is not outside.
     """
     n, m = decomp.n, decomp.m
     G = decomp.G_poly
     verdict = None
     if G.degree == m - 1:
-        verdict = interlace_strict(_grid_q(G, points, rows, n - m, policy).__getitem__, n - 1, zp, policy)
+        verdict = interlace_strict(G, [row[n - m] for row in rows], n - m, zp, policy)
         if verdict.strict:
             return "holds"
     g_roots, nonreal = polynomial_real_roots(G, policy)
@@ -371,8 +359,8 @@ def _grid_rows(config: RunConfig, policy: TolerancePolicy):
     recurrence); the roots of G are only computed to name a failed cell.
     g is evaluated once per (n, k): one recurrence sweep of the shifted
     family at each zero of p_n, to the degree n-m of the first cell that
-    needs it, gives g_{n-m,k} for every later m.  The zeros, unpacked once per n, and the sweep
-    rows stay kernel pairs, so q = G g, q' and the interlacing rule run on pairs, rounded as by mpf.
+    needs it, gives g_{n-m,k} for every later m.  The sweep rows stay kernel pairs, and
+    ``interlace_strict`` forms q = G g and q' from G and the rows, on pairs, rounded as by mpf.
     The modifiers, shifted families and left sides are kept by the family.
     For m = 2, k = 3 the product has n+1 zeros, which cannot interlace n
     zeros one-per-gap; the grid asserts that failure and counts the roots of G
@@ -388,7 +376,6 @@ def _grid_rows(config: RunConfig, policy: TolerancePolicy):
     rows = []
     for n in range(4, n_max + 1):
         zp = zeros_golub_welsch(fam, n, policy)  # every n has interlace cells (m = 2)
-        points = [_unpack(x._mpf_) for x in zp.values]
         sweeps = {}  # k -> [(g_{j,k}, g_{j,k}') for j <= n-m] at each zero of p_n, kernel pairs
         for m in range(2, n + 1):
             for k in range(0, m + 3):
@@ -400,10 +387,10 @@ def _grid_rows(config: RunConfig, policy: TolerancePolicy):
                 if degrees["deg_G"] == m - 1 or (m == 2 and k == 3):
                     if k not in sweeps:  # m is the smallest gap of this k, so n - m the highest degree
                         table = fam.shifted(k).kernel_rows(n - m, prec)
-                        sweeps[k] = [[] for _ in points]
-                        for p, out in zip(points, sweeps[k]):
+                        sweeps[k] = [[] for _ in zp.points]
+                        for p, out in zip(zp.points, sweeps[k]):
                             _sweep(table, n - m, *p, prec, out)
-                    interlace = _grid_interlace(decomp, zp, points, sweeps[k], policy)
+                    interlace = _grid_interlace(decomp, zp, sweeps[k], policy)
                     for sweep in sweeps[k]:  # later cells (larger m) read lower degrees only
                         del sweep[n - m :]
                     interlace_ok = (interlace == "holds") == (degrees["deg_G"] == m - 1)

@@ -1,8 +1,8 @@
 """Precision-configurable scalar and dense polynomial arithmetic.
 
 Every number the public API takes or returns is an mpmath real (``mpf``) or
-complex (``mpc``) value, apart from the map ``zeros.interlace_strict`` reads,
-which works on the kernel pairs below.  Precision is a property of operations, not of
+complex (``mpc``) value, apart from the rows of g that ``zeros.interlace_strict``
+reads and the ``points`` of a ``zeros.ZeroSet``, which are the kernel pairs below.  Precision is a property of operations, not of
 values: public entry points take a :class:`TolerancePolicy` and run their
 arithmetic under ``mp.workprec(policy.precision_bits)``.  Values produced
 at one precision can be fed into a computation at another; they are simply

@@ -19,11 +19,13 @@ becomes an mpf once, when it is polished.  Eigenvalues of a symmetric
 tridiagonal are perfectly conditioned; root-finding on monic coefficients
 at n = 30 is not, which is why the coefficients are never touched here.
 
-Interlacing is decided in one place, :func:`interlace_strict`, by sign
-alternation on kernel pairs at the already computed zeros of p_n; no zero
-of the inner polynomial is solved for.  General root finding (:func:`polynomial_real_roots`)
-only names failures, such as nonreal roots of a connection coefficient; when
-it does not converge it raises ``ArithmeticError`` instead of retrying.
+Interlacing is decided in one place, :func:`interlace_strict`, by the sign
+alternation of q = G g at the already computed zeros of p_n, formed on kernel
+pairs from G and g's sweep rows there, for the grid and :func:`stieltjes_check`
+alike; no zero of q is solved for.  General root finding
+(:func:`polynomial_real_roots`) only names failures, such as nonreal roots of
+a connection coefficient; when it does not converge it raises
+``ArithmeticError`` instead of retrying.
 
 The inner bounds B_n(k), k in {0, 1, 2}, are the roots of the linear
 connection coefficient G in the gap-2 decomposition; they sit strictly
@@ -45,22 +47,26 @@ forms from a family's parameters:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from mpmath import mp
 
-from .core import DEFAULT_POLICY, Polynomial, TolerancePolicy, to_scalar
-from .core import _add, _cmp, _div, _round, _to_mpf, _unpack  # the exact-rounding kernel
+from .core import DEFAULT_POLICY, Polynomial, TolerancePolicy
+from .core import _add, _cmp, _div, _horner, _round, _to_mpf, _unpack  # the exact-rounding kernel
 from .families import MEIXNER_POLLACZEK, PSEUDO_JACOBI, RecurrenceFamily, _point, _snapped_cot, _sweep
 
 
 @dataclass(frozen=True)
 class ZeroSet:
-    """Strictly ascending real zeros of one family member."""
+    """Strictly ascending real zeros of one family member, and the same zeros as kernel pairs in ``points``."""
 
     values: tuple
     label: str
     degree: int
+    points: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "points", tuple(_unpack(x._mpf_) for x in self.values))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -452,25 +458,36 @@ def _is_zero(vm, ve, dm, de, xm, xe, policy) -> bool:
     return _cmp(*_round(abs(vm), ve, prec), *_round(tm * dm, te + de, prec)) <= 0
 
 
-def interlace_strict(q, degree: int, outer, policy: TolerancePolicy = DEFAULT_POLICY) -> InterlaceVerdict:
-    """Whether the zeros of q strictly interlace the ascending zeros in ``outer``.
+def _q_at(G: Polynomial, g, points, prec: int) -> list:
+    """(q(x), q'(x)) for q = G g at each of ``points``, kernel pairs: G, G' by Horner, G g and G' g + G g' as by mpf."""
+    with mp.workprec(prec):
+        G, dG = G._pairs, G.derivative()._pairs
+    q = []
+    for (xm, xe), (vm, ve, dm, de) in zip(points, g):
+        gm, ge = _horner(G, xm, xe, prec)
+        sm, se = _horner(dG, xm, xe, prec)
+        tm, te = _round(sm * vm, se + ve, prec)
+        q.append((*_round(gm * vm, ge + ve, prec), *_add(tm, te, *_round(gm * dm, ge + de, prec), prec)))
+    return q
 
-    ``q`` maps each outer zero x, given as its kernel pair (m, e) with
-    x = m * 2**e, to the kernel pairs (vm, ve, dm, de) of q(x) and q'(x) at
-    the working precision.  A q of degree len(outer) - 1 interlaces
+
+def interlace_strict(G: Polynomial, g, degree: int, outer: ZeroSet, policy: TolerancePolicy = DEFAULT_POLICY) -> InterlaceVerdict:
+    """Whether the zeros of q = G g strictly interlace the zeros in ``outer``.
+
+    g, of degree ``degree``, is its sweep rows: the kernel pairs (vm, ve, dm, de) of g(x) and
+    g'(x) at each zero x of ``outer`` in order.  A q of degree len(outer) - 1 interlaces
     exactly when q(x_i) q(x_{i+1}) < 0 for every i (Markov's sign argument
     and its converse, Wendroff 1961), read off the mantissas' signs; for any
-    other degree the signs prove nothing, so that raises ``ValueError``.
-    Outer zeros that are zeros of q at tolerance (:func:`_is_zero`) are
-    reported in ``common`` and make the verdict non-strict.
+    other degree the signs prove nothing, so that raises ``ValueError``, as
+    does a g without one row per zero.  Outer zeros that are zeros of q at tolerance
+    (:func:`_is_zero`) are reported in ``common`` and make the verdict non-strict.
     """
-    with policy.workprec():  # a decimal string is rounded at the working precision
-        xs = tuple(sorted(to_scalar(v) for v in outer))
-    if degree != len(xs) - 1:
-        raise ValueError(f"q must have degree {len(xs) - 1} to interlace {len(xs)} zeros, got {degree}")
-    points = [_unpack(x._mpf_) for x in xs]
-    vals = [q(p) for p in points]
-    common = tuple(x for x, p, v in zip(xs, points, vals) if _is_zero(*v, *p, policy))
+    if len(g) != len(outer):
+        raise ValueError(f"g needs one row per outer zero, {len(outer)}, got {len(g)}")
+    if G.degree + degree != len(outer) - 1:
+        raise ValueError(f"q must have degree {len(outer) - 1} to interlace {len(outer)} zeros, got {G.degree + degree}")
+    vals = _q_at(G, g, outer.points, policy.precision_bits)
+    common = tuple(x for x, p, v in zip(outer.values, outer.points, vals) if _is_zero(*v, *p, policy))
     alternates = all(u[0] * w[0] < 0 for u, w in zip(vals, vals[1:]))
     return InterlaceVerdict(strict=alternates and not common, common=common)
 
@@ -550,8 +567,8 @@ def stieltjes_check(family: RecurrenceFamily, k: int, n: int, policy: ToleranceP
     the n-2 zeros of g interlace the n-1 non-common zeros of p_n.
 
     g is evaluated at the zeros of p_n by its recurrence sweep, on kernel
-    pairs; common zeros and both interlacing claims are read off those
-    values, so no zero of g is solved for.
+    pairs; common zeros are read off those values, and both claims are :func:`interlace_strict`
+    on them (G = x - B_n(k), or G = 1 over the non-common zeros), so no zero of g is solved for.
     """
     if k not in (0, 1, 2):
         raise ValueError("modifier order k must be 0, 1 or 2 for the gap-2 check")
@@ -564,9 +581,8 @@ def stieltjes_check(family: RecurrenceFamily, k: int, n: int, policy: ToleranceP
     with policy.workprec():
         bound = inner_bound(family, n, k, policy)
         zp = zeros_golub_welsch(family, n, policy)
-        points = [_unpack(x._mpf_) for x in zp.values]
-        g_at = {p: _sweep(rows, n - 2, *p, prec) for p in points}
-        shared = [j for j, p in enumerate(points) if _is_zero(*g_at[p], *p, policy)]
+        g_at = [_sweep(rows, n - 2, *p, prec) for p in zp.points]
+        shared = [j for j, (v, p) in enumerate(zip(g_at, zp.points)) if _is_zero(*v, *p, policy)]
         common = tuple(zp[j] for j in shared)
         violations = []
         if not shared:
@@ -574,13 +590,7 @@ def stieltjes_check(family: RecurrenceFamily, k: int, n: int, policy: ToleranceP
             bm, be = _point(bound, policy)
             if _is_zero(*_sweep(rows, n - 2, bm, be, prec), bm, be, policy):
                 violations.append("bound coincides with a zero of the modified polynomial")
-
-            def q(p):  # (x - B) g and its derivative
-                vm, ve, dm, de = g_at[p]
-                sm, se = _add(*p, -bm, be, prec)
-                return (*_round(sm * vm, se + ve, prec), *_add(vm, ve, *_round(sm * dm, se + de, prec), prec))
-
-            verdict = interlace_strict(q, n - 1, zp, policy)
+            verdict = interlace_strict(Polynomial._of([(-bm, be), (1, 0)]), g_at, n - 2, zp, policy)  # (x - B) g
             if verdict.common:
                 violations.append(
                     f"common zeros detected between (x-B) g and p_n at {verdict.common}"
@@ -601,8 +611,9 @@ def stieltjes_check(family: RecurrenceFamily, k: int, n: int, policy: ToleranceP
                 if j in (0, n - 1):
                     violations.append(f"common zero is an extreme zero of p_n (index {j})")
             if len(shared) == 1:
-                rest = tuple(x for x in zp.values if x not in common)
-                if not interlace_strict(g_at.__getitem__, n - 2, rest, policy).strict:
+                rest = [i for i in range(n) if i != shared[0]]
+                outer = ZeroSet(tuple(zp[i] for i in rest), zp.label, n)
+                if not interlace_strict(Polynomial._of([(1, 0)]), [g_at[i] for i in rest], n - 2, outer, policy).strict:
                     violations.append("zeros of g do not interlace the non-common zeros of p_n")
         if not zp[0] < bound < zp[-1]:
             violations.append("bound is not strictly inside the extreme zeros")

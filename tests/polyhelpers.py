@@ -17,10 +17,9 @@ from christoffel import (
     values_ladder,
     zeros_golub_welsch,
 )
-from christoffel.cli import _grid_q
-from christoffel.core import _to_mpf, _unpack
+from christoffel.core import _to_mpf
 from christoffel.families import _sweep
-from christoffel.zeros import _BAND, _TINY, _count_below
+from christoffel.zeros import _BAND, _TINY, _count_below, _q_at
 
 
 def coeff(p: Polynomial, i: int) -> mp.mpf:
@@ -356,10 +355,10 @@ def mpf_zeros(family, n: int, policy) -> tuple:
         return tuple(sorted(mpf_polish(family, n, mp.make_mpf(a), mp.make_mpf(b), policy, unit) for a, b in brackets))
 
 
-# -- the interlacing rule and the grid's q on mpf values -----------------------------
+# -- the interlacing rule and its q on mpf values -------------------------------------
 #
-# zeros.interlace_strict decides on kernel pairs, and the grid evaluates q = G g
-# on them; these are the mpf rule and the mpf q they replaced.
+# zeros.interlace_strict forms q = G g on kernel pairs and decides on them;
+# these are the mpf rule and the mpf q they replaced.
 
 
 def mpf_is_zero(value, slope, x, policy) -> bool:
@@ -378,17 +377,6 @@ def mpf_interlace_strict(q, degree: int, outer, policy) -> tuple:
         return alternates and not common, common
 
 
-def pair_map(q, policy):
-    """The map on kernel pairs that interlace_strict reads, from a map x -> (q(x), q'(x)) on mpf values."""
-
-    def on_pairs(point):
-        with policy.workprec():
-            v, d = q(_to_mpf(*point))
-        return (*_unpack(v._mpf_), *_unpack(d._mpf_))
-
-    return on_pairs
-
-
 def mpf_grid_q(G: Polynomial, xs, shifted, d: int, policy) -> dict:
     """{x: (q(x), q'(x))} for q = G g_{d,k}: g by ``values_ladder``, G and G' by the mpf Horner loop."""
     with policy.workprec():
@@ -404,29 +392,26 @@ def mpf_grid_q(G: Polynomial, xs, shifted, d: int, policy) -> dict:
 
 def assert_grid_q_is_the_mpf_route(lam, phi, bits: int, n_max: int) -> int:
     """For every ``--grid`` cell of MP(lam, phi) at ``bits`` that decides interlacing (deg G = m - 1),
-    the grid's kernel q and q' at the zeros of p_n against :func:`mpf_grid_q`, bit for bit, and the
-    verdict of ``interlace_strict`` against :func:`mpf_interlace_strict`; returns the number of cells."""
+    the kernel q and q' that ``interlace_strict`` forms (``zeros._q_at``) at the zeros of p_n against
+    :func:`mpf_grid_q`, bit for bit, and its verdict against :func:`mpf_interlace_strict`; returns the
+    number of cells."""
     policy = TolerancePolicy(precision_bits=bits)
     family = mp_family(lam, phi, policy)
     cells = 0
     for n in range(4, n_max + 1):
         zp = zeros_golub_welsch(family, n, policy)
-        points = [_unpack(x._mpf_) for x in zp.values]
         for m in range(2, n + 1):
             for k in range(0, m + 3):
                 G = connection_decompose(family, even_modifier(family, k, policy), n, m, policy).G_poly
                 if G.degree != m - 1:
                     continue
                 shifted, d = family.shifted(k), n - m
-                rows = [[] for _ in points]
-                for p, out in zip(points, rows):
-                    _sweep(shifted.kernel_rows(d, bits), d, *p, bits, out)
-                ours = _grid_q(G, points, rows, d, policy)
+                g = [_sweep(shifted.kernel_rows(d, bits), d, *p, bits) for p in zp.points]
+                ours = _q_at(G, g, zp.points, bits)
                 theirs = mpf_grid_q(G, zp.values, shifted, d, policy)
-                for x, p in zip(zp.values, points):
-                    vm, ve, dm, de = ours[p]
+                for x, (vm, ve, dm, de) in zip(zp.values, ours):
                     assert (_to_mpf(vm, ve)._mpf_, _to_mpf(dm, de)._mpf_) == tuple(v._mpf_ for v in theirs[x]), (n, m, k)
-                verdict = interlace_strict(ours.__getitem__, n - 1, zp, policy)
+                verdict = interlace_strict(G, g, d, zp, policy)
                 assert (verdict.strict, verdict.common) == mpf_interlace_strict(theirs.__getitem__, n - 1, zp, policy), (n, m, k)
                 cells += 1
     return cells

@@ -214,6 +214,25 @@ def test_decompose_failures_are_pinned(argv, code, err, capsys):
     assert captured.err == err
 
 
+def test_reports_print_at_any_precision(capsys):
+    # mp.nstr writes the whole mantissa out as a decimal integer, and Python
+    # converts no integer of more than 4300 digits (about 14,300 bits)
+    argv = ["--decompose", "--family", "mp", "--lambda", "0.5", "--phi", "0.9", "--n", "4", "--m", "2", "--k", "1"]
+    assert main([*argv, "--precision-bits", "16000"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["rows"][0]["verdict"] == "pass"
+    for bits in (53, 4096, 16000):
+        with mp.workprec(bits):
+            third = mp.mpf(1) / 3
+        assert cli._fmt(third) == "0.333333333333"
+        assert cli._fmt(third, 3) == "0.333"
+    # a value of at most 4096 bits prints as nstr prints it
+    with mp.workprec(4096):
+        near = 1 - mp.ldexp(1, -4095)
+    assert cli._fmt(near, 1300) == mp.nstr(near, 1300)
+
+
 @pytest.mark.parametrize(
     "argv, value",
     [
@@ -546,11 +565,9 @@ def test_sweep_sign_changes_count_the_zeros_above(policy):
                 assert cli._sign_changes(values) == sum(1 for z in zs.values if z > x and abs(z - x) > policy.abs_tol)
 
 
-def _kernel_sweeps(fam, d, zp, policy) -> tuple:
-    """``_grid_interlace``'s points and rows: the zeros zp as kernel pairs, and fam's sweep rows there as kernel pairs."""
-    points = [_unpack(x._mpf_) for x in zp.values]
-    rows = [[(*_unpack(v._mpf_), *_unpack(s._mpf_)) for v, s in values_ladder(fam, d, x, policy)] for x in zp.values]
-    return points, rows
+def _kernel_sweeps(fam, d, zp, policy) -> list:
+    """``_grid_interlace``'s rows: fam's sweep rows at the zeros zp, as kernel pairs."""
+    return [[(*_unpack(v._mpf_), *_unpack(s._mpf_)) for v, s in values_ladder(fam, d, x, policy)] for x in zp.values]
 
 
 def test_grid_span_count_keeps_zeros_at_the_extremes_inside(policy):
@@ -561,10 +578,10 @@ def test_grid_span_count_keeps_zeros_at_the_extremes_inside(policy):
     decomp = connection_decompose(fam, even_modifier(fam, 3, policy), 7, 2, policy)
     g_fam = custom_family(lambda j: mp.mpf(0), lambda j: mp.mpf(1), policy=policy)
     zp = zeros.ZeroSet((mp.mpf(0), mp.mpf(1)), "span", 2)
-    points, rows = _kernel_sweeps(g_fam, 5, zp, policy)
+    rows = _kernel_sweeps(g_fam, 5, zp, policy)
     assert rows[0][5][0] == rows[1][5][0] == 0
     cell = dataclasses.replace(decomp, G_poly=Polynomial([1]))
-    assert cli._grid_interlace(cell, zp, points, rows, policy) == "fails(size 5 vs 1, 3 outside span)"
+    assert cli._grid_interlace(cell, zp, rows, policy) == "fails(size 5 vs 1, 3 outside span)"
 
 
 def test_grid_interlace_names_each_failure(policy):
@@ -572,7 +589,7 @@ def test_grid_interlace_names_each_failure(policy):
     n, m, k = 6, 3, 2
     decomp = connection_decompose(fam, even_modifier(fam, k, policy), n, m, policy)
     zp = zeros_golub_welsch(fam, n, policy)
-    points, rows = _kernel_sweeps(fam.shifted(k), n - m, zp, policy)
+    rows = _kernel_sweeps(fam.shifted(k), n - m, zp, policy)
     with policy.workprec():
         gap = zp[1] - zp[0]
         mid, third = zp[0] + gap / 2, zp[0] + gap / 3
@@ -583,7 +600,7 @@ def test_grid_interlace_names_each_failure(policy):
             (Polynomial([third * mid, -(third + mid), 1]), "fails"),  # both roots in the first gap
         ]
     for G, label in cases:
-        assert cli._grid_interlace(dataclasses.replace(decomp, G_poly=G), zp, points, rows, policy) == label
+        assert cli._grid_interlace(dataclasses.replace(decomp, G_poly=G), zp, rows, policy) == label
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,6 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from functools import partial
 
 import pytest
 from mpmath import mp
@@ -20,20 +19,26 @@ from christoffel import (
     pj_family,
     polynomial_real_roots,
     stieltjes_check,
+    values_ladder,
     zeros_golub_welsch,
 )
 from christoffel import zeros
 from christoffel.cli import main
-from christoffel.core import DEFAULT_POLICY, Polynomial, TolerancePolicy, _unpack
+from christoffel.core import Polynomial, TolerancePolicy, _to_mpf, _unpack
 
-from polyhelpers import mpf_zeros, pair_map
+from polyhelpers import mpf_grid_q, mpf_interlace_strict, mpf_is_zero, mpf_zeros
+
+_ONE = (1, 0, 0, 0)  # the row of g = 1: g(x) = 1 and g'(x) = 0 as kernel pairs
 
 
-def _poly_map(coeffs):
-    """x -> (p(x), p'(x)) on kernel pairs at 256 bits, for the polynomial with ascending ``coeffs``."""
-    p = Polynomial(coeffs)
-    dp = p.derivative()
-    return pair_map(lambda x: (p(x), dp(x)), DEFAULT_POLICY)
+def _outer(*values):
+    """A ZeroSet of the ascending ``values``, as exact mpf values."""
+    return zeros.ZeroSet(tuple(mp.mpf(v) for v in values), "outer", len(values))
+
+
+def _rows(fam, d, outer, policy) -> list:
+    """(p_d(x), p_d'(x)) of fam at each zero x of ``outer``, as kernel pairs: the rows interlace_strict reads."""
+    return [(*_unpack(v._mpf_), *_unpack(s._mpf_)) for v, s in (eval_with_derivative(fam, d, x, policy) for x in outer.values)]
 
 
 def test_degree_one_zero_is_recurrence_offset(policy):
@@ -414,21 +419,29 @@ def test_gauss_weights_are_the_mpf_loop_bit_for_bit(bits):
 
 
 def test_interlace_basic_cases(policy):
-    assert interlace_strict(_poly_map([0, 1]), 1, [-1, 1], policy).strict
-    assert not interlace_strict(_poly_map([-2, 1]), 1, [-1, 1], policy).strict
-    with pytest.raises(ValueError):
-        interlace_strict(_poly_map([0, -2, 1]), 2, [-1, 1], policy)
+    # q = G g with g = 1, so the zeros of q are those of G
+    assert interlace_strict(Polynomial([0, 1]), [_ONE] * 2, 0, _outer(-1, 1), policy).strict
+    assert not interlace_strict(Polynomial([-2, 1]), [_ONE] * 2, 0, _outer(-1, 1), policy).strict
+    with pytest.raises(ValueError, match="q must have degree 1 to interlace 2 zeros, got 2"):
+        interlace_strict(Polynomial([0, -2, 1]), [_ONE] * 2, 0, _outer(-1, 1), policy)
     # right degree with a zero on an outer zero: reported, not an error
-    assert interlace_strict(_poly_map([0, -2, 1]), 2, [-1, 0, 1], policy).common == (0,)
-    # a decimal string is an outer zero at the working precision, not at mpmath's default 53 bits
-    seen = []
-    assert interlace_strict(lambda p: seen.append(p) or (1, 0, 1, 0), 0, ["0.1"], policy).strict
-    with policy.workprec():
-        assert seen == [_unpack(mp.mpf("0.1")._mpf_)]
+    assert interlace_strict(Polynomial([0, -2, 1]), [_ONE] * 3, 0, _outer(-1, 0, 1), policy).common == (0,)
+    # the degree of q counts g's: G = 1 and g = x - 1 (g' = 1) against the zeros 0 and 2
+    g = [(-1, 0, 1, 0), (1, 0, 1, 0)]
+    assert interlace_strict(Polynomial([1]), g, 1, _outer(0, 2), policy).strict
+    with pytest.raises(ValueError, match="q must have degree 1 to interlace 2 zeros, got 2"):
+        interlace_strict(Polynomial([0, 1]), g, 1, _outer(0, 2), policy)
+
+
+def test_interlace_needs_one_row_of_g_per_outer_zero(policy):
+    # zip would silently drop the zeros without a row, or the rows without a zero
+    for g in ([_ONE] * 2, [_ONE] * 4):
+        with pytest.raises(ValueError, match=f"g needs one row per outer zero, 3, got {len(g)}"):
+            interlace_strict(Polynomial([0, -2, 1]), g, 0, _outer(-1, 0, 3), policy)
 
 
 def test_interlace_reports_common_zeros(policy):
-    verdict = interlace_strict(_poly_map([0, -1, 1]), 2, [-1, 0, 2], policy)  # x (x - 1)
+    verdict = interlace_strict(Polynomial([0, -1, 1]), [_ONE] * 3, 0, _outer(-1, 0, 2), policy)  # x (x - 1)
     assert not verdict.strict
     assert verdict.common == (0,)
 
@@ -441,9 +454,8 @@ def test_consecutive_degrees_interlace(policy):
         for n in (2, 12, 30):
             if fam.max_valid_degree is not None and n > fam.max_valid_degree:
                 continue
-            inner = pair_map(partial(eval_with_derivative, fam, n - 1, policy=policy), policy)
             outer = zeros_golub_welsch(fam, n, policy)
-            assert interlace_strict(inner, n - 1, outer, policy).strict
+            assert interlace_strict(Polynomial([1]), _rows(fam, n - 1, outer, policy), n - 1, outer, policy).strict
 
 
 def test_sign_verdict_matches_direct_zero_comparison(policy):
@@ -463,8 +475,8 @@ def test_sign_verdict_matches_direct_zero_comparison(policy):
         a = zeros_golub_welsch(inner_fam, n - 1, policy)
         with policy.workprec():
             direct = all(b[i] < a[i] < b[i + 1] for i in range(n - 1))
-        q = pair_map(partial(eval_with_derivative, inner_fam, n - 1, policy=policy), policy)
-        assert interlace_strict(q, n - 1, b, policy).strict == direct, inner_fam.label
+        g = _rows(inner_fam, n - 1, b, policy)
+        assert interlace_strict(Polynomial([1]), g, n - 1, b, policy).strict == direct, inner_fam.label
         outcomes.add(direct)
     assert outcomes == {True, False}
 
@@ -652,6 +664,54 @@ def test_stieltjes_common_zero_failures_report_violations(policy, monkeypatch):
     verdict = stieltjes_check(fam, k, n, policy)
     assert verdict.ok is False and verdict.branch == "common_zero"
     assert verdict.violations == ("zeros of g do not interlace the non-common zeros of p_n",)
+
+
+_STIELTJES_CASES = [
+    (lambda pol: mp_family("0.5", "0.9", pol), 48, "coprime"),
+    (lambda pol: pj_family(-60, 8, pol), 48, "coprime"),
+    (lambda pol: mp_family("3.25", "2.4", pol), 20, "coprime"),  # phi > pi/2 and b < 0 reverse the bounds
+    (lambda pol: pj_family("-52.5", "-3", pol), 20, "coprime"),
+    (lambda pol: pj_family("-5.5", 0, pol), 5, "common_zero"),
+    (lambda pol: mp_family("0.5", mp.pi / 2, pol), 9, "common_zero"),
+]
+
+
+@pytest.mark.parametrize("bits", [64, 256, 512])
+@pytest.mark.parametrize("make, n, branch", _STIELTJES_CASES, ids=["mp", "pj", "mp-phi2.4", "pj-b-3", "pj-b0", "mp-right-angle"])
+def test_stieltjes_q_and_verdicts_are_the_mpf_route_bit_for_bit(make, n, branch, bits, monkeypatch):
+    # the q = G g that interlace_strict forms for each branch, against the mpf
+    # (x - B) g, or g over the non-common zeros, with g from values_ladder
+    pol = TolerancePolicy(precision_bits=bits)
+    with pol.workprec():
+        fam = make(pol)
+    calls = []
+    interlace = zeros.interlace_strict
+
+    def recorded(G, g, degree, outer, policy):
+        verdict = interlace(G, g, degree, outer, policy)
+        calls.append((zeros._q_at(G, g, outer.points, bits), outer, verdict))
+        return verdict
+
+    monkeypatch.setattr(zeros, "interlace_strict", recorded)
+    for k in (0, 1, 2):
+        calls.clear()
+        result = stieltjes_check(fam, k, n, pol)
+        assert result.ok and result.branch == branch, (k, result.violations)
+        [(ours, outer, verdict)] = calls
+        zp = zeros_golub_welsch(fam, n, pol)
+        with pol.workprec():
+            g = {x: values_ladder(fam.shifted(k), n - 2, x, pol)[n - 2] for x in zp.values}
+            assert result.common == tuple(x for x, (v, d) in g.items() if mpf_is_zero(v, d, x, pol))
+            if branch == "coprime":
+                B = inner_bound(fam, n, k, pol)
+                theirs = mpf_grid_q(Polynomial([-B, 1]), zp.values, fam.shifted(k), n - 2, pol)
+            else:
+                theirs = {x: vd for x, vd in g.items() if x not in result.common}
+        assert outer.values == tuple(theirs)
+        assert [(_to_mpf(vm, ve)._mpf_, _to_mpf(dm, de)._mpf_) for vm, ve, dm, de in ours] == [
+            (v._mpf_, d._mpf_) for v, d in theirs.values()
+        ], k
+        assert (verdict.strict, verdict.common) == mpf_interlace_strict(theirs.__getitem__, len(outer) - 1, outer, pol)
 
 
 def test_root_finder_failure_is_a_numerical_failure(policy, monkeypatch, capsys):

@@ -461,9 +461,6 @@ class Polynomial:
         return Polynomial._of([(m, e) if _cmp(*_round(abs(m), e, prec), tm, te) > 0 else (0, 0) for m, e in self._pairs])
 
 
-X = Polynomial([0, 1])
-
-
 def relative_residual(total, terms: Sequence) -> mp.mpf:
     """|total| scaled by the largest term magnitude (0 when every term vanishes).
 

@@ -216,7 +216,8 @@ class ConnectionDecomposition:
 
 def _expansion(family, modifier, d, policy) -> tuple:
     """What the cells with n - m = d share, kept by the family: g_{d,k}, the left side c_{2k} g_{d,k},
-    max(1, its sup norm), and its monic-basis coefficients from p_d up over the last one (kernel pairs, mpf).
+    max(1, its sup norm), and its monic-basis coefficients from p_d up (kernel pairs, mpf); the last is exactly 1,
+    as c_{2k}, g and the basis are monic and the expansion's top step only copies the product's top coefficient.
 
     The key holds the whole policy: the determinant route's gates and chop, and the check that the
     coefficients below p_d vanish, read its tolerances.  A failed check keeps nothing, so it raises on every call.
@@ -234,8 +235,7 @@ def _expansion(family, modifier, d, policy) -> tuple:
                     "modified polynomial has components below the expected basis "
                     "range; the transform inputs are inconsistent"
                 )
-            work = [_div(em, ee, *coeffs[-1], prec) for em, ee in coeffs[d:]]
-            return g, lhs, max(lhs.inf_norm(), mp.mpf(1)), work, tuple(_to_mpf(*w) for w in work)
+            return g, lhs, max(lhs.inf_norm(), mp.mpf(1)), coeffs[d:], tuple(_to_mpf(*w) for w in coeffs[d:])
 
     return family.owned(("expansion", modifier, d, policy), build)
 

@@ -62,7 +62,6 @@ class ZeroSet:
 
     values: tuple
     label: str
-    degree: int
     points: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -182,6 +181,13 @@ def _enclose(fdiag, foffsq, lo, hi, k):
     return -math.inf, math.inf
 
 
+def _gershgorin(diag, offsq):
+    """(lo, hi), the Gershgorin interval of the Jacobi matrix, at the current precision."""
+    beta = [mp.mpf(0)] + [mp.sqrt(v) for v in offsq] + [mp.mpf(0)]
+    lo = min(d - (beta[i] + beta[i + 1]) for i, d in enumerate(diag))
+    return lo, max(d + (beta[i] + beta[i + 1]) for i, d in enumerate(diag))
+
+
 def _isolate(count, a, b, ca, cb, width, prec):
     """Ascending brackets (a, b, ca, cb) of the eigenvalues in [a, b), by bisection.
 
@@ -298,13 +304,11 @@ def _solve(family: RecurrenceFamily, n: int, policy: TolerancePolicy) -> ZeroSet
         diag = C[1 : n + 1]
         offsq = L[2 : n + 1]
         if n == 1:
-            return ZeroSet((diag[0],), family.label, 1)
+            return ZeroSet((diag[0],), family.label)
         with mp.workprec(64):
             d64 = [+c for c in diag]
             o64 = [+v for v in offsq]
-            beta = [mp.mpf(0)] + [mp.sqrt(v) for v in o64] + [mp.mpf(0)]
-            lo = min(d - (beta[i] + beta[i + 1]) for i, d in enumerate(d64))
-            hi = max(d + (beta[i] + beta[i + 1]) for i, d in enumerate(d64))
+            lo, hi = _gershgorin(d64, o64)
             # Newton's step floors are relative to max(unit, |x|): unit is 1,
             # or the Gershgorin width of a smaller spectrum.
             unit = min(hi - lo, 1)
@@ -314,6 +318,9 @@ def _solve(family: RecurrenceFamily, n: int, policy: TolerancePolicy) -> ZeroSet
             spread = hi - lo
             tiny = mp.ldexp(spread or abs(hi), -120)
             width = spread * mp.ldexp(1, -44)
+        if not spread:  # 64 bits see one point: cells stop at 2**-44 of the spread at working precision
+            lo_wp, hi_wp = _gershgorin(diag, offsq)
+            width = mp.ldexp(hi_wp - lo_wp, -44)
         centre = (lo + hi) / 2
         scale = mp.frexp(spread)[1]
         fdiag = [float(mp.ldexp(d - centre, -scale)) for d in diag]
@@ -367,7 +374,7 @@ def _solve(family: RecurrenceFamily, n: int, policy: TolerancePolicy) -> ZeroSet
         if len(brackets) != n:
             raise ArithmeticError(f"isolated {len(brackets)} of the {n} zeros of {family.label} degree {n}")
         unit = _unpack(mp.mpf(unit)._mpf_)  # min(hi - lo, 1) may be the int 1
-        return ZeroSet(tuple(sorted(_polish(family, n, a, b, prec, unit) for a, b in brackets)), family.label, n)
+        return ZeroSet(tuple(sorted(_polish(family, n, a, b, prec, unit) for a, b in brackets)), family.label)
 
 
 def zeros_golub_welsch(family: RecurrenceFamily, n: int, policy: TolerancePolicy = DEFAULT_POLICY) -> ZeroSet:
@@ -383,7 +390,7 @@ def zeros_golub_welsch(family: RecurrenceFamily, n: int, policy: TolerancePolicy
     """
     family.require_degree(n)
     if n == 0:
-        return ZeroSet((), family.label, 0)
+        return ZeroSet((), family.label)
     zs = family.owned(("zeros", n, policy.precision_bits), lambda: _solve(family, n, policy))
     with policy.workprec():
         unit = min(1, zs.values[-1] - zs.values[0])
@@ -420,15 +427,16 @@ def gauss_rule(family: RecurrenceFamily, n: int, policy: TolerancePolicy = DEFAU
         # (C(j), L(j), h_j) for j = 1..n-1, with h_j = L(2) ... L(j + 1)
         # multiplied in that order; the loop below is the mpf loop
         # p_j = (x - C(j)) p_{j-1} - L(j) p_{j-2}, denom += p_j * p_j / h_j,
-        # w = 1 / denom, with the same operations in the same order
+        # w = 1 / denom, with the same operations in the same order.  It runs
+        # the recurrence itself: families._sweep's rows give the same bits but
+        # also form p_j', which made two degree-48 rules 45 -> 58 ms.
         terms, hm, he = [], 1, 0
         for j in range(1, n):
             _, _, lm, le = rows[j + 1]
             hm, he = _round(hm * lm, he + le, prec)
             terms.append((*rows[j], hm, he))
         weights = []
-        for x in nodes.values:
-            xm, xe = _unpack(x._mpf_)
+        for xm, xe in nodes.points:
             pm, pe, qm, qe = 1, 0, 0, 0  # p_0, p_{-1}
             dm, de = 1, 0  # j = 0 term
             for cm, ce, lm, le, hm, he in terms:
@@ -612,7 +620,7 @@ def stieltjes_check(family: RecurrenceFamily, k: int, n: int, policy: ToleranceP
                     violations.append(f"common zero is an extreme zero of p_n (index {j})")
             if len(shared) == 1:
                 rest = [i for i in range(n) if i != shared[0]]
-                outer = ZeroSet(tuple(zp[i] for i in rest), zp.label, n)
+                outer = ZeroSet(tuple(zp[i] for i in rest), zp.label)
                 if not interlace_strict(Polynomial._of([(1, 0)]), [g_at[i] for i in rest], n - 2, outer, policy).strict:
                     violations.append("zeros of g do not interlace the non-common zeros of p_n")
         if not zp[0] < bound < zp[-1]:

@@ -322,6 +322,10 @@ def mpf_zeros(family, n: int, policy) -> tuple:
             spread = hi - lo
             tiny = mp.ldexp(spread or abs(hi), -120)
             width = (spread * mp.ldexp(1, -44))._mpf_
+        if not spread:  # 64 bits see one point: cells stop at 2**-44 of the Gershgorin spread at working precision
+            beta = [mp.mpf(0)] + [mp.sqrt(v) for v in offsq] + [mp.mpf(0)]
+            ends = [(d - (beta[i] + beta[i + 1]), d + (beta[i] + beta[i + 1])) for i, d in enumerate(diag)]
+            width = mp.ldexp(max(b for _, b in ends) - min(a for a, _ in ends), -44)._mpf_
         reach = (mp.make_mpf(width) + mp.ldexp(max(abs(lo), abs(hi)), -60))._mpf_
         tiny_wp = mp.ldexp(tiny, -mp.prec)
         # float counts on the shifted, scaled matrix where they agree at

@@ -577,7 +577,7 @@ def test_grid_span_count_keeps_zeros_at_the_extremes_inside(policy):
     fam = mp_family("0.5", "0.9", policy)
     decomp = connection_decompose(fam, even_modifier(fam, 3, policy), 7, 2, policy)
     g_fam = custom_family(lambda j: mp.mpf(0), lambda j: mp.mpf(1), policy=policy)
-    zp = zeros.ZeroSet((mp.mpf(0), mp.mpf(1)), "span", 2)
+    zp = zeros.ZeroSet((mp.mpf(0), mp.mpf(1)), "span")
     rows = _kernel_sweeps(g_fam, 5, zp, policy)
     assert rows[0][5][0] == rows[1][5][0] == 0
     cell = dataclasses.replace(decomp, G_poly=Polynomial([1]))
@@ -627,3 +627,46 @@ def test_small_grid_runs_clean(capsys):
     assert by_key[(4, 2, 0)]["deg_G"] == 1
     assert by_key[(4, 2, 3)]["interlace"].startswith("fails")
     assert by_key[(4, 2, 1)]["interlace"] == "holds"
+
+
+# The grid's known wrong answers (ROADMAP item 1): the decomposition chops a's
+# leading coefficient against a sup norm of monomial coefficients, so these
+# cells measure too low a degree.  Each is a strict xfail until that is mended.
+_WRONG_CELLS = {
+    ("--grid", "--lambda", "20", "--phi", "0.1", "--n", "9"): [(9, 9, 11)],
+    ("--grid", "--n", "8", "--precision-bits", "64"): [(7, 7, 9), (8, 8, 10)],
+}
+
+
+@pytest.fixture(scope="module")
+def wrong_cell_grids() -> dict:
+    """{argv: (policy, {(n, m, k): row})} for each grid of _WRONG_CELLS, run once per module."""
+    grids = {}
+    for argv in _WRONG_CELLS:
+        config = config_from_args(build_parser().parse_args(argv))
+        rows = dispatch(config).rows
+        grids[argv] = config.policy(), {(r["inputs"]["n"], r["inputs"]["m"], r["inputs"]["k"]): r for r in rows}
+    return grids
+
+
+@pytest.mark.xfail(strict=True, reason="degrees of a and G measured too low: ROADMAP item 1")
+@pytest.mark.parametrize(
+    "argv, cell",
+    [
+        pytest.param(argv, cell, id="_".join([*(a.lstrip("-") for a in argv[1:]), *map(str, cell)]))
+        for argv, cells in _WRONG_CELLS.items()
+        for cell in cells
+    ],
+)
+def test_known_wrong_grid_cells_follow_the_law(argv, cell, wrong_cell_grids):
+    policy, rows = wrong_cell_grids[argv]
+    computed = rows[cell]["computed"]
+    assert (computed["deg_a"], computed["deg_G"]) == (computed["law_deg_a"], computed["law_deg_G"])
+    assert mp.mpf(computed["residual"]) <= policy.rel_tol
+
+
+def test_grids_with_known_wrong_cells_pass_everywhere_else(wrong_cell_grids):
+    # a new failure in these grids cannot hide behind the xfails above
+    for argv, (_, rows) in wrong_cell_grids.items():
+        failing = sorted(cell for cell, row in rows.items() if row["verdict"] != "pass")
+        assert failing == _WRONG_CELLS[argv], " ".join(argv)

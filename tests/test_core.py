@@ -6,7 +6,7 @@ from mpmath import mp
 from mpmath.libmp import from_man_exp, mpf_add, mpf_cmp, mpf_div, mpf_mul, mpf_sub, round_nearest
 
 from christoffel import Polynomial, RemainderError, TolerancePolicy, core
-from christoffel.core import NonFiniteError, X, _accumulate, _add, _cmp, _div, _horner, _round, _to_mpf, _unpack, to_scalar
+from christoffel.core import NonFiniteError, _accumulate, _add, _cmp, _div, _horner, _round, _to_mpf, _unpack, to_scalar
 from polyhelpers import (
     max_rel_coeff_diff,
     poly_add,
@@ -21,6 +21,8 @@ from polyhelpers import (
     poly_sub,
     schoolbook_product,
 )
+
+X = Polynomial([0, 1])
 
 
 def test_difference_of_squares():

@@ -19,6 +19,7 @@ from christoffel import (
     pj_family,
 )
 from christoffel import transform
+from christoffel.core import _to_mpf
 from christoffel.families import _ladder
 from christoffel.transform import modified_polynomial
 from polyhelpers import assert_grid_decompositions_are_the_mpf_loops, coeff, max_rel_coeff_diff
@@ -286,6 +287,26 @@ def test_modifier_from_canonical_nodes_takes_the_shift(policy, monkeypatch):
     monkeypatch.setattr(transform, "christoffel_transform", lambda *args: pytest.fail("determinant route taken"))
     decomp = connection_decompose(fam, mod, 7, 2, policy)
     assert decomp.g_poly == generate(fam.shifted(3), 5, policy)
+
+
+@pytest.mark.parametrize("bits", [64, 256, 512])
+def test_expansion_ends_in_exactly_one(bits):
+    # c_{2k}, g and the basis are monic, so the top coefficient of c_{2k} g in
+    # the monic basis is exactly 1 and the decomposition reads the expansion as
+    # it is: for the canonical modifiers (the shift) and for imaginary, real
+    # and repeated nodes (the determinant route, confluent rows for repeats).
+    pol = TolerancePolicy(precision_bits=bits)
+    mp_fam, pj_fam = mp_family("0.5", "0.9", pol), pj_family(-40, 8, pol)
+    with pol.workprec():
+        others = [
+            ModifierSpec(nodes, pol)
+            for nodes in ([mp.mpc(0, "0.3"), mp.mpc(0, "2.7")], [mp.mpf("0.4"), mp.mpf("1.7")], [mp.mpc(0, "0.8")] * 3)
+        ]
+    cases = [(fam, even_modifier(fam, k, pol)) for fam in (mp_fam, pj_fam) for k in range(5)]
+    for fam, mod in cases + [(mp_fam, mod) for mod in others]:
+        for d in range(8):
+            top = transform._expansion(fam, mod, d, pol)[3][-1]
+            assert _to_mpf(*top) == 1, f"{fam.label}, nodes {mod.nodes}, d = {d}: top coefficient {top}"
 
 
 def _expansion_keys(fam) -> list:

@@ -33,7 +33,7 @@ _ONE = (1, 0, 0, 0)  # the row of g = 1: g(x) = 1 and g'(x) = 0 as kernel pairs
 
 def _outer(*values):
     """A ZeroSet of the ascending ``values``, as exact mpf values."""
-    return zeros.ZeroSet(tuple(mp.mpf(v) for v in values), "outer", len(values))
+    return zeros.ZeroSet(tuple(mp.mpf(v) for v in values), "outer")
 
 
 def _rows(fam, d, outer, policy) -> list:
@@ -181,6 +181,23 @@ def test_zeros_far_from_the_origin_against_their_width(policy, exponent):
     with policy.workprec():
         exact = [mp.mpf(10) ** exponent + 2 * mp.cos(j * mp.pi / 13) for j in range(12, 0, -1)]
         assert max(abs(z - e) for z, e in zip(zs.values, exact)) <= policy.abs_tol
+
+
+def test_one_point_at_64_bits_is_bisected_to_the_spread_at_working_precision(monkeypatch):
+    # Diagonal 1e20 and Lambda = 1: the 64-bit Gershgorin spread rounds to 0,
+    # so every cell is bisected again at working precision.  Those cells stop
+    # at 2**-44 of the spread there, about 43 counts per zero, not where their
+    # midpoints round to an end (2,273 counts for these 12 zeros at 256 bits).
+    pol = TolerancePolicy(precision_bits=256)
+    calls, count_below = [], zeros._count_below
+
+    def spied(diag, offsq, x, tiny):
+        calls.append(x)
+        return count_below(diag, offsq, x, tiny)
+
+    monkeypatch.setattr(zeros, "_count_below", spied)
+    zeros._solve(custom_family(lambda j: mp.mpf(10) ** 20, lambda j: mp.mpf(1), label="offset 1e20", policy=pol), 12, pol)
+    assert len(calls) <= 12 * 50
 
 
 def test_zeros_closer_than_64_bits_resolve_fail_by_name():

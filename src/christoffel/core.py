@@ -24,7 +24,9 @@ most ``prec + 4`` apart), so the bits are the same; other sums go to
 mpmath's ``mpf_add`` (which never aligns 1e400000000 with 1 bit by bit), and
 non-finite points are rejected where they enter.  :func:`_round` gives the
 argument.  Polynomials, the recurrences of :mod:`christoffel.families`, the
-connection pair and the zero solver run on it; results leave it as mpf values.
+connection pair, the zero solver and the determinant transform (complex
+values as quadruples, in libmpc's roundings) run on it; results leave it as
+mpf or mpc values.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from mpmath import mp
-from mpmath.libmp import from_man_exp, mpf_add, round_nearest
+from mpmath.libmp import from_man_exp, mpf_add, mpf_hypot, round_down, round_nearest
 
 
 class NonFiniteError(ArithmeticError):
@@ -127,16 +129,17 @@ def _round(m: int, e: int, prec: int) -> tuple:
     and rounds it once with this rule (``normalize`` at ``round_nearest``),
     so ``_round(ma * mb, ea + eb, prec)`` is the mpf product.  ``mpf_add``
     aligns its operands exactly and rounds once the same way whenever their
-    exponents differ by at most ``_NEAR``, which :func:`_add` does there too.
-    Further apart it still aligns them when their leading bits lie at most
-    ``prec + 4`` bits apart, and so does :func:`_add`.  Otherwise
-    ``mpf_add`` may nudge the larger operand by one unit ``prec + 4`` bits
-    below its last bit instead of aligning; that is correctly rounded only
-    for an operand of at most ``prec`` bits (a point or coefficient kept at
-    a higher precision can have more), so :func:`_add` hands those sums to
-    ``mpf_add`` itself, which also spares aligning 1e400000000 with 1.
-    Inf and nan carry mantissa 0 and would read as zero; the callers reject
-    them.
+    leading bits lie at most ``prec + 4`` bits apart, and so does
+    :func:`_add`.  Further apart it aligns them only when their exponents
+    differ by at most ``_NEAR``; otherwise it nudges the larger operand by
+    one unit ``prec + 4`` bits below its last bit.  That is the correctly
+    rounded sum when the larger operand has at most ``prec`` bits, but not
+    always when both are wider (a point or coefficient kept at a higher
+    precision, or an exact product), and the exponents it compares are
+    those of normalized values, which kernel pairs are not.  So
+    :func:`_add` hands those sums to ``mpf_add`` itself, which also spares
+    aligning 1e400000000 with 1.  Inf and nan carry mantissa 0 and would
+    read as zero; the callers reject them.
 
     The rounding works on the signed mantissa: ``>>`` floors, so t below is
     floor(2 m / 2**n) for either sign, its low bit says whether the dropped
@@ -156,12 +159,11 @@ def _round(m: int, e: int, prec: int) -> tuple:
 def _add(m1: int, e1: int, m2: int, e2: int, prec: int) -> tuple:
     """m1 * 2**e1 + m2 * 2**e2 rounded to ``prec`` bits, the bits of ``mpf_add`` (see :func:`_round`).
 
-    Aligned exactly up to an exponent gap of ``_NEAR``, or at any gap when
-    the leading bits lie at most ``prec + 4`` bits apart; otherwise a zero
-    operand leaves the other rounded, and any other sum goes to ``mpf_add``.
+    Aligned exactly when the leading bits lie at most ``prec + 4`` bits apart;
+    otherwise a zero operand leaves the other rounded, and any other sum goes to ``mpf_add``.
     """
     d = e1 - e2
-    if -_NEAR <= d <= _NEAR or abs(m1.bit_length() - m2.bit_length() + d) <= prec + 4:
+    if -prec - 4 <= m1.bit_length() - m2.bit_length() + d <= prec + 4:
         if d >= 0:
             return _round((m1 << d) + m2, e2, prec)
         return _round(m1 + (m2 << -d), e1, prec)
@@ -176,8 +178,10 @@ def _accumulate(out: list, wm: int, we: int, pairs, i: int, prec: int) -> None:
     """out[i + j] += w * pairs[j] for every j, in place, the product and the sum each rounded once as by mpf.
 
     The multiply-add loop of the product, division and connection pair.  As in ``families._sweep``,
-    the near paths of :func:`_round` and :func:`_add` are written out (sums more than ``_NEAR``
-    exponents apart still go to ``_add``), and a zero accumulator takes the rounded product as it is.
+    :func:`_round` is written out, and so is the exact sum of operands at most ``_NEAR`` exponents
+    apart.  That is ``mpf_add``'s sum (see :func:`_round`): an operand wider than ``prec`` bits here
+    is a coefficient or point unpacked from an mpf, whose exponent is the one ``mpf_add`` reads.
+    Sums further apart go to :func:`_add`, and a zero accumulator takes the rounded product as it is.
     """
     near = _NEAR
     for j, (bm, be) in enumerate(pairs, i):
@@ -278,6 +282,66 @@ def _cmp(m1: int, e1: int, m2: int, e2: int) -> int:
     else:
         m2 <<= -d
     return (m1 > m2) - (m1 < m2)
+
+
+def _add_down(m1: int, e1: int, m2: int, e2: int, prec: int) -> tuple:
+    """:func:`_add` truncated toward zero instead, the bits of ``mpf_add`` at ``round_down``.
+
+    That is mpmath's default rounding ``round_fast``, at which ``mpc_div`` forms its sums at prec + 10
+    bits; the sums that :func:`_add` hands to ``mpf_add`` go to it here too.
+    """
+    d = e1 - e2
+    if -prec - 4 <= m1.bit_length() - m2.bit_length() + d <= prec + 4:
+        m, e = ((m1 << d) + m2, e2) if d >= 0 else (m1 + (m2 << -d), e1)
+        n = m.bit_length() - prec
+        return (m, e) if n <= 0 else ((m >> n if m > 0 else -(-m >> n)), e + n)
+    return _unpack(mpf_add(from_man_exp(m1, e1), from_man_exp(m2, e2), prec, round_down))
+
+
+# A complex value a + bi is the quadruple (am, ae, bm, be) of its parts' pairs; each operation
+# below gives the bits of the libmpc one at round_nearest, as ``mp.mpc`` arithmetic calls it.
+
+
+def _cmul(am, ae, bm, be, cm, ce, dm, de, prec: int) -> tuple:
+    """(a + bi)(c + di), as ``mpc_mul``: four exact products, and each part their one rounded sum."""
+    return (*_add(am * cm, ae + ce, -bm * dm, be + de, prec), *_add(am * dm, ae + de, bm * cm, be + ce, prec))
+
+
+def _csub(am, ae, bm, be, cm, ce, dm, de, prec: int) -> tuple:
+    """(a + bi) - (c + di), as ``mpc_sub``."""
+    return (*_add(am, ae, -cm, ce, prec), *_add(bm, be, -dm, de, prec))
+
+
+def _cnorm(cm, ce, dm, de, prec: int) -> tuple:
+    """c**2 + d**2 as ``mpc_div`` forms it for the divisor c + di: truncated to prec + 10 bits."""
+    return _add_down(cm * cm, 2 * ce, dm * dm, 2 * de, prec + 10)
+
+
+def _cdiv(am, ae, bm, be, cm, ce, dm, de, norm: tuple, prec: int) -> tuple:
+    """(a + bi) / (c + di), as ``mpc_div``, given the divisor's :func:`_cnorm` (formed once per divisor).
+
+    ac + bd and bc - ad are truncated to prec + 10 bits too; each is then divided by the norm and rounded.
+    """
+    t = _add_down(am * cm, ae + ce, bm * dm, be + de, prec + 10)
+    u = _add_down(bm * cm, be + ce, -am * dm, ae + de, prec + 10)
+    return (*_div(*t, *norm, prec), *_div(*u, *norm, prec))
+
+
+def _cabs(am, ae, bm, be, prec: int) -> mp.mpf:
+    """|a + bi|, as ``mpc_abs``: libmp's ``mpf_hypot``, whose inner sum is truncated."""
+    return mp.make_mpf(mpf_hypot(from_man_exp(am, ae), from_man_exp(bm, be), prec, round_nearest))
+
+
+def _chorner(pairs, xm: int, xe: int, ym: int, ye: int, prec: int) -> tuple:
+    """The polynomial with ascending coefficient pairs ``pairs`` at x + yi, by Horner, as a quadruple.
+
+    Each step is the mpc acc * z + c: ``mpc_mul``, then ``mpc_add_mpf``, which rounds the real part only.
+    """
+    am = ae = bm = be = 0
+    for cm, ce in reversed(pairs):
+        am, ae, bm, be = _cmul(am, ae, bm, be, xm, xe, ym, ye, prec)
+        am, ae = _add(am, ae, cm, ce, prec)
+    return am, ae, bm, be
 
 
 class Polynomial:
@@ -396,19 +460,17 @@ class Polynomial:
     # -- evaluation ----------------------------------------------------------
 
     def __call__(self, z):
-        """Horner evaluation; the result type follows the argument (mpf or mpc).
+        """Horner evaluation on the kernel; the result type follows the argument (mpf or mpc).
 
-        A real point runs on the kernel and must be finite (``NonFiniteError`` otherwise).
+        The point must be finite (``NonFiniteError`` otherwise), as kernel pairs carry no inf or nan.
         """
         if not isinstance(z, (mp.mpf, mp.mpc)):
             z = to_scalar(z)
+        require_finite(z, "evaluation point")
         if isinstance(z, mp.mpf):
-            return _to_mpf(*_horner(self._pairs, *_unpack(require_finite(z, "evaluation point")._mpf_), mp.prec))
-        acc = mp.mpf(0)
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        require_finite(acc, "polynomial value")
-        return acc
+            return _to_mpf(*_horner(self._pairs, *_unpack(z._mpf_), mp.prec))
+        am, ae, bm, be = _chorner(self._pairs, *_unpack(z._mpc_[0]), *_unpack(z._mpc_[1]), mp.prec)
+        return mp.make_mpc((from_man_exp(am, ae), from_man_exp(bm, be)))
 
     # -- division ------------------------------------------------------------
 

@@ -281,9 +281,9 @@ def _sweep(rows: list, n: int, xm: int, xe: int, prec: int, out: Optional[list] 
     :func:`values_ladder`, :func:`eval_with_derivative` and the zero
     solver's Newton steps.  Every operation is the mpf operation of the
     recurrence, in the same order, on the exact-rounding kernel of
-    :mod:`christoffel.core`, with ``_round`` and the near case of ``_add``
-    written out; sums of operands more than ``_NEAR`` exponents apart still
-    go to ``_add``.  With ``out``, the rows (m, e, dm, de) for j = 0..n are
+    :mod:`christoffel.core`, with ``_round`` and the exact sum of operands
+    at most ``_NEAR`` exponents apart written out, as in ``_accumulate``;
+    sums further apart go to ``_add``.  With ``out``, the rows (m, e, dm, de) for j = 0..n are
     appended to it.
     """
     near = _NEAR
@@ -441,6 +441,10 @@ class ModifierSpec:
                 clean.append(z)
         object.__setattr__(self, "nodes", tuple(clean))
         object.__setattr__(self, "c", c)
+        object.__setattr__(self, "_hash", hash((self.nodes, c)))
+
+    def __hash__(self) -> int:
+        return self._hash  # formed once: every decomposition's store key holds the modifier
 
     @property
     def k(self) -> int:

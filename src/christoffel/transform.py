@@ -41,9 +41,11 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from mpmath import mp
+from mpmath.libmp import from_man_exp
 
 from .core import DEFAULT_POLICY, Polynomial, TolerancePolicy
 from .core import _accumulate, _add, _div, _round, _to_mpf, _unpack  # the exact-rounding kernel
+from .core import _cabs, _cdiv, _chorner, _cmul, _cnorm, _csub  # and its complex operations
 from .families import ModifierSpec, RecurrenceFamily, _ladder, even_modifier, generate
 from .associated import associated
 
@@ -73,35 +75,67 @@ def connection_degree_law(k: int, m: int) -> DegreeLaw:
     return DegreeLaw(deg_a, deg_g, m == 2 and k <= 2)
 
 
-def _bareiss_det(rows) -> mp.mpc:
-    """Fraction-free Gaussian elimination with partial pivoting; returns det."""
-    a = [list(r) for r in rows]
+def _node_rows(polys, nodes, prec: int) -> list:
+    """The rows p^{(s)}(w) of the determinant over the zeros w = z_1, -z_1, z_2, ... of c, as complex quadruples.
+
+    s counts the earlier occurrences of w, so a zero of multiplicity r gives the confluent rows s < r.
+    """
+    zeros = [w for z in nodes for w in (z, -z)]
+    rows = []
+    for i, w in enumerate(zeros):
+        derived = polys
+        for _ in range(zeros[:i].count(w)):
+            derived = [p.derivative() for p in derived]
+        (xm, xe), (ym, ye) = (_unpack(v) for v in w._mpc_)
+        rows.append([_chorner(p._pairs, xm, xe, ym, ye, prec) for p in derived])
+    return rows
+
+
+def _eliminate(a: list, cols: list, r: int, sign: int, prev, prec: int, minors=None) -> tuple:
+    """Bareiss steps r, r + 1, ... on the rows ``a`` over the columns ``cols``, in mpc's roundings.
+
+    Returns sign times the last pivot, or zero at a zero pivot.  The pivot is the first entry of
+    largest ``mpc_abs`` in its column; ``prev`` is the last pivot, None for 1 (a quotient by 1 is
+    exact).  With ``minors``, ``a`` is the full matrix and minor j is branched off before step j.
+    """
     n = len(a)
-    sign = 1
-    prev = mp.mpc(1)
-    for r in range(n - 1):
-        piv = max(range(r, n), key=lambda i: abs(a[i][r]))
-        if a[piv][r] == 0:
-            return mp.mpc(0)
+    norm = prev and _cnorm(*prev, prec)
+    while True:
+        if minors is not None:
+            minors[r] = _eliminate([row[:] for row in a], cols[:r] + cols[r + 1 :], r, sign, prev, prec)
+        if r == n - 1:
+            am, ae, bm, be = a[r][cols[r]]
+            return sign * am, ae, sign * bm, be
+        c = cols[r]
+        piv = max(range(r, n), key=lambda i: _cabs(*a[i][c], prec))
+        if not (a[piv][c][0] or a[piv][c][2]):
+            return 0, 0, 0, 0
         if piv != r:
             a[r], a[piv] = a[piv], a[r]
             sign = -sign
-        for i in range(r + 1, n):
-            for j in range(r + 1, n):
-                a[i][j] = (a[i][j] * a[r][r] - a[i][r] * a[r][j]) / prev
-            a[i][r] = mp.mpc(0)
-        prev = a[r][r]
-    return sign * a[n - 1][n - 1]
+        pivot_row, p = a[r], a[r][c]
+        for row in a[r + 1 :]:
+            x = row[c]
+            for t in cols[r + 1 :]:
+                s = _csub(*_cmul(*row[t], *p, prec), *_cmul(*x, *pivot_row[t], prec), prec)
+                row[t] = s if prev is None else _cdiv(*s, *prev, norm, prec)
+        prev, norm = p, _cnorm(*p, prec)
+        r += 1
 
 
-def _cofactor_minors(node_rows) -> list:
-    """All 2k minors U_j of the 2k x (2k+1) node-value matrix (delete column j)."""
-    width = len(node_rows[0])
-    minors = []
-    for j in range(width):
-        sub = [[row[t] for t in range(width) if t != j] for row in node_rows]
-        minors.append(_bareiss_det(sub))
-    return minors
+def _cofactor_minors(rows: list, prec: int) -> list:
+    """All 2k + 1 minors U_j of the 2k x (2k + 1) node-value matrix (delete column j), as mpc values.
+
+    Each is the determinant by fraction-free elimination with partial pivoting (Bareiss, Math. Comp.
+    22, 1968) in mpc's roundings.  For its steps 0..j-1 minor j pivots on the full matrix's columns,
+    and an update reads only its own column, the pivot column and the last pivot, so the minors share
+    one elimination of the full matrix: minor j branches off before step j and finishes on the columns
+    after j, which are exactly the operations of its own elimination.
+    """
+    n = len(rows)
+    minors = [(0, 0, 0, 0)] * (n + 1)
+    minors[n] = _eliminate([list(row) for row in rows], list(range(n + 1)), 0, 1, None, prec, minors)
+    return [mp.make_mpc((from_man_exp(am, ae), from_man_exp(bm, be))) for am, ae, bm, be in minors]
 
 
 def christoffel_transform(
@@ -125,16 +159,9 @@ def christoffel_transform(
         return generate(family, deg, policy)
     family.require_degree(deg + 2 * k)
     with policy.workprec():
-        ladder = _ladder(family, deg + 2 * k, policy.precision_bits)
-        polys = ladder[deg : deg + 2 * k + 1]
-        zeros = [w for z in modifier.nodes for w in (z, -z)]
-        node_rows = []
-        for i, w in enumerate(zeros):
-            derived = polys  # the s-th derivatives, s = earlier occurrences of w
-            for _ in range(zeros[:i].count(w)):
-                derived = [p.derivative() for p in derived]
-            node_rows.append([p(w) for p in derived])
-        minors = _cofactor_minors(node_rows)
+        prec = policy.precision_bits
+        polys = _ladder(family, deg + 2 * k, prec)[deg : deg + 2 * k + 1]
+        minors = _cofactor_minors(_node_rows(polys, modifier.nodes, prec), prec)
         scale = max(abs(u) for u in minors)
         if scale == 0 or abs(minors[-1]) <= policy.rel_tol * scale:
             raise DegenerateTransformError(

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import re
+
+import pytest
 from mpmath import mp
 from mpmath.libmp import mpf_add, mpf_le, mpf_shift, mpf_sub, round_nearest, to_float
 
 from christoffel import (
+    ModifierSpec,
     Polynomial,
     TolerancePolicy,
+    christoffel_transform,
     connection_decompose,
     eval_with_derivative,
     even_modifier,
@@ -17,8 +22,9 @@ from christoffel import (
     values_ladder,
     zeros_golub_welsch,
 )
-from christoffel.core import _to_mpf
-from christoffel.families import _sweep
+from christoffel.core import _to_mpf, _unpack
+from christoffel.families import _ladder, _sweep
+from christoffel.transform import DegenerateTransformError, _cofactor_minors, _node_rows
 from christoffel.zeros import _BAND, _TINY, _count_below, _q_at
 
 
@@ -255,6 +261,130 @@ def assert_grid_decompositions_are_the_mpf_loops(lam, phi, bits: int, n_max: int
                 assert (got.B is None and B is None) or got.B._mpf_ == B._mpf_, (n, m, k)
                 cells += 1
     return cells
+
+
+# -- the determinant transform on mpc values ------------------------------------
+#
+# transform.christoffel_transform forms its node rows and cofactor minors on
+# complex kernel quadruples, with one elimination shared by all minors; these
+# are the mpc loops it replaced: each minor eliminated on its own.
+
+mpc_horner = poly_horner  # at an mpc point, the complex Horner loop Polynomial.__call__ ran
+
+
+def mpc_bareiss_det(rows) -> mp.mpc:
+    """Fraction-free Gaussian elimination with partial pivoting; returns det."""
+    a = [list(r) for r in rows]
+    n = len(a)
+    sign = 1
+    prev = mp.mpc(1)
+    for r in range(n - 1):
+        piv = max(range(r, n), key=lambda i: abs(a[i][r]))
+        if a[piv][r] == 0:
+            return mp.mpc(0)
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            sign = -sign
+        for i in range(r + 1, n):
+            for j in range(r + 1, n):
+                a[i][j] = (a[i][j] * a[r][r] - a[i][r] * a[r][j]) / prev
+            a[i][r] = mp.mpc(0)
+        prev = a[r][r]
+    return sign * a[n - 1][n - 1]
+
+
+def mpc_cofactor_minors(node_rows) -> list:
+    """All 2k + 1 minors U_j of the 2k x (2k + 1) node-value matrix (delete column j)."""
+    width = len(node_rows[0])
+    return [mpc_bareiss_det([[row[t] for t in range(width) if t != j] for row in node_rows]) for j in range(width)]
+
+
+def mpc_node_rows(polys, nodes) -> list:
+    zeros = [w for z in nodes for w in (z, -z)]
+    rows = []
+    for i, w in enumerate(zeros):
+        derived = polys
+        for _ in range(zeros[:i].count(w)):
+            derived = [p.derivative() for p in derived]
+        rows.append([mp.mpc(mpc_horner(p.coeffs, w)) for p in derived])
+    return rows
+
+
+def mpc_transform(family, modifier, deg: int, policy) -> Polynomial:
+    """christoffel_transform for k >= 1 by the mpc loops."""
+    k = modifier.k
+    with policy.workprec():
+        polys = _ladder(family, deg + 2 * k, policy.precision_bits)[deg:]
+        minors = mpc_cofactor_minors(mpc_node_rows(polys, modifier.nodes))
+        scale = max(abs(u) for u in minors)
+        if scale == 0 or abs(minors[-1]) <= policy.rel_tol * scale:
+            raise DegenerateTransformError(
+                f"leading cofactor is {mp.nstr(abs(minors[-1]), 6)} against scale "
+                f"{mp.nstr(scale, 6)}; transform is degenerate for {family.label}"
+            )
+        combo = Polynomial()
+        for j, u in enumerate(minors):
+            d = u / minors[-1]
+            if j % 2:
+                d = -d
+            if abs(d.imag) > policy.abs_tol * max(1, abs(d)):
+                raise DegenerateTransformError(
+                    f"imaginary residue {mp.nstr(abs(d.imag), 6)} in expansion "
+                    "coefficients; modifier nodes are inconsistent"
+                )
+            combo = combo + polys[j]._scaled(*_unpack(d.real._mpf_))
+        g = combo.divide_exact(modifier.c, policy).monic()
+        return g.chop(policy.rel_tol * max(1, g.inf_norm()))
+
+
+def _to_mpc(am, ae, bm, be) -> mp.mpc:
+    return mp.mpc(_to_mpf(am, ae), _to_mpf(bm, be))
+
+
+def assert_transform_is_the_mpc_loops(family, modifier, deg: int, policy) -> str:
+    """The node rows, the minors and g_{deg,k} of the determinant transform against the mpc loops,
+    bit for bit; returns "ok", or the name of the error both routes raise with the same message."""
+    prec = policy.precision_bits
+    with policy.workprec():
+        polys = _ladder(family, deg + 2 * modifier.k, prec)[deg:]
+        rows, oracle_rows = _node_rows(polys, modifier.nodes, prec), mpc_node_rows(polys, modifier.nodes)
+        assert [[_to_mpc(*v)._mpc_ for v in row] for row in rows] == [[v._mpc_ for v in row] for row in oracle_rows]
+        assert [u._mpc_ for u in _cofactor_minors(rows, prec)] == [u._mpc_ for u in mpc_cofactor_minors(oracle_rows)]
+    try:
+        g = christoffel_transform(family, modifier, deg, policy)
+    except ArithmeticError as err:
+        with pytest.raises(type(err), match=re.escape(str(err))):
+            mpc_transform(family, modifier, deg, policy)
+        return type(err).__name__
+    assert _mpf_bits(g.coeffs) == _mpf_bits(mpc_transform(family, modifier, deg, policy).coeffs)
+    return "ok"
+
+
+# node sets (re, im) beside the canonical modifiers: distinct nodes, a node
+# repeated, the node 0, a node repeated up to sign, and both at once
+NODE_SETS = {
+    "0.3i,2.7i,0.4": (("0", "0.3"), ("0", "2.7"), ("0.4", "0")),
+    "1.5i,1.5i": (("0", "1.5"), ("0", "1.5")),
+    "0": (("0", "0"),),
+    "0.4,-0.4": (("0.4", "0"), ("-0.4", "0")),
+    "0.9i,-0.9i,0": (("0", "0.9"), ("0", "-0.9"), ("0", "0")),
+}
+
+
+def assert_transforms_are_the_mpc_loops(family, bits: int, degrees, node_sets) -> dict:
+    """:func:`assert_transform_is_the_mpc_loops` for the canonical modifiers k = 1..3 of
+    ``family(policy)`` and the named ``node_sets``, at each degree; returns the count of each outcome."""
+    policy = TolerancePolicy(precision_bits=bits)
+    fam = family(policy)
+    with policy.workprec():
+        modifiers = [even_modifier(fam, k, policy) for k in (1, 2, 3)]
+        modifiers += [ModifierSpec([mp.mpc(*z) for z in NODE_SETS[name]], policy) for name in node_sets]
+    outcomes = {}
+    for modifier in modifiers:
+        for deg in degrees:
+            outcome = assert_transform_is_the_mpc_loops(fam, modifier, deg, policy)
+            outcomes[outcome] = outcomes.get(outcome, 0) + 1
+    return outcomes
 
 
 # -- the zero solver on mpf values ----------------------------------------------

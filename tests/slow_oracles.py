@@ -1,4 +1,4 @@
-"""Oracle checks too slow for the Tier-1 suite (about 5 s together); run them with
+"""Oracle checks too slow for the Tier-1 suite (about 20 s together); run them with
 
     PYTHONPATH=src python -m pytest -q tests/slow_oracles.py
 
@@ -10,7 +10,13 @@ from __future__ import annotations
 
 import pytest
 
-from polyhelpers import assert_grid_decompositions_are_the_mpf_loops, assert_grid_q_is_the_mpf_route
+from christoffel import mp_family, pj_family
+from polyhelpers import (
+    NODE_SETS,
+    assert_grid_decompositions_are_the_mpf_loops,
+    assert_grid_q_is_the_mpf_route,
+    assert_transforms_are_the_mpc_loops,
+)
 
 _CONFIGS = [
     ("0.5", "0.9", 256, 13),
@@ -30,3 +36,18 @@ def test_larger_grid_decompositions_are_the_mpf_loops_bit_for_bit(lam, phi, bits
 def test_larger_grid_q_and_verdicts_are_the_mpf_route_bit_for_bit(lam, phi, bits, n_max):
     # every cell with deg G = m - 1 is checked; the law gives that for each k <= m
     assert assert_grid_q_is_the_mpf_route(lam, phi, bits, n_max) == sum(m + 1 for n in range(4, n_max + 1) for m in range(2, n + 1))
+
+
+@pytest.mark.parametrize("bits", [64, 113, 256, 512])
+@pytest.mark.parametrize(
+    "family",
+    [
+        lambda policy: mp_family("0.5", "0.9", policy),
+        lambda policy: mp_family("3.25", "2.4", policy),
+        lambda policy: pj_family("-12", "8", policy),
+    ],
+    ids=["MP(0.5,0.9)", "MP(3.25,2.4)", "PJ(-12,8)"],
+)
+def test_determinant_transforms_are_the_mpc_loops_bit_for_bit(family, bits):
+    # k = 1..3 and every node set at degrees 0..5: 576 transforms over the twelve cases
+    assert assert_transforms_are_the_mpc_loops(family, bits, range(6), list(NODE_SETS)) == {"ok": 48}

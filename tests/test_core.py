@@ -3,12 +3,15 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
-from mpmath.libmp import from_man_exp, mpf_add, mpf_cmp, mpf_div, mpf_mul, mpf_sub, round_nearest
+from mpmath.libmp import from_man_exp, mpc_abs, mpc_div, mpc_mul, mpc_sub, mpf_add, mpf_cmp, mpf_div, mpf_mul, mpf_sub
+from mpmath.libmp import round_down, round_nearest
 
 from christoffel import Polynomial, RemainderError, TolerancePolicy, core
-from christoffel.core import NonFiniteError, _accumulate, _add, _cmp, _div, _horner, _round, _to_mpf, _unpack, to_scalar
+from christoffel.core import NonFiniteError, _accumulate, _add, _add_down, _cmp, _div, _horner, _round, _to_mpf, _unpack, to_scalar
+from christoffel.core import _cabs, _cdiv, _cmul, _cnorm, _csub
 from polyhelpers import (
     max_rel_coeff_diff,
+    mpc_horner,
     poly_add,
     poly_chop,
     poly_derivative,
@@ -216,6 +219,14 @@ def test_real_horner_rejects_a_nonfinite_point():
             Polynomial([1, 2])(x)
 
 
+def test_complex_horner_rejects_a_nonfinite_point():
+    # an inf or nan part is rejected too, also where no product would meet it
+    for z in (mp.mpc(mp.inf, 0), mp.mpc(1, mp.nan), mp.mpc(0, -mp.inf), mp.mpc(mp.nan, mp.nan)):
+        for poly in (Polynomial([1, 2]), Polynomial([3])):
+            with pytest.raises(NonFiniteError, match="evaluation point is not finite"):
+                poly(z)
+
+
 _mantissas = st.one_of(
     st.integers(-(2**1200), 2**1200),
     # runs of ones round up with a carry; 2**k + 1 rounds to a tie at k bits
@@ -237,6 +248,40 @@ def test_kernel_is_mpf_add_sub_and_mul(prec, m1, e1, m2, e2):
     assert _to_mpf(*_add(m1, e1, -m2, e2, prec))._mpf_ == mpf_sub(a, b, prec, round_nearest)
     assert _to_mpf(*_round(m1 * m2, e1 + e2, prec))._mpf_ == mpf_mul(a, b, prec, round_nearest)
     assert _to_mpf(*_round(m1, e1, prec))._mpf_ == from_man_exp(m1, e1, prec, round_nearest)
+
+
+def _mpc(am, ae, bm, be) -> tuple:
+    return from_man_exp(am, ae), from_man_exp(bm, be)
+
+
+_parts = st.tuples(st.one_of(st.just(0), _mantissas), _exponents)  # a zero real or imaginary part, too
+
+
+@settings(max_examples=400)
+@given(st.sampled_from(_WIDTHS), _parts, _parts, _parts, _parts)
+def test_kernel_complex_ops_are_libmpc(prec, a, b, c, d):
+    # operands wider than prec and exponent gaps beyond _NEAR, at the rounding mp.mpc arithmetic passes
+    z, w = _mpc(*a, *b), _mpc(*c, *d)
+    assert from_man_exp(*_add_down(*a, *c, prec)) == mpf_add(z[0], w[0], prec, round_down)
+    assert _mpc(*_cmul(*a, *b, *c, *d, prec)) == mpc_mul(z, w, prec, round_nearest)
+    assert _mpc(*_csub(*a, *b, *c, *d, prec)) == mpc_sub(z, w, prec, round_nearest)
+    assert _cabs(*a, *b, prec)._mpf_ == mpc_abs(z, prec, round_nearest)
+    if c[0] or d[0]:
+        assert _mpc(*_cdiv(*a, *b, *c, *d, _cnorm(*c, *d, prec), prec)) == mpc_div(z, w, prec, round_nearest)
+
+
+def test_kernel_complex_quotient_truncates_its_inner_sums():
+    # mpc_div forms |w|**2, ac + bd and bc - ad at prec + 10 bits at round_down, mpmath's
+    # default; rounding them to nearest instead gives another 64-bit quotient here
+    a, b = (-10218618142087896624, 4), (11977187586259439192, -3)
+    c, d = (136165888906184257346095753941, -1), (116913723483751302794494689109, 5)
+    (za, zb), (wc, wd) = _mpc(*a, *b), _mpc(*c, *d)
+    norm = mpf_add(mpf_mul(wc, wc), mpf_mul(wd, wd), 74, round_nearest)
+    t = mpf_add(mpf_mul(za, wc), mpf_mul(zb, wd), 74, round_nearest)
+    u = mpf_sub(mpf_mul(zb, wc), mpf_mul(za, wd), 74, round_nearest)
+    nearest = mpf_div(t, norm, 64, round_nearest), mpf_div(u, norm, 64, round_nearest)
+    ours = _mpc(*_cdiv(*a, *b, *c, *d, _cnorm(*c, *d, 64), 64))
+    assert ours == mpc_div((za, zb), (wc, wd), 64, round_nearest) != nearest
 
 
 @settings(max_examples=400)
@@ -273,6 +318,21 @@ def test_kernel_sum_of_far_apart_wide_operands_is_mpf_add():
     exact = from_man_exp((m1 << 101) + m2, e2, 64, round_nearest)
     ours = _to_mpf(*_add(m1, e1, m2, e2, 64))._mpf_
     assert ours == mpf_add(from_man_exp(m1, e1), from_man_exp(m2, e2), 64, round_nearest) != exact
+
+
+def test_kernel_sum_reads_the_exponent_gap_of_normalized_values():
+    # s has 80 bits and 20 trailing zero bits: the pairs lie 85 exponents apart, but mpf_add
+    # strips the zeros and sees 105, past 100, so it nudges s instead of adding t, and the
+    # nudge rounds down where the exact sum rounds up; the kernel gives mpf_add's bits
+    s = (((1 << 63 | 12345) << 16 | (1 << 15) - 1) << 20, -20)
+    t = ((1 << 110) + 1, -105)
+    exact = from_man_exp((s[0] << 85) + t[0], -105, 64, round_nearest)
+    expected = mpf_add(from_man_exp(*s), from_man_exp(*t), 64, round_nearest)
+    assert from_man_exp(*_add(*s, *t, 64)) == from_man_exp(*_add(*t, *s, 64)) == expected != exact
+    # truncated: 2**71 - 2 carries a trailing zero, so the gap of 100 is 101 to mpf_add
+    s, t = ((1 << 71) - 2, 173), ((1 << 102) - 1, 73)
+    down = mpf_add(from_man_exp(*s), from_man_exp(*t), 64, round_down)
+    assert from_man_exp(*_add_down(*s, *t, 64)) == down != from_man_exp((s[0] << 100) + t[0], 73, 64, round_down)
 
 
 def test_kernel_aligns_far_exponents_of_close_magnitudes(monkeypatch):
@@ -356,6 +416,14 @@ def test_ring_operations_are_the_mpf_loops_bit_for_bit(bits, p, q, c, x, pick):
         assert _to_mpf(*_horner(p._pairs, xm, xe, bits))._mpf_ == poly_horner(a, x)._mpf_
         assert _to_mpf(*_horner(p.derivative()._pairs, xm, xe, bits))._mpf_ == poly_horner(poly_derivative(a), x)._mpf_
         assert p == Polynomial(a) and hash(p) == hash(Polynomial(a))
+
+
+@settings(max_examples=150)
+@given(st.sampled_from(_WIDTHS), _polys, _coefficient, _coefficient)
+def test_complex_horner_is_the_mpc_loop_bit_for_bit(bits, p, x, y):
+    z = mp.make_mpc((x._mpf_, y._mpf_))  # a wide point enters unrounded
+    with mp.workprec(bits):
+        assert p(z)._mpc_ == mp.mpc(mpc_horner(p.coeffs, z))._mpc_
 
 
 def test_equal_values_in_other_pair_forms_compare_and_hash_equal():

@@ -175,6 +175,16 @@ def test_repeated_nodes_are_zeros_of_multiplicity(policy):
     assert ModifierSpec([0], policy).c == Polynomial([0, 0, 1])
 
 
+def test_modifier_hash_is_formed_once(policy, monkeypatch):
+    # each decomposition's store key holds its modifier, so hashing it must not re-hash c or the nodes
+    nodes = [mp.mpc(0, "0.5"), mp.mpc(0, "1.5")]
+    a, b = ModifierSpec(nodes, policy), ModifierSpec(list(nodes), policy)
+    other = ModifierSpec(nodes[:1], policy)
+    monkeypatch.setattr(Polynomial, "__hash__", lambda self: pytest.fail("c hashed again"))
+    assert a == b and hash(a) == hash(b) and a != other
+    assert len({a, b, other}) == 2
+
+
 def test_modifier_without_nodes_is_one():
     empty = ModifierSpec([])
     assert empty.k == 0

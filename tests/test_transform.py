@@ -22,7 +22,12 @@ from christoffel import transform
 from christoffel.core import _to_mpf
 from christoffel.families import _ladder
 from christoffel.transform import modified_polynomial
-from polyhelpers import assert_grid_decompositions_are_the_mpf_loops, coeff, max_rel_coeff_diff
+from polyhelpers import (
+    assert_grid_decompositions_are_the_mpf_loops,
+    assert_transforms_are_the_mpc_loops,
+    coeff,
+    max_rel_coeff_diff,
+)
 
 
 def _decompose_by_solve(family, modifier, n, m, policy):
@@ -373,3 +378,15 @@ def test_grid_decompositions_are_the_mpf_loops_bit_for_bit(lam, phi, bits, n_max
     # (a, G, g, work, residual, scale, B) against the mpf loops the kernel
     # pairs replaced; the larger grids are in tests/slow_oracles.py
     assert assert_grid_decompositions_are_the_mpf_loops(lam, phi, bits, n_max) == cells
+
+
+@pytest.mark.parametrize(
+    "family, bits",
+    [(lambda policy: mp_family("0.5", "0.9", policy), 113), (lambda policy: pj_family("-12", "8", policy), 256)],
+    ids=["MP(0.5,0.9)-113", "PJ(-12,8)-256"],
+)
+def test_determinant_transform_is_the_mpc_loops_bit_for_bit(family, bits):
+    # the node rows, the minors of the one shared elimination and g against the mpc
+    # loops, each minor eliminated on its own; the full sweep is in tests/slow_oracles.py
+    outcomes = assert_transforms_are_the_mpc_loops(family, bits, range(0, 5, 2), ["0.3i,2.7i,0.4", "0.9i,-0.9i,0"])
+    assert outcomes == {"ok": 15}

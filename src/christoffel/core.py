@@ -88,6 +88,8 @@ class TolerancePolicy:
     abs_tol: mp.mpf = None
 
     def __post_init__(self):
+        if not isinstance(self.precision_bits, int):
+            raise ValueError(f"precision_bits must be an integer number of bits, got {self.precision_bits!r}")
         if self.precision_bits < 64:
             raise ValueError("precision_bits must be at least 64")
         with mp.workprec(self.precision_bits):

@@ -11,6 +11,7 @@ of table 3 live in a strict xfail test at the bottom.
 
 from __future__ import annotations
 
+import json
 import random
 import time
 from fractions import Fraction
@@ -48,14 +49,6 @@ def _announce(num: int, name: str, ok: bool, elapsed: float, note: str = ""):
     status = "PASS" if ok else "FAIL"
     tail = f" - {note}" if note else ""
     print(f"ACCEPTANCE {num} {name}: {status} ({elapsed:.2f}s){tail}")
-
-
-def _cell_values(report):
-    out = {}
-    for row in report.rows:
-        key = tuple(sorted((k, v) for k, v in row["inputs"].items()))
-        out[key] = row
-    return out
 
 
 def test_criterion_1_table1_reproduction():
@@ -183,16 +176,15 @@ def test_criterion_3_literal_xmin_prints():
         assert abs(mp.mpf(rows[("-35", "1")]["computed"]["x_min"]) - mp.mpf("-1.1237")) <= mp.mpf("5e-4")
 
 
-def test_criterion_4_degree_law_grid():
-    started = time.monotonic()
-    report = dispatch(RunConfig(command="grid"))
-    elapsed = time.monotonic() - started
+def test_criterion_4_degree_law_grid(default_grid):
+    report = json.loads(default_grid.run.out)
+    elapsed = default_grid.run.dispatch_s  # one real default-grid dispatch
 
     expected_cells = sum(m + 3 for n in range(4, 13) for m in range(2, n + 1))
-    ok = report.summary["rows"] == expected_cells
-    ok = ok and report.summary["fail"] == 0
+    ok = report["summary"]["rows"] == expected_cells
+    ok = ok and report["summary"]["fail"] == 0
     degree_matches = 0
-    for row in report.rows:
+    for row in report["rows"]:
         c = row["computed"]
         if c["deg_a"] == c["law_deg_a"] and c["deg_G"] == c["law_deg_G"]:
             degree_matches += 1

@@ -13,7 +13,6 @@ from mpmath import mp
 
 from christoffel import (
     DEFAULT_POLICY,
-    ModifierSpec,
     Polynomial,
     cli,
     connection_decompose,
@@ -155,9 +154,7 @@ def test_main_unwritable_out_is_configuration_error(tmp_path, capsys):
 )
 def test_flags_the_mode_does_not_read_are_rejected(argv, unread, capsys):
     assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"configuration error: --{argv[0][2:]} does not read {unread}\n"
+    assert capsys.readouterr() == ("", f"configuration error: --{argv[0][2:]} does not read {unread}\n")
 
 
 def test_main_csv_format(capsys):
@@ -209,9 +206,7 @@ def test_decompose_reports_are_pinned(argv, digest, capsys):
 )
 def test_decompose_failures_are_pinned(argv, code, err, capsys):
     assert main(argv) == code
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == err
+    assert capsys.readouterr() == ("", err)
 
 
 def test_reports_print_at_any_precision(capsys):
@@ -246,9 +241,7 @@ def test_reports_print_at_any_precision(capsys):
 )
 def test_flag_values_that_are_not_real_numbers_are_configuration_errors(argv, value, capsys):
     assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"configuration error: expected a real number, got {value}\n"
+    assert capsys.readouterr() == ("", f"configuration error: expected a real number, got {value}\n")
 
 
 def test_parser_destinations_are_run_config_fields():
@@ -369,9 +362,7 @@ def test_env_precision_override(monkeypatch, capsys):
 def test_env_precision_must_be_an_integer(monkeypatch, capsys):
     monkeypatch.setenv(ENV_PRECISION, "abc")
     assert main(["--table", "2"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"configuration error: {ENV_PRECISION} must be an integer number of bits, got 'abc'\n"
+    assert capsys.readouterr() == ("", f"configuration error: {ENV_PRECISION} must be an integer number of bits, got 'abc'\n")
 
 
 def test_explicit_precision_beats_env(monkeypatch, capsys):
@@ -416,66 +407,55 @@ def test_tables_are_byte_identical_to_reference(table, capsys):
     assert _matches_reference(capsys.readouterr().out, f"table{table}")
 
 
-def test_default_grid_is_byte_identical_to_reference(capsys):
-    assert main(["--grid"]) == 0
-    assert _matches_reference(capsys.readouterr().out, "grid")
+# these grids run once per session (conftest.py); each test parses its own copy of the report
+_N13 = ("--grid", "--n", "13")
+_PINNED_GRIDS = {
+    ("--grid", "--lambda", "3.25", "--phi", "2.4", "--n", "9"): "934f4166d64639fae572c1cb85c04f6712e7b59959ca690761288569939f0a68",
+    ("--grid", "--phi", "1.5707963267948966", "--n", "8"): "d1d3db285a870c7af11b3947788fadf6000b7f51fd4d473a3c113a8dbec6983c",
+    ("--grid", "--lambda", "0.05", "--phi", "3.0", "--n", "8"): "c38f885ee10e766ba07deb1b7d42657ecf77ea5fe9d5b3b03116b9f6b72bd8df",
+}
 
 
-def test_grid_beyond_default_degree_cap(capsys):
+def test_default_grid_is_byte_identical_to_reference(default_grid):
+    assert default_grid.run.code == 0
+    assert _matches_reference(default_grid.run.out, "grid")
+
+
+@pytest.fixture
+def n13_grid(cli_runs):
+    return cli_runs(_N13)
+
+
+def test_grid_beyond_default_degree_cap(n13_grid):
     # k runs to m + 2 = 15 at n = 13, past the modifiers the default grid needs
-    assert main(["--grid", "--n", "13"]) == 0
-    out = capsys.readouterr().out
-    data = json.loads(out)
-    assert data["summary"] == {"rows": 660, "pass": 660, "flagged": 0, "fail": 0}
-    assert _digest(out) == "1246341c3863f0e73df0d610b144fc6f735bc5e7059971e496026522d8a38124"
+    assert n13_grid.code == 0
+    assert json.loads(n13_grid.out)["summary"] == {"rows": 660, "pass": 660, "flagged": 0, "fail": 0}
+    assert _digest(n13_grid.out) == "1246341c3863f0e73df0d610b144fc6f735bc5e7059971e496026522d8a38124"
 
 
 @pytest.mark.parametrize(
-    "argv, digest",
-    [
-        (["--grid", "--lambda", "3.25", "--phi", "2.4", "--n", "9"],
-         "934f4166d64639fae572c1cb85c04f6712e7b59959ca690761288569939f0a68"),
-        (["--grid", "--phi", "1.5707963267948966", "--n", "8"],
-         "d1d3db285a870c7af11b3947788fadf6000b7f51fd4d473a3c113a8dbec6983c"),
-        (["--grid", "--lambda", "0.05", "--phi", "3.0", "--n", "8"],
-         "c38f885ee10e766ba07deb1b7d42657ecf77ea5fe9d5b3b03116b9f6b72bd8df"),
-    ],
+    "grid_run, digest",
+    [pytest.param(argv, digest, id=f"argv{i}-{digest}") for i, (argv, digest) in enumerate(_PINNED_GRIDS.items())],
+    indirect=["grid_run"],
 )
-def test_grid_reports_are_pinned(argv, digest, capsys):
-    assert main(argv) == 0
-    assert _digest(capsys.readouterr().out) == digest
+def test_grid_reports_are_pinned(grid_run, digest):
+    assert grid_run.code == 0
+    assert _digest(grid_run.out) == digest
 
 
-def test_grid_builds_each_modifier_once(monkeypatch, capsys):
-    built = []
-    init = ModifierSpec.__init__
-
-    def counted(self, *args):
-        init(self, *args)
-        built.append(self.k)
-
-    monkeypatch.setattr(ModifierSpec, "__init__", counted)
-    assert main(["--grid", "--n", "6"]) == 0
-    capsys.readouterr()
-    # k runs to m + 2 = 8
-    assert built == list(range(9))
+def test_grid_builds_each_modifier_once(default_grid):
+    assert default_grid.modifiers == list(range(15))  # k runs to m + 2 = 14
 
 
 def test_grid_asserts_interlacing_for_every_k_up_to_m(monkeypatch, capsys):
     # cell (6, 3, 3) forced not to interlace: the theorem covers it, not only m = 2
-    cell = {}
-    decompose = cli.connection_decompose
-
-    def recorded(*args):
-        decomp = decompose(*args)
-        cell["nmk"] = (decomp.n, decomp.m, decomp.k)
-        return decomp
+    cells, decompose = [], cli.connection_decompose
 
     def interlace(*args):
         verdict = zeros.interlace_strict(*args)
-        return dataclasses.replace(verdict, strict=False) if cell["nmk"] == (6, 3, 3) else verdict
+        return dataclasses.replace(verdict, strict=False) if (cells[-1].n, cells[-1].m, cells[-1].k) == (6, 3, 3) else verdict
 
-    monkeypatch.setattr(cli, "connection_decompose", recorded)
+    monkeypatch.setattr(cli, "connection_decompose", lambda *args: cells.append(decompose(*args)) or cells[-1])
     monkeypatch.setattr(cli, "interlace_strict", interlace)
     assert main(["--grid", "--n", "6"]) == 1
     data = json.loads(capsys.readouterr().out)
@@ -485,36 +465,19 @@ def test_grid_asserts_interlacing_for_every_k_up_to_m(monkeypatch, capsys):
     assert failed["computed"]["interlace"] == "fails"
 
 
-def test_grid_keeps_no_shift_by_zero(monkeypatch, capsys):
-    built = []
-
-    def recorded(*args):
-        built.append(mp_family(*args))
-        return built[-1]
-
-    monkeypatch.setattr(cli, "mp_family", recorded)
-    assert main(["--grid"]) == 0
-    capsys.readouterr()
-    [fam] = built
+def test_grid_keeps_no_shift_by_zero(default_grid):
+    assert default_grid.run.code == 0
+    [fam] = default_grid.families
     # k = 0 cells read the family itself; k = 1..14 each keep one shifted family
     assert sorted(key[1] for key in fam._store if key[0] == "shifted") == list(range(1, 15))
     assert fam.shifted(0) is fam
     assert ("shifted", 0) not in fam._store
 
 
-def test_grid_solves_only_the_zeros_of_p_n(monkeypatch, capsys):
-    solved = Counter()
-    solve = zeros._solve
-
-    def counted(family, n, policy):
-        solved[family.label, n] += 1
-        return solve(family, n, policy)
-
-    monkeypatch.setattr(zeros, "_solve", counted)
-    assert main(["--grid"]) == 0
-    capsys.readouterr()
+def test_grid_solves_only_the_zeros_of_p_n(default_grid):
+    assert default_grid.run.code == 0
     # once per n; the zeros of g outside the span are sign counts on the sweep
-    assert solved == {(mp_family("0.5", "0.9").label, n): 1 for n in range(4, 13)}
+    assert default_grid.solved == {(mp_family("0.5", "0.9").label, n): 1 for n in range(4, 13)}
 
 
 def _solved_span_label(fam, n, policy):
@@ -531,22 +494,18 @@ def _solved_span_label(fam, n, policy):
 
 
 @pytest.mark.parametrize(
-    "lam, phi, n_max",
-    [
-        ("0.5", "0.9", 13),  # the default grid's cells and n = 13
-        ("3.25", "2.4", 9),
-        ("0.5", "1.5707963267948966", 8),
-        ("0.05", "3.0", 8),
-        ("20", "0.1", 9),
-    ],
+    "grid_run",
+    [_N13, *_PINNED_GRIDS, ("--grid", "--lambda", "20", "--phi", "0.1", "--n", "9")],  # n = 13 holds the default grid's cells
+    ids=["0.5-0.9-13", "3.25-2.4-9", "0.5-1.5707963267948966-8", "0.05-3.0-8", "20-0.1-9"],
+    indirect=True,
 )
-def test_grid_span_counts_match_solved_zeros(lam, phi, n_max, policy):
+def test_grid_span_counts_match_solved_zeros(grid_run, policy):
     # the m = 2, k = 3 cells name their failure from sign counts on the sweep
     # rows; solving g's zeros, the grid's former route, is the oracle
-    report = dispatch(RunConfig(command="grid", lam=lam, phi=phi, n=n_max))
-    labels = {r["inputs"]["n"]: r["computed"]["interlace"] for r in report.rows if r["inputs"]["m"] == 2 and r["inputs"]["k"] == 3}
-    assert sorted(labels) == list(range(4, n_max + 1))
-    fam = mp_family(lam, phi, policy)
+    meta, rows = (json.loads(grid_run.out)[key] for key in ("meta", "rows"))
+    labels = {r["inputs"]["n"]: r["computed"]["interlace"] for r in rows if r["inputs"]["m"] == 2 and r["inputs"]["k"] == 3}
+    assert sorted(labels) == list(range(4, meta["n_max"] + 1))
+    fam = mp_family(meta["lambda"], meta["phi"], policy)
     assert labels == {n: _solved_span_label(fam, n, policy) for n in labels}
 
 
@@ -639,14 +598,13 @@ _WRONG_CELLS = {
 
 
 @pytest.fixture(scope="module")
-def wrong_cell_grids() -> dict:
-    """{argv: (policy, {(n, m, k): row})} for each grid of _WRONG_CELLS, run once per module."""
-    grids = {}
-    for argv in _WRONG_CELLS:
-        config = config_from_args(build_parser().parse_args(argv))
-        rows = dispatch(config).rows
-        grids[argv] = config.policy(), {(r["inputs"]["n"], r["inputs"]["m"], r["inputs"]["k"]): r for r in rows}
-    return grids
+def wrong_cell_grids(cli_runs) -> dict:
+    """{argv: (policy, {(n, m, k): row})} for each grid of _WRONG_CELLS."""
+
+    def cells(argv) -> dict:
+        return {(r["inputs"]["n"], r["inputs"]["m"], r["inputs"]["k"]): r for r in json.loads(cli_runs(argv).out)["rows"]}
+
+    return {argv: (config_from_args(build_parser().parse_args(argv)).policy(), cells(argv)) for argv in _WRONG_CELLS}
 
 
 @pytest.mark.xfail(strict=True, reason="degrees of a and G measured too low: ROADMAP item 1")

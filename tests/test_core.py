@@ -119,6 +119,9 @@ def test_policy_defaults_and_validation():
     assert custom.abs_tol == mp.ldexp(1, -64)
     with pytest.raises(ValueError):
         TolerancePolicy(precision_bits=32)
+    for bits in (100.5, "256"):
+        with pytest.raises(ValueError, match=f"precision_bits must be an integer number of bits, got {bits!r}"):
+            TolerancePolicy(precision_bits=bits)
 
 
 _coeffs = st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=21)

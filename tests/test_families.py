@@ -45,6 +45,16 @@ def test_mp_recurrence_coefficients(policy):
         assert abs(fam.Lambda(2) - mp.mpf("0.40743")) < mp.mpf("5e-5")
 
 
+@pytest.mark.xfail(strict=True, reason="Lambda(n) forms (2 lam + n) - 2, which cancels at n = 2 for lam below about 1e-38")
+def test_mp_lambda_2_keeps_a_tiny_lambda(policy):
+    # Lambda(2) = 2 lam / (4 sin^2 phi); at lam = 1e-70 it is off by 8e-8 relative,
+    # and at lam = 1e-300 it is 0, so --decompose --lambda 1e-300 exits 2
+    fam = mp_family("1e-70", "0.9", policy)
+    with policy.workprec():
+        exact = 2 * mp.mpf("1e-70") / (4 * mp.sin(mp.mpf("0.9")) ** 2)
+        assert abs(fam.Lambda(2) - exact) <= policy.rel_tol * exact
+
+
 def test_mp_right_angle_phi_kills_C(policy):
     with policy.workprec():
         fam = mp_family("0.5", mp.pi / 2, policy)

@@ -274,8 +274,53 @@ def _polish(family, n, lo, hi, prec, unit):
     )
 
 
+class _Spectrum:
+    """A member's zeros as the cells of :func:`_spectrum`, cell i (from 0) finished by ``finish(family, i)`` on request.
+
+    Eigenvalue i + 1 lies in centre + 2**scale (u, v) for ``boxes[i]`` = (u, v), (-inf, inf) in a cluster, and its
+    polished zero within ``reach`` of it.  The family that keeps the spectrum is passed in: kept, it would make a
+    reference cycle.  The full solve drops all of it."""
+
+    def __init__(self, finish, boxes, centre, scale, reach):
+        self.finish, self.boxes, self.centre, self.scale, self.reach, self.polished = finish, boxes, centre, scale, reach, {}
+
+    def zero(self, family: RecurrenceFamily, i: int) -> mp.mpf:
+        if i not in self.polished:
+            self.polished[i] = self.finish(family, i)
+        return self.polished[i]
+
+    def extremes(self, family: RecurrenceFamily, policy: TolerancePolicy):
+        """(zero 1, zero n) if the boxes prove that the full solve passes its simple-zero check and both
+        zeros lie in their boxes, else None.  Neighbouring boxes (u, v), (u', v') pass it when 2**scale (u' - v),
+        less 2 ``reach`` for the zeros' distances from the eigenvalues and 2 more for roundings, beats abs_tol
+        times max(1, |centre| + 2**scale), which bounds the check's max(unit, |x|, |y|) for any zeros x, y."""
+        if self.finish is None:
+            return None
+        gap = min(u - v for (_, v), (u, _) in zip(self.boxes, self.boxes[1:]))
+        with policy.workprec():
+            size = max(1, abs(self.centre) + mp.ldexp(1, self.scale))
+            if not mp.ldexp(gap, self.scale) - 4 * self.reach > policy.abs_tol * size:
+                return None
+            ends = self.zero(family, 0), self.zero(family, len(self.boxes) - 1)
+            if all(u <= mp.ldexp(x - self.centre, -self.scale) <= v for x, (u, v) in zip(ends, self.boxes[:: len(self.boxes) - 1])):
+                return ends
+        return None
+
+
 def _solve(family: RecurrenceFamily, n: int, policy: TolerancePolicy) -> ZeroSet:
-    """Sturm bisection with counts in doubles, then Newton polish at working precision (n >= 1).
+    """All n zeros (n >= 1): the family's :func:`_spectrum`, every cell finished, then its state dropped."""
+    if n == 1:
+        return ZeroSet((family.recurrence(1, policy.precision_bits)[0][1],), family.label)
+    spectrum = family.owned(("spectrum", n, policy.precision_bits), lambda: _spectrum(family, n, policy))
+    if spectrum.finish is None:  # dropped by an earlier full solve
+        spectrum = _spectrum(family, n, policy)
+    zs = ZeroSet(tuple(sorted(spectrum.zero(family, i) for i in range(n))), family.label)
+    spectrum.finish = spectrum.boxes = spectrum.polished = None
+    return zs
+
+
+def _spectrum(family: RecurrenceFamily, n: int, policy: TolerancePolicy) -> _Spectrum:
+    """The spectrum of the degree-n member (n >= 2): Sturm bisection with counts in doubles, Newton on request.
 
     The brackets are cells of a bisection of the padded Gershgorin interval
     down to 2**-44 of its width, with midpoints rounded to 64 bits.  Newton's
@@ -290,6 +335,10 @@ def _solve(family: RecurrenceFamily, n: int, policy: TolerancePolicy) -> ZeroSet
     argument is next to ``_BAND``).  A cell that 64-bit midpoints cannot
     split into single zeros is bisected again at working precision.
 
+    Here the bisection stops once each cell holds one zero, which gets its
+    enclosure; the spectrum bisects a cell on and polishes it on request.  A
+    cell's bisection does not depend on its siblings', nor do its bits.
+
     From the cells to the polished zeros everything runs on kernel pairs
     (m, e) of :mod:`christoffel.core`, with the roundings of the mpf loop it
     replaces: midpoints, widths and Newton steps are ``_add``, ``_div`` and
@@ -303,8 +352,6 @@ def _solve(family: RecurrenceFamily, n: int, policy: TolerancePolicy) -> ZeroSet
     with policy.workprec():
         diag = C[1 : n + 1]
         offsq = L[2 : n + 1]
-        if n == 1:
-            return ZeroSet((diag[0],), family.label)
         with mp.workprec(64):
             d64 = [+c for c in diag]
             o64 = [+v for v in offsq]
@@ -335,12 +382,10 @@ def _solve(family: RecurrenceFamily, n: int, policy: TolerancePolicy) -> ZeroSet
                 m, e = (m >> k if m > 0 else -(-m >> k)), e + k
             return math.ldexp(m, e - scale)
 
-        boxes = {}
-
         def count64(x, a, b, ca, cb):
             xs = scaled(x)
             if cb - ca == 1:
-                u, v = boxes[cb] = boxes.get(cb) or _enclose(fdiag, foffsq, scaled(a), scaled(b), cb)
+                u, v = cells[ca][2]
                 if not u <= xs <= v:
                     return ca if xs < u else cb
             below = _count_below(fdiag, foffsq, xs - _BAND, _TINY)
@@ -363,18 +408,29 @@ def _solve(family: RecurrenceFamily, n: int, policy: TolerancePolicy) -> ZeroSet
         def count_wp(x, *_):
             return _count_below(diag, offsq, _to_mpf(*x), tiny_wp)
 
-        brackets = []
-        for a, b, ca, cb in _isolate(count64, _unpack(lo._mpf_), _unpack(hi._mpf_), 0, n, width, 64):
+        # (a, b, box): a one-zero cell (the spread stops them all) and its enclosure, or a cluster's bracket and None
+        cells = []
+        for a, b, ca, cb in _isolate(count64, _unpack(lo._mpf_), _unpack(hi._mpf_), 0, n, _unpack(spread._mpf_), 64):
             if cb - ca == 1:
-                brackets.append((a, b))
+                cells.append((a, b, _enclose(fdiag, foffsq, scaled(a), scaled(b), cb)))
                 continue
             a, b = _add(*a, -rm, rexp, prec), _add(*b, rm, rexp, prec)
             for u, v, cu, cv in _isolate(count_wp, a, b, count_wp(a), count_wp(b), width, prec):
-                brackets += [(u, v)] * max(0, min(cv, cb) - max(cu, ca))
-        if len(brackets) != n:
-            raise ArithmeticError(f"isolated {len(brackets)} of the {n} zeros of {family.label} degree {n}")
+                cells += [(u, v, None)] * max(0, min(cv, cb) - max(cu, ca))
+        if len(cells) != n:
+            raise ArithmeticError(f"isolated {len(cells)} of the {n} zeros of {family.label} degree {n}")
         unit = _unpack(mp.mpf(unit)._mpf_)  # min(hi - lo, 1) may be the int 1
-        return ZeroSet(tuple(sorted(_polish(family, n, a, b, prec, unit) for a, b in brackets)), family.label)
+
+        def finish(family, i):
+            a, b, box = cells[i]
+            if box:
+                [(a, b, _, _)] = _isolate(count64, a, b, i, i + 1, width, 64)
+            return _polish(family, n, a, b, prec, unit)
+
+        boxes = [box or (-math.inf, math.inf) for _, _, box in cells]
+        # a polished zero lies within 2 rm of its eigenvalue: Newton keeps to its bracket widened
+        # by the bracket's width, no more than rm, and 64-bit counts move an end by at most 2**-62 max(|lo|, |hi|)
+        return _Spectrum(finish, boxes, centre, scale, 2 * _to_mpf(rm, rexp))
 
 
 def zeros_golub_welsch(family: RecurrenceFamily, n: int, policy: TolerancePolicy = DEFAULT_POLICY) -> ZeroSet:
@@ -532,6 +588,9 @@ def inner_bound(family: RecurrenceFamily, n: int, k: int, policy: TolerancePolic
 def bound_separation(family: RecurrenceFamily, n: int, policy: TolerancePolicy = DEFAULT_POLICY) -> BoundReport:
     """All three bounds, the extreme zeros, separation flags and the ordering check.
 
+    Only the two extreme zeros are polished when :meth:`_Spectrum.extremes` proves that the full
+    solve passes its simple-zero check; otherwise they are read from :func:`zeros_golub_welsch`.
+
     Ordering: Meixner-Pollaczek has B(0) < B(1) < B(2) for phi < pi/2 and the
     reverse for phi > pi/2 (all zero at pi/2); Pseudo-Jacobi has
     B(2) < B(1) < B(0) for b > 0, the reverse for b < 0, all zero at b = 0.
@@ -540,8 +599,8 @@ def bound_separation(family: RecurrenceFamily, n: int, policy: TolerancePolicy =
         raise ValueError("bound separation needs n >= 2")
     with policy.workprec():
         bounds = {k: inner_bound(family, n, k, policy) for k in (0, 1, 2)}
-        zs = zeros_golub_welsch(family, n, policy)
-        x_min, x_max = zs[0], zs[-1]
+        spectrum = family.owned(("spectrum", n, policy.precision_bits), lambda: _spectrum(family, n, policy))
+        x_min, x_max = spectrum.extremes(family, policy) or zeros_golub_welsch(family, n, policy).values[:: n - 1]  # first, last
         separated = {k: bool(x_min < bounds[k] < x_max) for k in (0, 1, 2)}
         # direction > 0 means B(0) < B(1) < B(2).  cot > 0 pushes MP bounds
         # negative with B(0) lowest; b > 0 puts PJ bounds positive with B(0)

@@ -11,19 +11,22 @@ from mpmath.libmp import mpf_add, mpf_le, mpf_shift, mpf_sub, round_nearest, to_
 from christoffel import (
     ModifierSpec,
     Polynomial,
+    RecurrenceFamily,
     TolerancePolicy,
+    bound_separation,
     christoffel_transform,
     connection_decompose,
     eval_with_derivative,
     even_modifier,
     interlace_strict,
     mp_family,
+    pj_family,
     to_scalar,
     values_ladder,
     zeros_golub_welsch,
 )
 from christoffel.core import _to_mpf, _unpack
-from christoffel.families import _ladder, _sweep
+from christoffel.families import MEIXNER_POLLACZEK, _ladder, _sweep
 from christoffel.transform import DegenerateTransformError, _cofactor_minors, _node_rows
 from christoffel.zeros import _BAND, _TINY, _count_below, _q_at
 
@@ -549,3 +552,46 @@ def assert_grid_q_is_the_mpf_route(lam, phi, bits: int, n_max: int) -> int:
                 assert (verdict.strict, verdict.common) == mpf_interlace_strict(theirs.__getitem__, n - 1, zp, policy), (n, m, k)
                 cells += 1
     return cells
+
+
+def bound_families(policy) -> list:
+    """(label, family builder, degrees) for the bound-separation oracle: the paper's families, and W+31's
+    recurrence with MP parameters for its bounds, whose top pair 64-bit midpoints leave in one cell."""
+    with policy.workprec():
+        right_angle = mp.pi / 2
+    mp_params = {"lambda": mp.mpf("0.5"), "phi": mp.mpf("0.9")}
+
+    def w31(pol):
+        C, Lambda = lambda j: mp.mpf(abs(15 - (j - 1))), lambda j: mp.mpf(1)
+        return RecurrenceFamily(MEIXNER_POLLACZEK, mp_params, C, Lambda, None, "W+31", pol.precision_bits)
+
+    return [
+        ("MP(0.5,0.9)", lambda pol: mp_family("0.5", "0.9", pol), (2, 3, 12, 30)),
+        ("MP(0.5,pi/2)", lambda pol: mp_family("0.5", right_angle, pol), (2, 3, 12, 30)),
+        ("PJ(-5.5,0)", lambda pol: pj_family("-5.5", 0, pol), (2, 3)),
+        ("PJ(-35,8)", lambda pol: pj_family(-35, 8, pol), (2, 3, 12, 30)),
+        ("W+31", w31, (31,)),
+    ]
+
+
+def assert_bound_extremes_are_the_full_solve(family, n: int, policy) -> str:
+    """bound_separation's x_min and x_max on a fresh ``family(policy)`` are bit for bit the end zeros
+    zeros_golub_welsch gives on another, or both raise the same error.
+
+    Returns "raises", "full solve" when bound_separation fell back to it, or "extremes" when it
+    polished only those; the full solve that then finishes the spectrum gives the fresh family's
+    zeros bit for bit too.
+    """
+    fam = family(policy)
+    try:
+        zs = zeros_golub_welsch(family(policy), n, policy)
+    except (ArithmeticError, ValueError) as exc:
+        with pytest.raises(type(exc)) as raised:
+            bound_separation(fam, n, policy)
+        assert str(raised.value) == str(exc)
+        return "raises"
+    report = bound_separation(fam, n, policy)
+    assert (report.x_min._mpf_, report.x_max._mpf_) == (zs[0]._mpf_, zs[-1]._mpf_)
+    route = "full solve" if fam.owned(("spectrum", n, policy.precision_bits), pytest.fail).finish is None else "extremes"
+    assert [z._mpf_ for z in zeros_golub_welsch(fam, n, policy).values] == [z._mpf_ for z in zs.values]
+    return route

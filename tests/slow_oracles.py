@@ -8,14 +8,18 @@ it out; naming the file collects it.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
-from christoffel import mp_family, pj_family
+from christoffel import TolerancePolicy, mp_family, pj_family
 from polyhelpers import (
     NODE_SETS,
+    assert_bound_extremes_are_the_full_solve,
     assert_grid_decompositions_are_the_mpf_loops,
     assert_grid_q_is_the_mpf_route,
     assert_transforms_are_the_mpc_loops,
+    bound_families,
 )
 
 _CONFIGS = [
@@ -51,3 +55,27 @@ def test_larger_grid_q_and_verdicts_are_the_mpf_route_bit_for_bit(lam, phi, bits
 def test_determinant_transforms_are_the_mpc_loops_bit_for_bit(family, bits):
     # k = 1..3 and every node set at degrees 0..5: 576 transforms over the twelve cases
     assert assert_transforms_are_the_mpc_loops(family, bits, range(6), list(NODE_SETS)) == {"ok": 48}
+
+
+@pytest.mark.parametrize("bits", [64, 113, 256, 512])
+def test_bound_extremes_are_the_full_solve_bit_for_bit(bits):
+    # every valid degree up to 30 of the families Tier-1 samples, W+31, and three more up to
+    # degree 48: 110 cases per precision.  W+31's cluster takes the full solve, whose default
+    # tolerance rejects its top pair, 4.9e-25 apart, below 256 bits.
+    pol = TolerancePolicy(precision_bits=bits)
+    cases = [
+        (label, family, degrees if label == "W+31" else range(2, 6 if label == "PJ(-5.5,0)" else 31))
+        for label, family, degrees in bound_families(pol)
+    ]
+    cases += [
+        ("MP(20,0.1)", lambda pol: mp_family(20, "0.1", pol), (2, 5, 12, 25, 30, 48)),
+        ("MP(3.25,2.4)", lambda pol: mp_family("3.25", "2.4", pol), (2, 5, 12, 25, 30, 48)),
+        ("PJ(-60,8)", lambda pol: pj_family(-60, 8, pol), (2, 5, 12, 25, 30, 48)),
+    ]
+    outcomes = Counter(
+        (label, assert_bound_extremes_are_the_full_solve(family, n, pol)) for label, family, degrees in cases for n in degrees
+    )
+    extremes = {"MP(0.5,0.9)": 29, "MP(0.5,pi/2)": 29, "PJ(-5.5,0)": 4, "PJ(-35,8)": 29}
+    extremes |= {"MP(20,0.1)": 6, "MP(3.25,2.4)": 6, "PJ(-60,8)": 6}
+    w31 = ("W+31", "full solve" if bits >= 256 else "raises")
+    assert outcomes == Counter({(label, "extremes"): k for label, k in extremes.items()} | {w31: 1})

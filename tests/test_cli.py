@@ -291,12 +291,16 @@ def test_non_finite_or_negative_inputs_are_configuration_errors(argv, capsys):
 
 
 def test_verify_shares_its_families(monkeypatch, policy):
-    solved = Counter()
-    solve = zeros._solve
+    # bound separation finishes only the extreme zeros, so a spectrum is the unit of zero work
+    spectra, polished = Counter(), Counter()
+    spectrum = zeros._spectrum
 
     def counted(family, n, policy):
-        solved[family.label, n] += 1
-        return solve(family, n, policy)
+        spectra[family.label, n] += 1
+        kept = spectrum(family, n, policy)
+        finish = kept.finish
+        kept.finish = lambda family, i: polished.update([(family.label, n, i)]) or finish(family, i)
+        return kept
 
     built = []
     determinant = transform.christoffel_transform
@@ -305,12 +309,12 @@ def test_verify_shares_its_families(monkeypatch, policy):
         built.append((family.label, modifier.k, deg))
         return determinant(family, modifier, deg, policy)
 
-    monkeypatch.setattr(zeros, "_solve", counted)
+    monkeypatch.setattr(zeros, "_spectrum", counted)
     for module in (cli, transform):
         monkeypatch.setattr(module, "christoffel_transform", transformed)
     dispatch(RunConfig(command="verify"))
-    assert sum(solved.values()) == 19
-    assert set(solved.values()) == {1}
+    assert sum(spectra.values()) == 19
+    assert set(spectra.values()) == set(polished.values()) == {1}
     # the transform oracle's 4 x 7 transforms; the discrete-orthogonality
     # suite reads its MP k = 2 ones instead of building them again
     assert len(built) == len(set(built)) == 28

@@ -15,6 +15,7 @@ from christoffel import (
     Polynomial,
     TolerancePolicy,
     associated,
+    bound_separation,
     christoffel_transform,
     connection_decompose,
     custom_family,
@@ -385,17 +386,22 @@ def test_generate_all_prefix_consistency(policy):
 
 
 def test_dropped_family_frees_what_it_derived(policy):
-    fam = mp_family("0.5", "0.9", policy)
-    generate(fam, 12, policy)
-    zeros_golub_welsch(fam, 8, policy)
-    associated(fam, 9, 4, policy)
-    fam.shifted(2)
-    connection_decompose(fam, even_modifier(fam, 2, policy), 8, 3, policy)
-    mp_symmetry_residual(fam, 6, "0.7", policy)
-    ref = weakref.ref(fam)
-    del fam
-    gc.collect()
-    assert ref() is None
+    # by reference counting alone: nothing the family keeps refers back to it
+    gc.disable()
+    try:
+        fam = mp_family("0.5", "0.9", policy)
+        generate(fam, 12, policy)
+        zeros_golub_welsch(fam, 8, policy)
+        associated(fam, 9, 4, policy)
+        fam.shifted(2)
+        connection_decompose(fam, even_modifier(fam, 2, policy), 8, 3, policy)
+        mp_symmetry_residual(fam, 6, "0.7", policy)
+        bound_separation(fam, 10, policy)  # keeps a spectrum with cells still to finish
+        ref = weakref.ref(fam)
+        del fam
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_ladder_is_not_recursive():

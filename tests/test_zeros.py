@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -26,7 +27,14 @@ from christoffel import zeros
 from christoffel.cli import main
 from christoffel.core import Polynomial, TolerancePolicy, _to_mpf, _unpack
 
-from polyhelpers import mpf_grid_q, mpf_interlace_strict, mpf_is_zero, mpf_zeros
+from polyhelpers import (
+    assert_bound_extremes_are_the_full_solve,
+    bound_families,
+    mpf_grid_q,
+    mpf_interlace_strict,
+    mpf_is_zero,
+    mpf_zeros,
+)
 
 _ONE = (1, 0, 0, 0)  # the row of g = 1: g(x) = 1 and g'(x) = 0 as kernel pairs
 
@@ -104,6 +112,56 @@ def test_zeros_are_solved_once_per_family(policy, monkeypatch):
     nodes, _ = gauss_rule(fam, n, policy)
     assert nodes.values[0] == report.x_min
     assert len(calls) == n
+    # bound separation finishes only the two extreme zeros; the Gauss rule finishes the
+    # other 28 from the same cells, and no zero gets a second enclosure
+    enclosed, enclose = Counter(), zeros._enclose
+    monkeypatch.setattr(zeros, "_enclose", lambda *args: enclosed.update([args[-1]]) or enclose(*args))
+    fam, n = mp_family("0.5", "0.08", policy), 30
+    calls.clear()
+    bound_separation(fam, n, policy)
+    assert len(calls) == 2
+    gauss_rule(fam, n, policy)
+    assert len(calls) == n
+    assert len(enclosed) == n and set(enclosed.values()) == {1}
+
+
+@pytest.mark.parametrize("bits", [64, 256])
+def test_bound_extremes_are_the_full_solve_bit_for_bit(bits):
+    # W+31's 64-bit cells leave a cluster, so it takes the full solve, which raises at 64 bits
+    pol = TolerancePolicy(precision_bits=bits)
+    outcomes = Counter(
+        (label, assert_bound_extremes_are_the_full_solve(family, n, pol))
+        for label, family, degrees in bound_families(pol)
+        for n in degrees
+    )
+    extremes = {"MP(0.5,0.9)": 4, "MP(0.5,pi/2)": 4, "PJ(-5.5,0)": 2, "PJ(-35,8)": 4}
+    w31 = ("W+31", "raises" if bits == 64 else "full solve")
+    assert outcomes == Counter({(label, "extremes"): k for label, k in extremes.items()} | {w31: 1})
+
+
+def test_bound_separation_keeps_the_gap_check(policy, monkeypatch):
+    # a tolerance at or above a gap fails the certificate, and the full solve raises its own
+    # error; MP(20, 0.1)'s zeros lie far from 0, so just above its smallest relative gap the
+    # tolerance is too large only by the zeros' size, which the certificate has to count too.
+    # Under the default tolerance the boxes certify every gap and only the extremes are polished.
+    for family, n in ((lambda pol: pj_family(-35, 8, pol), 25), (lambda pol: mp_family(20, "0.1", pol), 25)):
+        zs = zeros_golub_welsch(family(policy), n, policy)
+        with policy.workprec():
+            unit = min(1, zs[-1] - zs[0])
+            gaps = [(v - u, (v - u) / max(unit, abs(u), abs(v))) for u, v in zip(zs.values, zs.values[1:])]
+            gap, relative = min(g for g, _ in gaps), min(r for _, r in gaps)
+            tolerances = (2 * gap, gap, 1, relative * (1 + mp.ldexp(1, -20)))
+        for tol in tolerances:
+            loose = TolerancePolicy(precision_bits=policy.precision_bits, abs_tol=tol)
+            with pytest.raises(ValueError, match="abs_tol .* is at least the gap") as full:
+                zeros_golub_welsch(family(loose), n, loose)
+            with pytest.raises(ValueError) as bound:
+                bound_separation(family(loose), n, loose)
+            assert str(bound.value) == str(full.value)
+        calls = _count_polish(monkeypatch)
+        assert bound_separation(family(policy), n, policy).x_max == zs[-1]
+        assert len(calls) == 2
+        monkeypatch.undo()
 
 
 def test_cached_zeros_are_checked_under_each_tolerance(policy, monkeypatch):

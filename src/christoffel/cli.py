@@ -391,8 +391,6 @@ def _grid_rows(config: RunConfig, policy: TolerancePolicy):
                         for p, out in zip(zp.points, sweeps[k]):
                             _sweep(table, n - m, *p, prec, out)
                     interlace = _grid_interlace(decomp, zp, sweeps[k], policy)
-                    for sweep in sweeps[k]:  # later cells (larger m) read lower degrees only
-                        del sweep[n - m :]
                     interlace_ok = (interlace == "holds") == (degrees["deg_G"] == m - 1)
                 ok = degrees_ok and residual_ok and interlace_ok
                 rows.append(

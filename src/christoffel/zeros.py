@@ -194,12 +194,12 @@ def _isolate(count, a, b, ca, cb, width, prec):
     a, b and ``width`` are kernel pairs (m, e), and midpoints are rounded
     to ``prec`` bits.  Kernel pairs are not normalised, so ends and widths
     are compared by value.  ``ca`` and ``cb`` are the Sturm counts at a and
-    b, so a bracket holds the eigenvalues of index ca+1..cb; ``count(x, a,
-    b, ca, cb)`` returns the count at the bracket's midpoint x, or any
-    number that clamps to the same value in [ca, cb].  A bracket stops once
-    it is no wider than ``width`` and holds exactly one eigenvalue, or once
-    its midpoint rounds to an end, so only a cluster closer than ``prec``
-    bits resolve stops holding more than one.
+    b, so a bracket holds the eigenvalues of index ca+1..cb; ``count(x, ca,
+    cb)`` returns the count at the bracket's midpoint x, or any number that
+    clamps to the same value in [ca, cb].  A bracket stops once it is no
+    wider than ``width`` and holds exactly one eigenvalue, or once its
+    midpoint rounds to an end, so only a cluster closer than ``prec`` bits
+    resolve stops holding more than one.
     """
     out = []
     todo = [(a, b, ca, cb)] if ca < cb else []
@@ -213,7 +213,7 @@ def _isolate(count, a, b, ca, cb, width, prec):
         ):
             out.append((a, b, ca, cb))
             continue
-        cm = min(max(count(mid, a, b, ca, cb), ca), cb)
+        cm = min(max(count(mid, ca, cb), ca), cb)
         if cm < cb:
             todo.append((mid, b, cm, cb))
         if ca < cm:
@@ -275,27 +275,33 @@ def _polish(family, n, lo, hi, prec, unit):
 
 
 class _Spectrum:
-    """A member's zeros as the cells of :func:`_spectrum`, cell i (from 0) finished by ``finish(family, i)`` on request.
+    """A member's zeros, kept by its family: the cells of :func:`_spectrum`, cell i (from 0) finished by
+    ``finish(family, i)`` on request, and ``all``, the ascending :class:`ZeroSet` once :meth:`zeros` has built it.
 
     Eigenvalue i + 1 lies in centre + 2**scale (u, v) for ``boxes[i]`` = (u, v), (-inf, inf) in a cluster, and its
     polished zero within ``reach`` of it.  The family that keeps the spectrum is passed in: kept, it would make a
-    reference cycle.  The full solve drops all of it."""
+    reference cycle."""
 
     def __init__(self, finish, boxes, centre, scale, reach):
         self.finish, self.boxes, self.centre, self.scale, self.reach, self.polished = finish, boxes, centre, scale, reach, {}
+        self.all = None
 
     def zero(self, family: RecurrenceFamily, i: int) -> mp.mpf:
         if i not in self.polished:
             self.polished[i] = self.finish(family, i)
         return self.polished[i]
 
+    def zeros(self, family: RecurrenceFamily) -> ZeroSet:
+        """All n zeros, ascending: every cell finished, sorted once and kept."""
+        if self.all is None:
+            self.all = ZeroSet(tuple(sorted(self.zero(family, i) for i in range(len(self.boxes)))), family.label)
+        return self.all
+
     def extremes(self, family: RecurrenceFamily, policy: TolerancePolicy):
         """(zero 1, zero n) if the boxes prove that the full solve passes its simple-zero check and both
         zeros lie in their boxes, else None.  Neighbouring boxes (u, v), (u', v') pass it when 2**scale (u' - v),
         less 2 ``reach`` for the zeros' distances from the eigenvalues and 2 more for roundings, beats abs_tol
         times max(1, |centre| + 2**scale), which bounds the check's max(unit, |x|, |y|) for any zeros x, y."""
-        if self.finish is None:
-            return None
         gap = min(u - v for (_, v), (u, _) in zip(self.boxes, self.boxes[1:]))
         with policy.workprec():
             size = max(1, abs(self.centre) + mp.ldexp(1, self.scale))
@@ -305,18 +311,6 @@ class _Spectrum:
             if all(u <= mp.ldexp(x - self.centre, -self.scale) <= v for x, (u, v) in zip(ends, self.boxes[:: len(self.boxes) - 1])):
                 return ends
         return None
-
-
-def _solve(family: RecurrenceFamily, n: int, policy: TolerancePolicy) -> ZeroSet:
-    """All n zeros (n >= 1): the family's :func:`_spectrum`, every cell finished, then its state dropped."""
-    if n == 1:
-        return ZeroSet((family.recurrence(1, policy.precision_bits)[0][1],), family.label)
-    spectrum = family.owned(("spectrum", n, policy.precision_bits), lambda: _spectrum(family, n, policy))
-    if spectrum.finish is None:  # dropped by an earlier full solve
-        spectrum = _spectrum(family, n, policy)
-    zs = ZeroSet(tuple(sorted(spectrum.zero(family, i) for i in range(n))), family.label)
-    spectrum.finish = spectrum.boxes = spectrum.polished = None
-    return zs
 
 
 def _spectrum(family: RecurrenceFamily, n: int, policy: TolerancePolicy) -> _Spectrum:
@@ -382,7 +376,7 @@ def _spectrum(family: RecurrenceFamily, n: int, policy: TolerancePolicy) -> _Spe
                 m, e = (m >> k if m > 0 else -(-m >> k)), e + k
             return math.ldexp(m, e - scale)
 
-        def count64(x, a, b, ca, cb):
+        def count64(x, ca, cb):
             xs = scaled(x)
             if cb - ca == 1:
                 u, v = cells[ca][2]
@@ -437,17 +431,17 @@ def zeros_golub_welsch(family: RecurrenceFamily, n: int, policy: TolerancePolicy
     """All n zeros of the degree-n member, ascending, at working precision.
 
     The zeros depend only on the precision, so they are solved once per
-    (n, precision) and kept by the family; the simple-zero check runs on
-    every call, under the caller's ``abs_tol``.  Zeros out of order are a
-    numerical failure (``ArithmeticError``); a gap no wider than ``abs_tol``
-    times max(unit, |u|, |v|) is the tolerance's fault (``ValueError``).  As
-    in the Newton polish, the unit is 1, or the span of a smaller spectrum,
-    so the check means the same at every scale.
+    (n, precision) and kept by the family, in its :class:`_Spectrum`; the
+    simple-zero check runs on every call, under the caller's ``abs_tol``.
+    Zeros out of order are a numerical failure (``ArithmeticError``); a gap
+    no wider than ``abs_tol`` times max(unit, |u|, |v|) is the tolerance's
+    fault (``ValueError``).  As in the Newton polish, the unit is 1, or the
+    span of a smaller spectrum, so the check means the same at every scale.
     """
     family.require_degree(n)
-    if n == 0:
-        return ZeroSet((), family.label)
-    zs = family.owned(("zeros", n, policy.precision_bits), lambda: _solve(family, n, policy))
+    if n < 2:  # no off-diagonal: the zeros are the diagonal C(1..n), read on each call
+        return ZeroSet(tuple(family.recurrence(n, policy.precision_bits)[0][1:]), family.label)
+    zs = family.owned(("spectrum", n, policy.precision_bits), lambda: _spectrum(family, n, policy)).zeros(family)
     with policy.workprec():
         unit = min(1, zs.values[-1] - zs.values[0])
         for u, v in zip(zs.values, zs.values[1:]):
@@ -588,8 +582,9 @@ def inner_bound(family: RecurrenceFamily, n: int, k: int, policy: TolerancePolic
 def bound_separation(family: RecurrenceFamily, n: int, policy: TolerancePolicy = DEFAULT_POLICY) -> BoundReport:
     """All three bounds, the extreme zeros, separation flags and the ordering check.
 
-    Only the two extreme zeros are polished when :meth:`_Spectrum.extremes` proves that the full
-    solve passes its simple-zero check; otherwise they are read from :func:`zeros_golub_welsch`.
+    The extreme zeros are read from the family's spectrum when :meth:`_Spectrum.extremes` proves that
+    the full solve passes its simple-zero check, which polishes only those two if the full solve has
+    not run; otherwise they are read from :func:`zeros_golub_welsch`.
 
     Ordering: Meixner-Pollaczek has B(0) < B(1) < B(2) for phi < pi/2 and the
     reverse for phi > pi/2 (all zero at pi/2); Pseudo-Jacobi has

@@ -59,12 +59,12 @@ def grid_run(cli_runs, request) -> CliRun:
 
 @pytest.fixture(scope="session")
 def default_grid(cli_runs) -> SimpleNamespace:
-    """The default ``--grid`` run, and the (label, n) of each ``zeros._solve`` call, the families
+    """The default ``--grid`` run, and the (label, n) of each ``zeros._spectrum`` built, the families
     ``cli.mp_family`` built and the k of each ``ModifierSpec`` built during it."""
     grid = SimpleNamespace(solved=Counter(), families=[], modifiers=[])
-    solve, mp_family, init = zeros._solve, cli.mp_family, ModifierSpec.__init__
+    spectrum, mp_family, init = zeros._spectrum, cli.mp_family, ModifierSpec.__init__
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(zeros, "_solve", lambda fam, n, policy: grid.solved.update([(fam.label, n)]) or solve(fam, n, policy))
+        patch.setattr(zeros, "_spectrum", lambda fam, n, policy: grid.solved.update([(fam.label, n)]) or spectrum(fam, n, policy))
         patch.setattr(cli, "mp_family", lambda *args: grid.families.append(mp_family(*args)) or grid.families[-1])
         patch.setattr(ModifierSpec, "__init__", lambda self, *args: init(self, *args) or grid.modifiers.append(self.k))
         grid.run = cli_runs(("--grid",))

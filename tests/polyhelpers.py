@@ -392,7 +392,7 @@ def assert_transforms_are_the_mpc_loops(family, bits: int, degrees, node_sets) -
 
 # -- the zero solver on mpf values ----------------------------------------------
 #
-# zeros._solve runs its bisection and Newton steps on kernel pairs; these are
+# zeros._spectrum runs its bisection and Newton steps on kernel pairs; these are
 # the mpf loops it replaced, kept as the oracle its bits are checked against.
 
 
@@ -438,7 +438,7 @@ def mpf_polish(family, n, lo, hi, policy, unit):
 
 
 def mpf_zeros(family, n: int, policy) -> tuple:
-    """The zeros zeros._solve gives, by mpf bisection with 64-bit Sturm counts at every midpoint and mpf Newton."""
+    """The zeros zeros._spectrum gives, by mpf bisection with 64-bit Sturm counts at every midpoint and mpf Newton."""
     C, L = family.recurrence(n, policy.precision_bits)
     with policy.workprec():
         diag, offsq = C[1 : n + 1], L[2 : n + 1]
@@ -592,6 +592,6 @@ def assert_bound_extremes_are_the_full_solve(family, n: int, policy) -> str:
         return "raises"
     report = bound_separation(fam, n, policy)
     assert (report.x_min._mpf_, report.x_max._mpf_) == (zs[0]._mpf_, zs[-1]._mpf_)
-    route = "full solve" if fam.owned(("spectrum", n, policy.precision_bits), pytest.fail).finish is None else "extremes"
+    route = "extremes" if fam.owned(("spectrum", n, policy.precision_bits), pytest.fail).all is None else "full solve"
     assert [z._mpf_ for z in zeros_golub_welsch(fam, n, policy).values] == [z._mpf_ for z in zs.values]
     return route

@@ -44,6 +44,15 @@ def _outer(*values):
     return zeros.ZeroSet(tuple(mp.mpf(v) for v in values), "outer")
 
 
+def _solved(fam, n, pol) -> tuple:
+    """The zeros of a spectrum of fam's degree-n member built afresh, without zeros_golub_welsch's gap check.
+
+    Degree 1 is C(1), as zeros_golub_welsch gives it."""
+    if n == 1:
+        return tuple(fam.recurrence(1, pol.precision_bits)[0][1:])
+    return zeros._spectrum(fam, n, pol).zeros(fam).values
+
+
 def _rows(fam, d, outer, policy) -> list:
     """(p_d(x), p_d'(x)) of fam at each zero x of ``outer``, as kernel pairs: the rows interlace_strict reads."""
     return [(*_unpack(v._mpf_), *_unpack(s._mpf_)) for v, s in (eval_with_derivative(fam, d, x, policy) for x in outer.values)]
@@ -123,6 +132,14 @@ def test_zeros_are_solved_once_per_family(policy, monkeypatch):
     gauss_rule(fam, n, policy)
     assert len(calls) == n
     assert len(enclosed) == n and set(enclosed.values()) == {1}
+    # the spectrum is the one store of the zeros, and a bound separation after the full solve
+    # reads its ZeroSet's own ends without polishing again
+    assert ("spectrum", n, policy.precision_bits) in fam._store
+    assert [key for key in fam._store if key[:1] == ("zeros",)] == []
+    zs = zeros_golub_welsch(fam, n, policy)
+    calls.clear()
+    report = bound_separation(fam, n, policy)
+    assert not calls and report.x_min is zs.values[0] and report.x_max is zs.values[-1]
 
 
 @pytest.mark.parametrize("bits", [64, 256])
@@ -144,8 +161,9 @@ def test_bound_separation_keeps_the_gap_check(policy, monkeypatch):
     # error; MP(20, 0.1)'s zeros lie far from 0, so just above its smallest relative gap the
     # tolerance is too large only by the zeros' size, which the certificate has to count too.
     # Under the default tolerance the boxes certify every gap and only the extremes are polished.
+    # A family fully solved under the default tolerance certifies from its kept boxes, and raises the same.
     for family, n in ((lambda pol: pj_family(-35, 8, pol), 25), (lambda pol: mp_family(20, "0.1", pol), 25)):
-        zs = zeros_golub_welsch(family(policy), n, policy)
+        zs = zeros_golub_welsch(solved := family(policy), n, policy)
         with policy.workprec():
             unit = min(1, zs[-1] - zs[0])
             gaps = [(v - u, (v - u) / max(unit, abs(u), abs(v))) for u, v in zip(zs.values, zs.values[1:])]
@@ -155,9 +173,10 @@ def test_bound_separation_keeps_the_gap_check(policy, monkeypatch):
             loose = TolerancePolicy(precision_bits=policy.precision_bits, abs_tol=tol)
             with pytest.raises(ValueError, match="abs_tol .* is at least the gap") as full:
                 zeros_golub_welsch(family(loose), n, loose)
-            with pytest.raises(ValueError) as bound:
-                bound_separation(family(loose), n, loose)
-            assert str(bound.value) == str(full.value)
+            for fam in (family(loose), solved):
+                with pytest.raises(ValueError) as bound:
+                    bound_separation(fam, n, loose)
+                assert str(bound.value) == str(full.value)
         calls = _count_polish(monkeypatch)
         assert bound_separation(family(policy), n, policy).x_max == zs[-1]
         assert len(calls) == 2
@@ -254,7 +273,7 @@ def test_one_point_at_64_bits_is_bisected_to_the_spread_at_working_precision(mon
         return count_below(diag, offsq, x, tiny)
 
     monkeypatch.setattr(zeros, "_count_below", spied)
-    zeros._solve(custom_family(lambda j: mp.mpf(10) ** 20, lambda j: mp.mpf(1), label="offset 1e20", policy=pol), 12, pol)
+    _solved(custom_family(lambda j: mp.mpf(10) ** 20, lambda j: mp.mpf(1), label="offset 1e20", policy=pol), 12, pol)
     assert len(calls) <= 12 * 50
 
 
@@ -277,9 +296,9 @@ def test_float_counts_keep_the_64_bit_cells(monkeypatch):
     # decide no count, and both float counts disagree: every count is the
     # recount at 64 bits.
     pol = TolerancePolicy(precision_bits=64)
-    fast = zeros._solve(mp_family("3.901", "2.473", pol), 30, pol).values
+    fast = _solved(mp_family("3.901", "2.473", pol), 30, pol)
     monkeypatch.setattr(zeros, "_BAND", 1.0)  # every count at 64 bits
-    assert zeros._solve(mp_family("3.901", "2.473", pol), 30, pol).values == fast
+    assert _solved(mp_family("3.901", "2.473", pol), 30, pol) == fast
 
 
 def test_enclosures_decide_only_where_both_float_counts_agree():
@@ -329,7 +348,7 @@ def _undecided_cells(monkeypatch) -> list:
             cells.pop()
 
     def spied_isolate(count, *args):
-        return isolate(lambda x, a, b, ca, cb: in_cells((ca, cb), count, x, a, b, ca, cb), *args)
+        return isolate(lambda x, ca, cb: in_cells((ca, cb), count, x, ca, cb), *args)
 
     def spied_enclose(*args):
         boxes[args[-1]] = in_cells(None, enclose, *args)
@@ -368,17 +387,17 @@ def test_certified_enclosures_keep_every_zero_of_the_count_route(monkeypatch):
     # midpoint inside an enclosure's margin must reach count64 as well.
     cases = list(_isolation_cases())
     undecided = _undecided_cells(monkeypatch)
-    fast = [zeros._solve(fam, n, pol).values for fam, n, pol in cases]
+    fast = [_solved(fam, n, pol) for fam, n, pol in cases]
     assert undecided, "no midpoint fell inside a certified enclosure's margin"
     monkeypatch.undo()
     monkeypatch.setattr(zeros, "_enclose", lambda *args: (-math.inf, math.inf))
     for (fam, n, pol), values in zip(cases, fast):
-        assert zeros._solve(fam, n, pol).values == values, f"{fam.label} degree {n} at {pol.precision_bits} bits"
+        assert _solved(fam, n, pol) == values, f"{fam.label} degree {n} at {pol.precision_bits} bits"
 
 
 @pytest.mark.parametrize("bits", [64, 113, 256, 512])
 def test_solver_is_the_mpf_bisection_and_newton_bit_for_bit(bits):
-    # _solve bisects and polishes on kernel pairs; the zeros must be the bits
+    # the spectrum bisects and polishes on kernel pairs; the zeros must be the bits
     # of the mpf loops it replaced, counting at 64 bits at every midpoint.
     # W+31 takes the re-bisection at working precision.
     pol = TolerancePolicy(precision_bits=bits)
@@ -391,7 +410,7 @@ def test_solver_is_the_mpf_bisection_and_newton_bit_for_bit(bits):
         cases.append((custom_family(C, Lam, label=f"extreme scale {i}", policy=pol), 12))
     cases.append((custom_family(lambda j: mp.mpf(abs(15 - (j - 1))), lambda j: mp.mpf(1), label="W+31", policy=pol), 31))
     for fam, n in cases:
-        assert [z._mpf_ for z in zeros._solve(fam, n, pol).values] == [z._mpf_ for z in mpf_zeros(fam, n, pol)], (
+        assert [z._mpf_ for z in _solved(fam, n, pol)] == [z._mpf_ for z in mpf_zeros(fam, n, pol)], (
             f"{fam.label} degree {n}"
         )
 

@@ -51,21 +51,27 @@ from dataclasses import dataclass, field
 
 from mpmath import mp
 
-from .core import DEFAULT_POLICY, Polynomial, TolerancePolicy
+from .core import DEFAULT_POLICY, Polynomial, TolerancePolicy, to_scalar
 from .core import _add, _cmp, _div, _horner, _round, _to_mpf, _unpack  # the exact-rounding kernel
 from .families import MEIXNER_POLLACZEK, PSEUDO_JACOBI, RecurrenceFamily, _point, _snapped_cot, _sweep
 
 
 @dataclass(frozen=True)
 class ZeroSet:
-    """Strictly ascending real zeros of one family member, and the same zeros as kernel pairs in ``points``."""
+    """Strictly ascending real zeros of one family member, and the same zeros as kernel pairs in ``points``.
+
+    Each value is read by ``core.to_scalar``; one that is not a finite real number raises ``ValueError``."""
 
     values: tuple
     label: str
     points: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "points", tuple(_unpack(x._mpf_) for x in self.values))
+        values = tuple(map(to_scalar, self.values))
+        if not all(map(mp.isfinite, values)):
+            raise ValueError(f"zeros of {self.label} must be finite, got {', '.join(mp.nstr(x, 8) for x in values)}")
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "points", tuple(_unpack(x._mpf_) for x in values))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -221,7 +227,7 @@ def _isolate(count, a, b, ca, cb, width, prec):
     return out
 
 
-def _polish(family, n, lo, hi, prec, unit):
+def _polish(rows, label, n, lo, hi, prec, unit):
     """Newton on p_n from the centre of the isolating bracket (lo, hi), at ``prec`` bits.
 
     The bracket is already a few dozen bits wide, so plain Newton converges
@@ -232,11 +238,10 @@ def _polish(family, n, lo, hi, prec, unit):
     raises ``ArithmeticError``.
 
     lo, hi and ``unit`` are kernel pairs, and so is every iterate: a step is
-    the sweep of :mod:`christoffel.families`, ``_div`` and ``_add``, the mpf
+    the sweep of :mod:`christoffel.families` on ``rows``, ``_div`` and ``_add``, the mpf
     operations of the same loop on mpf values, and every test is an exact
     comparison, so the zero, made an mpf once, has the same bits.
     """
-    rows = family.kernel_rows(n, prec)
     (lm, le), (hm, he), (um, ue) = lo, hi, unit
     # w0 = max(hi - lo, max(unit, |lo|) 2**-prec); eps_stop = 2**(8 - prec)
     wm, we = _add(hm, he, -lm, le, prec)
@@ -269,51 +274,12 @@ def _polish(family, n, lo, hi, prec, unit):
         prev_step = sm, se
         xm, xe = nm, ne
     raise ArithmeticError(
-        f"Newton polish of a zero of {family.label} degree {n} did not converge in "
+        f"Newton polish of a zero of {label} degree {n} did not converge in "
         f"{_POLISH_CAP} iterations on the bracket [{mp.nstr(_to_mpf(*lo), 20)}, {mp.nstr(_to_mpf(*hi), 20)}]"
     )
 
 
 class _Spectrum:
-    """A member's zeros, kept by its family: the cells of :func:`_spectrum`, cell i (from 0) finished by
-    ``finish(family, i)`` on request, and ``all``, the ascending :class:`ZeroSet` once :meth:`zeros` has built it.
-
-    Eigenvalue i + 1 lies in centre + 2**scale (u, v) for ``boxes[i]`` = (u, v), (-inf, inf) in a cluster, and its
-    polished zero within ``reach`` of it.  The family that keeps the spectrum is passed in: kept, it would make a
-    reference cycle."""
-
-    def __init__(self, finish, boxes, centre, scale, reach):
-        self.finish, self.boxes, self.centre, self.scale, self.reach, self.polished = finish, boxes, centre, scale, reach, {}
-        self.all = None
-
-    def zero(self, family: RecurrenceFamily, i: int) -> mp.mpf:
-        if i not in self.polished:
-            self.polished[i] = self.finish(family, i)
-        return self.polished[i]
-
-    def zeros(self, family: RecurrenceFamily) -> ZeroSet:
-        """All n zeros, ascending: every cell finished, sorted once and kept."""
-        if self.all is None:
-            self.all = ZeroSet(tuple(sorted(self.zero(family, i) for i in range(len(self.boxes)))), family.label)
-        return self.all
-
-    def extremes(self, family: RecurrenceFamily, policy: TolerancePolicy):
-        """(zero 1, zero n) if the boxes prove that the full solve passes its simple-zero check and both
-        zeros lie in their boxes, else None.  Neighbouring boxes (u, v), (u', v') pass it when 2**scale (u' - v),
-        less 2 ``reach`` for the zeros' distances from the eigenvalues and 2 more for roundings, beats abs_tol
-        times max(1, |centre| + 2**scale), which bounds the check's max(unit, |x|, |y|) for any zeros x, y."""
-        gap = min(u - v for (_, v), (u, _) in zip(self.boxes, self.boxes[1:]))
-        with policy.workprec():
-            size = max(1, abs(self.centre) + mp.ldexp(1, self.scale))
-            if not mp.ldexp(gap, self.scale) - 4 * self.reach > policy.abs_tol * size:
-                return None
-            ends = self.zero(family, 0), self.zero(family, len(self.boxes) - 1)
-            if all(u <= mp.ldexp(x - self.centre, -self.scale) <= v for x, (u, v) in zip(ends, self.boxes[:: len(self.boxes) - 1])):
-                return ends
-        return None
-
-
-def _spectrum(family: RecurrenceFamily, n: int, policy: TolerancePolicy) -> _Spectrum:
     """The spectrum of the degree-n member (n >= 2): Sturm bisection with counts in doubles, Newton on request.
 
     The brackets are cells of a bisection of the padded Gershgorin interval
@@ -330,8 +296,13 @@ def _spectrum(family: RecurrenceFamily, n: int, policy: TolerancePolicy) -> _Spe
     split into single zeros is bisected again at working precision.
 
     Here the bisection stops once each cell holds one zero, which gets its
-    enclosure; the spectrum bisects a cell on and polishes it on request.  A
-    cell's bisection does not depend on its siblings', nor do its bits.
+    enclosure; :meth:`zero` bisects cell i (from 0) on and polishes it on its
+    first request, and :meth:`zeros` sorts all n into ``all`` and drops the
+    cells and counts.  A cell's bisection does not depend on its siblings',
+    nor do its bits.  Eigenvalue i + 1 lies in centre + 2**scale (u, v) for
+    ``boxes[i]`` = (u, v), (-inf, inf) in a cluster, and its polished zero
+    within ``reach`` of it.  The spectrum keeps the member's kernel rows and
+    label, not the family, and its closures read locals, never the spectrum.
 
     From the cells to the polished zeros everything runs on kernel pairs
     (m, e) of :mod:`christoffel.core`, with the roundings of the mpf loop it
@@ -341,90 +312,117 @@ def _spectrum(family: RecurrenceFamily, n: int, policy: TolerancePolicy) -> _Spe
     its 64-bit offset from the centre cut toward zero to 53 bits.  Only the
     64-bit recounts and the working-precision counts see mpf values.
     """
-    prec = policy.precision_bits
-    C, L = family.recurrence(n, prec)
-    with policy.workprec():
-        diag = C[1 : n + 1]
-        offsq = L[2 : n + 1]
-        with mp.workprec(64):
-            d64 = [+c for c in diag]
-            o64 = [+v for v in offsq]
-            lo, hi = _gershgorin(d64, o64)
-            # Newton's step floors are relative to max(unit, |x|): unit is 1,
-            # or the Gershgorin width of a smaller spectrum.
-            unit = min(hi - lo, 1)
-            pad = (hi - lo) * mp.mpf("0.001")
-            lo -= pad
-            hi += pad
-            spread = hi - lo
-            tiny = mp.ldexp(spread or abs(hi), -120)
-            width = spread * mp.ldexp(1, -44)
-        if not spread:  # 64 bits see one point: cells stop at 2**-44 of the spread at working precision
-            lo_wp, hi_wp = _gershgorin(diag, offsq)
-            width = mp.ldexp(hi_wp - lo_wp, -44)
-        centre = (lo + hi) / 2
-        scale = mp.frexp(spread)[1]
-        fdiag = [float(mp.ldexp(d - centre, -scale)) for d in diag]
-        foffsq = [float(mp.ldexp(v, -2 * scale)) for v in offsq]
-        cm, ce = _unpack(centre._mpf_)
 
-        def scaled(x):
-            # to_float of the 64-bit x - centre: cut toward zero to 53 bits
-            m, e = _add(*x, -cm, ce, 64)
-            k = abs(m).bit_length() - 53
-            if k > 0:
-                m, e = (m >> k if m > 0 else -(-m >> k)), e + k
-            return math.ldexp(m, e - scale)
-
-        def count64(x, ca, cb):
-            xs = scaled(x)
-            if cb - ca == 1:
-                u, v = cells[ca][2]
-                if not u <= xs <= v:
-                    return ca if xs < u else cb
-            below = _count_below(fdiag, foffsq, xs - _BAND, _TINY)
-            if below >= cb:
-                return below
-            upto = _count_below(fdiag, foffsq, xs + _BAND, _TINY)
-            if min(max(upto, ca), cb) == max(below, ca):
-                return upto
+    def __init__(self, family: RecurrenceFamily, n: int, policy: TolerancePolicy):
+        prec = policy.precision_bits
+        C, L = family.recurrence(n, prec)
+        with policy.workprec():
+            diag = C[1 : n + 1]
+            offsq = L[2 : n + 1]
             with mp.workprec(64):
-                return _count_below(d64, o64, _to_mpf(*x), tiny)
+                d64 = [+c for c in diag]
+                o64 = [+v for v in offsq]
+                lo, hi = _gershgorin(d64, o64)
+                # Newton's step floors are relative to max(unit, |x|): unit is 1,
+                # or the Gershgorin width of a smaller spectrum.
+                unit = min(hi - lo, 1)
+                pad = (hi - lo) * mp.mpf("0.001")
+                lo -= pad
+                hi += pad
+                spread = hi - lo
+                tiny = mp.ldexp(spread or abs(hi), -120)
+                width = spread * mp.ldexp(1, -44)
+            if not spread:  # 64 bits see one point: cells stop at 2**-44 of the spread at working precision
+                lo_wp, hi_wp = _gershgorin(diag, offsq)
+                width = mp.ldexp(hi_wp - lo_wp, -44)
+            centre = (lo + hi) / 2
+            scale = mp.frexp(spread)[1]
+            fdiag = [float(mp.ldexp(d - centre, -scale)) for d in diag]
+            foffsq = [float(mp.ldexp(v, -2 * scale)) for v in offsq]
+            cm, ce = _unpack(centre._mpf_)
 
-        # A cell that 64-bit midpoints cannot split into single zeros is
-        # bisected again at working precision.  64-bit counts are exact for a
-        # matrix within about 2**-62 max(|lo|, |hi|) of this one, so the cell
-        # is first widened past that reach, and only its own indices are kept.
-        rm, rexp = _unpack((width + mp.ldexp(max(abs(lo), abs(hi)), -60))._mpf_)
-        tiny_wp = mp.ldexp(tiny, -prec)
-        width = _unpack(width._mpf_)
+            def scaled(x):
+                # to_float of the 64-bit x - centre: cut toward zero to 53 bits
+                m, e = _add(*x, -cm, ce, 64)
+                k = abs(m).bit_length() - 53
+                if k > 0:
+                    m, e = (m >> k if m > 0 else -(-m >> k)), e + k
+                return math.ldexp(m, e - scale)
 
-        def count_wp(x, *_):
-            return _count_below(diag, offsq, _to_mpf(*x), tiny_wp)
+            def count64(x, ca, cb):
+                xs = scaled(x)
+                if cb - ca == 1:
+                    u, v = cells[ca][2]
+                    if not u <= xs <= v:
+                        return ca if xs < u else cb
+                below = _count_below(fdiag, foffsq, xs - _BAND, _TINY)
+                if below >= cb:
+                    return below
+                upto = _count_below(fdiag, foffsq, xs + _BAND, _TINY)
+                if min(max(upto, ca), cb) == max(below, ca):
+                    return upto
+                with mp.workprec(64):
+                    return _count_below(d64, o64, _to_mpf(*x), tiny)
 
-        # (a, b, box): a one-zero cell (the spread stops them all) and its enclosure, or a cluster's bracket and None
-        cells = []
-        for a, b, ca, cb in _isolate(count64, _unpack(lo._mpf_), _unpack(hi._mpf_), 0, n, _unpack(spread._mpf_), 64):
-            if cb - ca == 1:
-                cells.append((a, b, _enclose(fdiag, foffsq, scaled(a), scaled(b), cb)))
-                continue
-            a, b = _add(*a, -rm, rexp, prec), _add(*b, rm, rexp, prec)
-            for u, v, cu, cv in _isolate(count_wp, a, b, count_wp(a), count_wp(b), width, prec):
-                cells += [(u, v, None)] * max(0, min(cv, cb) - max(cu, ca))
-        if len(cells) != n:
-            raise ArithmeticError(f"isolated {len(cells)} of the {n} zeros of {family.label} degree {n}")
-        unit = _unpack(mp.mpf(unit)._mpf_)  # min(hi - lo, 1) may be the int 1
+            # A cell that 64-bit midpoints cannot split into single zeros is
+            # bisected again at working precision.  64-bit counts are exact for a
+            # matrix within about 2**-62 max(|lo|, |hi|) of this one, so the cell
+            # is first widened past that reach, and only its own indices are kept.
+            rm, rexp = _unpack((width + mp.ldexp(max(abs(lo), abs(hi)), -60))._mpf_)
+            tiny_wp = mp.ldexp(tiny, -prec)
+            width = _unpack(width._mpf_)
 
-        def finish(family, i):
-            a, b, box = cells[i]
+            def count_wp(x, *_):
+                return _count_below(diag, offsq, _to_mpf(*x), tiny_wp)
+
+            # (a, b, box): a one-zero cell (the spread stops them all) and its enclosure, or a cluster's bracket and None
+            cells = []
+            for a, b, ca, cb in _isolate(count64, _unpack(lo._mpf_), _unpack(hi._mpf_), 0, n, _unpack(spread._mpf_), 64):
+                if cb - ca == 1:
+                    cells.append((a, b, _enclose(fdiag, foffsq, scaled(a), scaled(b), cb)))
+                    continue
+                a, b = _add(*a, -rm, rexp, prec), _add(*b, rm, rexp, prec)
+                for u, v, cu, cv in _isolate(count_wp, a, b, count_wp(a), count_wp(b), width, prec):
+                    cells += [(u, v, None)] * max(0, min(cv, cb) - max(cu, ca))
+            if len(cells) != n:
+                raise ArithmeticError(f"isolated {len(cells)} of the {n} zeros of {family.label} degree {n}")
+            self.unit = _unpack(mp.mpf(unit)._mpf_)  # min(hi - lo, 1) may be the int 1
+            self.boxes = [box or (-math.inf, math.inf) for _, _, box in cells]
+            # a polished zero lies within 2 rm of its eigenvalue: Newton keeps to its bracket widened
+            # by the bracket's width, no more than rm, and 64-bit counts move an end by at most 2**-62 max(|lo|, |hi|)
+            self.centre, self.scale, self.reach = centre, scale, 2 * _to_mpf(rm, rexp)
+        self.rows, self.label, self.prec, self.width = family.kernel_rows(n, prec), family.label, prec, width
+        self.cells, self.count64, self.polished, self.all = cells, count64, {}, None
+
+    def zero(self, i: int) -> mp.mpf:
+        if i not in self.polished:
+            a, b, box = self.cells[i]
             if box:
-                [(a, b, _, _)] = _isolate(count64, a, b, i, i + 1, width, 64)
-            return _polish(family, n, a, b, prec, unit)
+                [(a, b, _, _)] = _isolate(self.count64, a, b, i, i + 1, self.width, 64)
+            self.polished[i] = _polish(self.rows, self.label, len(self.cells), a, b, self.prec, self.unit)
+        return self.polished[i]
 
-        boxes = [box or (-math.inf, math.inf) for _, _, box in cells]
-        # a polished zero lies within 2 rm of its eigenvalue: Newton keeps to its bracket widened
-        # by the bracket's width, no more than rm, and 64-bit counts move an end by at most 2**-62 max(|lo|, |hi|)
-        return _Spectrum(finish, boxes, centre, scale, 2 * _to_mpf(rm, rexp))
+    def zeros(self) -> ZeroSet:
+        """All n zeros, ascending: every cell finished, sorted once and kept; the bisection state is dropped."""
+        if self.all is None:
+            self.all = ZeroSet(sorted(self.zero(i) for i in range(len(self.boxes))), self.label)
+            del self.cells, self.count64
+        return self.all
+
+    def extremes(self, policy: TolerancePolicy):
+        """(zero 1, zero n) if the boxes prove that the full solve passes its simple-zero check and both
+        zeros lie in their boxes, else None.  Neighbouring boxes (u, v), (u', v') pass it when 2**scale (u' - v),
+        less 2 ``reach`` for the zeros' distances from the eigenvalues and 2 more for roundings, beats abs_tol
+        times max(1, |centre| + 2**scale), which bounds the check's max(unit, |x|, |y|) for any zeros x, y."""
+        gap = min(u - v for (_, v), (u, _) in zip(self.boxes, self.boxes[1:]))
+        with policy.workprec():
+            size = max(1, abs(self.centre) + mp.ldexp(1, self.scale))
+            if not mp.ldexp(gap, self.scale) - 4 * self.reach > policy.abs_tol * size:
+                return None
+            ends = self.zero(0), self.zero(len(self.boxes) - 1)
+            if all(u <= mp.ldexp(x - self.centre, -self.scale) <= v for x, (u, v) in zip(ends, self.boxes[:: len(self.boxes) - 1])):
+                return ends
+        return None
 
 
 def zeros_golub_welsch(family: RecurrenceFamily, n: int, policy: TolerancePolicy = DEFAULT_POLICY) -> ZeroSet:
@@ -440,8 +438,8 @@ def zeros_golub_welsch(family: RecurrenceFamily, n: int, policy: TolerancePolicy
     """
     family.require_degree(n)
     if n < 2:  # no off-diagonal: the zeros are the diagonal C(1..n), read on each call
-        return ZeroSet(tuple(family.recurrence(n, policy.precision_bits)[0][1:]), family.label)
-    zs = family.owned(("spectrum", n, policy.precision_bits), lambda: _spectrum(family, n, policy)).zeros(family)
+        return ZeroSet(family.recurrence(n, policy.precision_bits)[0][1:], family.label)
+    zs = family.owned(("spectrum", n, policy.precision_bits), lambda: _Spectrum(family, n, policy)).zeros()
     with policy.workprec():
         unit = min(1, zs.values[-1] - zs.values[0])
         for u, v in zip(zs.values, zs.values[1:]):
@@ -536,14 +534,15 @@ def interlace_strict(G: Polynomial, g, degree: int, outer: ZeroSet, policy: Tole
     g'(x) at each zero x of ``outer`` in order.  A q of degree len(outer) - 1 interlaces
     exactly when q(x_i) q(x_{i+1}) < 0 for every i (Markov's sign argument
     and its converse, Wendroff 1961), read off the mantissas' signs; for any
-    other degree the signs prove nothing, so that raises ``ValueError``, as
-    does a g without one row per zero.  Outer zeros that are zeros of q at tolerance
+    other degree, and for q = 0 (degree -1), which has no zeros, the signs prove
+    nothing, so that raises ``ValueError``, as does a g without one row per zero.  Outer zeros that are zeros of q at tolerance
     (:func:`_is_zero`) are reported in ``common`` and make the verdict non-strict.
     """
     if len(g) != len(outer):
         raise ValueError(f"g needs one row per outer zero, {len(outer)}, got {len(g)}")
-    if G.degree + degree != len(outer) - 1:
-        raise ValueError(f"q must have degree {len(outer) - 1} to interlace {len(outer)} zeros, got {G.degree + degree}")
+    q_degree = G.degree + degree if G else -1
+    if q_degree != len(outer) - 1:
+        raise ValueError(f"q must have degree {len(outer) - 1} to interlace {len(outer)} zeros, got {q_degree}")
     vals = _q_at(G, g, outer.points, policy.precision_bits)
     common = tuple(x for x, p, v in zip(outer.values, outer.points, vals) if _is_zero(*v, *p, policy))
     alternates = all(u[0] * w[0] < 0 for u, w in zip(vals, vals[1:]))
@@ -594,8 +593,8 @@ def bound_separation(family: RecurrenceFamily, n: int, policy: TolerancePolicy =
         raise ValueError("bound separation needs n >= 2")
     with policy.workprec():
         bounds = {k: inner_bound(family, n, k, policy) for k in (0, 1, 2)}
-        spectrum = family.owned(("spectrum", n, policy.precision_bits), lambda: _spectrum(family, n, policy))
-        x_min, x_max = spectrum.extremes(family, policy) or zeros_golub_welsch(family, n, policy).values[:: n - 1]  # first, last
+        spectrum = family.owned(("spectrum", n, policy.precision_bits), lambda: _Spectrum(family, n, policy))
+        x_min, x_max = spectrum.extremes(policy) or zeros_golub_welsch(family, n, policy).values[:: n - 1]  # first, last
         separated = {k: bool(x_min < bounds[k] < x_max) for k in (0, 1, 2)}
         # direction > 0 means B(0) < B(1) < B(2).  cot > 0 pushes MP bounds
         # negative with B(0) lowest; b > 0 puts PJ bounds positive with B(0)
@@ -674,7 +673,7 @@ def stieltjes_check(family: RecurrenceFamily, k: int, n: int, policy: ToleranceP
                     violations.append(f"common zero is an extreme zero of p_n (index {j})")
             if len(shared) == 1:
                 rest = [i for i in range(n) if i != shared[0]]
-                outer = ZeroSet(tuple(zp[i] for i in rest), zp.label)
+                outer = ZeroSet([zp[i] for i in rest], zp.label)
                 if not interlace_strict(Polynomial._of([(1, 0)]), [g_at[i] for i in rest], n - 2, outer, policy).strict:
                     violations.append("zeros of g do not interlace the non-common zeros of p_n")
         if not zp[0] < bound < zp[-1]:

@@ -392,7 +392,7 @@ def assert_transforms_are_the_mpc_loops(family, bits: int, degrees, node_sets) -
 
 # -- the zero solver on mpf values ----------------------------------------------
 #
-# zeros._spectrum runs its bisection and Newton steps on kernel pairs; these are
+# zeros._Spectrum runs its bisection and Newton steps on kernel pairs; these are
 # the mpf loops it replaced, kept as the oracle its bits are checked against.
 
 
@@ -438,7 +438,7 @@ def mpf_polish(family, n, lo, hi, policy, unit):
 
 
 def mpf_zeros(family, n: int, policy) -> tuple:
-    """The zeros zeros._spectrum gives, by mpf bisection with 64-bit Sturm counts at every midpoint and mpf Newton."""
+    """The zeros zeros._Spectrum gives, by mpf bisection with 64-bit Sturm counts at every midpoint and mpf Newton."""
     C, L = family.recurrence(n, policy.precision_bits)
     with policy.workprec():
         diag, offsq = C[1 : n + 1], L[2 : n + 1]

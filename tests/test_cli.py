@@ -112,7 +112,7 @@ def test_csv_and_json_carry_identical_row_data():
             assert csv_row[key] == value
 
 
-def test_decompose_command_row():
+def test_decompose_command_row(capsys):
     config = RunConfig(command="decompose", family="mp", lam="0.5", phi="0.9", n=8, m=2, k=2)
     report = dispatch(config)
     row = report.rows[0]
@@ -121,6 +121,12 @@ def test_decompose_command_row():
     assert row["computed"]["deg_G"] == 1
     assert row["computed"]["linear_G"] is True
     assert len(row["computed"]["d"]) == 5
+    # the CSV row joins each list field's entries with ";", in order
+    argv = ["--decompose", "--family", "mp", "--lambda", "0.5", "--phi", "0.9", "--n", "8", "--m", "2", "--k", "2"]
+    assert main([*argv, "--format", "csv"]) == 0
+    [csv_row] = csv.DictReader(io.StringIO(capsys.readouterr().out))
+    for key in ("a_coeffs", "G_coeffs", "g_coeffs", "d"):
+        assert csv_row[f"computed.{key}"].split(";") == [str(v) for v in row["computed"][key]]
 
 
 def test_main_writes_file_and_prints(tmp_path, capsys):
@@ -270,6 +276,9 @@ def test_exit_code_on_numerical_failure(capsys):
     argv = ["--decompose", "--family", "mp", "--lambda", "0.5", "--phi", "3.14159265", "--n", "8", "--m", "2", "--k", "2"]
     assert main(argv) == 3
     assert capsys.readouterr().err.startswith("numerical failure: ")
+    # rel_tol 1 chops every coefficient of G, so the first grid cell's connection coefficient is 0
+    assert main(["--grid", "--n", "4", "--rel-tol", "1"]) == 3
+    assert capsys.readouterr().err == "numerical failure: connection coefficient G vanished\n"
 
 
 @pytest.mark.parametrize(
@@ -293,14 +302,15 @@ def test_non_finite_or_negative_inputs_are_configuration_errors(argv, capsys):
 def test_verify_shares_its_families(monkeypatch, policy):
     # bound separation finishes only the extreme zeros, so a spectrum is the unit of zero work
     spectra, polished = Counter(), Counter()
-    spectrum = zeros._spectrum
+    spectrum, polish = zeros._Spectrum, zeros._polish
 
     def counted(family, n, policy):
         spectra[family.label, n] += 1
-        kept = spectrum(family, n, policy)
-        finish = kept.finish
-        kept.finish = lambda family, i: polished.update([(family.label, n, i)]) or finish(family, i)
-        return kept
+        return spectrum(family, n, policy)
+
+    def polished_once(rows, label, n, lo, hi, *args):
+        polished[label, n, lo, hi] += 1
+        return polish(rows, label, n, lo, hi, *args)
 
     built = []
     determinant = transform.christoffel_transform
@@ -309,7 +319,8 @@ def test_verify_shares_its_families(monkeypatch, policy):
         built.append((family.label, modifier.k, deg))
         return determinant(family, modifier, deg, policy)
 
-    monkeypatch.setattr(zeros, "_spectrum", counted)
+    monkeypatch.setattr(zeros, "_Spectrum", counted)
+    monkeypatch.setattr(zeros, "_polish", polished_once)
     for module in (cli, transform):
         monkeypatch.setattr(module, "christoffel_transform", transformed)
     dispatch(RunConfig(command="verify"))

@@ -78,6 +78,22 @@ def test_zero_polynomial_conventions():
     assert z.is_zero() and z.degree == -1 and not z
     assert (z * Polynomial([1, 1])).is_zero()
     assert z.inf_norm() == 0
+    with pytest.raises(ZeroDivisionError, match="polynomial division by zero"):
+        divmod(Polynomial([1, 1]), z)
+
+
+def test_polynomial_is_immutable():
+    p = Polynomial([1, 2])
+    with pytest.raises(AttributeError, match="Polynomial is immutable"):
+        p._pairs = ((0, 0),)
+    assert p == Polynomial([1, 2])
+
+
+def test_relative_residual_without_a_scale_is_the_total():
+    # every term 0: nothing was cancelled, so the residual is |total| itself
+    assert core.relative_residual(mp.mpf(-3), (0, mp.mpf(0))) == 3
+    assert core.relative_residual(mp.mpf(0), ()) == 0
+    assert core.relative_residual(mp.mpf(-3), (mp.mpf(6), mp.mpf(-2))) == mp.mpf("0.5")
 
 
 def test_degree_of_product_adds():

@@ -397,9 +397,10 @@ def test_dropped_family_frees_what_it_derived(policy):
         connection_decompose(fam, even_modifier(fam, 2, policy), 8, 3, policy)
         mp_symmetry_residual(fam, 6, "0.7", policy)
         bound_separation(fam, 10, policy)  # keeps a spectrum with cells still to finish
-        ref = weakref.ref(fam)
+        refs = [weakref.ref(fam)] + [weakref.ref(fam._store["spectrum", n, policy.precision_bits]) for n in (8, 10)]
+        assert fam._store["spectrum", 10, policy.precision_bits].all is None
         del fam
-        assert ref() is None
+        assert [ref() for ref in refs] == [None] * 3
     finally:
         gc.enable()
 

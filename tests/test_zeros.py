@@ -50,7 +50,7 @@ def _solved(fam, n, pol) -> tuple:
     Degree 1 is C(1), as zeros_golub_welsch gives it."""
     if n == 1:
         return tuple(fam.recurrence(1, pol.precision_bits)[0][1:])
-    return zeros._spectrum(fam, n, pol).zeros(fam).values
+    return zeros._Spectrum(fam, n, pol).zeros().values
 
 
 def _rows(fam, d, outer, policy) -> list:
@@ -101,13 +101,13 @@ def test_zero_simplicity_gaps(policy):
 
 
 def _count_polish(monkeypatch) -> list:
-    """Replace zeros._polish by a wrapper that appends to the returned list on every call."""
+    """Replace zeros._polish by a wrapper that appends the degree to the returned list on every call."""
     calls = []
     polish = zeros._polish
 
-    def counted(*args):
-        calls.append(args[1])
-        return polish(*args)
+    def counted(rows, label, n, *args):
+        calls.append(n)
+        return polish(rows, label, n, *args)
 
     monkeypatch.setattr(zeros, "_polish", counted)
     return calls
@@ -133,10 +133,13 @@ def test_zeros_are_solved_once_per_family(policy, monkeypatch):
     assert len(calls) == n
     assert len(enclosed) == n and set(enclosed.values()) == {1}
     # the spectrum is the one store of the zeros, and a bound separation after the full solve
-    # reads its ZeroSet's own ends without polishing again
+    # reads its ZeroSet's own ends without polishing again; with every zero polished, the
+    # spectrum keeps no cells and no count closure
     assert ("spectrum", n, policy.precision_bits) in fam._store
     assert [key for key in fam._store if key[:1] == ("zeros",)] == []
     zs = zeros_golub_welsch(fam, n, policy)
+    kept = vars(fam._store["spectrum", n, policy.precision_bits])
+    assert "cells" not in kept and not any(callable(value) for value in kept.values())
     calls.clear()
     report = bound_separation(fam, n, policy)
     assert not calls and report.x_min is zs.values[0] and report.x_max is zs.values[-1]
@@ -532,6 +535,25 @@ def test_interlace_needs_one_row_of_g_per_outer_zero(policy):
     for g in ([_ONE] * 2, [_ONE] * 4):
         with pytest.raises(ValueError, match=f"g needs one row per outer zero, 3, got {len(g)}"):
             interlace_strict(Polynomial([0, -2, 1]), g, 0, _outer(-1, 0, 3), policy)
+    # q = 0 has no zeros to interlace, though G = 0 (degree -1) and a g of degree 3 sum to 2
+    with pytest.raises(ValueError, match="q must have degree 2 to interlace 3 zeros, got -1"):
+        interlace_strict(Polynomial([0]), [_ONE] * 3, 3, _outer(-1, 0, 3), policy)
+
+
+def test_zero_set_reads_real_numbers_and_rejects_the_rest():
+    # floats, ints and decimal strings are read as by core.to_scalar; an mpf is kept as the same object
+    zs = zeros.ZeroSet((-1.5, 2, "2.5"), "x")
+    assert zs.values == (mp.mpf("-1.5"), 2, mp.mpf("2.5")) and all(isinstance(x, mp.mpf) for x in zs.values)
+    assert zs.points == tuple(_unpack(x._mpf_) for x in zs.values)
+    x = mp.mpf("0.1")
+    assert zeros.ZeroSet((x,), "x").values[0] is x
+    # the kernel would read inf and nan as 0
+    for values in ((1.0, mp.inf), (float("-inf"),), (mp.nan,)):
+        with pytest.raises(ValueError, match="zeros of x must be finite"):
+            zeros.ZeroSet(values, "x")
+    for values in ((complex(1, 2),), (mp.mpc(0, 1),), ("one",)):
+        with pytest.raises(ValueError, match="expected a real number"):
+            zeros.ZeroSet(values, "x")
 
 
 def test_interlace_reports_common_zeros(policy):

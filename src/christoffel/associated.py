@@ -27,17 +27,23 @@ from .core import DEFAULT_POLICY, Polynomial, TolerancePolicy, relative_residual
 from .families import RecurrenceFamily, _ladder, _three_term
 
 
+def _sequence(family: RecurrenceFamily, n: int, m: int, prec: int) -> list:
+    """S_0, ..., S_m (at least) anchored at n, the family's shared list per anchor and precision: read only.
+
+    The caller has checked the anchor against the family's range and 0 <= m <= n."""
+    polys = family.owned(("associated", n, prec), lambda: [Polynomial([1])])
+    if len(polys) <= m:
+        rows = family.kernel_rows(n, prec)
+        _three_term(polys, m, lambda j: (*rows[n - j + 1][:2], *rows[n - j + 2 if j > 1 else 0][2:]), prec)
+    return polys
+
+
 def associated(family: RecurrenceFamily, n: int, m: int, policy: TolerancePolicy = DEFAULT_POLICY) -> Polynomial:
     """S_m anchored at n: monic, exact degree m (S_0, S_1, ... kept by the family per anchor and precision)."""
     family.require_degree(n)
     if not 0 <= m <= n:
         raise ValueError(f"order {m} outside 0..{n} for anchor {n}")
-    prec = policy.precision_bits
-    polys = family.owned(("associated", n, prec), lambda: [Polynomial([1])])
-    if len(polys) <= m:
-        rows = family.kernel_rows(n, prec)
-        _three_term(polys, m, lambda j: (*rows[n - j + 1][:2], *rows[n - j + 2 if j > 1 else 0][2:]), prec)
-    return polys[m]
+    return _sequence(family, n, m, policy.precision_bits)[m]
 
 
 def associated_identity_residual(

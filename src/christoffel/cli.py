@@ -20,8 +20,8 @@ errors (``ValueError``: bad flags or flags the mode does not read,
 parameters outside a family's range, non-finite values or tolerances, an
 ``abs_tol`` as wide as a gap between zeros, and an ``--out`` path that
 cannot be written), 3 on numerical failure (``ArithmeticError``: a
-degenerate transform, zeros that are not simple, a Newton polish or a root
-finder that does not converge).
+degenerate transform, zeros that are not simple, a Newton polish that does
+not converge, a repeated root of a grid cell's G).
 
 A handful of printed table cells disagree with their recomputed values at
 far beyond the printed rounding; these are embedded as flagged cells with
@@ -56,7 +56,6 @@ from .zeros import (
     bound_separation,
     gauss_rule,
     interlace_strict,
-    polynomial_real_roots,
     stieltjes_check,
     zeros_golub_welsch,
 )
@@ -321,12 +320,60 @@ def _sign_changes(values) -> int:
     return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
+def _sign_at(f, xm: int, xe: int) -> int:
+    """f(x) 2**(k deg f), k = max(0, -xe), at x = xm * 2**xe for ascending integer coefficients ``f``:
+    an exact integer of f(x)'s sign."""
+    k = max(0, -xe)
+    xm <<= max(0, xe)
+    acc = 0
+    for shift, c in enumerate(reversed(f)):
+        acc = acc * xm + (c << k * shift)
+    return acc
+
+
+def _root_counts(G, zp, cell) -> tuple:
+    """(real, below, above): the real roots of G, those below x_1 and those above x_n, counted exactly (Sturm).
+
+    G's kernel pairs and the points x_1, x_n of ``zp.points`` are dyadic rationals, so the chain is
+    formed on integers: G scaled to integer coefficients, G', then each negated pseudo-remainder,
+    taken with the positive multiplier |lc|**delta and divided by its content, which keeps every
+    sign.  With V(x) the chain's sign changes at x, V(a) - V(b) counts the roots in (a, b], so a
+    root at x_1 is not below; V(-inf) and V(inf) read the leading coefficients.  A constant G has
+    no roots; a nonconstant last element is a repeated root of G, an ``ArithmeticError`` naming ``cell``.
+    """
+    from math import gcd  # integers only: fractions would cost every CLI start its import
+
+    if G.degree < 1:
+        return 0, 0, 0
+    low = min(e for m, e in G._pairs if m)
+    chain = [[m << (e - low) if m else 0 for m, e in G._pairs]]
+    chain.append([i * c for i, c in enumerate(chain[0])][1:])
+    while len(chain[-1]) > 1:
+        r, b = list(chain[-2]), chain[-1]
+        scale, lead = abs(b[-1]), (1 if b[-1] > 0 else -1)
+        while len(r) >= len(b):
+            q, s = lead * r[-1], len(r) - len(b)
+            r = [scale * c - (q * b[i - s] if i >= s else 0) for i, c in enumerate(r[:-1])]
+        while r and not r[-1]:
+            r.pop()
+        if not r:
+            raise ArithmeticError(f"connection coefficient G of cell (n, m, k) = {cell} has a repeated root")
+        content = gcd(*r)
+        chain.append([-c // content for c in r])
+    ends = [_sign_changes([f[-1] * (-1) ** (len(f) - 1) for f in chain]), _sign_changes([f[-1] for f in chain])]
+    at = [_sign_changes([_sign_at(f, *x) for f in chain]) for x in (zp.points[0], zp.points[-1])]
+    below = ends[0] - at[0] - (_sign_at(chain[0], *zp.points[0]) == 0)
+    return ends[0] - ends[1], below, at[1] - ends[1]
+
+
 def _grid_interlace(decomp, zp, rows, policy: TolerancePolicy) -> str:
     """Interlace verdict of G g_{n-m,k} against the zeros ``zp`` of p_n (see :func:`_grid_rows`).
 
     ``rows[i]`` holds the shifted family's sweep rows at zp[i], (g_{j,k}, g_{j,k}') as kernel
     pairs (m, e, dm, de) for j = 0, 1, ...; the sign changes of g_0..g_{n-m} at x count g's
-    zeros above x (Sturm), and one at x_1 is not outside.
+    zeros above x (Sturm), and one at x_1 is not outside.  A failed cell is named by counts
+    alone: G's nonreal roots, and its real ones inside and outside [x_1, x_n], from
+    :func:`_root_counts`; no root is solved for.
     """
     n, m = decomp.n, decomp.m
     G = decomp.G_poly
@@ -335,16 +382,14 @@ def _grid_interlace(decomp, zp, rows, policy: TolerancePolicy) -> str:
         verdict = interlace_strict(G, [row[n - m] for row in rows], n - m, zp, policy)
         if verdict.strict:
             return "holds"
-    g_roots, nonreal = polynomial_real_roots(G, policy)
-    if nonreal:
-        return f"fails({nonreal} nonreal G roots)"
+    real, below, above = _root_counts(G, zp, (n, m, decomp.k))
+    if G.degree > real:
+        return f"fails({G.degree - real} nonreal G roots)"
     if verdict is not None:
         return "fails(common zeros)" if verdict.common else "fails"
     first, last = ([r[0] for r in row[: n - m + 1]] for row in (rows[0], rows[-1]))
-    outside = n - m - _sign_changes(first) - (first[-1] == 0) + _sign_changes(last)
-    with policy.workprec():
-        outside += sum(1 for v in g_roots if v < zp[0] or v > zp[-1])
-    return f"fails(size {n - m + len(g_roots)} vs {len(zp) - 1}, {outside} outside span)"
+    outside = n - m - _sign_changes(first) - (first[-1] == 0) + _sign_changes(last) + below + above
+    return f"fails(size {n - m + real} vs {len(zp) - 1}, {outside} outside span)"
 
 
 def _grid_rows(config: RunConfig, policy: TolerancePolicy):
@@ -356,15 +401,16 @@ def _grid_rows(config: RunConfig, policy: TolerancePolicy):
     for every k <= m, the zeros of G * g_{n-m,k} must strictly interlace the
     zeros of p_n (the paper's theorem).  That is decided by the sign
     alternation of G * g at the zeros of p_n (G by Horner, g by its
-    recurrence); the roots of G are only computed to name a failed cell.
+    recurrence); no root of G or g is computed, not even to name a failed cell.
     g is evaluated once per (n, k): one recurrence sweep of the shifted
     family at each zero of p_n, to the degree n-m of the first cell that
     needs it, gives g_{n-m,k} for every later m.  The sweep rows stay kernel pairs, and
     ``interlace_strict`` forms q = G g and q' from G and the rows, on pairs, rounded as by mpf.
     The modifiers, shifted families and left sides are kept by the family.
     For m = 2, k = 3 the product has n+1 zeros, which cannot interlace n
-    zeros one-per-gap; the grid asserts that failure and counts the roots of G
-    and, by sign changes of the same sweep rows (Sturm), the zeros of g outside [x_1, x_n].
+    zeros one-per-gap; the grid asserts that failure and counts, exactly, the roots of G
+    (:func:`_root_counts`, a Sturm chain of G) and, by sign changes of the same sweep rows
+    (Sturm again), the zeros of g outside [x_1, x_n].
     """
     lam = "0.5" if config.lam is None else config.lam
     phi = "0.9" if config.phi is None else config.phi

@@ -47,7 +47,7 @@ from .core import DEFAULT_POLICY, Polynomial, TolerancePolicy
 from .core import _accumulate, _add, _div, _round, _to_mpf, _unpack  # the exact-rounding kernel
 from .core import _cabs, _cdiv, _chorner, _cmul, _cnorm, _csub  # and its complex operations
 from .families import ModifierSpec, RecurrenceFamily, _ladder, even_modifier, generate
-from .associated import associated
+from .associated import _sequence
 
 
 class DegenerateTransformError(ArithmeticError):
@@ -298,17 +298,19 @@ def connection_decompose(
         # a and -G term by term in the order of the formula, each w * s rounded before it is added
         a_out = [(0, 0)] * max(m - 1, 2 * k - m + 1)
         minus_G = [(0, 0)] * max(m, 2 * k - m)
+        lower, upper = _sequence(family, n - 1, m - 2, prec), _sequence(family, n, m - 1, prec)  # anchors n - 1 and n
         for j in range(0, min(m - 2, 2 * k) + 1):
             wm, we = _div(*d[j], *prods[m - j - 1], prec)
-            _accumulate(a_out, -wm, we, associated(family, n - 1, m - j - 2, policy)._pairs, 0, prec)
-            _accumulate(minus_G, wm, we, associated(family, n, m - j - 1, policy)._pairs, 0, prec)
+            _accumulate(a_out, -wm, we, lower[m - j - 2]._pairs, 0, prec)
+            _accumulate(minus_G, wm, we, upper[m - j - 1]._pairs, 0, prec)
         if m - 1 <= 2 * k:
             minus_G[0] = _add(*minus_G[0], *d[m - 1], prec)
-        for j in range(m, 2 * k + 1):
-            _accumulate(a_out, *d[j], associated(family, n - m + j, j - m, policy)._pairs, 0, prec)
-        for j in range(m + 1, 2 * k + 1):
-            wm, we = _round(rows[n + 1][2] * d[j][0], rows[n + 1][3] + d[j][1], prec)
-            _accumulate(minus_G, -wm, we, associated(family, n - m + j, j - m - 1, policy)._pairs, 0, prec)
+        for j in range(m, 2 * k + 1):  # a and -G are separate sums, so one loop keeps each one's order
+            s = _sequence(family, n - m + j, j - m, prec)  # anchor n - m + j
+            _accumulate(a_out, *d[j], s[j - m]._pairs, 0, prec)
+            if j > m:
+                wm, we = _round(rows[n + 1][2] * d[j][0], rows[n + 1][3] + d[j][1], prec)
+                _accumulate(minus_G, -wm, we, s[j - m - 1]._pairs, 0, prec)
         a_poly = Polynomial._of(a_out)
         G_poly = Polynomial._of([(-cm, ce) for cm, ce in minus_G])  # rounded sums: negation is exact
 

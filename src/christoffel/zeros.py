@@ -22,10 +22,10 @@ at n = 30 is not, which is why the coefficients are never touched here.
 Interlacing is decided in one place, :func:`interlace_strict`, by the sign
 alternation of q = G g at the already computed zeros of p_n, formed on kernel
 pairs from G and g's sweep rows there, for the grid and :func:`stieltjes_check`
-alike; no zero of q is solved for.  General root finding
-(:func:`polynomial_real_roots`) only names failures, such as nonreal roots of
-a connection coefficient; when it does not converge it raises
-``ArithmeticError`` instead of retrying.
+alike; no zero of q is solved for.  Nor is a root of G: the grid names a
+failed cell by counting G's roots, exactly, on a Sturm chain (``cli._root_counts``).
+General root finding (:func:`polynomial_real_roots`) is kept as public API, with
+no caller in the library; the tests read it as the oracle for those counts.
 
 The inner bounds B_n(k), k in {0, 1, 2}, are the roots of the linear
 connection coefficient G in the gap-2 decomposition; they sit strictly
@@ -60,7 +60,9 @@ from .families import MEIXNER_POLLACZEK, PSEUDO_JACOBI, RecurrenceFamily, _point
 class ZeroSet:
     """Strictly ascending real zeros of one family member, and the same zeros as kernel pairs in ``points``.
 
-    Each value is read by ``core.to_scalar``; one that is not a finite real number raises ``ValueError``."""
+    Each value is read by ``core.to_scalar``; one that is not a finite real number, or one below an
+    earlier value, raises ``ValueError``.  Equal neighbours are left to the caller: for the solver they
+    are zeros that are not simple, a numerical failure."""
 
     values: tuple
     label: str
@@ -70,6 +72,8 @@ class ZeroSet:
         values = tuple(map(to_scalar, self.values))
         if not all(map(mp.isfinite, values)):
             raise ValueError(f"zeros of {self.label} must be finite, got {', '.join(mp.nstr(x, 8) for x in values)}")
+        if any(v < u for u, v in zip(values, values[1:])):
+            raise ValueError(f"zeros of {self.label} must be ascending, got {', '.join(mp.nstr(x, 8) for x in values)}")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "points", tuple(_unpack(x._mpf_) for x in values))
 
@@ -693,8 +697,10 @@ def stieltjes_check(family: RecurrenceFamily, k: int, n: int, policy: ToleranceP
 def polynomial_real_roots(p: Polynomial, policy: TolerancePolicy = DEFAULT_POLICY):
     """(sorted real roots, number of nonreal roots) of a small dense polynomial.
 
-    General-purpose root finder for the connection coefficient G, whose roots
-    carry no orthogonality structure; degrees here stay below ~15.  Roots that
+    General-purpose root finder, by mpmath's ``polyroots`` at twice the working
+    precision, for polynomials such as a connection coefficient G, whose roots
+    carry no orthogonality structure.  No CLI mode calls it (the grid counts G's
+    roots exactly instead); the tests use it as that count's oracle.  Roots that
     do not converge in 200 steps raise ``ArithmeticError``.
     """
     if p.degree < 1:

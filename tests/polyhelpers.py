@@ -21,6 +21,7 @@ from christoffel import (
     interlace_strict,
     mp_family,
     pj_family,
+    polynomial_real_roots,
     to_scalar,
     values_ladder,
     zeros_golub_welsch,
@@ -595,3 +596,17 @@ def assert_bound_extremes_are_the_full_solve(family, n: int, policy) -> str:
     route = "extremes" if fam.owned(("spectrum", n, policy.precision_bits), pytest.fail).all is None else "full solve"
     assert [z._mpf_ for z in zeros_golub_welsch(fam, n, policy).values] == [z._mpf_ for z in zs.values]
     return route
+
+
+def solved_span_label(fam, n: int, policy, m: int = 2, k: int = 3) -> str:
+    """The grid's label of a cell with deg G != m - 1 (the m = 2, k = 3 cells) from solved zeros: g's by the
+    zero solver, G's by polyroots; a G with nonreal roots is named by their number."""
+    decomp = connection_decompose(fam, even_modifier(fam, k, policy), n, m, policy)
+    g_roots, nonreal = polynomial_real_roots(decomp.G_poly, policy)
+    if nonreal:
+        return f"fails({nonreal} nonreal G roots)"
+    product = list(zeros_golub_welsch(fam.shifted(k), n - m, policy).values) + g_roots
+    zp = zeros_golub_welsch(fam, n, policy)
+    with policy.workprec():
+        outside = sum(1 for v in product if v < zp[0] or v > zp[-1])
+    return f"fails(size {len(product)} vs {n - 1}, {outside} outside span)"

@@ -1,4 +1,4 @@
-"""Oracle checks too slow for the Tier-1 suite (about 20 s together); run them with
+"""Oracle checks too slow for the Tier-1 suite (about 30 s together); run them with
 
     PYTHONPATH=src python -m pytest -q tests/slow_oracles.py
 
@@ -12,7 +12,7 @@ from collections import Counter
 
 import pytest
 
-from christoffel import TolerancePolicy, mp_family, pj_family
+from christoffel import TolerancePolicy, cli, mp_family, pj_family
 from polyhelpers import (
     NODE_SETS,
     assert_bound_extremes_are_the_full_solve,
@@ -20,6 +20,7 @@ from polyhelpers import (
     assert_grid_q_is_the_mpf_route,
     assert_transforms_are_the_mpc_loops,
     bound_families,
+    solved_span_label,
 )
 
 _CONFIGS = [
@@ -79,3 +80,26 @@ def test_bound_extremes_are_the_full_solve_bit_for_bit(bits):
     extremes |= {"MP(20,0.1)": 6, "MP(3.25,2.4)": 6, "PJ(-60,8)": 6}
     w31 = ("W+31", "full solve" if bits >= 256 else "raises")
     assert outcomes == Counter({(label, "extremes"): k for label, k in extremes.items()} | {w31: 1})
+
+
+# the grids that measure wrong degrees at this precision (ROADMAP item 1): each still names its failed cells
+_WRONG_DEGREE_GRIDS = [
+    ("20", "0.1", 256, 10),
+    ("20", "3.0", 256, 10),
+    ("50", "0.5", 256, 12),
+    ("50", "2.4", 256, 12),
+    ("100", "0.5", 256, 12),
+    ("100", "1.5", 256, 12),
+    ("0.5", "0.9", 113, 12),
+]
+
+
+@pytest.mark.parametrize("lam, phi, bits, n_max", _WRONG_DEGREE_GRIDS, ids=str)
+def test_failed_cells_name_the_counts_of_solved_zeros(lam, phi, bits, n_max):
+    # the labels come from Sturm counts; solving G's roots by polyroots and g's by the zero solver is the oracle
+    pol = TolerancePolicy(precision_bits=bits)
+    rows, _ = cli._grid_rows(cli.RunConfig("grid", lam=lam, phi=phi, n=n_max, precision_bits=bits), pol)
+    failed = {tuple(r["inputs"].values()): r["computed"]["interlace"] for r in rows if r["computed"]["interlace"].startswith("fails")}
+    assert sorted(failed) == [(n, 2, 3) for n in range(4, n_max + 1)]
+    fam = mp_family(lam, phi, pol)
+    assert failed == {(n, m, k): solved_span_label(fam, n, pol, m, k) for n, m, k in failed}

@@ -40,6 +40,7 @@ from christoffel.cli import (
 from christoffel.core import _unpack
 
 from polyhelpers import assert_grid_q_is_the_mpf_route
+from polyhelpers import solved_span_label as _solved_span_label
 
 
 REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
@@ -495,19 +496,6 @@ def test_grid_solves_only_the_zeros_of_p_n(default_grid):
     assert default_grid.solved == {(mp_family("0.5", "0.9").label, n): 1 for n in range(4, 13)}
 
 
-def _solved_span_label(fam, n, policy):
-    """The grid's m = 2, k = 3 label from solved zeros: g's by the zero solver, G's by polyroots."""
-    decomp = connection_decompose(fam, even_modifier(fam, 3, policy), n, 2, policy)
-    g_roots, nonreal = polynomial_real_roots(decomp.G_poly, policy)
-    if nonreal:
-        return f"fails({nonreal} nonreal G roots)"
-    product = list(zeros_golub_welsch(fam.shifted(3), n - 2, policy).values) + g_roots
-    zp = zeros_golub_welsch(fam, n, policy)
-    with policy.workprec():
-        outside = sum(1 for v in product if v < zp[0] or v > zp[-1])
-    return f"fails(size {len(product)} vs {n - 1}, {outside} outside span)"
-
-
 @pytest.mark.parametrize(
     "grid_run",
     [_N13, *_PINNED_GRIDS, ("--grid", "--lambda", "20", "--phi", "0.1", "--n", "9")],  # n = 13 holds the default grid's cells
@@ -575,6 +563,62 @@ def test_grid_interlace_names_each_failure(policy):
         ]
     for G, label in cases:
         assert cli._grid_interlace(dataclasses.replace(decomp, G_poly=G), zp, rows, policy) == label
+
+
+def _solved_counts(G, zp, policy) -> tuple:
+    """``_root_counts``'s (real, below, above), and the nonreal count, from G's roots solved by polyroots."""
+    roots, nonreal = polynomial_real_roots(G, policy)
+    with policy.workprec():
+        tol = policy.abs_tol * max(1, abs(zp[0]), abs(zp[-1]))
+        return len(roots), sum(1 for r in roots if r < zp[0] - tol), sum(1 for r in roots if r > zp[-1] + tol), nonreal
+
+
+def test_root_counts_are_the_solved_roots(policy):
+    zp = zeros_golub_welsch(mp_family("0.5", "0.9", policy), 6, policy)
+    pair = Polynomial([1, 0, 1])  # x^2 + 1
+    with policy.workprec():
+        x1, xn, mid = zp[0], zp[-1], (zp[2] + zp[3]) / 2
+        lin = [Polynomial([-r, 1]) for r in (x1 - 1, x1, zp[1], mid, zp[4], xn, xn + 1)]
+        cases = [
+            (lin[2] * lin[3] * lin[4], (3, 0, 0, 0)),  # all real, inside the span
+            (pair * lin[3], (1, 0, 0, 2)),  # a complex pair
+            (lin[1], (1, 0, 0, 0)),  # a root exactly at x_1 is not below
+            (pair * lin[1], (1, 0, 0, 2)),  # exact coefficients: x^3 - x_1 x^2 + x - x_1
+            (lin[5], (1, 0, 0, 0)),  # nor one at x_n above
+            (lin[0] * lin[3] * lin[6], (3, 1, 1, 0)),  # outside the span on both sides
+            (lin[0] * lin[6] * pair, (2, 1, 1, 2)),
+            (Polynomial([0, 1, 0, 0, 1]), (2, 0, 0, 2)),  # x^4 + x: G' = 4x^3 + 1 is divided by -x, delta 3 with lc -1
+            (Polynomial([3]), (0, 0, 0, 0)),  # a constant G has no roots
+        ]
+        assert lin[1](x1) == (pair * lin[1])(x1) == lin[5](xn) == 0
+    for G, counts in cases:
+        real, below, above = cli._root_counts(G, zp, (6, 2, 3))
+        assert (real, below, above, G.degree - real) == counts == _solved_counts(G, zp, policy), G
+    # an exact repeated root: (x - 1)^2 (x - 3), whose chain ends in x - 1
+    with pytest.raises(ArithmeticError, match=r"G of cell \(n, m, k\) = \(6, 2, 3\) has a repeated root"):
+        cli._root_counts(Polynomial([-3, 7, -5, 1]), zp, (6, 2, 3))
+
+
+def test_no_cli_mode_runs_a_root_finder(monkeypatch, capsys):
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        raise mp.NoConvergence("polyroots")
+
+    monkeypatch.setattr(mp, "polyroots", spy)
+    argvs = [
+        (["--table", "1"], 0),
+        (["--table", "2"], 0),
+        (["--table", "3"], 0),
+        (["--verify"], 0),
+        (["--grid"], 0),
+        (["--grid", "--lambda", "20", "--phi", "0.1", "--n", "9"], 1),
+        (["--decompose", "--family", "mp", "--lambda", "0.5", "--phi", "0.9", "--n", "8", "--m", "2", "--k", "2"], 0),
+    ]
+    assert [main(argv) for argv, _ in argvs] == [code for _, code in argvs]
+    assert capsys.readouterr().err == ""
+    assert calls == []
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 import random
 from collections import Counter
@@ -556,6 +557,20 @@ def test_zero_set_reads_real_numbers_and_rejects_the_rest():
             zeros.ZeroSet(values, "x")
 
 
+def test_zero_set_rejects_values_out_of_order(policy, monkeypatch, capsys):
+    # q = (x - 0.5)(x - 1.5) interlaces 0 < 1 < 2; read in the order 0, 2, 1 its signs would not alternate
+    q = Polynomial([mp.mpf("0.75"), -2, 1])
+    assert interlace_strict(q, [_ONE] * 3, 0, _outer(0, 1, 2), policy).strict
+    for values in ((0, 2, 1), (2, -1, 2)):
+        with pytest.raises(ValueError, match="zeros of x must be ascending"):
+            zeros.ZeroSet(values, "x")
+    # equal neighbours are accepted: for the solver they are zeros that are not simple, a numerical failure
+    assert zeros.ZeroSet((0, 1, 1), "x").values == (0, 1, 1)
+    monkeypatch.setattr(zeros._Spectrum, "zeros", lambda self: zeros.ZeroSet((0, 1, 1, 2), self.label))
+    assert main(["--grid", "--n", "4"]) == 3
+    assert capsys.readouterr() == ("", "numerical failure: zeros of MP(lambda=0.5, phi=0.9) degree 4 are not simple: 1.0 vs 1.0\n")
+
+
 def test_interlace_reports_common_zeros(policy):
     verdict = interlace_strict(Polynomial([0, -1, 1]), [_ONE] * 3, 0, _outer(-1, 0, 2), policy)  # x (x - 1)
     assert not verdict.strict
@@ -834,12 +849,21 @@ def test_root_finder_failure_is_a_numerical_failure(policy, monkeypatch, capsys)
     def no_convergence(*args, **kwargs):
         raise mp.NoConvergence("polyroots failed to converge")
 
-    monkeypatch.setattr(mp, "polyroots", no_convergence)
-    with pytest.raises(ArithmeticError, match="degree-2 polynomial did not converge"):
-        polynomial_real_roots(Polynomial([-1, 0, 1]), policy)
-    # the grid names its m = 2, k = 3 cells by the roots of their cubic G
-    assert main(["--grid", "--n", "4"]) == 3
-    assert capsys.readouterr() == ("", "numerical failure: root finding on a degree-3 polynomial did not converge\n")
+    with monkeypatch.context() as patch:
+        patch.setattr(mp, "polyroots", no_convergence)
+        with pytest.raises(ArithmeticError, match="degree-2 polynomial did not converge"):
+            polynomial_real_roots(Polynomial([-1, 0, 1]), policy)
+        # the grid names its m = 2, k = 3 cells by Sturm counts of their cubic G, so it runs no root finder
+        assert main(["--grid", "--n", "4"]) == 0
+        patched = capsys.readouterr()
+    assert main(["--grid", "--n", "4"]) == 0
+    unpatched = capsys.readouterr()
+    assert patched.err == unpatched.err == ""
+    reports = [json.loads(run.out) for run in (patched, unpatched)]
+    for report in reports:
+        del report["meta"]["timestamp"]
+    assert reports[0] == reports[1]
+    assert "fails(size 5 vs 3, 2 outside span)" in patched.out
 
 
 def test_stieltjes_parameter_validation(policy):

@@ -60,9 +60,7 @@ from .families import MEIXNER_POLLACZEK, PSEUDO_JACOBI, RecurrenceFamily, _point
 class ZeroSet:
     """Strictly ascending real zeros of one family member, and the same zeros as kernel pairs in ``points``.
 
-    Each value is read by ``core.to_scalar``; one that is not a finite real number, or one below an
-    earlier value, raises ``ValueError``.  Equal neighbours are left to the caller: for the solver they
-    are zeros that are not simple, a numerical failure."""
+    Each value is read by ``core.to_scalar``; one that is not a finite real number raises ``ValueError``."""
 
     values: tuple
     label: str
@@ -72,8 +70,6 @@ class ZeroSet:
         values = tuple(map(to_scalar, self.values))
         if not all(map(mp.isfinite, values)):
             raise ValueError(f"zeros of {self.label} must be finite, got {', '.join(mp.nstr(x, 8) for x in values)}")
-        if any(v < u for u, v in zip(values, values[1:])):
-            raise ValueError(f"zeros of {self.label} must be ascending, got {', '.join(mp.nstr(x, 8) for x in values)}")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "points", tuple(_unpack(x._mpf_) for x in values))
 

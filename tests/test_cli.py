@@ -599,28 +599,6 @@ def test_root_counts_are_the_solved_roots(policy):
         cli._root_counts(Polynomial([-3, 7, -5, 1]), zp, (6, 2, 3))
 
 
-def test_no_cli_mode_runs_a_root_finder(monkeypatch, capsys):
-    calls = []
-
-    def spy(*args, **kwargs):
-        calls.append(args)
-        raise mp.NoConvergence("polyroots")
-
-    monkeypatch.setattr(mp, "polyroots", spy)
-    argvs = [
-        (["--table", "1"], 0),
-        (["--table", "2"], 0),
-        (["--table", "3"], 0),
-        (["--verify"], 0),
-        (["--grid"], 0),
-        (["--grid", "--lambda", "20", "--phi", "0.1", "--n", "9"], 1),
-        (["--decompose", "--family", "mp", "--lambda", "0.5", "--phi", "0.9", "--n", "8", "--m", "2", "--k", "2"], 0),
-    ]
-    assert [main(argv) for argv, _ in argvs] == [code for _, code in argvs]
-    assert capsys.readouterr().err == ""
-    assert calls == []
-
-
 @pytest.mark.parametrize(
     "lam, phi, bits, n_max, cells",
     [("0.5", "0.9", 256, 12, 408), ("0.5", "0.9", 64, 8, 130)],

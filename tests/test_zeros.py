@@ -557,20 +557,6 @@ def test_zero_set_reads_real_numbers_and_rejects_the_rest():
             zeros.ZeroSet(values, "x")
 
 
-def test_zero_set_rejects_values_out_of_order(policy, monkeypatch, capsys):
-    # q = (x - 0.5)(x - 1.5) interlaces 0 < 1 < 2; read in the order 0, 2, 1 its signs would not alternate
-    q = Polynomial([mp.mpf("0.75"), -2, 1])
-    assert interlace_strict(q, [_ONE] * 3, 0, _outer(0, 1, 2), policy).strict
-    for values in ((0, 2, 1), (2, -1, 2)):
-        with pytest.raises(ValueError, match="zeros of x must be ascending"):
-            zeros.ZeroSet(values, "x")
-    # equal neighbours are accepted: for the solver they are zeros that are not simple, a numerical failure
-    assert zeros.ZeroSet((0, 1, 1), "x").values == (0, 1, 1)
-    monkeypatch.setattr(zeros._Spectrum, "zeros", lambda self: zeros.ZeroSet((0, 1, 1, 2), self.label))
-    assert main(["--grid", "--n", "4"]) == 3
-    assert capsys.readouterr() == ("", "numerical failure: zeros of MP(lambda=0.5, phi=0.9) degree 4 are not simple: 1.0 vs 1.0\n")
-
-
 def test_interlace_reports_common_zeros(policy):
     verdict = interlace_strict(Polynomial([0, -1, 1]), [_ONE] * 3, 0, _outer(-1, 0, 2), policy)  # x (x - 1)
     assert not verdict.strict
@@ -845,25 +831,43 @@ def test_stieltjes_q_and_verdicts_are_the_mpf_route_bit_for_bit(make, n, branch,
         assert (verdict.strict, verdict.common) == mpf_interlace_strict(theirs.__getitem__, len(outer) - 1, outer, pol)
 
 
-def test_root_finder_failure_is_a_numerical_failure(policy, monkeypatch, capsys):
+@pytest.fixture
+def n4_grid(cli_runs):
+    return cli_runs(("--grid", "--n", "4"))
+
+
+def test_root_finder_failure_is_a_numerical_failure(policy, n4_grid, monkeypatch, capsys):
+    calls = []
+
     def no_convergence(*args, **kwargs):
+        calls.append(args)
         raise mp.NoConvergence("polyroots failed to converge")
 
-    with monkeypatch.context() as patch:
-        patch.setattr(mp, "polyroots", no_convergence)
-        with pytest.raises(ArithmeticError, match="degree-2 polynomial did not converge"):
-            polynomial_real_roots(Polynomial([-1, 0, 1]), policy)
-        # the grid names its m = 2, k = 3 cells by Sturm counts of their cubic G, so it runs no root finder
-        assert main(["--grid", "--n", "4"]) == 0
-        patched = capsys.readouterr()
-    assert main(["--grid", "--n", "4"]) == 0
-    unpatched = capsys.readouterr()
-    assert patched.err == unpatched.err == ""
-    reports = [json.loads(run.out) for run in (patched, unpatched)]
+    monkeypatch.setattr(mp, "polyroots", no_convergence)
+    with pytest.raises(ArithmeticError, match="degree-2 polynomial did not converge"):
+        polynomial_real_roots(Polynomial([-1, 0, 1]), policy)
+    calls.clear()
+    # no CLI mode runs a root finder: the grid names its m = 2, k = 3 cells by Sturm counts of their cubic G,
+    # so with polyroots failing it prints the same report as the shared unpatched run
+    assert main(["--grid", "--n", "4"]) == n4_grid.code == 0
+    patched = capsys.readouterr()
+    assert patched.err == n4_grid.err == ""
+    reports = [json.loads(out) for out in (patched.out, n4_grid.out)]
     for report in reports:
         del report["meta"]["timestamp"]
     assert reports[0] == reports[1]
     assert "fails(size 5 vs 3, 2 outside span)" in patched.out
+    argvs = [
+        (["--table", "1"], 0),
+        (["--table", "2"], 0),
+        (["--table", "3"], 0),
+        (["--verify"], 0),
+        (["--grid", "--lambda", "20", "--phi", "0.1", "--n", "9"], 1),
+        (["--decompose", "--family", "mp", "--lambda", "0.5", "--phi", "0.9", "--n", "8", "--m", "2", "--k", "2"], 0),
+    ]
+    assert [main(argv) for argv, _ in argvs] == [code for _, code in argvs]
+    assert capsys.readouterr().err == ""
+    assert calls == []
 
 
 def test_stieltjes_parameter_validation(policy):

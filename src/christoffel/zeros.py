@@ -10,12 +10,14 @@ recurrence evaluation of p_n; only zeros closer than the bisection's 64-bit
 midpoints resolve are bisected at working precision.  Once a cell holds a
 single zero, one eigenvalue computed in doubles and certified by two counts
 decides the counts at the cell's later midpoints (the argument is next to
-``_BAND``), so the cells, and every polished bit, are those of counting at
-each midpoint.  Midpoints and Newton iterates are kernel pairs of
-:mod:`christoffel.core` (an integer mantissa and an exponent), rounded as the
-mpf operations they replace would round them, and Newton evaluates p_n with
-the recurrence sweep of :mod:`christoffel.families` on those pairs; a zero
-becomes an mpf once, when it is polished.  Eigenvalues of a symmetric
+``_BAND``), and the cell walks down on integers, its midpoints decided by
+two integer thresholds, so the cells, and every polished bit, are those of
+counting at each midpoint.  Midpoints, Newton iterates and the counts that
+doubles cannot decide run on kernel pairs of :mod:`christoffel.core` (an
+integer mantissa and an exponent), rounded as the mpf operations they
+replace would round them, and Newton evaluates p_n with the recurrence
+sweep of :mod:`christoffel.families` on those pairs; a zero becomes an mpf
+once, when it is polished.  Eigenvalues of a symmetric
 tridiagonal are perfectly conditioned; root-finding on monic coefficients
 at n = 30 is not, which is why the coefficients are never touched here.
 
@@ -137,10 +139,7 @@ _POLISH_CAP = 150
 
 
 def _count_below(diag, offsq, x, tiny):
-    """Eigenvalues of the Jacobi matrix strictly below x (Sturm pivot count).
-
-    Runs in the arithmetic of its arguments: Python floats or mpf.
-    """
+    """Eigenvalues of the Jacobi matrix strictly below x (Sturm pivot count), in doubles."""
     count = 0
     d = diag[0] - x
     if d == 0:
@@ -153,6 +152,25 @@ def _count_below(diag, offsq, x, tiny):
             d = -tiny
         if d < 0:
             count += 1
+    return count
+
+
+def _count_pairs(rows, xm, xe, tiny, prec):
+    """The count of :func:`_count_below` at x = xm * 2**xe on kernel rows (C(j), Lambda(j)), j = 1..n.
+
+    Each step is the mpf loop's, rounded to ``prec`` bits: (C(j) - x) by ``_add``, Lambda(j) / d by
+    ``_div``, their difference by ``_add``, and a zero pivot becomes -tiny (a kernel pair), so the
+    count is that loop's.  Lambda(1) is 0, so the first step, from d = 1, is d = C(1) - x.
+    """
+    tm, te = tiny
+    count, dm, de = 0, 1, 0
+    for cm, ce, lm, le in rows:
+        cm, ce = _add(cm, ce, -xm, xe, prec)
+        qm, qe = _div(lm, le, dm, de, prec)
+        dm, de = _add(cm, ce, -qm, qe, prec)
+        if not dm:
+            dm, de = -tm, te
+        count += dm < 0
     return count
 
 
@@ -227,6 +245,78 @@ def _isolate(count, a, b, ca, cb, width, prec):
     return out
 
 
+def _scaled(xm, xe, cm, ce, scale):
+    """The double at which the Sturm counts read x = xm * 2**xe: to_float of the 64-bit x - centre, times 2**-scale.
+
+    centre is cm * 2**ce.  to_float cuts toward zero to 53 bits, and ``ldexp`` rounds, so the
+    value is monotone in x, as each of its three steps is.
+    """
+    m, e = _add(xm, xe, -cm, ce, 64)
+    k = abs(m).bit_length() - 53
+    if k > 0:
+        m, e = (m >> k if m > 0 else -(-m >> k)), e + k
+    return math.ldexp(m, e - scale)
+
+
+def _descend(count, a, b, ca, box, width, centre, scale):
+    """The cell ``_isolate(count, a, b, ca, ca + 1, width, 64)`` stops at, for a cell (a, b) of eigenvalue ca + 1 alone.
+
+    ``box`` = (u, v) is that eigenvalue's enclosure: a count at a point whose :func:`_scaled`
+    value (from ``centre``, a kernel pair, and ``scale``) is below u clamps to ca, above v to
+    ca + 1.  The walk runs on integers, a = A 2**e < b = B 2**e.  Its midpoint is A + B
+    rounded to 64 bits and halved, and a width B - A below 2**64 is exact; both ends have at
+    most 64 bits, so these are the values of ``_isolate``'s ``_add`` (wider widths take it).
+    An odd exact A + B refines the unit, e -> e - 1.  Two integers U < V decide most
+    midpoints M without ``_scaled``: it is monotone, so M < U reads below u once the point
+    U - 1 does, and M > V above v once V + 1 does, each checked once.  A midpoint between
+    them takes ``_scaled`` and the box, and inside the box ``count``.  An infinite box gives
+    no U, V, and every midpoint is counted.
+    """
+    (am, ae), (bm, be), (wm, we), (u, v) = a, b, width, box
+    e = min(ae, be)
+    A, B = am << (ae - e), bm << (be - e)
+
+    def units(t):  # floor((centre + t 2**scale) / 2**e), exactly
+        num, den = t.as_integer_ratio()
+        s1, s2 = centre[1] - e, scale - den.bit_length() + 1 - e
+        s = min(s1, s2, 0)
+        return ((centre[0] << (s1 - s)) + (num << (s2 - s))) >> -s
+
+    U, V = -math.inf, math.inf
+    if u > -math.inf:  # _enclose certifies both ends or neither
+        # _scaled is within 2**-53 of (x - centre) 2**-scale, so U - 1 and V + 1 this far out certify
+        slack = (1 << max(0, scale - 52 - e)) + 1
+        U, V = units(u) - slack, units(v) + slack
+        if not _scaled(U - 1, e, *centre, scale) < u:
+            U = -math.inf
+        if not _scaled(V + 1, e, *centre, scale) > v:
+            V = math.inf
+    w = wm << (we - e) if we >= e else wm >> (e - we)  # floor(width / 2**e)
+    while True:
+        s = A + B
+        k = s.bit_length() - 64
+        if k > 0:
+            m = _round(s, 0, 64)[0] << (k - 1)
+        elif s & 1:
+            A, B, e, U, V, m = 2 * A, 2 * B, e - 1, 2 * U - 1, 2 * V + 1, s
+            w = wm << (we - e) if we >= e else wm >> (e - we)
+        else:
+            m = s >> 1
+        d = B - A
+        if (d <= w if d.bit_length() <= 64 else _cmp(*_round(d, e, 64), *width) <= 0) or m == A or m == B:
+            return (A, e), (B, e)
+        if m < U:
+            A = m
+        elif m > V:
+            B = m
+        else:
+            xs = _scaled(m, e, *centre, scale)
+            if xs < u or not xs > v and count((m, e), ca, ca + 1) <= ca:
+                A = m
+            else:
+                B = m
+
+
 def _polish(rows, label, n, lo, hi, prec, unit):
     """Newton on p_n from the centre of the isolating bracket (lo, hi), at ``prec`` bits.
 
@@ -292,8 +382,10 @@ class _Spectrum:
     eigenvalue lies within ``_BAND`` of the midpoint.  In a cell holding one
     zero, its certified enclosure from :func:`_enclose` gives the count
     without counting, except at a midpoint within ``_BAND + _ETA`` of it (the
-    argument is next to ``_BAND``).  A cell that 64-bit midpoints cannot
-    split into single zeros is bisected again at working precision.
+    argument is next to ``_BAND``), and :func:`_descend` reads that from two
+    integer thresholds, mostly without forming the midpoint's double.  A cell
+    that 64-bit midpoints cannot split into single zeros is bisected again at
+    working precision.
 
     Here the bisection stops once each cell holds one zero, which gets its
     enclosure; :meth:`zero` bisects cell i (from 0) on and polishes it on its
@@ -309,20 +401,21 @@ class _Spectrum:
     replaces: midpoints, widths and Newton steps are ``_add``, ``_div`` and
     the recurrence sweep, tests are exact comparisons (``_cmp``), and a
     point enters the double counts as the mpf ``to_float`` would give it,
-    its 64-bit offset from the centre cut toward zero to 53 bits.  Only the
-    64-bit recounts and the working-precision counts see mpf values.
+    its 64-bit offset from the centre cut toward zero to 53 bits
+    (:func:`_scaled`).  The 64-bit recounts and the working-precision counts
+    are the mpf Sturm loop on kernel rows (:func:`_count_pairs`), so no count
+    sees an mpf value.
     """
 
     def __init__(self, family: RecurrenceFamily, n: int, policy: TolerancePolicy):
         prec = policy.precision_bits
         C, L = family.recurrence(n, prec)
+        rows = family.kernel_rows(n, prec)
         with policy.workprec():
             diag = C[1 : n + 1]
             offsq = L[2 : n + 1]
             with mp.workprec(64):
-                d64 = [+c for c in diag]
-                o64 = [+v for v in offsq]
-                lo, hi = _gershgorin(d64, o64)
+                lo, hi = _gershgorin([+c for c in diag], [+v for v in offsq])
                 # Newton's step floors are relative to max(unit, |x|): unit is 1,
                 # or the Gershgorin width of a smaller spectrum.
                 unit = min(hi - lo, 1)
@@ -339,47 +432,35 @@ class _Spectrum:
             scale = mp.frexp(spread)[1]
             fdiag = [float(mp.ldexp(d - centre, -scale)) for d in diag]
             foffsq = [float(mp.ldexp(v, -2 * scale)) for v in offsq]
-            cm, ce = _unpack(centre._mpf_)
-
-            def scaled(x):
-                # to_float of the 64-bit x - centre: cut toward zero to 53 bits
-                m, e = _add(*x, -cm, ce, 64)
-                k = abs(m).bit_length() - 53
-                if k > 0:
-                    m, e = (m >> k if m > 0 else -(-m >> k)), e + k
-                return math.ldexp(m, e - scale)
+            origin = _unpack(centre._mpf_)
+            rows64 = [(*_round(cm, ce, 64), *_round(lm, le, 64)) for cm, ce, lm, le in rows[1 : n + 1]]
+            tm, te = _unpack(tiny._mpf_)
 
             def count64(x, ca, cb):
-                xs = scaled(x)
-                if cb - ca == 1:
-                    u, v = cells[ca][2]
-                    if not u <= xs <= v:
-                        return ca if xs < u else cb
+                xs = _scaled(*x, *origin, scale)
                 below = _count_below(fdiag, foffsq, xs - _BAND, _TINY)
                 if below >= cb:
                     return below
                 upto = _count_below(fdiag, foffsq, xs + _BAND, _TINY)
                 if min(max(upto, ca), cb) == max(below, ca):
                     return upto
-                with mp.workprec(64):
-                    return _count_below(d64, o64, _to_mpf(*x), tiny)
+                return _count_pairs(rows64, *x, (tm, te), 64)
 
             # A cell that 64-bit midpoints cannot split into single zeros is
             # bisected again at working precision.  64-bit counts are exact for a
             # matrix within about 2**-62 max(|lo|, |hi|) of this one, so the cell
             # is first widened past that reach, and only its own indices are kept.
             rm, rexp = _unpack((width + mp.ldexp(max(abs(lo), abs(hi)), -60))._mpf_)
-            tiny_wp = mp.ldexp(tiny, -prec)
             width = _unpack(width._mpf_)
 
             def count_wp(x, *_):
-                return _count_below(diag, offsq, _to_mpf(*x), tiny_wp)
+                return _count_pairs(rows[1 : n + 1], *x, (tm, te - prec), prec)
 
             # (a, b, box): a one-zero cell (the spread stops them all) and its enclosure, or a cluster's bracket and None
             cells = []
             for a, b, ca, cb in _isolate(count64, _unpack(lo._mpf_), _unpack(hi._mpf_), 0, n, _unpack(spread._mpf_), 64):
                 if cb - ca == 1:
-                    cells.append((a, b, _enclose(fdiag, foffsq, scaled(a), scaled(b), cb)))
+                    cells.append((a, b, _enclose(fdiag, foffsq, _scaled(*a, *origin, scale), _scaled(*b, *origin, scale), cb)))
                     continue
                 a, b = _add(*a, -rm, rexp, prec), _add(*b, rm, rexp, prec)
                 for u, v, cu, cv in _isolate(count_wp, a, b, count_wp(a), count_wp(b), width, prec):
@@ -391,14 +472,14 @@ class _Spectrum:
             # a polished zero lies within 2 rm of its eigenvalue: Newton keeps to its bracket widened
             # by the bracket's width, no more than rm, and 64-bit counts move an end by at most 2**-62 max(|lo|, |hi|)
             self.centre, self.scale, self.reach = centre, scale, 2 * _to_mpf(rm, rexp)
-        self.rows, self.label, self.prec, self.width = family.kernel_rows(n, prec), family.label, prec, width
+        self.rows, self.label, self.prec, self.width, self.origin = rows, family.label, prec, width, origin
         self.cells, self.count64, self.polished, self.all = cells, count64, {}, None
 
     def zero(self, i: int) -> mp.mpf:
         if i not in self.polished:
             a, b, box = self.cells[i]
             if box:
-                [(a, b, _, _)] = _isolate(self.count64, a, b, i, i + 1, self.width, 64)
+                a, b = _descend(self.count64, a, b, i, box, self.width, self.origin, self.scale)
             self.polished[i] = _polish(self.rows, self.label, len(self.cells), a, b, self.prec, self.unit)
         return self.polished[i]
 

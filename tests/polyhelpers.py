@@ -397,6 +397,23 @@ def assert_transforms_are_the_mpc_loops(family, bits: int, degrees, node_sets) -
 # the mpf loops it replaced, kept as the oracle its bits are checked against.
 
 
+def mpf_count_below(diag, offsq, x, tiny) -> int:
+    """Eigenvalues of the Jacobi matrix strictly below the mpf x: the Sturm pivot loop on mpf values."""
+    count = 0
+    d = diag[0] - x
+    if d == 0:
+        d = -tiny
+    if d < 0:
+        count += 1
+    for j in range(1, len(diag)):
+        d = (diag[j] - x) - offsq[j - 1] / d
+        if d == 0:
+            d = -tiny
+        if d < 0:
+            count += 1
+    return count
+
+
 def mpf_isolate(count, a, b, ca, cb, width, prec):
     """Brackets (a, b, ca, cb) by bisection on raw mpf tuples, midpoints rounded to ``prec`` bits."""
     out = []
@@ -475,10 +492,10 @@ def mpf_zeros(family, n: int, policy) -> tuple:
             if below == _count_below(fdiag, foffsq, xs + _BAND, _TINY):
                 return below
             with mp.workprec(64):
-                return _count_below(d64, o64, mp.make_mpf(x), tiny)
+                return mpf_count_below(d64, o64, mp.make_mpf(x), tiny)
 
         def count_wp(x):
-            return _count_below(diag, offsq, mp.make_mpf(x), tiny_wp)
+            return mpf_count_below(diag, offsq, mp.make_mpf(x), tiny_wp)
 
         brackets = []
         for a, b, ca, cb in mpf_isolate(count64, lo._mpf_, hi._mpf_, 0, n, width, 64):

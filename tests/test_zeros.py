@@ -26,12 +26,13 @@ from christoffel import (
 )
 from christoffel import zeros
 from christoffel.cli import main
-from christoffel.core import Polynomial, TolerancePolicy, _to_mpf, _unpack
+from christoffel.core import Polynomial, TolerancePolicy, _cmp, _to_mpf, _unpack
 
 from polyhelpers import (
     assert_bound_extremes_are_the_full_solve,
     bound_families,
     mpf_grid_q,
+    mpf_count_below,
     mpf_interlace_strict,
     mpf_is_zero,
     mpf_zeros,
@@ -269,14 +270,15 @@ def test_one_point_at_64_bits_is_bisected_to_the_spread_at_working_precision(mon
     # so every cell is bisected again at working precision.  Those cells stop
     # at 2**-44 of the spread there, about 43 counts per zero, not where their
     # midpoints round to an end (2,273 counts for these 12 zeros at 256 bits).
+    # The working-precision counts run on kernel pairs, in _count_pairs.
     pol = TolerancePolicy(precision_bits=256)
-    calls, count_below = [], zeros._count_below
+    calls, count_pairs = [], zeros._count_pairs
 
-    def spied(diag, offsq, x, tiny):
-        calls.append(x)
-        return count_below(diag, offsq, x, tiny)
+    def spied(rows, xm, xe, tiny, prec):
+        calls.append((xm, xe))
+        return count_pairs(rows, xm, xe, tiny, prec)
 
-    monkeypatch.setattr(zeros, "_count_below", spied)
+    monkeypatch.setattr(zeros, "_count_pairs", spied)
     _solved(custom_family(lambda j: mp.mpf(10) ** 20, lambda j: mp.mpf(1), label="offset 1e20", policy=pol), 12, pol)
     assert len(calls) <= 12 * 50
 
@@ -335,38 +337,27 @@ def test_enclosures_decide_only_where_both_float_counts_agree():
 
 
 def _undecided_cells(monkeypatch) -> list:
-    """Record each zero whose certified enclosure sent a midpoint back to the float counts of count64.
+    """Record each zero whose certified enclosure sent a midpoint of its descent back to the float counts of count64.
 
-    Wraps ``_isolate`` to know the cell each count is for, ``_enclose`` to
-    keep each zero's enclosure (its own certifying counts are not count64's)
-    and ``_count_below`` to see a float count in a single-zero cell.
+    Wraps ``_descend`` to know the cell and its enclosure while it runs, and
+    ``_count_below`` to see a float count there (no enclosure is formed during a descent).
     """
-    isolate, enclose, count_below = zeros._isolate, zeros._enclose, zeros._count_below
-    boxes, cells, undecided = {}, [], []
+    descend, count_below = zeros._descend, zeros._count_below
+    cells, undecided = [], []
 
-    def in_cells(cell, f, *args):
-        cells.append(cell)
+    def spied_descend(count, a, b, ca, box, *args):
+        cells.append((ca + 1, box))
         try:
-            return f(*args)
+            return descend(count, a, b, ca, box, *args)
         finally:
             cells.pop()
 
-    def spied_isolate(count, *args):
-        return isolate(lambda x, ca, cb: in_cells((ca, cb), count, x, ca, cb), *args)
-
-    def spied_enclose(*args):
-        boxes[args[-1]] = in_cells(None, enclose, *args)
-        return boxes[args[-1]]
-
     def spied_count_below(diag, offsq, x, tiny):
-        if cells and cells[-1] and isinstance(x, float):
-            ca, cb = cells[-1]
-            if cb - ca == 1 and boxes[cb][0] > -math.inf:
-                undecided.append(cb)
+        if cells and cells[-1][1][0] > -math.inf:
+            undecided.append(cells[-1][0])
         return count_below(diag, offsq, x, tiny)
 
-    monkeypatch.setattr(zeros, "_isolate", spied_isolate)
-    monkeypatch.setattr(zeros, "_enclose", spied_enclose)
+    monkeypatch.setattr(zeros, "_descend", spied_descend)
     monkeypatch.setattr(zeros, "_count_below", spied_count_below)
     return undecided
 
@@ -397,6 +388,79 @@ def test_certified_enclosures_keep_every_zero_of_the_count_route(monkeypatch):
     monkeypatch.setattr(zeros, "_enclose", lambda *args: (-math.inf, math.inf))
     for (fam, n, pol), values in zip(cases, fast):
         assert _solved(fam, n, pol) == values, f"{fam.label} degree {n} at {pol.precision_bits} bits"
+
+
+def _descent_cases():
+    """_isolation_cases, and at every precision MP(1.5, pi/2), whose cells straddle 0, and the extreme scales."""
+    yield from _isolation_cases()
+    for bits in (64, 113, 256, 512):
+        pol = TolerancePolicy(precision_bits=bits)
+        with pol.workprec():
+            yield mp_family("1.5", mp.pi / 2, pol), 48, pol
+        for i, (C, Lam, _) in enumerate(_EXTREME_SCALES[:4] if bits == 64 else _EXTREME_SCALES):
+            yield custom_family(C, Lam, label=f"extreme scale {i}", policy=pol), 12, pol  # 1e30 shares 64-bit cells
+
+
+@pytest.mark.parametrize("enclosed", [True, False], ids=["enclosures", "no-enclosures"])
+def test_descents_stop_at_the_cells_of_isolate(monkeypatch, enclosed):
+    # _isolate counting at every midpoint with count64 is the reference walk: each
+    # descent on integers must stop at its cell, by value, with or without enclosures.
+    # Cells straddling 0 refine the descent's unit (an odd exact A + B).
+    descend, seen = zeros._descend, []
+    monkeypatch.setattr(zeros, "_descend", lambda *args: seen.append((args, descend(*args))) or seen[-1][1])
+    if not enclosed:
+        monkeypatch.setattr(zeros, "_enclose", lambda *args: (-math.inf, math.inf))
+    for fam, n, pol in _descent_cases():
+        _solved(fam, n, pol)
+    refined = 0
+    for (count, a, b, ca, box, width, _, _), (lo, hi) in seen:
+        [(u, v, cu, cv)] = zeros._isolate(count, a, b, ca, ca + 1, width, 64)
+        assert (_cmp(*lo, *u), _cmp(*hi, *v), cu, cv) == (0, 0, ca, ca + 1), f"eigenvalue {ca + 1} in {box}"
+        refined += lo[1] < min(a[1], b[1])
+    assert len(seen) == 1265 and refined > 0
+
+
+@pytest.mark.parametrize("bits", [64, 256])
+def test_kernel_counts_are_the_mpf_loop(bits):
+    # _count_pairs is the mpf Sturm loop on kernel pairs: the same count at random
+    # points and at the diagonal entries, where a pivot can vanish, over entries of
+    # small integers (exact zero pivots) and of wide-ranging exponents (_add's far path)
+    rng = random.Random(bits)
+
+    def draw():
+        if rng.random() < 0.5:
+            return mp.mpf(rng.randint(-3, 3))
+        return mp.ldexp(rng.choice((-1, 1)) * mp.mpf(rng.getrandbits(bits + 8)), rng.randint(-2 * bits, 20) - bits)
+
+    with mp.workprec(bits):
+        tiny = mp.ldexp(1, -150)
+        for _ in range(300):
+            n = rng.randint(1, 12)
+            diag, offsq = [draw() for _ in range(n)], [abs(draw()) or mp.mpf(1) for _ in range(n - 1)]
+            rows = [(*_unpack(c._mpf_), *_unpack(v._mpf_)) for c, v in zip(diag, [mp.mpf(0), *offsq])]
+            for x in (rng.choice(diag), draw(), (diag[0] + diag[-1]) / 2):
+                count = zeros._count_pairs(rows, *_unpack(x._mpf_), _unpack(tiny._mpf_), bits)
+                assert count == mpf_count_below(diag, offsq, x, tiny), f"n = {n} at x = {x}"
+
+
+def test_table_1_counts_only_where_no_enclosure_decides(monkeypatch, capsys):
+    # --table 1's descents decide almost every midpoint from their enclosures' integer
+    # thresholds: count64 runs at most 200 times (550 when each descent called it), the
+    # float counts stay at 593, and no count runs on mpf values
+    counted, isolate, descend, count_below = Counter(), zeros._isolate, zeros._descend, zeros._count_below
+
+    def spied(walk):
+        def run(count, *args):
+            return walk(lambda x, *cell: counted.update([count.__name__]) or count(x, *cell), *args)
+
+        return run
+
+    monkeypatch.setattr(zeros, "_isolate", spied(isolate))
+    monkeypatch.setattr(zeros, "_descend", spied(descend))
+    monkeypatch.setattr(zeros, "_count_below", lambda *args: counted.update([type(args[2]).__name__]) or count_below(*args))
+    assert main(["--table", "1"]) == 0
+    capsys.readouterr()
+    assert counted["float"] == 593 and set(counted) <= {"float", "count64", "count_wp"} and counted["count64"] <= 200
 
 
 @pytest.mark.parametrize("bits", [64, 113, 256, 512])

@@ -22,9 +22,11 @@ tridiagonal are perfectly conditioned; root-finding on monic coefficients
 at n = 30 is not, which is why the coefficients are never touched here.
 
 Interlacing is decided in one place, :func:`interlace_strict`, by the sign
-alternation of q = G g at the already computed zeros of p_n, formed on kernel
-pairs from G and g's sweep rows there, for the grid and :func:`stieltjes_check`
-alike; no zero of q is solved for.  Nor is a root of G: the grid names a
+alternation of q = G g at the already computed zeros of p_n, for the grid and
+:func:`stieltjes_check` alike; no zero of q is solved for.  Each sign, and the
+test that the zero is no zero of q, is what q formed on kernel pairs from G and
+g's sweep rows gives; doubles with a running error bound decide almost every
+one, and only the zeros they leave open form q on pairs.  Nor is a root of G: the grid names a
 failed cell by counting G's roots, exactly, on a Sturm chain (``cli._root_counts``).
 General root finding (:func:`polynomial_real_roots`) is kept as public API, with
 no caller in the library; the tests read it as the oracle for those counts.
@@ -595,8 +597,68 @@ def _is_zero(vm, ve, dm, de, xm, xe, policy) -> bool:
     return _cmp(*_round(abs(vm), ve, prec), *_round(tm * dm, te + de, prec)) <= 0
 
 
+def _double(m: int, e: int, span: int):
+    """m * 2**e as a double within 2**-52 of it (0 is 0.0), or None when its leading bit lies outside +-span."""
+    if not m:
+        return 0.0
+    k = m.bit_length() - 64
+    if not -span < k + 64 + e <= span:
+        return None
+    return math.ldexp(m >> k, e + k) if k > 0 else math.ldexp(m, e)
+
+
+# Doubles decide for a G of degree at most _MAX_DEGREE (the 2**-40 slack covers its (d + 1) 2**-52 roundings)
+# whose coefficients, and g and g', have leading bits within +-_SPAN, at an x within +-_SPAN / max(1, deg G).
+# Then S, S', mu and a passing left side are normal doubles, above 2**-940, an underflow in Horner's products
+# costs below 2**-490 S, and a right side that underflows or overflows only declines (see _decided).
+_SPAN = 256
+_MAX_DEGREE = 64
+
+
+def _decided(G: Polynomial, g, points, abs_tol) -> list:
+    """Per point, the sign of the q = G g of :func:`_q_at` where doubles certify it and that :func:`_is_zero` is
+    False there, else 0.
+
+    G's coefficients, x, g(x) and g'(x) are read as doubles (each within 2**-52).  Horner gives y ~ G(x) with
+    Higham's running error bound mu (Accuracy and Stability of Numerical Algorithms, 2nd ed., Algorithm 5.1),
+    and the same loop S = sum |G_j| |x|**j and its derivative S', which bounds |G'(x)|.  B = mu + (d + 1) 2**-50 S
+    also covers the inputs' roundings, (d + 1) 2**-52 S, and the kernel Horner's, 2d 2**(2 - prec) S with prec
+    >= 64, so G(x) as ``_horner`` computes it lies within B of y, and q's sign is its sign times g's.  Then
+    (|y| - B) |g| > abs_tol max(1, |x|) (S' |g| + (|y| + B) |g'|), each side moved by 2**-40 for the roundings of
+    the doubles and of ``_q_at`` and ``_is_zero`` (a few (d + 1) 2**-52 and 2**-63 each), gives |y| > B, which
+    fixes the sign, and makes ``_is_zero`` False.  A zero g, an input outside its span (see ``_SPAN``) and an
+    abs_tol that is no normal double decline.
+    """
+    signs = [0] * len(points)
+    d = len(G._pairs) - 1
+    tol = _double(*_unpack(abs_tol._mpf_), 1021)
+    coeffs = [_double(m, e, _SPAN) for m, e in reversed(G._pairs)]
+    if d > _MAX_DEGREE or tol is None or None in coeffs:
+        return signs
+    lead, rest = coeffs[0], [(c, abs(c)) for c in coeffs[1:]]
+    span, slack = _SPAN // max(d, 1), (d + 1) * 2.0**-50
+    for i, ((xm, xe), (vm, ve, dm, de)) in enumerate(zip(points, g)):
+        x, v, dv = _double(xm, xe, span), _double(vm, ve, _SPAN), _double(dm, de, _SPAN)
+        if not v or x is None or dv is None:
+            continue
+        ax, y, s, s1 = abs(x), lead, abs(lead), 0.0
+        mu = s / 2
+        for c, a in rest:
+            s1 = ax * s1 + s
+            s = ax * s + a
+            y = x * y + c
+            mu = ax * mu + abs(y)
+        ay, av = abs(y), abs(v)
+        b = (2 * mu - ay) * 2.0**-53 + slack * s
+        if (ay - b) * av * (1 - 2.0**-40) > tol * max(1.0, ax) * (s1 * av + (ay + b) * abs(dv)) * (1 + 2.0**-40):
+            signs[i] = 1 if (y > 0) == (vm > 0) else -1
+    return signs
+
+
 def _q_at(G: Polynomial, g, points, prec: int) -> list:
-    """(q(x), q'(x)) for q = G g at each of ``points``, kernel pairs: G, G' by Horner, G g and G' g + G g' as by mpf."""
+    """(q(x), q'(x)) for q = G g at each of ``points``, kernel pairs: G, G' by Horner, G g and G' g + G g' as by mpf.
+
+    The exact route of :func:`interlace_strict`, for the points doubles leave open (G' is formed once per call)."""
     with mp.workprec(prec):
         G, dG = G._pairs, G.derivative()._pairs
     q = []
@@ -618,15 +680,23 @@ def interlace_strict(G: Polynomial, g, degree: int, outer: ZeroSet, policy: Tole
     other degree, and for q = 0 (degree -1), which has no zeros, the signs prove
     nothing, so that raises ``ValueError``, as does a g without one row per zero.  Outer zeros that are zeros of q at tolerance
     (:func:`_is_zero`) are reported in ``common`` and make the verdict non-strict.
+
+    The signs and zero tests are those of q and q' formed on kernel pairs (:func:`_q_at`), but doubles with an
+    error bound decide them first (:func:`_decided`), and only the zeros they leave open take that route.
     """
     if len(g) != len(outer):
         raise ValueError(f"g needs one row per outer zero, {len(outer)}, got {len(g)}")
     q_degree = G.degree + degree if G else -1
     if q_degree != len(outer) - 1:
         raise ValueError(f"q must have degree {len(outer) - 1} to interlace {len(outer)} zeros, got {q_degree}")
-    vals = _q_at(G, g, outer.points, policy.precision_bits)
-    common = tuple(x for x, p, v in zip(outer.values, outer.points, vals) if _is_zero(*v, *p, policy))
-    alternates = all(u[0] * w[0] < 0 for u, w in zip(vals, vals[1:]))
+    signs, common = _decided(G, g, outer.points, policy.abs_tol), ()
+    left = [i for i, s in enumerate(signs) if not s]
+    if left:
+        vals = _q_at(G, [g[i] for i in left], [outer.points[i] for i in left], policy.precision_bits)
+        for i, v in zip(left, vals):
+            signs[i] = v[0]
+        common = tuple(outer.values[i] for i, v in zip(left, vals) if _is_zero(*v, *outer.points[i], policy))
+    alternates = all(u * w < 0 for u, w in zip(signs, signs[1:]))
     return InterlaceVerdict(strict=alternates and not common, common=common)
 
 

@@ -60,12 +60,14 @@ def grid_run(cli_runs, request) -> CliRun:
 @pytest.fixture(scope="session")
 def default_grid(cli_runs) -> SimpleNamespace:
     """The default ``--grid`` run, and the (label, n) of each ``zeros._Spectrum`` built, the families
-    ``cli.mp_family`` built and the k of each ``ModifierSpec`` built during it."""
-    grid = SimpleNamespace(solved=Counter(), families=[], modifiers=[])
-    spectrum, mp_family, init = zeros._Spectrum, cli.mp_family, ModifierSpec.__init__
+    ``cli.mp_family`` built, the k of each ``ModifierSpec`` built and the arguments (G, g, degree,
+    outer, policy) of each ``interlace_strict`` call during it."""
+    grid = SimpleNamespace(solved=Counter(), families=[], modifiers=[], interlaced=[])
+    spectrum, mp_family, init, interlace = zeros._Spectrum, cli.mp_family, ModifierSpec.__init__, cli.interlace_strict
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(zeros, "_Spectrum", lambda fam, n, policy: grid.solved.update([(fam.label, n)]) or spectrum(fam, n, policy))
         patch.setattr(cli, "mp_family", lambda *args: grid.families.append(mp_family(*args)) or grid.families[-1])
         patch.setattr(ModifierSpec, "__init__", lambda self, *args: init(self, *args) or grid.modifiers.append(self.k))
+        patch.setattr(cli, "interlace_strict", lambda *args: grid.interlaced.append(args) or interlace(*args))
         grid.run = cli_runs(("--grid",))
     return grid

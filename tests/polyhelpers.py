@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import io
 import re
+from contextlib import redirect_stdout
 
 import pytest
 from mpmath import mp
@@ -26,10 +28,11 @@ from christoffel import (
     values_ladder,
     zeros_golub_welsch,
 )
+from christoffel import cli, zeros
 from christoffel.core import _to_mpf, _unpack
 from christoffel.families import MEIXNER_POLLACZEK, _ladder, _sweep
 from christoffel.transform import DegenerateTransformError, _cofactor_minors, _node_rows
-from christoffel.zeros import _BAND, _TINY, _count_below, _q_at
+from christoffel.zeros import _BAND, _TINY, _count_below, _is_zero, _q_at
 
 
 def coeff(p: Polynomial, i: int) -> mp.mpf:
@@ -570,6 +573,52 @@ def assert_grid_q_is_the_mpf_route(lam, phi, bits: int, n_max: int) -> int:
                 assert (verdict.strict, verdict.common) == mpf_interlace_strict(theirs.__getitem__, n - 1, zp, policy), (n, m, k)
                 cells += 1
     return cells
+
+
+# -- the double certificate of interlace_strict against its exact route ------------------
+
+
+def exact_verdict(G, g, degree, outer, policy):
+    """``interlace_strict``'s verdict with the double certificate declining at every zero, so that each takes ``_q_at``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(zeros, "_decided", lambda G, g, points, abs_tol: [0] * len(points))
+        return interlace_strict(G, g, degree, outer, policy)
+
+
+def assert_certificate_agrees(calls) -> int:
+    """For each ``interlace_strict`` call (G, g, degree, outer, policy): every sign ``zeros._decided`` gives
+    is the sign of ``_q_at``'s q there, where ``_is_zero`` is False, and the verdict is :func:`exact_verdict`.
+    Returns the number of zeros the certificate leaves to ``_q_at``."""
+    left = 0
+    for G, g, degree, outer, policy in calls:
+        signs = zeros._decided(G, g, outer.points, policy.abs_tol)
+        for s, q, x in zip(signs, _q_at(G, g, outer.points, policy.precision_bits), outer.points):
+            assert not s or (s * q[0] > 0 and not _is_zero(*q, *x, policy)), (G, _to_mpf(*x))
+        left += signs.count(0)
+        assert interlace_strict(G, g, degree, outer, policy) == exact_verdict(G, g, degree, outer, policy)
+    return left
+
+
+def _report(argv) -> tuple:
+    """(exit code, stdout without meta.timestamp) of ``cli.main(argv)``."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main(list(argv))
+    return code, re.sub(r'"timestamp": \{[^}]*\}', "", out.getvalue())
+
+
+def certified_and_exact_reports(argv) -> tuple:
+    """(report, report with every zero on the exact route, zeros the certificate left open) of a CLI run,
+    each report an (exit code, stdout without meta.timestamp); every interlacing call of the first run
+    passes :func:`assert_certificate_agrees`."""
+    calls, interlace = [], cli.interlace_strict
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "interlace_strict", lambda *args: calls.append(args) or interlace(*args))
+        certified = _report(argv)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(zeros, "_decided", lambda G, g, points, abs_tol: [0] * len(points))
+        exact = _report(argv)
+    return certified, exact, assert_certificate_agrees(calls)
 
 
 def bound_families(policy) -> list:

@@ -20,6 +20,7 @@ from polyhelpers import (
     assert_grid_q_is_the_mpf_route,
     assert_transforms_are_the_mpc_loops,
     bound_families,
+    certified_and_exact_reports,
     solved_span_label,
 )
 
@@ -103,3 +104,20 @@ def test_failed_cells_name_the_counts_of_solved_zeros(lam, phi, bits, n_max):
     assert sorted(failed) == [(n, 2, 3) for n in range(4, n_max + 1)]
     fam = mp_family(lam, phi, pol)
     assert failed == {(n, m, k): solved_span_label(fam, n, pol, m, k) for n, m, k in failed}
+
+
+# the grids where the double certificate's margins are thinnest: 64 and 113 bits, cot(phi) near 0, large lambda
+_TIGHT_GRIDS = [
+    ("--grid", "--n", "10", "--precision-bits", "64"),
+    ("--grid", "--n", "16", "--precision-bits", "113"),
+    ("--grid", "--phi", "1.5707963267948966", "--n", "8", "--precision-bits", "64"),
+    ("--grid", "--lambda", "100", "--phi", "0.5"),
+    ("--grid", "--lambda", "20", "--phi", "0.1", "--n", "10"),
+]
+
+
+@pytest.mark.parametrize("argv", _TIGHT_GRIDS, ids=" ".join)
+def test_double_certificate_on_tight_grids_is_the_exact_route(argv):
+    # no sign doubles decide differs from the kernel q's, and the report is the all-exact one byte for byte
+    certified, exact, left = certified_and_exact_reports(argv)
+    assert certified == exact and left > 0

@@ -25,12 +25,15 @@ from christoffel import (
     zeros_golub_welsch,
 )
 from christoffel import zeros
+from christoffel import cli
 from christoffel.cli import main
 from christoffel.core import Polynomial, TolerancePolicy, _cmp, _to_mpf, _unpack
 
 from polyhelpers import (
     assert_bound_extremes_are_the_full_solve,
+    assert_certificate_agrees,
     bound_families,
+    exact_verdict,
     mpf_grid_q,
     mpf_count_below,
     mpf_interlace_strict,
@@ -893,6 +896,92 @@ def test_stieltjes_q_and_verdicts_are_the_mpf_route_bit_for_bit(make, n, branch,
             (v._mpf_, d._mpf_) for v, d in theirs.values()
         ], k
         assert (verdict.strict, verdict.common) == mpf_interlace_strict(theirs.__getitem__, len(outer) - 1, outer, pol)
+
+
+def test_double_certificate_agrees_on_the_default_grid_and_verify(default_grid, policy, monkeypatch):
+    # every sign doubles decide is the kernel q's, at a zero _is_zero rejects, and every verdict is the
+    # exact route's; of the default grid's 3,834 zeros, 2 are left to it
+    assert len(default_grid.interlaced) == 408
+    assert sum(len(outer) for *_, outer, _ in default_grid.interlaced) == 3834
+    assert assert_certificate_agrees(default_grid.interlaced) == 2
+    # --verify's nine Stieltjes cases
+    calls, interlace = [], zeros.interlace_strict
+    monkeypatch.setattr(zeros, "interlace_strict", lambda *args: calls.append(args) or interlace(*args))
+    with policy.workprec():
+        right_angle = mp.pi / 2
+    mp_base, pj_base = mp_family("0.5", "0.9", policy), pj_family("-35", "8", policy)
+    cases = [(mp_base, k, 10) for k in (0, 1, 2)] + [(pj_base, k, 12) for k in (0, 1, 2)]
+    cases += [(pj_family("-5.5", "0", policy), 1, 5), (mp_family("0.5", right_angle, policy), 2, 9), (mp_family("20", "0.1", policy), 0, 8)]
+    for fam, k, n in cases:
+        assert stieltjes_check(fam, k, n, policy).ok, fam.label
+    assert len(calls) == 9
+    assert assert_certificate_agrees(calls) == 0
+
+
+def _declined(G, g, outer, policy) -> list:
+    """The indices of the outer zeros the double certificate leaves to the exact route."""
+    return [i for i, s in enumerate(zeros._decided(G, g, outer.points, policy.abs_tol)) if not s]
+
+
+def test_double_certificate_declines_where_doubles_cannot_decide(policy):
+    # each case gives the exact route's verdict, and the zeros named take that route
+    with policy.workprec():
+        right_angle = mp.pi / 2
+    # exact common zeros at 0: q = (x - B) g with B = 0 and g(0) = 0, the Stieltjes common_zero cases
+    for fam, k, n in ((pj_family("-5.5", "0", policy), 1, 5), (mp_family("0.5", right_angle, policy), 2, 9)):
+        zp = zeros_golub_welsch(fam, n, policy)
+        G, g = Polynomial([-inner_bound(fam, n, k, policy), 1]), _rows(fam.shifted(k), n - 2, zp, policy)
+        assert zp[n // 2] == 0 and n // 2 in _declined(G, g, zp, policy)
+        assert assert_certificate_agrees([(G, g, n - 2, zp, policy)]) >= 1
+        assert interlace_strict(G, g, n - 2, zp, policy).common == (0,)
+    # G(0) = 0 with g = 1, and g(0) = 0 (g = x, g' = 1) with G = x + 2
+    cases = [(Polynomial([0, -2, 1]), [_ONE] * 3, 0, [1]), (Polynomial([2, 1]), [(-1, 0, 1, 0), (0, 0, 1, 0), (1, 0, 1, 0)], 1, [1])]
+    for G, g, degree, declined in cases:
+        outer = _outer(-1, 0, 1)
+        assert _declined(G, g, outer, policy) == declined
+        assert interlace_strict(G, g, degree, outer, policy) == exact_verdict(G, g, degree, outer, policy)
+        assert interlace_strict(G, g, degree, outer, policy).common == (0,)
+    # a coefficient of 2**2000 leaves every zero to the exact route; q = 1 + 2**2000 x interlaces (-1, 1)
+    G, outer = Polynomial([1, mp.mpf(2) ** 2000]), _outer(-1, 1)
+    assert _declined(G, [_ONE] * 2, outer, policy) == [0, 1]
+    assert interlace_strict(G, [_ONE] * 2, 0, outer, policy) == exact_verdict(G, [_ONE] * 2, 0, outer, policy)
+    assert interlace_strict(G, [_ONE] * 2, 0, outer, policy).strict
+    # consecutive degrees at the extreme scales: zeros near 1e+-400 lie outside the doubles' span
+    for i, (C, Lam, abs_tol) in enumerate(_EXTREME_SCALES):
+        pol = TolerancePolicy(precision_bits=policy.precision_bits, abs_tol=abs_tol)
+        fam = custom_family(C, Lam, policy=pol)
+        outer = zeros_golub_welsch(fam, 12, pol)
+        g = _rows(fam, 11, outer, pol)
+        if i < 3:
+            assert _declined(Polynomial([1]), g, outer, pol) == list(range(12))
+        assert_certificate_agrees([(Polynomial([1]), g, 11, outer, pol)])
+    # an abs_tol of 1e-400 underflows a double: every zero takes the exact route
+    pol = TolerancePolicy(abs_tol="1e-400")
+    fam = mp_family("0.5", "0.9", pol)
+    outer = zeros_golub_welsch(fam, 12, pol)
+    g = _rows(fam, 11, outer, pol)
+    assert _declined(Polynomial([1]), g, outer, pol) == list(range(12))
+    assert assert_certificate_agrees([(Polynomial([1]), g, 11, outer, pol)]) == 12
+
+
+def test_double_certificate_agrees_at_64_bits(monkeypatch):
+    # at 64 bits the kernel's roundings are 2**-63, which the 2**-40 slack covers, and abs_tol is 2**-32:
+    # the grid's calls up to n = 8 (1 of 855 zeros left to the exact route) and the Stieltjes cases
+    pol = TolerancePolicy(precision_bits=64)
+    calls, interlace = [], cli.interlace_strict
+    monkeypatch.setattr(cli, "interlace_strict", lambda *args: calls.append(args) or interlace(*args))
+    cli._grid_rows(cli.RunConfig("grid", n=8, precision_bits=64), pol)
+    assert len(calls) == 130 and sum(len(outer) for *_, outer, _ in calls) == 855
+    assert assert_certificate_agrees(calls) == 1
+    with pol.workprec():
+        fams = [make(pol) for make, *_ in _STIELTJES_CASES]
+    calls.clear()
+    monkeypatch.setattr(zeros, "interlace_strict", lambda *args: calls.append(args) or interlace(*args))
+    for fam, (_, n, _) in zip(fams, _STIELTJES_CASES):
+        for k in (0, 1, 2):
+            stieltjes_check(fam, k, n, pol)
+    assert len(calls) == 18
+    assert_certificate_agrees(calls)
 
 
 @pytest.fixture

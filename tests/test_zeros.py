@@ -966,22 +966,14 @@ def test_double_certificate_declines_where_doubles_cannot_decide(policy):
 
 def test_double_certificate_agrees_at_64_bits(monkeypatch):
     # at 64 bits the kernel's roundings are 2**-63, which the 2**-40 slack covers, and abs_tol is 2**-32:
-    # the grid's calls up to n = 8 (1 of 855 zeros left to the exact route) and the Stieltjes cases
+    # the grid's calls up to n = 8, with 1 of 855 zeros left to the exact route (test_stieltjes_q_and_verdicts_...
+    # checks the Stieltjes verdicts at 64 bits)
     pol = TolerancePolicy(precision_bits=64)
     calls, interlace = [], cli.interlace_strict
     monkeypatch.setattr(cli, "interlace_strict", lambda *args: calls.append(args) or interlace(*args))
     cli._grid_rows(cli.RunConfig("grid", n=8, precision_bits=64), pol)
     assert len(calls) == 130 and sum(len(outer) for *_, outer, _ in calls) == 855
     assert assert_certificate_agrees(calls) == 1
-    with pol.workprec():
-        fams = [make(pol) for make, *_ in _STIELTJES_CASES]
-    calls.clear()
-    monkeypatch.setattr(zeros, "interlace_strict", lambda *args: calls.append(args) or interlace(*args))
-    for fam, (_, n, _) in zip(fams, _STIELTJES_CASES):
-        for k in (0, 1, 2):
-            stieltjes_check(fam, k, n, pol)
-    assert len(calls) == 18
-    assert_certificate_agrees(calls)
 
 
 @pytest.fixture

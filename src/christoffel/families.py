@@ -38,16 +38,22 @@ the last reference to a family frees all of it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cmp_to_key
+from math import copysign, inf, isqrt, ldexp
 from typing import Callable, Mapping, Optional
 
 from mpmath import mp
+from mpmath.libmp import fone, from_man_exp, from_str, mpf_abs, mpf_add, mpf_cmp, mpf_mul, mpf_shift, mpf_sub
+from mpmath.libmp import round_nearest as _N
 
 from .core import DEFAULT_POLICY, Polynomial, TolerancePolicy, relative_residual, to_scalar
-from .core import _NEAR, _add, _round, _to_mpf, _unpack  # the exact-rounding kernel
+from .core import _NEAR, _add, _cmp, _round, _to_mpf, _unpack  # the exact-rounding kernel
 
 MEIXNER_POLLACZEK = "meixner_pollaczek"
 PSEUDO_JACOBI = "pseudo_jacobi"
 CUSTOM = "custom"
+_PAD = from_str("0.001", 64, _N)  # the zero solver pads the Gershgorin interval by this share of its width
+_ORDER = cmp_to_key(mpf_cmp)  # raw mpf values by value
 
 
 def _snapped_cot(phi):
@@ -153,6 +159,77 @@ class RecurrenceFamily:
             raise ValueError(f"{self.label} has no canonical parameter shift")
 
         return self.owned(("shifted", k), build)
+
+
+def _float(m: int, e: int) -> float:
+    """m * 2**e as ``float(mpf)`` gives it (``to_float``, nearest): rounded to 53 bits, then ``ldexp``; +-inf past the doubles."""
+    m, e = _round(m, e, 53)
+    try:
+        return ldexp(m, e)
+    except OverflowError:
+        return copysign(inf, m)
+
+
+def _gershgorin(rows: list, prec: int) -> tuple:
+    """(lo, hi), kernel pairs: the Gershgorin interval of the Jacobi matrix of kernel rows (C(j), Lambda(j)), j = 1..n.
+
+    The mpf loop at ``prec`` bits, each step rounded to nearest: C(j) and Lambda(j) rounded to ``prec`` bits,
+    beta_j = sqrt(Lambda(j)) (beta_1 = beta_{n+1} = 0), and C(j) -/+ (beta_j + beta_{j+1}), compared exactly.
+    The root is ``mpf_sqrt``'s: the integer root of the mantissa shifted to at least 2 prec + 4 bits, with a
+    sticky low bit when it is inexact, rounded once, which is the correctly rounded root.
+    """
+    beta, lo, hi = [], None, None
+    for _, _, m, e in rows:
+        m, e = _round(m, e, prec)
+        if e & 1:
+            m, e = m << 1, e - 1
+        shift = max(4, 2 * prec + 4 - m.bit_length())
+        shift += shift & 1
+        r = isqrt(m << shift)
+        if r * r != m << shift:
+            r, shift = 2 * r + 1, shift + 2
+        beta.append(_round(r, (e - shift) // 2, prec))
+    for (cm, ce, _, _), (um, ue), (vm, ve) in zip(rows, beta, beta[1:] + [(0, 0)]):
+        cm, ce = _round(cm, ce, prec)
+        rm, re = _add(um, ue, vm, ve, prec)
+        a, b = _add(cm, ce, -rm, re, prec), _add(cm, ce, rm, re, prec)
+        if lo is None or _cmp(*a, *lo) < 0:
+            lo = a
+        if hi is None or _cmp(*b, *hi) > 0:
+            hi = b
+    return lo, hi
+
+
+def _jacobi_frame(rows: list, prec: int) -> tuple:
+    """The frame in which the zero solver (``zeros._Spectrum``) counts, for the Jacobi matrix of kernel rows j = 1..n.
+
+    (lo, hi, spread, tiny, width, unit, centre, widen, scale, fdiag, foffsq): the 64-bit Gershgorin interval
+    padded by a thousandth of its width on each side and the padded width, 2**-120 of that (of |hi| if it is 0)
+    for a zero pivot, 2**-44 of it for the cells (of the interval at ``prec`` bits if 64 bits see one point),
+    min(width, 1) before the pad (Newton's unit), the midpoint, width + 2**-60 max(|lo|, |hi|) (how far a
+    cluster's cell is widened), all kernel pairs; frexp's
+    exponent of the spread; and the matrix shifted by the centre and scaled by 2**-scale as doubles, its
+    diagonal and squared off-diagonal.  Every value is the mpf set-up's bit for bit: each step on raw mpf
+    values, rounded to nearest at 64 bits up to the spread and at ``prec`` bits from the centre on, and the
+    doubles rounded as ``float(mpf)`` rounds them.
+    """
+    lo, hi = (from_man_exp(m, e) for m, e in _gershgorin(rows, 64))  # raw values from here on
+    span = mpf_sub(hi, lo, 64, _N)
+    pad = mpf_mul(span, _PAD, 64, _N)
+    lo, hi = mpf_sub(lo, pad, 64, _N), mpf_add(hi, pad, 64, _N)
+    spread = mpf_sub(hi, lo, 64, _N)
+    tiny = mpf_shift(spread if spread[1] else mpf_abs(hi), -120)
+    width = mpf_shift(spread, -44)
+    if not spread[1]:
+        (lm, le), (hm, he) = _gershgorin(rows, prec)
+        width = mpf_shift(from_man_exp(*_add(hm, he, -lm, le, prec)), -44)
+    widen = mpf_add(width, mpf_shift(max(mpf_abs(lo), mpf_abs(hi), key=_ORDER), -60), prec, _N)
+    om, oe = centre = _unpack(mpf_shift(mpf_add(lo, hi, prec, _N), -1))
+    scale = spread[2] + spread[3]  # 0 for 0
+    fdiag = [_float(m, e - scale) for m, e in (_add(cm, ce, -om, oe, prec) for cm, ce, _, _ in rows)]
+    foffsq = [_float(lm, le - 2 * scale) for _, _, lm, le in rows[1:]]
+    pairs = map(_unpack, (lo, hi, spread, tiny, width, min(span, fone, key=_ORDER)))
+    return (*pairs, centre, _unpack(widen), scale, fdiag, foffsq)
 
 
 def mp_family(lam, phi, policy: TolerancePolicy = DEFAULT_POLICY) -> RecurrenceFamily:

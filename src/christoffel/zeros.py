@@ -7,17 +7,19 @@ pivot count (which needs only the Lambda values, no square roots), counted
 in Python floats on the shifted and power-of-two scaled matrix, and then
 polished by safeguarded Newton iteration at working precision on the
 recurrence evaluation of p_n; only zeros closer than the bisection's 64-bit
-midpoints resolve are bisected at working precision.  Once a cell holds a
-single zero, one eigenvalue computed in doubles and certified by two counts
-decides the counts at the cell's later midpoints (the argument is next to
-``_BAND``), and the cell walks down on integers, its midpoints decided by
-two integer thresholds, so the cells, and every polished bit, are those of
-counting at each midpoint.  Midpoints, Newton iterates and the counts that
-doubles cannot decide run on kernel pairs of :mod:`christoffel.core` (an
-integer mantissa and an exponent), rounded as the mpf operations they
-replace would round them, and Newton evaluates p_n with the recurrence
-sweep of :mod:`christoffel.families` on those pairs; a zero becomes an mpf
-once, when it is polished.  Eigenvalues of a symmetric
+midpoints resolve are bisected at working precision.  The shift, the scale
+and the double matrix are set up on the family's kernel rows
+(``families._jacobi_frame``), with the mpf set-up's roundings.  When a cell
+holding a single zero is polished, one eigenvalue computed in doubles and
+certified by two counts decides the counts at the cell's later midpoints
+(the argument is next to ``_BAND``), and the cell walks down on integers,
+its midpoints decided by two integer thresholds, so the cells, and every
+polished bit, are those of counting at each midpoint.  Midpoints, Newton
+iterates and the counts that doubles cannot decide run on kernel pairs of
+:mod:`christoffel.core` (an integer mantissa and an exponent), rounded as
+the mpf operations they replace would round them, and Newton evaluates p_n
+with the recurrence sweep of :mod:`christoffel.families` on those pairs; a
+zero becomes an mpf once, when it is polished.  Eigenvalues of a symmetric
 tridiagonal are perfectly conditioned; root-finding on monic coefficients
 at n = 30 is not, which is why the coefficients are never touched here.
 
@@ -57,7 +59,7 @@ from mpmath import mp
 
 from .core import DEFAULT_POLICY, Polynomial, TolerancePolicy, to_scalar
 from .core import _add, _cmp, _div, _horner, _round, _to_mpf, _unpack  # the exact-rounding kernel
-from .families import MEIXNER_POLLACZEK, PSEUDO_JACOBI, RecurrenceFamily, _point, _snapped_cot, _sweep
+from .families import MEIXNER_POLLACZEK, PSEUDO_JACOBI, RecurrenceFamily, _float, _jacobi_frame, _point, _snapped_cot, _sweep
 
 
 @dataclass(frozen=True)
@@ -132,6 +134,9 @@ class StieltjesVerdict:
 # (Kahan 1966; Barth, Martin & Wilkinson 1967), and at a point more than
 # _BAND + _ETA outside that enclosure both float counts of a 64-bit count
 # fall on the same side of eigenvalue k, which decides its clamped value.
+# A wider band W keeps every count's clamped value, and counts c at both
+# x -/+ W (each rounded within 2**-54) put no eigenvalue between them but
+# within _ETA of their ends, so eigenvalues c and c + 1 are 2 (W - 2 _ETA) apart.
 _BAND = 2.0**-49
 _ETA = 2.0**-50
 _TINY = 2.0**-120  # stands in for a zero pivot in double counts
@@ -205,13 +210,6 @@ def _enclose(fdiag, foffsq, lo, hi, k):
             break
         x = xn if lo < xn < hi else (lo + hi) / 2
     return -math.inf, math.inf
-
-
-def _gershgorin(diag, offsq):
-    """(lo, hi), the Gershgorin interval of the Jacobi matrix, at the current precision."""
-    beta = [mp.mpf(0)] + [mp.sqrt(v) for v in offsq] + [mp.mpf(0)]
-    lo = min(d - (beta[i] + beta[i + 1]) for i, d in enumerate(diag))
-    return lo, max(d + (beta[i] + beta[i + 1]) for i, d in enumerate(diag))
 
 
 def _isolate(count, a, b, ca, cb, width, prec):
@@ -381,7 +379,7 @@ class _Spectrum:
     counts run in doubles on the Jacobi matrix shifted by its Gershgorin
     midpoint and scaled by a power of two at working precision, which fits
     any recurrence mpf holds; a count is redone at 64 bits only when an
-    eigenvalue lies within ``_BAND`` of the midpoint.  In a cell holding one
+    eigenvalue lies within the band of the midpoint.  In a cell holding one
     zero, its certified enclosure from :func:`_enclose` gives the count
     without counting, except at a midpoint within ``_BAND + _ETA`` of it (the
     argument is next to ``_BAND``), and :func:`_descend` reads that from two
@@ -389,19 +387,24 @@ class _Spectrum:
     that 64-bit midpoints cannot split into single zeros is bisected again at
     working precision.
 
-    Here the bisection stops once each cell holds one zero, which gets its
-    enclosure; :meth:`zero` bisects cell i (from 0) on and polishes it on its
-    first request, and :meth:`zeros` sorts all n into ``all`` and drops the
-    cells and counts.  A cell's bisection does not depend on its siblings',
-    nor do its bits.  Eigenvalue i + 1 lies in centre + 2**scale (u, v) for
-    ``boxes[i]`` = (u, v), (-inf, inf) in a cluster, and its polished zero
-    within ``reach`` of it.  The spectrum keeps the member's kernel rows and
-    label, not the family, and its closures read locals, never the spectrum.
+    Here the bisection stops once each cell holds one zero; :meth:`zero`
+    encloses cell i (from 0), bisects it on and polishes it on its first
+    request, and :meth:`zeros` sorts all n into ``all`` and drops the cells,
+    counts and double matrix.  A cell's bisection does not depend on its
+    siblings', nor do its bits.  Eigenvalue i + 1 lies in centre + 2**scale
+    (u, v) for ``box(i)`` = (u, v), (-inf, inf) in a cluster, and its
+    polished zero within ``reach`` of it; ``boxes`` keeps those formed, None
+    for the rest.  The walk to single zeros counts with the band ``band``, W
+    = 2**-scale 4 reach or ``_BAND`` if wider, so its agreeing float counts
+    prove the gap 2 (W - 2 _ETA) between eigenvalues c and c + 1 for each c
+    in ``proved``; the descents count with ``_BAND``.  The spectrum keeps the
+    member's kernel rows and label, not the family, and its closures read
+    locals, never the spectrum.
 
-    From the cells to the polished zeros everything runs on kernel pairs
-    (m, e) of :mod:`christoffel.core`, with the roundings of the mpf loop it
-    replaces: midpoints, widths and Newton steps are ``_add``, ``_div`` and
-    the recurrence sweep, tests are exact comparisons (``_cmp``), and a
+    From the set-up to the polished zeros everything runs on kernel pairs
+    (m, e) of :mod:`christoffel.core` or raw mpf values, with the roundings
+    of the mpf loop it replaces: midpoints, widths and Newton steps are
+    ``_add``, ``_div`` and the recurrence sweep, tests are exact comparisons (``_cmp``), and a
     point enters the double counts as the mpf ``to_float`` would give it,
     its 64-bit offset from the centre cut toward zero to 53 bits
     (:func:`_scaled`).  The 64-bit recounts and the working-precision counts
@@ -411,77 +414,63 @@ class _Spectrum:
 
     def __init__(self, family: RecurrenceFamily, n: int, policy: TolerancePolicy):
         prec = policy.precision_bits
-        C, L = family.recurrence(n, prec)
         rows = family.kernel_rows(n, prec)
-        with policy.workprec():
-            diag = C[1 : n + 1]
-            offsq = L[2 : n + 1]
-            with mp.workprec(64):
-                lo, hi = _gershgorin([+c for c in diag], [+v for v in offsq])
-                # Newton's step floors are relative to max(unit, |x|): unit is 1,
-                # or the Gershgorin width of a smaller spectrum.
-                unit = min(hi - lo, 1)
-                pad = (hi - lo) * mp.mpf("0.001")
-                lo -= pad
-                hi += pad
-                spread = hi - lo
-                tiny = mp.ldexp(spread or abs(hi), -120)
-                width = spread * mp.ldexp(1, -44)
-            if not spread:  # 64 bits see one point: cells stop at 2**-44 of the spread at working precision
-                lo_wp, hi_wp = _gershgorin(diag, offsq)
-                width = mp.ldexp(hi_wp - lo_wp, -44)
-            centre = (lo + hi) / 2
-            scale = mp.frexp(spread)[1]
-            fdiag = [float(mp.ldexp(d - centre, -scale)) for d in diag]
-            foffsq = [float(mp.ldexp(v, -2 * scale)) for v in offsq]
-            origin = _unpack(centre._mpf_)
-            rows64 = [(*_round(cm, ce, 64), *_round(lm, le, 64)) for cm, ce, lm, le in rows[1 : n + 1]]
-            tm, te = _unpack(tiny._mpf_)
+        jacobi = rows[1 : n + 1]
+        lo, hi, spread, tiny, width, unit, origin, (rm, rexp), scale, fdiag, foffsq = _jacobi_frame(jacobi, prec)
+        rows64 = [(*_round(cm, ce, 64), *_round(lm, le, 64)) for cm, ce, lm, le in jacobi]
+        # the walk's band, 4 reach = 8 rm in scaled doubles or _BAND if wider: agreeing float counts prove gaps (see _BAND)
+        band = max(_BAND, _float(rm, rexp + 3 - scale))
+        proved = set()  # c: the walk's float counts agreed at a point between eigenvalues c and c + 1
 
-            def count64(x, ca, cb):
-                xs = _scaled(*x, *origin, scale)
-                below = _count_below(fdiag, foffsq, xs - _BAND, _TINY)
-                if below >= cb:
-                    return below
-                upto = _count_below(fdiag, foffsq, xs + _BAND, _TINY)
-                if min(max(upto, ca), cb) == max(below, ca):
-                    return upto
-                return _count_pairs(rows64, *x, (tm, te), 64)
+        def count64(x, ca, cb):
+            xs = _scaled(*x, *origin, scale)
+            below = _count_below(fdiag, foffsq, xs - band, _TINY)
+            if below >= cb:
+                return below
+            upto = _count_below(fdiag, foffsq, xs + band, _TINY)
+            if min(max(upto, ca), cb) == max(below, ca):
+                if below == upto and band > _BAND:
+                    proved.add(upto)
+                return upto
+            return _count_pairs(rows64, *x, tiny, 64)
 
-            # A cell that 64-bit midpoints cannot split into single zeros is
-            # bisected again at working precision.  64-bit counts are exact for a
-            # matrix within about 2**-62 max(|lo|, |hi|) of this one, so the cell
-            # is first widened past that reach, and only its own indices are kept.
-            rm, rexp = _unpack((width + mp.ldexp(max(abs(lo), abs(hi)), -60))._mpf_)
-            width = _unpack(width._mpf_)
+        def count_wp(x, *_):
+            return _count_pairs(jacobi, *x, (tiny[0], tiny[1] - prec), prec)
 
-            def count_wp(x, *_):
-                return _count_pairs(rows[1 : n + 1], *x, (tm, te - prec), prec)
+        # (a, b, single): a one-zero cell (the spread stops them all), or a cell of a cluster's bracket
+        cells = []
+        for a, b, ca, cb in _isolate(count64, lo, hi, 0, n, spread, 64):
+            if cb - ca == 1:
+                cells.append((a, b, True))
+                continue
+            # 64-bit midpoints cannot split this cell into single zeros, so it is bisected again at working
+            # precision.  64-bit counts are exact for a matrix within about 2**-62 max(|lo|, |hi|) of this one,
+            # so the cell is first widened past that reach, (rm, rexp), and only its own indices are kept.
+            a, b = _add(*a, -rm, rexp, prec), _add(*b, rm, rexp, prec)
+            for u, v, cu, cv in _isolate(count_wp, a, b, count_wp(a), count_wp(b), width, prec):
+                cells += [(u, v, False)] * max(0, min(cv, cb) - max(cu, ca))
+        if len(cells) != n:
+            raise ArithmeticError(f"isolated {len(cells)} of the {n} zeros of {family.label} degree {n}")
+        self.band, band = band, _BAND  # the descents count with _BAND and prove no gap
+        self.boxes = [None if single else (-math.inf, math.inf) for _, _, single in cells]
+        # a polished zero lies within 2 rm of its eigenvalue: Newton keeps to its bracket widened
+        # by the bracket's width, no more than rm, and 64-bit counts move an end by at most 2**-62 max(|lo|, |hi|)
+        self.reach, self.proved, self.fdiag, self.foffsq = (rm, rexp + 1), proved, fdiag, foffsq
+        self.rows, self.label, self.prec, self.width, self.origin, self.scale = rows, family.label, prec, width, origin, scale
+        self.cells, self.count64, self.unit, self.polished, self.all = cells, count64, unit, {}, None
 
-            # (a, b, box): a one-zero cell (the spread stops them all) and its enclosure, or a cluster's bracket and None
-            cells = []
-            for a, b, ca, cb in _isolate(count64, _unpack(lo._mpf_), _unpack(hi._mpf_), 0, n, _unpack(spread._mpf_), 64):
-                if cb - ca == 1:
-                    cells.append((a, b, _enclose(fdiag, foffsq, _scaled(*a, *origin, scale), _scaled(*b, *origin, scale), cb)))
-                    continue
-                a, b = _add(*a, -rm, rexp, prec), _add(*b, rm, rexp, prec)
-                for u, v, cu, cv in _isolate(count_wp, a, b, count_wp(a), count_wp(b), width, prec):
-                    cells += [(u, v, None)] * max(0, min(cv, cb) - max(cu, ca))
-            if len(cells) != n:
-                raise ArithmeticError(f"isolated {len(cells)} of the {n} zeros of {family.label} degree {n}")
-            self.unit = _unpack(mp.mpf(unit)._mpf_)  # min(hi - lo, 1) may be the int 1
-            self.boxes = [box or (-math.inf, math.inf) for _, _, box in cells]
-            # a polished zero lies within 2 rm of its eigenvalue: Newton keeps to its bracket widened
-            # by the bracket's width, no more than rm, and 64-bit counts move an end by at most 2**-62 max(|lo|, |hi|)
-            self.centre, self.scale, self.reach = centre, scale, 2 * _to_mpf(rm, rexp)
-        self.rows, self.label, self.prec, self.width, self.origin = rows, family.label, prec, width, origin
-        self.cells, self.count64, self.polished, self.all = cells, count64, {}, None
+    def box(self, i: int) -> tuple:
+        """Cell i's enclosure (u, v) in scaled doubles, from :func:`_enclose` on first need; (-inf, inf) in a cluster."""
+        if self.boxes[i] is None:
+            a, b = (_scaled(*x, *self.origin, self.scale) for x in self.cells[i][:2])
+            self.boxes[i] = _enclose(self.fdiag, self.foffsq, a, b, i + 1)
+        return self.boxes[i]
 
     def zero(self, i: int) -> mp.mpf:
         if i not in self.polished:
-            a, b, box = self.cells[i]
-            if box:
-                a, b = _descend(self.count64, a, b, i, box, self.width, self.origin, self.scale)
+            a, b, single = self.cells[i]
+            if single:
+                a, b = _descend(self.count64, a, b, i, self.box(i), self.width, self.origin, self.scale)
             self.polished[i] = _polish(self.rows, self.label, len(self.cells), a, b, self.prec, self.unit)
         return self.polished[i]
 
@@ -489,21 +478,29 @@ class _Spectrum:
         """All n zeros, ascending: every cell finished, sorted once and kept; the bisection state is dropped."""
         if self.all is None:
             self.all = ZeroSet(sorted(self.zero(i) for i in range(len(self.boxes))), self.label)
-            del self.cells, self.count64
+            del self.cells, self.count64, self.fdiag, self.foffsq
         return self.all
 
     def extremes(self, policy: TolerancePolicy):
-        """(zero 1, zero n) if the boxes prove that the full solve passes its simple-zero check and both
-        zeros lie in their boxes, else None.  Neighbouring boxes (u, v), (u', v') pass it when 2**scale (u' - v),
-        less 2 ``reach`` for the zeros' distances from the eigenvalues and 2 more for roundings, beats abs_tol
-        times max(1, |centre| + 2**scale), which bounds the check's max(unit, |x|, |y|) for any zeros x, y."""
-        gap = min(u - v for (_, v), (u, _) in zip(self.boxes, self.boxes[1:]))
+        """(zero 1, zero n) if the spectrum proves that the full solve passes its simple-zero check and both
+        zeros lie in their boxes, else None.  A gap of g between eigenvalues, in scaled doubles, passes it when
+        2**scale g, less 2 ``reach`` for the zeros' distances from the eigenvalues and 2 more for roundings,
+        beats abs_tol times max(1, |centre| + 2**scale), which bounds the check's max(unit, |x|, |y|) for any
+        zeros x, y.  The walk proves g = 2 (band - 2 _ETA) at each boundary in ``proved``; any other boundary,
+        or every one when that g falls short of the tolerance, takes u' - v from its neighbours' boxes (u, v), (u', v')."""
+        n = len(self.boxes)
         with policy.workprec():
-            size = max(1, abs(self.centre) + mp.ldexp(1, self.scale))
-            if not mp.ldexp(gap, self.scale) - 4 * self.reach > policy.abs_tol * size:
+            centre = _to_mpf(*self.origin)
+            size = max(1, abs(centre) + mp.ldexp(1, self.scale))
+
+            def apart(gap):
+                return mp.ldexp(gap, self.scale) - _to_mpf(self.reach[0], self.reach[1] + 2) > policy.abs_tol * size
+
+            proved = self.proved if apart(2 * (self.band - 2 * _ETA)) else ()
+            if not all(i in proved or apart(self.box(i)[0] - self.box(i - 1)[1]) for i in range(1, n)):
                 return None
-            ends = self.zero(0), self.zero(len(self.boxes) - 1)
-            if all(u <= mp.ldexp(x - self.centre, -self.scale) <= v for x, (u, v) in zip(ends, self.boxes[:: len(self.boxes) - 1])):
+            ends = self.zero(0), self.zero(n - 1)
+            if all(u <= mp.ldexp(x - centre, -self.scale) <= v for x, (u, v) in zip(ends, self.boxes[:: n - 1])):
                 return ends
         return None
 

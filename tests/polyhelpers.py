@@ -458,6 +458,41 @@ def mpf_polish(family, n, lo, hi, policy, unit):
     raise ArithmeticError("Newton polish did not converge")
 
 
+def mpf_gershgorin(diag, offsq) -> tuple:
+    """(lo, hi), the Gershgorin interval of the Jacobi matrix, by mpf at the ambient precision."""
+    beta = [mp.mpf(0)] + [mp.sqrt(v) for v in offsq] + [mp.mpf(0)]
+    lo = min(d - (beta[i] + beta[i + 1]) for i, d in enumerate(diag))
+    return lo, max(d + (beta[i] + beta[i + 1]) for i, d in enumerate(diag))
+
+
+def mpf_frame(family, n: int, policy) -> tuple:
+    """The set-up of the degree-n member's spectrum on mpf values, which ``families._jacobi_frame`` replaced.
+
+    (lo, hi, spread, tiny, width, unit, centre, widen, scale, fdiag, foffsq) in its order, mpf values up to
+    widen, then frexp's exponent of the spread and the shifted and scaled matrix as doubles by ``float``.
+    """
+    C, L = family.recurrence(n, policy.precision_bits)
+    with policy.workprec():
+        diag, offsq = C[1 : n + 1], L[2 : n + 1]
+        with mp.workprec(64):
+            lo, hi = mpf_gershgorin([+c for c in diag], [+v for v in offsq])
+            unit = min(hi - lo, 1)
+            pad = (hi - lo) * mp.mpf("0.001")
+            lo, hi = lo - pad, hi + pad
+            spread = hi - lo
+            tiny = mp.ldexp(spread or abs(hi), -120)
+            width = spread * mp.ldexp(1, -44)
+        if not spread:  # 64 bits see one point: cells stop at 2**-44 of the Gershgorin spread at working precision
+            lo_wp, hi_wp = mpf_gershgorin(diag, offsq)
+            width = mp.ldexp(hi_wp - lo_wp, -44)
+        widen = width + mp.ldexp(max(abs(lo), abs(hi)), -60)
+        centre = (lo + hi) / 2
+        scale = mp.frexp(spread)[1]
+        fdiag = [float(mp.ldexp(d - centre, -scale)) for d in diag]
+        foffsq = [float(mp.ldexp(v, -2 * scale)) for v in offsq]
+        return lo, hi, spread, tiny, width, mp.mpf(unit), centre, widen, scale, fdiag, foffsq
+
+
 def mpf_zeros(family, n: int, policy) -> tuple:
     """The zeros zeros._Spectrum gives, by mpf bisection with 64-bit Sturm counts at every midpoint and mpf Newton."""
     C, L = family.recurrence(n, policy.precision_bits)
@@ -465,30 +500,13 @@ def mpf_zeros(family, n: int, policy) -> tuple:
         diag, offsq = C[1 : n + 1], L[2 : n + 1]
         if n == 1:
             return (diag[0],)
+        lo, hi, spread, tiny, width, unit, centre, reach, e, fdiag, foffsq = mpf_frame(family, n, policy)
+        width, reach = width._mpf_, reach._mpf_
         with mp.workprec(64):
             d64, o64 = [+c for c in diag], [+v for v in offsq]
-            beta = [mp.mpf(0)] + [mp.sqrt(v) for v in o64] + [mp.mpf(0)]
-            lo = min(d - (beta[i] + beta[i + 1]) for i, d in enumerate(d64))
-            hi = max(d + (beta[i] + beta[i + 1]) for i, d in enumerate(d64))
-            unit = min(hi - lo, 1)
-            pad = (hi - lo) * mp.mpf("0.001")
-            lo, hi = lo - pad, hi + pad
-            spread = hi - lo
-            tiny = mp.ldexp(spread or abs(hi), -120)
-            width = (spread * mp.ldexp(1, -44))._mpf_
-        if not spread:  # 64 bits see one point: cells stop at 2**-44 of the Gershgorin spread at working precision
-            beta = [mp.mpf(0)] + [mp.sqrt(v) for v in offsq] + [mp.mpf(0)]
-            ends = [(d - (beta[i] + beta[i + 1]), d + (beta[i] + beta[i + 1])) for i, d in enumerate(diag)]
-            width = mp.ldexp(max(b for _, b in ends) - min(a for a, _ in ends), -44)._mpf_
-        reach = (mp.make_mpf(width) + mp.ldexp(max(abs(lo), abs(hi)), -60))._mpf_
         tiny_wp = mp.ldexp(tiny, -mp.prec)
         # float counts on the shifted, scaled matrix where they agree at
         # x -/+ _BAND, which is the 64-bit count there, else the 64-bit count
-        centre = (lo + hi) / 2
-        e = mp.frexp(spread)[1]
-        fdiag = [float(mp.ldexp(d - centre, -e)) for d in diag]
-        foffsq = [float(mp.ldexp(v, -2 * e)) for v in offsq]
-
         def count64(x):
             xs = to_float(mpf_shift(mpf_sub(x, centre._mpf_, 64, round_nearest), -e))
             below = _count_below(fdiag, foffsq, xs - _BAND, _TINY)

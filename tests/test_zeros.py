@@ -27,6 +27,7 @@ from christoffel import (
 from christoffel import cli, zeros
 from christoffel.cli import main
 from christoffel.core import Polynomial, TolerancePolicy, _cmp, _to_mpf, _unpack
+from christoffel.families import _gershgorin, _jacobi_frame
 
 from polyhelpers import (
     assert_bound_extremes_are_the_full_solve,
@@ -34,6 +35,8 @@ from polyhelpers import (
     bound_families,
     mpf_grid_q,
     mpf_count_below,
+    mpf_frame,
+    mpf_gershgorin,
     mpf_interlace_strict,
     mpf_is_zero,
     mpf_zeros,
@@ -124,14 +127,16 @@ def test_zeros_are_solved_once_per_family(policy, monkeypatch):
     nodes, _ = gauss_rule(fam, n, policy)
     assert nodes.values[0] == report.x_min
     assert len(calls) == n
-    # bound separation finishes only the two extreme zeros; the Gauss rule finishes the
-    # other 28 from the same cells, and no zero gets a second enclosure
+    # bound separation finishes only the two extreme zeros and encloses only their cells: the
+    # walk's float counts prove every gap.  The Gauss rule finishes the other 28 from the same
+    # cells, and no zero gets a second enclosure
     enclosed, enclose = Counter(), zeros._enclose
     monkeypatch.setattr(zeros, "_enclose", lambda *args: enclosed.update([args[-1]]) or enclose(*args))
     fam, n = mp_family("0.5", "0.08", policy), 30
     calls.clear()
     bound_separation(fam, n, policy)
     assert len(calls) == 2
+    assert sorted(enclosed) == [1, n]
     gauss_rule(fam, n, policy)
     assert len(calls) == n
     assert len(enclosed) == n and set(enclosed.values()) == {1}
@@ -162,12 +167,35 @@ def test_bound_extremes_are_the_full_solve_bit_for_bit(bits):
     assert outcomes == Counter({(label, "extremes"): k for label, k in extremes.items()} | {w31: 1})
 
 
+def _extremes_enclosures(monkeypatch) -> list:
+    """One set per call of _Spectrum.extremes: the cells (from 1) that it enclosed."""
+    seen, inside, enclose, extremes = [], [], zeros._enclose, zeros._Spectrum.extremes
+
+    def spied_enclose(*args):
+        if inside:
+            inside[-1].add(args[-1])
+        return enclose(*args)
+
+    def spied_extremes(spectrum, policy):
+        inside.append(set())
+        try:
+            return extremes(spectrum, policy)
+        finally:
+            seen.append(inside.pop())
+
+    monkeypatch.setattr(zeros, "_enclose", spied_enclose)
+    monkeypatch.setattr(zeros._Spectrum, "extremes", spied_extremes)
+    return seen
+
+
 def test_bound_separation_keeps_the_gap_check(policy, monkeypatch):
     # a tolerance at or above a gap fails the certificate, and the full solve raises its own
     # error; MP(20, 0.1)'s zeros lie far from 0, so just above its smallest relative gap the
     # tolerance is too large only by the zeros' size, which the certificate has to count too.
-    # Under the default tolerance the boxes certify every gap and only the extremes are polished.
-    # A family fully solved under the default tolerance certifies from its kept boxes, and raises the same.
+    # Such a tolerance is too large for the walk's band too, so every gap falls back to the
+    # boxes, which encloses the first gap's two cells.  Under the default tolerance the walk
+    # proves every gap, and only the extremes are enclosed and polished.  A family fully solved
+    # under the default tolerance certifies from its kept boxes, and raises the same.
     for family, n in ((lambda pol: pj_family(-35, 8, pol), 25), (lambda pol: mp_family(20, "0.1", pol), 25)):
         zs = zeros_golub_welsch(solved := family(policy), n, policy)
         with policy.workprec():
@@ -180,13 +208,38 @@ def test_bound_separation_keeps_the_gap_check(policy, monkeypatch):
             with pytest.raises(ValueError, match="abs_tol .* is at least the gap") as full:
                 zeros_golub_welsch(family(loose), n, loose)
             for fam in (family(loose), solved):
+                enclosed = _extremes_enclosures(monkeypatch)
                 with pytest.raises(ValueError) as bound:
                     bound_separation(fam, n, loose)
                 assert str(bound.value) == str(full.value)
-        calls = _count_polish(monkeypatch)
+                # a fresh spectrum encloses the first gap's cells; the solved one has every box already
+                assert enclosed == [set()] if fam is solved else {1, 2} <= enclosed[0]
+                monkeypatch.undo()
+        calls, enclosed = _count_polish(monkeypatch), _extremes_enclosures(monkeypatch)
         assert bound_separation(family(policy), n, policy).x_max == zs[-1]
-        assert len(calls) == 2
+        assert len(calls) == 2 and enclosed == [{1, n}]
         monkeypatch.undo()
+
+
+def test_gaps_the_walk_cannot_prove_take_their_neighbours_boxes(policy, monkeypatch):
+    # The first midpoint of MP(1.5, pi/2)'s walk is its zero 0, eigenvalue 7 of 13: the float
+    # counts disagree there, a 64-bit pair count decides, and the gap above it is not proved,
+    # so extremes encloses cells 7 and 8 besides the ends.  W+31's top pair, which 64-bit
+    # midpoints leave in one cell, proves no gap and takes boxes (-inf, inf) without an
+    # enclosure, and its closer pairs' gaps fall to the boxes too: extremes declines.
+    with policy.workprec():
+        fam = mp_family("1.5", mp.pi / 2, policy)
+    paired, count_pairs = [], zeros._count_pairs
+    monkeypatch.setattr(zeros, "_count_pairs", lambda *args: paired.append(args[-1]) or count_pairs(*args))
+    spectrum = zeros._Spectrum(fam, 13, policy)
+    assert paired == [64] and set(range(1, 13)) - spectrum.proved == {7}
+    enclosed = _extremes_enclosures(monkeypatch)
+    assert spectrum.extremes(policy) == (spectrum.zero(0), spectrum.zero(12)) and enclosed == [{1, 7, 8, 13}]
+    w31 = {label: family for label, family, _ in bound_families(policy)}["W+31"](policy)
+    spectrum = zeros._Spectrum(w31, 31, policy)
+    assert spectrum.boxes[-2:] == [(-math.inf, math.inf)] * 2 and 30 not in spectrum.proved
+    assert spectrum.extremes(policy) is None and not {30, 31} & enclosed[-1]
+    assert [z._mpf_ for z in spectrum.zeros().values] == [z._mpf_ for z in zeros_golub_welsch(w31, 31, policy).values]
 
 
 def test_cached_zeros_are_checked_under_each_tolerance(policy, monkeypatch):
@@ -447,8 +500,11 @@ def test_kernel_counts_are_the_mpf_loop(bits):
 def test_table_1_counts_only_where_no_enclosure_decides(monkeypatch, capsys):
     # --table 1's descents decide almost every midpoint from their enclosures' integer
     # thresholds: count64 runs at most 200 times (550 when each descent called it), the
-    # float counts stay at 593, and no count runs on mpf values
+    # float counts stay at 313 (593 when every cell was enclosed, two counts each), only the
+    # 10 polished cells are enclosed (150 when every cell was), and no count runs on mpf values
     counted, isolate, descend, count_below = Counter(), zeros._isolate, zeros._descend, zeros._count_below
+    enclose = zeros._enclose
+    monkeypatch.setattr(zeros, "_enclose", lambda *args: counted.update(["enclose"]) or enclose(*args))
 
     def spied(walk):
         def run(count, *args):
@@ -461,7 +517,39 @@ def test_table_1_counts_only_where_no_enclosure_decides(monkeypatch, capsys):
     monkeypatch.setattr(zeros, "_count_below", lambda *args: counted.update([type(args[2]).__name__]) or count_below(*args))
     assert main(["--table", "1"]) == 0
     capsys.readouterr()
-    assert counted["float"] == 593 and set(counted) <= {"float", "count64", "count_wp"} and counted["count64"] <= 200
+    assert counted.pop("enclose") == 10
+    assert counted["float"] == 313 and set(counted) <= {"float", "count64", "count_wp"} and counted["count64"] <= 200
+
+
+@pytest.mark.parametrize("bits", [64, 113, 256, 512])
+def test_spectrum_set_up_is_the_mpf_set_up_bit_for_bit(bits):
+    # families._jacobi_frame sets a spectrum up on kernel rows and raw mpf values: every value is the mpf
+    # set-up's, representation and all, over the bound families and a member whose 64-bit spread is 0
+    pol = TolerancePolicy(precision_bits=bits)
+    cases = [(family(pol), n) for _, family, degrees in bound_families(pol) for n in degrees]
+    cases.append((custom_family(lambda j: mp.mpf(10) ** 20, lambda j: mp.mpf(1), label="offset 1e20", policy=pol), 12))
+    for fam, n in cases:
+        frame = _jacobi_frame(fam.kernel_rows(n, bits)[1 : n + 1], bits)
+        lo, hi, spread, tiny, width, unit, centre, widen, scale, fdiag, foffsq = mpf_frame(fam, n, pol)
+        pairs = [_unpack(v._mpf_) for v in (lo, hi, spread, tiny, width, unit, centre, widen)]
+        assert [*frame[:9], *map(float.hex, frame[9] + frame[10])] == [*pairs, scale, *map(float.hex, fdiag + foffsq)], (
+            f"{fam.label} degree {n}"
+        )
+    assert frame[2] == (0, 0) and (frame[4] != (0, 0)) == (bits > 64)  # the offset member's width is at working precision
+    # and the interval alone on random rows at 64 bits and at working precision: random mantissas and
+    # exponents of both parities, and exact squares, so the roots round every way, and ends compared by value
+    rng = random.Random(bits)
+    with mp.workprec(bits):
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            offsq = [mp.ldexp(rng.getrandbits(bits) | 1, rng.randint(-bits - 9, 9 - bits)) for _ in range(n - 1)]
+            offsq = [v if rng.random() < 0.8 else mp.ldexp(rng.getrandbits(bits // 2) ** 2, rng.randint(-bits, 0)) for v in offsq]
+            diag = [mp.ldexp(rng.getrandbits(bits) - 2 ** (bits - 1), rng.randint(-bits - 3, 3 - bits)) for _ in range(n)]
+            rows = [(*_unpack(c._mpf_), *_unpack(v._mpf_)) for c, v in zip(diag, [mp.mpf(0), *offsq])]
+            for prec in (64, bits):
+                with mp.workprec(prec):
+                    ends = mpf_gershgorin([+c for c in diag], [+v for v in offsq])
+                assert [_to_mpf(*p)._mpf_ for p in _gershgorin(rows, prec)] == [v._mpf_ for v in ends], (diag, offsq, prec)
 
 
 @pytest.mark.parametrize("bits", [64, 113, 256, 512])

@@ -20,10 +20,10 @@ product or quotient (:func:`_div`) is formed exactly, or with a sticky bit,
 and rounded once, nearest with ties to even; comparisons (:func:`_cmp`) are
 exact.  That is how mpmath rounds every product and quotient and every sum
 whose operands it aligns (exponents at most 100 apart, or leading bits at
-most ``prec + 4`` apart), so the bits are the same; other sums go to
-mpmath's ``mpf_add`` (which never aligns 1e400000000 with 1 bit by bit), and
-non-finite points are rejected where they enter.  :func:`_round` gives the
-argument.  Polynomials, the recurrences of :mod:`christoffel.families`, the
+most ``prec + 4`` apart), and every square root (:func:`_sqrt`), so the bits
+are the same; other sums go to mpmath's ``mpf_add`` (which never aligns
+1e400000000 with 1 bit by bit), and non-finite points are rejected where
+they enter.  :func:`_round` gives the argument.  Polynomials, the recurrences of :mod:`christoffel.families`, the
 connection pair, the zero solver and the determinant transform (complex
 values as quadruples, in libmpc's roundings) run on it; results leave it as
 mpf or mpc values.
@@ -32,6 +32,7 @@ mpf or mpc values.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import copysign, inf, isqrt, ldexp
 from typing import Iterable, Sequence
 
 from mpmath import mp
@@ -262,6 +263,31 @@ def _div(m1: int, e1: int, m2: int, e2: int, prec: int) -> tuple:
     if r:
         q, extra = (q << 1) | 1, extra + 1
     return _round(-q if (m1 < 0) != (m2 < 0) else q, e1 - e2 - extra, prec)
+
+
+def _sqrt(m: int, e: int, prec: int) -> tuple:
+    """sqrt(m * 2**e), m >= 0, rounded to ``prec`` bits, the bits of ``mpf_sqrt``.
+
+    As ``mpf_sqrt`` does, the integer root of the mantissa shifted to at least 2 prec + 4 bits is taken, an
+    inexact one is marked by a sticky low bit, and the one rounding is the correctly rounded root.
+    """
+    if e & 1:
+        m, e = m << 1, e - 1
+    shift = max(4, 2 * prec + 4 - m.bit_length())
+    shift += shift & 1
+    r = isqrt(m << shift)
+    if r * r != m << shift:
+        r, shift = 2 * r + 1, shift + 2
+    return _round(r, (e - shift) // 2, prec)
+
+
+def _float(m: int, e: int) -> float:
+    """m * 2**e as ``float(mpf)`` gives it (``to_float``, nearest): rounded to 53 bits, then ``ldexp``; +-inf past the doubles."""
+    m, e = _round(m, e, 53)
+    try:
+        return ldexp(m, e)
+    except OverflowError:
+        return copysign(inf, m)
 
 
 def _cmp(m1: int, e1: int, m2: int, e2: int) -> int:

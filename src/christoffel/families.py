@@ -39,7 +39,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cmp_to_key
-from math import copysign, inf, isqrt, ldexp
 from typing import Callable, Mapping, Optional
 
 from mpmath import mp
@@ -47,7 +46,7 @@ from mpmath.libmp import fone, from_man_exp, from_str, mpf_abs, mpf_add, mpf_cmp
 from mpmath.libmp import round_nearest as _N
 
 from .core import DEFAULT_POLICY, Polynomial, TolerancePolicy, relative_residual, to_scalar
-from .core import _NEAR, _add, _cmp, _round, _to_mpf, _unpack  # the exact-rounding kernel
+from .core import _NEAR, _add, _cmp, _float, _round, _sqrt, _to_mpf, _unpack  # the exact-rounding kernel
 
 MEIXNER_POLLACZEK = "meixner_pollaczek"
 PSEUDO_JACOBI = "pseudo_jacobi"
@@ -161,34 +160,15 @@ class RecurrenceFamily:
         return self.owned(("shifted", k), build)
 
 
-def _float(m: int, e: int) -> float:
-    """m * 2**e as ``float(mpf)`` gives it (``to_float``, nearest): rounded to 53 bits, then ``ldexp``; +-inf past the doubles."""
-    m, e = _round(m, e, 53)
-    try:
-        return ldexp(m, e)
-    except OverflowError:
-        return copysign(inf, m)
-
-
 def _gershgorin(rows: list, prec: int) -> tuple:
     """(lo, hi), kernel pairs: the Gershgorin interval of the Jacobi matrix of kernel rows (C(j), Lambda(j)), j = 1..n.
 
     The mpf loop at ``prec`` bits, each step rounded to nearest: C(j) and Lambda(j) rounded to ``prec`` bits,
-    beta_j = sqrt(Lambda(j)) (beta_1 = beta_{n+1} = 0), and C(j) -/+ (beta_j + beta_{j+1}), compared exactly.
-    The root is ``mpf_sqrt``'s: the integer root of the mantissa shifted to at least 2 prec + 4 bits, with a
-    sticky low bit when it is inexact, rounded once, which is the correctly rounded root.
+    beta_j = sqrt(Lambda(j)) (beta_1 = beta_{n+1} = 0) by ``_sqrt``, and C(j) -/+ (beta_j + beta_{j+1}), compared
+    exactly.
     """
-    beta, lo, hi = [], None, None
-    for _, _, m, e in rows:
-        m, e = _round(m, e, prec)
-        if e & 1:
-            m, e = m << 1, e - 1
-        shift = max(4, 2 * prec + 4 - m.bit_length())
-        shift += shift & 1
-        r = isqrt(m << shift)
-        if r * r != m << shift:
-            r, shift = 2 * r + 1, shift + 2
-        beta.append(_round(r, (e - shift) // 2, prec))
+    beta = [_sqrt(*_round(m, e, prec), prec) for _, _, m, e in rows]
+    lo = hi = None
     for (cm, ce, _, _), (um, ue), (vm, ve) in zip(rows, beta, beta[1:] + [(0, 0)]):
         cm, ce = _round(cm, ce, prec)
         rm, re = _add(um, ue, vm, ve, prec)
@@ -203,15 +183,15 @@ def _gershgorin(rows: list, prec: int) -> tuple:
 def _jacobi_frame(rows: list, prec: int) -> tuple:
     """The frame in which the zero solver (``zeros._Spectrum``) counts, for the Jacobi matrix of kernel rows j = 1..n.
 
-    (lo, hi, spread, tiny, width, unit, centre, widen, scale, fdiag, foffsq): the 64-bit Gershgorin interval
-    padded by a thousandth of its width on each side and the padded width, 2**-120 of that (of |hi| if it is 0)
-    for a zero pivot, 2**-44 of it for the cells (of the interval at ``prec`` bits if 64 bits see one point),
-    min(width, 1) before the pad (Newton's unit), the midpoint, width + 2**-60 max(|lo|, |hi|) (how far a
-    cluster's cell is widened), all kernel pairs; frexp's
-    exponent of the spread; and the matrix shifted by the centre and scaled by 2**-scale as doubles, its
-    diagonal and squared off-diagonal.  Every value is the mpf set-up's bit for bit: each step on raw mpf
-    values, rounded to nearest at 64 bits up to the spread and at ``prec`` bits from the centre on, and the
-    doubles rounded as ``float(mpf)`` rounds them.
+    (lo, hi, spread, tiny, width, unit, centre, widen, scale, fdiag, foffsq), as kernel pairs up to widen:
+    the 64-bit Gershgorin interval padded by a thousandth of its width on each side, and its padded width;
+    2**-120 of that (of |hi| if it is 0) for a zero pivot; 2**-44 of it for the cells (of the interval at
+    ``prec`` bits if 64 bits see one point); Newton's unit min(width, 1) before the pad; the midpoint; and
+    width + 2**-60 max(|lo|, |hi|), by which a cluster's cell is widened.  Then frexp's exponent of the spread,
+    and the matrix shifted by the centre and scaled by 2**-scale as doubles, its diagonal and squared
+    off-diagonal.  Every value is the mpf set-up's bit for bit: each step on raw mpf values, rounded to
+    nearest at 64 bits up to the spread and at ``prec`` bits from the centre on, and the doubles rounded as
+    ``float(mpf)`` rounds them.
     """
     lo, hi = (from_man_exp(m, e) for m, e in _gershgorin(rows, 64))  # raw values from here on
     span = mpf_sub(hi, lo, 64, _N)

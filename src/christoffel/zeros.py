@@ -58,8 +58,8 @@ from dataclasses import dataclass, field
 from mpmath import mp
 
 from .core import DEFAULT_POLICY, Polynomial, TolerancePolicy, to_scalar
-from .core import _add, _cmp, _div, _horner, _round, _to_mpf, _unpack  # the exact-rounding kernel
-from .families import MEIXNER_POLLACZEK, PSEUDO_JACOBI, RecurrenceFamily, _float, _jacobi_frame, _point, _snapped_cot, _sweep
+from .core import _add, _cmp, _div, _float, _horner, _round, _to_mpf, _unpack  # the exact-rounding kernel
+from .families import MEIXNER_POLLACZEK, PSEUDO_JACOBI, RecurrenceFamily, _jacobi_frame, _point, _snapped_cot, _sweep
 
 
 @dataclass(frozen=True)
@@ -490,11 +490,11 @@ class _Spectrum:
         or every one when that g falls short of the tolerance, takes u' - v from its neighbours' boxes (u, v), (u', v')."""
         n = len(self.boxes)
         with policy.workprec():
-            centre = _to_mpf(*self.origin)
+            centre, room = _to_mpf(*self.origin), _to_mpf(self.reach[0], self.reach[1] + 2)  # 4 reach
             size = max(1, abs(centre) + mp.ldexp(1, self.scale))
 
             def apart(gap):
-                return mp.ldexp(gap, self.scale) - _to_mpf(self.reach[0], self.reach[1] + 2) > policy.abs_tol * size
+                return mp.ldexp(gap, self.scale) - room > policy.abs_tol * size
 
             proved = self.proved if apart(2 * (self.band - 2 * _ETA)) else ()
             if not all(i in proved or apart(self.box(i)[0] - self.box(i - 1)[1]) for i in range(1, n)):

@@ -3,11 +3,11 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
-from mpmath.libmp import from_man_exp, mpc_abs, mpc_div, mpc_mul, mpc_sub, mpf_add, mpf_cmp, mpf_div, mpf_mul, mpf_sub
+from mpmath.libmp import from_man_exp, mpc_abs, mpc_div, mpc_mul, mpc_sub, mpf_add, mpf_cmp, mpf_div, mpf_mul, mpf_sqrt, mpf_sub, to_float
 from mpmath.libmp import round_down, round_nearest
 
 from christoffel import Polynomial, RemainderError, TolerancePolicy, core
-from christoffel.core import NonFiniteError, _accumulate, _add, _add_down, _cmp, _div, _horner, _round, _to_mpf, _unpack, to_scalar
+from christoffel.core import NonFiniteError, _accumulate, _add, _add_down, _cmp, _div, _float, _horner, _round, _sqrt, _to_mpf, _unpack, to_scalar
 from christoffel.core import _cabs, _cdiv, _cmul, _cnorm, _csub
 from polyhelpers import (
     max_rel_coeff_diff,
@@ -267,6 +267,15 @@ def test_kernel_is_mpf_add_sub_and_mul(prec, m1, e1, m2, e2):
     assert _to_mpf(*_add(m1, e1, -m2, e2, prec))._mpf_ == mpf_sub(a, b, prec, round_nearest)
     assert _to_mpf(*_round(m1 * m2, e1 + e2, prec))._mpf_ == mpf_mul(a, b, prec, round_nearest)
     assert _to_mpf(*_round(m1, e1, prec))._mpf_ == from_man_exp(m1, e1, prec, round_nearest)
+
+
+@settings(max_examples=400)
+@given(_precisions, _mantissas, _exponents)
+def test_kernel_root_and_double_are_mpf_sqrt_and_to_float(prec, m, e):
+    # exact squares too, and doubles past both ends of the range (+-inf, subnormals, -0.0)
+    for v, x in ((abs(m), e), (m * m, 2 * e)):
+        assert _to_mpf(*_sqrt(v, x, prec))._mpf_ == mpf_sqrt(from_man_exp(v, x), prec, round_nearest)
+    assert _float(m, e).hex() == to_float(from_man_exp(m, e), rnd=round_nearest).hex()
 
 
 def _mpc(am, ae, bm, be) -> tuple:

@@ -23,10 +23,10 @@ whose operands it aligns (exponents at most 100 apart, or leading bits at
 most ``prec + 4`` apart), and every square root (:func:`_sqrt`), so the bits
 are the same; other sums go to mpmath's ``mpf_add`` (which never aligns
 1e400000000 with 1 bit by bit), and non-finite points are rejected where
-they enter.  :func:`_round` gives the argument.  Polynomials, the recurrences of :mod:`christoffel.families`, the
-connection pair, the zero solver and the determinant transform (complex
-values as quadruples, in libmpc's roundings) run on it; results leave it as
-mpf or mpc values.
+they enter.  :func:`_round` gives the argument.  Polynomials, the
+recurrences of :mod:`christoffel.families`, the connection pair, the zero
+solver and the determinant transform (complex values as quadruples, in
+libmpc's roundings) run on it; results leave it as mpf or mpc values.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from mpmath import mp
 
-from .core import DEFAULT_POLICY, Polynomial, TolerancePolicy, relative_residual, to_scalar
+from .core import DEFAULT_POLICY, Polynomial, TolerancePolicy, _to_mpf, relative_residual, to_scalar
 from .families import RecurrenceFamily, _ladder, _three_term
 
 
@@ -56,10 +56,10 @@ def associated_identity_residual(
     with policy.workprec():
         x = to_scalar(x)
         ladder = _ladder(family, n, policy.precision_bits)
-        L = family.recurrence(n, policy.precision_bits)[1]
+        rows = family.kernel_rows(n, policy.precision_bits)
         prefix = mp.mpf(1)
         for t in range(n - m + 2, n + 1):
-            prefix *= L[t]
+            prefix *= _to_mpf(*rows[t][2:])
         t1 = prefix * ladder[n - m](x)
         t2 = associated(family, n, m - 1, policy)(x) * ladder[n - 1](x)
         t3 = associated(family, n - 1, m - 2, policy)(x) * ladder[n](x)
@@ -81,6 +81,6 @@ def extension_identity_residual(
         if m == 0:
             t3 = mp.mpf(0)
         else:
-            L = family.recurrence(n + 1, policy.precision_bits)[1]
-            t3 = L[n + 1] * associated(family, n + m, m - 1, policy)(x) * ladder[n - 1](x)
+            lm, le = family.kernel_rows(n + 1, policy.precision_bits)[n + 1][2:]
+            t3 = _to_mpf(lm, le) * associated(family, n + m, m - 1, policy)(x) * ladder[n - 1](x)
         return relative_residual(t1 - t2 + t3, (t1, t2, t3))

@@ -28,11 +28,15 @@ the family parameter (lambda -> lambda + k, a -> a + k), which is the cheap
 independent route to the modified polynomials used as an oracle for the
 determinant-based Christoffel transform.
 
-Everything derived from a recurrence is built on first request and kept by
-the family, in :meth:`RecurrenceFamily.owned`: its coefficients, once, as
-exact kernel rows (:meth:`RecurrenceFamily.kernel_rows`), the ladder, zeros,
-associated sequences, shifted families and canonical modifiers.  Dropping
-the last reference to a family frees all of it.
+A family is defined by one row function, (j, prec) -> the kernel row of C(j)
+and Lambda(j) at ``prec`` bits: for the built-in families the mpf formulas
+above, each operation in the same order on the exact-rounding kernel, and
+for a custom family its two mpf maps.  Everything derived from a recurrence
+is built on first request and kept by the family, in
+:meth:`RecurrenceFamily.owned`: its coefficients, once, as exact kernel rows
+(:meth:`RecurrenceFamily.kernel_rows`), the ladder, zeros, associated
+sequences, shifted families, canonical modifiers and the determinant's node
+rows.  Dropping the last reference to a family frees all of it.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from mpmath.libmp import fone, from_man_exp, from_str, mpf_abs, mpf_add, mpf_cmp
 from mpmath.libmp import round_nearest as _N
 
 from .core import DEFAULT_POLICY, Polynomial, TolerancePolicy, relative_residual, to_scalar
-from .core import _NEAR, _add, _cmp, _float, _round, _sqrt, _to_mpf, _unpack  # the exact-rounding kernel
+from .core import _NEAR, _add, _cmp, _div, _float, _round, _sqrt, _to_mpf, _unpack  # the exact-rounding kernel
 
 MEIXNER_POLLACZEK = "meixner_pollaczek"
 PSEUDO_JACOBI = "pseudo_jacobi"
@@ -71,20 +75,29 @@ def _snapped_cot(phi):
 class RecurrenceFamily:
     """Recurrence coefficient provider plus parameter record and validity range.
 
-    ``max_valid_degree`` is None for an unbounded family.  Instances are
-    immutable and compared by identity.  Everything derived from the
-    recurrence lives in a private store, filled through :meth:`owned` and
-    freed together with the family.
+    ``row(j, prec)`` is the recurrence's one definition: the kernel row (cm, ce, lm, le) of
+    C(j) = cm * 2**ce and Lambda(j) = lm * 2**le at ``prec`` bits, normalised as ``_unpack``
+    gives an mpf (Lambda(1) is 0).  ``max_valid_degree`` is None for an unbounded family.
+    Instances are immutable and compared by identity.  Everything derived from the
+    recurrence lives in a private store, filled through :meth:`owned` and freed together
+    with the family.
     """
 
     kind: str
     params: Mapping[str, mp.mpf]
-    C: Callable[[int], mp.mpf]
-    Lambda: Callable[[int], mp.mpf]
+    row: Callable[[int, int], tuple]
     max_valid_degree: Optional[int]
     label: str
     precision_bits: int = 256
     _store: dict = field(default_factory=dict, init=False, repr=False)
+
+    def C(self, n: int) -> mp.mpf:
+        """C(n) at the ambient precision, an mpf view of :attr:`row`."""
+        return _to_mpf(*self.row(n, mp.prec)[:2])
+
+    def Lambda(self, n: int) -> mp.mpf:
+        """Lambda(n) at the ambient precision, an mpf view of :attr:`row`."""
+        return _to_mpf(*self.row(n, mp.prec)[2:])
 
     def owned(self, key, build: Callable[[], object]):
         """The value kept under ``key``: ``build()`` on the first request, then the same object."""
@@ -97,24 +110,17 @@ class RecurrenceFamily:
     def kernel_rows(self, n: int, prec: int) -> list:
         """C(j) and Lambda(j) at ``prec`` bits as a shared, read-only list of kernel rows, the family's one copy.
 
-        Row j is (cm, ce, lm, le), C(j) = cm * 2**ce and Lambda(j) = lm * 2**le exactly; row 0
-        and Lambda(1) are 0.  Extended lazily, never past n: beyond the validity range the maps
-        may be undefined (PJ Lambda divides by zero).  This is where the maps' values enter, so
-        each is read as an mpf and checked once, here: C(j) finite and Lambda(j) positive and
-        finite, ``ValueError`` otherwise.
+        Row j is :attr:`row` (j, prec); row 0 and Lambda(1) are 0.  Extended lazily, never past n:
+        beyond the validity range the maps may be undefined (PJ Lambda divides by zero).  This is
+        where the rows enter, so each is checked once, here: Lambda(j) positive, ``ValueError``
+        otherwise (a custom family's maps are also checked finite as they are read).
         """
         rows = self.owned(("recurrence", prec), lambda: [(0, 0, 0, 0)])
-        with mp.workprec(prec):
-            for j in range(len(rows), n + 1):
-                c, v = to_scalar(self.C(j)), (to_scalar(self.Lambda(j)) if j > 1 else mp.mpf(0))
-                if not mp.isfinite(c):
-                    raise ValueError(f"C({j}) = {mp.nstr(c, 8)} is not finite for {self.label}")
-                if j > 1 and not 0 < v < mp.inf:
-                    raise ValueError(
-                        f"Lambda({j}) = {mp.nstr(v, 8)} is not positive and finite for {self.label}; "
-                        "the recurrence is outside the orthogonality range"
-                    )
-                rows.append((*_unpack(c._mpf_), *_unpack(v._mpf_)))
+        for j in range(len(rows), n + 1):
+            row = self.row(j, prec)
+            if j > 1 and row[2] <= 0:
+                raise _not_positive(j, _to_mpf(*row[2:]), self.label)
+            rows.append(row)
         return rows
 
     def recurrence(self, n: int, prec: int) -> tuple:
@@ -223,18 +229,21 @@ def mp_family(lam, phi, policy: TolerancePolicy = DEFAULT_POLICY) -> RecurrenceF
             raise ValueError(f"phi must lie strictly in (0, pi), got {phi}")
         cot = _snapped_cot(phi)
         inv_four_sin2 = 1 / (4 * mp.sin(phi) ** 2)
+    (lm, le), (tm, te), (sm, se) = (_unpack(v._mpf_) for v in (lam, cot, inv_four_sin2))
 
-    def C(n: int):
-        return -(lam + n - 1) * cot
-
-    def Lambda(n: int):
-        return (n - 1) * (2 * lam + n - 2) * inv_four_sin2
+    def row(j: int, prec: int) -> tuple:
+        # C(j) = -((lam + j) - 1) cot and Lambda(j) = ((j - 1) ((2 lam + j) - 2)) / (4 sin(phi)^2), each
+        # operation the mpf one of the formula in its order, grouping included (at j = 2 it cancels a tiny
+        # lambda, ROADMAP item 1); the negation is of a value rounded at prec, so exact
+        um, ue = _add(*_add(lm, le, j, 0, prec), -1, 0, prec)
+        vm, ve = _add(*_add(*_round(2 * lm, le, prec), j, 0, prec), -2, 0, prec)
+        vm, ve = _round((j - 1) * vm, ve, prec)
+        return (*_normal(*_round(-um * tm, ue + te, prec)), *_normal(*_round(vm * sm, ve + se, prec)))
 
     return RecurrenceFamily(
         kind=MEIXNER_POLLACZEK,
         params={"lambda": lam, "phi": phi},
-        C=C,
-        Lambda=Lambda,
+        row=row,
         max_valid_degree=None,
         label=f"MP(lambda={mp.nstr(lam, 10)}, phi={mp.nstr(phi, 10)})",
         precision_bits=policy.precision_bits,
@@ -253,19 +262,29 @@ def pj_family(a, b, policy: TolerancePolicy = DEFAULT_POLICY) -> RecurrenceFamil
         nmax = int(mp.floor(-a))
         if mp.mpf(nmax) == -a:
             nmax -= 1
+    (am, ae), (bm, be) = _unpack(a._mpf_), _unpack(b._mpf_)
 
-    def C(n: int):
-        return -a * b / ((a + n - 1) * (a + n))
-
-    def Lambda(n: int):
-        an1 = a + n - 1
-        return -(n - 1) * (2 * a + n - 1) * (an1 * an1 + b * b) / (an1 * an1 * (4 * an1 * an1 - 1))
+    def row(j: int, prec: int) -> tuple:
+        # with t = (a + j) - 1 and s = t t, C(j) = ((-a) b) / (t (a + j)) and Lambda(j) =
+        # ((-(j - 1) ((2 a + j) - 1)) (s + b b)) / (s ((4 t) t - 1)), each operation the mpf one of the
+        # formula in its order (4 t is exact): -a rounds at a prec below a's width, and a zero divisor raises
+        # ZeroDivisionError
+        um, ue = _add(am, ae, j, 0, prec)
+        tm, te = _add(um, ue, -1, 0, prec)
+        sm, se = _round(tm * tm, 2 * te, prec)
+        nm, ne = _round(-am, ae, prec)
+        cm, ce = _div(*_round(nm * bm, ne + be, prec), *_round(tm * um, te + ue, prec), prec)
+        um, ue = _add(*_add(*_round(2 * am, ae, prec), j, 0, prec), -1, 0, prec)
+        um, ue = _round((1 - j) * um, ue, prec)
+        vm, ve = _add(sm, se, *_round(bm * bm, 2 * be, prec), prec)
+        um, ue = _round(um * vm, ue + ve, prec)
+        fm, fe = _add(*_round(4 * tm * tm, 2 * te, prec), -1, 0, prec)
+        return (*_normal(cm, ce), *_normal(*_div(um, ue, *_round(sm * fm, se + fe, prec), prec)))
 
     return RecurrenceFamily(
         kind=PSEUDO_JACOBI,
         params={"a": a, "b": b},
-        C=C,
-        Lambda=Lambda,
+        row=row,
         max_valid_degree=nmax,
         label=f"PJ(a={mp.nstr(a, 10)}, b={mp.nstr(b, 10)})",
         precision_bits=policy.precision_bits,
@@ -279,14 +298,39 @@ def custom_family(
     label: str = "custom",
     policy: TolerancePolicy = DEFAULT_POLICY,
 ) -> RecurrenceFamily:
+    """The family of the mpf maps C and Lambda, each read at the row's precision and checked finite (``ValueError``)."""
+
+    def row(j: int, prec: int) -> tuple:
+        with mp.workprec(prec):
+            c, v = to_scalar(C(j)), (to_scalar(Lambda(j)) if j > 1 else mp.mpf(0))
+        if not mp.isfinite(c):
+            raise ValueError(f"C({j}) = {mp.nstr(c, 8)} is not finite for {label}")
+        if not mp.isfinite(v):
+            raise _not_positive(j, v, label)
+        return (*_unpack(c._mpf_), *_unpack(v._mpf_))
+
     return RecurrenceFamily(
         kind=CUSTOM,
         params={},
-        C=C,
-        Lambda=Lambda,
+        row=row,
         max_valid_degree=max_valid_degree,
         label=label,
         precision_bits=policy.precision_bits,
+    )
+
+
+def _normal(m: int, e: int) -> tuple:
+    """The kernel pair m * 2**e as ``_unpack`` gives its mpf: an odd mantissa, or (0, 0)."""
+    if not m:
+        return 0, 0
+    t = (m & -m).bit_length() - 1
+    return m >> t, e + t
+
+
+def _not_positive(j: int, value: mp.mpf, label: str) -> ValueError:
+    return ValueError(
+        f"Lambda({j}) = {mp.nstr(value, 8)} is not positive and finite for {label}; "
+        "the recurrence is outside the orthogonality range"
     )
 
 
@@ -542,10 +586,10 @@ def recurrence_residual(family: RecurrenceFamily, n: int, x, policy: TolerancePo
     with policy.workprec():
         x = to_scalar(x)
         ladder = _ladder(family, n, policy.precision_bits)
-        C, L = family.recurrence(n, policy.precision_bits)
+        cm, ce, lm, le = family.kernel_rows(n, policy.precision_bits)[n]
         t1 = ladder[n](x)
-        t2 = (x - C[n]) * ladder[n - 1](x)
-        t3 = L[n] * ladder[n - 2](x)
+        t2 = (x - _to_mpf(cm, ce)) * ladder[n - 1](x)
+        t3 = _to_mpf(lm, le) * ladder[n - 2](x)
         return relative_residual(t1 - t2 + t3, (t1, t2, t3))
 
 
@@ -556,10 +600,15 @@ def mp_symmetry_residual(family: RecurrenceFamily, n: int, x, policy: ToleranceP
     # phi -> -phi flips the sign of C and leaves Lambda unchanged, so the
     # mirrored recurrence is legal even though -phi itself is not; the
     # negation is exact, so the mirror matches a closed form bit for bit.  The
-    # mirror holds C, not the family, so keeping it makes no reference cycle.
-    C = family.C
+    # mirror holds the row function, not the family, so keeping it makes no reference cycle.
+    row = family.row
+
+    def mirrored(j: int, prec: int) -> tuple:
+        cm, ce, lm, le = row(j, prec)
+        return -cm, ce, lm, le
+
     mirror = family.owned(
-        "mirror", lambda: custom_family(lambda j: -C(j), family.Lambda, label=f"mirror of {family.label}", policy=policy)
+        "mirror", lambda: RecurrenceFamily(CUSTOM, {}, mirrored, None, f"mirror of {family.label}", policy.precision_bits)
     )
     with policy.workprec():
         x = to_scalar(x)

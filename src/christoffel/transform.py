@@ -75,20 +75,24 @@ def connection_degree_law(k: int, m: int) -> DegreeLaw:
     return DegreeLaw(deg_a, deg_g, m == 2 and k <= 2)
 
 
-def _node_rows(polys, nodes, prec: int) -> list:
-    """The rows p^{(s)}(w) of the determinant over the zeros w = z_1, -z_1, z_2, ... of c, as complex quadruples.
+def _node_rows(family: RecurrenceFamily, modifier: ModifierSpec, top: int, prec: int) -> list:
+    """The rows p_j^{(s)}(w), j = 0..top at least, of the determinant over the zeros w = z_1, -z_1, z_2, ... of c,
+    as complex quadruples, kept by the family per (modifier, prec) and extended as higher degrees need them.
 
     s counts the earlier occurrences of w, so a zero of multiplicity r gives the confluent rows s < r.
+    Each p_j^{(s)}(w) is formed once, with the derivatives rounded at the ambient precision, ``prec``.
     """
-    zeros = [w for z in nodes for w in (z, -z)]
-    rows = []
-    for i, w in enumerate(zeros):
-        derived = polys
-        for _ in range(zeros[:i].count(w)):
-            derived = [p.derivative() for p in derived]
+    zeros = [w for z in modifier.nodes for w in (z, -z)]
+    table = family.owned(("node_rows", modifier, prec), lambda: [[] for _ in zeros])
+    polys = _ladder(family, top, prec)
+    for i, (w, row) in enumerate(zip(zeros, table)):
         (xm, xe), (ym, ye) = (_unpack(v) for v in w._mpc_)
-        rows.append([_chorner(p._pairs, xm, xe, ym, ye, prec) for p in derived])
-    return rows
+        s = zeros[:i].count(w)
+        for p in polys[len(row) : top + 1]:
+            for _ in range(s):
+                p = p.derivative()
+            row.append(_chorner(p._pairs, xm, xe, ym, ye, prec))
+    return table
 
 
 def _eliminate(a: list, cols: list, r: int, sign: int, prev, prec: int, minors=None) -> tuple:
@@ -161,7 +165,8 @@ def christoffel_transform(
     with policy.workprec():
         prec = policy.precision_bits
         polys = _ladder(family, deg + 2 * k, prec)[deg : deg + 2 * k + 1]
-        minors = _cofactor_minors(_node_rows(polys, modifier.nodes, prec), prec)
+        rows = [row[deg : deg + 2 * k + 1] for row in _node_rows(family, modifier, deg + 2 * k, prec)]
+        minors = _cofactor_minors(rows, prec)
         scale = max(abs(u) for u in minors)
         if scale == 0 or abs(minors[-1]) <= policy.rel_tol * scale:
             raise DegenerateTransformError(

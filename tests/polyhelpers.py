@@ -18,6 +18,7 @@ from christoffel import (
     bound_separation,
     christoffel_transform,
     connection_decompose,
+    custom_family,
     eval_with_derivative,
     even_modifier,
     interlace_strict,
@@ -30,7 +31,7 @@ from christoffel import (
 )
 from christoffel import cli, zeros
 from christoffel.core import _to_mpf, _unpack
-from christoffel.families import MEIXNER_POLLACZEK, _ladder, _sweep
+from christoffel.families import MEIXNER_POLLACZEK, _ladder, _snapped_cot, _sweep
 from christoffel.transform import DegenerateTransformError, _cofactor_minors, _node_rows
 from christoffel.zeros import _BAND, _TINY, _count_below, _is_zero, _q_at
 
@@ -49,6 +50,30 @@ def max_rel_coeff_diff(p: Polynomial, q: Polynomial) -> mp.mpf:
 def schoolbook_product(p: Polynomial, q: Polynomial) -> Polynomial:
     """p * q by the schoolbook loop on mpf values at the ambient precision."""
     return Polynomial(poly_mul(p.coeffs, q.coeffs))
+
+
+# -- the built-in recurrences on mpf values --------------------------------------
+#
+# mp_family and pj_family define their recurrence once, as a kernel row function;
+# these are the mpf closures it replaced, kept as the oracle its bits are checked against.
+
+
+def mpf_recurrence(family) -> tuple:
+    """(C, Lambda): the mpf maps of a built-in family's recurrence at the ambient precision, over its
+    parameters as the family keeps them, cot(phi) and 1 / (4 sin(phi)^2) formed at its precision."""
+    if family.kind == MEIXNER_POLLACZEK:
+        lam, phi = family.params["lambda"], family.params["phi"]
+        with mp.workprec(family.precision_bits):
+            cot = _snapped_cot(phi)
+            inv_four_sin2 = 1 / (4 * mp.sin(phi) ** 2)
+        return (lambda n: -(lam + n - 1) * cot), (lambda n: (n - 1) * (2 * lam + n - 2) * inv_four_sin2)
+    a, b = family.params["a"], family.params["b"]
+
+    def Lambda(n):
+        an1 = a + n - 1
+        return -(n - 1) * (2 * a + n - 1) * (an1 * an1 + b * b) / (an1 * an1 * (4 * an1 * an1 - 1))
+
+    return (lambda n: -a * b / ((a + n - 1) * (a + n))), Lambda
 
 
 # -- the polynomial ring on mpf values -------------------------------------------
@@ -353,8 +378,10 @@ def assert_transform_is_the_mpc_loops(family, modifier, deg: int, policy) -> str
     bit for bit; returns "ok", or the name of the error both routes raise with the same message."""
     prec = policy.precision_bits
     with policy.workprec():
-        polys = _ladder(family, deg + 2 * modifier.k, prec)[deg:]
-        rows, oracle_rows = _node_rows(polys, modifier.nodes, prec), mpc_node_rows(polys, modifier.nodes)
+        top = deg + 2 * modifier.k
+        polys = _ladder(family, top, prec)[deg:]
+        rows = [row[deg : top + 1] for row in _node_rows(family, modifier, top, prec)]
+        oracle_rows = mpc_node_rows(polys, modifier.nodes)
         assert [[_to_mpc(*v)._mpc_ for v in row] for row in rows] == [[v._mpc_ for v in row] for row in oracle_rows]
         assert [u._mpc_ for u in _cofactor_minors(rows, prec)] == [u._mpc_ for u in mpc_cofactor_minors(oracle_rows)]
     try:
@@ -647,8 +674,8 @@ def bound_families(policy) -> list:
     mp_params = {"lambda": mp.mpf("0.5"), "phi": mp.mpf("0.9")}
 
     def w31(pol):
-        C, Lambda = lambda j: mp.mpf(abs(15 - (j - 1))), lambda j: mp.mpf(1)
-        return RecurrenceFamily(MEIXNER_POLLACZEK, mp_params, C, Lambda, None, "W+31", pol.precision_bits)
+        row = custom_family(lambda j: mp.mpf(abs(15 - (j - 1))), lambda j: mp.mpf(1), policy=pol).row
+        return RecurrenceFamily(MEIXNER_POLLACZEK, mp_params, row, None, "W+31", pol.precision_bits)
 
     return [
         ("MP(0.5,0.9)", lambda pol: mp_family("0.5", "0.9", pol), (2, 3, 12, 30)),

@@ -31,8 +31,8 @@ from christoffel import (
     zeros_golub_welsch,
 )
 from christoffel import core, families
-from christoffel.core import to_scalar
-from polyhelpers import coeff
+from christoffel.core import _unpack, to_scalar
+from polyhelpers import coeff, mpf_recurrence
 
 
 def test_mp_recurrence_coefficients(policy):
@@ -96,6 +96,59 @@ def test_pj_symmetric_case_and_validity(policy):
     assert pj_family("-5.0001", 3, policy).max_valid_degree == 5
     with pytest.raises(ValueError):
         pj_family(-2, 1, policy)
+
+
+def _built_in_families(pol) -> list:
+    """MP members with lambda from 1e-300 to 1e400000000 and PJ members with short and long validity ranges."""
+    with pol.workprec():
+        right_angle = mp.pi / 2
+    lams = ("1e-300", "1e-70", "0.5", "3", "1e20", "1e400000000")
+    members = [mp_family(lam, phi, pol) for lam in lams for phi in ("0.9", "3.0")] + [mp_family("0.5", right_angle, pol)]
+    pjs = (("-5.5", 0), (-5, 3), ("-7.25", "-1e200"), (-35, 8), ("-60.3", "1e-30"))
+    return members + [pj_family(a, b, pol) for a, b in pjs]
+
+
+def _outcome(build):
+    """build(), or the type of the exception it raises."""
+    try:
+        return build()
+    except ArithmeticError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("bits", [64, 113, 256, 512])
+def test_kernel_rows_and_views_are_the_mpf_closures_bit_for_bit(bits, monkeypatch):
+    # each built-in family's one row function against the mpf closures it replaced: its rows read at
+    # the family's precision and at others, the C and Lambda views at the ambient precision (53 bits
+    # included), and past PJ's validity range the same row or the same exception type
+    calls = []
+    mpf_add = core.mpf_add
+    monkeypatch.setattr(core, "mpf_add", lambda *args: calls.append(args) or mpf_add(*args))
+    pol = TolerancePolicy(precision_bits=bits)
+    far = set()
+    for fam in _built_in_families(pol):
+        C, Lambda = mpf_recurrence(fam)
+        top = 30 if fam.max_valid_degree is None else fam.max_valid_degree
+        before = len(calls)
+        for prec in (53, 64, 113, 256, 512):
+            with mp.workprec(prec):
+                want = [(C(j)._mpf_, Lambda(j)._mpf_) for j in range(1, top + 1)]
+                assert [(fam.C(j)._mpf_, fam.Lambda(j)._mpf_) for j in range(1, top + 1)] == want
+            rows = [(*_unpack(c), *_unpack(v)) for c, v in want]
+            if prec > 53 and all(row[2] > 0 for row in rows[1:]):
+                assert fam.kernel_rows(top, prec)[1:] == rows
+            elif prec > 53:  # (2 lam + j) - 2 cancels a tiny lambda (ROADMAP item 1), and the rows stop there
+                j = next(j for j, row in enumerate(rows[1:], 2) if row[2] <= 0)
+                with pytest.raises(ValueError, match=rf"Lambda\({j}\) = 0.0 is not positive"):
+                    fam.kernel_rows(top, prec)
+            with mp.workprec(prec):
+                for j in range(top + 1, top + 4 if fam.max_valid_degree is not None else top + 1):
+                    row = _outcome(lambda: (*_unpack(C(j)._mpf_), *_unpack(Lambda(j)._mpf_)))
+                    assert _outcome(lambda: fam.row(j, prec)) == row
+        if len(calls) > before:
+            far.add(fam.label)
+    # sums of operands too far apart to align went to mpf_add, for the smallest and the largest lambda
+    assert {"MP(lambda=1.0e-300, phi=0.9)", "MP(lambda=1.0e+400000000, phi=0.9)"} <= far
 
 
 def test_generate_base_cases(policy):
@@ -395,6 +448,7 @@ def test_dropped_family_frees_what_it_derived(policy):
         associated(fam, 9, 4, policy)
         fam.shifted(2)
         connection_decompose(fam, even_modifier(fam, 2, policy), 8, 3, policy)
+        christoffel_transform(fam, even_modifier(fam, 1, policy), 3, policy)  # keeps the node rows
         mp_symmetry_residual(fam, 6, "0.7", policy)
         bound_separation(fam, 10, policy)  # keeps a spectrum with cells still to finish
         refs = [weakref.ref(fam)] + [weakref.ref(fam._store["spectrum", n, policy.precision_bits]) for n in (8, 10)]

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from mpmath import mp
 
@@ -390,3 +392,32 @@ def test_determinant_transform_is_the_mpc_loops_bit_for_bit(family, bits):
     # loops, each minor eliminated on its own; the full sweep is in tests/slow_oracles.py
     outcomes = assert_transforms_are_the_mpc_loops(family, bits, range(0, 5, 2), ["0.3i,2.7i,0.4", "0.9i,-0.9i,0"])
     assert outcomes == {"ok": 15}
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+def test_node_rows_kept_per_modifier_give_fresh_family_transforms(order, policy, monkeypatch):
+    # one family keeps each modifier's node rows and extends them as higher degrees are asked for, so each
+    # p_j^(s) is evaluated once per row; every transform, in any request order, is a fresh family's bit for
+    # bit, or the same error
+    def bits_or_error(fam, modifier, deg):
+        try:
+            return [c._mpf_ for c in christoffel_transform(fam, modifier, deg, policy).coeffs]
+        except ArithmeticError as exc:
+            return type(exc), str(exc)
+
+    fam = mp_family("0.5", "0.9", policy)
+    nodes = [[(0, "0.3")], [(0, 0)], [("0.4", 0), ("-0.4", 0)], [(0, "1.5"), (0, "1.5")], [(0, "0.9"), (0, "-0.9"), (0, 0)]]
+    with policy.workprec():
+        modifiers = [ModifierSpec([mp.mpc(*z) for z in zs], policy) for zs in nodes] + [even_modifier(fam, 3, policy)]
+    requests = [(modifier, deg) for modifier in modifiers for deg in range(7)]
+    if order == "descending":
+        requests.reverse()
+    elif order == "shuffled":
+        random.Random(3).shuffle(requests)
+    calls, chorner = [], transform._chorner
+    with monkeypatch.context() as patch:
+        patch.setattr(transform, "_chorner", lambda *args: calls.append(args) or chorner(*args))
+        kept = [bits_or_error(fam, modifier, deg) for modifier, deg in requests]
+    # 2k rows of p_0 .. p_{6 + 2k} per modifier
+    assert len(calls) == sum(2 * m.k * (7 + 2 * m.k) for m in modifiers)
+    assert kept == [bits_or_error(mp_family("0.5", "0.9", policy), modifier, deg) for modifier, deg in requests]

@@ -26,7 +26,7 @@ from christoffel import (
 )
 from christoffel import cli, zeros
 from christoffel.cli import main
-from christoffel.core import Polynomial, TolerancePolicy, _cmp, _to_mpf, _unpack
+from christoffel.core import Polynomial, TolerancePolicy, _add, _cmp, _to_mpf, _unpack
 from christoffel.families import _gershgorin, _jacobi_frame
 
 from polyhelpers import (
@@ -240,6 +240,27 @@ def test_gaps_the_walk_cannot_prove_take_their_neighbours_boxes(policy, monkeypa
     assert spectrum.boxes[-2:] == [(-math.inf, math.inf)] * 2 and 30 not in spectrum.proved
     assert spectrum.extremes(policy) is None and not {30, 31} & enclosed[-1]
     assert [z._mpf_ for z in spectrum.zeros().values] == [z._mpf_ for z in zeros_golub_welsch(w31, 31, policy).values]
+
+
+def test_only_equal_float_counts_prove_a_gap(policy, monkeypatch):
+    # Eigenvalue 2 lies 2**-62 below the end A of a 40th-level walk cell [A, B), and eigenvalues 3 and 4,
+    # 2e-30 apart, 2**-62 below B (1 and 5, at -1 and 1, fix the Gershgorin interval).  The cell is
+    # as wide as 2 W to within the float counts' error, and at its midpoint they read 1 and 2: clamped
+    # to the cell's counts (2, 4) both are 2, which splits it with no 64-bit count, but the counts
+    # differ, so the walk proves no gap from them, and eigenvalues 2 and 3 stay unproved.
+    A, B = (9710366080396909609, -64), (9710366080430531150, -64)
+    with policy.workprec():
+        diag = [mp.mpf(-1), _to_mpf(*A) - mp.ldexp(1, -62), _to_mpf(*B) - mp.ldexp(1, -62)]
+    diag += [diag[-1], mp.mpf(1)]
+    fam = custom_family(lambda j: diag[j - 1], lambda j: mp.mpf("1e-60"), policy=policy)
+    paired, count_pairs = [], zeros._count_pairs
+    monkeypatch.setattr(zeros, "_count_pairs", lambda *args: paired.append(args[1:3]) or count_pairs(*args))
+    spectrum = zeros._Spectrum(fam, 5, policy)
+    mm, me = _add(*A, *B, 64)
+    xs = zeros._scaled(mm, me - 1, *spectrum.origin, spectrum.scale)
+    counts = [zeros._count_below(spectrum.fdiag, spectrum.foffsq, xs + s * spectrum.band, zeros._TINY) for s in (-1, 1)]
+    assert counts == [1, 2] and A in paired and (mm, me - 1) not in paired
+    assert spectrum.proved == {1, 4}
 
 
 def test_cached_zeros_are_checked_under_each_tolerance(policy, monkeypatch):

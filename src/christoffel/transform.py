@@ -75,20 +75,20 @@ def connection_degree_law(k: int, m: int) -> DegreeLaw:
     return DegreeLaw(deg_a, deg_g, m == 2 and k <= 2)
 
 
-def _node_rows(family: RecurrenceFamily, modifier: ModifierSpec, top: int, prec: int) -> list:
-    """The rows p_j^{(s)}(w), j = 0..top at least, of the determinant over the zeros w = z_1, -z_1, z_2, ... of c,
-    as complex quadruples, kept by the family per (modifier, prec) and extended as higher degrees need them.
+def _node_rows(family: RecurrenceFamily, modifier: ModifierSpec, ladder: tuple, prec: int) -> list:
+    """The determinant's rows p_j^{(s)}(w) over the zeros w = z_1, -z_1, z_2, ... of c, as complex quadruples,
+    for j = 0 up to at least the top of ``ladder`` (p_0, p_1, ...): kept by the family per (modifier, prec) and
+    extended as higher degrees need them.
 
     s counts the earlier occurrences of w, so a zero of multiplicity r gives the confluent rows s < r.
     Each p_j^{(s)}(w) is formed once, with the derivatives rounded at the ambient precision, ``prec``.
     """
     zeros = [w for z in modifier.nodes for w in (z, -z)]
     table = family.owned(("node_rows", modifier, prec), lambda: [[] for _ in zeros])
-    polys = _ladder(family, top, prec)
     for i, (w, row) in enumerate(zip(zeros, table)):
         (xm, xe), (ym, ye) = (_unpack(v) for v in w._mpc_)
         s = zeros[:i].count(w)
-        for p in polys[len(row) : top + 1]:
+        for p in ladder[len(row) :]:
             for _ in range(s):
                 p = p.derivative()
             row.append(_chorner(p._pairs, xm, xe, ym, ye, prec))
@@ -164,9 +164,10 @@ def christoffel_transform(
     family.require_degree(deg + 2 * k)
     with policy.workprec():
         prec = policy.precision_bits
-        polys = _ladder(family, deg + 2 * k, prec)[deg : deg + 2 * k + 1]
-        rows = [row[deg : deg + 2 * k + 1] for row in _node_rows(family, modifier, deg + 2 * k, prec)]
-        minors = _cofactor_minors(rows, prec)
+        ladder = _ladder(family, deg + 2 * k, prec)
+        polys = ladder[deg:]
+        rows = _node_rows(family, modifier, ladder, prec)
+        minors = _cofactor_minors([row[deg : deg + 2 * k + 1] for row in rows], prec)
         scale = max(abs(u) for u in minors)
         if scale == 0 or abs(minors[-1]) <= policy.rel_tol * scale:
             raise DegenerateTransformError(

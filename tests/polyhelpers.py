@@ -378,10 +378,9 @@ def assert_transform_is_the_mpc_loops(family, modifier, deg: int, policy) -> str
     bit for bit; returns "ok", or the name of the error both routes raise with the same message."""
     prec = policy.precision_bits
     with policy.workprec():
-        top = deg + 2 * modifier.k
-        polys = _ladder(family, top, prec)[deg:]
-        rows = [row[deg : top + 1] for row in _node_rows(family, modifier, top, prec)]
-        oracle_rows = mpc_node_rows(polys, modifier.nodes)
+        ladder = _ladder(family, deg + 2 * modifier.k, prec)
+        rows = [row[deg : len(ladder)] for row in _node_rows(family, modifier, ladder, prec)]
+        oracle_rows = mpc_node_rows(ladder[deg:], modifier.nodes)
         assert [[_to_mpc(*v)._mpc_ for v in row] for row in rows] == [[v._mpc_ for v in row] for row in oracle_rows]
         assert [u._mpc_ for u in _cofactor_minors(rows, prec)] == [u._mpc_ for u in mpc_cofactor_minors(oracle_rows)]
     try:

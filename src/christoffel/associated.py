@@ -23,8 +23,8 @@ from __future__ import annotations
 
 from mpmath import mp
 
-from .core import DEFAULT_POLICY, Polynomial, TolerancePolicy, _to_mpf, relative_residual, to_scalar
-from .families import RecurrenceFamily, _ladder, _three_term
+from .core import DEFAULT_POLICY, Polynomial, TolerancePolicy, _to_mpf, relative_residual
+from .families import RecurrenceFamily, _ladder, _point, _three_term
 
 
 def _sequence(family: RecurrenceFamily, n: int, m: int, prec: int) -> list:
@@ -54,7 +54,7 @@ def associated_identity_residual(
         raise ValueError(f"need 2 <= m <= n, got m={m}, n={n}")
     family.require_degree(n)
     with policy.workprec():
-        x = to_scalar(x)
+        x = _to_mpf(*_point(x, policy))
         ladder = _ladder(family, n, policy.precision_bits)
         rows = family.kernel_rows(n, policy.precision_bits)
         prefix = mp.mpf(1)
@@ -74,7 +74,7 @@ def extension_identity_residual(
         raise ValueError(f"need n >= 1 and m >= 0, got n={n}, m={m}")
     family.require_degree(n + m)
     with policy.workprec():
-        x = to_scalar(x)
+        x = _to_mpf(*_point(x, policy))
         ladder = _ladder(family, n + m, policy.precision_bits)
         t1 = ladder[n + m](x)
         t2 = associated(family, n + m, m, policy)(x) * ladder[n](x)

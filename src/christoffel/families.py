@@ -584,7 +584,7 @@ def recurrence_residual(family: RecurrenceFamily, n: int, x, policy: TolerancePo
         raise ValueError("recurrence residual needs n >= 2")
     family.require_degree(n)
     with policy.workprec():
-        x = to_scalar(x)
+        x = _to_mpf(*_point(x, policy))
         ladder = _ladder(family, n, policy.precision_bits)
         cm, ce, lm, le = family.kernel_rows(n, policy.precision_bits)[n]
         t1 = ladder[n](x)
@@ -611,7 +611,7 @@ def mp_symmetry_residual(family: RecurrenceFamily, n: int, x, policy: ToleranceP
         "mirror", lambda: RecurrenceFamily(CUSTOM, {}, mirrored, None, f"mirror of {family.label}", policy.precision_bits)
     )
     with policy.workprec():
-        x = to_scalar(x)
+        x = _to_mpf(*_point(x, policy))
         lhs = generate(family, n, policy)(x)
         rhs = generate(mirror, n, policy)(-x)
         if n % 2:

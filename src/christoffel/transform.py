@@ -158,6 +158,7 @@ def christoffel_transform(
     Nodes that nearly coincide without being equal make the determinant
     numerically singular and raise an ``ArithmeticError``.
     """
+    family.require_degree(deg)
     k = modifier.k
     if k == 0:
         return generate(family, deg, policy)

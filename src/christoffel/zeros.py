@@ -9,13 +9,14 @@ polished by safeguarded Newton iteration at working precision on the
 recurrence evaluation of p_n; only zeros closer than the bisection's 64-bit
 midpoints resolve are bisected at working precision.  The shift, the scale
 and the double matrix are set up on the family's kernel rows
-(``families._jacobi_frame``), with the mpf set-up's roundings.  When a cell
-holding a single zero is polished, one eigenvalue computed in doubles and
-certified by two counts decides the counts at the cell's later midpoints
-(the argument is next to ``_BAND``), and the cell walks down on integers,
-its midpoints decided by two integer thresholds, so the cells, and every
-polished bit, are those of counting at each midpoint.  Midpoints, Newton
-iterates and the counts that doubles cannot decide run on kernel pairs of
+(``families._jacobi_frame``), with the mpf set-up's roundings.  Every
+bisection is one walk on integers (:func:`_walk`), its midpoints and widths
+the values of mpf arithmetic on the cell's ends.  When a cell holding a
+single zero is polished, one eigenvalue computed in doubles and certified by
+two counts decides the counts at the cell's later midpoints (the argument is
+next to ``_BAND``), mostly by two integer thresholds, so the cells, and
+every polished bit, are those of counting at each midpoint.  Newton iterates
+and the counts that doubles cannot decide run on kernel pairs of
 :mod:`christoffel.core` (an integer mantissa and an exponent), rounded as
 the mpf operations they replace would round them, and Newton evaluates p_n
 with the recurrence sweep of :mod:`christoffel.families` on those pairs; a
@@ -212,39 +213,6 @@ def _enclose(fdiag, foffsq, lo, hi, k):
     return -math.inf, math.inf
 
 
-def _isolate(count, a, b, ca, cb, width, prec):
-    """Ascending brackets (a, b, ca, cb) of the eigenvalues in [a, b), by bisection.
-
-    a, b and ``width`` are kernel pairs (m, e), and midpoints are rounded
-    to ``prec`` bits.  Kernel pairs are not normalised, so ends and widths
-    are compared by value.  ``ca`` and ``cb`` are the Sturm counts at a and
-    b, so a bracket holds the eigenvalues of index ca+1..cb; ``count(x, ca,
-    cb)`` returns the count at the bracket's midpoint x, or any number that
-    clamps to the same value in [ca, cb].  A bracket stops once it is no
-    wider than ``width`` and holds exactly one eigenvalue, or once its
-    midpoint rounds to an end, so only a cluster closer than ``prec`` bits
-    resolve stops holding more than one.
-    """
-    out = []
-    todo = [(a, b, ca, cb)] if ca < cb else []
-    while todo:
-        a, b, ca, cb = todo.pop()
-        (am, ae), (bm, be) = a, b
-        mm, me = _add(am, ae, bm, be, prec)
-        mid = mm, me - 1
-        if (cb - ca == 1 and _cmp(*_add(bm, be, -am, ae, prec), *width) <= 0) or not (
-            _cmp(*mid, am, ae) and _cmp(*mid, bm, be)
-        ):
-            out.append((a, b, ca, cb))
-            continue
-        cm = min(max(count(mid, ca, cb), ca), cb)
-        if cm < cb:
-            todo.append((mid, b, cm, cb))
-        if ca < cm:
-            todo.append((a, mid, ca, cm))
-    return out
-
-
 def _scaled(xm, xe, cm, ce, scale):
     """The double at which the Sturm counts read x = xm * 2**xe: to_float of the 64-bit x - centre, times 2**-scale.
 
@@ -258,19 +226,24 @@ def _scaled(xm, xe, cm, ce, scale):
     return math.ldexp(m, e - scale)
 
 
-def _descend(count, a, b, ca, box, width, centre, scale):
-    """The cell ``_isolate(count, a, b, ca, ca + 1, width, 64)`` stops at, for a cell (a, b) of eigenvalue ca + 1 alone.
+def _walk(count, a, b, ca, cb, width, prec, box=(-math.inf, math.inf), centre=(0, 0), scale=0):
+    """Ascending cells (a, b, ca, cb) of the eigenvalues in [a, b), by bisection on integers.
 
-    ``box`` = (u, v) is that eigenvalue's enclosure: a count at a point whose :func:`_scaled`
-    value (from ``centre``, a kernel pair, and ``scale``) is below u clamps to ca, above v to
-    ca + 1.  The walk runs on integers, a = A 2**e < b = B 2**e.  Its midpoint is A + B
-    rounded to 64 bits and halved, and a width B - A below 2**64 is exact; both ends have at
-    most 64 bits, so these are the values of ``_isolate``'s ``_add`` (wider widths take it).
-    An odd exact A + B refines the unit, e -> e - 1.  Two integers U < V decide most
-    midpoints M without ``_scaled``: it is monotone, so M < U reads below u once the point
-    U - 1 does, and M > V above v once V + 1 does, each checked once.  A midpoint between
-    them takes ``_scaled`` and the box, and inside the box ``count``.  An infinite box gives
-    no U, V, and every midpoint is counted.
+    a, b and ``width`` are kernel pairs, and so are the cells' ends; ``ca`` and ``cb`` are the
+    Sturm counts at a and b, so a cell holds the eigenvalues ca+1..cb, and ``count(x, ca, cb)``
+    gives the count at its midpoint x, or any number that clamps to the same value in [ca, cb].
+    A cell stops once it is no wider than ``width`` and holds one eigenvalue, or once its midpoint
+    rounds to an end, so only a cluster closer than ``prec`` bits resolve stops holding more.
+    Its ends are A 2**e < B 2**e: the midpoint is A + B rounded to ``prec`` bits and halved (an
+    odd exact sum refines the unit, e -> e - 1), and a width B - A below 2**prec is exact, so each
+    value is mpf's at ``prec`` bits.  A split cell walks on in its lower half, the upper one kept.
+
+    ``box`` = (u, v) encloses a lone eigenvalue (cb = ca + 1): a count at a point whose
+    :func:`_scaled` value (from ``centre``, a kernel pair, and ``scale``) is below u clamps to
+    ca, above v to cb.  Two integers U < V decide most midpoints M without ``_scaled``: it is
+    monotone, so M < U reads below u once the point U - 1 does, and M > V above v once V + 1
+    does, each checked once.  A midpoint between them takes ``_scaled`` and the box, and inside
+    the box ``count``; without a finite box every midpoint is counted.
     """
     (am, ae), (bm, be), (wm, we), (u, v) = a, b, width, box
     e = min(ae, be)
@@ -292,29 +265,37 @@ def _descend(count, a, b, ca, box, width, centre, scale):
         if not _scaled(V + 1, e, *centre, scale) > v:
             V = math.inf
     w = wm << (we - e) if we >= e else wm >> (e - we)  # floor(width / 2**e)
+    out, later = [], []
     while True:
         s = A + B
-        k = s.bit_length() - 64
+        k = s.bit_length() - prec
         if k > 0:
-            m = _round(s, 0, 64)[0] << (k - 1)
+            m = _round(s, 0, prec)[0] << (k - 1)
         elif s & 1:
             A, B, e, U, V, m = 2 * A, 2 * B, e - 1, 2 * U - 1, 2 * V + 1, s
             w = wm << (we - e) if we >= e else wm >> (e - we)
         else:
             m = s >> 1
         d = B - A
-        if (d <= w if d.bit_length() <= 64 else _cmp(*_round(d, e, 64), *width) <= 0) or m == A or m == B:
-            return (A, e), (B, e)
-        if m < U:
+        if (cb - ca == 1 and (d <= w if d.bit_length() <= prec else _cmp(*_round(d, e, prec), *width) <= 0)) or m == A or m == B:
+            out.append(((A, e), (B, e), ca, cb))
+            if not later:
+                return out
+            A, B, e, w, ca, cb = later.pop()
+        elif m < U:
             A = m
         elif m > V:
             B = m
         else:
-            xs = _scaled(m, e, *centre, scale)
-            if xs < u or not xs > v and count((m, e), ca, ca + 1) <= ca:
+            xs = _scaled(m, e, *centre, scale) if u > -math.inf else 0.0  # no box: 0.0 decides nothing
+            cm = ca if xs < u else cb if xs > v else min(max(count((m, e), ca, cb), ca), cb)
+            if cm == ca:
                 A = m
-            else:
+            elif cm == cb:
                 B = m
+            else:
+                later.append((m, B, e, w, cm, cb))
+                B, cb = m, cm
 
 
 def _polish(rows, label, n, lo, hi, prec, unit):
@@ -382,10 +363,10 @@ class _Spectrum:
     eigenvalue lies within the band of the midpoint.  In a cell holding one
     zero, its certified enclosure from :func:`_enclose` gives the count
     without counting, except at a midpoint within ``_BAND + _ETA`` of it (the
-    argument is next to ``_BAND``), and :func:`_descend` reads that from two
-    integer thresholds, mostly without forming the midpoint's double.  A cell
-    that 64-bit midpoints cannot split into single zeros is bisected again at
-    working precision.
+    argument is next to ``_BAND``), and its descent in :func:`_walk` reads
+    that from two integer thresholds, mostly without forming the midpoint's
+    double.  A cell that 64-bit midpoints cannot split into single zeros is
+    bisected again at working precision, by the same walk.
 
     Here the bisection stops once each cell holds one zero; :meth:`zero`
     encloses cell i (from 0), bisects it on and polishes it on its first
@@ -403,13 +384,13 @@ class _Spectrum:
 
     From the set-up to the polished zeros everything runs on kernel pairs
     (m, e) of :mod:`christoffel.core` or raw mpf values, with the roundings
-    of the mpf loop it replaces: midpoints, widths and Newton steps are
-    ``_add``, ``_div`` and the recurrence sweep, tests are exact comparisons (``_cmp``), and a
-    point enters the double counts as the mpf ``to_float`` would give it,
-    its 64-bit offset from the centre cut toward zero to 53 bits
-    (:func:`_scaled`).  The 64-bit recounts and the working-precision counts
-    are the mpf Sturm loop on kernel rows (:func:`_count_pairs`), so no count
-    sees an mpf value.
+    of the mpf loop it replaces: Newton steps are ``_add``, ``_div`` and the
+    recurrence sweep, midpoints and widths are integers at the cell's unit,
+    tests are exact comparisons, and a point enters the double counts as the
+    mpf ``to_float`` would give it, its 64-bit offset from the centre cut
+    toward zero to 53 bits (:func:`_scaled`).  The 64-bit recounts and the
+    working-precision counts are the mpf Sturm loop on kernel rows
+    (:func:`_count_pairs`), so no count sees an mpf value.
     """
 
     def __init__(self, family: RecurrenceFamily, n: int, policy: TolerancePolicy):
@@ -439,7 +420,7 @@ class _Spectrum:
 
         # (a, b, single): a one-zero cell (the spread stops them all), or a cell of a cluster's bracket
         cells = []
-        for a, b, ca, cb in _isolate(count64, lo, hi, 0, n, spread, 64):
+        for a, b, ca, cb in _walk(count64, lo, hi, 0, n, spread, 64):
             if cb - ca == 1:
                 cells.append((a, b, True))
                 continue
@@ -447,7 +428,7 @@ class _Spectrum:
             # precision.  64-bit counts are exact for a matrix within about 2**-62 max(|lo|, |hi|) of this one,
             # so the cell is first widened past that reach, (rm, rexp), and only its own indices are kept.
             a, b = _add(*a, -rm, rexp, prec), _add(*b, rm, rexp, prec)
-            for u, v, cu, cv in _isolate(count_wp, a, b, count_wp(a), count_wp(b), width, prec):
+            for u, v, cu, cv in _walk(count_wp, a, b, count_wp(a), count_wp(b), width, prec):
                 cells += [(u, v, False)] * max(0, min(cv, cb) - max(cu, ca))
         if len(cells) != n:
             raise ArithmeticError(f"isolated {len(cells)} of the {n} zeros of {family.label} degree {n}")
@@ -470,7 +451,7 @@ class _Spectrum:
         if i not in self.polished:
             a, b, single = self.cells[i]
             if single:
-                a, b = _descend(self.count64, a, b, i, self.box(i), self.width, self.origin, self.scale)
+                [(a, b, _, _)] = _walk(self.count64, a, b, i, i + 1, self.width, 64, self.box(i), self.origin, self.scale)
             self.polished[i] = _polish(self.rows, self.label, len(self.cells), a, b, self.prec, self.unit)
         return self.polished[i]
 

@@ -422,8 +422,8 @@ def assert_transforms_are_the_mpc_loops(family, bits: int, degrees, node_sets) -
 
 # -- the zero solver on mpf values ----------------------------------------------
 #
-# zeros._Spectrum runs its bisection and Newton steps on kernel pairs; these are
-# the mpf loops it replaced, kept as the oracle its bits are checked against.
+# zeros._Spectrum bisects on integers (zeros._walk) and runs its Newton steps on kernel
+# pairs; these are the mpf loops they replaced, kept as the oracle their bits are checked against.
 
 
 def mpf_count_below(diag, offsq, x, tiny) -> int:

@@ -15,12 +15,14 @@ from christoffel import (
     Polynomial,
     TolerancePolicy,
     associated,
+    associated_identity_residual,
     bound_separation,
     christoffel_transform,
     connection_decompose,
     custom_family,
     even_modifier,
     eval_with_derivative,
+    extension_identity_residual,
     generate,
     generate_all,
     mp_family,
@@ -408,6 +410,23 @@ def test_sweep_rejects_a_nonfinite_point(x, policy):
     for sweep in (eval_with_derivative, values_ladder):
         with pytest.raises(ValueError, match="evaluation point .* is not finite"):
             sweep(fam, 4, x, policy)
+
+
+@pytest.mark.parametrize(
+    "x", ["inf", "-inf", "nan", mp.inf, mp.nan], ids=["inf-str", "-inf-str", "nan-str", "inf", "nan"]
+)
+def test_identity_residuals_reject_a_nonfinite_point(x, policy):
+    # a point that is no finite number is the caller's error, as in the sweep, not a numerical failure
+    fam = mp_family("0.5", "0.9", policy)
+    residuals = (
+        lambda: recurrence_residual(fam, 4, x, policy),
+        lambda: associated_identity_residual(fam, 4, 2, x, policy),
+        lambda: extension_identity_residual(fam, 2, 2, x, policy),
+        lambda: mp_symmetry_residual(fam, 4, x, policy),
+    )
+    for residual in residuals:
+        with pytest.raises(ValueError, match="evaluation point .* is not finite"):
+            residual()
 
 
 def test_far_apart_sums_are_mpf_add_bit_for_bit(policy, monkeypatch):

@@ -166,6 +166,20 @@ def test_transform_degree_budget_enforced(policy):
         christoffel_transform(fam, mod, 8, policy)  # needs p_10
 
 
+@pytest.mark.parametrize("deg", [-1, -2])
+def test_negative_degree_transform_is_rejected(deg, policy):
+    # deg + 2k is in range, but deg is no degree: the usual ValueError, not an IndexError from the ladder
+    fam = mp_family("0.5", "0.9", policy)
+    other = ModifierSpec([mp.mpf("0.5"), mp.mpf("1.5")], policy)  # not the canonical modifier: the determinant route
+    for call in (
+        lambda: christoffel_transform(fam, even_modifier(fam, 1, policy), deg, policy),
+        lambda: christoffel_transform(fam, other, deg, policy),
+        lambda: modified_polynomial(fam, other, deg, policy),
+    ):
+        with pytest.raises(ValueError, match=f"degree must be nonnegative, got {deg}"):
+            call()
+
+
 def test_degree_law_cases():
     assert connection_degree_law(2, 2) == (2, 1, True)
     assert connection_degree_law(3, 2) == (4, 3, False)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import random
@@ -26,7 +27,7 @@ from christoffel import (
 )
 from christoffel import cli, zeros
 from christoffel.cli import main
-from christoffel.core import Polynomial, TolerancePolicy, _add, _cmp, _to_mpf, _unpack
+from christoffel.core import Polynomial, TolerancePolicy, _add, _to_mpf, _unpack
 from christoffel.families import _gershgorin, _jacobi_frame
 
 from polyhelpers import (
@@ -39,6 +40,7 @@ from polyhelpers import (
     mpf_gershgorin,
     mpf_interlace_strict,
     mpf_is_zero,
+    mpf_isolate,
     mpf_zeros,
 )
 
@@ -414,16 +416,16 @@ def test_enclosures_decide_only_where_both_float_counts_agree():
 def _undecided_cells(monkeypatch) -> list:
     """Record each zero whose certified enclosure sent a midpoint of its descent back to the float counts of count64.
 
-    Wraps ``_descend`` to know the cell and its enclosure while it runs, and
-    ``_count_below`` to see a float count there (no enclosure is formed during a descent).
+    Wraps ``_walk`` to know the cell and its enclosure while it runs, and
+    ``_count_below`` to see a float count there (no enclosure is formed during a walk).
     """
-    descend, count_below = zeros._descend, zeros._count_below
+    walk, count_below = zeros._walk, zeros._count_below
     cells, undecided = [], []
 
-    def spied_descend(count, a, b, ca, box, *args):
-        cells.append((ca + 1, box))
+    def spied_walk(count, a, b, ca, cb, width, prec, box=(-math.inf, math.inf), *args):
+        cells.append((cb, box))
         try:
-            return descend(count, a, b, ca, box, *args)
+            return walk(count, a, b, ca, cb, width, prec, box, *args)
         finally:
             cells.pop()
 
@@ -432,7 +434,7 @@ def _undecided_cells(monkeypatch) -> list:
             undecided.append(cells[-1][0])
         return count_below(diag, offsq, x, tiny)
 
-    monkeypatch.setattr(zeros, "_descend", spied_descend)
+    monkeypatch.setattr(zeros, "_walk", spied_walk)
     monkeypatch.setattr(zeros, "_count_below", spied_count_below)
     return undecided
 
@@ -477,22 +479,32 @@ def _descent_cases():
 
 
 @pytest.mark.parametrize("enclosed", [True, False], ids=["enclosures", "no-enclosures"])
-def test_descents_stop_at_the_cells_of_isolate(monkeypatch, enclosed):
-    # _isolate counting at every midpoint with count64 is the reference walk: each
-    # descent on integers must stop at its cell, by value, with or without enclosures.
-    # Cells straddling 0 refine the descent's unit (an odd exact A + B).
-    descend, seen = zeros._descend, []
-    monkeypatch.setattr(zeros, "_descend", lambda *args: seen.append((args, descend(*args))) or seen[-1][1])
+def test_every_walk_is_the_mpf_walk(monkeypatch, enclosed):
+    # mpf_isolate counting at every midpoint with the walk's own count is the reference:
+    # each walk on integers (the first 64-bit walk, a cluster's walk at working precision
+    # and each descent, with or without enclosures) must give its cells, ends by value and
+    # counts.  Cells straddling 0 refine a descent's unit (an odd exact A + B).
+    walk, seen = zeros._walk, []
+    bind = inspect.signature(walk).bind
+    monkeypatch.setattr(zeros, "_walk", lambda *args: seen.append((bind(*args).arguments, walk(*args))) or seen[-1][1])
     if not enclosed:
         monkeypatch.setattr(zeros, "_enclose", lambda *args: (-math.inf, math.inf))
     for fam, n, pol in _descent_cases():
         _solved(fam, n, pol)
-    refined = 0
-    for (count, a, b, ca, box, width, _, _), (lo, hi) in seen:
-        [(u, v, cu, cv)] = zeros._isolate(count, a, b, ca, ca + 1, width, 64)
-        assert (_cmp(*lo, *u), _cmp(*hi, *v), cu, cv) == (0, 0, ca, ca + 1), f"eigenvalue {ca + 1} in {box}"
-        refined += lo[1] < min(a[1], b[1])
-    assert len(seen) == 1265 and refined > 0
+    kinds, refined = Counter(), 0
+    for call, cells in seen:
+        count, a, b, ca, cb, width, prec = (call[name] for name in ("count", "a", "b", "ca", "cb", "width", "prec"))
+        kinds["descent" if "box" in call else count.__name__] += 1
+        with mp.workprec(prec):
+            ref = mpf_isolate(
+                lambda x: count(_unpack(x), ca, cb), *(_to_mpf(*p)._mpf_ for p in (a, b)), ca, cb, _to_mpf(*width)._mpf_, prec
+            )
+        got = [(_to_mpf(*u), _to_mpf(*v), cu, cv) for u, v, cu, cv in cells]
+        assert got == [(mp.make_mpf(x), mp.make_mpf(y), cu, cv) for x, y, cu, cv in ref], f"{ca + 1}..{cb} in {call.get('box')}"
+        if "box" in call:
+            refined += cells[0][0][1] < min(a[1], b[1])
+    assert kinds["descent"] == 1265 and refined > 0
+    assert kinds["count64"] == sum(n > 1 for _, n, _ in _descent_cases()) and kinds["count_wp"] > 0
 
 
 @pytest.mark.parametrize("bits", [64, 256])
@@ -523,18 +535,14 @@ def test_table_1_counts_only_where_no_enclosure_decides(monkeypatch, capsys):
     # thresholds: count64 runs at most 200 times (550 when each descent called it), the
     # float counts stay at 313 (593 when every cell was enclosed, two counts each), only the
     # 10 polished cells are enclosed (150 when every cell was), and no count runs on mpf values
-    counted, isolate, descend, count_below = Counter(), zeros._isolate, zeros._descend, zeros._count_below
+    counted, walk, count_below = Counter(), zeros._walk, zeros._count_below
     enclose = zeros._enclose
     monkeypatch.setattr(zeros, "_enclose", lambda *args: counted.update(["enclose"]) or enclose(*args))
 
-    def spied(walk):
-        def run(count, *args):
-            return walk(lambda x, *cell: counted.update([count.__name__]) or count(x, *cell), *args)
+    def spied_walk(count, *args):
+        return walk(lambda x, *cell: counted.update([count.__name__]) or count(x, *cell), *args)
 
-        return run
-
-    monkeypatch.setattr(zeros, "_isolate", spied(isolate))
-    monkeypatch.setattr(zeros, "_descend", spied(descend))
+    monkeypatch.setattr(zeros, "_walk", spied_walk)
     monkeypatch.setattr(zeros, "_count_below", lambda *args: counted.update([type(args[2]).__name__]) or count_below(*args))
     assert main(["--table", "1"]) == 0
     capsys.readouterr()

@@ -655,7 +655,7 @@ def interlace_strict(G: Polynomial, g, degree: int, outer: ZeroSet, policy: Tole
     g'(x) at each zero x of ``outer`` in order.  A q of degree len(outer) - 1 interlaces
     exactly when q(x_i) q(x_{i+1}) < 0 for every i (Markov's sign argument
     and its converse, Wendroff 1961), read off the mantissas' signs; for any
-    other degree, and for q = 0 (degree -1), which has no zeros, the signs prove
+    other degree, and for q = 0 (G = 0 or a negative ``degree``), which has no zeros, the signs prove
     nothing, so that raises ``ValueError``, as does a g without one row per zero.  Outer zeros that are zeros of q at tolerance
     (:func:`_is_zero`) are reported in ``common`` and make the verdict non-strict.
 
@@ -664,9 +664,10 @@ def interlace_strict(G: Polynomial, g, degree: int, outer: ZeroSet, policy: Tole
     """
     if len(g) != len(outer):
         raise ValueError(f"g needs one row per outer zero, {len(outer)}, got {len(g)}")
-    q_degree = G.degree + degree if G else -1
-    if q_degree != len(outer) - 1:
-        raise ValueError(f"q must have degree {len(outer) - 1} to interlace {len(outer)} zeros, got {q_degree}")
+    if not G or degree < 0:
+        raise ValueError(f"q = G g is 0 (G of degree {G.degree}, g of degree {degree}) and has no zeros to interlace")
+    if G.degree + degree != len(outer) - 1:
+        raise ValueError(f"q must have degree {len(outer) - 1} to interlace {len(outer)} zeros, got {G.degree + degree}")
     signs, common = _decided(G, g, outer.points, policy.abs_tol), ()
     left = [i for i, s in enumerate(signs) if not s]
     if left:

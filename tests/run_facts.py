@@ -1,0 +1,118 @@
+"""Run facts for the CI log, gating nothing: wall times, tracemalloc peaks and the work counts of the
+interlacing check, the zero solver and fresh families on the paper's CLI configurations.
+
+    PYTHONPATH=src python tests/run_facts.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import functools
+import io
+import subprocess
+import sys
+import time
+from collections import Counter
+from types import ModuleType
+
+import christoffel
+from christoffel import TolerancePolicy, bound_separation, cli, gauss_rule, mp_family, pj_family, stieltjes_check
+
+TABLES = (("--table", "1"), ("--table", "2"), ("--table", "3"), ("--verify",))
+GRIDS = (("--grid",), ("--grid", "--n", "16", "--precision-bits", "113"), ("--grid", "--lambda", "100", "--phi", "0.5"))
+
+# {dotted name: tally}: a tally maps a call's arguments to its count, None counts 1
+ROUTES = {"zeros.interlace_strict": lambda G, g, degree, outer, *rest: len(outer), "zeros._q_at": lambda G, g, points, prec: len(points)}
+ENCLOSURES = dict.fromkeys(("zeros._enclose", "zeros._count_below", "zeros._count_pairs"))
+FRESH = {
+    "families.RecurrenceFamily.__init__": None,
+    # the rows kernel_rows will append; a new store starts with row 0
+    "families.RecurrenceFamily.kernel_rows": lambda fam, n, prec: max(0, n + 1 - len(fam._store.get(("recurrence", prec), [None]))),
+    "core._chorner": None,
+}
+COUNTS = {**ROUTES, **ENCLOSURES, **FRESH}
+
+# cli.dispatch's peak in a fresh interpreter that imports nothing more: with this module imported first,
+# --table 1 read 43 KiB for 38 and --verify 1118 for 1092
+PEAK = """import sys, tracemalloc
+from christoffel import cli
+config = cli.config_from_args(cli.build_parser().parse_args(sys.argv[1:]))
+tracemalloc.start()
+cli.dispatch(config)
+print(*sys.argv[1:], f"peak {tracemalloc.get_traced_memory()[1] / 1024:.0f} KiB")
+"""
+
+
+def resolve(name: str) -> tuple:
+    """(owner, attribute) of a dotted name in christoffel, such as ``"families.RecurrenceFamily.kernel_rows"``."""
+    *path, attr = name.split(".")
+    return functools.reduce(getattr, path, christoffel), attr
+
+
+@contextlib.contextmanager
+def counting(tallies: dict):
+    """Count the calls of each name in ``tallies`` in the Counter it yields, wrapping a function in every
+    christoffel module that holds it and a method on its class, and restore them all on exit.  A name is read
+    from its owner's ``vars``: a renamed one raises ``KeyError``, and ``object.__init__`` stands in for none."""
+    seen = Counter()
+
+    def counted(name, call, tally):
+        def run(*args, **kwargs):
+            seen[name] += tally(*args, **kwargs) if tally else 1
+            return call(*args, **kwargs)
+
+        return run
+
+    with contextlib.ExitStack() as undo:
+        for name, tally in tallies.items():
+            owner, attr = resolve(name)
+            call = vars(owner)[attr]
+            holders = [owner]
+            if isinstance(owner, ModuleType):
+                holders = [m for key, m in list(sys.modules.items()) if key.split(".")[0] == "christoffel" and vars(m).get(attr) is call]
+            for holder in holders:
+                setattr(holder, attr, counted(name, call, tally))
+                undo.callback(setattr, holder, attr, call)
+        yield seen
+
+
+def quiet(argv) -> int:
+    """cli.main's exit code on ``argv``, its report discarded."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli.main(list(argv))
+
+
+def log_counts(title: str, configs, tallies: dict) -> None:
+    print(f"== {title}")
+    for argv in configs:
+        with counting(tallies) as seen:
+            code = quiet(argv)
+        print(*argv, f"exit {code}:", ", ".join(f"{name} {seen[name]}" for name in tallies))
+
+
+def main() -> None:
+    print("== CLI wall times, in process")
+    for argv in (*TABLES, GRIDS[0]):
+        started = time.perf_counter()
+        code = quiet(argv)
+        print(*argv, f"exit {code}", f"{time.perf_counter() - started:.3f} s")
+
+    print("== Degree-48 solver wall times on fresh families (the highdeg benchmark's shape)")
+    policy = TolerancePolicy()
+    for fam in (mp_family("0.5", "0.9", policy), pj_family(-60, 8, policy)):
+        for step, args in ((bound_separation, (fam, 48)), (stieltjes_check, (fam, 1, 48)), (gauss_rule, (fam, 48))):
+            started = time.perf_counter()
+            step(*args, policy)
+            print(fam.label, step.__name__, f"{time.perf_counter() - started:.3f} s")
+
+    print("== CLI tracemalloc peaks, each in a fresh process")
+    for argv in (TABLES[0], TABLES[3], GRIDS[0]):
+        print(subprocess.run([sys.executable, "-c", PEAK, *argv], check=True, stdout=subprocess.PIPE, text=True).stdout, end="")
+
+    log_counts("Interlacing routes: zeros handed to interlace_strict, and those left open by doubles for _q_at", GRIDS, ROUTES)
+    log_counts("Enclosures, and Sturm counts in doubles and on kernel pairs", TABLES, ENCLOSURES)
+    log_counts("Fresh-family work: families built, recurrence rows built, complex Horner calls", (*TABLES, GRIDS[0]), FRESH)
+
+
+if __name__ == "__main__":
+    main()

@@ -355,6 +355,12 @@ def test_argparse_rejects_unknown_modes():
         build_parser().parse_args([])
 
 
+def test_dispatch_rejects_an_unknown_command():
+    # argparse offers only the four modes, so only a RunConfig built by hand reaches this check
+    with pytest.raises(ValueError, match="unknown command 'bogus'"):
+        cli.dispatch(RunConfig(command="bogus"))
+
+
 @pytest.mark.parametrize("argv", [["--a", "-1e30", "--b", "-2.5e3"], ["--a=-1e30", "--b=-2.5e3"]])
 def test_negative_exponent_values_parse(argv):
     args = build_parser().parse_args(["--decompose", "--family", "pj", *argv])

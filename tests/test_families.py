@@ -251,6 +251,13 @@ def test_modifier_hash_is_formed_once(policy, monkeypatch):
     assert len({a, b, other}) == 2
 
 
+def test_modifier_rejects_nodes_whose_square_is_not_real(policy):
+    # z^2 = 2i and -3.75 + 2i: c = prod (x^2 - z^2) would have complex coefficients
+    for z in (mp.mpc(1, 1), mp.mpc("0.5", 2)):
+        with pytest.raises(ValueError, match="would give a non-real modifier polynomial"):
+            ModifierSpec([z], policy)
+
+
 def test_modifier_without_nodes_is_one():
     empty = ModifierSpec([])
     assert empty.k == 0

@@ -1,0 +1,37 @@
+"""The names ``run_facts.py`` counts must exist and count work: its CI step gates nothing, so a rename would
+show there only as a traceback under a green check."""
+
+from __future__ import annotations
+
+import sys
+
+import pytest
+
+from christoffel import RecurrenceFamily
+
+from run_facts import COUNTS, counting, quiet, resolve
+
+
+def _held() -> list:
+    """The names of every christoffel module, and of RecurrenceFamily."""
+    return [dict(vars(m)) for key, m in sorted(sys.modules.items()) if key.split(".")[0] == "christoffel"] + [dict(vars(RecurrenceFamily))]
+
+
+def test_every_count_reads_its_work():
+    # --verify reaches every count but _q_at, for doubles decide all its interlacing; this grid leaves one zero to it
+    held = _held()
+    with counting(COUNTS) as seen:
+        assert quiet(["--verify"]) == 0
+        assert quiet(["--grid", "--n", "8", "--precision-bits", "64"]) == 1
+    assert all(seen[name] > 0 for name in COUNTS), seen
+    assert _held() == held
+
+
+@pytest.mark.parametrize("name", COUNTS)
+def test_a_missing_counted_name_raises(name, monkeypatch):
+    monkeypatch.delattr(*resolve(name))
+    held = _held()
+    with pytest.raises(KeyError, match=name.rsplit(".", 1)[1]), counting(COUNTS):
+        pass
+    # the names wrapped before it are put back
+    assert _held() == held

@@ -718,9 +718,13 @@ def test_interlace_needs_one_row_of_g_per_outer_zero(policy):
     for g in ([_ONE] * 2, [_ONE] * 4):
         with pytest.raises(ValueError, match=f"g needs one row per outer zero, 3, got {len(g)}"):
             interlace_strict(Polynomial([0, -2, 1]), g, 0, _outer(-1, 0, 3), policy)
-    # q = 0 has no zeros to interlace, though G = 0 (degree -1) and a g of degree 3 sum to 2
-    with pytest.raises(ValueError, match="q must have degree 2 to interlace 3 zeros, got -1"):
-        interlace_strict(Polynomial([0]), [_ONE] * 3, 3, _outer(-1, 0, 3), policy)
+    # q = 0 has no zeros to interlace: G = 0 (degree -1) with a g of degree 3 would sum to 2, and with no outer
+    # zeros G = 0, or g = 0 (degree -1) with G = 1, would sum to -1
+    for G, g, degree, outer in ((Polynomial([0]), [_ONE] * 3, 3, _outer(-1, 0, 3)),
+                                (Polynomial([]), [], 0, zeros.ZeroSet((), "x")),
+                                (Polynomial([1]), [], -1, zeros.ZeroSet((), "x"))):
+        with pytest.raises(ValueError, match="q = G g is 0"):
+            interlace_strict(G, g, degree, outer, policy)
 
 
 def test_zero_set_reads_real_numbers_and_rejects_the_rest():

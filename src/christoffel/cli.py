@@ -48,7 +48,7 @@ from typing import Optional
 from mpmath import mp
 
 from . import __version__
-from .core import TolerancePolicy, to_scalar
+from .core import TolerancePolicy, _beyond, _root_counts, to_scalar
 from .families import _sweep, even_modifier, generate, generate_all, mp_family, mp_symmetry_residual, pj_family, recurrence_residual
 from .associated import associated_identity_residual, extension_identity_residual
 from .transform import christoffel_transform, connection_decompose, connection_degree_law
@@ -314,66 +314,13 @@ def _degree_law(decomp) -> tuple:
     return fields, fields["deg_a"] == law.deg_a and fields["deg_G"] == law.deg_G
 
 
-def _sign_changes(values) -> int:
-    """Sign changes along ``values``, zero entries dropped."""
-    signs = [v > 0 for v in values if v]
-    return sum(s != t for s, t in zip(signs, signs[1:]))
-
-
-def _sign_at(f, xm: int, xe: int) -> int:
-    """f(x) 2**(k deg f), k = max(0, -xe), at x = xm * 2**xe for ascending integer coefficients ``f``:
-    an exact integer of f(x)'s sign."""
-    k = max(0, -xe)
-    xm <<= max(0, xe)
-    acc = 0
-    for shift, c in enumerate(reversed(f)):
-        acc = acc * xm + (c << k * shift)
-    return acc
-
-
-def _root_counts(G, zp, cell) -> tuple:
-    """(real, below, above): the real roots of G, those below x_1 and those above x_n, counted exactly (Sturm).
-
-    G's kernel pairs and the points x_1, x_n of ``zp.points`` are dyadic rationals, so the chain is
-    formed on integers: G scaled to integer coefficients, G', then each negated pseudo-remainder,
-    taken with the positive multiplier |lc|**delta and divided by its content, which keeps every
-    sign.  With V(x) the chain's sign changes at x, V(a) - V(b) counts the roots in (a, b], so a
-    root at x_1 is not below; V(-inf) and V(inf) read the leading coefficients.  A constant G has
-    no roots; a nonconstant last element is a repeated root of G, an ``ArithmeticError`` naming ``cell``.
-    """
-    from math import gcd  # integers only: fractions would cost every CLI start its import
-
-    if G.degree < 1:
-        return 0, 0, 0
-    low = min(e for m, e in G._pairs if m)
-    chain = [[m << (e - low) if m else 0 for m, e in G._pairs]]
-    chain.append([i * c for i, c in enumerate(chain[0])][1:])
-    while len(chain[-1]) > 1:
-        r, b = list(chain[-2]), chain[-1]
-        scale, lead = abs(b[-1]), (1 if b[-1] > 0 else -1)
-        while len(r) >= len(b):
-            q, s = lead * r[-1], len(r) - len(b)
-            r = [scale * c - (q * b[i - s] if i >= s else 0) for i, c in enumerate(r[:-1])]
-        while r and not r[-1]:
-            r.pop()
-        if not r:
-            raise ArithmeticError(f"connection coefficient G of cell (n, m, k) = {cell} has a repeated root")
-        content = gcd(*r)
-        chain.append([-c // content for c in r])
-    ends = [_sign_changes([f[-1] * (-1) ** (len(f) - 1) for f in chain]), _sign_changes([f[-1] for f in chain])]
-    at = [_sign_changes([_sign_at(f, *x) for f in chain]) for x in (zp.points[0], zp.points[-1])]
-    below = ends[0] - at[0] - (_sign_at(chain[0], *zp.points[0]) == 0)
-    return ends[0] - ends[1], below, at[1] - ends[1]
-
-
 def _grid_interlace(decomp, zp, rows, policy: TolerancePolicy) -> str:
     """Interlace verdict of G g_{n-m,k} against the zeros ``zp`` of p_n (see :func:`_grid_rows`).
 
-    ``rows[i]`` holds the shifted family's sweep rows at zp[i], (g_{j,k}, g_{j,k}') as kernel
-    pairs (m, e, dm, de) for j = 0, 1, ...; the sign changes of g_0..g_{n-m} at x count g's
-    zeros above x (Sturm), and one at x_1 is not outside.  A failed cell is named by counts
-    alone: G's nonreal roots, and its real ones inside and outside [x_1, x_n], from
-    :func:`_root_counts`; no root is solved for.
+    ``rows[i]`` holds the shifted family's sweep rows at zp[i], (g_{j,k}, g_{j,k}') as kernel pairs
+    (m, e, dm, de) for j = 0, 1, ...: a Sturm sequence of g, with n - m sign changes at -inf and none at inf.
+    A failed cell is named by counts alone: G's nonreal roots, and the real roots of G and g inside and
+    outside [x_1, x_n] (``core._root_counts``, ``core._beyond``); no root is solved for.
     """
     n, m = decomp.n, decomp.m
     G = decomp.G_poly
@@ -382,13 +329,13 @@ def _grid_interlace(decomp, zp, rows, policy: TolerancePolicy) -> str:
         verdict = interlace_strict(G, [row[n - m] for row in rows], n - m, zp, policy)
         if verdict.strict:
             return "holds"
-    real, below, above = _root_counts(G, zp, (n, m, decomp.k))
+    label = f"connection coefficient G of cell (n, m, k) = {(n, m, decomp.k)}"
+    real, below, above = _root_counts(G, zp.points[0], zp.points[-1], label)
     if G.degree > real:
         return f"fails({G.degree - real} nonreal G roots)"
     if verdict is not None:
         return "fails(common zeros)" if verdict.common else "fails"
-    first, last = ([r[0] for r in row[: n - m + 1]] for row in (rows[0], rows[-1]))
-    outside = n - m - _sign_changes(first) - (first[-1] == 0) + _sign_changes(last) + below + above
+    outside = below + above + sum(_beyond(*([r[0] for r in row[n - m :: -1]] for row in (rows[0], rows[-1])), (n - m, 0)))
     return f"fails(size {n - m + real} vs {len(zp) - 1}, {outside} outside span)"
 
 
@@ -409,8 +356,8 @@ def _grid_rows(config: RunConfig, policy: TolerancePolicy):
     The modifiers, shifted families and left sides are kept by the family.
     For m = 2, k = 3 the product has n+1 zeros, which cannot interlace n
     zeros one-per-gap; the grid asserts that failure and counts, exactly, the roots of G
-    (:func:`_root_counts`, a Sturm chain of G) and, by sign changes of the same sweep rows
-    (Sturm again), the zeros of g outside [x_1, x_n].
+    (``core._root_counts``, a Sturm chain of G) and, by sign changes of the same sweep rows
+    (Sturm again, ``core._beyond``), the zeros of g outside [x_1, x_n].
     """
     lam = "0.5" if config.lam is None else config.lam
     phi = "0.9" if config.phi is None else config.phi

@@ -32,7 +32,7 @@ libmpc's roundings) run on it; results leave it as mpf or mpc values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import copysign, inf, isqrt, ldexp
+from math import copysign, gcd, inf, isqrt, ldexp
 from typing import Iterable, Sequence
 
 from mpmath import mp
@@ -549,6 +549,59 @@ class Polynomial:
         prec = mp.prec
         tm, te = _unpack(require_finite(to_scalar(threshold), "chop threshold")._mpf_)
         return Polynomial._of([(m, e) if _cmp(*_round(abs(m), e, prec), tm, te) > 0 else (0, 0) for m, e in self._pairs])
+
+
+def _sign_changes(values) -> int:
+    """Sign changes along ``values``, zero entries dropped."""
+    signs = [v > 0 for v in values if v]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def _beyond(at_lo, at_hi, ends) -> tuple:
+    """(below, above): the roots of a Sturm sequence's first member below lo and above hi, from the sequence's
+    values at lo and at hi (that member's value first) and its sign changes ``ends`` at -inf and inf.  With V(x)
+    the sign changes at x, V(a) - V(b) counts the roots in (a, b], so a root at lo is not below, nor one at hi above."""
+    return ends[0] - _sign_changes(at_lo) - (at_lo[0] == 0), _sign_changes(at_hi) - ends[1]
+
+
+def _sign_at(f, xm: int, xe: int) -> int:
+    """f(x) 2**(k deg f), k = max(0, -xe), at x = xm * 2**xe for ascending integer coefficients ``f``:
+    an exact integer of f(x)'s sign."""
+    k = max(0, -xe)
+    xm <<= max(0, xe)
+    acc = 0
+    for shift, c in enumerate(reversed(f)):
+        acc = acc * xm + (c << k * shift)
+    return acc
+
+
+def _root_counts(f: Polynomial, lo: tuple, hi: tuple, label: str) -> tuple:
+    """(real, below, above): the real roots of f, those below lo and those above hi, counted exactly (Sturm).
+
+    f's pairs and the kernel pairs ``lo`` and ``hi`` are dyadic, so the chain is formed on integers: f scaled
+    to integer coefficients, f', then each negated pseudo-remainder, taken with the positive multiplier
+    |lc|**delta and divided by its content, which keeps every sign (:func:`_beyond` reads it).  A constant f
+    has no roots; a nonconstant last element is a repeated root of f, an ``ArithmeticError`` naming ``label``.
+    """
+    if f.degree < 1:
+        return 0, 0, 0
+    low = min(e for m, e in f._pairs if m)
+    chain = [[m << (e - low) if m else 0 for m, e in f._pairs]]
+    chain.append([i * c for i, c in enumerate(chain[0])][1:])
+    while len(chain[-1]) > 1:
+        r, b = list(chain[-2]), chain[-1]
+        scale, lead = abs(b[-1]), (1 if b[-1] > 0 else -1)
+        while len(r) >= len(b):
+            q, s = lead * r[-1], len(r) - len(b)
+            r = [scale * c - (q * b[i - s] if i >= s else 0) for i, c in enumerate(r[:-1])]
+        while r and not r[-1]:
+            r.pop()
+        if not r:
+            raise ArithmeticError(f"{label} has a repeated root")
+        content = gcd(*r)
+        chain.append([-c // content for c in r])
+    ends = [_sign_changes([c[-1] * (-1) ** (len(c) - 1) for c in chain]), _sign_changes([c[-1] for c in chain])]
+    return (ends[0] - ends[1], *_beyond(*([_sign_at(c, *x) for c in chain] for x in (lo, hi)), ends))
 
 
 def relative_residual(total, terms: Sequence) -> mp.mpf:

@@ -518,8 +518,8 @@ class ModifierSpec:
 
     ``nodes`` holds x_1, ..., x_k, one per zero pair +-x_i of c; for the
     built-in families they are purely imaginary.  ``c`` is built from them and
-    k is their number, so a modifier is checked once, here: each node must
-    give real coefficients (purely imaginary or purely real nodes do).  Any
+    k is their number, so a modifier is checked once, here: each node must be
+    finite and give real coefficients (purely imaginary or purely real nodes do).  Any
     multiset of nodes is a modifier: a node repeated, repeated up to sign, or
     the node 0 is a zero of c with multiplicity, which the determinant
     transform takes with confluent rows, the derivatives p^{(s)} at that zero
@@ -535,6 +535,8 @@ class ModifierSpec:
             clean = []
             for z in nodes:
                 z = mp.mpc(z)
+                if not mp.isfinite(z):  # nan passes the test below, as every comparison with it is false
+                    raise ValueError(f"node {z} is not finite")
                 z2 = z * z
                 if abs(z2.imag) > policy.abs_tol * max(1, abs(z2)):
                     raise ValueError(f"node {z} would give a non-real modifier polynomial")

@@ -30,7 +30,7 @@ alternation of q = G g at the already computed zeros of p_n, for the grid and
 test that the zero is no zero of q, is what q formed on kernel pairs from G and
 g's sweep rows gives; doubles with a running error bound decide almost every
 one, and only the zeros they leave open form q on pairs.  Nor is a root of G: the grid names a
-failed cell by counting G's roots, exactly, on a Sturm chain (``cli._root_counts``).
+failed cell by counting G's roots, exactly, on a Sturm chain (``core._root_counts``).
 General root finding (:func:`polynomial_real_roots`) is kept as public API, with
 no caller in the library; the tests read it as the oracle for those counts.
 
@@ -656,12 +656,15 @@ def interlace_strict(G: Polynomial, g, degree: int, outer: ZeroSet, policy: Tole
     exactly when q(x_i) q(x_{i+1}) < 0 for every i (Markov's sign argument
     and its converse, Wendroff 1961), read off the mantissas' signs; for any
     other degree, and for q = 0 (G = 0 or a negative ``degree``), which has no zeros, the signs prove
-    nothing, so that raises ``ValueError``, as does a g without one row per zero.  Outer zeros that are zeros of q at tolerance
+    nothing, so that raises ``ValueError``, as do a g without one row per zero and an ``outer`` that is
+    no :class:`ZeroSet`.  Outer zeros that are zeros of q at tolerance
     (:func:`_is_zero`) are reported in ``common`` and make the verdict non-strict.
 
     The signs and zero tests are those of q and q' formed on kernel pairs (:func:`_q_at`), but doubles with an
     error bound decide them first (:func:`_decided`), and only the zeros they leave open take that route.
     """
+    if not isinstance(outer, ZeroSet):
+        raise ValueError(f"outer zeros must be a ZeroSet, got {type(outer).__name__}")
     if len(g) != len(outer):
         raise ValueError(f"g needs one row per outer zero, {len(outer)}, got {len(g)}")
     if not G or degree < 0:

@@ -22,7 +22,11 @@ TABLES = (("--table", "1"), ("--table", "2"), ("--table", "3"), ("--verify",))
 GRIDS = (("--grid",), ("--grid", "--n", "16", "--precision-bits", "113"), ("--grid", "--lambda", "100", "--phi", "0.5"))
 
 # {dotted name: tally}: a tally maps a call's arguments to its count, None counts 1
-ROUTES = {"zeros.interlace_strict": lambda G, g, degree, outer, *rest: len(outer), "zeros._q_at": lambda G, g, points, prec: len(points)}
+ROUTES = {
+    "zeros.interlace_strict": lambda G, g, degree, outer, *rest: len(outer),
+    "zeros._q_at": lambda G, g, points, prec: len(points),
+    "core._root_counts": None,
+}
 ENCLOSURES = dict.fromkeys(("zeros._enclose", "zeros._count_below", "zeros._count_pairs"))
 FRESH = {
     "families.RecurrenceFamily.__init__": None,
@@ -109,7 +113,8 @@ def main() -> None:
     for argv in (TABLES[0], TABLES[3], GRIDS[0]):
         print(subprocess.run([sys.executable, "-c", PEAK, *argv], check=True, stdout=subprocess.PIPE, text=True).stdout, end="")
 
-    log_counts("Interlacing routes: zeros handed to interlace_strict, and those left open by doubles for _q_at", GRIDS, ROUTES)
+    log_counts("Interlacing routes: zeros handed to interlace_strict, those left open by doubles for _q_at, and"
+               " the Sturm chains of G that name the failed cells", GRIDS, ROUTES)
     log_counts("Enclosures, and Sturm counts in doubles and on kernel pairs", TABLES, ENCLOSURES)
     log_counts("Fresh-family work: families built, recurrence rows built, complex Horner calls", (*TABLES, GRIDS[0]), FRESH)
 

@@ -37,7 +37,7 @@ from christoffel.cli import (
     dispatch,
     main,
 )
-from christoffel.core import _unpack
+from christoffel.core import _root_counts, _sign_changes, _unpack
 
 from polyhelpers import assert_grid_q_is_the_mpf_route
 from polyhelpers import solved_span_label as _solved_span_label
@@ -530,7 +530,7 @@ def test_sweep_sign_changes_count_the_zeros_above(policy):
             points = [mp.mpf(0), mp.mpf(-3), mp.mpf(3), mp.mpf("0.3"), *near]
             for x in points:
                 values = [v for v, _ in values_ladder(fam, d, x, policy)]
-                assert cli._sign_changes(values) == sum(1 for z in zs.values if z > x and abs(z - x) > policy.abs_tol)
+                assert _sign_changes(values) == sum(1 for z in zs.values if z > x and abs(z - x) > policy.abs_tol)
 
 
 def _kernel_sweeps(fam, d, zp, policy) -> list:
@@ -572,7 +572,7 @@ def test_grid_interlace_names_each_failure(policy):
 
 
 def _solved_counts(G, zp, policy) -> tuple:
-    """``_root_counts``'s (real, below, above), and the nonreal count, from G's roots solved by polyroots."""
+    """``core._root_counts``'s (real, below, above) on [x_1, x_n], and the nonreal count, from G's roots solved by polyroots."""
     roots, nonreal = polynomial_real_roots(G, policy)
     with policy.workprec():
         tol = policy.abs_tol * max(1, abs(zp[0]), abs(zp[-1]))
@@ -580,7 +580,8 @@ def _solved_counts(G, zp, policy) -> tuple:
 
 
 def test_root_counts_are_the_solved_roots(policy):
-    zp = zeros_golub_welsch(mp_family("0.5", "0.9", policy), 6, policy)
+    fam = mp_family("0.5", "0.9", policy)
+    zp = zeros_golub_welsch(fam, 6, policy)
     pair = Polynomial([1, 0, 1])  # x^2 + 1
     with policy.workprec():
         x1, xn, mid = zp[0], zp[-1], (zp[2] + zp[3]) / 2
@@ -598,11 +599,16 @@ def test_root_counts_are_the_solved_roots(policy):
         ]
         assert lin[1](x1) == (pair * lin[1])(x1) == lin[5](xn) == 0
     for G, counts in cases:
-        real, below, above = cli._root_counts(G, zp, (6, 2, 3))
+        real, below, above = _root_counts(G, zp.points[0], zp.points[-1], "G")
         assert (real, below, above, G.degree - real) == counts == _solved_counts(G, zp, policy), G
-    # an exact repeated root: (x - 1)^2 (x - 3), whose chain ends in x - 1
-    with pytest.raises(ArithmeticError, match=r"G of cell \(n, m, k\) = \(6, 2, 3\) has a repeated root"):
-        cli._root_counts(Polynomial([-3, 7, -5, 1]), zp, (6, 2, 3))
+    # an exact repeated root: (x - 1)^2 (x - 3), whose chain ends in x - 1; the grid names its cell
+    repeated = Polynomial([-3, 7, -5, 1])
+    with pytest.raises(ArithmeticError, match="^G has a repeated root$"):
+        _root_counts(repeated, zp.points[0], zp.points[-1], "G")
+    decomp = dataclasses.replace(connection_decompose(fam, even_modifier(fam, 3, policy), 6, 2, policy), G_poly=repeated)
+    rows = _kernel_sweeps(fam.shifted(3), 4, zp, policy)
+    with pytest.raises(ArithmeticError, match=r"^connection coefficient G of cell \(n, m, k\) = \(6, 2, 3\) has a repeated root$"):
+        cli._grid_interlace(decomp, zp, rows, policy)
 
 
 @pytest.mark.parametrize(

@@ -256,6 +256,10 @@ def test_modifier_rejects_nodes_whose_square_is_not_real(policy):
     for z in (mp.mpc(1, 1), mp.mpc("0.5", 2)):
         with pytest.raises(ValueError, match="would give a non-real modifier polynomial"):
             ModifierSpec([z], policy)
+    # a nan node passes that test, as every comparison with nan is false
+    for z in (mp.nan, mp.inf, mp.mpc(mp.nan, 1), mp.mpc(0, mp.inf)):
+        with pytest.raises(ValueError, match="is not finite"):
+            ModifierSpec([z], policy)
 
 
 def test_modifier_without_nodes_is_one():

@@ -18,12 +18,14 @@ def _held() -> list:
 
 
 def test_every_count_reads_its_work():
-    # --verify reaches every count but _q_at, for doubles decide all its interlacing; this grid leaves one zero to it
+    # --verify reaches every count but _q_at and _root_counts, for doubles decide all its interlacing and it has no
+    # grid cells; this grid leaves one zero to _q_at and counts G's roots in its 5 cells of m = 2, k = 3
     held = _held()
     with counting(COUNTS) as seen:
         assert quiet(["--verify"]) == 0
         assert quiet(["--grid", "--n", "8", "--precision-bits", "64"]) == 1
     assert all(seen[name] > 0 for name in COUNTS), seen
+    assert seen["core._root_counts"] == 5
     assert _held() == held
 
 

@@ -718,6 +718,10 @@ def test_interlace_needs_one_row_of_g_per_outer_zero(policy):
     for g in ([_ONE] * 2, [_ONE] * 4):
         with pytest.raises(ValueError, match=f"g needs one row per outer zero, 3, got {len(g)}"):
             interlace_strict(Polynomial([0, -2, 1]), g, 0, _outer(-1, 0, 3), policy)
+    # a plain sequence has no kernel pairs, nor ZeroSet's finiteness check
+    for outer in ([mp.mpf(-1), mp.mpf(0), mp.mpf(3)], (mp.mpf(-1), mp.mpf(0), mp.mpf(3))):
+        with pytest.raises(ValueError, match=f"outer zeros must be a ZeroSet, got {type(outer).__name__}"):
+            interlace_strict(Polynomial([0, -2, 1]), [_ONE] * 3, 0, outer, policy)
     # q = 0 has no zeros to interlace: G = 0 (degree -1) with a g of degree 3 would sum to 2, and with no outer
     # zeros G = 0, or g = 0 (degree -1) with G = 1, would sum to -1
     for G, g, degree, outer in ((Polynomial([0]), [_ONE] * 3, 3, _outer(-1, 0, 3)),

@@ -9,24 +9,35 @@ together with a validity range.  Lambda(n) > 0 over the whole range is what
 makes the sequence orthogonal with respect to a positive weight, hence real
 simple zeros and a symmetric Jacobi matrix.
 
-Built-in families:
+A built-in family also carries the paper's facts about it (:class:`Paper`):
+its canonical even modifier c_{2k} (:func:`even_modifier`); the parameter
+shift that gives the family of c_{2k} w, the cheap independent route to the
+modified polynomials and so the oracle for the determinant-based Christoffel
+transform; and the inner bounds B_n(k), k in {0, 1, 2}, the roots of the
+linear G of the gap-2 decomposition, strictly between the extreme zeros of
+p_n, and their order.  A custom family has none of these.
 
 * Meixner-Pollaczek, parameters lambda > 0 and 0 < phi < pi:
       C(n) = -(lambda + n - 1) cot(phi)
       Lambda(n) = (n - 1)(2 lambda + n - 2) / (4 sin(phi)^2)
-  valid for every degree.
+  valid for every degree; c_{2k} = prod_{j<k} ((lambda + j)^2 + x^2), nodes
+  i(lambda + j), shift lambda -> lambda + k; B_n(k) = -(lambda)_k (lambda)_n
+  / ((lambda)_{n+k-1} tan(phi)), in cancelled form (no large Pochhammer ratios)
+      B_n(0) = -(lambda + n - 1) cot(phi)
+      B_n(1) = -lambda cot(phi)
+      B_n(2) = -lambda (lambda + 1) cot(phi) / (lambda + n)
+  rising in k for phi < pi/2, falling for phi > pi/2, all 0 at pi/2.
 
 * Pseudo-Jacobi, parameters a, b with a < -2:
       C(n) = -a b / ((a + n - 1)(a + n))
       Lambda(n) = -(n-1)(2a + n - 1)((a + n - 1)^2 + b^2)
                   / ((a + n - 1)^2 (4 (a + n - 1)^2 - 1))
-  valid for degrees n with a < -n only.
-
-Both support the canonical even weight modification: multiplying the weight
-by the even polynomial ``c_{2k}`` produced by :func:`even_modifier` shifts
-the family parameter (lambda -> lambda + k, a -> a + k), which is the cheap
-independent route to the modified polynomials used as an oracle for the
-determinant-based Christoffel transform.
+  valid for degrees n with a < -n only; c_{2k} = (1 + x^2)^k, the node i
+  k times, shift a -> a + k;
+      B_n(0) = -a b / ((a + n)(a + n - 1))
+      B_n(1) = -b / (a + n)
+      B_n(2) = -b / (a + 1)
+  falling in k for b > 0, rising for b < 0, all 0 at b = 0.
 
 A family is defined by one row function, (j, prec) -> the kernel row of C(j)
 and Lambda(j) at ``prec`` bits: for the built-in families the mpf formulas
@@ -43,7 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cmp_to_key
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping, NamedTuple, Optional
 
 from mpmath import mp
 from mpmath.libmp import fone, from_man_exp, from_str, mpf_abs, mpf_add, mpf_cmp, mpf_mul, mpf_shift, mpf_sub
@@ -71,16 +82,27 @@ def _snapped_cot(phi):
     return c / mp.sin(phi)
 
 
+class Paper(NamedTuple):
+    """A built-in family's facts, closures over its parameters (never the family): ``shift(k)``, the family of
+    c_{2k} w at the family's precision; ``nodes(k)`` and ``bounds(n)`` = (B_n(0), B_n(1), B_n(2)) at the ambient
+    precision; ``direction()``, positive when B_n(k) rises in k, negative when it falls, 0 when all are 0."""
+
+    shift: Callable[[int], "RecurrenceFamily"]
+    nodes: Callable[[int], list]
+    bounds: Callable[[int], tuple]
+    direction: Callable[[], mp.mpf]
+
+
 @dataclass(frozen=True, eq=False)
 class RecurrenceFamily:
     """Recurrence coefficient provider plus parameter record and validity range.
 
     ``row(j, prec)`` is the recurrence's one definition: the kernel row (cm, ce, lm, le) of
     C(j) = cm * 2**ce and Lambda(j) = lm * 2**le at ``prec`` bits, normalised as ``_unpack``
-    gives an mpf (Lambda(1) is 0).  ``max_valid_degree`` is None for an unbounded family.
-    Instances are immutable and compared by identity.  Everything derived from the
-    recurrence lives in a private store, filled through :meth:`owned` and freed together
-    with the family.
+    gives an mpf (Lambda(1) is 0).  ``max_valid_degree`` is None for an unbounded family, and
+    ``paper`` for a custom one; ``kind`` is a label.  Instances are immutable and compared by
+    identity.  Everything derived from the recurrence lives in a private store, filled through
+    :meth:`owned` and freed together with the family.
     """
 
     kind: str
@@ -88,7 +110,7 @@ class RecurrenceFamily:
     row: Callable[[int, int], tuple]
     max_valid_degree: Optional[int]
     label: str
-    precision_bits: int = 256
+    paper: Optional[Paper] = None
     _store: dict = field(default_factory=dict, init=False, repr=False)
 
     def C(self, n: int) -> mp.mpf:
@@ -137,33 +159,33 @@ class RecurrenceFamily:
                 f"(max valid degree {self.max_valid_degree})"
             )
 
-    @property
-    def supports_shift(self) -> bool:
-        return self.kind in (MEIXNER_POLLACZEK, PSEUDO_JACOBI)
-
     def shifted(self, k: int) -> "RecurrenceFamily":
-        """The family orthogonal with respect to c_{2k}(x) w(x), via parameter shift (kept).
+        """The family orthogonal with respect to c_{2k}(x) w(x), by the paper's parameter shift (kept).
 
         c_0 = 1, so ``shifted(0)`` is the family itself, not stored: a family
         that stored itself would be a reference cycle, left to the collector.
         """
-        if k < 0:
-            raise ValueError("shift must be nonnegative")
+        _order(k, "shift")
         if k == 0:
             return self
-
-        def build() -> "RecurrenceFamily":
-            # the parameter sum must round at the family's precision, not at
-            # whatever ambient precision the caller happens to be running under
-            policy = TolerancePolicy(precision_bits=self.precision_bits)
-            with policy.workprec():
-                if self.kind == MEIXNER_POLLACZEK:
-                    return mp_family(self.params["lambda"] + k, self.params["phi"], policy)
-                if self.kind == PSEUDO_JACOBI:
-                    return pj_family(self.params["a"] + k, self.params["b"], policy)
+        if self.paper is None:
             raise ValueError(f"{self.label} has no canonical parameter shift")
 
+        def build() -> "RecurrenceFamily":
+            try:
+                return self.paper.shift(k)
+            except ValueError as exc:  # a shifted parameter the caller never gave: name what they did give
+                raise ValueError(f"the order-{k} shift of {self.label} leaves its parameter range") from exc
+
         return self.owned(("shifted", k), build)
+
+
+def _order(k, name: str) -> None:
+    """A shift or modifier order must be a nonnegative int: 1.5 would shift lambda by 1.5, and range(1.5) fails."""
+    if not isinstance(k, int):
+        raise ValueError(f"{name} must be an integer, got {k!r}")
+    if k < 0:
+        raise ValueError(f"{name} must be nonnegative")
 
 
 def _gershgorin(rows: list, prec: int) -> tuple:
@@ -240,13 +262,21 @@ def mp_family(lam, phi, policy: TolerancePolicy = DEFAULT_POLICY) -> RecurrenceF
         vm, ve = _round((j - 1) * vm, ve, prec)
         return (*_normal(*_round(-um * tm, ue + te, prec)), *_normal(*_round(vm * sm, ve + se, prec)))
 
+    def shift(k: int) -> RecurrenceFamily:
+        with policy.workprec():  # lambda + k rounds at the family's precision, not the caller's
+            return mp_family(lam + k, phi, policy)
+
+    def bounds(n: int) -> tuple:
+        cot = _snapped_cot(phi)
+        return -(lam + n - 1) * cot, -lam * cot, -lam * (lam + 1) / (lam + n) * cot
+
     return RecurrenceFamily(
         kind=MEIXNER_POLLACZEK,
         params={"lambda": lam, "phi": phi},
         row=row,
         max_valid_degree=None,
         label=f"MP(lambda={mp.nstr(lam, 10)}, phi={mp.nstr(phi, 10)})",
-        precision_bits=policy.precision_bits,
+        paper=Paper(shift, lambda k: [mp.mpc(0, lam + j) for j in range(k)], bounds, lambda: _snapped_cot(phi)),
     )
 
 
@@ -281,13 +311,20 @@ def pj_family(a, b, policy: TolerancePolicy = DEFAULT_POLICY) -> RecurrenceFamil
         fm, fe = _add(*_round(4 * tm * tm, 2 * te, prec), -1, 0, prec)
         return (*_normal(cm, ce), *_normal(*_div(um, ue, *_round(sm * fm, se + fe, prec), prec)))
 
+    def shift(k: int) -> RecurrenceFamily:
+        with policy.workprec():  # a + k rounds at the family's precision, not the caller's
+            return pj_family(a + k, b, policy)
+
+    def bounds(n: int) -> tuple:
+        return -a * b / ((a + n) * (a + n - 1)), -b / (a + n), -b / (a + 1)
+
     return RecurrenceFamily(
         kind=PSEUDO_JACOBI,
         params={"a": a, "b": b},
         row=row,
         max_valid_degree=nmax,
         label=f"PJ(a={mp.nstr(a, 10)}, b={mp.nstr(b, 10)})",
-        precision_bits=policy.precision_bits,
+        paper=Paper(shift, lambda k: [mp.mpc(0, 1)] * k, bounds, lambda: -b),
     )
 
 
@@ -296,7 +333,7 @@ def custom_family(
     Lambda: Callable[[int], mp.mpf],
     max_valid_degree: Optional[int] = None,
     label: str = "custom",
-    policy: TolerancePolicy = DEFAULT_POLICY,
+    policy: TolerancePolicy = DEFAULT_POLICY,  # unused: each row is read at the precision it asks for
 ) -> RecurrenceFamily:
     """The family of the mpf maps C and Lambda, each read at the row's precision and checked finite (``ValueError``)."""
 
@@ -315,7 +352,6 @@ def custom_family(
         row=row,
         max_valid_degree=max_valid_degree,
         label=label,
-        precision_bits=policy.precision_bits,
     )
 
 
@@ -555,27 +591,19 @@ class ModifierSpec:
 
 
 def even_modifier(family: RecurrenceFamily, k: int, policy: TolerancePolicy = DEFAULT_POLICY) -> ModifierSpec:
-    """The canonical even modifier of order k for the family, kept per (k, policy).
+    """The canonical even modifier of order k for the family, from its paper's nodes, kept per (k, policy).
 
-    Meixner-Pollaczek: c = prod_{j<k} ((lambda+j)^2 + x^2), nodes i(lambda+j).
-    Pseudo-Jacobi: c = (1+x^2)^k, the node i repeated k times, so +-i are
-    zeros of multiplicity k; the determinant transform takes them with the
-    confluent rows p^{(s)}(+-i), s < k (Szego, Thm 2.5), and agrees with the
-    parameter shift a -> a + k.
+    Nodes that repeat, as Pseudo-Jacobi's i does, are zeros of c with multiplicity; the determinant
+    transform takes them with confluent rows (Szego, Thm 2.5), and agrees with the parameter shift.
     """
-    if k < 0:  # [i] * k would silently give the order-0 modifier
-        raise ValueError("modifier order k must be nonnegative")
+    _order(k, "modifier order k")  # [i] * -1 would silently give the order-0 modifier
+    paper = family.paper
+    if k and paper is None:
+        raise ValueError(f"{family.label} has no canonical even modifier")
 
     def build() -> ModifierSpec:
         with policy.workprec():
-            if k == 0:
-                return ModifierSpec((), policy)
-            if family.kind == MEIXNER_POLLACZEK:
-                lam = family.params["lambda"]
-                return ModifierSpec([mp.mpc(0, lam + j) for j in range(k)], policy)
-            if family.kind == PSEUDO_JACOBI:
-                return ModifierSpec([mp.mpc(0, 1)] * k, policy)
-            raise ValueError(f"{family.label} has no canonical even modifier")
+            return ModifierSpec(paper.nodes(k) if k else (), policy)
 
     return family.owned(("even_modifier", k, policy), build)
 
@@ -610,7 +638,7 @@ def mp_symmetry_residual(family: RecurrenceFamily, n: int, x, policy: ToleranceP
         return -cm, ce, lm, le
 
     mirror = family.owned(
-        "mirror", lambda: RecurrenceFamily(CUSTOM, {}, mirrored, None, f"mirror of {family.label}", policy.precision_bits)
+        "mirror", lambda: RecurrenceFamily(CUSTOM, {}, mirrored, None, f"mirror of {family.label}")
     )
     with policy.workprec():
         x = _to_mpf(*_point(x, policy))

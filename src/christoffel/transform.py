@@ -219,7 +219,7 @@ def modified_polynomial(
     nodes that differ in their last bits, such as canonical nodes rounded at
     another precision, take the determinant route.
     """
-    if family.supports_shift and modifier == even_modifier(family, modifier.k, policy):
+    if family.paper is not None and modifier == even_modifier(family, modifier.k, policy):
         return generate(family.shifted(modifier.k), deg, policy)
     return christoffel_transform(family, modifier, deg, policy)
 

@@ -34,21 +34,9 @@ failed cell by counting G's roots, exactly, on a Sturm chain (``core._root_count
 General root finding (:func:`polynomial_real_roots`) is kept as public API, with
 no caller in the library; the tests read it as the oracle for those counts.
 
-The inner bounds B_n(k), k in {0, 1, 2}, are the roots of the linear
-connection coefficient G in the gap-2 decomposition; they sit strictly
-between the extreme zeros of p_n.  :func:`inner_bound` evaluates the closed
-forms from a family's parameters:
-
-    Meixner-Pollaczek: B_n(k) = -(lam)_k (lam)_n / ((lam)_{n+k-1} tan(phi)),
-    evaluated in cancelled form (no large Pochhammer ratios):
-        B_n(0) = -(lam+n-1) cot(phi)
-        B_n(1) = -lam cot(phi)
-        B_n(2) = -lam (lam+1) cot(phi) / (lam+n)
-
-    Pseudo-Jacobi:
-        B_n(0) = -a b / ((a+n)(a+n-1))
-        B_n(1) = -b / (a+n)
-        B_n(2) = -b / (a+1)
+The inner bounds B_n(k), k in {0, 1, 2}, are the closed forms each family's
+constructor defines (:mod:`christoffel.families`); :func:`bound_separation`
+checks them against the extreme zeros.
 """
 
 from __future__ import annotations
@@ -60,7 +48,7 @@ from mpmath import mp
 
 from .core import DEFAULT_POLICY, Polynomial, TolerancePolicy, to_scalar
 from .core import _add, _cmp, _div, _float, _horner, _round, _to_mpf, _unpack  # the exact-rounding kernel
-from .families import MEIXNER_POLLACZEK, PSEUDO_JACOBI, RecurrenceFamily, _jacobi_frame, _point, _snapped_cot, _sweep
+from .families import RecurrenceFamily, _jacobi_frame, _point, _sweep
 
 
 @dataclass(frozen=True)
@@ -683,32 +671,21 @@ def interlace_strict(G: Polynomial, g, degree: int, outer: ZeroSet, policy: Tole
 
 
 def inner_bound(family: RecurrenceFamily, n: int, k: int, policy: TolerancePolicy = DEFAULT_POLICY) -> mp.mpf:
-    """Inner bound B_n(k) for the extreme zeros of p_n, k in {0, 1, 2}, in closed form.
-
-    The parameters were checked when the family was built; the degree is
-    checked against its validity range, which is Pseudo-Jacobi's a < -n.
-    """
+    """Inner bound B_n(k) for the extreme zeros of p_n, k in {0, 1, 2}, in the family's closed form."""
     if k not in (0, 1, 2):
         raise ValueError("bound order k must be 0, 1 or 2")
+    return _bounds(family, n, policy)[k]
+
+
+def _bounds(family: RecurrenceFamily, n: int, policy: TolerancePolicy) -> tuple:
+    """(B_n(0), B_n(1), B_n(2)) at the policy's precision; the degree is checked against the validity range."""
     if n < 1:
         raise ValueError("bound needs n >= 1")
     family.require_degree(n)
+    if family.paper is None:
+        raise ValueError(f"no closed-form bounds for {family.label}")
     with policy.workprec():
-        if family.kind == MEIXNER_POLLACZEK:
-            lam, cot = family.params["lambda"], _snapped_cot(family.params["phi"])
-            if k == 0:
-                return -(lam + n - 1) * cot
-            if k == 1:
-                return -lam * cot
-            return -lam * (lam + 1) / (lam + n) * cot
-        if family.kind == PSEUDO_JACOBI:
-            a, b = family.params["a"], family.params["b"]
-            if k == 0:
-                return -a * b / ((a + n) * (a + n - 1))
-            if k == 1:
-                return -b / (a + n)
-            return -b / (a + 1)
-    raise ValueError(f"no closed-form bounds for {family.label}")
+        return family.paper.bounds(n)
 
 
 def bound_separation(family: RecurrenceFamily, n: int, policy: TolerancePolicy = DEFAULT_POLICY) -> BoundReport:
@@ -716,26 +693,18 @@ def bound_separation(family: RecurrenceFamily, n: int, policy: TolerancePolicy =
 
     The extreme zeros are read from the family's spectrum when :meth:`_Spectrum.extremes` proves that
     the full solve passes its simple-zero check, which polishes only those two if the full solve has
-    not run; otherwise they are read from :func:`zeros_golub_welsch`.
-
-    Ordering: Meixner-Pollaczek has B(0) < B(1) < B(2) for phi < pi/2 and the
-    reverse for phi > pi/2 (all zero at pi/2); Pseudo-Jacobi has
-    B(2) < B(1) < B(0) for b > 0, the reverse for b < 0, all zero at b = 0.
+    not run; otherwise they are read from :func:`zeros_golub_welsch`.  The ordering check reads the
+    family's direction: B(0) < B(1) < B(2) when it is positive, the reverse when it is negative, and
+    all three 0 when it is 0.
     """
     if n < 2:
         raise ValueError("bound separation needs n >= 2")
     with policy.workprec():
-        bounds = {k: inner_bound(family, n, k, policy) for k in (0, 1, 2)}
+        bounds = dict(enumerate(_bounds(family, n, policy)))
         spectrum = family.owned(("spectrum", n, policy.precision_bits), lambda: _Spectrum(family, n, policy))
         x_min, x_max = spectrum.extremes(policy) or zeros_golub_welsch(family, n, policy).values[:: n - 1]  # first, last
         separated = {k: bool(x_min < bounds[k] < x_max) for k in (0, 1, 2)}
-        # direction > 0 means B(0) < B(1) < B(2).  cot > 0 pushes MP bounds
-        # negative with B(0) lowest; b > 0 puts PJ bounds positive with B(0)
-        # highest, hence the sign flip.  At direction 0 all bounds are 0.
-        if family.kind == MEIXNER_POLLACZEK:
-            direction = _snapped_cot(family.params["phi"])
-        else:
-            direction = -family.params["b"]
+        direction = family.paper.direction()
         if direction == 0:
             ordering = all(bounds[k] == 0 for k in (0, 1, 2))
         else:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import re
 from contextlib import redirect_stdout
@@ -13,7 +14,6 @@ from mpmath.libmp import mpf_add, mpf_le, mpf_shift, mpf_sub, round_nearest, to_
 from christoffel import (
     ModifierSpec,
     Polynomial,
-    RecurrenceFamily,
     TolerancePolicy,
     bound_separation,
     christoffel_transform,
@@ -58,12 +58,13 @@ def schoolbook_product(p: Polynomial, q: Polynomial) -> Polynomial:
 # these are the mpf closures it replaced, kept as the oracle its bits are checked against.
 
 
-def mpf_recurrence(family) -> tuple:
+def mpf_recurrence(family, bits: int) -> tuple:
     """(C, Lambda): the mpf maps of a built-in family's recurrence at the ambient precision, over its
-    parameters as the family keeps them, cot(phi) and 1 / (4 sin(phi)^2) formed at its precision."""
+    parameters as the family keeps them, cot(phi) and 1 / (4 sin(phi)^2) formed at ``bits``, the
+    precision the family was built at."""
     if family.kind == MEIXNER_POLLACZEK:
         lam, phi = family.params["lambda"], family.params["phi"]
-        with mp.workprec(family.precision_bits):
+        with mp.workprec(bits):
             cot = _snapped_cot(phi)
             inv_four_sin2 = 1 / (4 * mp.sin(phi) ** 2)
         return (lambda n: -(lam + n - 1) * cot), (lambda n: (n - 1) * (2 * lam + n - 2) * inv_four_sin2)
@@ -667,14 +668,13 @@ def certified_and_exact_reports(argv) -> tuple:
 
 def bound_families(policy) -> list:
     """(label, family builder, degrees) for the bound-separation oracle: the paper's families, and W+31's
-    recurrence with MP parameters for its bounds, whose top pair 64-bit midpoints leave in one cell."""
+    recurrence with MP(0.5, 0.9)'s paper facts for its bounds, whose top pair 64-bit midpoints leave in one cell."""
     with policy.workprec():
         right_angle = mp.pi / 2
-    mp_params = {"lambda": mp.mpf("0.5"), "phi": mp.mpf("0.9")}
 
     def w31(pol):
         row = custom_family(lambda j: mp.mpf(abs(15 - (j - 1))), lambda j: mp.mpf(1), policy=pol).row
-        return RecurrenceFamily(MEIXNER_POLLACZEK, mp_params, row, None, "W+31", pol.precision_bits)
+        return dataclasses.replace(mp_family("0.5", "0.9", pol), row=row, label="W+31")
 
     return [
         ("MP(0.5,0.9)", lambda pol: mp_family("0.5", "0.9", pol), (2, 3, 12, 30)),

@@ -36,11 +36,13 @@ FRESH = {
 }
 COUNTS = {**ROUTES, **ENCLOSURES, **FRESH}
 
-# cli.dispatch's peak in a fresh interpreter that imports nothing more: with this module imported first,
-# --table 1 read 43 KiB for 38 and --verify 1118 for 1092
-PEAK = """import sys, tracemalloc
+# cli.dispatch's peak in a fresh interpreter that imports nothing more, after a full collection, so that it follows
+# allocation and not when the collector runs: --table 1 reads 54 KiB and --verify 1181 KiB, with this module imported
+# first or not
+PEAK = """import gc, sys, tracemalloc
 from christoffel import cli
 config = cli.config_from_args(cli.build_parser().parse_args(sys.argv[1:]))
+gc.collect()
 tracemalloc.start()
 cli.dispatch(config)
 print(*sys.argv[1:], f"peak {tracemalloc.get_traced_memory()[1] / 1024:.0f} KiB")

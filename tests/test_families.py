@@ -29,6 +29,7 @@ from christoffel import (
     mp_symmetry_residual,
     pj_family,
     recurrence_residual,
+    stieltjes_check,
     values_ladder,
     zeros_golub_welsch,
 )
@@ -129,7 +130,7 @@ def test_kernel_rows_and_views_are_the_mpf_closures_bit_for_bit(bits, monkeypatc
     pol = TolerancePolicy(precision_bits=bits)
     far = set()
     for fam in _built_in_families(pol):
-        C, Lambda = mpf_recurrence(fam)
+        C, Lambda = mpf_recurrence(fam, bits)
         top = 30 if fam.max_valid_degree is None else fam.max_valid_degree
         before = len(calls)
         for prec in (53, 64, 113, 256, 512):
@@ -302,6 +303,27 @@ def test_kept_shift_builds_no_policy(policy, monkeypatch):
     for _ in range(3):
         assert fam.shifted(2) is first
     assert built == []
+
+
+@pytest.mark.parametrize("k", [1.5, 1.0, mp.mpf(1), "1"])
+def test_shift_and_modifier_orders_must_be_integers(k, policy):
+    # one order check for both: a float shift would key its own store entry and shift lambda by 1.5
+    fam = mp_family("0.5", "0.9", policy)
+    with pytest.raises(ValueError, match="^shift must be an integer, got "):
+        fam.shifted(k)
+    with pytest.raises(ValueError, match="^modifier order k must be an integer, got "):
+        even_modifier(fam, k, policy)
+    assert not fam._store
+
+
+def test_a_shift_out_of_range_names_the_family_and_order(policy):
+    # a = -3.5 shifted by 2 is -1.5, a value the caller never gave
+    fam = pj_family("-3.5", "1", policy)
+    for call in (lambda: fam.shifted(2), lambda: stieltjes_check(fam, 2, 3, policy)):
+        with pytest.raises(ValueError) as raised:
+            call()
+        assert str(raised.value) == "the order-2 shift of PJ(a=-3.5, b=1.0) leaves its parameter range"
+    assert fam.shifted(1).params["a"] == mp.mpf("-2.5")
 
 
 @pytest.mark.parametrize(

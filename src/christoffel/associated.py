@@ -24,7 +24,7 @@ from __future__ import annotations
 from mpmath import mp
 
 from .core import DEFAULT_POLICY, Polynomial, TolerancePolicy, _to_mpf, relative_residual
-from .families import RecurrenceFamily, _ladder, _point, _three_term
+from .families import RecurrenceFamily, _ladder, _order, _point, _three_term
 
 
 def _sequence(family: RecurrenceFamily, n: int, m: int, prec: int) -> list:
@@ -43,6 +43,7 @@ def associated(family: RecurrenceFamily, n: int, m: int, policy: TolerancePolicy
     family.require_degree(n)
     if not 0 <= m <= n:
         raise ValueError(f"order {m} outside 0..{n} for anchor {n}")
+    _order(m, "order m")
     return _sequence(family, n, m, policy.precision_bits)[m]
 
 
@@ -52,6 +53,7 @@ def associated_identity_residual(
     """Relative residual of the downward bridge identity at a point, 2 <= m <= n."""
     if not 2 <= m <= n:
         raise ValueError(f"need 2 <= m <= n, got m={m}, n={n}")
+    _order(m, "order m")
     family.require_degree(n)
     with policy.workprec():
         x = _to_mpf(*_point(x, policy))

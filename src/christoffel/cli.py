@@ -48,17 +48,11 @@ from typing import Optional
 from mpmath import mp
 
 from . import __version__
-from .core import TolerancePolicy, _beyond, _root_counts, to_scalar
-from .families import _sweep, even_modifier, generate, generate_all, mp_family, mp_symmetry_residual, pj_family, recurrence_residual
+from .core import TolerancePolicy, to_scalar
+from .families import _sweep_rows, even_modifier, generate, generate_all, mp_family, mp_symmetry_residual, pj_family, recurrence_residual
 from .associated import associated_identity_residual, extension_identity_residual
 from .transform import christoffel_transform, connection_decompose, connection_degree_law
-from .zeros import (
-    bound_separation,
-    gauss_rule,
-    interlace_strict,
-    stieltjes_check,
-    zeros_golub_welsch,
-)
+from .zeros import _grid_interlace, bound_separation, gauss_rule, stieltjes_check, zeros_golub_welsch
 
 ENV_PRECISION = "CHRISTOFFEL_PRECISION_BITS"
 
@@ -314,31 +308,6 @@ def _degree_law(decomp) -> tuple:
     return fields, fields["deg_a"] == law.deg_a and fields["deg_G"] == law.deg_G
 
 
-def _grid_interlace(decomp, zp, rows, policy: TolerancePolicy) -> str:
-    """Interlace verdict of G g_{n-m,k} against the zeros ``zp`` of p_n (see :func:`_grid_rows`).
-
-    ``rows[i]`` holds the shifted family's sweep rows at zp[i], (g_{j,k}, g_{j,k}') as kernel pairs
-    (m, e, dm, de) for j = 0, 1, ...: a Sturm sequence of g, with n - m sign changes at -inf and none at inf.
-    A failed cell is named by counts alone: G's nonreal roots, and the real roots of G and g inside and
-    outside [x_1, x_n] (``core._root_counts``, ``core._beyond``); no root is solved for.
-    """
-    n, m = decomp.n, decomp.m
-    G = decomp.G_poly
-    verdict = None
-    if G.degree == m - 1:
-        verdict = interlace_strict(G, [row[n - m] for row in rows], n - m, zp, policy)
-        if verdict.strict:
-            return "holds"
-    label = f"connection coefficient G of cell (n, m, k) = {(n, m, decomp.k)}"
-    real, below, above = _root_counts(G, zp.points[0], zp.points[-1], label)
-    if G.degree > real:
-        return f"fails({G.degree - real} nonreal G roots)"
-    if verdict is not None:
-        return "fails(common zeros)" if verdict.common else "fails"
-    outside = below + above + sum(_beyond(*([r[0] for r in row[n - m :: -1]] for row in (rows[0], rows[-1])), (n - m, 0)))
-    return f"fails(size {n - m + real} vs {len(zp) - 1}, {outside} outside span)"
-
-
 def _grid_rows(config: RunConfig, policy: TolerancePolicy):
     """Degree-law and interlacing grid for the Meixner-Pollaczek family.
 
@@ -346,18 +315,16 @@ def _grid_rows(config: RunConfig, policy: TolerancePolicy):
     cell the measured degrees of (a, G) must match the law and the identity
     residual must sit below tolerance.  When deg G = m-1, which the law gives
     for every k <= m, the zeros of G * g_{n-m,k} must strictly interlace the
-    zeros of p_n (the paper's theorem).  That is decided by the sign
-    alternation of G * g at the zeros of p_n (G by Horner, g by its
+    zeros of p_n (the paper's theorem).  That verdict is ``zeros._grid_interlace``'s,
+    from the sign alternation of G * g at the zeros of p_n (G by Horner, g by its
     recurrence); no root of G or g is computed, not even to name a failed cell.
     g is evaluated once per (n, k): one recurrence sweep of the shifted
-    family at each zero of p_n, to the degree n-m of the first cell that
-    needs it, gives g_{n-m,k} for every later m.  The sweep rows stay kernel pairs, and
-    ``interlace_strict`` forms q = G g and q' from G and the rows, on pairs, rounded as by mpf.
-    The modifiers, shifted families and left sides are kept by the family.
+    family at each zero of p_n (``families._sweep_rows``), to the degree n-m of the first
+    cell that needs it, gives g_{n-m,k} for every later m.  The rows are kept here, per n,
+    and freed with it; the modifiers, shifted families and left sides are kept by the family.
     For m = 2, k = 3 the product has n+1 zeros, which cannot interlace n
-    zeros one-per-gap; the grid asserts that failure and counts, exactly, the roots of G
-    (``core._root_counts``, a Sturm chain of G) and, by sign changes of the same sweep rows
-    (Sturm again, ``core._beyond``), the zeros of g outside [x_1, x_n].
+    zeros one-per-gap; the grid asserts that failure, which the verdict names from
+    exact counts of the roots of G and of the zeros of g outside [x_1, x_n].
     """
     lam = "0.5" if config.lam is None else config.lam
     phi = "0.9" if config.phi is None else config.phi
@@ -379,11 +346,8 @@ def _grid_rows(config: RunConfig, policy: TolerancePolicy):
                 interlace_ok = True
                 if degrees["deg_G"] == m - 1 or (m == 2 and k == 3):
                     if k not in sweeps:  # m is the smallest gap of this k, so n - m the highest degree
-                        table = fam.shifted(k).kernel_rows(n - m, prec)
-                        sweeps[k] = [[] for _ in zp.points]
-                        for p, out in zip(zp.points, sweeps[k]):
-                            _sweep(table, n - m, *p, prec, out)
-                    interlace = _grid_interlace(decomp, zp, sweeps[k], policy)
+                        sweeps[k] = list(_sweep_rows(fam.shifted(k), n - m, zp.points, prec))
+                    interlace = _grid_interlace(decomp.G_poly, n, m, k, zp, sweeps[k], policy)
                     interlace_ok = (interlace == "holds") == (degrees["deg_G"] == m - 1)
                 ok = degrees_ok and residual_ok and interlace_ok
                 rows.append(

@@ -46,7 +46,7 @@ from mpmath.libmp import from_man_exp
 from .core import DEFAULT_POLICY, Polynomial, TolerancePolicy
 from .core import _accumulate, _add, _div, _round, _to_mpf, _unpack  # the exact-rounding kernel
 from .core import _cabs, _cdiv, _chorner, _cmul, _cnorm, _csub  # and its complex operations
-from .families import ModifierSpec, RecurrenceFamily, _ladder, even_modifier, generate
+from .families import ModifierSpec, RecurrenceFamily, _ladder, _order, even_modifier, generate
 from .associated import _sequence
 
 
@@ -68,8 +68,8 @@ def connection_degree_law(k: int, m: int) -> DegreeLaw:
     """
     if m < 2:
         raise ValueError("gap m must be at least 2")
-    if k < 0:
-        raise ValueError("modifier order k must be nonnegative")
+    _order(m, "gap m")
+    _order(k, "modifier order k")
     deg_a = m - 2 if k <= m - 1 else 2 * k - m
     deg_g = max(m - 1, 2 * k - m - 1)
     return DegreeLaw(deg_a, deg_g, m == 2 and k <= 2)
@@ -289,6 +289,7 @@ def connection_decompose(
     """
     if not 2 <= m <= n:
         raise ValueError(f"need 2 <= m <= n, got m={m}, n={n}")
+    _order(m, "gap m")
     k = modifier.k
     top = max(n, n - m + 2 * k)
     family.require_degree(top)

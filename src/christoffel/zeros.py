@@ -25,12 +25,16 @@ tridiagonal are perfectly conditioned; root-finding on monic coefficients
 at n = 30 is not, which is why the coefficients are never touched here.
 
 Interlacing is decided in one place, :func:`interlace_strict`, by the sign
-alternation of q = G g at the already computed zeros of p_n, for the grid and
-:func:`stieltjes_check` alike; no zero of q is solved for.  Each sign, and the
+alternation of q = G g at the already computed zeros of p_n, for the paper's
+theorem on a grid cell (:func:`_grid_interlace`: G g_{n-m,k} interlaces exactly
+when k <= m) and its gap-2 case, :func:`stieltjes_check`, alike; no zero of q is
+solved for.  g enters as its sweep rows at those zeros, which
+``families._sweep_rows`` alone collects.  Each sign, and the
 test that the zero is no zero of q, is what q formed on kernel pairs from G and
 g's sweep rows gives; doubles with a running error bound decide almost every
-one, and only the zeros they leave open form q on pairs.  Nor is a root of G: the grid names a
-failed cell by counting G's roots, exactly, on a Sturm chain (``core._root_counts``).
+one, and only the zeros they leave open form q on pairs.  Nor is a root of G: a
+failed cell is named by counting G's roots, exactly, on a Sturm chain (``core._root_counts``),
+and g's outside [x_1, x_n] by sign changes of its rows (``core._beyond``).
 General root finding (:func:`polynomial_real_roots`) is kept as public API, with
 no caller in the library; the tests read it as the oracle for those counts.
 
@@ -46,9 +50,9 @@ from dataclasses import dataclass, field
 
 from mpmath import mp
 
-from .core import DEFAULT_POLICY, Polynomial, TolerancePolicy, to_scalar
+from .core import DEFAULT_POLICY, Polynomial, TolerancePolicy, _beyond, _root_counts, to_scalar
 from .core import _add, _cmp, _div, _float, _horner, _round, _to_mpf, _unpack  # the exact-rounding kernel
-from .families import RecurrenceFamily, _jacobi_frame, _point, _sweep
+from .families import RecurrenceFamily, _jacobi_frame, _order, _point, _sweep, _sweep_rows
 
 
 @dataclass(frozen=True)
@@ -85,13 +89,11 @@ class InterlaceVerdict:
 
 @dataclass(frozen=True)
 class BoundReport:
-    n: int
     bounds: dict
     x_min: mp.mpf
     x_max: mp.mpf
     separated: dict
     ordering_ok: bool
-    label: str
 
 
 @dataclass(frozen=True)
@@ -103,9 +105,6 @@ class StieltjesVerdict:
     never passes silently.
     """
 
-    label: str
-    n: int
-    k: int
     branch: str
     bound: mp.mpf
     ok: bool
@@ -670,10 +669,34 @@ def interlace_strict(G: Polynomial, g, degree: int, outer: ZeroSet, policy: Tole
     return InterlaceVerdict(strict=alternates and not common, common=common)
 
 
+def _grid_interlace(G: Polynomial, n: int, m: int, k: int, zp: ZeroSet, rows, policy: TolerancePolicy) -> str:
+    """The verdict of the paper's theorem on grid cell (n, m, k): whether G g_{n-m,k} interlaces the zeros ``zp`` of p_n.
+
+    ``rows[i]`` holds the shifted family's sweep rows at zp[i], (g_{j,k}, g_{j,k}') as kernel pairs
+    (m, e, dm, de) for j = 0, 1, ... (``families._sweep_rows``): a Sturm sequence of g, with n - m sign changes
+    at -inf and none at inf.  A failed cell is named by counts alone: G's nonreal roots, and the real roots of G
+    and g inside and outside [x_1, x_n] (``core._root_counts``, ``core._beyond``); no root is solved for.
+    """
+    verdict = None
+    if G.degree == m - 1:
+        verdict = interlace_strict(G, [row[n - m] for row in rows], n - m, zp, policy)
+        if verdict.strict:
+            return "holds"
+    label = f"connection coefficient G of cell (n, m, k) = {(n, m, k)}"
+    real, below, above = _root_counts(G, zp.points[0], zp.points[-1], label)
+    if G.degree > real:
+        return f"fails({G.degree - real} nonreal G roots)"
+    if verdict is not None:
+        return "fails(common zeros)" if verdict.common else "fails"
+    outside = below + above + sum(_beyond(*([r[0] for r in row[n - m :: -1]] for row in (rows[0], rows[-1])), (n - m, 0)))
+    return f"fails(size {n - m + real} vs {len(zp) - 1}, {outside} outside span)"
+
+
 def inner_bound(family: RecurrenceFamily, n: int, k: int, policy: TolerancePolicy = DEFAULT_POLICY) -> mp.mpf:
     """Inner bound B_n(k) for the extreme zeros of p_n, k in {0, 1, 2}, in the family's closed form."""
     if k not in (0, 1, 2):
         raise ValueError("bound order k must be 0, 1 or 2")
+    _order(k, "bound order k")  # 1.0 is in (0, 1, 2) but indexes no tuple
     return _bounds(family, n, policy)[k]
 
 
@@ -710,15 +733,7 @@ def bound_separation(family: RecurrenceFamily, n: int, policy: TolerancePolicy =
         else:
             lo, mid, hi = (0, 1, 2) if direction > 0 else (2, 1, 0)
             ordering = bounds[lo] < bounds[mid] < bounds[hi]
-        return BoundReport(
-            n=n,
-            bounds=bounds,
-            x_min=x_min,
-            x_max=x_max,
-            separated=separated,
-            ordering_ok=bool(ordering),
-            label=family.label,
-        )
+        return BoundReport(bounds=bounds, x_min=x_min, x_max=x_max, separated=separated, ordering_ok=bool(ordering))
 
 
 def stieltjes_check(family: RecurrenceFamily, k: int, n: int, policy: TolerancePolicy = DEFAULT_POLICY) -> StieltjesVerdict:
@@ -744,7 +759,7 @@ def stieltjes_check(family: RecurrenceFamily, k: int, n: int, policy: ToleranceP
     with policy.workprec():
         bound = inner_bound(family, n, k, policy)
         zp = zeros_golub_welsch(family, n, policy)
-        g_at = [_sweep(rows, n - 2, *p, prec) for p in zp.points]
+        g_at = [row[n - 2] for row in _sweep_rows(shifted, n - 2, zp.points, prec)]
         shared = [j for j, (v, p) in enumerate(zip(g_at, zp.points)) if _is_zero(*v, *p, policy)]
         common = tuple(zp[j] for j in shared)
         violations = []
@@ -780,16 +795,7 @@ def stieltjes_check(family: RecurrenceFamily, k: int, n: int, policy: ToleranceP
                     violations.append("zeros of g do not interlace the non-common zeros of p_n")
         if not zp[0] < bound < zp[-1]:
             violations.append("bound is not strictly inside the extreme zeros")
-        return StieltjesVerdict(
-            label=family.label,
-            n=n,
-            k=k,
-            branch=branch,
-            bound=bound,
-            ok=not violations,
-            common=common,
-            violations=tuple(violations),
-        )
+        return StieltjesVerdict(branch=branch, bound=bound, ok=not violations, common=common, violations=tuple(violations))
 
 
 def polynomial_real_roots(p: Polynomial, policy: TolerancePolicy = DEFAULT_POLICY):

@@ -656,9 +656,9 @@ def certified_and_exact_reports(argv) -> tuple:
     """(report, report with every zero on the exact route, zeros the certificate left open) of a CLI run,
     each report an (exit code, stdout without meta.timestamp); every interlacing call of the first run
     passes :func:`assert_certificate_agrees`."""
-    calls, interlace = [], cli.interlace_strict
+    calls, interlace = [], zeros.interlace_strict
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "interlace_strict", lambda *args: calls.append(args) or interlace(*args))
+        patch.setattr(zeros, "interlace_strict", lambda *args: calls.append(args) or interlace(*args))
         certified = _report(argv)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(zeros, "_decided", lambda G, g, points, abs_tol: [0] * len(points))
@@ -673,7 +673,7 @@ def bound_families(policy) -> list:
         right_angle = mp.pi / 2
 
     def w31(pol):
-        row = custom_family(lambda j: mp.mpf(abs(15 - (j - 1))), lambda j: mp.mpf(1), policy=pol).row
+        row = custom_family(lambda j: mp.mpf(abs(15 - (j - 1))), lambda j: mp.mpf(1)).row
         return dataclasses.replace(mp_family("0.5", "0.9", pol), row=row, label="W+31")
 
     return [

@@ -21,8 +21,10 @@ from christoffel import TolerancePolicy, bound_separation, cli, gauss_rule, mp_f
 TABLES = (("--table", "1"), ("--table", "2"), ("--table", "3"), ("--verify",))
 GRIDS = (("--grid",), ("--grid", "--n", "16", "--precision-bits", "113"), ("--grid", "--lambda", "100", "--phi", "0.5"))
 
-# {dotted name: tally}: a tally maps a call's arguments to its count, None counts 1
+# {dotted name: tally}: a tally maps a call's arguments to its count, None counts 1.  The interlacing routes: the
+# points swept for g's rows, which families makes, and the verdict's work on them, all of it in zeros
 ROUTES = {
+    "families._sweep_rows": lambda family, n, points, prec: len(points),
     "zeros.interlace_strict": lambda G, g, degree, outer, *rest: len(outer),
     "zeros._q_at": lambda G, g, points, prec: len(points),
     "core._root_counts": None,
@@ -115,8 +117,8 @@ def main() -> None:
     for argv in (TABLES[0], TABLES[3], GRIDS[0]):
         print(subprocess.run([sys.executable, "-c", PEAK, *argv], check=True, stdout=subprocess.PIPE, text=True).stdout, end="")
 
-    log_counts("Interlacing routes: zeros handed to interlace_strict, those left open by doubles for _q_at, and"
-               " the Sturm chains of G that name the failed cells", GRIDS, ROUTES)
+    log_counts("Interlacing routes: points swept for g's rows, zeros handed to interlace_strict, those left open by"
+               " doubles for _q_at, and the Sturm chains of G that name the failed cells", GRIDS, ROUTES)
     log_counts("Enclosures, and Sturm counts in doubles and on kernel pairs", TABLES, ENCLOSURES)
     log_counts("Fresh-family work: families built, recurrence rows built, complex Horner calls", (*TABLES, GRIDS[0]), FRESH)
 

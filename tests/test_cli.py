@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import csv
 import dataclasses
 import hashlib
@@ -471,14 +472,14 @@ def test_grid_builds_each_modifier_once(default_grid):
 
 def test_grid_asserts_interlacing_for_every_k_up_to_m(monkeypatch, capsys):
     # cell (6, 3, 3) forced not to interlace: the theorem covers it, not only m = 2
-    cells, decompose = [], cli.connection_decompose
+    cells, decompose, strict = [], cli.connection_decompose, zeros.interlace_strict
 
     def interlace(*args):
-        verdict = zeros.interlace_strict(*args)
+        verdict = strict(*args)
         return dataclasses.replace(verdict, strict=False) if (cells[-1].n, cells[-1].m, cells[-1].k) == (6, 3, 3) else verdict
 
     monkeypatch.setattr(cli, "connection_decompose", lambda *args: cells.append(decompose(*args)) or cells[-1])
-    monkeypatch.setattr(cli, "interlace_strict", interlace)
+    monkeypatch.setattr(zeros, "interlace_strict", interlace)
     assert main(["--grid", "--n", "6"]) == 1
     data = json.loads(capsys.readouterr().out)
     assert data["summary"] == {"rows": 79, "pass": 78, "flagged": 0, "fail": 1}
@@ -522,7 +523,7 @@ def test_sweep_sign_changes_count_the_zeros_above(policy):
     # Sturm property: sign changes of p_0(x), ..., p_d(x), zero entries
     # dropped, count the zeros of p_d above x.  With C = 0 and Lambda = 1,
     # p_j(0) = 0 for every odd j, so the zero entries are exact.
-    fam = custom_family(lambda j: mp.mpf(0), lambda j: mp.mpf(1), policy=policy)
+    fam = custom_family(lambda j: mp.mpf(0), lambda j: mp.mpf(1))
     for d in range(1, 8):
         zs = zeros_golub_welsch(fam, d, policy)
         with policy.workprec():
@@ -533,23 +534,29 @@ def test_sweep_sign_changes_count_the_zeros_above(policy):
                 assert _sign_changes(values) == sum(1 for z in zs.values if z > x and abs(z - x) > policy.abs_tol)
 
 
+def test_cli_holds_no_kernel_plumbing():
+    # the theorem's interlacing verdict lives in zeros, and the sweep rows it reads are made in families: the grid
+    # passes them on without reading their layout, and counts no root itself
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert imported.isdisjoint({"_sweep", "_beyond", "_root_counts", "interlace_strict"})
+    assert {"_grid_interlace", "_sweep_rows"} <= imported
+
+
 def _kernel_sweeps(fam, d, zp, policy) -> list:
-    """``_grid_interlace``'s rows: fam's sweep rows at the zeros zp, as kernel pairs."""
+    """``zeros._grid_interlace``'s rows: fam's sweep rows at the zeros zp, as kernel pairs."""
     return [[(*_unpack(v._mpf_), *_unpack(s._mpf_)) for v, s in values_ladder(fam, d, x, policy)] for x in zp.values]
 
 
 def test_grid_span_count_keeps_zeros_at_the_extremes_inside(policy):
     # g = p_5 of C = 0, Lambda = 1, with zeros 0, +-1, +-sqrt(3), against the
     # span [0, 1]: the zeros at both ends are not outside, -sqrt(3), -1 and
-    # sqrt(3) are; a constant G adds no roots
-    fam = mp_family("0.5", "0.9", policy)
-    decomp = connection_decompose(fam, even_modifier(fam, 3, policy), 7, 2, policy)
-    g_fam = custom_family(lambda j: mp.mpf(0), lambda j: mp.mpf(1), policy=policy)
+    # sqrt(3) are; a constant G adds no roots (cell (n, m, k) = (7, 2, 3))
+    g_fam = custom_family(lambda j: mp.mpf(0), lambda j: mp.mpf(1))
     zp = zeros.ZeroSet((mp.mpf(0), mp.mpf(1)), "span")
     rows = _kernel_sweeps(g_fam, 5, zp, policy)
     assert rows[0][5][0] == rows[1][5][0] == 0
-    cell = dataclasses.replace(decomp, G_poly=Polynomial([1]))
-    assert cli._grid_interlace(cell, zp, rows, policy) == "fails(size 5 vs 1, 3 outside span)"
+    assert zeros._grid_interlace(Polynomial([1]), 7, 2, 3, zp, rows, policy) == "fails(size 5 vs 1, 3 outside span)"
 
 
 def test_grid_interlace_names_each_failure(policy):
@@ -568,7 +575,7 @@ def test_grid_interlace_names_each_failure(policy):
             (Polynomial([third * mid, -(third + mid), 1]), "fails"),  # both roots in the first gap
         ]
     for G, label in cases:
-        assert cli._grid_interlace(dataclasses.replace(decomp, G_poly=G), zp, rows, policy) == label
+        assert zeros._grid_interlace(G, n, m, k, zp, rows, policy) == label
 
 
 def _solved_counts(G, zp, policy) -> tuple:
@@ -605,10 +612,9 @@ def test_root_counts_are_the_solved_roots(policy):
     repeated = Polynomial([-3, 7, -5, 1])
     with pytest.raises(ArithmeticError, match="^G has a repeated root$"):
         _root_counts(repeated, zp.points[0], zp.points[-1], "G")
-    decomp = dataclasses.replace(connection_decompose(fam, even_modifier(fam, 3, policy), 6, 2, policy), G_poly=repeated)
     rows = _kernel_sweeps(fam.shifted(3), 4, zp, policy)
     with pytest.raises(ArithmeticError, match=r"^connection coefficient G of cell \(n, m, k\) = \(6, 2, 3\) has a repeated root$"):
-        cli._grid_interlace(decomp, zp, rows, policy)
+        zeros._grid_interlace(repeated, 6, 2, 3, zp, rows, policy)
 
 
 @pytest.mark.parametrize(

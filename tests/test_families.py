@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import ast
 import gc
 import inspect
 import random
 import sys
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from mpmath import mp
@@ -19,12 +21,15 @@ from christoffel import (
     bound_separation,
     christoffel_transform,
     connection_decompose,
+    connection_degree_law,
     custom_family,
     even_modifier,
     eval_with_derivative,
     extension_identity_residual,
+    gauss_rule,
     generate,
     generate_all,
+    inner_bound,
     mp_family,
     mp_symmetry_residual,
     pj_family,
@@ -316,6 +321,27 @@ def test_shift_and_modifier_orders_must_be_integers(k, policy):
     assert not fam._store
 
 
+_NOT_INTEGERS = [
+    ("generate", lambda fam, pol: generate(fam, 2.5, pol), "degree", 2.5),
+    ("zeros_golub_welsch", lambda fam, pol: zeros_golub_welsch(fam, 2.5, pol), "degree", 2.5),
+    ("gauss_rule", lambda fam, pol: gauss_rule(fam, 3.0, pol), "degree", 3.0),
+    ("associated", lambda fam, pol: associated(fam, 5, 1.5, pol), "order m", 1.5),
+    ("associated_identity_residual", lambda fam, pol: associated_identity_residual(fam, 6, 2.5, 1, pol), "order m", 2.5),
+    ("connection_decompose", lambda fam, pol: connection_decompose(fam, even_modifier(fam, 1, pol), 5, 2.5, pol), "gap m", 2.5),
+    ("recurrence_residual", lambda fam, pol: recurrence_residual(fam, 2.5, 1, pol), "degree", 2.5),
+    ("inner_bound", lambda fam, pol: inner_bound(fam, 5, 1.0, pol), "bound order k", 1.0),
+    ("degree_law_k", lambda fam, pol: connection_degree_law(1.5, 3), "modifier order k", 1.5),
+    ("degree_law_m", lambda fam, pol: connection_degree_law(1, 2.5), "gap m", 2.5),
+]
+
+
+@pytest.mark.parametrize("call, name, value", [case[1:] for case in _NOT_INTEGERS], ids=[case[0] for case in _NOT_INTEGERS])
+def test_a_non_integer_degree_gap_or_order_is_a_value_error(call, name, value, policy):
+    # range(2.5) would raise TypeError, (B0, B1, B2)[1.0] too, and the degree law would answer deg_G = 2 for k = 1.5
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+        call(mp_family("0.5", "0.9", policy), policy)
+
+
 def test_a_shift_out_of_range_names_the_family_and_order(policy):
     # a = -3.5 shifted by 2 is -1.5, a value the caller never gave
     fam = pj_family("-3.5", "1", policy)
@@ -346,7 +372,7 @@ def test_a_shift_out_of_range_names_the_family_and_order(policy):
 def test_recurrence_values_checked_where_they_enter(C, Lambda, bad, use, policy):
     # every reader of the recurrence arrays gets the error, never nan values;
     # the second call shows that no bad value was kept by the family
-    fam = custom_family(C, Lambda, label="bad", policy=policy)
+    fam = custom_family(C, Lambda, label="bad")
     for _ in range(2):
         with pytest.raises(ValueError, match=bad):
             use(fam, policy)
@@ -365,7 +391,7 @@ def test_int_float_and_mpf_maps_give_the_same_polynomials(C, Lambda, policy):
     # the maps' values are read as mpf values once, where they enter, so a
     # map may return an int or a float; equal values give equal bits
     def derived(c_map, lambda_map):
-        fam = custom_family(c_map, lambda_map, policy=policy)
+        fam = custom_family(c_map, lambda_map)
         modifier = ModifierSpec([mp.mpc(0, 1)], policy)
         with policy.workprec():
             polys = [
@@ -443,6 +469,21 @@ def test_sweep_rejects_a_nonfinite_point(x, policy):
     for sweep in (eval_with_derivative, values_ladder):
         with pytest.raises(ValueError, match="evaluation point .* is not finite"):
             sweep(fam, 4, x, policy)
+
+
+def test_sweep_rows_are_collected_in_one_place():
+    # only families._sweep_rows passes _sweep the list it appends its rows to, so only families makes the rows
+    # (m, e, dm, de) and only zeros reads them
+    src = Path(families.__file__).parent
+    collecting = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in (node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)):
+            for call in ast.walk(func):
+                if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_sweep":
+                    if len(call.args) > 5 or any(kw.arg == "out" for kw in call.keywords):
+                        collecting.append((path.name, func.name))
+    assert collecting == [("families.py", "_sweep_rows")]
 
 
 @pytest.mark.parametrize(

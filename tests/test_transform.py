@@ -109,7 +109,7 @@ def test_transform_with_noncanonical_modifier_is_orthogonal(policy):
 def _pj_copy(a, b, policy):
     """PJ(a, b) without parameters: no parameter shift, so g comes from the determinant."""
     fam = pj_family(a, b, policy)
-    return fam, custom_family(fam.C, fam.Lambda, fam.max_valid_degree, policy=policy)
+    return fam, custom_family(fam.C, fam.Lambda, fam.max_valid_degree)
 
 
 def test_determinant_takes_zeros_of_multiplicity(policy):
@@ -302,7 +302,7 @@ def test_determinant_path_inside_decompose(policy):
     fam = mp_family("0.5", "0.9", policy)
     shift = connection_decompose(fam, even_modifier(fam, 2, policy), 7, 2, policy)
     # a copy without parameters has no parameter shift, so g comes from the determinant
-    copy = custom_family(fam.C, fam.Lambda, policy=policy)
+    copy = custom_family(fam.C, fam.Lambda)
     with policy.workprec():
         mod = ModifierSpec([mp.mpc(0, "0.5"), mp.mpc(0, "1.5")], policy)
     det = connection_decompose(copy, mod, 7, 2, policy)

@@ -254,7 +254,7 @@ def test_only_equal_float_counts_prove_a_gap(policy, monkeypatch):
     with policy.workprec():
         diag = [mp.mpf(-1), _to_mpf(*A) - mp.ldexp(1, -62), _to_mpf(*B) - mp.ldexp(1, -62)]
     diag += [diag[-1], mp.mpf(1)]
-    fam = custom_family(lambda j: diag[j - 1], lambda j: mp.mpf("1e-60"), policy=policy)
+    fam = custom_family(lambda j: diag[j - 1], lambda j: mp.mpf("1e-60"))
     paired, count_pairs = [], zeros._count_pairs
     monkeypatch.setattr(zeros, "_count_pairs", lambda *args: paired.append(args[1:3]) or count_pairs(*args))
     spectrum = zeros._Spectrum(fam, 5, policy)
@@ -294,7 +294,7 @@ def _jacobi_eigenvalues(fam, n, policy):
 def test_wilkinson_close_pairs_are_separated(policy, m):
     # W+_{2m+1}: its top pair is 7.2e-14 apart at m = 10, which doubles
     # resolve, and 4.9e-25 apart at m = 15, which needs working precision.
-    fam = custom_family(lambda j: mp.mpf(abs(m - (j - 1))), lambda j: mp.mpf(1), label=f"W+{2 * m + 1}", policy=policy)
+    fam = custom_family(lambda j: mp.mpf(abs(m - (j - 1))), lambda j: mp.mpf(1), label=f"W+{2 * m + 1}")
     n = 2 * m + 1
     zs = zeros_golub_welsch(fam, n, policy)
     ev = _jacobi_eigenvalues(fam, n, policy)
@@ -323,7 +323,7 @@ def test_zeros_at_extreme_scales(policy, C, Lam, abs_tol):
     # measures gaps relative to the spectrum's scale, so the default abs_tol
     # passes them as a tiny one does.
     pol = TolerancePolicy(precision_bits=policy.precision_bits, abs_tol=abs_tol)
-    fam, n = custom_family(C, Lam, policy=pol), 12
+    fam, n = custom_family(C, Lam), 12
     zs = zeros_golub_welsch(fam, n, pol)
     ev = _jacobi_eigenvalues(fam, n, pol)
     with pol.workprec():
@@ -335,7 +335,7 @@ def test_zeros_far_from_the_origin_against_their_width(policy, exponent):
     # Diagonal 10**e and Lambda = 1: the zeros are 10**e + 2 cos(j pi / 13).
     # The 64-bit Gershgorin width rounds to 0, and with it the zero-pivot
     # stand-in, which ended in a bare ZeroDivisionError for e = 20, 22, 25.
-    fam = custom_family(lambda j: mp.mpf(10) ** exponent, lambda j: mp.mpf(1), label=f"offset 1e{exponent}", policy=policy)
+    fam = custom_family(lambda j: mp.mpf(10) ** exponent, lambda j: mp.mpf(1), label=f"offset 1e{exponent}")
     zs = zeros_golub_welsch(fam, 12, policy)
     with policy.workprec():
         exact = [mp.mpf(10) ** exponent + 2 * mp.cos(j * mp.pi / 13) for j in range(12, 0, -1)]
@@ -356,7 +356,7 @@ def test_one_point_at_64_bits_is_bisected_to_the_spread_at_working_precision(mon
         return count_pairs(rows, xm, xe, tiny, prec)
 
     monkeypatch.setattr(zeros, "_count_pairs", spied)
-    _solved(custom_family(lambda j: mp.mpf(10) ** 20, lambda j: mp.mpf(1), label="offset 1e20", policy=pol), 12, pol)
+    _solved(custom_family(lambda j: mp.mpf(10) ** 20, lambda j: mp.mpf(1), label="offset 1e20"), 12, pol)
     assert len(calls) <= 12 * 50
 
 
@@ -364,7 +364,7 @@ def test_zeros_closer_than_64_bits_resolve_fail_by_name():
     # 64 bits cannot tell these zeros apart; the failure names the family and
     # the degree instead of dividing by a zero pivot
     pol = TolerancePolicy(precision_bits=64)
-    fam = custom_family(lambda j: mp.mpf(10) ** 30, lambda j: mp.mpf(1), label="offset 1e30", policy=pol)
+    fam = custom_family(lambda j: mp.mpf(10) ** 30, lambda j: mp.mpf(1), label="offset 1e30")
     with pytest.raises(ArithmeticError, match="offset 1e30 degree 12") as err:
         zeros_golub_welsch(fam, 12, pol)
     assert not isinstance(err.value, ZeroDivisionError)
@@ -447,7 +447,7 @@ def _isolation_cases():
                 yield fam, n, pol
     for C, Lam, abs_tol in _EXTREME_SCALES:
         pol = TolerancePolicy(abs_tol=abs_tol)
-        yield custom_family(C, Lam, policy=pol), 12, pol
+        yield custom_family(C, Lam), 12, pol
     yield custom_family(lambda j: mp.mpf(abs(15 - (j - 1))), lambda j: mp.mpf(1), label="W+31"), 31, TolerancePolicy()
     pol = TolerancePolicy(precision_bits=64)
     yield mp_family("3.901", "2.473", pol), 30, pol
@@ -475,7 +475,7 @@ def _descent_cases():
         with pol.workprec():
             yield mp_family("1.5", mp.pi / 2, pol), 48, pol
         for i, (C, Lam, _) in enumerate(_EXTREME_SCALES[:4] if bits == 64 else _EXTREME_SCALES):
-            yield custom_family(C, Lam, label=f"extreme scale {i}", policy=pol), 12, pol  # 1e30 shares 64-bit cells
+            yield custom_family(C, Lam, label=f"extreme scale {i}"), 12, pol  # 1e30 shares 64-bit cells
 
 
 @pytest.mark.parametrize("enclosed", [True, False], ids=["enclosures", "no-enclosures"])
@@ -556,7 +556,7 @@ def test_spectrum_set_up_is_the_mpf_set_up_bit_for_bit(bits):
     # set-up's, representation and all, over the bound families and a member whose 64-bit spread is 0
     pol = TolerancePolicy(precision_bits=bits)
     cases = [(family(pol), n) for _, family, degrees in bound_families(pol) for n in degrees]
-    cases.append((custom_family(lambda j: mp.mpf(10) ** 20, lambda j: mp.mpf(1), label="offset 1e20", policy=pol), 12))
+    cases.append((custom_family(lambda j: mp.mpf(10) ** 20, lambda j: mp.mpf(1), label="offset 1e20"), 12))
     for fam, n in cases:
         frame = _jacobi_frame(fam.kernel_rows(n, bits)[1 : n + 1], bits)
         lo, hi, spread, tiny, width, unit, centre, widen, scale, fdiag, foffsq = mpf_frame(fam, n, pol)
@@ -593,8 +593,8 @@ def test_solver_is_the_mpf_bisection_and_newton_bit_for_bit(bits):
     cases = [(fam, n) for fam in families for n in (1, 2, 5, 12, 30, 48)]
     for i, (C, Lam, _) in enumerate(_EXTREME_SCALES):
         # at 64 bits, zeros 1e30 from the origin and O(1) apart share cells
-        cases.append((custom_family(C, Lam, label=f"extreme scale {i}", policy=pol), 12))
-    cases.append((custom_family(lambda j: mp.mpf(abs(15 - (j - 1))), lambda j: mp.mpf(1), label="W+31", policy=pol), 31))
+        cases.append((custom_family(C, Lam, label=f"extreme scale {i}"), 12))
+    cases.append((custom_family(lambda j: mp.mpf(abs(15 - (j - 1))), lambda j: mp.mpf(1), label="W+31"), 31))
     for fam, n in cases:
         assert [z._mpf_ for z in _solved(fam, n, pol)] == [z._mpf_ for z in mpf_zeros(fam, n, pol)], (
             f"{fam.label} degree {n}"
@@ -618,7 +618,7 @@ def test_polish_raises_at_the_iteration_cap(policy, monkeypatch):
 def test_invalid_family_ranges_rejected(policy):
     with pytest.raises(ValueError):
         zeros_golub_welsch(pj_family(-5, 1, policy), 5, policy)
-    neg = custom_family(lambda n: mp.mpf(0), lambda n: mp.mpf(-1), None, policy=policy)
+    neg = custom_family(lambda n: mp.mpf(0), lambda n: mp.mpf(-1), None)
     with pytest.raises(ValueError):
         zeros_golub_welsch(neg, 3, policy)
 
@@ -634,7 +634,6 @@ def test_zeros_negate_under_mirror(policy):
         lambda n: (lam_s + n - 1) * cot,
         lambda n: (n - 1) * (2 * lam_s + n - 2) * inv,
         None,
-        policy=policy,
     )
     n = 9
     zs = zeros_golub_welsch(fam, n, policy)
@@ -824,7 +823,7 @@ def test_pj_bound_reference_values(policy):
 
 def test_inner_bound_needs_a_built_in_family(policy):
     fam = mp_family("0.5", "0.9", policy)
-    copy = custom_family(fam.C, fam.Lambda, policy=policy)
+    copy = custom_family(fam.C, fam.Lambda)
     with pytest.raises(ValueError, match="no closed-form bounds"):
         inner_bound(copy, 5, 0, policy)
 
@@ -938,10 +937,9 @@ def test_stieltjes_failure_path_reports_violations(policy, monkeypatch):
 def test_stieltjes_common_zero_failures_report_violations(policy, monkeypatch):
     # PJ(-5.5, 0) at n = 5 shares its middle zero 0 with g_{3,1}, and B_5(1) = 0
     fam, k, n = pj_family("-5.5", "0", policy), 1, 5
-    shifted = fam.shifted(k)
     zp = zeros_golub_welsch(fam, n, policy)
     assert stieltjes_check(fam, k, n, policy).ok
-    sweep, g_rows = zeros._sweep, shifted.kernel_rows(n - 2, policy.precision_bits)
+    sweep_rows = zeros._sweep_rows
 
     monkeypatch.setattr(zeros, "inner_bound", lambda *args: mp.mpf("0.25"))
     verdict = stieltjes_check(fam, k, n, policy)
@@ -950,7 +948,7 @@ def test_stieltjes_common_zero_failures_report_violations(policy, monkeypatch):
     monkeypatch.undo()
 
     # g vanishing at every zero of p_n
-    monkeypatch.setattr(zeros, "_sweep", lambda rows, *args: (0, 0, 1, 0) if rows is g_rows else sweep(rows, *args))
+    monkeypatch.setattr(zeros, "_sweep_rows", lambda fam, d, points, prec: [[(0, 0, 1, 0)] * (d + 1) for _ in points])
     verdict = stieltjes_check(fam, k, n, policy)
     assert verdict.ok is False and verdict.branch == "common_zero"
     x = [mp.nstr(z, 10) for z in zp.values]
@@ -966,7 +964,9 @@ def test_stieltjes_common_zero_failures_report_violations(policy, monkeypatch):
 
     # g of one sign at the four zeros of p_n it does not share
     monkeypatch.setattr(
-        zeros, "_sweep", lambda rows, m, xm, *args: (1, 0, 0, 0) if rows is g_rows and xm else sweep(rows, m, xm, *args)
+        zeros, "_sweep_rows", lambda fam, d, points, prec: [
+            rows if not xm else [(1, 0, 0, 0)] * (d + 1) for (xm, _), rows in zip(points, sweep_rows(fam, d, points, prec))
+        ]
     )
     verdict = stieltjes_check(fam, k, n, policy)
     assert verdict.ok is False and verdict.branch == "common_zero"
@@ -1071,7 +1071,7 @@ def test_double_certificate_declines_where_doubles_cannot_decide(policy):
     # consecutive degrees at the extreme scales: zeros near 1e+-400 lie outside the doubles' span
     for i, (C, Lam, abs_tol) in enumerate(_EXTREME_SCALES):
         pol = TolerancePolicy(precision_bits=policy.precision_bits, abs_tol=abs_tol)
-        fam = custom_family(C, Lam, policy=pol)
+        fam = custom_family(C, Lam)
         outer = zeros_golub_welsch(fam, 12, pol)
         g = _rows(fam, 11, outer, pol)
         if i < 3:
@@ -1091,8 +1091,8 @@ def test_double_certificate_agrees_at_64_bits(monkeypatch):
     # the grid's calls up to n = 8, with 1 of 855 zeros left to the exact route (test_stieltjes_q_and_verdicts_...
     # checks the Stieltjes verdicts at 64 bits)
     pol = TolerancePolicy(precision_bits=64)
-    calls, interlace = [], cli.interlace_strict
-    monkeypatch.setattr(cli, "interlace_strict", lambda *args: calls.append(args) or interlace(*args))
+    calls, interlace = [], zeros.interlace_strict
+    monkeypatch.setattr(zeros, "interlace_strict", lambda *args: calls.append(args) or interlace(*args))
     cli._grid_rows(cli.RunConfig("grid", n=8, precision_bits=64), pol)
     assert len(calls) == 130 and sum(len(outer) for *_, outer, _ in calls) == 855
     assert assert_certificate_agrees(calls) == 1

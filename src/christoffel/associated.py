@@ -41,9 +41,7 @@ def _sequence(family: RecurrenceFamily, n: int, m: int, prec: int) -> list:
 def associated(family: RecurrenceFamily, n: int, m: int, policy: TolerancePolicy = DEFAULT_POLICY) -> Polynomial:
     """S_m anchored at n: monic, exact degree m (S_0, S_1, ... kept by the family per anchor and precision)."""
     family.require_degree(n)
-    if not 0 <= m <= n:
-        raise ValueError(f"order {m} outside 0..{n} for anchor {n}")
-    _order(m, "order m")
+    _order(m, "order m", 0, n)
     return _sequence(family, n, m, policy.precision_bits)[m]
 
 
@@ -51,10 +49,8 @@ def associated_identity_residual(
     family: RecurrenceFamily, n: int, m: int, x, policy: TolerancePolicy = DEFAULT_POLICY
 ) -> mp.mpf:
     """Relative residual of the downward bridge identity at a point, 2 <= m <= n."""
-    if not 2 <= m <= n:
-        raise ValueError(f"need 2 <= m <= n, got m={m}, n={n}")
-    _order(m, "order m")
-    family.require_degree(n)
+    family.require_degree(n, 2)
+    _order(m, "order m", 2, n)
     with policy.workprec():
         x = _to_mpf(*_point(x, policy))
         ladder = _ladder(family, n, policy.precision_bits)
@@ -72,9 +68,9 @@ def extension_identity_residual(
     family: RecurrenceFamily, n: int, m: int, x, policy: TolerancePolicy = DEFAULT_POLICY
 ) -> mp.mpf:
     """Relative residual of the upward extension identity at a point."""
-    if n < 1 or m < 0:
-        raise ValueError(f"need n >= 1 and m >= 0, got n={n}, m={m}")
-    family.require_degree(n + m)
+    family.require_degree(n, 1)
+    _order(m, "order m")
+    family.require_degree(n + m, of=f"n + m for n={n}, m={m}")
     with policy.workprec():
         x = _to_mpf(*_point(x, policy))
         ladder = _ladder(family, n + m, policy.precision_bits)

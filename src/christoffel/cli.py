@@ -49,7 +49,7 @@ from mpmath import mp
 
 from . import __version__
 from .core import TolerancePolicy, to_scalar
-from .families import _sweep_rows, even_modifier, generate, generate_all, mp_family, mp_symmetry_residual, pj_family, recurrence_residual
+from .families import _order, _sweep_rows, even_modifier, generate, generate_all, mp_family, mp_symmetry_residual, pj_family, recurrence_residual
 from .associated import associated_identity_residual, extension_identity_residual
 from .transform import christoffel_transform, connection_decompose, connection_degree_law
 from .zeros import _grid_interlace, bound_separation, gauss_rule, stieltjes_check, zeros_golub_welsch
@@ -562,6 +562,9 @@ def dispatch(config: RunConfig) -> Report:
     unread = [flag for field, flag in _FLAGS.items() if getattr(config, field) is not None and field not in reads]
     if unread:
         raise ValueError(f"--{config.command} does not read {', '.join(unread)}")
+    for field in ("table_id", "n", "m", "k"):  # argparse makes these ints, a library caller may not
+        if getattr(config, field) is not None:
+            _order(getattr(config, field), _FLAGS[field])
     policy = config.policy()
     started = time.monotonic()
     rows, extra_meta = rows_of(config, policy)

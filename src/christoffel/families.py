@@ -150,11 +150,14 @@ class RecurrenceFamily:
         rows = self.kernel_rows(n, prec)[: n + 1]
         return [_to_mpf(cm, ce) for cm, ce, _, _ in rows], [_to_mpf(lm, le) for _, _, lm, le in rows]
 
-    def require_degree(self, n: int):
-        _order(n, "degree")
+    def require_degree(self, n: int, least: int = 0, of: str = ""):
+        """:func:`_order`'s rule for a degree from ``least``, then the family's validity range.
+
+        ``of`` says how a derived degree comes from the caller's arguments, "n + m for n=5, m=3"."""
+        _order(n, "degree", least)
         if self.max_valid_degree is not None and n > self.max_valid_degree:
             raise ValueError(
-                f"degree {n} exceeds the validity range of {self.label} "
+                f"degree {n}{f' ({of})' if of else ''} exceeds the validity range of {self.label} "
                 f"(max valid degree {self.max_valid_degree})"
             )
 
@@ -179,14 +182,15 @@ class RecurrenceFamily:
         return self.owned(("shifted", k), build)
 
 
-def _order(k, name: str) -> None:
-    """The one integer rule for a degree, gap or order: a nonnegative int, else ``ValueError``.
+def _order(k, name: str, least: int = 0, most: Optional[int] = None) -> None:
+    """The one rule for a degree, gap or order: an int, not a bool, in least..most, else ``ValueError`` naming it.
 
-    1.5 would shift lambda by 1.5, range(2.5) raises ``TypeError``, and 1.0 indexes no tuple."""
-    if not isinstance(k, int):
+    1.5 would shift lambda by 1.5, range(2.5) raises ``TypeError``, 1.0 indexes no tuple and True is 1."""
+    if not isinstance(k, int) or isinstance(k, bool):
         raise ValueError(f"{name} must be an integer, got {k!r}")
-    if k < 0:
-        raise ValueError(f"{name} must be nonnegative, got {k}")
+    if k < least or most is not None and k > most:
+        bound = f"in {least}..{most}" if most is not None else f"at least {least}" if least else "nonnegative"
+        raise ValueError(f"{name} must be {bound}, got {k}")
 
 
 def _gershgorin(rows: list, prec: int) -> tuple:
@@ -336,6 +340,8 @@ def custom_family(
     label: str = "custom",
 ) -> RecurrenceFamily:
     """The family of the mpf maps C and Lambda, each read at the row's precision and checked finite (``ValueError``)."""
+    if max_valid_degree is not None:
+        _order(max_valid_degree, "max_valid_degree")
 
     def row(j: int, prec: int) -> tuple:
         with mp.workprec(prec):
@@ -622,9 +628,7 @@ def even_modifier(family: RecurrenceFamily, k: int, policy: TolerancePolicy = DE
 
 def recurrence_residual(family: RecurrenceFamily, n: int, x, policy: TolerancePolicy = DEFAULT_POLICY) -> mp.mpf:
     """Relative residual of the three-term recurrence at a point, degrees >= 2."""
-    if n < 2:
-        raise ValueError("recurrence residual needs n >= 2")
-    family.require_degree(n)
+    family.require_degree(n, 2)
     with policy.workprec():
         x = _to_mpf(*_point(x, policy))
         ladder = _ladder(family, n, policy.precision_bits)

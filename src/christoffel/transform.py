@@ -66,9 +66,7 @@ def connection_degree_law(k: int, m: int) -> DegreeLaw:
     ``linear_G`` is the m = 2, k <= 2 specialisation where G is linear and its
     root is an inner bound for the extreme zeros.
     """
-    if m < 2:
-        raise ValueError("gap m must be at least 2")
-    _order(m, "gap m")
+    _order(m, "gap m", 2)
     _order(k, "modifier order k")
     deg_a = m - 2 if k <= m - 1 else 2 * k - m
     deg_g = max(m - 1, 2 * k - m - 1)
@@ -162,7 +160,7 @@ def christoffel_transform(
     k = modifier.k
     if k == 0:
         return generate(family, deg, policy)
-    family.require_degree(deg + 2 * k)
+    family.require_degree(deg + 2 * k, of=f"deg + 2k for deg={deg}, k={k}")
     with policy.workprec():
         prec = policy.precision_bits
         ladder = _ladder(family, deg + 2 * k, prec)
@@ -287,12 +285,11 @@ def connection_decompose(
     so they are built, and checked, once per (modifier, n - m, policy) and
     kept by the family (see :func:`_expansion`).
     """
-    if not 2 <= m <= n:
-        raise ValueError(f"need 2 <= m <= n, got m={m}, n={n}")
-    _order(m, "gap m")
+    family.require_degree(n, 2)
+    _order(m, "gap m", 2, n)
     k = modifier.k
     top = max(n, n - m + 2 * k)
-    family.require_degree(top)
+    family.require_degree(top, of=f"n - m + 2k for n={n}, m={m}, k={k}")
     g, lhs, lhs_scale, d, work = _expansion(family, modifier, n - m, policy)
     prec = policy.precision_bits
     with policy.workprec():

@@ -514,8 +514,7 @@ def gauss_rule(family: RecurrenceFamily, n: int, policy: TolerancePolicy = DEFAU
     equals the squared-first-eigenvector-component formula without forming
     eigenvectors.
     """
-    if n < 1:
-        raise ValueError("Gauss rule needs n >= 1")
+    family.require_degree(n, 1)
     nodes = zeros_golub_welsch(family, n, policy)
     prec = policy.precision_bits
     rows = family.kernel_rows(n, prec)
@@ -694,17 +693,13 @@ def _grid_interlace(G: Polynomial, n: int, m: int, k: int, zp: ZeroSet, rows, po
 
 def inner_bound(family: RecurrenceFamily, n: int, k: int, policy: TolerancePolicy = DEFAULT_POLICY) -> mp.mpf:
     """Inner bound B_n(k) for the extreme zeros of p_n, k in {0, 1, 2}, in the family's closed form."""
-    if k not in (0, 1, 2):
-        raise ValueError("bound order k must be 0, 1 or 2")
-    _order(k, "bound order k")  # 1.0 is in (0, 1, 2) but indexes no tuple
+    _order(k, "bound order k", 0, 2)
     return _bounds(family, n, policy)[k]
 
 
 def _bounds(family: RecurrenceFamily, n: int, policy: TolerancePolicy) -> tuple:
     """(B_n(0), B_n(1), B_n(2)) at the policy's precision; the degree is checked against the validity range."""
-    if n < 1:
-        raise ValueError("bound needs n >= 1")
-    family.require_degree(n)
+    family.require_degree(n, 1)
     if family.paper is None:
         raise ValueError(f"no closed-form bounds for {family.label}")
     with policy.workprec():
@@ -720,8 +715,7 @@ def bound_separation(family: RecurrenceFamily, n: int, policy: TolerancePolicy =
     family's direction: B(0) < B(1) < B(2) when it is positive, the reverse when it is negative, and
     all three 0 when it is 0.
     """
-    if n < 2:
-        raise ValueError("bound separation needs n >= 2")
+    family.require_degree(n, 2)
     with policy.workprec():
         bounds = dict(enumerate(_bounds(family, n, policy)))
         spectrum = family.owned(("spectrum", n, policy.precision_bits), lambda: _Spectrum(family, n, policy))
@@ -748,12 +742,9 @@ def stieltjes_check(family: RecurrenceFamily, k: int, n: int, policy: ToleranceP
     pairs; common zeros are read off those values, and both claims are :func:`interlace_strict`
     on them (G = x - B_n(k), or G = 1 over the non-common zeros), so no zero of g is solved for.
     """
-    if k not in (0, 1, 2):
-        raise ValueError("modifier order k must be 0, 1 or 2 for the gap-2 check")
-    if n < 2:
-        raise ValueError("check needs n >= 2")
-    shifted = family.shifted(k)
-    shifted.require_degree(n - 2)
+    _order(k, "modifier order k", 0, 2)
+    family.require_degree(n, 2)
+    shifted = family.shifted(k)  # in range to n - 2: PJ's order-k shift lowers its top degree by k <= 2, MP has none
     prec = policy.precision_bits
     rows = shifted.kernel_rows(n - 2, prec)
     with policy.workprec():

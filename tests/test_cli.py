@@ -273,6 +273,14 @@ def test_exit_code_on_config_errors(capsys):
     assert capsys.readouterr().err.startswith("configuration error: abs_tol 1.0 is at least the gap ")
 
 
+def test_a_derived_degree_past_the_range_names_the_arguments_that_need_it(capsys):
+    # n - m + 2k = 24 is past PJ(a=-20)'s top degree 19; the user typed none of 24
+    argv = ["--decompose", "--family", "pj", "--a", "-20", "--b", "8", "--n", "8", "--m", "2", "--k", "9"]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "configuration error: degree 24 (n - m + 2k for n=8, m=2, k=9) exceeds the "
+                                       "validity range of PJ(a=-20.0, b=8.0) (max valid degree 19)\n")
+
+
 def test_exit_code_on_numerical_failure(capsys):
     # phi next to pi: c g has components below the basis range of the expansion
     argv = ["--decompose", "--family", "mp", "--lambda", "0.5", "--phi", "3.14159265", "--n", "8", "--m", "2", "--k", "2"]

@@ -38,7 +38,7 @@ from christoffel import (
     values_ladder,
     zeros_golub_welsch,
 )
-from christoffel import core, families
+from christoffel import cli, core, families
 from christoffel.core import _unpack, to_scalar
 from polyhelpers import coeff, mpf_recurrence
 
@@ -321,25 +321,111 @@ def test_shift_and_modifier_orders_must_be_integers(k, policy):
     assert not fam._store
 
 
-_NOT_INTEGERS = [
-    ("generate", lambda fam, pol: generate(fam, 2.5, pol), "degree", 2.5),
-    ("zeros_golub_welsch", lambda fam, pol: zeros_golub_welsch(fam, 2.5, pol), "degree", 2.5),
-    ("gauss_rule", lambda fam, pol: gauss_rule(fam, 3.0, pol), "degree", 3.0),
-    ("associated", lambda fam, pol: associated(fam, 5, 1.5, pol), "order m", 1.5),
-    ("associated_identity_residual", lambda fam, pol: associated_identity_residual(fam, 6, 2.5, 1, pol), "order m", 2.5),
-    ("connection_decompose", lambda fam, pol: connection_decompose(fam, even_modifier(fam, 1, pol), 5, 2.5, pol), "gap m", 2.5),
-    ("recurrence_residual", lambda fam, pol: recurrence_residual(fam, 2.5, 1, pol), "degree", 2.5),
-    ("inner_bound", lambda fam, pol: inner_bound(fam, 5, 1.0, pol), "bound order k", 1.0),
-    ("degree_law_k", lambda fam, pol: connection_degree_law(1.5, 3), "modifier order k", 1.5),
-    ("degree_law_m", lambda fam, pol: connection_degree_law(1, 2.5), "gap m", 2.5),
+def _pj(pol):
+    return pj_family("-20", "8", pol)  # valid to degree 19
+
+
+_PJ_RANGE = "exceeds the validity range of PJ(a=-20.0, b=8.0) (max valid degree 19)"
+
+# Every public entry point with a degree, gap or order, given a bool, a float, a value below its range and one
+# above it: (id, call(fam, pol) on fam = MP(0.5, 0.9), the whole message, which names what the caller passed)
+_BAD_ARGUMENTS = [
+    ("generate", lambda fam, pol: generate(fam, 2.5, pol), "degree must be an integer, got 2.5"),
+    ("generate-bool", lambda fam, pol: generate(fam, True, pol), "degree must be an integer, got True"),
+    ("generate-below", lambda fam, pol: generate(fam, -1, pol), "degree must be nonnegative, got -1"),
+    ("generate-above", lambda fam, pol: generate(_pj(pol), 20, pol), f"degree 20 {_PJ_RANGE}"),
+    ("generate_all-bool", lambda fam, pol: generate_all(fam, False, pol), "degree must be an integer, got False"),
+    ("values_ladder-float", lambda fam, pol: values_ladder(fam, 3.0, 1, pol), "degree must be an integer, got 3.0"),
+    ("eval_with_derivative-bool", lambda fam, pol: eval_with_derivative(fam, True, 1, pol), "degree must be an integer, got True"),
+    ("mp_symmetry_residual-float", lambda fam, pol: mp_symmetry_residual(fam, 2.5, 1, pol), "degree must be an integer, got 2.5"),
+    ("recurrence_residual", lambda fam, pol: recurrence_residual(fam, 2.5, 1, pol), "degree must be an integer, got 2.5"),
+    ("recurrence_residual-bool", lambda fam, pol: recurrence_residual(fam, True, 1, pol), "degree must be an integer, got True"),
+    ("recurrence_residual-below", lambda fam, pol: recurrence_residual(fam, 1, 1, pol), "degree must be at least 2, got 1"),
+    ("recurrence_residual-above", lambda fam, pol: recurrence_residual(_pj(pol), 20, 1, pol), f"degree 20 {_PJ_RANGE}"),
+    ("custom_family-bool", lambda fam, pol: custom_family(fam.C, fam.Lambda, True), "max_valid_degree must be an integer, got True"),
+    ("custom_family-below", lambda fam, pol: custom_family(fam.C, fam.Lambda, -3), "max_valid_degree must be nonnegative, got -3"),
+    ("shifted-bool", lambda fam, pol: fam.shifted(True), "shift must be an integer, got True"),
+    ("shifted-below", lambda fam, pol: fam.shifted(-1), "shift must be nonnegative, got -1"),
+    ("even_modifier-bool", lambda fam, pol: even_modifier(fam, True, pol), "modifier order k must be an integer, got True"),
+    ("even_modifier-below", lambda fam, pol: even_modifier(fam, -1, pol), "modifier order k must be nonnegative, got -1"),
+    ("zeros_golub_welsch", lambda fam, pol: zeros_golub_welsch(fam, 2.5, pol), "degree must be an integer, got 2.5"),
+    ("zeros_golub_welsch-bool", lambda fam, pol: zeros_golub_welsch(fam, True, pol), "degree must be an integer, got True"),
+    ("zeros_golub_welsch-below", lambda fam, pol: zeros_golub_welsch(fam, -1, pol), "degree must be nonnegative, got -1"),
+    ("zeros_golub_welsch-above", lambda fam, pol: zeros_golub_welsch(_pj(pol), 20, pol), f"degree 20 {_PJ_RANGE}"),
+    ("gauss_rule", lambda fam, pol: gauss_rule(fam, 3.0, pol), "degree must be an integer, got 3.0"),
+    ("gauss_rule-bool", lambda fam, pol: gauss_rule(fam, True, pol), "degree must be an integer, got True"),
+    ("gauss_rule-below", lambda fam, pol: gauss_rule(fam, 0, pol), "degree must be at least 1, got 0"),
+    ("gauss_rule-above", lambda fam, pol: gauss_rule(_pj(pol), 20, pol), f"degree 20 {_PJ_RANGE}"),
+    ("inner_bound", lambda fam, pol: inner_bound(fam, 5, 1.0, pol), "bound order k must be an integer, got 1.0"),
+    ("inner_bound-bool", lambda fam, pol: inner_bound(fam, 5, True, pol), "bound order k must be an integer, got True"),
+    ("inner_bound-below", lambda fam, pol: inner_bound(fam, 5, -1, pol), "bound order k must be in 0..2, got -1"),
+    ("inner_bound-above", lambda fam, pol: inner_bound(fam, 5, 3, pol), "bound order k must be in 0..2, got 3"),
+    ("inner_bound-n-float", lambda fam, pol: inner_bound(fam, 5.0, 1, pol), "degree must be an integer, got 5.0"),
+    ("inner_bound-n-below", lambda fam, pol: inner_bound(fam, 0, 1, pol), "degree must be at least 1, got 0"),
+    ("bound_separation-float", lambda fam, pol: bound_separation(fam, 12.0, pol), "degree must be an integer, got 12.0"),
+    ("bound_separation-below", lambda fam, pol: bound_separation(fam, 1, pol), "degree must be at least 2, got 1"),
+    ("bound_separation-above", lambda fam, pol: bound_separation(_pj(pol), 20, pol), f"degree 20 {_PJ_RANGE}"),
+    ("stieltjes_check-bool", lambda fam, pol: stieltjes_check(fam, True, 10, pol), "modifier order k must be an integer, got True"),
+    ("stieltjes_check-below", lambda fam, pol: stieltjes_check(fam, -1, 10, pol), "modifier order k must be in 0..2, got -1"),
+    ("stieltjes_check-above", lambda fam, pol: stieltjes_check(fam, 3, 10, pol), "modifier order k must be in 0..2, got 3"),
+    ("stieltjes_check-n-float", lambda fam, pol: stieltjes_check(fam, 1, 10.0, pol), "degree must be an integer, got 10.0"),
+    ("stieltjes_check-n-below", lambda fam, pol: stieltjes_check(fam, 1, 1, pol), "degree must be at least 2, got 1"),
+    ("stieltjes_check-n-above", lambda fam, pol: stieltjes_check(_pj(pol), 1, 20, pol), f"degree 20 {_PJ_RANGE}"),
+    ("associated", lambda fam, pol: associated(fam, 5, 1.5, pol), "order m must be an integer, got 1.5"),
+    ("associated-bool", lambda fam, pol: associated(fam, 5, True, pol), "order m must be an integer, got True"),
+    ("associated-below", lambda fam, pol: associated(fam, 5, -1, pol), "order m must be in 0..5, got -1"),
+    ("associated-above", lambda fam, pol: associated(fam, 5, 6, pol), "order m must be in 0..5, got 6"),
+    ("associated-n-bool", lambda fam, pol: associated(fam, True, 0, pol), "degree must be an integer, got True"),
+    ("associated_identity_residual", lambda fam, pol: associated_identity_residual(fam, 6, 2.5, 1, pol), "order m must be an integer, got 2.5"),
+    ("associated_identity_residual-bool", lambda fam, pol: associated_identity_residual(fam, True, 2, 1, pol), "degree must be an integer, got True"),
+    ("associated_identity_residual-below", lambda fam, pol: associated_identity_residual(fam, 5, 1, 1, pol), "order m must be in 2..5, got 1"),
+    ("associated_identity_residual-above", lambda fam, pol: associated_identity_residual(fam, 5, 6, 1, pol), "order m must be in 2..5, got 6"),
+    ("extension_identity_residual-float", lambda fam, pol: extension_identity_residual(fam, 5, 1.5, 1, pol), "order m must be an integer, got 1.5"),
+    ("extension_identity_residual-bool", lambda fam, pol: extension_identity_residual(fam, True, 1, 1, pol), "degree must be an integer, got True"),
+    ("extension_identity_residual-below", lambda fam, pol: extension_identity_residual(fam, 0, 2, 1, pol), "degree must be at least 1, got 0"),
+    ("extension_identity_residual-m-below", lambda fam, pol: extension_identity_residual(fam, 5, -1, 1, pol), "order m must be nonnegative, got -1"),
+    ("extension_identity_residual-above", lambda fam, pol: extension_identity_residual(_pj(pol), 15, 6, 1, pol), f"degree 21 (n + m for n=15, m=6) {_PJ_RANGE}"),
+    ("degree_law_k", lambda fam, pol: connection_degree_law(1.5, 3), "modifier order k must be an integer, got 1.5"),
+    ("degree_law_m", lambda fam, pol: connection_degree_law(1, 2.5), "gap m must be an integer, got 2.5"),
+    ("degree_law-bool", lambda fam, pol: connection_degree_law(True, 3), "modifier order k must be an integer, got True"),
+    ("degree_law-k-below", lambda fam, pol: connection_degree_law(-1, 3), "modifier order k must be nonnegative, got -1"),
+    ("degree_law-m-below", lambda fam, pol: connection_degree_law(1, 1), "gap m must be at least 2, got 1"),
+    ("christoffel_transform-float", lambda fam, pol: christoffel_transform(fam, even_modifier(fam, 1, pol), 2.5, pol), "degree must be an integer, got 2.5"),
+    ("christoffel_transform-bool", lambda fam, pol: christoffel_transform(fam, even_modifier(fam, 1, pol), True, pol), "degree must be an integer, got True"),
+    ("christoffel_transform-above", lambda fam, pol: christoffel_transform(_pj(pol), even_modifier(_pj(pol), 3, pol), 15, pol), f"degree 21 (deg + 2k for deg=15, k=3) {_PJ_RANGE}"),
+    ("connection_decompose", lambda fam, pol: connection_decompose(fam, even_modifier(fam, 1, pol), 5, 2.5, pol), "gap m must be an integer, got 2.5"),
+    ("connection_decompose-bool", lambda fam, pol: connection_decompose(fam, even_modifier(fam, 1, pol), True, 2, pol), "degree must be an integer, got True"),
+    ("connection_decompose-below", lambda fam, pol: connection_decompose(fam, even_modifier(fam, 1, pol), 5, 1, pol), "gap m must be in 2..5, got 1"),
+    ("connection_decompose-above", lambda fam, pol: connection_decompose(fam, even_modifier(fam, 1, pol), 5, 6, pol), "gap m must be in 2..5, got 6"),
+    ("connection_decompose-top-above", lambda fam, pol: connection_decompose(_pj(pol), even_modifier(_pj(pol), 9, pol), 8, 2, pol), f"degree 24 (n - m + 2k for n=8, m=2, k=9) {_PJ_RANGE}"),
+    ("dispatch-n-float", lambda fam, pol: cli.dispatch(cli.RunConfig(command="grid", n=4.5)), "--n must be an integer, got 4.5"),
+    ("dispatch-table-float", lambda fam, pol: cli.dispatch(cli.RunConfig(command="table", table_id=2.0)), "--table must be an integer, got 2.0"),
+    ("dispatch-k-bool", lambda fam, pol: cli.dispatch(cli.RunConfig(command="decompose", family="mp", lam="0.5", phi="0.9", n=5, m=2, k=True)), "--k must be an integer, got True"),
+    ("dispatch-m-below", lambda fam, pol: cli.dispatch(cli.RunConfig(command="decompose", family="mp", lam="0.5", phi="0.9", n=5, m=-2, k=1)), "--m must be nonnegative, got -2"),
 ]
 
 
-@pytest.mark.parametrize("call, name, value", [case[1:] for case in _NOT_INTEGERS], ids=[case[0] for case in _NOT_INTEGERS])
-def test_a_non_integer_degree_gap_or_order_is_a_value_error(call, name, value, policy):
-    # range(2.5) would raise TypeError, (B0, B1, B2)[1.0] too, and the degree law would answer deg_G = 2 for k = 1.5
-    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+def _bad_arguments(non_integer: bool):
+    cases = [case for case in _BAD_ARGUMENTS if ("must be an integer" in case[2]) == non_integer]
+    return pytest.mark.parametrize("call, message", [case[1:] for case in cases], ids=[case[0] for case in cases])
+
+
+@_bad_arguments(non_integer=True)
+def test_a_non_integer_degree_gap_or_order_is_a_value_error(call, message, policy):
+    # range(2.5) would raise TypeError, (B0, B1, B2)[1.0] too, the degree law would answer deg_G = 2 for k = 1.5,
+    # and True would be taken for 1
+    with pytest.raises(ValueError) as raised:
         call(mp_family("0.5", "0.9", policy), policy)
+    assert str(raised.value) == message
+
+
+@_bad_arguments(non_integer=False)
+def test_a_degree_gap_or_order_out_of_range_names_what_the_caller_passed(call, message, policy):
+    # checked where the caller passed it, before any degree derived from it; a derived degree past the family's
+    # range says which arguments need it
+    with pytest.raises(ValueError) as raised:
+        call(mp_family("0.5", "0.9", policy), policy)
+    assert str(raised.value) == message
 
 
 def test_a_shift_out_of_range_names_the_family_and_order(policy):

@@ -189,17 +189,18 @@ def christoffel_transform(
         return g.chop(policy.rel_tol * max(1, g.inf_norm()))
 
 
-def _expand_in_monic_basis(f: Polynomial, ladder, prec: int) -> list:
-    """Kernel pairs e with f = sum e_i p_i over the monic ladder p_0..p_N, top down.
+def _expand_in_monic_basis(f: Polynomial, ladder, low: int, prec: int) -> list:
+    """Kernel pairs e_low..e_N with f = sum e_i p_i over the monic ladder p_0..p_N, top down.
 
     Subtracting e_i p_i leaves exactly 0 at x**i: p_i is monic, and e_i has at most the
-    working precision's bits, as f is a product rounded there."""
-    rem = list(f._pairs)
+    working precision's bits, as f is a product rounded there.  Top down, e_i reads only
+    x**i and above, so the coefficients below x**low are neither formed nor returned."""
+    rem = list(f._pairs[low:])
     out = [(0, 0)] * len(rem)
     for i in range(len(rem) - 1, -1, -1):
         em, ee = out[i] = rem[i]
         if em:
-            _accumulate(rem, -em, ee, ladder[i]._pairs, 0, prec)
+            _accumulate(rem, -em, ee, ladder[low + i]._pairs[low:], 0, prec)
     return out
 
 
@@ -251,8 +252,7 @@ def _expansion(family, modifier, d, policy) -> tuple:
     max(1, its sup norm), and its monic-basis coefficients from p_d up (kernel pairs, mpf); the last is exactly 1,
     as c_{2k}, g and the basis are monic and the expansion's top step only copies the product's top coefficient.
 
-    The key holds the whole policy: the determinant route's gates and chop, and the check that the
-    coefficients below p_d vanish, read its tolerances.  A failed check keeps nothing, so it raises on every call.
+    The key holds the whole policy, for the determinant route's gates and chop read its tolerances.
     """
 
     def build() -> tuple:
@@ -260,14 +260,8 @@ def _expansion(family, modifier, d, policy) -> tuple:
         prec = policy.precision_bits
         with policy.workprec():
             lhs = modifier.c * g
-            coeffs = _expand_in_monic_basis(lhs, _ladder(family, lhs.degree, prec), prec)
-            escale = max(Polynomial._of(list(coeffs)).inf_norm(), mp.mpf(1))
-            if Polynomial._of(coeffs[:d]).inf_norm() > policy.rel_tol * escale:
-                raise ArithmeticError(
-                    "modified polynomial has components below the expected basis "
-                    "range; the transform inputs are inconsistent"
-                )
-            return g, lhs, max(lhs.inf_norm(), mp.mpf(1)), coeffs[d:], tuple(_to_mpf(*w) for w in coeffs[d:])
+            coeffs = _expand_in_monic_basis(lhs, _ladder(family, lhs.degree, prec), d, prec)
+            return g, lhs, max(lhs.inf_norm(), mp.mpf(1)), coeffs, tuple(_to_mpf(*w) for w in coeffs)
 
     return family.owned(("expansion", modifier, d, policy), build)
 
@@ -282,8 +276,11 @@ def connection_decompose(
     """Canonical connection pair (a, G) for the modified family, 2 <= m <= n.
 
     The left side and its expansion depend on n - m and the modifier only,
-    so they are built, and checked, once per (modifier, n - m, policy) and
-    kept by the family (see :func:`_expansion`).
+    so they are built once per (modifier, n - m, policy) and kept by the
+    family (see :func:`_expansion`).  The arrays for a and -G are sized to
+    the degree law and nothing is chopped from them: each degree is the
+    index of its top nonzero coefficient, and the identity residual is the
+    pair's one gate.
     """
     family.require_degree(n, 2)
     _order(m, "gap m", 2, n)
@@ -318,9 +315,6 @@ def connection_decompose(
                 _accumulate(minus_G, -wm, we, s[j - m - 1]._pairs, 0, prec)
         a_poly = Polynomial._of(a_out)
         G_poly = Polynomial._of([(-cm, ce) for cm, ce in minus_G])  # rounded sums: negation is exact
-
-        a_poly = a_poly.chop(policy.rel_tol * max(1, a_poly.inf_norm()))
-        G_poly = G_poly.chop(policy.rel_tol * max(1, G_poly.inf_norm()))
         if G_poly.is_zero():
             raise DegenerateTransformError("connection coefficient G vanished")
 

@@ -641,9 +641,9 @@ def interlace_strict(G: Polynomial, g, degree: int, outer: ZeroSet, policy: Tole
     g'(x) at each zero x of ``outer`` in order.  A q of degree len(outer) - 1 interlaces
     exactly when q(x_i) q(x_{i+1}) < 0 for every i (Markov's sign argument
     and its converse, Wendroff 1961), read off the mantissas' signs; for any
-    other degree, and for q = 0 (G = 0 or a negative ``degree``), which has no zeros, the signs prove
-    nothing, so that raises ``ValueError``, as do a g without one row per zero and an ``outer`` that is
-    no :class:`ZeroSet`.  Outer zeros that are zeros of q at tolerance
+    other degree, and for q = 0 (G = 0), which has no zeros, the signs prove nothing, so that raises
+    ``ValueError``, as do a ``degree`` that is no nonnegative int (``families._order``), a g without one
+    row per zero and an ``outer`` that is no :class:`ZeroSet`.  Outer zeros that are zeros of q at tolerance
     (:func:`_is_zero`) are reported in ``common`` and make the verdict non-strict.
 
     The signs and zero tests are those of q and q' formed on kernel pairs (:func:`_q_at`), but doubles with an
@@ -653,7 +653,8 @@ def interlace_strict(G: Polynomial, g, degree: int, outer: ZeroSet, policy: Tole
         raise ValueError(f"outer zeros must be a ZeroSet, got {type(outer).__name__}")
     if len(g) != len(outer):
         raise ValueError(f"g needs one row per outer zero, {len(outer)}, got {len(g)}")
-    if not G or degree < 0:
+    _order(degree, "degree of g")
+    if not G:
         raise ValueError(f"q = G g is 0 (G of degree {G.degree}, g of degree {degree}) and has no zeros to interlace")
     if G.degree + degree != len(outer) - 1:
         raise ValueError(f"q must have degree {len(outer) - 1} to interlace {len(outer)} zeros, got {G.degree + degree}")

@@ -201,18 +201,18 @@ def poly_associated(family, n: int, m: int, prec: int, built: dict) -> list:
     return built[key][m]
 
 
-def poly_expand_in_monic_basis(f, ladder) -> list:
-    """Coefficients e with f = sum e_i p_i over the monic ladder p_0..p_N."""
+def poly_expand_in_monic_basis(f, ladder, low: int) -> list:
+    """Coefficients e_low..e_N with f = sum e_i p_i over the monic ladder p_0..p_N, top down to p_low."""
     rem = list(f)
     out = [mp.mpf(0)] * len(f)
-    for i in range(len(f) - 1, -1, -1):
+    for i in range(len(f) - 1, low - 1, -1):
         e = rem[i]
         out[i] = e
         if e != 0:
             for t, c in enumerate(ladder[i]):
                 rem[t] -= e * c
         rem[i] = mp.mpf(0)
-    return out
+    return out[low:]
 
 
 def poly_decompose(family, modifier, n: int, m: int, policy, built: dict) -> tuple:
@@ -230,13 +230,9 @@ def poly_decompose(family, modifier, n: int, m: int, policy, built: dict) -> tup
         key = ("expansion", family, modifier, n - m, policy)
         if key not in built:
             lhs = poly_mul(modifier.c.coeffs, g)
-            built[key] = lhs, poly_expand_in_monic_basis(lhs, ladder)
+            built[key] = lhs, poly_expand_in_monic_basis(lhs, ladder, n - m)
         lhs, coeffs = built[key]
-        escale = max(max(abs(e) for e in coeffs), mp.mpf(1))
-        for low in coeffs[: n - m]:
-            if abs(low) > policy.rel_tol * escale:
-                raise ArithmeticError("modified polynomial has components below the expected basis range")
-        d = [e / coeffs[-1] for e in coeffs[n - m :]]
+        d = [e / coeffs[-1] for e in coeffs]
 
         a_out = [mp.mpf(0)] * max(m - 1, 2 * k - m + 1)
         g_out = [mp.mpf(0)] * max(m, 2 * k - m)
@@ -260,8 +256,6 @@ def poly_decompose(family, modifier, n: int, m: int, policy, built: dict) -> tup
                 g_out[i] -= w * s
         a = _trimmed(a_out)
         G = _trimmed([-c for c in g_out])
-        a = poly_chop(a, policy.rel_tol * max(1, poly_inf_norm(a)))
-        G = poly_chop(G, policy.rel_tol * max(1, poly_inf_norm(G)))
         if not G:
             raise ArithmeticError("connection coefficient G vanished")
         rhs = poly_sub(poly_mul(a, ladder[n]), poly_mul(G, ladder[n - 1]))

@@ -157,22 +157,16 @@ _BOUND_FAMILIES = {
     "mp-3.25-2.4": lambda pol: mp_family("3.25", "2.4", pol),
     "mp-20-0.1": lambda pol: mp_family("20", "0.1", pol),
 }
-_LOW_COMPONENTS = pytest.mark.xfail(
-    strict=True,
-    raises=ArithmeticError,
-    reason="at n = 25, k = 1 the sup-norm test for components below the basis range rejects the expansion: ROADMAP item 1",
-)
 
 
-@pytest.mark.parametrize(
-    "family", [pytest.param(key, marks=_LOW_COMPONENTS if key == "mp-20-0.1" else ()) for key in _BOUND_FAMILIES]
-)
+@pytest.mark.parametrize("family", _BOUND_FAMILIES)
 def test_table_3_bound_from_the_connection_formula(family, policy):
     # inner_bound's closed form B_n(k) is the root of the linear G for the canonical c_{2k}, m = 2, which
-    # the decomposition reaches by another route; B_25(2) of table 3 for (-55, 5) is 5/54, not the printed 0.09926
+    # the decomposition reaches by another route; B_25(2) of table 3 for (-55, 5) is 5/54, not the printed 0.09926.
+    # MP(20, 0.1) at n = 17, 25 and 30 has rounding noise below p_{n-2} above rel_tol times the largest d_j
     with policy.workprec():
         fam = _BOUND_FAMILIES[family](policy)
-    for n in (2, 3, 12, 25):
+    for n in (2, 3, 12, 25, *((17, 30) if family == "mp-20-0.1" else ())):
         for k in (0, 1, 2):
             decomp = connection_decompose(fam, even_modifier(fam, k, policy), n, 2, policy)
             law = connection_degree_law(k, 2)
@@ -376,19 +370,6 @@ def test_expansions_are_kept_per_policy(policy):
     connection_decompose(fam, mod, 7, 3, policy)
     connection_decompose(fam, mod, 7, 3, other)
     assert _expansion_keys(fam) == [("expansion", mod, 4, policy), ("expansion", mod, 4, other)]
-
-
-def test_low_component_check_runs_under_each_callers_policy(policy):
-    # near phi = pi the expansion has components below degree n - m that the
-    # default rel_tol rejects and a loose one accepts; the kept expansion
-    # answers each caller under its own policy, every time
-    fam = mp_family("0.5", "3.14159265", policy)
-    mod = even_modifier(fam, 2, policy)
-    loose = TolerancePolicy(precision_bits=policy.precision_bits, rel_tol="1e-20")
-    for _ in range(2):
-        with pytest.raises(ArithmeticError, match="components below the expected basis range"):
-            connection_decompose(fam, mod, 8, 2, policy)
-        assert connection_decompose(fam, mod, 8, 2, loose).G_poly.degree == 1
 
 
 def test_canonical_nodes_at_53_bits_take_the_determinant_route(policy, monkeypatch):

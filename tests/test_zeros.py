@@ -722,11 +722,17 @@ def test_interlace_needs_one_row_of_g_per_outer_zero(policy):
         with pytest.raises(ValueError, match=f"outer zeros must be a ZeroSet, got {type(outer).__name__}"):
             interlace_strict(Polynomial([0, -2, 1]), [_ONE] * 3, 0, outer, policy)
     # q = 0 has no zeros to interlace: G = 0 (degree -1) with a g of degree 3 would sum to 2, and with no outer
-    # zeros G = 0, or g = 0 (degree -1) with G = 1, would sum to -1
+    # zeros G = 0 with g of degree 0 would sum to -1
     for G, g, degree, outer in ((Polynomial([0]), [_ONE] * 3, 3, _outer(-1, 0, 3)),
-                                (Polynomial([]), [], 0, zeros.ZeroSet((), "x")),
-                                (Polynomial([1]), [], -1, zeros.ZeroSet((), "x"))):
+                                (Polynomial([]), [], 0, zeros.ZeroSet((), "x"))):
         with pytest.raises(ValueError, match="q = G g is 0"):
+            interlace_strict(G, g, degree, outer, policy)
+    # the degree of g meets the one rule for degrees (families._order): True and 1.0 would pass as 1, and g = 0
+    # (degree -1) with G = 1 and no outer zeros would sum to -1
+    for G, g, degree, outer, message in ((Polynomial([0, 1]), [_ONE] * 3, True, _outer(-1, 0, 3), "an integer, got True"),
+                                         (Polynomial([0, 1]), [_ONE] * 3, 1.0, _outer(-1, 0, 3), "an integer, got 1.0"),
+                                         (Polynomial([1]), [], -1, zeros.ZeroSet((), "x"), "nonnegative, got -1")):
+        with pytest.raises(ValueError, match=f"^degree of g must be {message}$"):
             interlace_strict(G, g, degree, outer, policy)
 
 
@@ -1129,7 +1135,7 @@ def test_root_finder_failure_is_a_numerical_failure(policy, n4_grid, monkeypatch
         (["--table", "2"], 0),
         (["--table", "3"], 0),
         (["--verify"], 0),
-        (["--grid", "--lambda", "20", "--phi", "0.1", "--n", "9"], 1),
+        (["--grid", "--lambda", "20", "--phi", "0.1", "--n", "9"], 0),
         (["--decompose", "--family", "mp", "--lambda", "0.5", "--phi", "0.9", "--n", "8", "--m", "2", "--k", "2"], 0),
     ]
     assert [main(argv) for argv, _ in argvs] == [code for _, code in argvs]

@@ -36,7 +36,7 @@ from math import copysign, gcd, inf, isqrt, ldexp
 from typing import Iterable, Sequence
 
 from mpmath import mp
-from mpmath.libmp import from_man_exp, mpf_add, mpf_hypot, round_down, round_nearest
+from mpmath.libmp import from_man_exp, mpf_add, round_down, round_nearest
 
 
 class NonFiniteError(ArithmeticError):
@@ -335,11 +335,6 @@ def _cmul(am, ae, bm, be, cm, ce, dm, de, prec: int) -> tuple:
     return (*_add(am * cm, ae + ce, -bm * dm, be + de, prec), *_add(am * dm, ae + de, bm * cm, be + ce, prec))
 
 
-def _csub(am, ae, bm, be, cm, ce, dm, de, prec: int) -> tuple:
-    """(a + bi) - (c + di), as ``mpc_sub``."""
-    return (*_add(am, ae, -cm, ce, prec), *_add(bm, be, -dm, de, prec))
-
-
 def _cnorm(cm, ce, dm, de, prec: int) -> tuple:
     """c**2 + d**2 as ``mpc_div`` forms it for the divisor c + di: truncated to prec + 10 bits."""
     return _add_down(cm * cm, 2 * ce, dm * dm, 2 * de, prec + 10)
@@ -355,9 +350,36 @@ def _cdiv(am, ae, bm, be, cm, ce, dm, de, norm: tuple, prec: int) -> tuple:
     return (*_div(*t, *norm, prec), *_div(*u, *norm, prec))
 
 
-def _cabs(am, ae, bm, be, prec: int) -> mp.mpf:
-    """|a + bi|, as ``mpc_abs``: libmp's ``mpf_hypot``, whose inner sum is truncated."""
-    return mp.make_mpf(mpf_hypot(from_man_exp(am, ae), from_man_exp(bm, be), prec, round_nearest))
+def _cabs(am, ae, bm, be, prec: int) -> tuple:
+    """|a + bi| as a pair, as ``mpc_abs``: libmp's ``mpf_hypot`` takes the root of a**2 + b**2 truncated to
+    prec + 4 bits, and a zero part leaves the other part's rounded ``abs``."""
+    if not bm:
+        return _round(abs(am), ae, prec)
+    if not am:
+        return _round(abs(bm), be, prec)
+    return _sqrt(*_add_down(am * am, 2 * ae, bm * bm, 2 * be, prec + 4), prec)
+
+
+def _cupdate(r: tuple, p: tuple, x: tuple, u: tuple, prev, norm, prec: int) -> tuple:
+    """(r p - x u) / prev, the Bareiss entry update, as ``mpc_div(mpc_sub(mpc_mul(r, p), mpc_mul(x, u)), prev)``.
+
+    Those calls' roundings in one: each part of each product is its one rounded sum, as in :func:`_cmul`,
+    the difference rounds each part once, and the quotient is :func:`_cdiv`'s, by ``prev`` with its
+    :func:`_cnorm` ``norm``.  ``prev`` None stands for 1, by which a quotient is exact.
+    """
+    am, ae, bm, be = r
+    cm, ce, dm, de = p
+    fm, fe, gm, ge = x
+    hm, he, km, ke = u
+    sm, se = _add(am * cm, ae + ce, -bm * dm, be + de, prec)
+    tm, te = _add(fm * hm, fe + he, -gm * km, ge + ke, prec)
+    sm, se = _add(sm, se, -tm, te, prec)
+    tm, te = _add(am * dm, ae + de, bm * cm, be + ce, prec)
+    vm, ve = _add(fm * km, fe + ke, gm * hm, ge + he, prec)
+    tm, te = _add(tm, te, -vm, ve, prec)
+    if prev is None:
+        return sm, se, tm, te
+    return _cdiv(sm, se, tm, te, *prev, norm, prec)
 
 
 def _chorner(pairs, xm: int, xe: int, ym: int, ye: int, prec: int) -> tuple:

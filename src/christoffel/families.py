@@ -380,12 +380,24 @@ def _three_term(polys: list, m: int, row: Callable[[int], tuple], prec: int) -> 
     """Extend ``polys`` = [1, P_1, ...] in place to P_m, P_j = (x - c) P_{j-1} - l P_{j-2} at ``prec`` bits.
 
     ``row(j)`` is the kernel row (c, l) of step j (l is not read at j = 1); the
-    ladder and the associated sequences are both grown here."""
-    with mp.workprec(prec):
-        for j in range(len(polys), m + 1):
-            cm, ce, lm, le = row(j)
-            head = Polynomial._of([_round(-cm, ce, prec), (1, 0)])
-            polys.append(head if j == 1 else head * polys[j - 1] - polys[j - 2]._scaled(lm, le))
+    ladder and the associated sequences are both grown here.  Coefficient t is formed in one pass with the
+    roundings of the polynomial operations (x - c) * P_{j-1} - P_{j-2}._scaled(l): round(-c P_{j-1,t}),
+    then + P_{j-1,t-1} (a product by the monic 1, exact), then - round(l P_{j-2,t}), each sum rounded once."""
+    for j in range(len(polys), m + 1):
+        cm, ce, lm, le = row(j)
+        cm, ce = _round(-cm, ce, prec)
+        p, q = polys[j - 1]._pairs, polys[j - 2]._pairs if j > 1 else ()
+        out = []
+        for t, (pm, pe) in enumerate(p):
+            vm, ve = _round(cm * pm, ce + pe, prec)
+            if t:
+                vm, ve = _add(vm, ve, *p[t - 1], prec) if vm else p[t - 1]
+            if t < len(q):
+                qm, qe = _round(lm * q[t][0], le + q[t][1], prec)
+                vm, ve = _add(vm, ve, -qm, qe, prec)
+            out.append((vm, ve))
+        out.append(p[-1])
+        polys.append(Polynomial._of(out))
 
 
 def _ladder(family: RecurrenceFamily, n: int, prec: int) -> tuple:
@@ -527,6 +539,91 @@ def _sweep(rows: list, n: int, xm: int, xe: int, prec: int, out: Optional[list] 
         if out is not None:
             out.append((pm, pe, dm, de))
     return pm, pe, dm, de
+
+
+def _christoffel_sum(terms: list, xm: int, xe: int, prec: int) -> tuple:
+    """1 + sum_j p_j(x)**2 / h_j as a kernel pair at x = xm * 2**xe, the Gauss weights' Christoffel function,
+    over the rows (cm, ce, lm, le, hm, he) of C(j), Lambda(j) and h_j, j = 1, 2, ..., in ``terms``.
+
+    It runs the recurrence for the values only (:func:`_sweep`'s rows give the same bits but also form
+    p_j'), each operation the mpf one in the same order, written out as :func:`_sweep` is, which took two
+    degree-48 Gauss rules from about 24 to 18 ms.  Every operand has at most ``prec`` bits (the zero x is
+    polished at ``prec``), so a sum of operands at most ``_NEAR`` exponents apart is aligned exactly, as
+    ``mpf_add`` aligns it or rounds it the same; one further apart goes to ``_add``, and the quotients to ``_div``.
+    """
+    near = _NEAR
+    pm, pe, qm, qe = 1, 0, 0, 0  # p_0, p_{-1}
+    dm, de = 1, 0  # j = 0 term
+    for cm, ce, lm, le, hm, he in terms:
+        # x - C(j)
+        g = xe - ce
+        if g > near or g < -near:
+            cm, ce = _add(xm, xe, -cm, ce, prec)
+        else:
+            if g >= 0:
+                cm = (xm << g) - cm
+            else:
+                cm, ce = xm - (cm << -g), xe
+            k = cm.bit_length() - prec
+            if k > 0:
+                t = cm >> (k - 1)
+                if t & 1 and (t & 2 or cm & ((1 << (k - 1)) - 1)):
+                    t += 2
+                cm, ce = t >> 1, ce + k
+        # p_j = (x - C(j)) p_{j-1} - L(j) p_{j-2}
+        am, ae = cm * pm, ce + pe
+        k = am.bit_length() - prec
+        if k > 0:
+            t = am >> (k - 1)
+            if t & 1 and (t & 2 or am & ((1 << (k - 1)) - 1)):
+                t += 2
+            am, ae = t >> 1, ae + k
+        bm, be = lm * qm, le + qe
+        k = bm.bit_length() - prec
+        if k > 0:
+            t = bm >> (k - 1)
+            if t & 1 and (t & 2 or bm & ((1 << (k - 1)) - 1)):
+                t += 2
+            bm, be = t >> 1, be + k
+        g = ae - be
+        if g > near or g < -near:
+            am, ae = _add(am, ae, -bm, be, prec)
+        else:
+            if g >= 0:
+                am, ae = (am << g) - bm, be
+            else:
+                am -= bm << -g
+            k = am.bit_length() - prec
+            if k > 0:
+                t = am >> (k - 1)
+                if t & 1 and (t & 2 or am & ((1 << (k - 1)) - 1)):
+                    t += 2
+                am, ae = t >> 1, ae + k
+        pm, pe, qm, qe = am, ae, pm, pe
+        # denom += p_j * p_j / h_j
+        am, ae = pm * pm, 2 * pe
+        k = am.bit_length() - prec
+        if k > 0:
+            t = am >> (k - 1)
+            if t & 1 and (t & 2 or am & ((1 << (k - 1)) - 1)):
+                t += 2
+            am, ae = t >> 1, ae + k
+        am, ae = _div(am, ae, hm, he, prec)
+        g = de - ae
+        if g > near or g < -near:
+            dm, de = _add(dm, de, am, ae, prec)
+        else:
+            if g >= 0:
+                dm, de = (dm << g) + am, ae
+            else:
+                dm += am << -g
+            k = dm.bit_length() - prec
+            if k > 0:
+                t = dm >> (k - 1)
+                if t & 1 and (t & 2 or dm & ((1 << (k - 1)) - 1)):
+                    t += 2
+                dm, de = t >> 1, de + k
+    return dm, de
 
 
 def _sweep_rows(family: RecurrenceFamily, n: int, points, prec: int) -> Iterator[list]:

@@ -41,12 +41,11 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from mpmath import mp
-from mpmath.libmp import from_man_exp
 
 from .core import DEFAULT_POLICY, Polynomial, TolerancePolicy
-from .core import _accumulate, _add, _div, _round, _to_mpf, _unpack  # the exact-rounding kernel
-from .core import _cabs, _cdiv, _chorner, _cmul, _cnorm, _csub  # and its complex operations
-from .families import ModifierSpec, RecurrenceFamily, _ladder, _order, even_modifier, generate
+from .core import _accumulate, _add, _cmp, _div, _round, _to_mpf, _unpack  # the exact-rounding kernel
+from .core import _cabs, _cdiv, _chorner, _cnorm, _cupdate  # and its complex operations
+from .families import ModifierSpec, RecurrenceFamily, _ladder, _normal, _order, even_modifier, generate
 from .associated import _sequence
 
 
@@ -97,8 +96,8 @@ def _eliminate(a: list, cols: list, r: int, sign: int, prev, prec: int, minors=N
     """Bareiss steps r, r + 1, ... on the rows ``a`` over the columns ``cols``, in mpc's roundings.
 
     Returns sign times the last pivot, or zero at a zero pivot.  The pivot is the first entry of
-    largest ``mpc_abs`` in its column; ``prev`` is the last pivot, None for 1 (a quotient by 1 is
-    exact).  With ``minors``, ``a`` is the full matrix and minor j is branched off before step j.
+    largest ``mpc_abs`` (:func:`_cabs`) in its column, as ``max`` picks it; ``prev`` is the last pivot,
+    None for 1.  With ``minors``, ``a`` is the full matrix and minor j is branched off before step j.
     """
     n = len(a)
     norm = prev and _cnorm(*prev, prec)
@@ -109,8 +108,12 @@ def _eliminate(a: list, cols: list, r: int, sign: int, prev, prec: int, minors=N
             am, ae, bm, be = a[r][cols[r]]
             return sign * am, ae, sign * bm, be
         c = cols[r]
-        piv = max(range(r, n), key=lambda i: _cabs(*a[i][c], prec))
-        if not (a[piv][c][0] or a[piv][c][2]):
+        piv, top = r, _cabs(*a[r][c], prec)
+        for i in range(r + 1, n):
+            size = _cabs(*a[i][c], prec)
+            if _cmp(*size, *top) > 0:
+                piv, top = i, size
+        if not top[0]:
             return 0, 0, 0, 0
         if piv != r:
             a[r], a[piv] = a[piv], a[r]
@@ -119,14 +122,13 @@ def _eliminate(a: list, cols: list, r: int, sign: int, prev, prec: int, minors=N
         for row in a[r + 1 :]:
             x = row[c]
             for t in cols[r + 1 :]:
-                s = _csub(*_cmul(*row[t], *p, prec), *_cmul(*x, *pivot_row[t], prec), prec)
-                row[t] = s if prev is None else _cdiv(*s, *prev, norm, prec)
+                row[t] = _cupdate(row[t], p, x, pivot_row[t], prev, norm, prec)
         prev, norm = p, _cnorm(*p, prec)
         r += 1
 
 
 def _cofactor_minors(rows: list, prec: int) -> list:
-    """All 2k + 1 minors U_j of the 2k x (2k + 1) node-value matrix (delete column j), as mpc values.
+    """All 2k + 1 minors U_j of the 2k x (2k + 1) node-value matrix (delete column j), as complex quadruples.
 
     Each is the determinant by fraction-free elimination with partial pivoting (Bareiss, Math. Comp.
     22, 1968) in mpc's roundings.  For its steps 0..j-1 minor j pivots on the full matrix's columns,
@@ -137,7 +139,7 @@ def _cofactor_minors(rows: list, prec: int) -> list:
     n = len(rows)
     minors = [(0, 0, 0, 0)] * (n + 1)
     minors[n] = _eliminate([list(row) for row in rows], list(range(n + 1)), 0, 1, None, prec, minors)
-    return [mp.make_mpc((from_man_exp(am, ae), from_man_exp(bm, be))) for am, ae, bm, be in minors]
+    return minors
 
 
 def christoffel_transform(
@@ -163,28 +165,40 @@ def christoffel_transform(
     family.require_degree(deg + 2 * k, of=f"deg + 2k for deg={deg}, k={k}")
     with policy.workprec():
         prec = policy.precision_bits
+        (rel_m, rel_e), (abs_m, abs_e) = _unpack(policy.rel_tol._mpf_), _unpack(policy.abs_tol._mpf_)
         ladder = _ladder(family, deg + 2 * k, prec)
         polys = ladder[deg:]
         rows = _node_rows(family, modifier, ladder, prec)
         minors = _cofactor_minors([row[deg : deg + 2 * k + 1] for row in rows], prec)
-        scale = max(abs(u) for u in minors)
-        if scale == 0 or abs(minors[-1]) <= policy.rel_tol * scale:
+        # the mpc checks scale = max |U_j|, |U_2k| <= rel_tol * scale, d_j = (-1)**j U_j / U_2k and
+        # |Im d_j| > abs_tol * max(1, |d_j|), in the same roundings on the quadruples
+        scale = (0, 0)
+        for u in minors:
+            size = _cabs(*u, prec)
+            if _cmp(*size, *scale) > 0:
+                scale = size
+        last = minors[-1]
+        size = _cabs(*last, prec)
+        if not scale[0] or _cmp(*size, *_round(rel_m * scale[0], rel_e + scale[1], prec)) <= 0:
             raise DegenerateTransformError(
-                f"leading cofactor is {mp.nstr(abs(minors[-1]), 6)} against scale "
-                f"{mp.nstr(scale, 6)}; transform is degenerate for {family.label}"
+                f"leading cofactor is {mp.nstr(_to_mpf(*size), 6)} against scale "
+                f"{mp.nstr(_to_mpf(*scale), 6)}; transform is degenerate for {family.label}"
             )
-        dlast = minors[-1]
+        norm = _cnorm(*last, prec)
         combo = Polynomial()
         for j, u in enumerate(minors):
-            d = u / dlast
+            dm, de, im, ie = _cdiv(*u, *last, norm, prec)
             if j % 2:
-                d = -d
-            if abs(d.imag) > policy.abs_tol * max(1, abs(d)):
+                dm, im = -dm, -im
+            size = _cabs(dm, de, im, ie, prec)
+            if _cmp(*size, 1, 0) <= 0:
+                size = 1, 0
+            if _cmp(abs(im), ie, *_round(abs_m * size[0], abs_e + size[1], prec)) > 0:
                 raise DegenerateTransformError(
-                    f"imaginary residue {mp.nstr(abs(d.imag), 6)} in expansion "
+                    f"imaginary residue {mp.nstr(_to_mpf(abs(im), ie), 6)} in expansion "
                     "coefficients; modifier nodes are inconsistent"
                 )
-            combo = combo + polys[j]._scaled(*_unpack(d.real._mpf_))
+            combo = combo + polys[j]._scaled(*_normal(dm, de))
         g = combo.divide_exact(modifier.c, policy).monic()
         return g.chop(policy.rel_tol * max(1, g.inf_norm()))
 

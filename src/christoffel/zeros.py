@@ -52,7 +52,7 @@ from mpmath import mp
 
 from .core import DEFAULT_POLICY, Polynomial, TolerancePolicy, _beyond, _root_counts, to_scalar
 from .core import _add, _cmp, _div, _float, _horner, _round, _to_mpf, _unpack  # the exact-rounding kernel
-from .families import RecurrenceFamily, _jacobi_frame, _order, _point, _sweep, _sweep_rows
+from .families import RecurrenceFamily, _christoffel_sum, _jacobi_frame, _order, _point, _sweep, _sweep_rows
 
 
 @dataclass(frozen=True)
@@ -520,27 +520,15 @@ def gauss_rule(family: RecurrenceFamily, n: int, policy: TolerancePolicy = DEFAU
     rows = family.kernel_rows(n, prec)
     with policy.workprec():
         # (C(j), L(j), h_j) for j = 1..n-1, with h_j = L(2) ... L(j + 1)
-        # multiplied in that order; the loop below is the mpf loop
-        # p_j = (x - C(j)) p_{j-1} - L(j) p_{j-2}, denom += p_j * p_j / h_j,
-        # w = 1 / denom, with the same operations in the same order.  It runs
-        # the recurrence itself: families._sweep's rows give the same bits but
-        # also form p_j', which made two degree-48 rules 45 -> 58 ms.
+        # multiplied in that order; with families._christoffel_sum this is the
+        # mpf loop p_j = (x - C(j)) p_{j-1} - L(j) p_{j-2}, denom += p_j * p_j / h_j,
+        # w = 1 / denom, with the same operations in the same order.
         terms, hm, he = [], 1, 0
         for j in range(1, n):
             _, _, lm, le = rows[j + 1]
             hm, he = _round(hm * lm, he + le, prec)
             terms.append((*rows[j], hm, he))
-        weights = []
-        for xm, xe in nodes.points:
-            pm, pe, qm, qe = 1, 0, 0, 0  # p_0, p_{-1}
-            dm, de = 1, 0  # j = 0 term
-            for cm, ce, lm, le, hm, he in terms:
-                am, ae = _add(xm, xe, -cm, ce, prec)
-                am, ae = _round(am * pm, ae + pe, prec)
-                bm, be = _round(lm * qm, le + qe, prec)
-                pm, pe, qm, qe = *_add(am, ae, -bm, be, prec), pm, pe
-                dm, de = _add(dm, de, *_div(*_round(pm * pm, 2 * pe, prec), hm, he, prec), prec)
-            weights.append(_to_mpf(*_div(1, 0, dm, de, prec)))
+        weights = [_to_mpf(*_div(1, 0, *_christoffel_sum(terms, xm, xe, prec), prec)) for xm, xe in nodes.points]
         total = sum(weights)
         return nodes, tuple(w / total for w in weights)
 

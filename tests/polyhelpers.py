@@ -377,7 +377,7 @@ def assert_transform_is_the_mpc_loops(family, modifier, deg: int, policy) -> str
         rows = [row[deg : len(ladder)] for row in _node_rows(family, modifier, ladder, prec)]
         oracle_rows = mpc_node_rows(ladder[deg:], modifier.nodes)
         assert [[_to_mpc(*v)._mpc_ for v in row] for row in rows] == [[v._mpc_ for v in row] for row in oracle_rows]
-        assert [u._mpc_ for u in _cofactor_minors(rows, prec)] == [u._mpc_ for u in mpc_cofactor_minors(oracle_rows)]
+        assert [_to_mpc(*u)._mpc_ for u in _cofactor_minors(rows, prec)] == [u._mpc_ for u in mpc_cofactor_minors(oracle_rows)]
     try:
         g = christoffel_transform(family, modifier, deg, policy)
     except ArithmeticError as err:

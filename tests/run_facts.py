@@ -1,5 +1,5 @@
 """Run facts for the CI log, gating nothing: wall times, tracemalloc peaks and the work counts of the
-interlacing check, the zero solver and fresh families on the paper's CLI configurations.
+interlacing check, the zero solver, fresh families and the determinant transform on the paper's CLI configurations.
 
     PYTHONPATH=src python tests/run_facts.py
 """
@@ -36,7 +36,10 @@ FRESH = {
     "families.RecurrenceFamily.kernel_rows": lambda fam, n, prec: max(0, n + 1 - len(fam._store.get(("recurrence", prec), [None]))),
     "core._chorner": None,
 }
-COUNTS = {**ROUTES, **ENCLOSURES, **FRESH}
+# the Bareiss entry updates of the cofactor minors, and the complex magnitudes of their pivot search and of the
+# transform's scale and imaginary-residue checks (on --verify 1547 updates and 1001 magnitudes, 721 of them pivots')
+BAREISS = dict.fromkeys(("core._cupdate", "core._cabs"))
+COUNTS = {**ROUTES, **ENCLOSURES, **FRESH, **BAREISS}
 
 # cli.dispatch's peak in a fresh interpreter that imports nothing more, after a full collection, so that it follows
 # allocation and not when the collector runs: --table 1 reads 54 KiB and --verify 1181 KiB, with this module imported
@@ -121,6 +124,7 @@ def main() -> None:
                " doubles for _q_at, and the Sturm chains of G that name the failed cells", GRIDS, ROUTES)
     log_counts("Enclosures, and Sturm counts in doubles and on kernel pairs", TABLES, ENCLOSURES)
     log_counts("Fresh-family work: families built, recurrence rows built, complex Horner calls", (*TABLES, GRIDS[0]), FRESH)
+    log_counts("Determinant transforms: Bareiss entry updates and complex magnitudes", TABLES, BAREISS)
 
 
 if __name__ == "__main__":

@@ -1,14 +1,14 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 from mpmath.libmp import from_man_exp, mpc_abs, mpc_div, mpc_mul, mpc_sub, mpf_add, mpf_cmp, mpf_div, mpf_mul, mpf_sqrt, mpf_sub, to_float
 from mpmath.libmp import round_down, round_nearest
 
 from christoffel import Polynomial, RemainderError, TolerancePolicy, core
 from christoffel.core import NonFiniteError, _accumulate, _add, _add_down, _cmp, _div, _float, _horner, _round, _sqrt, _to_mpf, _unpack, to_scalar
-from christoffel.core import _cabs, _cdiv, _cmul, _cnorm, _csub
+from christoffel.core import _cabs, _cdiv, _cmul, _cnorm, _cupdate
 from polyhelpers import (
     max_rel_coeff_diff,
     mpc_horner,
@@ -283,19 +283,27 @@ def _mpc(am, ae, bm, be) -> tuple:
 
 
 _parts = st.tuples(st.one_of(st.just(0), _mantissas), _exponents)  # a zero real or imaginary part, too
+_complex = st.tuples(_parts, _parts).map(lambda parts: (*parts[0], *parts[1]))
 
 
 @settings(max_examples=400)
-@given(st.sampled_from(_WIDTHS), _parts, _parts, _parts, _parts)
-def test_kernel_complex_ops_are_libmpc(prec, a, b, c, d):
+@given(st.sampled_from(_WIDTHS), _parts, _parts, _parts, _parts, _complex, _complex, _complex)
+# zero parts, an operand of 201 bits at 64 and exponent gaps of 410 and 1000
+@example(64, (0, 0), (5, -3), (7, 2), (0, 0), (2**200 + 1, -10, 0, 0), (0, 0, 3, 400), (0, 0, -(2**70 + 1), -1000))
+def test_kernel_complex_ops_are_libmpc(prec, a, b, c, d, x, u, prev):
     # operands wider than prec and exponent gaps beyond _NEAR, at the rounding mp.mpc arithmetic passes
     z, w = _mpc(*a, *b), _mpc(*c, *d)
     assert from_man_exp(*_add_down(*a, *c, prec)) == mpf_add(z[0], w[0], prec, round_down)
     assert _mpc(*_cmul(*a, *b, *c, *d, prec)) == mpc_mul(z, w, prec, round_nearest)
-    assert _mpc(*_csub(*a, *b, *c, *d, prec)) == mpc_sub(z, w, prec, round_nearest)
-    assert _cabs(*a, *b, prec)._mpf_ == mpc_abs(z, prec, round_nearest)
+    assert from_man_exp(*_cabs(*a, *b, prec)) == mpc_abs(z, prec, round_nearest)
     if c[0] or d[0]:
         assert _mpc(*_cdiv(*a, *b, *c, *d, _cnorm(*c, *d, prec), prec)) == mpc_div(z, w, prec, round_nearest)
+    # the Bareiss entry update (r p - x u) / prev, with r = z and p = w, and by None for 1
+    diff = mpc_sub(mpc_mul(z, w, prec, round_nearest), mpc_mul(_mpc(*x), _mpc(*u), prec, round_nearest), prec, round_nearest)
+    assert _mpc(*_cupdate((*a, *b), (*c, *d), x, u, None, None, prec)) == diff
+    if prev[0] or prev[2]:
+        ours = _cupdate((*a, *b), (*c, *d), x, u, prev, _cnorm(*prev, prec), prec)
+        assert _mpc(*ours) == mpc_div(diff, _mpc(*prev), prec, round_nearest)
 
 
 def test_kernel_complex_quotient_truncates_its_inner_sums():
@@ -310,6 +318,15 @@ def test_kernel_complex_quotient_truncates_its_inner_sums():
     nearest = mpf_div(t, norm, 64, round_nearest), mpf_div(u, norm, 64, round_nearest)
     ours = _mpc(*_cdiv(*a, *b, *c, *d, _cnorm(*c, *d, 64), 64))
     assert ours == mpc_div((za, zb), (wc, wd), 64, round_nearest) != nearest
+
+
+def test_kernel_complex_abs_truncates_its_inner_sum():
+    # mpf_hypot forms a**2 + b**2 at prec + 4 bits at round_down before its root; rounding that sum to
+    # nearest instead gives another 64-bit magnitude here
+    a, b = (10971192105065911702, -64), (14538042293720526985, -64)
+    x, y = from_man_exp(*a), from_man_exp(*b)
+    nearest = mpf_sqrt(mpf_add(mpf_mul(x, x), mpf_mul(y, y), 68, round_nearest), 64, round_nearest)
+    assert from_man_exp(*_cabs(*a, *b, 64)) == mpc_abs((x, y), 64, round_nearest) != nearest
 
 
 @settings(max_examples=400)

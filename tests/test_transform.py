@@ -4,6 +4,7 @@ import random
 
 import pytest
 from mpmath import mp
+from mpmath.libmp import from_man_exp
 
 from christoffel import (
     ModifierSpec,
@@ -21,14 +22,16 @@ from christoffel import (
     pj_family,
 )
 from christoffel import transform
-from christoffel.core import _to_mpf
+from christoffel.core import _to_mpf, _unpack
 from christoffel.families import _ladder
 from christoffel.transform import modified_polynomial
 from polyhelpers import (
     assert_grid_decompositions_are_the_mpf_loops,
     assert_transforms_are_the_mpc_loops,
     coeff,
+    _to_mpc,
     max_rel_coeff_diff,
+    mpc_bareiss_det,
 )
 
 
@@ -58,6 +61,28 @@ def _decompose_by_solve(family, modifier, n, m, policy):
             rhs[t] = coeff(lhs, t)
         sol = mp.qr_solve(mat, rhs)[0]
         return Polynomial([sol[i] for i in range(na)]), Polynomial([sol[na + i] for i in range(ng)])
+
+
+def test_bareiss_pivot_tie_takes_the_first_row():
+    # z and conj(z) lead rows 0 and 1 with equal mpc_abs: the first row is the pivot, as max picks it in the
+    # mpc loop; pivoting on the second gives other bits at 64 bits
+    def entry(re, im, den):
+        return (*_unpack((mp.mpf(re) / den)._mpf_), *_unpack((mp.mpf(im) / den)._mpf_))
+
+    def det(rows):
+        return transform._eliminate([list(row) for row in rows], [0, 1, 2], 0, 1, None, 64)
+
+    with mp.workprec(64):
+        rows = [
+            [entry(5, 6, 7), entry(7, -9, 3), entry(5, -2, 3)],
+            [entry(5, -6, 7), entry(-8, -4, 3), entry(-6, 2, 3)],
+            [entry(6, -2, 11), entry(3, 8, 11), entry(-6, 9, 11)],
+        ]
+        oracle = mpc_bareiss_det([[_to_mpc(*v) for v in row] for row in rows])._mpc_
+        am, ae, bm, be = det(rows)
+        assert (from_man_exp(am, ae), from_man_exp(bm, be)) == oracle
+        am, ae, bm, be = det([rows[1], rows[0], rows[2]])  # the second row as pivot, the sign flipped back
+        assert (from_man_exp(-am, ae), from_man_exp(-bm, be)) != oracle
 
 
 def test_order_zero_transform_is_identity(policy):

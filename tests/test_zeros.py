@@ -691,7 +691,9 @@ def test_gauss_weights_are_the_mpf_loop_bit_for_bit(bits):
     pol = TolerancePolicy(precision_bits=bits)
     with pol.workprec():
         right_angle = mp_family("1.5", mp.pi / 2, pol)  # C == 0
-    for fam in (mp_family("0.5", "0.9", pol), pj_family(-60, 8, pol), right_angle):
+    # zeros of order 1 against C = 1e-40: x - C(j), p_j and the weight sum add operands over _NEAR exponents apart
+    tiny_c = custom_family(lambda j: mp.mpf("1e-40"), lambda j: mp.mpf(1), label="C = 1e-40")
+    for fam in (mp_family("0.5", "0.9", pol), pj_family(-60, 8, pol), right_angle, tiny_c):
         for n in (1, 2, 3, 7, 12, 19, 48):
             _, weights = gauss_rule(fam, n, pol)
             assert [w._mpf_ for w in weights] == [w._mpf_ for w in _mpf_gauss_weights(fam, n, pol)], (fam.label, n)

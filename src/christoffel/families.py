@@ -61,7 +61,7 @@ from mpmath.libmp import fone, from_man_exp, from_str, mpf_abs, mpf_add, mpf_cmp
 from mpmath.libmp import round_nearest as _N
 
 from .core import DEFAULT_POLICY, Polynomial, TolerancePolicy, relative_residual, to_scalar
-from .core import _NEAR, _add, _cmp, _div, _float, _round, _sqrt, _to_mpf, _unpack  # the exact-rounding kernel
+from .core import _NEAR, _accumulate, _add, _cmp, _div, _float, _round, _sqrt, _to_mpf, _unpack  # the exact-rounding kernel
 
 MEIXNER_POLLACZEK = "meixner_pollaczek"
 PSEUDO_JACOBI = "pseudo_jacobi"
@@ -380,23 +380,16 @@ def _three_term(polys: list, m: int, row: Callable[[int], tuple], prec: int) -> 
     """Extend ``polys`` = [1, P_1, ...] in place to P_m, P_j = (x - c) P_{j-1} - l P_{j-2} at ``prec`` bits.
 
     ``row(j)`` is the kernel row (c, l) of step j (l is not read at j = 1); the
-    ladder and the associated sequences are both grown here.  Coefficient t is formed in one pass with the
-    roundings of the polynomial operations (x - c) * P_{j-1} - P_{j-2}._scaled(l): round(-c P_{j-1,t}),
-    then + P_{j-1,t-1} (a product by the monic 1, exact), then - round(l P_{j-2,t}), each sum rounded once."""
+    ladder and the associated sequences are both grown here.  x P_{j-1} is exact, and two multiply-adds
+    (``core._accumulate``) add round(-c P_{j-1,t}), then round(-l P_{j-2,t}), each sum rounded once: the
+    roundings of the polynomial operations (x - c) * P_{j-1} - P_{j-2}._scaled(l)."""
     for j in range(len(polys), m + 1):
         cm, ce, lm, le = row(j)
-        cm, ce = _round(-cm, ce, prec)
-        p, q = polys[j - 1]._pairs, polys[j - 2]._pairs if j > 1 else ()
-        out = []
-        for t, (pm, pe) in enumerate(p):
-            vm, ve = _round(cm * pm, ce + pe, prec)
-            if t:
-                vm, ve = _add(vm, ve, *p[t - 1], prec) if vm else p[t - 1]
-            if t < len(q):
-                qm, qe = _round(lm * q[t][0], le + q[t][1], prec)
-                vm, ve = _add(vm, ve, -qm, qe, prec)
-            out.append((vm, ve))
-        out.append(p[-1])
+        p = polys[j - 1]._pairs
+        out = [(0, 0), *p]
+        _accumulate(out, *_round(-cm, ce, prec), p, 0, prec)
+        if j > 1:
+            _accumulate(out, -lm, le, polys[j - 2]._pairs, 0, prec)
         polys.append(Polynomial._of(out))
 
 

@@ -29,12 +29,12 @@ alternation of q = G g at the already computed zeros of p_n, for the paper's
 theorem on a grid cell (:func:`_grid_interlace`: G g_{n-m,k} interlaces exactly
 when k <= m) and its gap-2 case, :func:`stieltjes_check`, alike; no zero of q is
 solved for.  g enters as its sweep rows at those zeros, which
-``families._sweep_rows`` alone collects.  Each sign, and the
-test that the zero is no zero of q, is what q formed on kernel pairs from G and
-g's sweep rows gives; doubles with a running error bound decide almost every
-one, and only the zeros they leave open form q on pairs.  Nor is a root of G: a
-failed cell is named by counting G's roots, exactly, on a Sturm chain (``core._root_counts``),
-and g's outside [x_1, x_n] by sign changes of its rows (``core._beyond``).
+``families._sweep_rows`` alone collects.  Each sign is that of q formed on kernel pairs from G and
+g's rows, and a zero of p_n is common with q where that q is 0 or g's own row passes the zero test (at
+a zero of p_n, c g = -G p_{n-1}, so q vanishes there only with g); doubles with a running error bound
+decide almost every sign and test, and only the zeros they leave open form q on pairs.  Nor is a root
+of G solved for: a failed cell is named by counting G's roots, exactly, on a Sturm chain
+(``core._root_counts``), and g's outside [x_1, x_n] by sign changes of its rows (``core._beyond``).
 General root finding (:func:`polynomial_real_roots`) is kept as public API, with
 no caller in the library; the tests read it as the oracle for those counts.
 
@@ -81,7 +81,7 @@ class ZeroSet:
 
 @dataclass(frozen=True)
 class InterlaceVerdict:
-    """strict: q alternates in sign over the outer zeros; common: outer zeros that are zeros of q."""
+    """strict: q alternates in sign over the outer zeros; common: outer zeros where q is 0 or g passes the zero test."""
 
     strict: bool
     common: tuple = ()
@@ -489,7 +489,7 @@ def zeros_golub_welsch(family: RecurrenceFamily, n: int, policy: TolerancePolicy
         return ZeroSet(family.recurrence(n, policy.precision_bits)[0][1:], family.label)
     zs = family.owned(("spectrum", n, policy.precision_bits), lambda: _Spectrum(family, n, policy)).zeros()
     with policy.workprec():
-        unit = min(1, zs.values[-1] - zs.values[0])
+        unit = _to_mpf(*_unit(zs.points, policy.precision_bits))
         for u, v in zip(zs.values, zs.values[1:]):
             gap = v - u
             if not gap > 0:
@@ -533,18 +533,25 @@ def gauss_rule(family: RecurrenceFamily, n: int, policy: TolerancePolicy = DEFAU
         return nodes, tuple(w / total for w in weights)
 
 
-def _is_zero(vm, ve, dm, de, xm, xe, policy) -> bool:
-    """x is a zero at tolerance: the Newton step |value/slope| is within abs_tol * max(1, |x|).
+def _unit(points, prec: int) -> tuple:
+    """min(1, x_n - x_1) of ascending kernel pairs, the difference rounded to ``prec`` bits: the unit below
+    which the zero tests, as :func:`zeros_golub_welsch`'s gap check, measure a zero at the spectrum's scale."""
+    (am, ae), (bm, be) = points[0], points[-1]
+    span = _add(bm, be, -am, ae, prec)
+    return span if _cmp(*span, 1, 0) < 0 else (1, 0)
 
-    On kernel pairs, the mpf test |value| <= abs_tol * max(1, |x|) * |slope| with its roundings
+
+def _is_zero(vm, ve, dm, de, xm, xe, unit, policy) -> bool:
+    """x is a zero at tolerance: the Newton step |value/slope| is within abs_tol * max(unit, |x|).
+
+    On kernel pairs, the mpf test |value| <= abs_tol * max(unit, |x|) * |slope| with its roundings
     (abs rounds too) and an exact comparison.
     """
     prec = policy.precision_bits
     tm, te = _unpack(policy.abs_tol._mpf_)
     xm, xe = _round(abs(xm), xe, prec)
-    if _cmp(xm, xe, 1, 0) > 0:
-        tm, te = tm * xm, te + xe
-    tm, te = _round(tm, te, prec)
+    um, ue = (xm, xe) if _cmp(xm, xe, *unit) > 0 else unit
+    tm, te = _round(tm * um, te + ue, prec)
     dm, de = _round(abs(dm), de, prec)
     return _cmp(*_round(abs(vm), ve, prec), *_round(tm * dm, te + de, prec)) <= 0
 
@@ -561,31 +568,28 @@ def _double(m: int, e: int, span: int):
 
 # Doubles decide for a G of degree at most _MAX_DEGREE (the 2**-40 slack covers its (d + 1) 2**-52 roundings)
 # whose coefficients, and g and g', have leading bits within +-_SPAN, at an x within +-_SPAN / max(1, deg G).
-# Then S, S', mu and a passing left side are normal doubles, above 2**-940, an underflow in Horner's products
-# costs below 2**-490 S, and a right side that underflows or overflows only declines (see _decided).
+# Then S, mu and a nonzero g are normal doubles, above 2**-940, an underflow in Horner's products costs below
+# 2**-490 S, and a right side of the g test that underflows lies far below |g|, or overflows and declines.
 _SPAN = 256
 _MAX_DEGREE = 64
 
 
-def _decided(G: Polynomial, g, points, abs_tol) -> list:
+def _decided(G: Polynomial, g, points, abs_tol, unit) -> list:
     """Per point, the sign of the q = G g of :func:`_q_at` where doubles certify it and that :func:`_is_zero` is
-    False there, else 0.
+    False for g's row there, else 0.
 
-    G's coefficients, x, g(x) and g'(x) are read as doubles (each within 2**-52).  Horner gives y ~ G(x) with
-    Higham's running error bound mu (Accuracy and Stability of Numerical Algorithms, 2nd ed., Algorithm 5.1),
-    and the same loop S = sum |G_j| |x|**j and its derivative S', which bounds |G'(x)|.  B = mu + (d + 1) 2**-50 S
-    also covers the inputs' roundings, (d + 1) 2**-52 S, and the kernel Horner's, 2d 2**(2 - prec) S with prec
-    >= 64, so G(x) as ``_horner`` computes it lies within B of y, and q's sign is its sign times g's.  Then
-    (|y| - B) |g| > abs_tol max(1, |x|) (S' |g| + (|y| + B) |g'|), each side moved by 2**-40 for the roundings of
-    the doubles and of ``_q_at`` and ``_is_zero`` (a few (d + 1) 2**-52 and 2**-63 each), gives |y| > B, which
-    fixes the sign, and makes ``_is_zero`` False.  A zero g, an input outside its span (see ``_SPAN``) and an
-    abs_tol that is no normal double decline.
+    G's coefficients, x, g(x), g'(x) and ``unit`` are read as doubles (each within 2**-52).  Horner gives
+    y ~ G(x) with Higham's running error bound mu (Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    Algorithm 5.1) and S = sum |G_j| |x|**j; B = mu + (d + 1) 2**-50 S also covers the inputs' roundings and
+    the kernel Horner's, so |y| > B gives G's sign as ``_horner`` computes it.  |g| > abs_tol max(unit, |x|) |g'|,
+    each side moved by 2**-40 for the roundings, makes ``_is_zero`` False.  A zero g, an input outside its span
+    (see ``_SPAN``), and an abs_tol or unit that is no normal double decline.
     """
     signs = [0] * len(points)
     d = len(G._pairs) - 1
-    tol = _double(*_unpack(abs_tol._mpf_), 1021)
+    tol, u = _double(*_unpack(abs_tol._mpf_), 1021), _double(*unit, 1021)
     coeffs = [_double(m, e, _SPAN) for m, e in reversed(G._pairs)]
-    if d > _MAX_DEGREE or tol is None or None in coeffs:
+    if d > _MAX_DEGREE or tol is None or not u or None in coeffs:
         return signs
     lead, rest = coeffs[0], [(c, abs(c)) for c in coeffs[1:]]
     span, slack = _SPAN // max(d, 1), (d + 1) * 2.0**-50
@@ -593,33 +597,27 @@ def _decided(G: Polynomial, g, points, abs_tol) -> list:
         x, v, dv = _double(xm, xe, span), _double(vm, ve, _SPAN), _double(dm, de, _SPAN)
         if not v or x is None or dv is None:
             continue
-        ax, y, s, s1 = abs(x), lead, abs(lead), 0.0
+        ax, y, s = abs(x), lead, abs(lead)
         mu = s / 2
         for c, a in rest:
-            s1 = ax * s1 + s
             s = ax * s + a
             y = x * y + c
             mu = ax * mu + abs(y)
-        ay, av = abs(y), abs(v)
-        b = (2 * mu - ay) * 2.0**-53 + slack * s
-        if (ay - b) * av * (1 - 2.0**-40) > tol * max(1.0, ax) * (s1 * av + (ay + b) * abs(dv)) * (1 + 2.0**-40):
+        ay = abs(y)
+        signed = ay > (2 * mu - ay) * 2.0**-53 + slack * s
+        if signed and abs(v) * (1 - 2.0**-40) > tol * max(u, ax) * abs(dv) * (1 + 2.0**-40):
             signs[i] = 1 if (y > 0) == (vm > 0) else -1
     return signs
 
 
 def _q_at(G: Polynomial, g, points, prec: int) -> list:
-    """(q(x), q'(x)) for q = G g at each of ``points``, kernel pairs: G, G' by Horner, G g and G' g + G g' as by mpf.
-
-    The exact route of :func:`interlace_strict`, for the points doubles leave open (G' is formed once per call)."""
-    with mp.workprec(prec):
-        G, dG = G._pairs, G.derivative()._pairs
-    q = []
-    for (xm, xe), (vm, ve, dm, de) in zip(points, g):
-        gm, ge = _horner(G, xm, xe, prec)
-        sm, se = _horner(dG, xm, xe, prec)
-        tm, te = _round(sm * vm, se + ve, prec)
-        q.append((*_round(gm * vm, ge + ve, prec), *_add(tm, te, *_round(gm * dm, ge + de, prec), prec)))
-    return q
+    """q(x) for q = G g at each of ``points``, kernel pairs: G by Horner, G g as by mpf; the exact route of
+    :func:`interlace_strict`, for the points doubles leave open."""
+    out = []
+    for (xm, xe), (vm, ve, _, _) in zip(points, g):
+        gm, ge = _horner(G._pairs, xm, xe, prec)
+        out.append(_round(gm * vm, ge + ve, prec))
+    return out
 
 
 def interlace_strict(G: Polynomial, g, degree: int, outer: ZeroSet, policy: TolerancePolicy = DEFAULT_POLICY) -> InterlaceVerdict:
@@ -631,11 +629,12 @@ def interlace_strict(G: Polynomial, g, degree: int, outer: ZeroSet, policy: Tole
     and its converse, Wendroff 1961), read off the mantissas' signs; for any
     other degree, and for q = 0 (G = 0), which has no zeros, the signs prove nothing, so that raises
     ``ValueError``, as do a ``degree`` that is no nonnegative int (``families._order``), a g without one
-    row per zero and an ``outer`` that is no :class:`ZeroSet`.  Outer zeros that are zeros of q at tolerance
-    (:func:`_is_zero`) are reported in ``common`` and make the verdict non-strict.
+    row per zero and an ``outer`` that is no :class:`ZeroSet`.  Outer zeros where q is 0, or where g's row
+    passes :func:`_is_zero` at the unit of ``outer`` (:func:`_unit`), are reported in ``common`` and make
+    the verdict non-strict.
 
-    The signs and zero tests are those of q and q' formed on kernel pairs (:func:`_q_at`), but doubles with an
-    error bound decide them first (:func:`_decided`), and only the zeros they leave open take that route.
+    The signs are those of q formed on kernel pairs (:func:`_q_at`), but doubles with an error bound decide
+    them and g's test first (:func:`_decided`), and only the zeros they leave open take that route.
     """
     if not isinstance(outer, ZeroSet):
         raise ValueError(f"outer zeros must be a ZeroSet, got {type(outer).__name__}")
@@ -646,13 +645,12 @@ def interlace_strict(G: Polynomial, g, degree: int, outer: ZeroSet, policy: Tole
         raise ValueError(f"q = G g is 0 (G of degree {G.degree}, g of degree {degree}) and has no zeros to interlace")
     if G.degree + degree != len(outer) - 1:
         raise ValueError(f"q must have degree {len(outer) - 1} to interlace {len(outer)} zeros, got {G.degree + degree}")
-    signs, common = _decided(G, g, outer.points, policy.abs_tol), ()
+    unit = _unit(outer.points, policy.precision_bits)
+    signs = _decided(G, g, outer.points, policy.abs_tol, unit)
     left = [i for i, s in enumerate(signs) if not s]
-    if left:
-        vals = _q_at(G, [g[i] for i in left], [outer.points[i] for i in left], policy.precision_bits)
-        for i, v in zip(left, vals):
-            signs[i] = v[0]
-        common = tuple(outer.values[i] for i, v in zip(left, vals) if _is_zero(*v, *outer.points[i], policy))
+    for i, (qm, _) in zip(left, _q_at(G, [g[i] for i in left], [outer.points[i] for i in left], policy.precision_bits)):
+        signs[i] = qm
+    common = tuple(outer.values[i] for i in left if not signs[i] or _is_zero(*g[i], *outer.points[i], unit, policy))
     alternates = all(u * w < 0 for u, w in zip(signs, signs[1:]))
     return InterlaceVerdict(strict=alternates and not common, common=common)
 
@@ -728,8 +726,8 @@ def stieltjes_check(family: RecurrenceFamily, k: int, n: int, policy: ToleranceP
     the n-2 zeros of g interlace the n-1 non-common zeros of p_n.
 
     g is evaluated at the zeros of p_n by its recurrence sweep, on kernel
-    pairs; common zeros are read off those values, and both claims are :func:`interlace_strict`
-    on them (G = x - B_n(k), or G = 1 over the non-common zeros), so no zero of g is solved for.
+    pairs; common zeros are read off those values by :func:`interlace_strict`'s rule, and both claims
+    are :func:`interlace_strict` on them (G = x - B_n(k), or G = 1 over the non-common zeros), so no zero of g is solved for.
     """
     _order(k, "modifier order k", 0, 2)
     family.require_degree(n, 2)
@@ -740,20 +738,17 @@ def stieltjes_check(family: RecurrenceFamily, k: int, n: int, policy: ToleranceP
         bound = inner_bound(family, n, k, policy)
         zp = zeros_golub_welsch(family, n, policy)
         g_at = [row[n - 2] for row in _sweep_rows(shifted, n - 2, zp.points, prec)]
-        shared = [j for j, (v, p) in enumerate(zip(g_at, zp.points)) if _is_zero(*v, *p, policy)]
+        unit = _unit(zp.points, prec)
+        shared = [j for j, (v, p) in enumerate(zip(g_at, zp.points)) if _is_zero(*v, *p, unit, policy)]
         common = tuple(zp[j] for j in shared)
         violations = []
         if not shared:
             branch = "coprime"
             bm, be = _point(bound, policy)
-            if _is_zero(*_sweep(rows, n - 2, bm, be, prec), bm, be, policy):
+            if _is_zero(*_sweep(rows, n - 2, bm, be, prec), bm, be, unit, policy):
                 violations.append("bound coincides with a zero of the modified polynomial")
-            verdict = interlace_strict(Polynomial._of([(-bm, be), (1, 0)]), g_at, n - 2, zp, policy)  # (x - B) g
-            if verdict.common:
-                violations.append(
-                    f"common zeros detected between (x-B) g and p_n at {verdict.common}"
-                )
-            elif not verdict.strict:
+            # with shared empty, q = (x - B) g is 0 at a zero of p_n only where it is B, and fails the signs there
+            if not interlace_strict(Polynomial._of([(-bm, be), (1, 0)]), g_at, n - 2, zp, policy).strict:
                 violations.append("zeros of (x-B) g do not interlace the zeros of p_n")
         else:
             branch = "common_zero"

@@ -33,7 +33,7 @@ from christoffel import cli, zeros
 from christoffel.core import _to_mpf, _unpack
 from christoffel.families import MEIXNER_POLLACZEK, _ladder, _snapped_cot, _sweep
 from christoffel.transform import DegenerateTransformError, _cofactor_minors, _node_rows
-from christoffel.zeros import _BAND, _TINY, _count_below, _is_zero, _q_at
+from christoffel.zeros import _BAND, _TINY, _count_below, _is_zero, _q_at, _unit
 
 
 def coeff(p: Polynomial, i: int) -> mp.mpf:
@@ -558,38 +558,38 @@ def mpf_zeros(family, n: int, policy) -> tuple:
 # these are the mpf rule and the mpf q they replaced.
 
 
-def mpf_is_zero(value, slope, x, policy) -> bool:
-    """x is a zero at tolerance: the Newton step |value/slope| is within abs_tol * max(1, |x|)."""
-    return abs(value) <= policy.abs_tol * max(1, abs(x)) * abs(slope)
+def mpf_is_zero(value, slope, x, unit, policy) -> bool:
+    """x is a zero at tolerance: the Newton step |value/slope| is within abs_tol * max(unit, |x|)."""
+    return abs(value) <= policy.abs_tol * max(unit, abs(x)) * abs(slope)
 
 
-def mpf_interlace_strict(q, degree: int, outer, policy) -> tuple:
-    """(strict, common) by the mpf rule, for q mapping an mpf x to the mpf values (q(x), q'(x))."""
+def mpf_interlace_strict(q: dict, g: dict, degree: int, outer, policy) -> tuple:
+    """(strict, common) by the mpf rule, for q mapping an mpf x to q(x) and g mapping it to (g(x), g'(x)): common
+    where q is 0 or g passes the zero test at the unit min(1, x_n - x_1)."""
     xs = tuple(sorted(to_scalar(v) for v in outer))
     assert degree == len(xs) - 1
     with policy.workprec():
-        vals = [q(x) for x in xs]
-        common = tuple(x for x, (v, d) in zip(xs, vals) if mpf_is_zero(v, d, x, policy))
-        alternates = all(u * w < 0 for (u, _), (w, _) in zip(vals, vals[1:]))
+        unit = min(1, xs[-1] - xs[0])
+        common = tuple(x for x in xs if not q[x] or mpf_is_zero(*g[x], x, unit, policy))
+        alternates = all(q[u] * q[w] < 0 for u, w in zip(xs, xs[1:]))
         return alternates and not common, common
 
 
-def mpf_grid_q(G: Polynomial, xs, shifted, d: int, policy) -> dict:
-    """{x: (q(x), q'(x))} for q = G g_{d,k}: g by ``values_ladder``, G and G' by the mpf Horner loop."""
+def mpf_g(shifted, d: int, xs, policy) -> dict:
+    """{x: (g(x), g'(x))} for g = g_{d,k}, by ``values_ladder`` of the shifted family."""
     with policy.workprec():
-        a = G.coeffs
-        da = poly_derivative(a)
-        out = {}
-        for x in xs:
-            v, dv = values_ladder(shifted, d, x, policy)[d]
-            gx = poly_horner(a, x)
-            out[x] = gx * v, poly_horner(da, x) * v + gx * dv
-        return out
+        return {x: values_ladder(shifted, d, x, policy)[d] for x in xs}
+
+
+def mpf_grid_q(G: Polynomial, g: dict, policy) -> dict:
+    """{x: q(x)} for q = G g, with g from :func:`mpf_g`: G by the mpf Horner loop."""
+    with policy.workprec():
+        return {x: poly_horner(G.coeffs, x) * v for x, (v, _) in g.items()}
 
 
 def assert_grid_q_is_the_mpf_route(lam, phi, bits: int, n_max: int) -> int:
     """For every ``--grid`` cell of MP(lam, phi) at ``bits`` that decides interlacing (deg G = m - 1),
-    the kernel q and q' that ``interlace_strict`` forms (``zeros._q_at``) at the zeros of p_n against
+    the kernel q that ``interlace_strict`` forms (``zeros._q_at``) at the zeros of p_n against
     :func:`mpf_grid_q`, bit for bit, and its verdict against :func:`mpf_interlace_strict`; returns the
     number of cells."""
     policy = TolerancePolicy(precision_bits=bits)
@@ -604,12 +604,12 @@ def assert_grid_q_is_the_mpf_route(lam, phi, bits: int, n_max: int) -> int:
                     continue
                 shifted, d = family.shifted(k), n - m
                 g = [_sweep(shifted.kernel_rows(d, bits), d, *p, bits) for p in zp.points]
+                theirs_g = mpf_g(shifted, d, zp.values, policy)
+                theirs = mpf_grid_q(G, theirs_g, policy)
                 ours = _q_at(G, g, zp.points, bits)
-                theirs = mpf_grid_q(G, zp.values, shifted, d, policy)
-                for x, (vm, ve, dm, de) in zip(zp.values, ours):
-                    assert (_to_mpf(vm, ve)._mpf_, _to_mpf(dm, de)._mpf_) == tuple(v._mpf_ for v in theirs[x]), (n, m, k)
+                assert [_to_mpf(*v)._mpf_ for v in ours] == [theirs[x]._mpf_ for x in zp.values], (n, m, k)
                 verdict = interlace_strict(G, g, d, zp, policy)
-                assert (verdict.strict, verdict.common) == mpf_interlace_strict(theirs.__getitem__, n - 1, zp, policy), (n, m, k)
+                assert (verdict.strict, verdict.common) == mpf_interlace_strict(theirs, theirs_g, n - 1, zp, policy), (n, m, k)
                 cells += 1
     return cells
 
@@ -617,22 +617,27 @@ def assert_grid_q_is_the_mpf_route(lam, phi, bits: int, n_max: int) -> int:
 # -- the double certificate of interlace_strict against its exact route ------------------
 
 
+def _declining(G, g, points, abs_tol, unit) -> list:
+    return [0] * len(points)
+
+
 def exact_verdict(G, g, degree, outer, policy):
     """``interlace_strict``'s verdict with the double certificate declining at every zero, so that each takes ``_q_at``."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(zeros, "_decided", lambda G, g, points, abs_tol: [0] * len(points))
+        patch.setattr(zeros, "_decided", _declining)
         return interlace_strict(G, g, degree, outer, policy)
 
 
 def assert_certificate_agrees(calls) -> int:
     """For each ``interlace_strict`` call (G, g, degree, outer, policy): every sign ``zeros._decided`` gives
-    is the sign of ``_q_at``'s q there, where ``_is_zero`` is False, and the verdict is :func:`exact_verdict`.
-    Returns the number of zeros the certificate leaves to ``_q_at``."""
+    is the sign of ``_q_at``'s q there, where ``_is_zero`` is False for g's row, and the verdict is
+    :func:`exact_verdict`.  Returns the number of zeros the certificate leaves to ``_q_at``."""
     left = 0
     for G, g, degree, outer, policy in calls:
-        signs = zeros._decided(G, g, outer.points, policy.abs_tol)
-        for s, q, x in zip(signs, _q_at(G, g, outer.points, policy.precision_bits), outer.points):
-            assert not s or (s * q[0] > 0 and not _is_zero(*q, *x, policy)), (G, _to_mpf(*x))
+        unit = _unit(outer.points, policy.precision_bits)
+        signs = zeros._decided(G, g, outer.points, policy.abs_tol, unit)
+        for s, (qm, _), row, x in zip(signs, _q_at(G, g, outer.points, policy.precision_bits), g, outer.points):
+            assert not s or (s * qm > 0 and not _is_zero(*row, *x, unit, policy)), (G, _to_mpf(*x))
         left += signs.count(0)
         assert interlace_strict(G, g, degree, outer, policy) == exact_verdict(G, g, degree, outer, policy)
     return left
@@ -655,7 +660,7 @@ def certified_and_exact_reports(argv) -> tuple:
         patch.setattr(zeros, "interlace_strict", lambda *args: calls.append(args) or interlace(*args))
         certified = _report(argv)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(zeros, "_decided", lambda G, g, points, abs_tol: [0] * len(points))
+        patch.setattr(zeros, "_decided", _declining)
         exact = _report(argv)
     return certified, exact, assert_certificate_agrees(calls)
 

@@ -19,7 +19,13 @@ import christoffel
 from christoffel import TolerancePolicy, bound_separation, cli, gauss_rule, mp_family, pj_family, stieltjes_check
 
 TABLES = (("--table", "1"), ("--table", "2"), ("--table", "3"), ("--verify",))
-GRIDS = (("--grid",), ("--grid", "--n", "16", "--precision-bits", "113"), ("--grid", "--lambda", "100", "--phi", "0.5"))
+GRIDS = (
+    ("--grid",),
+    ("--grid", "--n", "16", "--precision-bits", "113"),
+    ("--grid", "--lambda", "100", "--phi", "0.5"),
+    # exits 1: four cells (10, m, m + 2) fail on a residual above rel_tol at 64 bits
+    ("--grid", "--n", "10", "--precision-bits", "64"),
+)
 
 # {dotted name: tally}: a tally maps a call's arguments to its count, None counts 1.  The interlacing routes: the
 # points swept for g's rows, which families makes, and the verdict's work on them, all of it in zeros

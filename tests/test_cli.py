@@ -584,6 +584,39 @@ def test_grid_interlace_names_each_failure(policy):
         assert zeros._grid_interlace(G, n, m, k, zp, rows, policy) == label
 
 
+def test_grid_interlace_keeps_a_genuine_common_zero(policy):
+    # at phi = pi/2 the weight is even, so p_5, p_7 and the odd g_{3,0} and g_{3,2} vanish at 0: q = G g shares
+    # that zero with p_n, and the cells read as the theorem's exception, not as a failed interlacing
+    with policy.workprec():
+        fam = mp_family("0.5", mp.pi / 2, policy)
+    for n, m, k in ((5, 2, 0), (7, 4, 2)):
+        decomp = connection_decompose(fam, even_modifier(fam, k, policy), n, m, policy)
+        zp = zeros_golub_welsch(fam, n, policy)
+        rows = _kernel_sweeps(fam.shifted(k), n - m, zp, policy)
+        assert zp[n // 2] == 0 and rows[n // 2][n - m][0] == 0
+        assert zeros._grid_interlace(decomp.G_poly, n, m, k, zp, rows, policy) == "fails(common zeros)"
+
+
+@pytest.mark.parametrize(
+    "grid_run, code, rows, held, failed",
+    [
+        (("--grid", "--n", "16", "--precision-bits", "113"), 0, 1144, [(15, 15, 0), (16, 16, 0)], []),
+        (("--grid", "--n", "10", "--precision-bits", "64"), 1, 329, [(10, 10, 0)], [(10, m, m + 2) for m in range(4, 8)]),
+    ],
+    ids=["n16-113-bits", "n10-64-bits"],
+    indirect=["grid_run"],
+)
+def test_grid_reads_no_common_zero_where_g_has_none(grid_run, code, rows, held, failed):
+    # at (n, n, 0) g = c = 1, so no zero of p_n is common with q = G, however small G is there (at 64 bits
+    # G(x_1) = -1/p_9(x_1) = 1.2e-9 in (10, 10, 0)); the 64-bit grid's failed cells have a residual above rel_tol
+    data = json.loads(grid_run.out)
+    assert grid_run.code == code and data["summary"]["rows"] == rows
+    interlace = {tuple(r["inputs"].values()): r["computed"]["interlace"] for r in data["rows"]}
+    assert [interlace[cell] for cell in held] == ["holds"] * len(held)
+    assert "fails(common zeros)" not in interlace.values()
+    assert [tuple(r["inputs"].values()) for r in data["rows"] if r["verdict"] == "fail"] == failed
+
+
 def _solved_counts(G, zp, policy) -> tuple:
     """``core._root_counts``'s (real, below, above) on [x_1, x_n], and the nonreal count, from G's roots solved by polyroots."""
     roots, nonreal = polynomial_real_roots(G, policy)

@@ -19,14 +19,14 @@ def _held() -> list:
 
 def test_every_count_reads_its_work():
     # --verify reaches every count but _q_at and _root_counts, for doubles decide all its interlacing and it has no
-    # grid cells; this grid leaves zeros to _q_at and counts G's roots in its 7 cells of m = 2, k = 3 and in (10, 10, 0),
-    # one of its 5 failed cells (the other four, (10, m, m + 2), fail on a residual above rel_tol at 64 bits)
+    # grid cells; this grid leaves one zero to _q_at and counts G's roots in its 8 cells of m = 2, k = 3, the only
+    # cells that do not hold
     held = _held()
     with counting(COUNTS) as seen:
         assert quiet(["--verify"]) == 0
-        assert quiet(["--grid", "--n", "10", "--precision-bits", "64"]) == 1
+        assert quiet(["--grid", "--n", "11"]) == 0
     assert all(seen[name] > 0 for name in COUNTS), seen
-    assert seen["core._root_counts"] == 8
+    assert seen["zeros._q_at"] == 1 and seen["core._root_counts"] == 8
     assert _held() == held
 
 

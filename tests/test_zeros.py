@@ -22,7 +22,6 @@ from christoffel import (
     pj_family,
     polynomial_real_roots,
     stieltjes_check,
-    values_ladder,
     zeros_golub_welsch,
 )
 from christoffel import cli, zeros
@@ -34,6 +33,7 @@ from polyhelpers import (
     assert_bound_extremes_are_the_full_solve,
     assert_certificate_agrees,
     bound_families,
+    mpf_g,
     mpf_grid_q,
     mpf_count_below,
     mpf_frame,
@@ -1014,19 +1014,17 @@ def test_stieltjes_q_and_verdicts_are_the_mpf_route_bit_for_bit(make, n, branch,
         assert result.ok and result.branch == branch, (k, result.violations)
         [(ours, outer, verdict)] = calls
         zp = zeros_golub_welsch(fam, n, pol)
+        g = mpf_g(fam.shifted(k), n - 2, zp.values, pol)
         with pol.workprec():
-            g = {x: values_ladder(fam.shifted(k), n - 2, x, pol)[n - 2] for x in zp.values}
-            assert result.common == tuple(x for x, (v, d) in g.items() if mpf_is_zero(v, d, x, pol))
+            unit = min(1, zp[-1] - zp[0])
+            assert result.common == tuple(x for x, (v, d) in g.items() if mpf_is_zero(v, d, x, unit, pol))
             if branch == "coprime":
-                B = inner_bound(fam, n, k, pol)
-                theirs = mpf_grid_q(Polynomial([-B, 1]), zp.values, fam.shifted(k), n - 2, pol)
+                theirs = mpf_grid_q(Polynomial([-inner_bound(fam, n, k, pol), 1]), g, pol)
             else:
-                theirs = {x: vd for x, vd in g.items() if x not in result.common}
+                theirs = {x: v for x, (v, _) in g.items() if x not in result.common}
         assert outer.values == tuple(theirs)
-        assert [(_to_mpf(vm, ve)._mpf_, _to_mpf(dm, de)._mpf_) for vm, ve, dm, de in ours] == [
-            (v._mpf_, d._mpf_) for v, d in theirs.values()
-        ], k
-        assert (verdict.strict, verdict.common) == mpf_interlace_strict(theirs.__getitem__, len(outer) - 1, outer, pol)
+        assert [_to_mpf(*v)._mpf_ for v in ours] == [v._mpf_ for v in theirs.values()], k
+        assert (verdict.strict, verdict.common) == mpf_interlace_strict(theirs, g, len(outer) - 1, outer, pol)
 
 
 def test_double_certificate_agrees_on_the_default_grid_and_verify(default_grid, policy, monkeypatch):
@@ -1051,7 +1049,8 @@ def test_double_certificate_agrees_on_the_default_grid_and_verify(default_grid, 
 
 def _declined(G, g, outer, policy) -> list:
     """The indices of the outer zeros the double certificate leaves to the exact route."""
-    return [i for i, s in enumerate(zeros._decided(G, g, outer.points, policy.abs_tol)) if not s]
+    unit = zeros._unit(outer.points, policy.precision_bits)
+    return [i for i, s in enumerate(zeros._decided(G, g, outer.points, policy.abs_tol, unit)) if not s]
 
 
 def test_double_certificate_declines_where_doubles_cannot_decide(policy):
@@ -1094,16 +1093,28 @@ def test_double_certificate_declines_where_doubles_cannot_decide(policy):
     assert assert_certificate_agrees([(Polynomial([1]), g, 11, outer, pol)]) == 12
 
 
+def test_zero_test_reads_the_spectrum_scale():
+    # the zero test on g measures |g/g'| against abs_tol max(unit, |x|) with unit = min(1, x_n - x_1), as the gap
+    # check does, so consecutive degrees of the 1e-400 family interlace under the default tolerance as under a
+    # tiny one; against max(1, |x|) every one of its zeros read as common
+    for C, Lam, abs_tol in _EXTREME_SCALES[1:3]:
+        pol = TolerancePolicy(abs_tol=abs_tol)
+        fam = custom_family(C, Lam)
+        outer = zeros_golub_welsch(fam, 12, pol)
+        verdict = interlace_strict(Polynomial([1]), _rows(fam, 11, outer, pol), 11, outer, pol)
+        assert verdict.strict and verdict.common == ()
+
+
 def test_double_certificate_agrees_at_64_bits(monkeypatch):
     # at 64 bits the kernel's roundings are 2**-63, which the 2**-40 slack covers, and abs_tol is 2**-32:
-    # the grid's calls up to n = 8, with 1 of 855 zeros left to the exact route (test_stieltjes_q_and_verdicts_...
+    # the grid's calls up to n = 8, with none of 855 zeros left to the exact route (test_stieltjes_q_and_verdicts_...
     # checks the Stieltjes verdicts at 64 bits)
     pol = TolerancePolicy(precision_bits=64)
     calls, interlace = [], zeros.interlace_strict
     monkeypatch.setattr(zeros, "interlace_strict", lambda *args: calls.append(args) or interlace(*args))
     cli._grid_rows(cli.RunConfig("grid", n=8, precision_bits=64), pol)
     assert len(calls) == 130 and sum(len(outer) for *_, outer, _ in calls) == 855
-    assert assert_certificate_agrees(calls) == 1
+    assert assert_certificate_agrees(calls) == 0
 
 
 @pytest.fixture

@@ -10,9 +10,10 @@ sequence g_{d,k}.  Two routes to g are implemented:
       U_{d,2k} c_{2k}(x) g_{d,k}(x) = sum_j (-1)^j U_{d,j} p_{d+j}(x),
 
   where U_{d,j} are numeric 2k x 2k minors of the matrix of values
-  p_{d+i}(+-x_l); divide by c_{2k} and normalise monic.  A zero of c of
-  multiplicity r (a repeated node, a node repeated up to sign, or the node
-  0) gives the confluent rows p_{d+i}^{(s)}, s < r, at that zero:
+  p_{d+i}(+-x_l); g is the quotient of the exact division by c_{2k}, as it
+  is, and the division's remainder gate checks the identity.  A zero of c
+  of multiplicity r (a repeated node, a node repeated up to sign, or the
+  node 0) gives the confluent rows p_{d+i}^{(s)}, s < r, at that zero:
   Christoffel's theorem with multiple zeros (Szego, Orthogonal Polynomials,
   Thm 2.5; Gautschi, Orthogonal Polynomials, 2004, section 2.4);
 
@@ -199,8 +200,7 @@ def christoffel_transform(
                     "coefficients; modifier nodes are inconsistent"
                 )
             combo = combo + polys[j]._scaled(*_normal(dm, de))
-        g = combo.divide_exact(modifier.c, policy).monic()
-        return g.chop(policy.rel_tol * max(1, g.inf_norm()))
+        return combo.divide_exact(modifier.c, policy)
 
 
 def _expand_in_monic_basis(f: Polynomial, ladder, low: int, prec: int) -> list:
@@ -266,7 +266,7 @@ def _expansion(family, modifier, d, policy) -> tuple:
     max(1, its sup norm), and its monic-basis coefficients from p_d up (kernel pairs, mpf); the last is exactly 1,
     as c_{2k}, g and the basis are monic and the expansion's top step only copies the product's top coefficient.
 
-    The key holds the whole policy, for the determinant route's gates and chop read its tolerances.
+    The key holds the whole policy, for the determinant route's gates read its tolerances.
     """
 
     def build() -> tuple:

@@ -629,15 +629,18 @@ def interlace_strict(G: Polynomial, g, degree: int, outer: ZeroSet, policy: Tole
     and its converse, Wendroff 1961), read off the mantissas' signs; for any
     other degree, and for q = 0 (G = 0), which has no zeros, the signs prove nothing, so that raises
     ``ValueError``, as do a ``degree`` that is no nonnegative int (``families._order``), a g without one
-    row per zero and an ``outer`` that is no :class:`ZeroSet`.  Outer zeros where q is 0, or where g's row
-    passes :func:`_is_zero` at the unit of ``outer`` (:func:`_unit`), are reported in ``common`` and make
-    the verdict non-strict.
+    row per zero and an ``outer`` that is no :class:`ZeroSet` or not strictly ascending (the first pair out
+    of order is named).  Outer zeros where q is 0, or where g's row passes :func:`_is_zero` at the unit of
+    ``outer`` (:func:`_unit`), are reported in ``common`` and make the verdict non-strict.
 
     The signs are those of q formed on kernel pairs (:func:`_q_at`), but doubles with an error bound decide
     them and g's test first (:func:`_decided`), and only the zeros they leave open take that route.
     """
     if not isinstance(outer, ZeroSet):
         raise ValueError(f"outer zeros must be a ZeroSet, got {type(outer).__name__}")
+    for i, (a, b) in enumerate(zip(outer.points, outer.points[1:])):
+        if _cmp(*a, *b) >= 0:
+            raise ValueError(f"outer zeros must be strictly ascending, got {mp.nstr(outer[i], 8)} before {mp.nstr(outer[i + 1], 8)}")
     if len(g) != len(outer):
         raise ValueError(f"g needs one row per outer zero, {len(outer)}, got {len(g)}")
     _order(degree, "degree of g")
@@ -728,6 +731,7 @@ def stieltjes_check(family: RecurrenceFamily, k: int, n: int, policy: ToleranceP
     g is evaluated at the zeros of p_n by its recurrence sweep, on kernel
     pairs; common zeros are read off those values by :func:`interlace_strict`'s rule, and both claims
     are :func:`interlace_strict` on them (G = x - B_n(k), or G = 1 over the non-common zeros), so no zero of g is solved for.
+    A common zero x_j equals B_n(k) when x - B_n(k), of slope 1, passes that same zero test at x_j.
     """
     _order(k, "modifier order k", 0, 2)
     family.require_degree(n, 2)
@@ -736,6 +740,7 @@ def stieltjes_check(family: RecurrenceFamily, k: int, n: int, policy: ToleranceP
     rows = shifted.kernel_rows(n - 2, prec)
     with policy.workprec():
         bound = inner_bound(family, n, k, policy)
+        bm, be = _point(bound, policy)
         zp = zeros_golub_welsch(family, n, policy)
         g_at = [row[n - 2] for row in _sweep_rows(shifted, n - 2, zp.points, prec)]
         unit = _unit(zp.points, prec)
@@ -744,7 +749,6 @@ def stieltjes_check(family: RecurrenceFamily, k: int, n: int, policy: ToleranceP
         violations = []
         if not shared:
             branch = "coprime"
-            bm, be = _point(bound, policy)
             if _is_zero(*_sweep(rows, n - 2, bm, be, prec), bm, be, unit, policy):
                 violations.append("bound coincides with a zero of the modified polynomial")
             # with shared empty, q = (x - B) g is 0 at a zero of p_n only where it is B, and fails the signs there
@@ -755,9 +759,8 @@ def stieltjes_check(family: RecurrenceFamily, k: int, n: int, policy: ToleranceP
             if len(shared) != 1:
                 violations.append(f"expected exactly one common zero, found {len(shared)}")
             for j in shared:
-                gap = min(zp[i + 1] - zp[i] for i in (j - 1, j) if 0 <= i < n - 1)
-                thr = policy.abs_tol * max(1, gap)
-                if abs(zp[j] - bound) > thr:
+                xm, xe = zp.points[j]
+                if not _is_zero(*_add(xm, xe, -bm, be, prec), 1, 0, xm, xe, unit, policy):
                     violations.append(
                         f"common zero {mp.nstr(zp[j], 10)} differs from bound {mp.nstr(bound, 10)}"
                     )

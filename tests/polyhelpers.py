@@ -360,8 +360,7 @@ def mpc_transform(family, modifier, deg: int, policy) -> Polynomial:
                     "coefficients; modifier nodes are inconsistent"
                 )
             combo = combo + polys[j]._scaled(*_unpack(d.real._mpf_))
-        g = combo.divide_exact(modifier.c, policy).monic()
-        return g.chop(policy.rel_tol * max(1, g.inf_norm()))
+        return combo.divide_exact(modifier.c, policy)
 
 
 def _to_mpc(am, ae, bm, be) -> mp.mpc:
@@ -403,8 +402,8 @@ def assert_transforms_are_the_mpc_loops(family, bits: int, degrees, node_sets) -
     """:func:`assert_transform_is_the_mpc_loops` for the canonical modifiers k = 1..3 of
     ``family(policy)`` and the named ``node_sets``, at each degree; returns the count of each outcome."""
     policy = TolerancePolicy(precision_bits=bits)
-    fam = family(policy)
-    with policy.workprec():
+    with policy.workprec():  # a parameter such as mp.pi / 2 is formed at the policy's precision
+        fam = family(policy)
         modifiers = [even_modifier(fam, k, policy) for k in (1, 2, 3)]
         modifiers += [ModifierSpec([mp.mpc(*z) for z in NODE_SETS[name]], policy) for name in node_sets]
     outcomes = {}

@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import Counter
 
 import pytest
+from mpmath import mp
 
 from christoffel import TolerancePolicy, cli, mp_family, pj_family
 from polyhelpers import (
@@ -51,11 +52,14 @@ def test_larger_grid_q_and_verdicts_are_the_mpf_route_bit_for_bit(lam, phi, bits
         lambda policy: mp_family("0.5", "0.9", policy),
         lambda policy: mp_family("3.25", "2.4", policy),
         lambda policy: pj_family("-12", "8", policy),
+        lambda policy: mp_family("0.5", mp.pi / 2, policy),
+        lambda policy: pj_family("-12", "0", policy),
+        lambda policy: mp_family("0.5", mp.pi / 2 - mp.mpf("1e-45"), policy),  # tiny coefficients of alternate parity
     ],
-    ids=["MP(0.5,0.9)", "MP(3.25,2.4)", "PJ(-12,8)"],
+    ids=["MP(0.5,0.9)", "MP(3.25,2.4)", "PJ(-12,8)", "MP(0.5,pi/2)", "PJ(-12,0)", "MP(0.5,pi/2-1e-45)"],
 )
 def test_determinant_transforms_are_the_mpc_loops_bit_for_bit(family, bits):
-    # k = 1..3 and every node set at degrees 0..5: 576 transforms over the twelve cases
+    # k = 1..3 and every node set at degrees 0..5: 1152 transforms over the twenty-four cases
     assert assert_transforms_are_the_mpc_loops(family, bits, range(6), list(NODE_SETS)) == {"ok": 48}
 
 

@@ -26,6 +26,7 @@ from christoffel.core import _to_mpf, _unpack
 from christoffel.families import _ladder
 from christoffel.transform import modified_polynomial
 from polyhelpers import (
+    NODE_SETS,
     assert_grid_decompositions_are_the_mpf_loops,
     assert_transforms_are_the_mpc_loops,
     coeff,
@@ -112,6 +113,37 @@ def test_transform_matches_parameter_shift_pj(policy):
         ref = generate(shifted, deg, policy)
         with policy.workprec():
             assert max_rel_coeff_diff(det, ref) <= policy.rel_tol
+
+
+def test_transform_keeps_tiny_coefficients():
+    # phi = pi/2 - 1e-45 leaves g tiny coefficients of alternate parity, near 1e-45; the determinant route
+    # returns its quotient as it is, so each coefficient is the shift's to rel_tol of its own size
+    pol = TolerancePolicy(precision_bits=256)
+    with pol.workprec():
+        fam = mp_family("0.5", mp.pi / 2 - mp.mpf("1e-45"), pol)
+    for k in (1, 2, 3):
+        mod = even_modifier(fam, k, pol)
+        for deg in range(7):
+            det, ref = christoffel_transform(fam, mod, deg, pol), generate(fam.shifted(k), deg, pol)
+            with pol.workprec():
+                assert det.degree == ref.degree == deg
+                for a, b in zip(det.coeffs, ref.coeffs):
+                    assert abs(a - b) <= pol.rel_tol * abs(b), (k, deg, a, b)
+
+
+@pytest.mark.parametrize("bits", [64, 113, 256, 512])
+def test_transform_is_monic_as_divided(bits):
+    # c_{2k} and the combination of the monic p_{d+j} with d_{2k} = 1 are monic, so the exact division's
+    # quotient ends in exactly 1: for the canonical modifiers and imaginary, real, repeated and zero nodes
+    pol = TolerancePolicy(precision_bits=bits)
+    with pol.workprec():
+        families = [mp_family("0.5", "0.9", pol), mp_family("0.5", mp.pi / 2, pol), pj_family("-12", "8", pol)]
+        nodes = [ModifierSpec([mp.mpc(*z) for z in zs], pol) for zs in NODE_SETS.values()]
+    for fam in families:
+        for mod in [even_modifier(fam, k, pol) for k in (1, 2, 3)] + nodes:
+            for deg in range(6):
+                top = christoffel_transform(fam, mod, deg, pol)._pairs[-1]
+                assert _to_mpf(*top) == 1, (fam.label, mod.nodes, deg, top)
 
 
 def test_transform_with_noncanonical_modifier_is_orthogonal(policy):
@@ -388,7 +420,7 @@ def test_cells_with_one_gap_share_their_expansion(policy):
 
 
 def test_expansions_are_kept_per_policy(policy):
-    # same precision, other rel_tol: the determinant route's gates and chop read it
+    # same precision, other rel_tol: the determinant route's gates read it
     fam = mp_family("0.5", "0.9", policy)
     mod = even_modifier(fam, 2, policy)
     other = TolerancePolicy(precision_bits=policy.precision_bits, rel_tol="1e-30")

@@ -719,6 +719,10 @@ def test_interlace_needs_one_row_of_g_per_outer_zero(policy):
     for g in ([_ONE] * 2, [_ONE] * 4):
         with pytest.raises(ValueError, match=f"g needs one row per outer zero, 3, got {len(g)}"):
             interlace_strict(Polynomial([0, -2, 1]), g, 0, _outer(-1, 0, 3), policy)
+    # ZeroSet keeps its values' order, and the sign argument needs them ascending, so zeros out of order raise
+    for values, pair in (((0, 2, 1), "2.0 before 1.0"), ((2, 1, 0), "2.0 before 1.0"), ((2, -1, 2), "2.0 before -1.0")):
+        with pytest.raises(ValueError, match=f"^outer zeros must be strictly ascending, got {pair}$"):
+            interlace_strict(Polynomial([mp.mpf("0.75"), -2, 1]), [_ONE] * 3, 0, _outer(*values), policy)
     # a plain sequence has no kernel pairs, nor ZeroSet's finiteness check
     for outer in ([mp.mpf(-1), mp.mpf(0), mp.mpf(3)], (mp.mpf(-1), mp.mpf(0), mp.mpf(3))):
         with pytest.raises(ValueError, match=f"outer zeros must be a ZeroSet, got {type(outer).__name__}"):
@@ -981,6 +985,17 @@ def test_stieltjes_common_zero_failures_report_violations(policy, monkeypatch):
     assert verdict.violations == ("zeros of g do not interlace the non-common zeros of p_n",)
 
 
+def test_stieltjes_common_zero_meets_the_bound_by_the_zero_test(policy, monkeypatch):
+    # PJ(-1e30, 0) at n = 5 has its zeros within 4e-15 of its common zero 0 = B_5(1): x - B passes the zero
+    # test at the spectrum's unit, and a bound moved by 1e-40 fails it
+    fam = pj_family("-1e30", "0", policy)
+    assert stieltjes_check(fam, 1, 5, policy).ok
+    monkeypatch.setattr(zeros, "inner_bound", lambda *args: mp.mpf("1e-40"))
+    verdict = stieltjes_check(fam, 1, 5, policy)
+    assert verdict.branch == "common_zero"
+    assert verdict.violations == ("common zero 0.0 differs from bound 1.0e-40",)
+
+
 _STIELTJES_CASES = [
     (lambda pol: mp_family("0.5", "0.9", pol), 48, "coprime"),
     (lambda pol: pj_family(-60, 8, pol), 48, "coprime"),
@@ -988,11 +1003,12 @@ _STIELTJES_CASES = [
     (lambda pol: pj_family("-52.5", "-3", pol), 20, "coprime"),
     (lambda pol: pj_family("-5.5", 0, pol), 5, "common_zero"),
     (lambda pol: mp_family("0.5", mp.pi / 2, pol), 9, "common_zero"),
+    (lambda pol: pj_family("-1e30", 0, pol), 5, "common_zero"),  # a spectrum 4e-15 wide
 ]
 
 
 @pytest.mark.parametrize("bits", [64, 256, 512])
-@pytest.mark.parametrize("make, n, branch", _STIELTJES_CASES, ids=["mp", "pj", "mp-phi2.4", "pj-b-3", "pj-b0", "mp-right-angle"])
+@pytest.mark.parametrize("make, n, branch", _STIELTJES_CASES, ids=["mp", "pj", "mp-phi2.4", "pj-b-3", "pj-b0", "mp-right-angle", "pj-a-1e30"])
 def test_stieltjes_q_and_verdicts_are_the_mpf_route_bit_for_bit(make, n, branch, bits, monkeypatch):
     # the q = G g that interlace_strict forms for each branch, against the mpf
     # (x - B) g, or g over the non-common zeros, with g from values_ladder

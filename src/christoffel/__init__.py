@@ -49,9 +49,11 @@ from .zeros import (
     StieltjesVerdict,
     ZeroSet,
     bound_separation,
+    gauss_orthogonality,
     gauss_rule,
     inner_bound,
     interlace_strict,
+    modified_orthogonality,
     polynomial_real_roots,
     stieltjes_check,
     zeros_golub_welsch,
@@ -93,9 +95,11 @@ __all__ = [
     "StieltjesVerdict",
     "ZeroSet",
     "bound_separation",
+    "gauss_orthogonality",
     "gauss_rule",
     "inner_bound",
     "interlace_strict",
+    "modified_orthogonality",
     "polynomial_real_roots",
     "stieltjes_check",
     "zeros_golub_welsch",

@@ -23,8 +23,8 @@ from __future__ import annotations
 
 from mpmath import mp
 
-from .core import DEFAULT_POLICY, Polynomial, TolerancePolicy, _to_mpf, relative_residual
-from .families import RecurrenceFamily, _ladder, _order, _point, _three_term
+from .core import DEFAULT_POLICY, Polynomial, TolerancePolicy, _horner, _round
+from .families import RecurrenceFamily, _ladder, _order, _point, _residual, _three_term
 
 
 def _sequence(family: RecurrenceFamily, n: int, m: int, prec: int) -> list:
@@ -48,37 +48,50 @@ def associated(family: RecurrenceFamily, n: int, m: int, policy: TolerancePolicy
 def associated_identity_residual(
     family: RecurrenceFamily, n: int, m: int, x, policy: TolerancePolicy = DEFAULT_POLICY
 ) -> mp.mpf:
-    """Relative residual of the downward bridge identity at a point, 2 <= m <= n."""
+    """Relative residual of the downward bridge identity at a point, 2 <= m <= n.
+
+    On kernel pairs, with the roundings of the mpf terms (Lambda(n - m + 2) ... Lambda(n)) p_{n-m}(x),
+    S_{m-1}^{(n)}(x) p_{n-1}(x) and S_{m-2}^{(n-1)}(x) p_n(x), the product from 1 in that order, and
+    each polynomial by Horner (``core._horner``)."""
     family.require_degree(n, 2)
     _order(m, "order m", 2, n)
-    with policy.workprec():
-        x = _to_mpf(*_point(x, policy))
-        ladder = _ladder(family, n, policy.precision_bits)
-        rows = family.kernel_rows(n, policy.precision_bits)
-        prefix = mp.mpf(1)
-        for t in range(n - m + 2, n + 1):
-            prefix *= _to_mpf(*rows[t][2:])
-        t1 = prefix * ladder[n - m](x)
-        t2 = associated(family, n, m - 1, policy)(x) * ladder[n - 1](x)
-        t3 = associated(family, n - 1, m - 2, policy)(x) * ladder[n](x)
-        return relative_residual(t1 - t2 + t3, (t1, t2, t3))
+    prec = policy.precision_bits
+    xm, xe = _point(x, policy)
+    ladder = _ladder(family, n, prec)
+    pm, pe = 1, 0
+    for _, _, lm, le in family.kernel_rows(n, prec)[n - m + 2 : n + 1]:
+        pm, pe = _round(pm * lm, pe + le, prec)
+    factors = [(pm, pe)]
+    for anchor, order in ((n, m - 1), (n - 1, m - 2)):
+        factors.append(_horner(_sequence(family, anchor, order, prec)[order]._pairs, xm, xe, prec))
+    terms = []
+    for (fm, fe), p in zip(factors, (ladder[n - m], ladder[n - 1], ladder[n])):
+        vm, ve = _horner(p._pairs, xm, xe, prec)
+        terms.append(_round(fm * vm, fe + ve, prec))
+    return _residual(terms, prec)
 
 
 def extension_identity_residual(
     family: RecurrenceFamily, n: int, m: int, x, policy: TolerancePolicy = DEFAULT_POLICY
 ) -> mp.mpf:
-    """Relative residual of the upward extension identity at a point."""
+    """Relative residual of the upward extension identity at a point.
+
+    On kernel pairs, with the roundings of the mpf terms p_{n+m}(x), S_m^{(n+m)}(x) p_n(x) and
+    (Lambda(n + 1) S_{m-1}^{(n+m)}(x)) p_{n-1}(x), the last 0 for m = 0, each polynomial by Horner."""
     family.require_degree(n, 1)
     _order(m, "order m")
     family.require_degree(n + m, of=f"n + m for n={n}, m={m}")
-    with policy.workprec():
-        x = _to_mpf(*_point(x, policy))
-        ladder = _ladder(family, n + m, policy.precision_bits)
-        t1 = ladder[n + m](x)
-        t2 = associated(family, n + m, m, policy)(x) * ladder[n](x)
-        if m == 0:
-            t3 = mp.mpf(0)
-        else:
-            lm, le = family.kernel_rows(n + 1, policy.precision_bits)[n + 1][2:]
-            t3 = _to_mpf(lm, le) * associated(family, n + m, m - 1, policy)(x) * ladder[n - 1](x)
-        return relative_residual(t1 - t2 + t3, (t1, t2, t3))
+    prec = policy.precision_bits
+    xm, xe = _point(x, policy)
+    ladder = _ladder(family, n + m, prec)
+    seq = _sequence(family, n + m, m, prec)
+    sm, se = _horner(seq[m]._pairs, xm, xe, prec)
+    vm, ve = _horner(ladder[n]._pairs, xm, xe, prec)
+    terms = [_horner(ladder[n + m]._pairs, xm, xe, prec), _round(sm * vm, se + ve, prec), (0, 0)]
+    if m:
+        lm, le = family.kernel_rows(n + 1, prec)[n + 1][2:]
+        sm, se = _horner(seq[m - 1]._pairs, xm, xe, prec)
+        lm, le = _round(lm * sm, le + se, prec)
+        vm, ve = _horner(ladder[n - 1]._pairs, xm, xe, prec)
+        terms[2] = _round(lm * vm, le + ve, prec)
+    return _residual(terms, prec)

@@ -49,10 +49,10 @@ from mpmath import mp
 
 from . import __version__
 from .core import TolerancePolicy, to_scalar
-from .families import _order, _sweep_rows, even_modifier, generate, generate_all, mp_family, mp_symmetry_residual, pj_family, recurrence_residual
+from .families import _order, _sweep_rows, even_modifier, generate, mp_family, mp_symmetry_residual, pj_family, recurrence_residual
 from .associated import associated_identity_residual, extension_identity_residual
 from .transform import christoffel_transform, connection_decompose, connection_degree_law
-from .zeros import _grid_interlace, bound_separation, gauss_rule, stieltjes_check, zeros_golub_welsch
+from .zeros import _grid_interlace, bound_separation, gauss_orthogonality, modified_orthogonality, stieltjes_check, zeros_golub_welsch
 
 ENV_PRECISION = "CHRISTOFFEL_PRECISION_BITS"
 
@@ -413,7 +413,8 @@ def _verify_rows(config: RunConfig, policy: TolerancePolicy):
         for fam, tag, k in [(mp_base, "MP", k) for k in (1, 2, 3)] + [(pj_oracle, "PJ", 1)]:
             mod = even_modifier(fam, k, policy)
             worst = mp.mpf(0)
-            dets = [christoffel_transform(fam, mod, deg, policy) for deg in range(0, 7)]
+            # top down: christoffel_transform keeps each degree's trunk, the minor 0 of the degree below
+            dets = [christoffel_transform(fam, mod, deg, policy) for deg in range(6, -1, -1)][::-1]
             for deg, det in enumerate(dets):
                 ref = generate(fam.shifted(k), deg, policy)
                 worst = max(worst, (det - ref).inf_norm() / max(1, ref.inf_norm()))
@@ -459,29 +460,10 @@ def _verify_rows(config: RunConfig, policy: TolerancePolicy):
 
     # normalised by the discrete norms so the gate scales with precision
     for fam, n in ((mp_base, 10), (pj_base, 10)):
-        nodes, weights = gauss_rule(fam, n, policy)
-        with policy.workprec():
-            ladder = generate_all(fam, n - 1, policy)
-            vals = [[p(x) for x in nodes.values] for p in ladder]
-            norms = [sum(w * v * v for v, w in zip(vals[j], weights)) for j in range(n)]
-            worst = mp.mpf(0)
-            for j in range(n):
-                for l in range(j):
-                    s = sum(w * a * b for a, b, w in zip(vals[j], vals[l], weights))
-                    worst = max(worst, abs(s) / mp.sqrt(norms[j] * norms[l]))
-        res_row("gauss-orthogonality", f"{fam.label} n={n}", worst)
+        res_row("gauss-orthogonality", f"{fam.label} n={n}", gauss_orthogonality(fam, n, policy))
 
     # discrete orthogonality of the transform oracle's MP k=2 output under the modified weight
-    with policy.workprec():
-        nodes, weights = gauss_rule(mp_base, 12, policy)
-        cs = list(map(even_modifier(mp_base, 2, policy).c, nodes.values))
-        gs = [[g(x) for x in nodes.values] for g in gs]
-        worst = mp.mpf(0)
-        for j in range(5):
-            for l in range(j):
-                s = sum(w * c * a * b for w, c, a, b in zip(weights, cs, gs[j], gs[l]))
-                norm = sum(w * c * a**2 for w, c, a in zip(weights, cs, gs[j]))
-                worst = max(worst, abs(s) / norm)
+    worst = modified_orthogonality(mp_base, even_modifier(mp_base, 2, policy), gs, 12, policy)
     res_row("transform-discrete-orthogonality", "MP(0.5,0.9) k=2", worst)
 
     bound_cases = list(families)

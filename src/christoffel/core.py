@@ -21,12 +21,14 @@ and rounded once, nearest with ties to even; comparisons (:func:`_cmp`) are
 exact.  That is how mpmath rounds every product and quotient and every sum
 whose operands it aligns (exponents at most 100 apart, or leading bits at
 most ``prec + 4`` apart), and every square root (:func:`_sqrt`), so the bits
-are the same; other sums go to mpmath's ``mpf_add`` (which never aligns
-1e400000000 with 1 bit by bit), and non-finite points are rejected where
-they enter.  :func:`_round` gives the argument.  Polynomials, the
-recurrences of :mod:`christoffel.families`, the connection pair, the zero
-solver and the determinant transform (complex values as quadruples, in
-libmpc's roundings) run on it; results leave it as mpf or mpc values.
+are the same.  Other sums go to mpmath's ``mpf_add`` (which never aligns
+1e400000000 with 1 bit by bit), except the truncated sums of
+:func:`_add_down`, which run its rule themselves; non-finite points are
+rejected where they enter.  :func:`_round` gives the argument.  Polynomials,
+the recurrences of :mod:`christoffel.families`, the identity residuals and
+orthogonality sums, the connection pair, the zero solver and the determinant
+transform (complex values as quadruples, in libmpc's roundings) run on it;
+results leave it as mpf or mpc values.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from math import copysign, gcd, inf, isqrt, ldexp
 from typing import Iterable, Sequence
 
 from mpmath import mp
-from mpmath.libmp import from_man_exp, mpf_add, round_down, round_nearest
+from mpmath.libmp import from_man_exp, mpf_add, round_nearest
 
 
 class NonFiniteError(ArithmeticError):
@@ -316,14 +318,28 @@ def _add_down(m1: int, e1: int, m2: int, e2: int, prec: int) -> tuple:
     """:func:`_add` truncated toward zero instead, the bits of ``mpf_add`` at ``round_down``.
 
     That is mpmath's default rounding ``round_fast``, at which ``mpc_div`` forms its sums at prec + 10
-    bits; the sums that :func:`_add` hands to ``mpf_add`` go to it here too.
+    bits.  Leading bits at most ``prec + 4`` apart are aligned exactly, and a zero operand leaves the
+    other truncated.  Further apart, ``mpf_add``'s own rule runs on the normalized values (trailing zero
+    bits stripped): past an exponent gap of ``_NEAR``, an operand whose leading bit lies more than
+    ``prec + 4`` bits above the other's is shifted by ``prec + 4`` bits and moved one unit toward the
+    smaller operand's sign, which decides the truncation; otherwise the operands are aligned exactly.
     """
+    if not -prec - 4 <= m1.bit_length() - m2.bit_length() + e1 - e2 <= prec + 4:
+        if not m1 or not m2:
+            m1, e1 = (m1, e1) if m1 else (m2, e2)
+            m2, e2 = 0, e1
+        else:
+            t1, t2 = (m1 & -m1).bit_length() - 1, (m2 & -m2).bit_length() - 1
+            m1, e1, m2, e2 = m1 >> t1, e1 + t1, m2 >> t2, e2 + t2
+            if e1 < e2:  # the operand of the larger exponent first
+                m1, e1, m2, e2 = m2, e2, m1, e1
+            if e1 - e2 > _NEAR and m1.bit_length() - m2.bit_length() + e1 - e2 > prec + 4:
+                m1, e1 = (m1 << prec + 4) + (1 if m2 > 0 else -1), e1 - prec - 4
+                m2, e2 = 0, e1
     d = e1 - e2
-    if -prec - 4 <= m1.bit_length() - m2.bit_length() + d <= prec + 4:
-        m, e = ((m1 << d) + m2, e2) if d >= 0 else (m1 + (m2 << -d), e1)
-        n = m.bit_length() - prec
-        return (m, e) if n <= 0 else ((m >> n if m > 0 else -(-m >> n)), e + n)
-    return _unpack(mpf_add(from_man_exp(m1, e1), from_man_exp(m2, e2), prec, round_down))
+    m, e = ((m1 << d) + m2, e2) if d >= 0 else (m1 + (m2 << -d), e1)
+    n = m.bit_length() - prec
+    return (m, e) if n <= 0 else ((m >> n if m > 0 else -(-m >> n)), e + n)
 
 
 # A complex value a + bi is the quadruple (am, ae, bm, be) of its parts' pairs; each operation
@@ -626,14 +642,29 @@ def _root_counts(f: Polynomial, lo: tuple, hi: tuple, label: str) -> tuple:
     return (ends[0] - ends[1], *_beyond(*([_sign_at(c, *x) for c in chain] for x in (lo, hi)), ends))
 
 
+def _relative(total: tuple, terms, prec: int) -> tuple:
+    """|total| over the largest |t| of the kernel pairs ``terms``, or |total| itself when every term is 0.
+
+    The relative rule of the identity residuals, with the roundings of the mpf expression
+    ``abs(total) / max(abs(t) for t in terms)``: each ``abs`` rounded to ``prec`` bits, the first
+    maximum kept, as ``max`` keeps it, and the quotient rounded once.
+    """
+    scale = 0, 0
+    for m, e in terms:
+        size = _round(abs(m), e, prec)
+        if _cmp(*size, *scale) > 0:
+            scale = size
+    tm, te = _round(abs(total[0]), total[1], prec)
+    return _div(tm, te, *scale, prec) if scale[0] else (tm, te)
+
+
 def relative_residual(total, terms: Sequence) -> mp.mpf:
-    """|total| scaled by the largest term magnitude (0 when every term vanishes).
+    """|total| scaled by the largest term magnitude, or |total| itself when every term vanishes.
 
     Identity checks in this package report residuals relative to the size of
     what was cancelled; raw polynomial values at degree 30 reach 1e40 and make
-    absolute residuals meaningless.
+    absolute residuals meaningless.  The values are read by :func:`to_scalar` at
+    the ambient precision and must be finite; :func:`_relative` is the rule.
     """
-    scale = max((abs(t) for t in terms), default=mp.mpf(0))
-    if scale == 0:
-        return abs(mp.mpf(total)) if total else mp.mpf(0)
-    return abs(total) / scale
+    pairs = [_unpack(require_finite(to_scalar(v), "residual term")._mpf_) for v in (total, *terms)]
+    return _to_mpf(*_relative(pairs[0], pairs[1:], mp.prec))

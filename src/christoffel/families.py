@@ -60,8 +60,8 @@ from mpmath import mp
 from mpmath.libmp import fone, from_man_exp, from_str, mpf_abs, mpf_add, mpf_cmp, mpf_mul, mpf_shift, mpf_sub
 from mpmath.libmp import round_nearest as _N
 
-from .core import DEFAULT_POLICY, Polynomial, TolerancePolicy, relative_residual, to_scalar
-from .core import _NEAR, _accumulate, _add, _cmp, _div, _float, _round, _sqrt, _to_mpf, _unpack  # the exact-rounding kernel
+from .core import DEFAULT_POLICY, Polynomial, TolerancePolicy, to_scalar
+from .core import _NEAR, _accumulate, _add, _cmp, _div, _float, _horner, _relative, _round, _sqrt, _to_mpf, _unpack  # the exact-rounding kernel
 
 MEIXNER_POLLACZEK = "meixner_pollaczek"
 PSEUDO_JACOBI = "pseudo_jacobi"
@@ -716,21 +716,37 @@ def even_modifier(family: RecurrenceFamily, k: int, policy: TolerancePolicy = DE
     return family.owned(("even_modifier", k, policy), build)
 
 
+def _residual(terms: list, prec: int) -> mp.mpf:
+    """The relative residual of t_1 - t_2 + t_3 - ... over the kernel pairs ``terms``, as an mpf.
+
+    The identity checks' one ending: the alternating sum formed left to right, each sum rounded to
+    ``prec`` bits as ``mpf_add`` rounds it, then ``core._relative``."""
+    total = terms[0]
+    for i, (m, e) in enumerate(terms[1:]):
+        total = _add(*total, m if i % 2 else -m, e, prec)
+    return _to_mpf(*_relative(total, terms, prec))
+
+
 def recurrence_residual(family: RecurrenceFamily, n: int, x, policy: TolerancePolicy = DEFAULT_POLICY) -> mp.mpf:
-    """Relative residual of the three-term recurrence at a point, degrees >= 2."""
+    """Relative residual of the three-term recurrence at a point, degrees >= 2.
+
+    On kernel pairs, with the roundings of the mpf terms p_n(x), (x - C(n)) p_{n-1}(x) and Lambda(n) p_{n-2}(x),
+    each p by Horner (``core._horner``)."""
     family.require_degree(n, 2)
-    with policy.workprec():
-        x = _to_mpf(*_point(x, policy))
-        ladder = _ladder(family, n, policy.precision_bits)
-        cm, ce, lm, le = family.kernel_rows(n, policy.precision_bits)[n]
-        t1 = ladder[n](x)
-        t2 = (x - _to_mpf(cm, ce)) * ladder[n - 1](x)
-        t3 = _to_mpf(lm, le) * ladder[n - 2](x)
-        return relative_residual(t1 - t2 + t3, (t1, t2, t3))
+    prec = policy.precision_bits
+    xm, xe = _point(x, policy)
+    ladder = _ladder(family, n, prec)
+    cm, ce, lm, le = family.kernel_rows(n, prec)[n]
+    (am, ae), (bm, be), (um, ue) = (_horner(p._pairs, xm, xe, prec) for p in ladder[n - 2 :])
+    vm, ve = _add(xm, xe, -cm, ce, prec)
+    return _residual([(um, ue), _round(vm * bm, ve + be, prec), _round(lm * am, le + ae, prec)], prec)
 
 
 def mp_symmetry_residual(family: RecurrenceFamily, n: int, x, policy: TolerancePolicy = DEFAULT_POLICY) -> mp.mpf:
-    """Relative defect of P_n(x; phi) = (-1)^n P_n(-x; -phi) for a Meixner-Pollaczek family."""
+    """Relative defect of P_n(x; phi) = (-1)^n P_n(-x; -phi) for a Meixner-Pollaczek family.
+
+    On kernel pairs, with the roundings of the mpf values P_n(x; phi) and (-1)^n P_n(-x; -phi) by Horner
+    (negation rounds as ``mpf`` negation does)."""
     if family.kind != MEIXNER_POLLACZEK:
         raise ValueError(f"the phi -> -phi symmetry holds for Meixner-Pollaczek families, not {family.label}")
     # phi -> -phi flips the sign of C and leaves Lambda unchanged, so the
@@ -746,10 +762,8 @@ def mp_symmetry_residual(family: RecurrenceFamily, n: int, x, policy: ToleranceP
     mirror = family.owned(
         "mirror", lambda: RecurrenceFamily(CUSTOM, {}, mirrored, None, f"mirror of {family.label}")
     )
-    with policy.workprec():
-        x = _to_mpf(*_point(x, policy))
-        lhs = generate(family, n, policy)(x)
-        rhs = generate(mirror, n, policy)(-x)
-        if n % 2:
-            rhs = -rhs
-        return relative_residual(lhs - rhs, (lhs, rhs))
+    prec = policy.precision_bits
+    xm, xe = _point(x, policy)
+    lhs = _horner(generate(family, n, policy)._pairs, xm, xe, prec)
+    rm, re = _horner(generate(mirror, n, policy)._pairs, *_round(-xm, xe, prec), prec)
+    return _residual([lhs, _round(-rm if n % 2 else rm, re, prec)], prec)

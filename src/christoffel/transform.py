@@ -46,7 +46,7 @@ from mpmath import mp
 from .core import DEFAULT_POLICY, Polynomial, TolerancePolicy
 from .core import _accumulate, _add, _cmp, _div, _round, _to_mpf, _unpack  # the exact-rounding kernel
 from .core import _cabs, _cdiv, _chorner, _cnorm, _cupdate  # and its complex operations
-from .families import ModifierSpec, RecurrenceFamily, _ladder, _normal, _order, even_modifier, generate
+from .families import ModifierSpec, RecurrenceFamily, _ladder, _order, even_modifier, generate
 from .associated import _sequence
 
 
@@ -98,12 +98,13 @@ def _eliminate(a: list, cols: list, r: int, sign: int, prev, prec: int, minors=N
 
     Returns sign times the last pivot, or zero at a zero pivot.  The pivot is the first entry of
     largest ``mpc_abs`` (:func:`_cabs`) in its column, as ``max`` picks it; ``prev`` is the last pivot,
-    None for 1.  With ``minors``, ``a`` is the full matrix and minor j is branched off before step j.
+    None for 1.  With ``minors``, ``a`` is the full matrix and minor j, unless it is known already, is
+    branched off before step j.
     """
     n = len(a)
     norm = prev and _cnorm(*prev, prec)
     while True:
-        if minors is not None:
+        if minors is not None and minors[r] is None:
             minors[r] = _eliminate([row[:] for row in a], cols[:r] + cols[r + 1 :], r, sign, prev, prec)
         if r == n - 1:
             am, ae, bm, be = a[r][cols[r]]
@@ -128,19 +129,21 @@ def _eliminate(a: list, cols: list, r: int, sign: int, prev, prec: int, minors=N
         r += 1
 
 
-def _cofactor_minors(rows: list, prec: int) -> list:
+def _cofactor_minors(rows: list, prec: int, first=None) -> list:
     """All 2k + 1 minors U_j of the 2k x (2k + 1) node-value matrix (delete column j), as complex quadruples.
 
     Each is the determinant by fraction-free elimination with partial pivoting (Bareiss, Math. Comp.
     22, 1968) in mpc's roundings.  For its steps 0..j-1 minor j pivots on the full matrix's columns,
     and an update reads only its own column, the pivot column and the last pivot, so the minors share
     one elimination of the full matrix: minor j branches off before step j and finishes on the columns
-    after j, which are exactly the operations of its own elimination.
+    after j, which are exactly the operations of its own elimination.  Minor 0, when it is known
+    (``first``), is not formed again; minors past a zero pivot of the shared elimination are 0, as the
+    pivot stops their own eliminations too.
     """
     n = len(rows)
-    minors = [(0, 0, 0, 0)] * (n + 1)
+    minors = [first] + [None] * n
     minors[n] = _eliminate([list(row) for row in rows], list(range(n + 1)), 0, 1, None, prec, minors)
-    return minors
+    return [(0, 0, 0, 0) if u is None else u for u in minors]
 
 
 def christoffel_transform(
@@ -170,7 +173,12 @@ def christoffel_transform(
         ladder = _ladder(family, deg + 2 * k, prec)
         polys = ladder[deg:]
         rows = _node_rows(family, modifier, ladder, prec)
-        minors = _cofactor_minors([row[deg : deg + 2 * k + 1] for row in rows], prec)
+        # the determinant of node-row columns p_s .. p_{s + 2k - 1}, by s: this transform's trunk (its minor 2k)
+        # is block deg and its minor 0 block deg + 1, the same operations on the same columns as the trunk of
+        # deg + 1, so the degree below takes its minor 0 from here
+        blocks = family.owned(("blocks", modifier, prec), dict)
+        minors = _cofactor_minors([row[deg : deg + 2 * k + 1] for row in rows], prec, blocks.get(deg + 1))
+        blocks[deg], blocks[deg + 1] = minors[-1], minors[0]
         # the mpc checks scale = max |U_j|, |U_2k| <= rel_tol * scale, d_j = (-1)**j U_j / U_2k and
         # |Im d_j| > abs_tol * max(1, |d_j|), in the same roundings on the quadruples
         scale = (0, 0)
@@ -186,7 +194,8 @@ def christoffel_transform(
                 f"{mp.nstr(_to_mpf(*scale), 6)}; transform is degenerate for {family.label}"
             )
         norm = _cnorm(*last, prec)
-        combo = Polynomial()
+        # sum_j d_j p_{deg+j}, each term rounded and added as the polynomial sum of the scaled p_{deg+j} would
+        combo = [(0, 0)] * (deg + 2 * k + 1)
         for j, u in enumerate(minors):
             dm, de, im, ie = _cdiv(*u, *last, norm, prec)
             if j % 2:
@@ -199,8 +208,8 @@ def christoffel_transform(
                     f"imaginary residue {mp.nstr(_to_mpf(abs(im), ie), 6)} in expansion "
                     "coefficients; modifier nodes are inconsistent"
                 )
-            combo = combo + polys[j]._scaled(*_normal(dm, de))
-        return combo.divide_exact(modifier.c, policy)
+            _accumulate(combo, dm, de, polys[j]._pairs, 0, prec)
+        return Polynomial._of(combo).divide_exact(modifier.c, policy)
 
 
 def _expand_in_monic_basis(f: Polynomial, ladder, low: int, prec: int) -> list:

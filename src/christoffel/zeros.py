@@ -1,4 +1,4 @@
-"""Zeros, Gauss rules, interlacing verdicts and inner bounds for extreme zeros.
+"""Zeros, Gauss rules and their orthogonality sums, interlacing verdicts and inner bounds for extreme zeros.
 
 Zeros of the degree-n family member are the eigenvalues of the symmetric
 tridiagonal Jacobi matrix with diagonal C(1..n) and off-diagonal
@@ -51,8 +51,8 @@ from dataclasses import dataclass, field
 from mpmath import mp
 
 from .core import DEFAULT_POLICY, Polynomial, TolerancePolicy, _beyond, _root_counts, to_scalar
-from .core import _add, _cmp, _div, _float, _horner, _round, _to_mpf, _unpack  # the exact-rounding kernel
-from .families import RecurrenceFamily, _christoffel_sum, _jacobi_frame, _order, _point, _sweep, _sweep_rows
+from .core import _add, _cmp, _div, _float, _horner, _round, _sqrt, _to_mpf, _unpack  # the exact-rounding kernel
+from .families import ModifierSpec, RecurrenceFamily, _christoffel_sum, _jacobi_frame, _ladder, _order, _point, _sweep, _sweep_rows
 
 
 @dataclass(frozen=True)
@@ -531,6 +531,69 @@ def gauss_rule(family: RecurrenceFamily, n: int, policy: TolerancePolicy = DEFAU
         weights = [_to_mpf(*_div(1, 0, *_christoffel_sum(terms, xm, xe, prec), prec)) for xm, xe in nodes.points]
         total = sum(weights)
         return nodes, tuple(w / total for w in weights)
+
+
+def _weighted_sum(weights: list, a: list, b: list, prec: int) -> tuple:
+    """sum_i (w_i a_i) b_i over kernel pairs, as the mpf ``sum(w * a * b ...)`` rounds it: each product and
+    each sum rounded to ``prec`` bits, the sum started from 0 in node order."""
+    sm, se = 0, 0
+    for (wm, we), (am, ae), (bm, be) in zip(weights, a, b):
+        tm, te = _round(wm * am, we + ae, prec)
+        sm, se = _add(sm, se, *_round(tm * bm, te + be, prec), prec)
+    return sm, se
+
+
+def _worst(worst: tuple, s: tuple, norm: tuple, prec: int) -> tuple:
+    """max(worst, |s| / norm) on kernel pairs, |s| and the quotient rounded, the first maximum kept."""
+    ratio = _div(*_round(abs(s[0]), s[1], prec), *norm, prec)
+    return ratio if _cmp(*ratio, *worst) > 0 else worst
+
+
+def gauss_orthogonality(family: RecurrenceFamily, n: int, policy: TolerancePolicy = DEFAULT_POLICY) -> mp.mpf:
+    """The largest |sum_i w_i p_j(x_i) p_l(x_i)| / sqrt(N_j N_l) over l < j < n on the n-point :func:`gauss_rule`,
+    with N_j = sum_i w_i p_j(x_i)^2: 0 in exact arithmetic, as the rule integrates p_j p_l exactly.
+
+    On kernel pairs, with the roundings of the mpf expressions: each p by Horner, (w p_j) p_l, the sums from 0 in
+    node order, the square root and the quotient rounded once each, and the first maximum kept.
+    """
+    nodes, weights = gauss_rule(family, n, policy)
+    prec = policy.precision_bits
+    ws = [_unpack(w._mpf_) for w in weights]
+    vals = [[_horner(p._pairs, xm, xe, prec) for xm, xe in nodes.points] for p in _ladder(family, n - 1, prec)]
+    norms = [_weighted_sum(ws, v, v, prec) for v in vals]
+    worst = 0, 0
+    for j in range(n):
+        for l in range(j):
+            (am, ae), (bm, be) = norms[j], norms[l]
+            root = _sqrt(*_round(am * bm, ae + be, prec), prec)
+            worst = _worst(worst, _weighted_sum(ws, vals[j], vals[l], prec), root, prec)
+    return _to_mpf(*worst)
+
+
+def modified_orthogonality(
+    family: RecurrenceFamily, modifier: ModifierSpec, polys, n: int, policy: TolerancePolicy = DEFAULT_POLICY
+) -> mp.mpf:
+    """The largest |sum_i w_i c(x_i) g_j(x_i) g_l(x_i)| / N_j over l < j for the polynomials ``polys`` g_0, g_1, ...
+    on the family's n-point :func:`gauss_rule`, with c the modifier's polynomial and N_j = sum_i w_i c(x_i) g_j(x_i)^2:
+    the discrete orthogonality of g under c w, exact while deg g_j + deg g_l + 2k < 2n.
+
+    On kernel pairs, with the roundings of the mpf expressions: c and g by Horner, ((w c) g_j) g_l and (w c) (g_j g_j),
+    the sums from 0 in node order, the quotient rounded once, and the first maximum kept.
+    """
+    nodes, weights = gauss_rule(family, n, policy)
+    prec = policy.precision_bits
+    wcs = []
+    for w, (xm, xe) in zip(weights, nodes.points):
+        (wm, we), (cm, ce) = _unpack(w._mpf_), _horner(modifier.c._pairs, xm, xe, prec)
+        wcs.append(_round(wm * cm, we + ce, prec))
+    vals = [[_horner(g._pairs, xm, xe, prec) for xm, xe in nodes.points] for g in polys]
+    ones = [(1, 0)] * len(wcs)  # N_j is sum_i ((w c) (g_j g_j)) 1, and a product by 1 is exact
+    worst = 0, 0
+    for j in range(1, len(vals)):
+        norm = _weighted_sum(wcs, [_round(am * am, 2 * ae, prec) for am, ae in vals[j]], ones, prec)
+        for l in range(j):
+            worst = _worst(worst, _weighted_sum(wcs, vals[j], vals[l], prec), norm, prec)
+    return _to_mpf(*worst)
 
 
 def _unit(points, prec: int) -> tuple:

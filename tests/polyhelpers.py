@@ -14,13 +14,18 @@ from mpmath.libmp import mpf_add, mpf_le, mpf_shift, mpf_sub, round_nearest, to_
 from christoffel import (
     ModifierSpec,
     Polynomial,
+    RecurrenceFamily,
     TolerancePolicy,
+    associated,
     bound_separation,
     christoffel_transform,
     connection_decompose,
     custom_family,
     eval_with_derivative,
     even_modifier,
+    gauss_rule,
+    generate,
+    generate_all,
     interlace_strict,
     mp_family,
     pj_family,
@@ -31,7 +36,7 @@ from christoffel import (
 )
 from christoffel import cli, zeros
 from christoffel.core import _to_mpf, _unpack
-from christoffel.families import MEIXNER_POLLACZEK, _ladder, _snapped_cot, _sweep
+from christoffel.families import CUSTOM, MEIXNER_POLLACZEK, _ladder, _point, _snapped_cot, _sweep
 from christoffel.transform import DegenerateTransformError, _cofactor_minors, _node_rows
 from christoffel.zeros import _BAND, _TINY, _count_below, _is_zero, _q_at, _unit
 
@@ -718,3 +723,99 @@ def solved_span_label(fam, n: int, policy, m: int = 2, k: int = 3) -> str:
     with policy.workprec():
         outside = sum(1 for v in product if v < zp[0] or v > zp[-1])
     return f"fails(size {len(product)} vs {n - 1}, {outside} outside span)"
+
+
+# -- the identity residuals and orthogonality sums on mpf values -------------------
+#
+# The four identity residuals and --verify's two orthogonality suites run on kernel pairs; these are
+# the mpf bodies they replaced, kept as the oracle their bits are checked against.
+
+
+def mpf_relative_residual(total, terms) -> mp.mpf:
+    """abs(total) / max(abs(t) for t in terms), or abs(total) when every term is 0, at the ambient precision."""
+    scale = max((abs(t) for t in terms), default=mp.mpf(0))
+    if scale == 0:
+        return abs(mp.mpf(total)) if total else mp.mpf(0)
+    return abs(total) / scale
+
+
+def mpf_recurrence_residual(family, n: int, x, policy) -> mp.mpf:
+    with policy.workprec():
+        x = _to_mpf(*_point(x, policy))
+        ladder = _ladder(family, n, policy.precision_bits)
+        cm, ce, lm, le = family.kernel_rows(n, policy.precision_bits)[n]
+        t1 = ladder[n](x)
+        t2 = (x - _to_mpf(cm, ce)) * ladder[n - 1](x)
+        t3 = _to_mpf(lm, le) * ladder[n - 2](x)
+        return mpf_relative_residual(t1 - t2 + t3, (t1, t2, t3))
+
+
+def mpf_associated_identity_residual(family, n: int, m: int, x, policy) -> mp.mpf:
+    with policy.workprec():
+        x = _to_mpf(*_point(x, policy))
+        ladder = _ladder(family, n, policy.precision_bits)
+        rows = family.kernel_rows(n, policy.precision_bits)
+        prefix = mp.mpf(1)
+        for t in range(n - m + 2, n + 1):
+            prefix *= _to_mpf(*rows[t][2:])
+        t1 = prefix * ladder[n - m](x)
+        t2 = associated(family, n, m - 1, policy)(x) * ladder[n - 1](x)
+        t3 = associated(family, n - 1, m - 2, policy)(x) * ladder[n](x)
+        return mpf_relative_residual(t1 - t2 + t3, (t1, t2, t3))
+
+
+def mpf_extension_identity_residual(family, n: int, m: int, x, policy) -> mp.mpf:
+    with policy.workprec():
+        x = _to_mpf(*_point(x, policy))
+        ladder = _ladder(family, n + m, policy.precision_bits)
+        t1 = ladder[n + m](x)
+        t2 = associated(family, n + m, m, policy)(x) * ladder[n](x)
+        if m == 0:
+            t3 = mp.mpf(0)
+        else:
+            lm, le = family.kernel_rows(n + 1, policy.precision_bits)[n + 1][2:]
+            t3 = _to_mpf(lm, le) * associated(family, n + m, m - 1, policy)(x) * ladder[n - 1](x)
+        return mpf_relative_residual(t1 - t2 + t3, (t1, t2, t3))
+
+
+def mpf_symmetry_residual(family, n: int, x, policy) -> mp.mpf:
+    """mp_symmetry_residual on mpf values, with a mirror family of its own."""
+    row = family.row
+    mirror = RecurrenceFamily(CUSTOM, {}, lambda j, prec: (-row(j, prec)[0], *row(j, prec)[1:]), None, "mirror")
+    with policy.workprec():
+        x = _to_mpf(*_point(x, policy))
+        lhs = generate(family, n, policy)(x)
+        rhs = generate(mirror, n, policy)(-x)
+        if n % 2:
+            rhs = -rhs
+        return mpf_relative_residual(lhs - rhs, (lhs, rhs))
+
+
+def mpf_gauss_orthogonality(family, n: int, policy) -> mp.mpf:
+    """--verify's gauss-orthogonality loop on mpf values."""
+    nodes, weights = gauss_rule(family, n, policy)
+    with policy.workprec():
+        ladder = generate_all(family, n - 1, policy)
+        vals = [[p(x) for x in nodes.values] for p in ladder]
+        norms = [sum(w * v * v for v, w in zip(vals[j], weights)) for j in range(n)]
+        worst = mp.mpf(0)
+        for j in range(n):
+            for l in range(j):
+                s = sum(w * a * b for a, b, w in zip(vals[j], vals[l], weights))
+                worst = max(worst, abs(s) / mp.sqrt(norms[j] * norms[l]))
+    return worst
+
+
+def mpf_modified_orthogonality(family, modifier, polys, n: int, policy) -> mp.mpf:
+    """--verify's transform-discrete-orthogonality loop on mpf values."""
+    with policy.workprec():
+        nodes, weights = gauss_rule(family, n, policy)
+        cs = list(map(modifier.c, nodes.values))
+        gs = [[g(x) for x in nodes.values] for g in polys]
+        worst = mp.mpf(0)
+        for j in range(len(gs)):
+            for l in range(j):
+                s = sum(w * c * a * b for w, c, a, b in zip(weights, cs, gs[j], gs[l]))
+                norm = sum(w * c * a**2 for w, c, a in zip(weights, cs, gs[j]))
+                worst = max(worst, abs(s) / norm)
+    return worst

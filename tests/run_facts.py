@@ -43,12 +43,14 @@ FRESH = {
     "core._chorner": None,
 }
 # the Bareiss entry updates of the cofactor minors, and the complex magnitudes of their pivot search and of the
-# transform's scale and imaginary-residue checks (on --verify 1547 updates and 1001 magnitudes, 721 of them pivots')
-BAREISS = dict.fromkeys(("core._cupdate", "core._cabs"))
+# transform's scale and imaginary-residue checks (on --verify 1121 updates and 803 magnitudes, 523 of them pivots');
+# and the kernel sums handed to mpmath, counted in every module that holds mpf_add (on --verify core._add's 17 and
+# families._jacobi_frame's 57)
+BAREISS = dict.fromkeys(("core._cupdate", "core._cabs", "core.mpf_add"))
 COUNTS = {**ROUTES, **ENCLOSURES, **FRESH, **BAREISS}
 
 # cli.dispatch's peak in a fresh interpreter that imports nothing more, after a full collection, so that it follows
-# allocation and not when the collector runs: --table 1 reads 54 KiB and --verify 1181 KiB, with this module imported
+# allocation and not when the collector runs: --table 1 reads 54 KiB and --verify 1115 KiB, with this module imported
 # first or not
 PEAK = """import gc, sys, tracemalloc
 from christoffel import cli
@@ -130,7 +132,7 @@ def main() -> None:
                " doubles for _q_at, and the Sturm chains of G that name the failed cells", GRIDS, ROUTES)
     log_counts("Enclosures, and Sturm counts in doubles and on kernel pairs", TABLES, ENCLOSURES)
     log_counts("Fresh-family work: families built, recurrence rows built, complex Horner calls", (*TABLES, GRIDS[0]), FRESH)
-    log_counts("Determinant transforms: Bareiss entry updates and complex magnitudes", TABLES, BAREISS)
+    log_counts("Determinant transforms: Bareiss entry updates and complex magnitudes; kernel sums handed to mpmath", TABLES, BAREISS)
 
 
 if __name__ == "__main__":

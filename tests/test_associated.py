@@ -7,11 +7,21 @@ from mpmath import mp
 
 from christoffel import (
     Polynomial,
+    TolerancePolicy,
     associated,
     associated_identity_residual,
     extension_identity_residual,
     mp_family,
+    mp_symmetry_residual,
     pj_family,
+    recurrence_residual,
+)
+from christoffel.families import MEIXNER_POLLACZEK
+from polyhelpers import (
+    mpf_associated_identity_residual,
+    mpf_extension_identity_residual,
+    mpf_recurrence_residual,
+    mpf_symmetry_residual,
 )
 
 
@@ -110,3 +120,33 @@ def test_index_validation(policy):
     pj = pj_family("-5.5", 0, policy)
     with pytest.raises(ValueError):
         extension_identity_residual(pj, 3, 4, 0, policy)
+
+
+@pytest.mark.parametrize("bits", [64, 113, 256, 512])
+def test_identity_residuals_are_the_mpf_bodies_bit_for_bit(bits):
+    # the four identity residuals on kernel pairs against the mpf bodies they replaced, on --verify's families
+    # and MP(0.5, pi/2), at seeded degrees and points: 0, tiny, up to 200 in size, and one wider than the precision
+    policy = TolerancePolicy(precision_bits=bits)
+    rng = random.Random(bits)
+    with mp.workprec(2 * bits):
+        wide = mp.mpf(-7) / 3
+    with policy.workprec():
+        fams = [mp_family(*params, policy) for params in (("0.5", "0.9"), ("20", "0.1"), ("3.25", "2.4"), ("0.5", mp.pi / 2))]
+        fams += [pj_family(*params, policy) for params in (("-35", "8"), ("-26", "-4"), ("-23.5", "0"))]
+    points = [0, "1e-40", mp.ldexp(1, -300), "-2e-9", 200, "-200", "137.25", wide]
+    checks = [
+        (recurrence_residual, mpf_recurrence_residual, lambda: (rng.randint(2, 20),)),
+        (associated_identity_residual, mpf_associated_identity_residual, lambda: (n := rng.randint(2, 20), rng.randint(2, n))),
+        (extension_identity_residual, mpf_extension_identity_residual, lambda: (rng.randint(1, 12), rng.randint(0, 10))),
+        (mp_symmetry_residual, mpf_symmetry_residual, lambda: (rng.randint(0, 14),)),
+    ]
+    cases = 0
+    for fam in fams:
+        for kernel, oracle, degrees in checks * 8:
+            if kernel is mp_symmetry_residual and fam.kind != MEIXNER_POLLACZEK:
+                continue
+            x = rng.choice(points) if rng.random() < 0.4 else rng.uniform(-200, 200) if rng.random() < 0.5 else rng.uniform(-4, 4)
+            args = degrees()
+            assert kernel(fam, *args, x, policy)._mpf_ == oracle(fam, *args, x, policy)._mpf_, (fam.label, kernel.__name__, args, x)
+            cases += 1
+    assert cases == 200

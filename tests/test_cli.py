@@ -408,6 +408,21 @@ def test_verify_scales_to_low_precision(capsys):
     assert data["meta"]["precision_bits"] == 64
 
 
+@pytest.mark.parametrize(
+    "bits, digest",
+    [
+        (64, "20faf973007b1fc239378794cf19b9c33c50e8ba3c61eb646e40081a5643c32e"),
+        (128, "8a047e4ada2a50271f6643571015cd39421e2f1a968743f9c7a83529e56f8013"),
+        (512, "9178e9d5ae88d71ca514432bc2aaaa2ea22fed7fc39252e71b3522ccc3a9d276"),
+    ],
+)
+def test_verify_reports_are_pinned(bits, digest, capsys):
+    # the 256-bit report is bench/reference.json's; these pin the identity residuals, the orthogonality sums and
+    # the transforms at other widths
+    assert main(["--verify", "--precision-bits", str(bits)]) == 0
+    assert _digest(capsys.readouterr().out) == digest
+
+
 def test_verify_default_precision_passes(capsys):
     assert main(["--verify"]) == 0
     out = capsys.readouterr().out
@@ -546,6 +561,8 @@ def test_cli_holds_no_kernel_plumbing():
     tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
     assert imported.isdisjoint({"_sweep", "_beyond", "_root_counts", "interlace_strict"})
+    # nor does it do kernel arithmetic: the verify suites' sums run in the library and come back as mpf values
+    assert imported.isdisjoint({"_horner", "_round", "_add", "_unpack"})
     assert {"_grid_interlace", "_sweep_rows"} <= imported
 
 

@@ -7,11 +7,12 @@ from mpmath.libmp import from_man_exp, mpc_abs, mpc_div, mpc_mul, mpc_sub, mpf_a
 from mpmath.libmp import round_down, round_nearest
 
 from christoffel import Polynomial, RemainderError, TolerancePolicy, core
-from christoffel.core import NonFiniteError, _accumulate, _add, _add_down, _cmp, _div, _float, _horner, _round, _sqrt, _to_mpf, _unpack, to_scalar
+from christoffel.core import NonFiniteError, _accumulate, _add, _add_down, _cmp, _div, _float, _horner, _relative, _round, _sqrt, _to_mpf, _unpack, to_scalar
 from christoffel.core import _cabs, _cdiv, _cmul, _cnorm, _cupdate
 from polyhelpers import (
     max_rel_coeff_diff,
     mpc_horner,
+    mpf_relative_residual,
     poly_add,
     poly_chop,
     poly_derivative,
@@ -290,6 +291,10 @@ _complex = st.tuples(_parts, _parts).map(lambda parts: (*parts[0], *parts[1]))
 @given(st.sampled_from(_WIDTHS), _parts, _parts, _parts, _parts, _complex, _complex, _complex)
 # zero parts, an operand of 201 bits at 64 and exponent gaps of 410 and 1000
 @example(64, (0, 0), (5, -3), (7, 2), (0, 0), (2**200 + 1, -10, 0, 0), (0, 0, 3, 400), (0, 0, -(2**70 + 1), -1000))
+# truncated sums of far operands: of opposite sign, of equal sign, and with one operand wider than prec
+@example(64, (2**64 + 3, 500), (5, -3), (-(2**30 + 1), -300), (7, 2), (1, 0, 0, 0), (0, 0, 3, 0), (0, 0, 0, 0))
+@example(113, (-(2**90 - 1) << 7, 260), (0, 0), (-5, -400), (3, -1), (1, 0, 0, 0), (0, 0, 3, 0), (1, 0, 0, 0))
+@example(64, (-(2**300 + 2**240 + 1), 900), (1, 0), (3, -700), (0, 0), (1, 0, 0, 0), (0, 0, 3, 0), (0, 0, 0, 0))
 def test_kernel_complex_ops_are_libmpc(prec, a, b, c, d, x, u, prev):
     # operands wider than prec and exponent gaps beyond _NEAR, at the rounding mp.mpc arithmetic passes
     z, w = _mpc(*a, *b), _mpc(*c, *d)
@@ -378,6 +383,34 @@ def test_kernel_sum_reads_the_exponent_gap_of_normalized_values():
     s, t = ((1 << 71) - 2, 173), ((1 << 102) - 1, 73)
     down = mpf_add(from_man_exp(*s), from_man_exp(*t), 64, round_down)
     assert from_man_exp(*_add_down(*s, *t, 64)) == down != from_man_exp((s[0] << 100) + t[0], 73, 64, round_down)
+
+
+def test_kernel_truncated_sum_hands_nothing_to_mpf_add(monkeypatch):
+    # zero operands and far operands, nudged by mpf_add's rule or aligned past an exponent gap of 100
+    calls = []
+    monkeypatch.setattr(core, "mpf_add", lambda *args: calls.append(args))
+    cases = [((0, 0), (-(2**80 + 1), 300)), ((3, 900), (0, -5)), ((2**64 + 3, 500), (-(2**30 + 1), -300)),
+             ((5, 300), (7, -400)), ((1, 200), ((1 << 400) - 1, -600)), ((-(2**71 - 2) << 9, 164), ((1 << 102) - 1, 73))]
+    for (m1, e1), (m2, e2) in cases:
+        for prec in (64, 74, 266):
+            expected = mpf_add(from_man_exp(m1, e1), from_man_exp(m2, e2), prec, round_down)
+            assert from_man_exp(*_add_down(m1, e1, m2, e2, prec)) == from_man_exp(*_add_down(m2, e2, m1, e1, prec)) == expected
+    assert not calls
+
+
+def test_relative_rule_is_the_mpf_expression():
+    # no terms, every term 0 (|total| itself, also for a total wider than prec), a zero total, and ties of the
+    # largest terms: equal magnitudes, and terms wider than prec whose magnitudes round to the same value
+    for bits in (64, 113, 256, 512):
+        with mp.workprec(2 * bits):
+            wide, top = mp.mpf(-2) / 3, mp.ldexp(1, bits + 6)
+            ties = (top + 1, -top - 2, top / 3)
+        with mp.workprec(bits):
+            cases = [(mp.mpf(-3), ()), (mp.mpf(-3), (0, mp.mpf(0))), (wide, (mp.mpf(0),)), (mp.mpf(0), ()),
+                     (mp.mpf(0), (mp.mpf(6), mp.mpf(-2))), (wide, (mp.mpf(-7), mp.mpf(7), mp.mpf(2))), (wide, ties)]
+            for total, terms in cases:
+                assert core.relative_residual(total, terms)._mpf_ == mpf_relative_residual(total, terms)._mpf_
+        assert _relative((-3, 0), [(0, 5), (0, 0)], bits) == (3, 0)
 
 
 def test_kernel_aligns_far_exponents_of_close_magnitudes(monkeypatch):

@@ -9,7 +9,7 @@ import pytest
 
 from christoffel import RecurrenceFamily
 
-from run_facts import COUNTS, counting, quiet, resolve
+from run_facts import BAREISS, COUNTS, FRESH, counting, quiet, resolve
 
 
 def _held() -> list:
@@ -28,6 +28,15 @@ def test_every_count_reads_its_work():
     assert all(seen[name] > 0 for name in COUNTS), seen
     assert seen["zeros._q_at"] == 1 and seen["core._root_counts"] == 8
     assert _held() == held
+
+
+def test_verify_transform_work_is_pinned():
+    # --verify's 28 transforms run top down per modifier, so each degree below the top takes its minor 0 from the
+    # trunk of the one above: 1121 entry updates and 803 magnitudes; 158 node-row values; and the kernel sums
+    # handed to mpmath are core._add's 17 and families._jacobi_frame's 57, none of them truncated sums
+    with counting({**FRESH, **BAREISS}) as seen:
+        assert quiet(["--verify"]) == 0
+    assert [seen[name] for name in ("core._cupdate", "core._cabs", "core._chorner", "core.mpf_add")] == [1121, 803, 158, 74]
 
 
 @pytest.mark.parametrize("name", COUNTS)

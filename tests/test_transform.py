@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 from mpmath import mp
@@ -24,7 +25,7 @@ from christoffel import (
 from christoffel import transform
 from christoffel.core import _to_mpf, _unpack
 from christoffel.families import _ladder
-from christoffel.transform import modified_polynomial
+from christoffel.transform import DegenerateTransformError, modified_polynomial
 from polyhelpers import (
     NODE_SETS,
     assert_grid_decompositions_are_the_mpf_loops,
@@ -33,6 +34,8 @@ from polyhelpers import (
     _to_mpc,
     max_rel_coeff_diff,
     mpc_bareiss_det,
+    mpc_cofactor_minors,
+    mpc_node_rows,
 )
 
 
@@ -496,3 +499,48 @@ def test_node_rows_kept_per_modifier_give_fresh_family_transforms(order, policy,
     # 2k rows of p_0 .. p_{6 + 2k} per modifier
     assert len(calls) == sum(2 * m.k * (7 + 2 * m.k) for m in modifiers)
     assert kept == [bits_or_error(mp_family("0.5", "0.9", policy), modifier, deg) for modifier, deg in requests]
+
+
+@pytest.mark.parametrize("bits", [64, 256, 512])
+def test_transforms_in_either_order_are_the_mpc_minors(bits, monkeypatch):
+    # a transform keeps its trunk and minor 0, and the degree below takes its minor 0 from the trunk; degrees 0..6
+    # ascending on one fresh family, asked again, and 6..0 descending on another give the same coefficient bits, or
+    # the same error, and the minors of the mpc loops, each eliminated on its own, for the canonical modifiers and
+    # every node set.  On p_j = U_j(x / 2) (C = 0, Lambda = 1) the node 1 is a zero of p_2 and p_5, so the transforms
+    # of degrees 1, 2, 4 and 5 are degenerate, and the eliminations of 2 and 5 meet a zero pivot at once: the
+    # minors they would branch off later stay 0, as in the mpc loops
+    policy = TolerancePolicy(precision_bits=bits)
+    cases = []
+    for _ in range(2):
+        with policy.workprec():
+            fam = mp_family("0.5", "0.9", policy)
+            modifiers = [even_modifier(fam, k, policy) for k in (1, 2, 3)]
+            modifiers += [ModifierSpec([mp.mpc(*z) for z in zs], policy) for zs in NODE_SETS.values()]
+        chebyshev = custom_family(lambda j: mp.mpf(0), lambda j: mp.mpf(1))
+        cases.append([(fam, modifier) for modifier in modifiers] + [(chebyshev, ModifierSpec([1], policy))])
+    minors, updates, cofactor_minors, cupdate = [], Counter(), transform._cofactor_minors, transform._cupdate
+    monkeypatch.setattr(transform, "_cofactor_minors", lambda *args: minors.append(cofactor_minors(*args)) or minors[-1])
+
+    def run(fam, modifier, deg, order):
+        minors.clear()
+        monkeypatch.setattr(transform, "_cupdate", lambda *args: updates.update([order]) or cupdate(*args))
+        try:
+            g = [c._mpf_ for c in christoffel_transform(fam, modifier, deg, policy).coeffs]
+        except ArithmeticError as exc:
+            g = type(exc), str(exc)
+        [kept] = minors
+        return g, [(from_man_exp(am, ae), from_man_exp(bm, be)) for am, ae, bm, be in kept]
+
+    outcomes = Counter()
+    for (fam, modifier), (other, same) in zip(*cases):
+        ascending = [run(fam, modifier, deg, "ascending") for deg in range(7)]
+        descending = [run(other, same, deg, "descending") for deg in range(6, -1, -1)][::-1]
+        assert ascending == descending == [run(fam, modifier, deg, "again") for deg in range(7)]
+        with policy.workprec():
+            ladder = _ladder(fam, 6 + 2 * modifier.k, bits)
+            for deg, (g, kept) in enumerate(ascending):
+                assert kept == [u._mpc_ for u in mpc_cofactor_minors(mpc_node_rows(ladder[deg : deg + 2 * modifier.k + 1], modifier.nodes))]
+                outcomes[g[0] if isinstance(g, tuple) else "ok"] += 1
+    # top down, and asked again, each degree takes its minor 0 from the store
+    assert updates["again"] < updates["descending"] < updates["ascending"]
+    assert outcomes == {"ok": 59, DegenerateTransformError: 4}

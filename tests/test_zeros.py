@@ -12,12 +12,16 @@ from mpmath import mp
 
 from christoffel import (
     bound_separation,
+    christoffel_transform,
     custom_family,
     eval_with_derivative,
+    even_modifier,
+    gauss_orthogonality,
     gauss_rule,
     generate_all,
     inner_bound,
     interlace_strict,
+    modified_orthogonality,
     mp_family,
     pj_family,
     polynomial_real_roots,
@@ -37,10 +41,12 @@ from polyhelpers import (
     mpf_grid_q,
     mpf_count_below,
     mpf_frame,
+    mpf_gauss_orthogonality,
     mpf_gershgorin,
     mpf_interlace_strict,
     mpf_is_zero,
     mpf_isolate,
+    mpf_modified_orthogonality,
     mpf_zeros,
 )
 
@@ -697,6 +703,23 @@ def test_gauss_weights_are_the_mpf_loop_bit_for_bit(bits):
         for n in (1, 2, 3, 7, 12, 19, 48):
             _, weights = gauss_rule(fam, n, pol)
             assert [w._mpf_ for w in weights] == [w._mpf_ for w in _mpf_gauss_weights(fam, n, pol)], (fam.label, n)
+
+
+@pytest.mark.parametrize("bits", [64, 113, 256, 512])
+def test_orthogonality_sums_are_the_mpf_loops_bit_for_bit(bits):
+    # --verify's two orthogonality suites on kernel pairs against the mpf loops they replaced, on its
+    # families and MP(0.5, pi/2); the modified weight's sums on canonical transforms of degrees 0..4
+    pol = TolerancePolicy(precision_bits=bits)
+    with pol.workprec():
+        fams = [mp_family(*params, pol) for params in (("0.5", "0.9"), ("20", "0.1"), ("3.25", "2.4"), ("0.5", mp.pi / 2))]
+        fams += [pj_family(*params, pol) for params in (("-35", "8"), ("-26", "-4"), ("-23.5", "0"))]
+    for fam in fams:
+        assert gauss_orthogonality(fam, 10, pol)._mpf_ == mpf_gauss_orthogonality(fam, 10, pol)._mpf_, fam.label
+    for fam, k, n in ((fams[0], 2, 12), (fams[3], 2, 12), (fams[3], 1, 9), (fams[4], 1, 10)):
+        modifier = even_modifier(fam, k, pol)
+        gs = [christoffel_transform(fam, modifier, deg, pol) for deg in range(5)]
+        ours, oracle = modified_orthogonality(fam, modifier, gs, n, pol), mpf_modified_orthogonality(fam, modifier, gs, n, pol)
+        assert ours._mpf_ == oracle._mpf_, (fam.label, k)
 
 
 def test_interlace_basic_cases(policy):

@@ -27,7 +27,6 @@ from .families import (
     mp_symmetry_residual,
     pj_family,
     recurrence_residual,
-    values_ladder,
 )
 from .associated import (
     associated,
@@ -38,6 +37,7 @@ from .transform import (
     ConnectionDecomposition,
     DegenerateTransformError,
     DegreeLaw,
+    canonical_decompose,
     christoffel_transform,
     connection_decompose,
     connection_degree_law,
@@ -45,10 +45,12 @@ from .transform import (
 )
 from .zeros import (
     BoundReport,
+    CellVerdict,
     InterlaceVerdict,
     StieltjesVerdict,
     ZeroSet,
     bound_separation,
+    cell_verdict,
     gauss_orthogonality,
     gauss_rule,
     inner_bound,
@@ -79,22 +81,24 @@ __all__ = [
     "mp_symmetry_residual",
     "pj_family",
     "recurrence_residual",
-    "values_ladder",
     "associated",
     "associated_identity_residual",
     "extension_identity_residual",
     "ConnectionDecomposition",
     "DegenerateTransformError",
     "DegreeLaw",
+    "canonical_decompose",
     "christoffel_transform",
     "connection_decompose",
     "connection_degree_law",
     "modified_polynomial",
     "BoundReport",
+    "CellVerdict",
     "InterlaceVerdict",
     "StieltjesVerdict",
     "ZeroSet",
     "bound_separation",
+    "cell_verdict",
     "gauss_orthogonality",
     "gauss_rule",
     "inner_bound",

@@ -49,10 +49,10 @@ from mpmath import mp
 
 from . import __version__
 from .core import TolerancePolicy, to_scalar
-from .families import _order, _sweep_rows, even_modifier, generate, mp_family, mp_symmetry_residual, pj_family, recurrence_residual
+from .families import _order, even_modifier, generate, mp_family, mp_symmetry_residual, pj_family, recurrence_residual
 from .associated import associated_identity_residual, extension_identity_residual
-from .transform import christoffel_transform, connection_decompose, connection_degree_law
-from .zeros import _grid_interlace, bound_separation, gauss_orthogonality, modified_orthogonality, stieltjes_check, zeros_golub_welsch
+from .transform import canonical_decompose, christoffel_transform
+from .zeros import bound_separation, cell_verdict, gauss_orthogonality, modified_orthogonality, stieltjes_check, zeros_golub_welsch
 
 ENV_PRECISION = "CHRISTOFFEL_PRECISION_BITS"
 
@@ -295,36 +295,20 @@ def _table_rows(config: RunConfig, policy: TolerancePolicy):
     return rows, {"table": config.table_id}
 
 
-def _degree_law(decomp) -> tuple:
-    """The measured and predicted degrees of (a, G), as report fields, and whether they match."""
-    law = connection_degree_law(decomp.k, decomp.m)
-    fields = {
-        "deg_a": decomp.a_poly.degree,
-        "deg_G": decomp.G_poly.degree,
-        "law_deg_a": law.deg_a,
-        "law_deg_G": law.deg_G,
-        "linear_G": law.linear_G,
-    }
-    return fields, fields["deg_a"] == law.deg_a and fields["deg_G"] == law.deg_G
+def _degrees(decomp) -> dict:
+    """The measured and predicted degrees of (a, G), as report fields."""
+    law = decomp.law
+    return {"deg_a": decomp.a_poly.degree, "deg_G": decomp.G_poly.degree,
+            "law_deg_a": law.deg_a, "law_deg_G": law.deg_G, "linear_G": law.linear_G}
 
 
 def _grid_rows(config: RunConfig, policy: TolerancePolicy):
     """Degree-law and interlacing grid for the Meixner-Pollaczek family.
 
-    Cells: n in 4..n_max (default 12), m in 2..n, k in 0..m+2.  For every
-    cell the measured degrees of (a, G) must match the law and the identity
-    residual must sit below tolerance.  When deg G = m-1, which the law gives
-    for every k <= m, the zeros of G * g_{n-m,k} must strictly interlace the
-    zeros of p_n (the paper's theorem).  That verdict is ``zeros._grid_interlace``'s,
-    from the sign alternation of G * g at the zeros of p_n (G by Horner, g by its
-    recurrence); no root of G or g is computed, not even to name a failed cell.
-    g is evaluated once per (n, k): one recurrence sweep of the shifted
-    family at each zero of p_n (``families._sweep_rows``), to the degree n-m of the first
-    cell that needs it, gives g_{n-m,k} for every later m.  The rows are kept here, per n,
-    and freed with it; the modifiers, shifted families and left sides are kept by the family.
-    For m = 2, k = 3 the product has n+1 zeros, which cannot interlace n
-    zeros one-per-gap; the grid asserts that failure, which the verdict names from
-    exact counts of the roots of G and of the zeros of g outside [x_1, x_n].
+    Cells: n in 4..n_max (default 12), m in 2..n, k in 0..m+2, each decided by
+    ``zeros.cell_verdict``: the pair's degree law and residual, and the paper's
+    theorem.  g's sweep rows are kept here per n, and freed with it; the
+    modifiers, shifted families and left sides are kept by the family.
     """
     lam = "0.5" if config.lam is None else config.lam
     phi = "0.9" if config.phi is None else config.phi
@@ -332,34 +316,24 @@ def _grid_rows(config: RunConfig, policy: TolerancePolicy):
     if n_max < 4:
         raise ValueError("grid needs --n of at least 4")
     fam = mp_family(lam, phi, policy)
-    prec = policy.precision_bits
     rows = []
     for n in range(4, n_max + 1):
         zp = zeros_golub_welsch(fam, n, policy)  # every n has interlace cells (m = 2)
-        sweeps = {}  # k -> [(g_{j,k}, g_{j,k}') for j <= n-m] at each zero of p_n, kernel pairs
+        sweeps = {}  # k -> g's sweep rows at the zeros of p_n, filled by cell_verdict as m rises
         for m in range(2, n + 1):
             for k in range(0, m + 3):
-                decomp = connection_decompose(fam, even_modifier(fam, k, policy), n, m, policy)
-                degrees, degrees_ok = _degree_law(decomp)
-                residual_ok = decomp.residual <= policy.rel_tol
-                interlace = "n/a"
-                interlace_ok = True
-                if degrees["deg_G"] == m - 1 or (m == 2 and k == 3):
-                    if k not in sweeps:  # m is the smallest gap of this k, so n - m the highest degree
-                        sweeps[k] = list(_sweep_rows(fam.shifted(k), n - m, zp.points, prec))
-                    interlace = _grid_interlace(decomp.G_poly, n, m, k, zp, sweeps[k], policy)
-                    interlace_ok = (interlace == "holds") == (degrees["deg_G"] == m - 1)
-                ok = degrees_ok and residual_ok and interlace_ok
+                cell = cell_verdict(fam, n, m, k, zp, sweeps, policy)
+                decomp = cell.decomposition
                 rows.append(
                     {
                         "inputs": {"n": n, "m": m, "k": k},
                         "computed": {
-                            **degrees,
+                            **_degrees(decomp),
                             "residual": _fmt(decomp.residual, 3),
-                            "interlace": interlace,
+                            "interlace": cell.interlace,
                             "B": _fmt(decomp.B) if decomp.B is not None else None,
                         },
-                        "verdict": "pass" if ok else "fail",
+                        "verdict": "pass" if cell.ok else "fail",
                     }
                 )
     return rows, {"lambda": lam, "phi": phi, "n_max": n_max}
@@ -426,13 +400,9 @@ def _verify_rows(config: RunConfig, policy: TolerancePolicy):
         (mp_base, [(8, 2, 0), (8, 2, 1), (8, 2, 2), (8, 2, 3), (9, 3, 2), (4, 2, 4)]),
         (pj_family("-20", "8", policy), [(7, 2, 0), (7, 2, 1), (9, 4, 1)]),
     ):
-        worst = mp.mpf(0)
-        deg_ok = True
-        for n, m, k in cells:
-            decomp = connection_decompose(fam, even_modifier(fam, k, policy), n, m, policy)
-            worst = max(worst, decomp.residual)
-            deg_ok = deg_ok and _degree_law(decomp)[1]
-        res_row("decomposition-residual", fam.label, worst)
+        pairs = [canonical_decompose(fam, n, m, k, policy) for n, m, k in cells]
+        res_row("decomposition-residual", fam.label, max(pair.residual for pair in pairs))
+        deg_ok = all(pair.follows_law for pair in pairs)
         record("decomposition-degrees", fam.label, "match" if deg_ok else "mismatch", "match", deg_ok)
 
     with policy.workprec():
@@ -499,9 +469,7 @@ def _decompose_rows(config: RunConfig, policy: TolerancePolicy):
     if config.n is None or config.m is None or config.k is None:
         raise ValueError("--decompose needs --n, --m and --k")
     fam = _family(config, policy)
-    decomp = connection_decompose(fam, even_modifier(fam, config.k, policy), config.n, config.m, policy)
-    degrees, degrees_ok = _degree_law(decomp)
-    residual_ok = decomp.residual <= policy.rel_tol
+    decomp = canonical_decompose(fam, config.n, config.m, config.k, policy)
     row = {
         "inputs": {
             "family": fam.label,
@@ -510,7 +478,7 @@ def _decompose_rows(config: RunConfig, policy: TolerancePolicy):
             "k": config.k,
         },
         "computed": {
-            **degrees,
+            **_degrees(decomp),
             "a_coeffs": [_fmt(c) for c in decomp.a_poly.coeffs],
             "G_coeffs": [_fmt(c) for c in decomp.G_poly.coeffs],
             "g_coeffs": [_fmt(c) for c in decomp.g_poly.coeffs],
@@ -519,7 +487,7 @@ def _decompose_rows(config: RunConfig, policy: TolerancePolicy):
             "residual": _fmt(decomp.residual, 3),
             "d": [_fmt(v) for v in decomp.work],
         },
-        "verdict": "pass" if (degrees_ok and residual_ok) else "fail",
+        "verdict": "pass" if decomp.ok else "fail",
     }
     return [row], {}
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import copysign, gcd, inf, isqrt, ldexp
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from mpmath import mp
 from mpmath.libmp import from_man_exp, mpf_add, round_nearest
@@ -416,8 +416,7 @@ class Polynomial:
     Immutable.  Trailing coefficients that are exactly zero are trimmed at
     construction, so the leading coefficient is nonzero unless the polynomial
     is identically zero (``degree == -1``, empty coefficient tuple).
-    Approximate dust is never trimmed implicitly; callers decide via
-    :meth:`chop` with a threshold from their tolerance policy.
+    Approximate dust is never trimmed.
 
     The coefficients are kept once, as kernel pairs (m, e) = m * 2**e in ``_pairs``, and
     :attr:`coeffs` makes mpf values of them on each access.  Each operation is the mpf one in
@@ -514,15 +513,6 @@ class Polynomial:
         prec = mp.prec
         return Polynomial._of([_round(i * m, e, prec) for i, (m, e) in enumerate(self._pairs)][1:])
 
-    def monic(self) -> "Polynomial":
-        if self.is_zero():
-            raise ValueError("zero polynomial has no monic form")
-        lm, le = self._pairs[-1]
-        if not _cmp(lm, le, 1, 0):
-            return self
-        prec = mp.prec
-        return Polynomial._of([_div(m, e, lm, le, prec) for m, e in self._pairs])
-
     # -- evaluation ----------------------------------------------------------
 
     def __call__(self, z):
@@ -582,12 +572,6 @@ class Polynomial:
                 top = m, e
         return _to_mpf(*top)
 
-    def chop(self, threshold) -> "Polynomial":
-        """Zero every coefficient with absolute value <= threshold, which must be finite."""
-        prec = mp.prec
-        tm, te = _unpack(require_finite(to_scalar(threshold), "chop threshold")._mpf_)
-        return Polynomial._of([(m, e) if _cmp(*_round(abs(m), e, prec), tm, te) > 0 else (0, 0) for m, e in self._pairs])
-
 
 def _sign_changes(values) -> int:
     """Sign changes along ``values``, zero entries dropped."""
@@ -645,7 +629,8 @@ def _root_counts(f: Polynomial, lo: tuple, hi: tuple, label: str) -> tuple:
 def _relative(total: tuple, terms, prec: int) -> tuple:
     """|total| over the largest |t| of the kernel pairs ``terms``, or |total| itself when every term is 0.
 
-    The relative rule of the identity residuals, with the roundings of the mpf expression
+    The relative rule of the identity residuals, which are relative to the size of what was cancelled
+    (raw polynomial values at degree 30 reach 1e40), with the roundings of the mpf expression
     ``abs(total) / max(abs(t) for t in terms)``: each ``abs`` rounded to ``prec`` bits, the first
     maximum kept, as ``max`` keeps it, and the quotient rounded once.
     """
@@ -656,15 +641,3 @@ def _relative(total: tuple, terms, prec: int) -> tuple:
             scale = size
     tm, te = _round(abs(total[0]), total[1], prec)
     return _div(tm, te, *scale, prec) if scale[0] else (tm, te)
-
-
-def relative_residual(total, terms: Sequence) -> mp.mpf:
-    """|total| scaled by the largest term magnitude, or |total| itself when every term vanishes.
-
-    Identity checks in this package report residuals relative to the size of
-    what was cancelled; raw polynomial values at degree 30 reach 1e40 and make
-    absolute residuals meaningless.  The values are read by :func:`to_scalar` at
-    the ambient precision and must be finite; :func:`_relative` is the rule.
-    """
-    pairs = [_unpack(require_finite(to_scalar(v), "residual term")._mpf_) for v in (total, *terms)]
-    return _to_mpf(*_relative(pairs[0], pairs[1:], mp.prec))

@@ -623,8 +623,9 @@ def _sweep_rows(family: RecurrenceFamily, n: int, points, prec: int) -> Iterator
     """Per point (xm, xe) of ``points``, in order, the list of :func:`_sweep` rows (m, e, dm, de) of
     (p_j(x), p_j'(x)), j = 0..n.
 
-    The one place rows are collected: for :func:`values_ladder`, and for g at the zeros of p_n, which the
-    grid's and the Stieltjes check's interlacing verdicts in :mod:`christoffel.zeros` read.  It yields one
+    The one place rows are collected: for g at the zeros of p_n, which the grid's and the Stieltjes check's
+    interlacing verdicts in :mod:`christoffel.zeros` read.  Row j has the same bits whatever n the sweep
+    runs to, so the grid reads every g_{n-m,k} of one n off the rows swept for its first gap m.  It yields one
     point's rows at a time, so a caller that keeps one row per point never holds them all: at degree 48 and
     256 bits the Stieltjes check's traced peak is 39 KiB, against 580 KiB with every row kept."""
     rows = family.kernel_rows(n, prec)
@@ -634,22 +635,9 @@ def _sweep_rows(family: RecurrenceFamily, n: int, points, prec: int) -> Iterator
         yield out
 
 
-def values_ladder(family: RecurrenceFamily, n: int, x, policy: TolerancePolicy = DEFAULT_POLICY) -> list:
-    """[(p_j(x), p_j'(x)) for j = 0..n], one sweep of the recurrence, without forming coefficients.
-
-    The recurrence evaluation is far better conditioned than Horner on monic
-    coefficients at n = 30, which is what the Newton polish in the zero
-    solver relies on.  Row j is the same bits whatever n the sweep runs to,
-    and the same bits as the recurrence written with mpf operations.  A
-    non-finite ``x`` raises ``ValueError``.
-    """
-    family.require_degree(n)
-    [rows] = _sweep_rows(family, n, [_point(x, policy)], policy.precision_bits)
-    return [(_to_mpf(pm, pe), _to_mpf(dm, de)) for pm, pe, dm, de in rows]
-
-
 def eval_with_derivative(family: RecurrenceFamily, n: int, x, policy: TolerancePolicy = DEFAULT_POLICY):
-    """(p_n(x), p_n'(x)): the last row of :func:`values_ladder`, the only one made an mpf."""
+    """(p_n(x), p_n'(x)) by one sweep of the recurrence, with the bits of its mpf operations, far better
+    conditioned than Horner on monic coefficients at n = 30.  A non-finite ``x`` raises ``ValueError``."""
     family.require_degree(n)
     prec = policy.precision_bits
     pm, pe, dm, de = _sweep(family.kernel_rows(n, prec), n, *_point(x, policy), prec)

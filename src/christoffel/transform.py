@@ -248,14 +248,17 @@ def modified_polynomial(
 
 @dataclass(frozen=True)
 class ConnectionDecomposition:
-    """The pair (a, G) with c_{2k} g_{n-m,k} = a p_n - G p_{n-1}, g monic.
+    """The pair (a, G) with c_{2k} g_{n-m,k} = a p_n - G p_{n-1}, g monic, and its verdict.
 
     ``scale`` is the factor that renormalises G to monic form (multiplying
     the whole identity by it gives the bound-normalised variant); ``B`` is
     the root of G when G is linear, the inner bound for extreme zeros.
     ``work`` holds the expansion coefficients d_j of c_{2k} g_{n-m,k} in the
     monic basis p_{n-m}, ..., p_{n-m+2k} (d_{2k} = 1).  ``residual`` is the
-    sup-norm defect of the identity relative to the left side.
+    sup-norm defect of the identity relative to the left side.  ``law`` is the
+    degree law of (k, m), ``follows_law`` whether deg a and deg G are its, and
+    ``residual_ok`` whether the residual is within the ``rel_tol`` of the
+    policy the pair was built under; ``ok`` is both.
     """
 
     n: int
@@ -268,6 +271,13 @@ class ConnectionDecomposition:
     B: Optional[mp.mpf]
     residual: mp.mpf
     work: tuple
+    law: DegreeLaw
+    follows_law: bool
+    residual_ok: bool
+
+    @property
+    def ok(self) -> bool:
+        return self.follows_law and self.residual_ok
 
 
 def _expansion(family, modifier, d, policy) -> tuple:
@@ -289,6 +299,17 @@ def _expansion(family, modifier, d, policy) -> tuple:
     return family.owned(("expansion", modifier, d, policy), build)
 
 
+def _connection_range(family: RecurrenceFamily, n: int, m: int, k: int) -> int:
+    """The range rule of a connection decomposition: k, n from 2, m in 2..n, then the top degree
+    max(n, n - m + 2k) it reads, which is returned; ``ValueError`` names the argument out of range."""
+    _order(k, "modifier order k")
+    family.require_degree(n, 2)
+    _order(m, "gap m", 2, n)
+    top = max(n, n - m + 2 * k)
+    family.require_degree(top, of=f"n - m + 2k for n={n}, m={m}, k={k}")
+    return top
+
+
 def connection_decompose(
     family: RecurrenceFamily,
     modifier: ModifierSpec,
@@ -305,11 +326,9 @@ def connection_decompose(
     index of its top nonzero coefficient, and the identity residual is the
     pair's one gate.
     """
-    family.require_degree(n, 2)
-    _order(m, "gap m", 2, n)
     k = modifier.k
-    top = max(n, n - m + 2 * k)
-    family.require_degree(top, of=f"n - m + 2k for n={n}, m={m}, k={k}")
+    top = _connection_range(family, n, m, k)
+    law = connection_degree_law(k, m)
     g, lhs, lhs_scale, d, work = _expansion(family, modifier, n - m, policy)
     prec = policy.precision_bits
     with policy.workprec():
@@ -321,8 +340,8 @@ def connection_decompose(
             prods.append(_round(prods[-1][0] * rows[n - t][2], prods[-1][1] + rows[n - t][3], prec))
 
         # a and -G term by term in the order of the formula, each w * s rounded before it is added
-        a_out = [(0, 0)] * max(m - 1, 2 * k - m + 1)
-        minus_G = [(0, 0)] * max(m, 2 * k - m)
+        a_out = [(0, 0)] * (law.deg_a + 1)
+        minus_G = [(0, 0)] * (law.deg_G + 1)
         lower, upper = _sequence(family, n - 1, m - 2, prec), _sequence(family, n, m - 1, prec)  # anchors n - 1 and n
         for j in range(0, min(m - 2, 2 * k) + 1):
             wm, we = _div(*d[j], *prods[m - j - 1], prec)
@@ -356,4 +375,14 @@ def connection_decompose(
             B=B,
             residual=residual,
             work=work,
+            law=law,
+            follows_law=(a_poly.degree, G_poly.degree) == (law.deg_a, law.deg_G),
+            residual_ok=residual <= policy.rel_tol,
         )
+
+
+def canonical_decompose(family: RecurrenceFamily, n: int, m: int, k: int, policy: TolerancePolicy = DEFAULT_POLICY):
+    """:func:`connection_decompose` under the canonical modifier of order k, whose c_{2k} costs about k**2
+    operations to build: the range of n, m, k and n - m + 2k is checked first."""
+    _connection_range(family, n, m, k)
+    return connection_decompose(family, even_modifier(family, k, policy), n, m, policy)

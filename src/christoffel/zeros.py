@@ -28,7 +28,8 @@ Interlacing is decided in one place, :func:`interlace_strict`, by the sign
 alternation of q = G g at the already computed zeros of p_n, for the paper's
 theorem on a grid cell (:func:`_grid_interlace`: G g_{n-m,k} interlaces exactly
 when k <= m) and its gap-2 case, :func:`stieltjes_check`, alike; no zero of q is
-solved for.  g enters as its sweep rows at those zeros, which
+solved for.  A grid cell's whole verdict, its connection pair's and the theorem's,
+is :func:`cell_verdict`'s.  g enters as its sweep rows at those zeros, which
 ``families._sweep_rows`` alone collects.  Each sign is that of q formed on kernel pairs from G and
 g's rows, and a zero of p_n is common with q where that q is 0 or g's own row passes the zero test (at
 a zero of p_n, c g = -G p_{n-1}, so q vanishes there only with g); doubles with a running error bound
@@ -53,6 +54,7 @@ from mpmath import mp
 from .core import DEFAULT_POLICY, Polynomial, TolerancePolicy, _beyond, _root_counts, to_scalar
 from .core import _add, _cmp, _div, _float, _horner, _round, _sqrt, _to_mpf, _unpack  # the exact-rounding kernel
 from .families import ModifierSpec, RecurrenceFamily, _christoffel_sum, _jacobi_frame, _ladder, _order, _point, _sweep, _sweep_rows
+from .transform import ConnectionDecomposition, canonical_decompose
 
 
 @dataclass(frozen=True)
@@ -85,6 +87,16 @@ class InterlaceVerdict:
 
     strict: bool
     common: tuple = ()
+
+
+@dataclass(frozen=True)
+class CellVerdict:
+    """Grid cell (n, m, k): its connection pair, :func:`_grid_interlace`'s field ("n/a" for a cell not checked)
+    and ``ok``, that the pair passes and the field is the one the paper's theorem expects."""
+
+    decomposition: ConnectionDecomposition
+    interlace: str
+    ok: bool
 
 
 @dataclass(frozen=True)
@@ -742,6 +754,25 @@ def _grid_interlace(G: Polynomial, n: int, m: int, k: int, zp: ZeroSet, rows, po
         return "fails(common zeros)" if verdict.common else "fails"
     outside = below + above + sum(_beyond(*([r[0] for r in row[n - m :: -1]] for row in (rows[0], rows[-1])), (n - m, 0)))
     return f"fails(size {n - m + real} vs {len(zp) - 1}, {outside} outside span)"
+
+
+def cell_verdict(family: RecurrenceFamily, n: int, m: int, k: int, zp: ZeroSet, sweeps: dict, policy: TolerancePolicy) -> CellVerdict:
+    """The verdict of grid cell (n, m, k) under the family's canonical modifier of order k.
+
+    The theorem: G g_{n-m,k} interlaces the zeros ``zp`` of p_n exactly when deg G = m - 1, which the law gives
+    for every k <= m.  Those cells are checked, and so are the (m, k) = (2, 3) cells, which must fail: their
+    product has too many zeros.
+    ``sweeps`` maps k to the shifted family's sweep rows at ``zp``; a missing or short entry is swept here to
+    degree n - m, so a caller keeping the dict per n, with each k's gaps m rising, sweeps each (n, k) once.
+    """
+    decomp = canonical_decompose(family, n, m, k, policy)
+    theorem = decomp.G_poly.degree == m - 1
+    if not (theorem or (m, k) == (2, 3)):
+        return CellVerdict(decomp, "n/a", decomp.ok)
+    if k not in sweeps or len(sweeps[k][0]) <= n - m:
+        sweeps[k] = list(_sweep_rows(family.shifted(k), n - m, zp.points, policy.precision_bits))
+    interlace = _grid_interlace(decomp.G_poly, n, m, k, zp, sweeps[k], policy)
+    return CellVerdict(decomp, interlace, decomp.ok and (interlace == "holds") == theorem)
 
 
 def inner_bound(family: RecurrenceFamily, n: int, k: int, policy: TolerancePolicy = DEFAULT_POLICY) -> mp.mpf:

@@ -31,7 +31,6 @@ from christoffel import (
     pj_family,
     polynomial_real_roots,
     to_scalar,
-    values_ladder,
     zeros_golub_welsch,
 )
 from christoffel import cli, zeros
@@ -133,13 +132,6 @@ def poly_derivative(a) -> list:
     return _trimmed([i * c for i, c in enumerate(a)][1:])
 
 
-def poly_monic(a) -> list:
-    lead = a[-1]
-    if lead == 1:
-        return list(a)
-    return _trimmed([c / lead for c in a])
-
-
 def poly_divmod(a, den) -> tuple:
     rem = list(a)
     dlead, dn = den[-1], len(den) - 1
@@ -156,10 +148,6 @@ def poly_divmod(a, den) -> tuple:
 
 def poly_inf_norm(a):
     return max((abs(c) for c in a), default=mp.mpf(0))
-
-
-def poly_chop(a, threshold) -> list:
-    return _trimmed([c if abs(c) > threshold else mp.mpf(0) for c in a])
 
 
 def poly_horner(a, x):
@@ -580,9 +568,9 @@ def mpf_interlace_strict(q: dict, g: dict, degree: int, outer, policy) -> tuple:
 
 
 def mpf_g(shifted, d: int, xs, policy) -> dict:
-    """{x: (g(x), g'(x))} for g = g_{d,k}, by ``values_ladder`` of the shifted family."""
+    """{x: (g(x), g'(x))} for g = g_{d,k}, by ``eval_with_derivative`` of the shifted family."""
     with policy.workprec():
-        return {x: values_ladder(shifted, d, x, policy)[d] for x in xs}
+        return {x: eval_with_derivative(shifted, d, x, policy) for x in xs}
 
 
 def mpf_grid_q(G: Polynomial, g: dict, policy) -> dict:

@@ -37,7 +37,7 @@ from christoffel import (
     zeros_golub_welsch,
 )
 from christoffel.associated import associated_identity_residual, extension_identity_residual
-from christoffel.core import relative_residual
+from christoffel.core import _relative, _to_mpf, _unpack
 from christoffel.families import _ladder
 from christoffel.cli import RunConfig, dispatch
 from polyhelpers import max_rel_coeff_diff
@@ -221,7 +221,8 @@ def test_criterion_5_identity_residual_suites():
                 t1 = mod_c(x) * decomp.g_poly(x)
                 t2 = decomp.a_poly(x) * ladder[n](x)
                 t3 = decomp.G_poly(x) * ladder[n - 1](x)
-                worst = max(worst, relative_residual(t1 - t2 + t3, (t1, t2, t3)))
+                total, *terms = (_unpack(t._mpf_) for t in (t1 - t2 + t3, t1, t2, t3))
+                worst = max(worst, _to_mpf(*_relative(total, terms, POLICY.precision_bits)))
 
     for family_kind in ("mp", "pj"):
         for _ in range(50):

@@ -23,8 +23,8 @@ from christoffel import (
     mp_family,
     mp_symmetry_residual,
     polynomial_real_roots,
+    pj_family,
     transform,
-    values_ladder,
     zeros,
     zeros_golub_welsch,
 )
@@ -38,7 +38,8 @@ from christoffel.cli import (
     dispatch,
     main,
 )
-from christoffel.core import _root_counts, _sign_changes, _unpack
+from christoffel.core import _root_counts, _sign_changes
+from christoffel.families import _point, _sweep_rows
 
 from polyhelpers import assert_grid_q_is_the_mpf_route
 from polyhelpers import solved_span_label as _solved_span_label
@@ -281,6 +282,21 @@ def test_a_derived_degree_past_the_range_names_the_arguments_that_need_it(capsys
                                        "validity range of PJ(a=-20.0, b=8.0) (max valid degree 19)\n")
 
 
+def test_decompose_checks_the_range_before_it_builds_the_modifier(capsys, monkeypatch):
+    # building c_{2k} costs about k**2 operations: here it once took seconds before this error
+    built = []
+    monkeypatch.setattr(cli, "_family", lambda config, policy: built.append(_family(config, policy)) or built[-1])
+    argv = ["--decompose", "--family", "pj", "--a", "-35", "--b", "8", "--n", "5", "--m", "2", "--k", "1600"]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "configuration error: degree 3203 (n - m + 2k for n=5, m=2, k=1600) exceeds the "
+                                       "validity range of PJ(a=-35.0, b=8.0) (max valid degree 34)\n")
+    fam = pj_family("-35", "8", DEFAULT_POLICY)
+    with pytest.raises(ValueError, match=r"^degree 3203 \(n - m \+ 2k for n=5, m=2, k=1600\) exceeds"):
+        transform.canonical_decompose(fam, 5, 2, 1600, DEFAULT_POLICY)
+    for family in (*built, fam):
+        assert not [key for key in family._store if isinstance(key, tuple) and key[:2] == ("even_modifier", 1600)]
+
+
 def test_exit_code_on_numerical_failure(capsys):
     # at lambda = 1e300 the zero solver cannot tell two zeros of p_4 apart
     assert main(["--grid", "--n", "4", "--lambda", "1e300", "--phi", "0.9"]) == 3
@@ -493,13 +509,13 @@ def test_grid_builds_each_modifier_once(default_grid):
 
 def test_grid_asserts_interlacing_for_every_k_up_to_m(monkeypatch, capsys):
     # cell (6, 3, 3) forced not to interlace: the theorem covers it, not only m = 2
-    cells, decompose, strict = [], cli.connection_decompose, zeros.interlace_strict
+    cells, decompose, strict = [], zeros.canonical_decompose, zeros.interlace_strict
 
     def interlace(*args):
         verdict = strict(*args)
         return dataclasses.replace(verdict, strict=False) if (cells[-1].n, cells[-1].m, cells[-1].k) == (6, 3, 3) else verdict
 
-    monkeypatch.setattr(cli, "connection_decompose", lambda *args: cells.append(decompose(*args)) or cells[-1])
+    monkeypatch.setattr(zeros, "canonical_decompose", lambda *args: cells.append(decompose(*args)) or cells[-1])
     monkeypatch.setattr(zeros, "interlace_strict", interlace)
     assert main(["--grid", "--n", "6"]) == 1
     data = json.loads(capsys.readouterr().out)
@@ -551,7 +567,8 @@ def test_sweep_sign_changes_count_the_zeros_above(policy):
             near = [z + s * mp.mpf("1e-9") for z in zs.values for s in (-1, 1)]
             points = [mp.mpf(0), mp.mpf(-3), mp.mpf(3), mp.mpf("0.3"), *near]
             for x in points:
-                values = [v for v, _ in values_ladder(fam, d, x, policy)]
+                [rows] = _sweep_rows(fam, d, [_point(x, policy)], policy.precision_bits)
+                values = [row[0] for row in rows]
                 assert _sign_changes(values) == sum(1 for z in zs.values if z > x and abs(z - x) > policy.abs_tol)
 
 
@@ -563,12 +580,20 @@ def test_cli_holds_no_kernel_plumbing():
     assert imported.isdisjoint({"_sweep", "_beyond", "_root_counts", "interlace_strict"})
     # nor does it do kernel arithmetic: the verify suites' sums run in the library and come back as mpf values
     assert imported.isdisjoint({"_horner", "_round", "_add", "_unpack"})
-    assert {"_grid_interlace", "_sweep_rows"} <= imported
+    # nor does it decide a cell: the grid asks zeros.cell_verdict, which sweeps g and states the interlacing field,
+    # and --decompose reads the pair's own verdict, so neither row function compares a degree or a residual
+    assert imported.isdisjoint({"_grid_interlace", "_sweep_rows", "connection_degree_law"})
+    assert "cell_verdict" in imported
+    rows_of = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name in ("_grid_rows", "_decompose_rows")]
+    assert len(rows_of) == 2
+    for compare in (node for func in rows_of for node in ast.walk(func) if isinstance(node, ast.Compare)):
+        operands = ast.unparse(compare)
+        assert not any(word in operands for word in ("rel_tol", "residual", "deg", "law")), operands
 
 
 def _kernel_sweeps(fam, d, zp, policy) -> list:
     """``zeros._grid_interlace``'s rows: fam's sweep rows at the zeros zp, as kernel pairs."""
-    return [[(*_unpack(v._mpf_), *_unpack(s._mpf_)) for v, s in values_ladder(fam, d, x, policy)] for x in zp.values]
+    return list(_sweep_rows(fam, d, zp.points, policy.precision_bits))
 
 
 def test_grid_span_count_keeps_zeros_at_the_extremes_inside(policy):

@@ -35,11 +35,10 @@ from christoffel import (
     pj_family,
     recurrence_residual,
     stieltjes_check,
-    values_ladder,
     zeros_golub_welsch,
 )
 from christoffel import cli, core, families
-from christoffel.core import _unpack, to_scalar
+from christoffel.core import _to_mpf, _unpack, to_scalar
 from polyhelpers import coeff, mpf_recurrence
 
 
@@ -335,7 +334,6 @@ _BAD_ARGUMENTS = [
     ("generate-below", lambda fam, pol: generate(fam, -1, pol), "degree must be nonnegative, got -1"),
     ("generate-above", lambda fam, pol: generate(_pj(pol), 20, pol), f"degree 20 {_PJ_RANGE}"),
     ("generate_all-bool", lambda fam, pol: generate_all(fam, False, pol), "degree must be an integer, got False"),
-    ("values_ladder-float", lambda fam, pol: values_ladder(fam, 3.0, 1, pol), "degree must be an integer, got 3.0"),
     ("eval_with_derivative-bool", lambda fam, pol: eval_with_derivative(fam, True, 1, pol), "degree must be an integer, got True"),
     ("mp_symmetry_residual-float", lambda fam, pol: mp_symmetry_residual(fam, 2.5, 1, pol), "degree must be an integer, got 2.5"),
     ("recurrence_residual", lambda fam, pol: recurrence_residual(fam, 2.5, 1, pol), "degree must be an integer, got 2.5"),
@@ -530,7 +528,9 @@ def _mp_at_half_pi(pol):
     [lambda pol: mp_family("0.5", "0.9", pol), lambda pol: pj_family(-20, 8, pol), _mp_at_half_pi],
     ids=["MP", "PJ", "MP-half-pi"],
 )
-def test_values_ladder_rows_are_eval_with_derivative_bit_for_bit(make, bits):
+def test_sweep_rows_are_eval_with_derivative_bit_for_bit(make, bits):
+    # row j of one sweep to degree n has the bits of a sweep to degree j, so the grid reads every g_{n-m,k} off
+    # the rows swept to its first cell's degree; and the bits of the recurrence written with mpf operations
     pol = TolerancePolicy(precision_bits=bits)
     fam, n = make(pol), 16
     C, _ = fam.recurrence(n, bits)
@@ -539,9 +539,10 @@ def test_values_ladder_rows_are_eval_with_derivative_bit_for_bit(make, bits):
     with pol.workprec():
         ones = mp.ldexp(mp.ldexp(1, bits) - 1, 3 - bits)  # a mantissa of bits ones, just below 8
     for x in ("-3.7", "0.25", "11", 11, -2, C[5], C[16], ones, wide):
-        rows = values_ladder(fam, n, x, pol)
+        [rows] = families._sweep_rows(fam, n, [families._point(x, pol)], bits)
         assert len(rows) == n + 1
-        for j, (v, d) in enumerate(rows):
+        for j, (vm, ve, dm, de) in enumerate(rows):
+            v, d = _to_mpf(vm, ve), _to_mpf(dm, de)
             for ev, ed in (eval_with_derivative(fam, j, x, pol), _recurrence_value_and_derivative(fam, j, x, pol)):
                 assert (v._mpf_, d._mpf_) == (ev._mpf_, ed._mpf_)
 
@@ -552,9 +553,8 @@ def test_values_ladder_rows_are_eval_with_derivative_bit_for_bit(make, bits):
 def test_sweep_rejects_a_nonfinite_point(x, policy):
     # the sweep's kernel would read inf and nan as 0 and return p(0)
     fam = mp_family("0.5", "0.9", policy)
-    for sweep in (eval_with_derivative, values_ladder):
-        with pytest.raises(ValueError, match="evaluation point .* is not finite"):
-            sweep(fam, 4, x, policy)
+    with pytest.raises(ValueError, match="evaluation point .* is not finite"):
+        eval_with_derivative(fam, 4, x, policy)
 
 
 def test_sweep_rows_are_collected_in_one_place():

@@ -13,6 +13,7 @@ from mpmath import mp
 from christoffel import (
     bound_separation,
     christoffel_transform,
+    connection_degree_law,
     custom_family,
     eval_with_derivative,
     even_modifier,
@@ -919,6 +920,42 @@ def test_gauss_weights_positive(policy):
         assert all(w > 0 for w in weights)
 
 
+@pytest.mark.parametrize(
+    "cell, interlace, ok",
+    [
+        ((10, 5, 5), "holds", True),
+        # m = 2, k = 3: G g has n + 1 zeros, and the theorem's cell must fail
+        ((10, 2, 3), "fails(size 11 vs 9, 2 outside span)", True),
+        ((4, 2, 4), "n/a", True),  # deg G = 5, not m - 1: no claim to check
+        ((10, 4, 6), "n/a", False),  # the residual, 3.15e-10, is above rel_tol = 2**-32
+    ],
+    ids=["holds", "size", "n/a", "residual"],
+)
+def test_cell_verdict_reads_the_printed_grid_cells(cell, interlace, ok):
+    # MP(0.5, 0.9) at 64 bits, cells whose fields `--grid --n 10 --precision-bits 64` prints
+    pol = TolerancePolicy(precision_bits=64)
+    fam = mp_family("0.5", "0.9", pol)
+    n, m, k = cell
+    verdict = zeros.cell_verdict(fam, n, m, k, zeros_golub_welsch(fam, n, pol), {}, pol)
+    pair = verdict.decomposition
+    assert (verdict.interlace, verdict.ok, pair.residual_ok, pair.follows_law) == (interlace, ok, ok, True)
+    assert (pair.n, pair.m, pair.k, pair.law) == (n, m, k, connection_degree_law(k, m))
+    assert ok or mp.nstr(pair.residual, 3) == "3.15e-10"
+
+
+def test_cell_verdict_sweeps_each_k_once_per_n(monkeypatch):
+    # the caller keeps the rows per n: gaps m upwards read one sweep per k, and a gap below the first sweeps again
+    pol = TolerancePolicy(precision_bits=64)
+    fam = mp_family("0.5", "0.9", pol)
+    degrees = []
+    sweep = zeros._sweep_rows
+    monkeypatch.setattr(zeros, "_sweep_rows", lambda family, d, points, prec: degrees.append(d) or sweep(family, d, points, prec))
+    zp, sweeps = zeros_golub_welsch(fam, 10, pol), {}
+    for m, k in ((5, 5), (6, 5), (7, 5), (3, 2), (2, 2)):
+        assert zeros.cell_verdict(fam, 10, m, k, zp, sweeps, pol).interlace == "holds"
+    assert degrees == [5, 7, 8] and len(sweeps[2][0]) == 9
+
+
 def test_stieltjes_coprime_branch(policy):
     verdict = stieltjes_check(mp_family("0.5", "0.9", policy), 2, 10, policy)
     assert verdict.ok and verdict.branch == "coprime" and not verdict.common
@@ -1034,7 +1071,7 @@ _STIELTJES_CASES = [
 @pytest.mark.parametrize("make, n, branch", _STIELTJES_CASES, ids=["mp", "pj", "mp-phi2.4", "pj-b-3", "pj-b0", "mp-right-angle", "pj-a-1e30"])
 def test_stieltjes_q_and_verdicts_are_the_mpf_route_bit_for_bit(make, n, branch, bits, monkeypatch):
     # the q = G g that interlace_strict forms for each branch, against the mpf
-    # (x - B) g, or g over the non-common zeros, with g from values_ladder
+    # (x - B) g, or g over the non-common zeros, with g from eval_with_derivative
     pol = TolerancePolicy(precision_bits=bits)
     with pol.workprec():
         fam = make(pol)

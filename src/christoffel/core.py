@@ -498,7 +498,8 @@ class Polynomial:
             prec = mp.prec
             out = [(0, 0)] * (len(self._pairs) + len(other._pairs) - 1)
             for i, (am, ae) in enumerate(self._pairs):
-                _accumulate(out, am, ae, other._pairs, i, prec)
+                if am:  # adding the products of 0, each exactly 0, leaves every rounded sum as it is
+                    _accumulate(out, am, ae, other._pairs, i, prec)
             return Polynomial._of(out)
         return self._scaled(*_unpack(require_finite(to_scalar(other), "scalar factor")._mpf_))
 
@@ -624,6 +625,31 @@ def _root_counts(f: Polynomial, lo: tuple, hi: tuple, label: str) -> tuple:
         chain.append([-c // content for c in r])
     ends = [_sign_changes([c[-1] * (-1) ** (len(c) - 1) for c in chain]), _sign_changes([c[-1] for c in chain])]
     return (ends[0] - ends[1], *_beyond(*([_sign_at(c, *x) for c in chain] for x in (lo, hi)), ends))
+
+
+def _defect(lhs, a, p, G, q, prec: int) -> tuple:
+    """The sup norm of lhs - (a p - G q) over ascending kernel pairs, as a pair: the connection pair's identity
+    defect, with the bits of the ``Polynomial`` expression ``(lhs - (a * p - G * q)).inf_norm()``.
+
+    The products are ``*``'s schoolbook multiply-adds, G q formed with G negated (negation is exact).  One pass
+    over the coefficients then rounds r_l = (a p)_l + (-G q)_l and d_l = lhs_l - r_l once each (:func:`_add`)
+    instead of making four polynomials, and keeps the first largest |d_l|, as ``inf_norm`` does: each d_l is
+    rounded already.
+    """
+    size = max(len(lhs), len(a) + len(p) - 1, len(G) + len(q) - 1)
+    ap, gq = [(0, 0)] * size, [(0, 0)] * size
+    for out, f, g, sign in ((ap, a, p, 1), (gq, G, q, -1)):
+        for i, (fm, fe) in enumerate(f):
+            if fm:
+                _accumulate(out, sign * fm, fe, g, i, prec)
+    top = 0, 0
+    for l, ((am, ae), (gm, ge)) in enumerate(zip(ap, gq)):
+        rm, re = _add(am, ae, gm, ge, prec)
+        lm, le = lhs[l] if l < len(lhs) else (0, 0)
+        dm, de = _add(lm, le, -rm, re, prec)
+        if _cmp(abs(dm), de, *top) > 0:
+            top = abs(dm), de
+    return top
 
 
 def _relative(total: tuple, terms, prec: int) -> tuple:

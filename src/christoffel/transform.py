@@ -44,7 +44,7 @@ from typing import NamedTuple, Optional
 from mpmath import mp
 
 from .core import DEFAULT_POLICY, Polynomial, TolerancePolicy
-from .core import _accumulate, _add, _cmp, _div, _round, _to_mpf, _unpack  # the exact-rounding kernel
+from .core import _accumulate, _add, _cmp, _defect, _div, _round, _to_mpf, _unpack  # the exact-rounding kernel
 from .core import _cabs, _cdiv, _chorner, _cnorm, _cupdate  # and its complex operations
 from .families import ModifierSpec, RecurrenceFamily, _ladder, _order, even_modifier, generate
 from .associated import _sequence
@@ -282,8 +282,9 @@ class ConnectionDecomposition:
 
 def _expansion(family, modifier, d, policy) -> tuple:
     """What the cells with n - m = d share, kept by the family: g_{d,k}, the left side c_{2k} g_{d,k},
-    max(1, its sup norm), and its monic-basis coefficients from p_d up (kernel pairs, mpf); the last is exactly 1,
-    as c_{2k}, g and the basis are monic and the expansion's top step only copies the product's top coefficient.
+    max(1, its sup norm) as a kernel pair, and its monic-basis coefficients from p_d up (kernel pairs, mpf); the
+    last is exactly 1, as c_{2k}, g and the basis are monic and the expansion's top step only copies the product's
+    top coefficient.
 
     The key holds the whole policy, for the determinant route's gates read its tolerances.
     """
@@ -294,7 +295,7 @@ def _expansion(family, modifier, d, policy) -> tuple:
         with policy.workprec():
             lhs = modifier.c * g
             coeffs = _expand_in_monic_basis(lhs, _ladder(family, lhs.degree, prec), d, prec)
-            return g, lhs, max(lhs.inf_norm(), mp.mpf(1)), coeffs, tuple(_to_mpf(*w) for w in coeffs)
+            return g, lhs, _unpack(max(lhs.inf_norm(), mp.mpf(1))._mpf_), coeffs, tuple(_to_mpf(*w) for w in coeffs)
 
     return family.owned(("expansion", modifier, d, policy), build)
 
@@ -360,10 +361,9 @@ def connection_decompose(
         if G_poly.is_zero():
             raise DegenerateTransformError("connection coefficient G vanished")
 
-        rhs = a_poly * ladder[n] - G_poly * ladder[n - 1]
-        residual = (lhs - rhs).inf_norm() / lhs_scale
-        scale = 1 / _to_mpf(*G_poly._pairs[-1])
-        B = -_to_mpf(*G_poly._pairs[0]) / _to_mpf(*G_poly._pairs[1]) if G_poly.degree == 1 else None
+        G = G_poly._pairs
+        defect = _defect(lhs._pairs, a_poly._pairs, ladder[n]._pairs, G, ladder[n - 1]._pairs, prec)
+        residual = _div(*defect, *lhs_scale, prec)
         return ConnectionDecomposition(
             n=n,
             m=m,
@@ -371,13 +371,13 @@ def connection_decompose(
             a_poly=a_poly,
             G_poly=G_poly,
             g_poly=g,
-            scale=scale,
-            B=B,
-            residual=residual,
+            scale=_to_mpf(*_div(1, 0, *G[-1], prec)),
+            B=_to_mpf(*_div(-G[0][0], G[0][1], *G[1], prec)) if len(G) == 2 else None,
+            residual=_to_mpf(*residual),
             work=work,
             law=law,
             follows_law=(a_poly.degree, G_poly.degree) == (law.deg_a, law.deg_G),
-            residual_ok=residual <= policy.rel_tol,
+            residual_ok=_cmp(*residual, *_unpack(policy.rel_tol._mpf_)) <= 0,
         )
 
 

@@ -150,6 +150,12 @@ def poly_inf_norm(a):
     return max((abs(c) for c in a), default=mp.mpf(0))
 
 
+def poly_defect(lhs, a, p, G, q):
+    """The sup norm of lhs - (a p - G q), the ``Polynomial`` chain ``connection_decompose`` formed its identity
+    defect by, ``(lhs - (a * p - G * q)).inf_norm()``, on mpf coefficient lists."""
+    return poly_inf_norm(poly_sub(lhs, poly_sub(poly_mul(a, p), poly_mul(G, q))))
+
+
 def poly_horner(a, x):
     acc = mp.mpf(0)
     for c in reversed(a):
@@ -251,8 +257,7 @@ def poly_decompose(family, modifier, n: int, m: int, policy, built: dict) -> tup
         G = _trimmed([-c for c in g_out])
         if not G:
             raise ArithmeticError("connection coefficient G vanished")
-        rhs = poly_sub(poly_mul(a, ladder[n]), poly_mul(G, ladder[n - 1]))
-        residual = poly_inf_norm(poly_sub(lhs, rhs)) / max(poly_inf_norm(lhs), mp.mpf(1))
+        residual = poly_defect(lhs, a, ladder[n], G, ladder[n - 1]) / max(poly_inf_norm(lhs), mp.mpf(1))
         B = -G[0] / G[1] if len(G) == 2 else None
         return a, G, residual, B, 1 / G[-1], tuple(d), g
 
@@ -263,7 +268,8 @@ def _mpf_bits(values) -> list:
 
 def assert_grid_decompositions_are_the_mpf_loops(lam, phi, bits: int, n_max: int) -> int:
     """Every ``--grid`` cell (4 <= n <= n_max, 2 <= m <= n, k <= m + 2) of MP(lam, phi) at ``bits``
-    against :func:`poly_decompose`, bit for bit; returns the number of cells."""
+    against :func:`poly_decompose`, bit for bit, and its verdict against the residual gate and the degree law
+    read from the oracle's pair; returns the number of cells."""
     policy = TolerancePolicy(precision_bits=bits)
     family = mp_family(lam, phi, policy)
     cells, built = 0, {}
@@ -279,6 +285,10 @@ def assert_grid_decompositions_are_the_mpf_loops(lam, phi, bits: int, n_max: int
                 assert _mpf_bits(got.work) == _mpf_bits(work), (n, m, k)
                 assert (got.residual._mpf_, got.scale._mpf_) == (residual._mpf_, scale._mpf_), (n, m, k)
                 assert (got.B is None and B is None) or got.B._mpf_ == B._mpf_, (n, m, k)
+                law = (m - 2 if k <= m - 1 else 2 * k - m, max(m - 1, 2 * k - m - 1))
+                assert got.law[:2] == law, (n, m, k)
+                assert got.follows_law == ((len(a) - 1, len(G) - 1) == law), (n, m, k)
+                assert got.residual_ok == (residual <= policy.rel_tol), (n, m, k)
                 cells += 1
     return cells
 

@@ -1,5 +1,6 @@
 """Run facts for the CI log, gating nothing: wall times, tracemalloc peaks and the work counts of the
-interlacing check, the zero solver, fresh families and the determinant transform on the paper's CLI configurations.
+interlacing check, the zero solver, fresh families, the determinant transform and the real multiply-adds on the
+paper's CLI configurations.
 
     PYTHONPATH=src python tests/run_facts.py
 """
@@ -47,7 +48,10 @@ FRESH = {
 # and the kernel sums handed to mpmath, counted in every module that holds mpf_add (on --verify core._add's 17 and
 # families._jacobi_frame's 57)
 BAREISS = dict.fromkeys(("core._cupdate", "core._cabs", "core.mpf_add"))
-COUNTS = {**ROUTES, **ENCLOSURES, **FRESH, **BAREISS}
+# the real multiply-adds of products, divisions, ladders, expansions, connection pairs and their identity defects,
+# each core._accumulate call tallied by its row's length (on --grid 134282)
+MULADDS = {"core._accumulate": lambda out, wm, we, pairs, i, prec: len(pairs)}
+COUNTS = {**ROUTES, **ENCLOSURES, **FRESH, **BAREISS, **MULADDS}
 
 # cli.dispatch's peak in a fresh interpreter that imports nothing more, after a full collection, so that it follows
 # allocation and not when the collector runs: --table 1 reads 54 KiB and --verify 1115 KiB, with this module imported
@@ -133,6 +137,7 @@ def main() -> None:
     log_counts("Enclosures, and Sturm counts in doubles and on kernel pairs", TABLES, ENCLOSURES)
     log_counts("Fresh-family work: families built, recurrence rows built, complex Horner calls", (*TABLES, GRIDS[0]), FRESH)
     log_counts("Determinant transforms: Bareiss entry updates and complex magnitudes; kernel sums handed to mpmath", TABLES, BAREISS)
+    log_counts("Real multiply-adds", GRIDS, MULADDS)
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ from mpmath import mp
 from christoffel import (
     DEFAULT_POLICY,
     Polynomial,
+    canonical_decompose,
     cli,
     connection_decompose,
     custom_family,
@@ -554,6 +555,27 @@ def test_grid_span_counts_match_solved_zeros(grid_run, policy):
     assert sorted(labels) == list(range(4, meta["n_max"] + 1))
     fam = mp_family(meta["lambda"], meta["phi"], policy)
     assert labels == {n: _solved_span_label(fam, n, policy) for n in labels}
+
+
+def test_default_grid_names_its_m2_k3_failures_by_solved_counts(default_grid, policy):
+    # the expected-verdict rule passes these nine cells whatever their label says, as deg G = 3 != m - 1; so each
+    # label is checked here against solved counts: G's real roots and those beyond [x_1, x_n] by polyroots, g's
+    # zeros beyond it by the zero solver
+    rows = json.loads(default_grid.run.out)["rows"]
+    cells = {r["inputs"]["n"]: r for r in rows if (r["inputs"]["m"], r["inputs"]["k"]) == (2, 3)}
+    assert sorted(cells) == list(range(4, 13))
+    [fam] = default_grid.families
+    for n, row in cells.items():
+        zp = zeros_golub_welsch(fam, n, policy)
+        G = canonical_decompose(fam, n, 2, 3, policy).G_poly
+        real, below, above, nonreal = _solved_counts(G, zp, policy)
+        g = zeros_golub_welsch(fam.shifted(3), n - 2, policy)
+        with policy.workprec():
+            beyond = sum(1 for z in g.values if z < zp[0] or z > zp[-1])
+        assert (G.degree, nonreal) == (3, 0)
+        label = f"fails(size {n - 2 + real} vs {n - 1}, {below + above + beyond} outside span)"
+        assert row["computed"]["interlace"] == label == f"fails(size {n + 1} vs {n - 1}, 2 outside span)", n
+        assert row["verdict"] == "pass"
 
 
 def test_sweep_sign_changes_count_the_zeros_above(policy):

@@ -6,14 +6,15 @@ from mpmath import mp
 from mpmath.libmp import from_man_exp, mpc_abs, mpc_div, mpc_mul, mpc_sub, mpf_add, mpf_cmp, mpf_div, mpf_mul, mpf_sqrt, mpf_sub, to_float
 from mpmath.libmp import round_down, round_nearest
 
-from christoffel import Polynomial, RemainderError, TolerancePolicy, core
-from christoffel.core import NonFiniteError, _accumulate, _add, _add_down, _cmp, _div, _float, _horner, _relative, _round, _sqrt, _to_mpf, _unpack, to_scalar
+from christoffel import Polynomial, RemainderError, TolerancePolicy, core, even_modifier, generate, mp_family
+from christoffel.core import NonFiniteError, _accumulate, _add, _add_down, _cmp, _defect, _div, _float, _horner, _relative, _round, _sqrt, _to_mpf, _unpack, to_scalar
 from christoffel.core import _cabs, _cdiv, _cmul, _cnorm, _cupdate
 from polyhelpers import (
     max_rel_coeff_diff,
     mpc_horner,
     mpf_relative_residual,
     poly_add,
+    poly_defect,
     poly_derivative,
     poly_divmod,
     poly_horner,
@@ -194,11 +195,35 @@ def test_product_is_the_mpf_schoolbook_bit_for_bit(bits):
     p, q, edge, ones, half_ulp = _operands(bits)
     carry, tie = (Polynomial([ones, 1]), Polynomial(["0.5", 1])), (Polynomial([1, 1]), Polynomial([half_ulp, 1]))
     with mp.workprec(bits):
-        for a, b in ((p, q), (q, p), (p, p), (p, Polynomial([0, 0, 1])), (edge, p), (edge, edge), carry, tie):
+        square = Polynomial([0, 0, 1])  # as a left factor, two zero multipliers that add nothing
+        for a, b in ((p, q), (q, p), (p, p), (p, square), (square, p), (edge, p), (edge, edge), carry, tie):
             assert _bits(a * b) == _bits(schoolbook_product(a, b))
         assert (carry[0] * carry[1]).coeffs[1] == mp.ldexp(1, bits)  # ones + 1/2 carried
         assert (tie[0] * tie[1]).coeffs[1] == 1  # 1 + half_ulp tied to even
         assert (p * Polynomial()).is_zero() and (Polynomial() * q).is_zero()
+    # c_{2k} g_{6,k}, the grid's left side: every odd coefficient of the even c is exactly 0
+    policy = TolerancePolicy(precision_bits=bits)
+    fam = mp_family("0.5", "0.9", policy)
+    for k in range(5):
+        c, g = even_modifier(fam, k, policy).c, generate(fam.shifted(k), 6, policy)
+        with mp.workprec(bits):
+            assert _bits(c * g) == _bits(schoolbook_product(c, g)), k
+
+
+_sparse = st.lists(
+    st.one_of(st.just(mp.mpf(0)), st.integers(-3, 3).map(mp.mpf), st.builds(_to_mpf, st.integers(-(2**600), 2**600), st.integers(-300, 300))),
+    max_size=8,
+).map(Polynomial)
+
+
+@given(st.sampled_from(_WIDTHS), _sparse, _sparse)
+def test_product_with_zero_coefficients_is_the_mpf_schoolbook(bits, p, q):
+    # zeros inside both factors, as in c_{2k} g: each nonzero coefficient of the left factor is one multiply-add row
+    rows, accumulate = [], core._accumulate
+    with pytest.MonkeyPatch.context() as patch, mp.workprec(bits):
+        patch.setattr(core, "_accumulate", lambda out, wm, *rest: rows.append(wm) or accumulate(out, wm, *rest))
+        assert _bits(p * q) == _bits(schoolbook_product(p, q))
+    assert len(rows) == (sum(1 for m, _ in p._pairs if m) if q else 0)
 
 
 @pytest.mark.parametrize("bits", _WIDTHS)
@@ -466,6 +491,38 @@ def test_ring_operations_are_the_mpf_loops_bit_for_bit(bits, p, q, c, x, pick):
         assert _to_mpf(*_horner(p._pairs, xm, xe, bits))._mpf_ == poly_horner(a, x)._mpf_
         assert _to_mpf(*_horner(p.derivative()._pairs, xm, xe, bits))._mpf_ == poly_horner(poly_derivative(a), x)._mpf_
         assert p == Polynomial(a) and hash(p) == hash(Polynomial(a))
+
+
+def _poly(*cs) -> Polynomial:
+    """A polynomial of ints and exact (mantissa, exponent) pairs, none of them rounded."""
+    return Polynomial([_to_mpf(*c) if isinstance(c, tuple) else mp.mpf(c) for c in cs])
+
+
+_WIDE = (2**999 + 2**935 - 1, 0)  # 999 bits: past the exponent gap of _NEAR, mpf_add nudges it instead of aligning
+
+
+@settings(max_examples=150)
+@given(st.sampled_from(_WIDTHS), _polys, _polys, _polys, _polys, _polys)
+# a and G of length 1, lhs shorter than the products
+@example(64, _poly(1), _poly(3), _poly(1, 2, 5), _poly((-7, -2)), _poly(2, 0, 1, 1))
+# lhs longer than the products, exact zeros inside every operand
+@example(113, _poly(0, 5, 0, 0, 0, 0, 2), _poly(1, 0, 2), _poly(0, 1), _poly(1, 0, 1), _poly(3, 0, 1))
+# sums handed to mpf_add: lhs far above r (x**0), r far above lhs (x**1), a wide lhs (x**2), and a p far below G q
+@example(64, _poly((1, 400), 1, _WIDE), _poly((3, -300), 1), _poly(1, 1), _poly(5), _poly(((1 << 102) + 1, -101), (1, 500)))
+@example(256, _poly((-1, -400), (1, 700), 0, _WIDE), _poly((1, 300)), _poly(1, (-5, -300)), _poly((3, -200)), _poly(_WIDE, 0, 1))
+# r's top cancels to exactly 0, and so does lhs - r at x**0
+@example(512, _poly(1, 2), _poly(1, 1), _poly(1, 1), _poly(1), _poly(0, 1, 1))
+# r = 1 - 2**-70 rounds to 1 at 64 bits before lhs - r, so lhs = 1 leaves an exactly zero defect
+@example(64, _poly(1), _poly(1), _poly(1), _poly((1, -70)), _poly(1))
+# an all-zero defect, and one of an empty lhs
+@example(64, _poly(1, 1, 1), _poly(1, 1), _poly(1, 1), _poly(1), _poly(0, 1))
+@example(113, _poly(), _poly(2), _poly(1, 3), _poly(2), _poly(1, 3))
+def test_defect_is_the_polynomial_chain_bit_for_bit(bits, lhs, a, p, G, q):
+    # the identity defect's one pass against the chain it replaced, in Polynomial operations and in the mpf loops
+    ours = _to_mpf(*_defect(lhs._pairs, a._pairs, p._pairs, G._pairs, q._pairs, bits))._mpf_
+    with mp.workprec(bits):
+        assert ours == (lhs - (a * p - G * q)).inf_norm()._mpf_
+        assert ours == poly_defect(lhs.coeffs, a.coeffs, p.coeffs, G.coeffs, q.coeffs)._mpf_
 
 
 @settings(max_examples=150)

@@ -9,7 +9,7 @@ import pytest
 
 from christoffel import RecurrenceFamily
 
-from run_facts import BAREISS, COUNTS, FRESH, counting, quiet, resolve
+from run_facts import BAREISS, COUNTS, FRESH, MULADDS, counting, quiet, resolve
 
 
 def _held() -> list:
@@ -37,6 +37,14 @@ def test_verify_transform_work_is_pinned():
     with counting({**FRESH, **BAREISS}) as seen:
         assert quiet(["--verify"]) == 0
     assert [seen[name] for name in ("core._cupdate", "core._cabs", "core._chorner", "core.mpf_add")] == [1121, 803, 158, 74]
+
+
+def test_grid_multiply_adds_are_pinned():
+    # the default grid's real multiply-adds; products skip a zero multiplier, such as each odd coefficient of c_{2k}:
+    # c g takes 2805 and the modifiers' own products 1680, and the identity defects' 74923 are the largest share
+    with counting(MULADDS) as seen:
+        assert quiet(["--grid"]) == 0
+    assert seen["core._accumulate"] == 134282
 
 
 @pytest.mark.parametrize("name", COUNTS)

@@ -460,6 +460,23 @@ def test_grid_decompositions_are_the_mpf_loops_bit_for_bit(lam, phi, bits, n_max
     assert assert_grid_decompositions_are_the_mpf_loops(lam, phi, bits, n_max) == cells
 
 
+def test_residual_gate_is_inclusive_to_the_last_bit():
+    # the pair's one rel_tol gate, residual <= rel_tol, on kernel pairs: a rel_tol equal to the cell's residual
+    # passes it, and the 256-bit value one unit below fails it, with the residual's bits unchanged
+    base = TolerancePolicy()
+    fam = mp_family("0.5", "0.9", base)
+    residual = connection_decompose(fam, even_modifier(fam, 2, base), 8, 3, base).residual
+    m, e = _unpack(residual._mpf_)
+    shift = base.precision_bits - m.bit_length()
+    below = _to_mpf((m << shift) - 1, e - shift)
+    assert 0 < below < residual
+    for rel_tol, ok in ((residual, True), (below, False)):
+        policy = TolerancePolicy(rel_tol=rel_tol)
+        decomp = connection_decompose(fam, even_modifier(fam, 2, policy), 8, 3, policy)
+        assert decomp.residual._mpf_ == residual._mpf_
+        assert (decomp.residual_ok, decomp.follows_law, decomp.ok) == (ok, True, ok)
+
+
 @pytest.mark.parametrize(
     "family, bits",
     [(lambda policy: mp_family("0.5", "0.9", policy), 113), (lambda policy: pj_family("-12", "8", policy), 256)],

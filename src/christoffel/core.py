@@ -3,9 +3,10 @@
 Every number the public API takes or returns is an mpmath real (``mpf``) or
 complex (``mpc``) value, apart from the rows of g that ``zeros.interlace_strict``
 reads and the ``points`` of a ``zeros.ZeroSet``, which are the kernel pairs below.  Precision is a property of operations, not of
-values: public entry points take a :class:`TolerancePolicy` and run their
-arithmetic under ``mp.workprec(policy.precision_bits)``.  Values produced
-at one precision can be fed into a computation at another; they are simply
+values: public entry points take a :class:`TolerancePolicy` and round each
+operation at its ``precision_bits``, passed to the kernel below (and set as
+``mp.workprec`` where mpf values are made).  Values produced at one
+precision can be fed into a computation at another; they are simply
 re-rounded by the first operation that touches them.
 
 Polynomials are dense, real-coefficient and immutable.  Degrees in this
@@ -21,10 +22,10 @@ and rounded once, nearest with ties to even; comparisons (:func:`_cmp`) are
 exact.  That is how mpmath rounds every product and quotient and every sum
 whose operands it aligns (exponents at most 100 apart, or leading bits at
 most ``prec + 4`` apart), and every square root (:func:`_sqrt`), so the bits
-are the same.  Other sums go to mpmath's ``mpf_add`` (which never aligns
-1e400000000 with 1 bit by bit), except the truncated sums of
-:func:`_add_down`, which run its rule themselves; non-finite points are
-rejected where they enter.  :func:`_round` gives the argument.  Polynomials,
+are the same.  Other sums run ``mpf_add``'s own rule (:func:`_far`, which never
+aligns 1e400000000 with 1 bit by bit), rounded to nearest or truncated; of
+mpmath's libmp only ``from_man_exp`` is called, to make a pair's mpf, and
+non-finite points are rejected where they enter.  :func:`_round` gives the argument.  Polynomials,
 the recurrences of :mod:`christoffel.families`, the identity residuals and
 orthogonality sums, the connection pair, the zero solver and the determinant
 transform (complex values as quadruples, in libmpc's roundings) run on it;
@@ -38,7 +39,7 @@ from math import copysign, gcd, inf, isqrt, ldexp
 from typing import Iterable
 
 from mpmath import mp
-from mpmath.libmp import from_man_exp, mpf_add, round_nearest
+from mpmath.libmp import from_man_exp
 
 
 class NonFiniteError(ArithmeticError):
@@ -142,9 +143,10 @@ def _round(m: int, e: int, prec: int) -> tuple:
     always when both are wider (a point or coefficient kept at a higher
     precision, or an exact product), and the exponents it compares are
     those of normalized values, which kernel pairs are not.  So
-    :func:`_add` hands those sums to ``mpf_add`` itself, which also spares
-    aligning 1e400000000 with 1.  Inf and nan carry mantissa 0 and would
-    read as zero; the callers reject them.
+    :func:`_far` runs that rule itself on normalized values, for
+    :func:`_add` and :func:`_add_down` alike, and never aligns 1e400000000
+    with 1.  Inf and nan carry mantissa 0 and would read as zero; the
+    callers reject them.
 
     The rounding works on the signed mantissa: ``>>`` floors, so t below is
     floor(2 m / 2**n) for either sign, its low bit says whether the dropped
@@ -164,19 +166,35 @@ def _round(m: int, e: int, prec: int) -> tuple:
 def _add(m1: int, e1: int, m2: int, e2: int, prec: int) -> tuple:
     """m1 * 2**e1 + m2 * 2**e2 rounded to ``prec`` bits, the bits of ``mpf_add`` (see :func:`_round`).
 
-    Aligned exactly when the leading bits lie at most ``prec + 4`` bits apart;
-    otherwise a zero operand leaves the other rounded, and any other sum goes to ``mpf_add``.
+    Aligned exactly when the leading bits lie at most ``prec + 4`` bits apart, else :func:`_far`'s value rounded.
     """
     d = e1 - e2
     if -prec - 4 <= m1.bit_length() - m2.bit_length() + d <= prec + 4:
         if d >= 0:
             return _round((m1 << d) + m2, e2, prec)
         return _round(m1 + (m2 << -d), e1, prec)
-    if not m1:
-        return _round(m2, e2, prec)
-    if not m2:
-        return _round(m1, e1, prec)
-    return _unpack(mpf_add(from_man_exp(m1, e1), from_man_exp(m2, e2), prec, round_nearest))
+    return _round(*_far(m1, e1, m2, e2, prec), prec)
+
+
+def _far(m1: int, e1: int, m2: int, e2: int, prec: int) -> tuple:
+    """The pair whose rounding to ``prec`` bits is ``mpf_add``'s sum of operands whose leading bits lie more
+    than ``prec + 4`` bits apart, in :func:`_add` to nearest and in :func:`_add_down` toward zero.
+
+    A zero operand leaves the other.  Otherwise ``mpf_add``'s rule runs on the normalized values (trailing
+    zero bits stripped): past an exponent gap of ``_NEAR``, an operand whose leading bit lies more than
+    ``prec + 4`` bits above the other's is shifted by ``prec + 4`` bits and moved one unit toward the smaller
+    operand's sign, which decides the rounding; otherwise the operands are aligned exactly.
+    """
+    if not m1 or not m2:
+        return (m1, e1) if m1 else (m2, e2)
+    t1, t2 = (m1 & -m1).bit_length() - 1, (m2 & -m2).bit_length() - 1
+    m1, e1, m2, e2 = m1 >> t1, e1 + t1, m2 >> t2, e2 + t2
+    if e1 < e2:  # the operand of the larger exponent first
+        m1, e1, m2, e2 = m2, e2, m1, e1
+    d = e1 - e2
+    if d > _NEAR and m1.bit_length() - m2.bit_length() + d > prec + 4:
+        return (m1 << prec + 4) + (1 if m2 > 0 else -1), e1 - prec - 4
+    return (m1 << d) + m2, e2
 
 
 def _accumulate(out: list, wm: int, we: int, pairs, i: int, prec: int) -> None:
@@ -318,26 +336,14 @@ def _add_down(m1: int, e1: int, m2: int, e2: int, prec: int) -> tuple:
     """:func:`_add` truncated toward zero instead, the bits of ``mpf_add`` at ``round_down``.
 
     That is mpmath's default rounding ``round_fast``, at which ``mpc_div`` forms its sums at prec + 10
-    bits.  Leading bits at most ``prec + 4`` apart are aligned exactly, and a zero operand leaves the
-    other truncated.  Further apart, ``mpf_add``'s own rule runs on the normalized values (trailing zero
-    bits stripped): past an exponent gap of ``_NEAR``, an operand whose leading bit lies more than
-    ``prec + 4`` bits above the other's is shifted by ``prec + 4`` bits and moved one unit toward the
-    smaller operand's sign, which decides the truncation; otherwise the operands are aligned exactly.
+    bits.  Leading bits at most ``prec + 4`` apart are aligned exactly; further apart :func:`_far` gives
+    the value to truncate.
     """
-    if not -prec - 4 <= m1.bit_length() - m2.bit_length() + e1 - e2 <= prec + 4:
-        if not m1 or not m2:
-            m1, e1 = (m1, e1) if m1 else (m2, e2)
-            m2, e2 = 0, e1
-        else:
-            t1, t2 = (m1 & -m1).bit_length() - 1, (m2 & -m2).bit_length() - 1
-            m1, e1, m2, e2 = m1 >> t1, e1 + t1, m2 >> t2, e2 + t2
-            if e1 < e2:  # the operand of the larger exponent first
-                m1, e1, m2, e2 = m2, e2, m1, e1
-            if e1 - e2 > _NEAR and m1.bit_length() - m2.bit_length() + e1 - e2 > prec + 4:
-                m1, e1 = (m1 << prec + 4) + (1 if m2 > 0 else -1), e1 - prec - 4
-                m2, e2 = 0, e1
     d = e1 - e2
-    m, e = ((m1 << d) + m2, e2) if d >= 0 else (m1 + (m2 << -d), e1)
+    if -prec - 4 <= m1.bit_length() - m2.bit_length() + d <= prec + 4:
+        m, e = ((m1 << d) + m2, e2) if d >= 0 else (m1 + (m2 << -d), e1)
+    else:
+        m, e = _far(m1, e1, m2, e2, prec)
     n = m.bit_length() - prec
     return (m, e) if n <= 0 else ((m >> n if m > 0 else -(-m >> n)), e + n)
 

@@ -53,12 +53,9 @@ rows.  Dropping the last reference to a family frees all of it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cmp_to_key
 from typing import Callable, Iterator, Mapping, NamedTuple, Optional
 
 from mpmath import mp
-from mpmath.libmp import fone, from_man_exp, from_str, mpf_abs, mpf_add, mpf_cmp, mpf_mul, mpf_shift, mpf_sub
-from mpmath.libmp import round_nearest as _N
 
 from .core import DEFAULT_POLICY, Polynomial, TolerancePolicy, to_scalar
 from .core import _NEAR, _accumulate, _add, _cmp, _div, _float, _horner, _relative, _round, _sqrt, _to_mpf, _unpack  # the exact-rounding kernel
@@ -66,8 +63,7 @@ from .core import _NEAR, _accumulate, _add, _cmp, _div, _float, _horner, _relati
 MEIXNER_POLLACZEK = "meixner_pollaczek"
 PSEUDO_JACOBI = "pseudo_jacobi"
 CUSTOM = "custom"
-_PAD = from_str("0.001", 64, _N)  # the zero solver pads the Gershgorin interval by this share of its width
-_ORDER = cmp_to_key(mpf_cmp)  # raw mpf values by value
+_PAD = _div(1, 0, 1000, 0, 64)  # the zero solver pads the Gershgorin interval by this share of its width
 
 
 def _snapped_cot(phi):
@@ -222,27 +218,29 @@ def _jacobi_frame(rows: list, prec: int) -> tuple:
     ``prec`` bits if 64 bits see one point); Newton's unit min(width, 1) before the pad; the midpoint; and
     width + 2**-60 max(|lo|, |hi|), by which a cluster's cell is widened.  Then frexp's exponent of the spread,
     and the matrix shifted by the centre and scaled by 2**-scale as doubles, its diagonal and squared
-    off-diagonal.  Every value is the mpf set-up's bit for bit: each step on raw mpf values, rounded to
-    nearest at 64 bits up to the spread and at ``prec`` bits from the centre on, and the doubles rounded as
-    ``float(mpf)`` rounds them.
+    off-diagonal.  Every value is the mpf set-up's bit for bit: each step on kernel pairs, rounded to nearest at
+    64 bits up to the spread and at ``prec`` bits from the centre on, each returned pair as ``_unpack`` gives
+    it, and the doubles rounded as ``float(mpf)`` rounds them.
     """
-    lo, hi = (from_man_exp(m, e) for m, e in _gershgorin(rows, 64))  # raw values from here on
-    span = mpf_sub(hi, lo, 64, _N)
-    pad = mpf_mul(span, _PAD, 64, _N)
-    lo, hi = mpf_sub(lo, pad, 64, _N), mpf_add(hi, pad, 64, _N)
-    spread = mpf_sub(hi, lo, 64, _N)
-    tiny = mpf_shift(spread if spread[1] else mpf_abs(hi), -120)
-    width = mpf_shift(spread, -44)
-    if not spread[1]:
-        (lm, le), (hm, he) = _gershgorin(rows, prec)
-        width = mpf_shift(from_man_exp(*_add(hm, he, -lm, le, prec)), -44)
-    widen = mpf_add(width, mpf_shift(max(mpf_abs(lo), mpf_abs(hi), key=_ORDER), -60), prec, _N)
-    om, oe = centre = _unpack(mpf_shift(mpf_add(lo, hi, prec, _N), -1))
-    scale = spread[2] + spread[3]  # 0 for 0
+    (lm, le), (hm, he) = _gershgorin(rows, 64)
+    span = _add(hm, he, -lm, le, 64)
+    pm, pe = _round(span[0] * _PAD[0], span[1] + _PAD[1], 64)
+    (lm, le), (hm, he) = lo, hi = _add(lm, le, -pm, pe, 64), _add(hm, he, pm, pe, 64)
+    sm, se = spread = _add(hm, he, -lm, le, 64)
+    tiny = (sm, se - 120) if sm else (abs(hm), he - 120)
+    wm, we = spread
+    if not sm:
+        (gm, ge), (tm, te) = _gershgorin(rows, prec)
+        wm, we = _add(tm, te, -gm, ge, prec)
+    width = wm, we - 44
+    big = (abs(lm), le) if _cmp(abs(lm), le, abs(hm), he) >= 0 else (abs(hm), he)
+    widen = _add(*width, big[0], big[1] - 60, prec)
+    om, oe = _add(lm, le - 1, hm, he - 1, prec)  # the midpoint, halved before the sum as halving is exact
+    scale = sm.bit_length() + se if sm else 0
     fdiag = [_float(m, e - scale) for m, e in (_add(cm, ce, -om, oe, prec) for cm, ce, _, _ in rows)]
-    foffsq = [_float(lm, le - 2 * scale) for _, _, lm, le in rows[1:]]
-    pairs = map(_unpack, (lo, hi, spread, tiny, width, min(span, fone, key=_ORDER)))
-    return (*pairs, centre, _unpack(widen), scale, fdiag, foffsq)
+    foffsq = [_float(m, e - 2 * scale) for _, _, m, e in rows[1:]]
+    unit = span if _cmp(*span, 1, 0) <= 0 else (1, 0)
+    return (*(_normal(*v) for v in (lo, hi, spread, tiny, width, unit, (om, oe), widen)), scale, fdiag, foffsq)
 
 
 def mp_family(lam, phi, policy: TolerancePolicy = DEFAULT_POLICY) -> RecurrenceFamily:

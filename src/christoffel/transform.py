@@ -332,53 +332,52 @@ def connection_decompose(
     law = connection_degree_law(k, m)
     g, lhs, lhs_scale, d, work = _expansion(family, modifier, n - m, policy)
     prec = policy.precision_bits
-    with policy.workprec():
-        ladder = _ladder(family, n, prec)
-        # Lambda(n) Lambda(n-1) ... in that order: the product for j is a prefix of the one for j - 1
-        rows = family.kernel_rows(top, prec)
-        prods = [(1, 0)]
-        for t in range(m - 1):
-            prods.append(_round(prods[-1][0] * rows[n - t][2], prods[-1][1] + rows[n - t][3], prec))
+    ladder = _ladder(family, n, prec)
+    # Lambda(n) Lambda(n-1) ... in that order: the product for j is a prefix of the one for j - 1
+    rows = family.kernel_rows(top, prec)
+    prods = [(1, 0)]
+    for t in range(m - 1):
+        prods.append(_round(prods[-1][0] * rows[n - t][2], prods[-1][1] + rows[n - t][3], prec))
 
-        # a and -G term by term in the order of the formula, each w * s rounded before it is added
-        a_out = [(0, 0)] * (law.deg_a + 1)
-        minus_G = [(0, 0)] * (law.deg_G + 1)
-        lower, upper = _sequence(family, n - 1, m - 2, prec), _sequence(family, n, m - 1, prec)  # anchors n - 1 and n
-        for j in range(0, min(m - 2, 2 * k) + 1):
-            wm, we = _div(*d[j], *prods[m - j - 1], prec)
-            _accumulate(a_out, -wm, we, lower[m - j - 2]._pairs, 0, prec)
-            _accumulate(minus_G, wm, we, upper[m - j - 1]._pairs, 0, prec)
-        if m - 1 <= 2 * k:
-            minus_G[0] = _add(*minus_G[0], *d[m - 1], prec)
-        for j in range(m, 2 * k + 1):  # a and -G are separate sums, so one loop keeps each one's order
-            s = _sequence(family, n - m + j, j - m, prec)  # anchor n - m + j
-            _accumulate(a_out, *d[j], s[j - m]._pairs, 0, prec)
-            if j > m:
-                wm, we = _round(rows[n + 1][2] * d[j][0], rows[n + 1][3] + d[j][1], prec)
-                _accumulate(minus_G, -wm, we, s[j - m - 1]._pairs, 0, prec)
-        a_poly = Polynomial._of(a_out)
-        G_poly = Polynomial._of([(-cm, ce) for cm, ce in minus_G])  # rounded sums: negation is exact
-        if G_poly.is_zero():
-            raise DegenerateTransformError("connection coefficient G vanished")
+    # a and -G term by term in the order of the formula, each w * s rounded before it is added
+    a_out = [(0, 0)] * (law.deg_a + 1)
+    minus_G = [(0, 0)] * (law.deg_G + 1)
+    lower, upper = _sequence(family, n - 1, m - 2, prec), _sequence(family, n, m - 1, prec)  # anchors n - 1 and n
+    for j in range(0, min(m - 2, 2 * k) + 1):
+        wm, we = _div(*d[j], *prods[m - j - 1], prec)
+        _accumulate(a_out, -wm, we, lower[m - j - 2]._pairs, 0, prec)
+        _accumulate(minus_G, wm, we, upper[m - j - 1]._pairs, 0, prec)
+    if m - 1 <= 2 * k:
+        minus_G[0] = _add(*minus_G[0], *d[m - 1], prec)
+    for j in range(m, 2 * k + 1):  # a and -G are separate sums, so one loop keeps each one's order
+        s = _sequence(family, n - m + j, j - m, prec)  # anchor n - m + j
+        _accumulate(a_out, *d[j], s[j - m]._pairs, 0, prec)
+        if j > m:
+            wm, we = _round(rows[n + 1][2] * d[j][0], rows[n + 1][3] + d[j][1], prec)
+            _accumulate(minus_G, -wm, we, s[j - m - 1]._pairs, 0, prec)
+    a_poly = Polynomial._of(a_out)
+    G_poly = Polynomial._of([(-cm, ce) for cm, ce in minus_G])  # rounded sums: negation is exact
+    if G_poly.is_zero():
+        raise DegenerateTransformError("connection coefficient G vanished")
 
-        G = G_poly._pairs
-        defect = _defect(lhs._pairs, a_poly._pairs, ladder[n]._pairs, G, ladder[n - 1]._pairs, prec)
-        residual = _div(*defect, *lhs_scale, prec)
-        return ConnectionDecomposition(
-            n=n,
-            m=m,
-            k=k,
-            a_poly=a_poly,
-            G_poly=G_poly,
-            g_poly=g,
-            scale=_to_mpf(*_div(1, 0, *G[-1], prec)),
-            B=_to_mpf(*_div(-G[0][0], G[0][1], *G[1], prec)) if len(G) == 2 else None,
-            residual=_to_mpf(*residual),
-            work=work,
-            law=law,
-            follows_law=(a_poly.degree, G_poly.degree) == (law.deg_a, law.deg_G),
-            residual_ok=_cmp(*residual, *_unpack(policy.rel_tol._mpf_)) <= 0,
-        )
+    G = G_poly._pairs
+    defect = _defect(lhs._pairs, a_poly._pairs, ladder[n]._pairs, G, ladder[n - 1]._pairs, prec)
+    residual = _div(*defect, *lhs_scale, prec)
+    return ConnectionDecomposition(
+        n=n,
+        m=m,
+        k=k,
+        a_poly=a_poly,
+        G_poly=G_poly,
+        g_poly=g,
+        scale=_to_mpf(*_div(1, 0, *G[-1], prec)),
+        B=_to_mpf(*_div(-G[0][0], G[0][1], *G[1], prec)) if len(G) == 2 else None,
+        residual=_to_mpf(*residual),
+        work=work,
+        law=law,
+        follows_law=(a_poly.degree, G_poly.degree) == (law.deg_a, law.deg_G),
+        residual_ok=_cmp(*residual, *_unpack(policy.rel_tol._mpf_)) <= 0,
+    )
 
 
 def canonical_decompose(family: RecurrenceFamily, n: int, m: int, k: int, policy: TolerancePolicy = DEFAULT_POLICY):

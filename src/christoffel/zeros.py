@@ -632,13 +632,10 @@ def _is_zero(vm, ve, dm, de, xm, xe, unit, policy) -> bool:
 
 
 def _double(m: int, e: int, span: int):
-    """m * 2**e as a double within 2**-52 of it (0 is 0.0), or None when its leading bit lies outside +-span."""
-    if not m:
-        return 0.0
-    k = m.bit_length() - 64
-    if not -span < k + 64 + e <= span:
+    """m * 2**e as the nearest double, :func:`_float` (0 is 0.0), or None when its leading bit lies outside +-span."""
+    if m and not -span < m.bit_length() + e <= span:
         return None
-    return math.ldexp(m >> k, e + k) if k > 0 else math.ldexp(m, e)
+    return _float(m, e)
 
 
 # Doubles decide for a G of degree at most _MAX_DEGREE (the 2**-40 slack covers its (d + 1) 2**-52 roundings)
@@ -653,7 +650,7 @@ def _decided(G: Polynomial, g, points, abs_tol, unit) -> list:
     """Per point, the sign of the q = G g of :func:`_q_at` where doubles certify it and that :func:`_is_zero` is
     False for g's row there, else 0.
 
-    G's coefficients, x, g(x), g'(x) and ``unit`` are read as doubles (each within 2**-52).  Horner gives
+    G's coefficients, x, g(x), g'(x) and ``unit`` are read as the nearest doubles (each within 2**-53).  Horner gives
     y ~ G(x) with Higham's running error bound mu (Accuracy and Stability of Numerical Algorithms, 2nd ed.,
     Algorithm 5.1) and S = sum |G_j| |x|**j; B = mu + (d + 1) 2**-50 S also covers the inputs' roundings and
     the kernel Horner's, so |y| > B gives G's sign as ``_horner`` computes it.  |g| > abs_tol max(unit, |x|) |g'|,

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import HealthCheck, settings
 
-from christoffel import ModifierSpec, TolerancePolicy, cli, zeros
+from christoffel import ModifierSpec, TolerancePolicy, cli, core, zeros
 
 settings.register_profile(
     "mp256",
@@ -24,6 +24,14 @@ settings.load_profile("mp256")
 @pytest.fixture(scope="session")
 def policy() -> TolerancePolicy:
     return TolerancePolicy()
+
+
+@pytest.fixture
+def far_sums(monkeypatch) -> list:
+    """The arguments of each call of ``core._far``, the far-sum rule that ``core._add`` and ``core._add_down`` share."""
+    calls, far = [], core._far
+    monkeypatch.setattr(core, "_far", lambda *args: calls.append(args) or far(*args))
+    return calls
 
 
 CliRun = namedtuple("CliRun", "code out err dispatch_s")  # cli.main's exit code, stdout, stderr; dispatch's wall time

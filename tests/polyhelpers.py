@@ -489,7 +489,8 @@ def mpf_gershgorin(diag, offsq) -> tuple:
 
 
 def mpf_frame(family, n: int, policy) -> tuple:
-    """The set-up of the degree-n member's spectrum on mpf values, which ``families._jacobi_frame`` replaced.
+    """The set-up of the degree-n member's spectrum in mpf arithmetic: the oracle of ``families._jacobi_frame``, which
+    forms it on kernel pairs with these roundings.
 
     (lo, hi, spread, tiny, width, unit, centre, widen, scale, fdiag, foffsq) in its order, mpf values up to
     widen, then frexp's exponent of the spread and the shifted and scaled matrix as doubles by ``float``.

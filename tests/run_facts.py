@@ -1,4 +1,4 @@
-"""Run facts for the CI log, gating nothing: wall times, tracemalloc peaks and the work counts of the
+"""Run facts for the CI log, gating nothing: import times, wall times, tracemalloc peaks and the work counts of the
 interlacing check, the zero solver, fresh families, the determinant transform and the real multiply-adds on the
 paper's CLI configurations.
 
@@ -10,10 +10,14 @@ from __future__ import annotations
 import contextlib
 import functools
 import io
+import os
+import shutil
 import subprocess
 import sys
+import tempfile
 import time
 from collections import Counter
+from pathlib import Path
 from types import ModuleType
 
 import christoffel
@@ -44,10 +48,8 @@ FRESH = {
     "core._chorner": None,
 }
 # the Bareiss entry updates of the cofactor minors, and the complex magnitudes of their pivot search and of the
-# transform's scale and imaginary-residue checks (on --verify 1121 updates and 803 magnitudes, 523 of them pivots');
-# and the kernel sums handed to mpmath, counted in every module that holds mpf_add (on --verify core._add's 17 and
-# families._jacobi_frame's 57)
-BAREISS = dict.fromkeys(("core._cupdate", "core._cabs", "core.mpf_add"))
+# transform's scale and imaginary-residue checks (on --verify 1121 updates and 803 magnitudes, 523 of them pivots')
+BAREISS = dict.fromkeys(("core._cupdate", "core._cabs"))
 # the real multiply-adds of products, divisions, ladders, expansions, connection pairs and their identity defects,
 # each core._accumulate call tallied by its row's length (on --grid 134282)
 MULADDS = {"core._accumulate": lambda out, wm, we, pairs, i, prec: len(pairs)}
@@ -64,6 +66,20 @@ tracemalloc.start()
 cli.dispatch(config)
 print(*sys.argv[1:], f"peak {tracemalloc.get_traced_memory()[1] / 1024:.0f} KiB")
 """
+
+
+def import_cost() -> tuple:
+    """({christoffel module: own import time in us}, the whole ``import christoffel.cli`` in us), from ``-X importtime``
+    in a fresh interpreter on a copy of the package without bytecode, with ``PYTHONDONTWRITEBYTECODE=1``: a fresh
+    checkout's import, so each module's time includes compiling it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        shutil.copytree(Path(christoffel.__file__).parent, Path(tmp, "christoffel"), ignore=shutil.ignore_patterns("__pycache__"))
+        env = {**os.environ, "PYTHONPATH": tmp, "PYTHONDONTWRITEBYTECODE": "1"}
+        argv = [sys.executable, "-X", "importtime", "-c", "import christoffel.cli"]
+        lines = subprocess.run(argv, env=env, check=True, stderr=subprocess.PIPE, text=True).stderr.splitlines()
+    rows = [line.removeprefix("import time:").split("|") for line in lines[1:]]  # self | cumulative | name
+    own = {name.strip(): int(us) for us, _, name in rows if name.strip().split(".")[0] == "christoffel"}
+    return own, int(rows[-1][1])
 
 
 def resolve(name: str) -> tuple:
@@ -114,6 +130,12 @@ def log_counts(title: str, configs, tallies: dict) -> None:
 
 
 def main() -> None:
+    print("== Import times of christoffel.cli in a fresh interpreter, sources compiled (-X importtime)")
+    own, total = import_cost()
+    for name, us in own.items():
+        print(name, f"self {us / 1000:.1f} ms")
+    print(f"christoffel modules {sum(own.values()) / 1000:.1f} ms of {total / 1000:.1f} ms for the whole import")
+
     print("== CLI wall times, in process")
     for argv in (*TABLES, GRIDS[0]):
         started = time.perf_counter()
@@ -136,7 +158,7 @@ def main() -> None:
                " doubles for _q_at, and the Sturm chains of G that name the failed cells", GRIDS, ROUTES)
     log_counts("Enclosures, and Sturm counts in doubles and on kernel pairs", TABLES, ENCLOSURES)
     log_counts("Fresh-family work: families built, recurrence rows built, complex Horner calls", (*TABLES, GRIDS[0]), FRESH)
-    log_counts("Determinant transforms: Bareiss entry updates and complex magnitudes; kernel sums handed to mpmath", TABLES, BAREISS)
+    log_counts("Determinant transforms: Bareiss entry updates and complex magnitudes", TABLES, BAREISS)
     log_counts("Real multiply-adds", GRIDS, MULADDS)
 
 

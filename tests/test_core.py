@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
@@ -7,7 +10,7 @@ from mpmath.libmp import from_man_exp, mpc_abs, mpc_div, mpc_mul, mpc_sub, mpf_a
 from mpmath.libmp import round_down, round_nearest
 
 from christoffel import Polynomial, RemainderError, TolerancePolicy, core, even_modifier, generate, mp_family
-from christoffel.core import NonFiniteError, _accumulate, _add, _add_down, _cmp, _defect, _div, _float, _horner, _relative, _round, _sqrt, _to_mpf, _unpack, to_scalar
+from christoffel.core import _NEAR, NonFiniteError, _accumulate, _add, _add_down, _cmp, _defect, _div, _float, _horner, _relative, _round, _sqrt, _to_mpf, _unpack, to_scalar
 from christoffel.core import _cabs, _cdiv, _cmul, _cnorm, _cupdate
 from polyhelpers import (
     max_rel_coeff_diff,
@@ -393,17 +396,56 @@ def test_kernel_sum_reads_the_exponent_gap_of_normalized_values():
     assert from_man_exp(*_add_down(*s, *t, 64)) == down != from_man_exp((s[0] << 100) + t[0], 73, 64, round_down)
 
 
-def test_kernel_truncated_sum_hands_nothing_to_mpf_add(monkeypatch):
-    # zero operands and far operands, nudged by mpf_add's rule or aligned past an exponent gap of 100
-    calls = []
-    monkeypatch.setattr(core, "mpf_add", lambda *args: calls.append(args))
+@st.composite
+def _sums(draw) -> tuple:
+    """(prec, m1, e1, m2, e2): zero operands, operands wider than prec or with trailing zero bits (which move
+    the exponent mpf_add reads), at leading bits about prec + 4 apart, exponents about _NEAR apart, or far apart."""
+    prec = draw(_precisions)
+    operand = st.one_of(st.just(0), _mantissas, st.builds(lambda m, t: m << t, _mantissas, st.integers(0, 130)))
+    m1, m2, e1, side = draw(operand), draw(operand), draw(_exponents), draw(st.sampled_from((1, -1)))
+    gap = draw(st.sampled_from(("leading", "exponent", "huge")))
+    if gap == "leading":
+        e2 = e1 + m1.bit_length() - m2.bit_length() - side * (prec + 4 + draw(st.integers(-3, 3)))
+    elif gap == "exponent":
+        e2 = e1 - side * (_NEAR + draw(st.integers(-3, 3)))
+    else:
+        e2 = e1 - side * draw(st.integers(0, 10**6))
+    return prec, m1, e1, m2, e2
+
+
+@settings(max_examples=400)
+@given(_sums())
+@example((64, 2**999 + 2**935 - 1, 0, 2**102 + 1, -101))  # mpf_add's nudge is not the correctly rounded sum here
+def test_kernel_sums_are_mpf_add_to_nearest_and_down(case):
+    prec, m1, e1, m2, e2 = case
+    a, b = from_man_exp(m1, e1), from_man_exp(m2, e2)
+    for add, rnd in ((_add, round_nearest), (_add_down, round_down)):
+        assert from_man_exp(*add(m1, e1, m2, e2, prec)) == from_man_exp(*add(m2, e2, m1, e1, prec)) == mpf_add(a, b, prec, rnd)
+
+
+def test_kernel_is_the_only_arithmetic_below_the_api():
+    # no module hands a sum, product or comparison to mpmath's libmp: from it, only from_man_exp is imported
+    for path in Path(core.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module and node.module.startswith("mpmath.libmp"):
+                assert [alias.name for alias in node.names] == ["from_man_exp"], path.name
+            assert not (isinstance(node, ast.Import) and any("libmp" in alias.name for alias in node.names)), path.name
+            assert not (isinstance(node, ast.Attribute) and node.attr == "libmp"), path.name
+
+
+def test_kernel_truncated_far_sums_are_mpf_add(far_sums):
+    # zero operands and far operands, nudged by mpf_add's rule or aligned past an exponent gap of 100: each sum whose
+    # leading bits lie more than prec + 4 apart takes the far-sum rule _add shares, in both operand orders
     cases = [((0, 0), (-(2**80 + 1), 300)), ((3, 900), (0, -5)), ((2**64 + 3, 500), (-(2**30 + 1), -300)),
              ((5, 300), (7, -400)), ((1, 200), ((1 << 400) - 1, -600)), ((-(2**71 - 2) << 9, 164), ((1 << 102) - 1, 73))]
     for (m1, e1), (m2, e2) in cases:
         for prec in (64, 74, 266):
+            before = len(far_sums)
             expected = mpf_add(from_man_exp(m1, e1), from_man_exp(m2, e2), prec, round_down)
             assert from_man_exp(*_add_down(m1, e1, m2, e2, prec)) == from_man_exp(*_add_down(m2, e2, m1, e1, prec)) == expected
-    assert not calls
+            far = abs(m1.bit_length() + e1 - m2.bit_length() - e2) > prec + 4
+            assert len(far_sums) - before == (2 if far else 0)
+    assert len(far_sums) == 2 * (6 * 3 - 2)  # the last case's leading bits lie 69 apart: far at 64 bits only
 
 
 def test_relative_rule_is_the_mpf_expression():
@@ -421,17 +463,15 @@ def test_relative_rule_is_the_mpf_expression():
         assert _relative((-3, 0), [(0, 5), (0, 0)], bits) == (3, 0)
 
 
-def test_kernel_aligns_far_exponents_of_close_magnitudes(monkeypatch):
+def test_kernel_aligns_far_exponents_of_close_magnitudes(far_sums):
     # a 65-bit point minus a 256-bit coefficient of about its size: the
     # exponents lie 191 apart, but the leading bits do not, so mpf_add aligns
-    # the sum exactly, and the kernel does so itself
-    calls = []
-    monkeypatch.setattr(core, "mpf_add", lambda *args: calls.append(args))
+    # the sum exactly, and the kernel does so itself, without the far-sum rule
     (m1, e1), (m2, e2) = ((1 << 64) + 1, -70), (-(3 << 254) - 1, -261)
     expected = mpf_add(from_man_exp(m1, e1), from_man_exp(m2, e2), 256, round_nearest)
     assert _to_mpf(*_add(m1, e1, m2, e2, 256))._mpf_ == expected
     assert _to_mpf(*_add(m2, e2, m1, e1, 256))._mpf_ == expected
-    assert not calls
+    assert not far_sums
 
 
 def test_difference_is_sum_with_negation():

@@ -33,16 +33,6 @@ from .associated import (
     associated_identity_residual,
     extension_identity_residual,
 )
-from .transform import (
-    ConnectionDecomposition,
-    DegenerateTransformError,
-    DegreeLaw,
-    canonical_decompose,
-    christoffel_transform,
-    connection_decompose,
-    connection_degree_law,
-    modified_polynomial,
-)
 from .zeros import (
     BoundReport,
     CellVerdict,
@@ -62,6 +52,33 @@ from .zeros import (
 )
 
 __version__ = "0.1.0"
+
+# The connection layer loads on first use (PEP 562): zero solving, bounds and Gauss rules never read it.  associated
+# stays eager, since importing that submodule later would rebind the package's ``associated`` to the module.
+_TRANSFORM = frozenset(
+    {
+        "ConnectionDecomposition",
+        "DegenerateTransformError",
+        "DegreeLaw",
+        "canonical_decompose",
+        "christoffel_transform",
+        "connection_decompose",
+        "connection_degree_law",
+        "modified_polynomial",
+    }
+)
+
+
+def __getattr__(name: str):
+    if name in _TRANSFORM:
+        from . import transform
+
+        return getattr(transform, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list:
+    return sorted({*globals(), *__all__})
 
 __all__ = [
     "DEFAULT_POLICY",

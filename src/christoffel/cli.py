@@ -31,8 +31,6 @@ the recomputed reference attached and are reported as "flagged", not
 
 from __future__ import annotations
 
-import argparse
-import csv
 import io
 import json
 import os
@@ -43,7 +41,7 @@ import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from mpmath import mp
 
@@ -53,6 +51,9 @@ from .families import _order, even_modifier, generate, mp_family, mp_symmetry_re
 from .associated import associated_identity_residual, extension_identity_residual
 from .transform import canonical_decompose, christoffel_transform
 from .zeros import bound_separation, cell_verdict, gauss_orthogonality, modified_orthogonality, stieltjes_check, zeros_golub_welsch
+
+if TYPE_CHECKING:  # argparse and csv load in their one user each, so library callers of dispatch skip them
+    import argparse
 
 ENV_PRECISION = "CHRISTOFFEL_PRECISION_BITS"
 
@@ -179,6 +180,8 @@ class Report:
         ) + "\n"
 
     def to_csv(self) -> str:
+        import csv
+
         flat_rows = [_flatten(r) for r in self.rows]
         fields: list = []
         for fr in flat_rows:
@@ -524,6 +527,8 @@ def dispatch(config: RunConfig) -> Report:
 
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser; every destination is a :class:`RunConfig` field."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="christoffel",
         description="Orthogonal polynomial connection formulas, zero bounds and reference-table reproduction.",

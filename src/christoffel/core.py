@@ -302,8 +302,15 @@ def _sqrt(m: int, e: int, prec: int) -> tuple:
 
 
 def _float(m: int, e: int) -> float:
-    """m * 2**e as ``float(mpf)`` gives it (``to_float``, nearest): rounded to 53 bits, then ``ldexp``; +-inf past the doubles."""
-    m, e = _round(m, e, 53)
+    """m * 2**e as ``float(mpf)`` gives it (``to_float``, nearest): rounded to 53 bits, then ``ldexp``; +-inf past the doubles.
+
+    ``float(m)`` rounds to 53 bits to nearest with ties to even, as ``_round(m, e, 53)`` does, so ``ldexp`` scales
+    the same double either way; where ``float(m)`` or ``ldexp`` overflows, the rounding is done here.
+    """
+    try:
+        return ldexp(float(m), e)
+    except OverflowError:
+        m, e = _round(m, e, 53)
     try:
         return ldexp(m, e)
     except OverflowError:

@@ -429,10 +429,16 @@ def _sweep(rows: list, n: int, xm: int, xe: int, prec: int, out: Optional[list] 
     recurrence, in the same order, on the exact-rounding kernel of
     :mod:`christoffel.core`, with ``_round`` and the exact sum of operands
     at most ``_NEAR`` exponents apart written out, as in ``_accumulate``;
-    sums further apart go to ``_add``.  With ``out``, the rows (m, e, dm, de) for j = 0..n are
-    appended to it; only :func:`_sweep_rows` passes one.
+    sums further apart go to ``_add``.  An x narrower than ``prec`` bits is first shifted to that
+    width, the same value: a 64-bit Newton start lies about 190 exponents above C(j), and at full width
+    x - C(j) is written out too.  Every operand then has at most ``prec`` bits, so both routes give the
+    correctly rounded sum.  With ``out``, the rows (m, e, dm, de) for j = 0..n are appended to it; only
+    :func:`_sweep_rows` passes one.
     """
     near = _NEAR
+    k = prec - xm.bit_length()
+    if k > 0:
+        xm, xe = xm << k, xe - k
     pm, pe, ppm, ppe = 1, 0, 0, 0  # p_0, p_{-1}
     dm, de, dpm, dpe = 0, 0, 0, 0
     if out is not None:

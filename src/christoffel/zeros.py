@@ -48,31 +48,43 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Optional
 
 from mpmath import mp
 
 from .core import DEFAULT_POLICY, Polynomial, TolerancePolicy, _beyond, _root_counts, to_scalar
 from .core import _add, _cmp, _div, _float, _horner, _round, _sqrt, _to_mpf, _unpack  # the exact-rounding kernel
 from .families import ModifierSpec, RecurrenceFamily, _christoffel_sum, _jacobi_frame, _ladder, _order, _point, _sweep, _sweep_rows
-from .transform import ConnectionDecomposition, canonical_decompose
+
+if TYPE_CHECKING:  # cell_verdict imports the connection layer when it runs, so `import christoffel` skips it
+    from .transform import ConnectionDecomposition
 
 
 @dataclass(frozen=True)
 class ZeroSet:
     """Strictly ascending real zeros of one family member, and the same zeros as kernel pairs in ``points``.
 
-    Each value is read by ``core.to_scalar``; one that is not a finite real number raises ``ValueError``."""
+    Each value is read by ``core.to_scalar``; one that is not a finite real number raises ``ValueError``.
+    What :func:`interlace_strict` reads per zero is formed once here, and a set out of order does not raise:
+    ``disorder`` is the index of its first pair out of order (None when ascending), and ``doubles`` holds each
+    point's nearest double (``core._float``) with its leading-bit position (0 for a zero), for :func:`_decided`."""
 
     values: tuple
     label: str
     points: tuple = field(init=False, repr=False, compare=False)
+    disorder: Optional[int] = field(init=False, repr=False, compare=False)
+    doubles: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         values = tuple(map(to_scalar, self.values))
         if not all(map(mp.isfinite, values)):
             raise ValueError(f"zeros of {self.label} must be finite, got {', '.join(mp.nstr(x, 8) for x in values)}")
+        points = tuple(_unpack(x._mpf_) for x in values)
+        disorder = next((i for i, (a, b) in enumerate(zip(points, points[1:])) if _cmp(*a, *b) >= 0), None)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "points", tuple(_unpack(x._mpf_) for x in values))
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "disorder", disorder)
+        object.__setattr__(self, "doubles", tuple((_float(m, e), m.bit_length() + e if m else 0) for m, e in points))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -646,18 +658,18 @@ _SPAN = 256
 _MAX_DEGREE = 64
 
 
-def _decided(G: Polynomial, g, points, abs_tol, unit) -> list:
-    """Per point, the sign of the q = G g of :func:`_q_at` where doubles certify it and that :func:`_is_zero` is
-    False for g's row there, else 0.
+def _decided(G: Polynomial, g, outer: ZeroSet, abs_tol, unit) -> list:
+    """Per zero x of ``outer``, the sign of the q = G g of :func:`_q_at` where doubles certify it and that
+    :func:`_is_zero` is False for g's row there, else 0.
 
-    G's coefficients, x, g(x), g'(x) and ``unit`` are read as the nearest doubles (each within 2**-53).  Horner gives
-    y ~ G(x) with Higham's running error bound mu (Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-    Algorithm 5.1) and S = sum |G_j| |x|**j; B = mu + (d + 1) 2**-50 S also covers the inputs' roundings and
+    G's coefficients, x (``outer.doubles``), g(x), g'(x) and ``unit`` are read as the nearest doubles (each within
+    2**-53).  Horner gives y ~ G(x) with Higham's running error bound mu (Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., Algorithm 5.1) and S = sum |G_j| |x|**j; B = mu + (d + 1) 2**-50 S also covers the inputs' roundings and
     the kernel Horner's, so |y| > B gives G's sign as ``_horner`` computes it.  |g| > abs_tol max(unit, |x|) |g'|,
     each side moved by 2**-40 for the roundings, makes ``_is_zero`` False.  A zero g, an input outside its span
     (see ``_SPAN``), and an abs_tol or unit that is no normal double decline.
     """
-    signs = [0] * len(points)
+    signs = [0] * len(outer)
     d = len(G._pairs) - 1
     tol, u = _double(*_unpack(abs_tol._mpf_), 1021), _double(*unit, 1021)
     coeffs = [_double(m, e, _SPAN) for m, e in reversed(G._pairs)]
@@ -665,9 +677,9 @@ def _decided(G: Polynomial, g, points, abs_tol, unit) -> list:
         return signs
     lead, rest = coeffs[0], [(c, abs(c)) for c in coeffs[1:]]
     span, slack = _SPAN // max(d, 1), (d + 1) * 2.0**-50
-    for i, ((xm, xe), (vm, ve, dm, de)) in enumerate(zip(points, g)):
-        x, v, dv = _double(xm, xe, span), _double(vm, ve, _SPAN), _double(dm, de, _SPAN)
-        if not v or x is None or dv is None:
+    for i, ((x, top), (vm, ve, dm, de)) in enumerate(zip(outer.doubles, g)):
+        v, dv = _double(vm, ve, _SPAN), _double(dm, de, _SPAN)
+        if not v or dv is None or not -span < top <= span:
             continue
         ax, y, s = abs(x), lead, abs(lead)
         mu = s / 2
@@ -710,9 +722,9 @@ def interlace_strict(G: Polynomial, g, degree: int, outer: ZeroSet, policy: Tole
     """
     if not isinstance(outer, ZeroSet):
         raise ValueError(f"outer zeros must be a ZeroSet, got {type(outer).__name__}")
-    for i, (a, b) in enumerate(zip(outer.points, outer.points[1:])):
-        if _cmp(*a, *b) >= 0:
-            raise ValueError(f"outer zeros must be strictly ascending, got {mp.nstr(outer[i], 8)} before {mp.nstr(outer[i + 1], 8)}")
+    i = outer.disorder
+    if i is not None:
+        raise ValueError(f"outer zeros must be strictly ascending, got {mp.nstr(outer[i], 8)} before {mp.nstr(outer[i + 1], 8)}")
     if len(g) != len(outer):
         raise ValueError(f"g needs one row per outer zero, {len(outer)}, got {len(g)}")
     _order(degree, "degree of g")
@@ -721,7 +733,7 @@ def interlace_strict(G: Polynomial, g, degree: int, outer: ZeroSet, policy: Tole
     if G.degree + degree != len(outer) - 1:
         raise ValueError(f"q must have degree {len(outer) - 1} to interlace {len(outer)} zeros, got {G.degree + degree}")
     unit = _unit(outer.points, policy.precision_bits)
-    signs = _decided(G, g, outer.points, policy.abs_tol, unit)
+    signs = _decided(G, g, outer, policy.abs_tol, unit)
     left = [i for i, s in enumerate(signs) if not s]
     for i, (qm, _) in zip(left, _q_at(G, [g[i] for i in left], [outer.points[i] for i in left], policy.precision_bits)):
         signs[i] = qm
@@ -762,6 +774,8 @@ def cell_verdict(family: RecurrenceFamily, n: int, m: int, k: int, zp: ZeroSet, 
     ``sweeps`` maps k to the shifted family's sweep rows at ``zp``; a missing or short entry is swept here to
     degree n - m, so a caller keeping the dict per n, with each k's gaps m rising, sweeps each (n, k) once.
     """
+    from .transform import canonical_decompose
+
     decomp = canonical_decompose(family, n, m, k, policy)
     theorem = decomp.G_poly.degree == m - 1
     if not (theorem or (m, k) == (2, 3)):

@@ -620,8 +620,8 @@ def assert_grid_q_is_the_mpf_route(lam, phi, bits: int, n_max: int) -> int:
 # -- the double certificate of interlace_strict against its exact route ------------------
 
 
-def _declining(G, g, points, abs_tol, unit) -> list:
-    return [0] * len(points)
+def _declining(G, g, outer, abs_tol, unit) -> list:
+    return [0] * len(outer)
 
 
 def exact_verdict(G, g, degree, outer, policy):
@@ -638,7 +638,7 @@ def assert_certificate_agrees(calls) -> int:
     left = 0
     for G, g, degree, outer, policy in calls:
         unit = _unit(outer.points, policy.precision_bits)
-        signs = zeros._decided(G, g, outer.points, policy.abs_tol, unit)
+        signs = zeros._decided(G, g, outer, policy.abs_tol, unit)
         for s, (qm, _), row, x in zip(signs, _q_at(G, g, outer.points, policy.precision_bits), g, outer.points):
             assert not s or (s * qm > 0 and not _is_zero(*row, *x, unit, policy)), (G, _to_mpf(*x))
         left += signs.count(0)

@@ -68,14 +68,14 @@ print(*sys.argv[1:], f"peak {tracemalloc.get_traced_memory()[1] / 1024:.0f} KiB"
 """
 
 
-def import_cost() -> tuple:
-    """({christoffel module: own import time in us}, the whole ``import christoffel.cli`` in us), from ``-X importtime``
-    in a fresh interpreter on a copy of the package without bytecode, with ``PYTHONDONTWRITEBYTECODE=1``: a fresh
-    checkout's import, so each module's time includes compiling it."""
+def import_cost(target: str = "christoffel.cli") -> tuple:
+    """({christoffel module: own import time in us}, the whole ``import target`` in us), from ``-X importtime`` in a
+    fresh interpreter on a copy of the package without bytecode, with ``PYTHONDONTWRITEBYTECODE=1``: a fresh
+    checkout's import, so each module's time includes compiling it, and the keys are the modules it loads."""
     with tempfile.TemporaryDirectory() as tmp:
         shutil.copytree(Path(christoffel.__file__).parent, Path(tmp, "christoffel"), ignore=shutil.ignore_patterns("__pycache__"))
         env = {**os.environ, "PYTHONPATH": tmp, "PYTHONDONTWRITEBYTECODE": "1"}
-        argv = [sys.executable, "-X", "importtime", "-c", "import christoffel.cli"]
+        argv = [sys.executable, "-X", "importtime", "-c", f"import {target}"]
         lines = subprocess.run(argv, env=env, check=True, stderr=subprocess.PIPE, text=True).stderr.splitlines()
     rows = [line.removeprefix("import time:").split("|") for line in lines[1:]]  # self | cumulative | name
     own = {name.strip(): int(us) for us, _, name in rows if name.strip().split(".")[0] == "christoffel"}
@@ -130,11 +130,13 @@ def log_counts(title: str, configs, tallies: dict) -> None:
 
 
 def main() -> None:
-    print("== Import times of christoffel.cli in a fresh interpreter, sources compiled (-X importtime)")
-    own, total = import_cost()
-    for name, us in own.items():
-        print(name, f"self {us / 1000:.1f} ms")
-    print(f"christoffel modules {sum(own.values()) / 1000:.1f} ms of {total / 1000:.1f} ms for the whole import")
+    # the library import leaves the connection layer (transform) to its first use; the CLI loads every module
+    for target in ("christoffel", "christoffel.cli"):
+        print(f"== Import times of {target} in a fresh interpreter, sources compiled (-X importtime)")
+        own, total = import_cost(target)
+        for name, us in own.items():
+            print(name, f"self {us / 1000:.1f} ms")
+        print(f"christoffel modules {sum(own.values()) / 1000:.1f} ms of {total / 1000:.1f} ms for the whole import")
 
     print("== CLI wall times, in process")
     for argv in (*TABLES, GRIDS[0]):

@@ -510,13 +510,14 @@ def test_grid_builds_each_modifier_once(default_grid):
 
 def test_grid_asserts_interlacing_for_every_k_up_to_m(monkeypatch, capsys):
     # cell (6, 3, 3) forced not to interlace: the theorem covers it, not only m = 2
-    cells, decompose, strict = [], zeros.canonical_decompose, zeros.interlace_strict
+    # cell_verdict imports canonical_decompose from transform when it runs, so the patch goes there
+    cells, decompose, strict = [], transform.canonical_decompose, zeros.interlace_strict
 
     def interlace(*args):
         verdict = strict(*args)
         return dataclasses.replace(verdict, strict=False) if (cells[-1].n, cells[-1].m, cells[-1].k) == (6, 3, 3) else verdict
 
-    monkeypatch.setattr(zeros, "canonical_decompose", lambda *args: cells.append(decompose(*args)) or cells[-1])
+    monkeypatch.setattr(transform, "canonical_decompose", lambda *args: cells.append(decompose(*args)) or cells[-1])
     monkeypatch.setattr(zeros, "interlace_strict", interlace)
     assert main(["--grid", "--n", "6"]) == 1
     data = json.loads(capsys.readouterr().out)

@@ -281,6 +281,17 @@ def test_kernel_is_mpf_add_sub_and_mul(prec, m1, e1, m2, e2):
     assert _to_mpf(*_round(m1, e1, prec))._mpf_ == from_man_exp(m1, e1, prec, round_nearest)
 
 
+# _float's branches: float(m) within range, or overflowing at 1024 bits (rounding up) and 1100 bits; 54-bit ties
+# to even below and above; the subnormal ties 2**-1075 and 3 * 2**-1075, and 3 * 2**-1076; past the largest double
+@example(53, 2**1023 + 1, -1100)
+@example(53, 2**1024 - 1, -1100)
+@example(53, -(2**1099 + 3), -1200)
+@example(53, 2**53 + 1, 0)
+@example(53, -(2**53 + 3), 0)
+@example(53, 1, -1075)
+@example(53, 3, -1075)
+@example(53, -3, -1076)
+@example(53, 2**54 - 1, 970)
 @settings(max_examples=400)
 @given(_precisions, _mantissas, _exponents)
 def test_kernel_root_and_double_are_mpf_sqrt_and_to_float(prec, m, e):

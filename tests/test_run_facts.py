@@ -60,3 +60,9 @@ def test_import_cost_reads_every_module():
     own, total = import_cost()
     assert sorted(own) == sorted(key for key in sys.modules if key.split(".")[0] == "christoffel")
     assert all(us > 0 for us in own.values()) and sum(own.values()) < total
+
+
+def test_the_library_import_skips_the_connection_layer():
+    own, total = import_cost("christoffel")
+    assert sorted(own) == ["christoffel", "christoffel.associated", "christoffel.core", "christoffel.families", "christoffel.zeros"]
+    assert sum(own.values()) < total

@@ -1126,7 +1126,7 @@ def test_double_certificate_agrees_on_the_default_grid_and_verify(default_grid, 
 def _declined(G, g, outer, policy) -> list:
     """The indices of the outer zeros the double certificate leaves to the exact route."""
     unit = zeros._unit(outer.points, policy.precision_bits)
-    return [i for i, s in enumerate(zeros._decided(G, g, outer.points, policy.abs_tol, unit)) if not s]
+    return [i for i, s in enumerate(zeros._decided(G, g, outer, policy.abs_tol, unit)) if not s]
 
 
 def test_double_certificate_declines_where_doubles_cannot_decide(policy):

@@ -2,7 +2,8 @@
 
 Every number the public API takes or returns is an mpmath real (``mpf``) or
 complex (``mpc``) value, apart from the rows of g that ``zeros.interlace_strict``
-reads and the ``points`` of a ``zeros.ZeroSet``, which are the kernel pairs below.  Precision is a property of operations, not of
+reads and the ``points`` of a ``zeros.ZeroSet``, which are the kernel pairs below; inside the library those rows
+come in doubles with error bounds first, and on the kernel only where the bounds decide nothing.  Precision is a property of operations, not of
 values: public entry points take a :class:`TolerancePolicy` and round each
 operation at its ``precision_bits``, passed to the kernel below (and set as
 ``mp.workprec`` where mpf values are made).  Values produced at one

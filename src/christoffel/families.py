@@ -423,8 +423,8 @@ def _point(x, policy: TolerancePolicy) -> tuple:
 def _sweep(rows: list, n: int, xm: int, xe: int, prec: int, out: Optional[list] = None) -> tuple:
     """(p_n(x), p_n'(x)) as kernel pairs (m, e, dm, de) at x = xm * 2**xe, from a family's kernel rows.
 
-    The one loop that runs the recurrence at a point, behind
-    :func:`_sweep_rows`, :func:`eval_with_derivative` and the zero
+    The one loop that runs the recurrence at a point on the kernel, behind
+    :class:`_Rows`, :func:`eval_with_derivative` and the zero
     solver's Newton steps.  Every operation is the mpf operation of the
     recurrence, in the same order, on the exact-rounding kernel of
     :mod:`christoffel.core`, with ``_round`` and the exact sum of operands
@@ -433,7 +433,7 @@ def _sweep(rows: list, n: int, xm: int, xe: int, prec: int, out: Optional[list] 
     width, the same value: a 64-bit Newton start lies about 190 exponents above C(j), and at full width
     x - C(j) is written out too.  Every operand then has at most ``prec`` bits, so both routes give the
     correctly rounded sum.  With ``out``, the rows (m, e, dm, de) for j = 0..n are appended to it; only
-    :func:`_sweep_rows` passes one.
+    :meth:`_Rows.sweep` passes one.
     """
     near = _NEAR
     k = prec - xm.bit_length()
@@ -623,20 +623,104 @@ def _christoffel_sum(terms: list, xm: int, xe: int, prec: int) -> tuple:
     return dm, de
 
 
-def _sweep_rows(family: RecurrenceFamily, n: int, points, prec: int) -> Iterator[list]:
-    """Per point (xm, xe) of ``points``, in order, the list of :func:`_sweep` rows (m, e, dm, de) of
-    (p_j(x), p_j'(x)), j = 0..n.
+# The sweep in doubles and its running error bound.  With u = 2**-53, x, C(j) and Lambda(j) read as their nearest
+# doubles, and s, a, b, v the doubles s = x - C(j), a = s v_{j-1}, b = Lambda(j) v_{j-2}, v_j = a - b, the bound
+#     e_j = ((|s| + w) e_{j-1} + Lambda(j) e_{j-2} + w |v_{j-1}| + r (|a| + 2 |b| + |v_j|) + tau) (1 + 2**-48),
+# with w = 2.01 u (|x| + |C(j)|) and e_0 = e_{-1} = 0, bounds |v_j - p_j| for p_j the kernel sweep's value at any
+# precision of at least 64 bits (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., sections 3.1 and
+# 5.1, run on both sweeps).  w bounds the difference of the two sweeps' x - C(j): the three roundings to double, u
+# each, and the kernel's 2**-64.  r = u (1 + 2**-10) bounds the relative rounding of a, b and v_j and the kernel's
+# of its own a, b and p_j, each within 2**-64 <= 2**-11 u; 2 |b| holds Lambda(j)'s conversion as well.  The growth
+# factor covers the (1 + u) and (1 + 2**-64) factors of the argument and the roundings of the bound's own
+# evaluation, all of whose terms are nonnegative.  tau = 2**-1000 covers an underflow anywhere in a step (each below 2**-1075), so no value
+# below it is ever certified, and an overflow makes the bound inf or nan, which certifies nothing after it.  The
+# slope's sweep d_j = (v_{j-1} + s d_{j-1}) - Lambda(j) d_{j-2} takes the same bound on its four roundings, and
+# e_{j-1} for v_{j-1}.  Inputs are read only while their leading bits lie within +-_RANGE, where the doubles are
+# normal; a point or a row outside declines, its rows _DECLINED.
+_W = 2.01 * 2.0**-53
+_R = 2.0**-53 * (1 + 2.0**-10)
+_GROW = 1 + 2.0**-48
+_TAU = 2.0**-1000
+_RANGE = 1000
+_DECLINED = (0.0, 0.0, float("inf"), float("inf"))
 
-    The one place rows are collected: for g at the zeros of p_n, which the grid's and the Stieltjes check's
-    interlacing verdicts in :mod:`christoffel.zeros` read.  Row j has the same bits whatever n the sweep
-    runs to, so the grid reads every g_{n-m,k} of one n off the rows swept for its first gap m.  It yields one
-    point's rows at a time, so a caller that keeps one row per point never holds them all: at degree 48 and
-    256 bits the Stieltjes check's traced peak is 39 KiB, against 580 KiB with every row kept."""
-    rows = family.kernel_rows(n, prec)
+
+def _in_range(m: int, e: int) -> bool:
+    """m * 2**e is 0, or its leading bit lies within +-_RANGE."""
+    return not m or -_RANGE < m.bit_length() + e <= _RANGE
+
+
+def _sweep_rows(family: RecurrenceFamily, n: int, points, prec: int) -> Iterator[list]:
+    """Per point (xm, xe) of ``points``, in order, the list of rows (v, d, ev, ed) of (p_j(x), p_j'(x)), j = 0..n,
+    in doubles: v and d within ev and ed of :func:`_sweep`'s kernel values at ``prec`` >= 64 bits (the bound is
+    argued next to ``_W``), or ``_DECLINED`` where the point or a recurrence row lies outside the doubles' range.
+
+    The one place g is swept at the zeros of p_n, whose rows the grid's and the Stieltjes check's interlacing
+    verdicts in :mod:`christoffel.zeros` read, through :class:`_Rows`, which sweeps the kernel only at the zeros
+    the bounds leave open.  Row j is the same whatever n the sweep runs to, so the grid reads every g_{n-m,k} of
+    one n off the rows swept for its first gap m.  It yields one point's rows at a time, so a caller that keeps one
+    row per point never holds them all: at degree 48 the Stieltjes check's traced peak is 34 KiB, after the zeros
+    are solved (39 KiB with every point's kernel row kept)."""
+    rows = family.kernel_rows(n, prec)[1 : n + 1]
+    coeffs = [(c, _W * abs(c), lam) for c, lam in ((_float(cm, ce), _float(lm, le)) for cm, ce, lm, le in rows)]
+    usable = all(_in_range(cm, ce) and _in_range(lm, le) for cm, ce, lm, le in rows)
+    r, tau, grow = _R, _TAU, _GROW
     for xm, xe in points:
-        out = []
-        _sweep(rows, n, xm, xe, prec, out)
+        if not (usable and _in_range(xm, xe)):
+            yield [_DECLINED] * (n + 1)
+            continue
+        x = _float(xm, xe)
+        v, d, e, f = 1.0, 0.0, 0.0, 0.0  # p_0 and its slope, exact
+        pv = pd = pe = pf = 0.0  # p_{-1}
+        out = [(v, d, e, f)]
+        wx = _W * abs(x)
+        for c, wc, lam in coeffs:
+            s = x - c
+            w = wx + wc
+            sw = abs(s) + w
+            a = s * v
+            b = lam * pv
+            vn = a - b
+            al = s * d
+            sg = v + al
+            be = lam * pd
+            dn = sg - be
+            en = (sw * e + lam * pe + w * abs(v) + r * (abs(a) + 2 * abs(b) + abs(vn)) + tau) * grow
+            fn = (e + sw * f + lam * pf + w * abs(d) + r * (abs(al) + abs(sg) + 2 * abs(be) + abs(dn)) + tau) * grow
+            pv, pd, pe, pf, v, d, e, f = v, d, e, f, vn, dn, en, fn
+            out.append((v, d, e, f))
         yield out
+
+
+class _Rows:
+    """p_d of a family at ``points`` (kernel pairs, in order), as :func:`christoffel.zeros.interlace_strict` reads g.
+
+    ``doubles[i]`` is point i's row (v, d, ev, ed) of :func:`_sweep_rows` (swept here when not given), and
+    ``rows[i]`` its kernel row (m, e, dm, de) of :func:`_sweep`, swept on first read and kept.  So the object reads
+    as the list of g's kernel rows, and sweeps the kernel only at the points whose row is read."""
+
+    __slots__ = ("doubles", "_kernel", "_rows", "_d", "_points", "_prec")
+
+    def __init__(self, family: RecurrenceFamily, d: int, points, prec: int, doubles: Optional[list] = None):
+        if doubles is None:
+            doubles = [out[d] for out in _sweep_rows(family, d, points, prec)]
+        self.doubles, self._kernel = doubles, {}
+        self._rows, self._d, self._points, self._prec = family.kernel_rows(d, prec), d, tuple(points), prec
+
+    def __len__(self) -> int:
+        return len(self._points)
+
+    def __getitem__(self, i: int) -> tuple:
+        row = self._kernel.get(i)
+        if row is None:
+            row = self._kernel[i] = _sweep(self._rows, self._d, *self._points[i], self._prec)  # IndexError ends a loop
+        return row
+
+    def sweep(self, i: int) -> list:
+        """Point i's kernel rows (m, e, dm, de) of (p_j(x), p_j'(x)), j = 0..d, from one :func:`_sweep`."""
+        out = []
+        _sweep(self._rows, self._d, *self._points[i], self._prec, out=out)
+        return out
 
 
 def eval_with_derivative(family: RecurrenceFamily, n: int, x, policy: TolerancePolicy = DEFAULT_POLICY):

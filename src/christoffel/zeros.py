@@ -29,13 +29,14 @@ alternation of q = G g at the already computed zeros of p_n, for the paper's
 theorem on a grid cell (:func:`_grid_interlace`: G g_{n-m,k} interlaces exactly
 when k <= m) and its gap-2 case, :func:`stieltjes_check`, alike; no zero of q is
 solved for.  A grid cell's whole verdict, its connection pair's and the theorem's,
-is :func:`cell_verdict`'s.  g enters as its sweep rows at those zeros, which
-``families._sweep_rows`` alone collects.  Each sign is that of q formed on kernel pairs from G and
-g's rows, and a zero of p_n is common with q where that q is 0 or g's own row passes the zero test (at
-a zero of p_n, c g = -G p_{n-1}, so q vanishes there only with g); doubles with a running error bound
-decide almost every sign and test, and only the zeros they leave open form q on pairs.  Nor is a root
-of G solved for: a failed cell is named by counting G's roots, exactly, on a Sturm chain
-(``core._root_counts``), and g's outside [x_1, x_n] by sign changes of its rows (``core._beyond``).
+is :func:`cell_verdict`'s.  Each sign is that of q formed on kernel pairs from G and g's
+kernel row, and a zero of p_n is common with q where that q is 0 or g's own row passes the zero test (at
+a zero of p_n, c g = -G p_{n-1}, so q vanishes there only with g).  Doubles decide almost every sign and
+test first: g's recurrence runs at each zero in doubles, value and slope each with a running error bound
+(``families._sweep_rows``), and G by Horner with Higham's (:func:`_decided`).  Only at the zeros they leave
+open is g swept on the kernel (``families._Rows``) and q formed on pairs.  Nor is a root of G solved for:
+a failed cell is named by counting G's roots, exactly, on a Sturm chain (``core._root_counts``), and g's
+outside [x_1, x_n] by sign changes of its kernel rows there (``core._beyond``).
 General root finding (:func:`polynomial_real_roots`) is kept as public API, with
 no caller in the library; the tests read it as the oracle for those counts.
 
@@ -54,7 +55,7 @@ from mpmath import mp
 
 from .core import DEFAULT_POLICY, Polynomial, TolerancePolicy, _beyond, _root_counts, to_scalar
 from .core import _add, _cmp, _div, _float, _horner, _round, _sqrt, _to_mpf, _unpack  # the exact-rounding kernel
-from .families import ModifierSpec, RecurrenceFamily, _christoffel_sum, _jacobi_frame, _ladder, _order, _point, _sweep, _sweep_rows
+from .families import ModifierSpec, RecurrenceFamily, _DECLINED, _RANGE, _Rows, _christoffel_sum, _jacobi_frame, _ladder, _order, _point, _sweep, _sweep_rows
 
 if TYPE_CHECKING:  # cell_verdict imports the connection layer when it runs, so `import christoffel` skips it
     from .transform import ConnectionDecomposition
@@ -450,6 +451,7 @@ class _Spectrum:
         self.reach, self.proved, self.fdiag, self.foffsq = (rm, rexp + 1), proved, fdiag, foffsq
         self.rows, self.label, self.prec, self.width, self.origin, self.scale = rows, family.label, prec, width, origin, scale
         self.cells, self.count64, self.unit, self.polished, self.all = cells, count64, unit, {}, None
+        self.passed = set()  # the abs_tol values under which zeros_golub_welsch's simple-zero check passed
 
     def box(self, i: int) -> tuple:
         """Cell i's enclosure (u, v) in scaled doubles, from :func:`_enclose` on first need; (-inf, inf) in a cluster."""
@@ -502,8 +504,9 @@ def zeros_golub_welsch(family: RecurrenceFamily, n: int, policy: TolerancePolicy
 
     The zeros depend only on the precision, so they are solved once per
     (n, precision) and kept by the family, in its :class:`_Spectrum`; the
-    simple-zero check runs on every call, under the caller's ``abs_tol``.
-    Zeros out of order are a numerical failure (``ArithmeticError``); a gap
+    simple-zero check runs under the caller's ``abs_tol``, and the spectrum
+    keeps each ``abs_tol`` it passed, so it runs once per tolerance; a check
+    that fails runs, and raises, on every call.  Zeros out of order are a numerical failure (``ArithmeticError``); a gap
     no wider than ``abs_tol`` times max(unit, |u|, |v|) is the tolerance's
     fault (``ValueError``).  As in the Newton polish, the unit is 1, or the
     span of a smaller spectrum, so the check means the same at every scale.
@@ -511,7 +514,10 @@ def zeros_golub_welsch(family: RecurrenceFamily, n: int, policy: TolerancePolicy
     family.require_degree(n)
     if n < 2:  # no off-diagonal: the zeros are the diagonal C(1..n), read on each call
         return ZeroSet(family.recurrence(n, policy.precision_bits)[0][1:], family.label)
-    zs = family.owned(("spectrum", n, policy.precision_bits), lambda: _Spectrum(family, n, policy)).zeros()
+    spectrum = family.owned(("spectrum", n, policy.precision_bits), lambda: _Spectrum(family, n, policy))
+    zs = spectrum.zeros()
+    if policy.abs_tol in spectrum.passed:
+        return zs
     with policy.workprec():
         unit = _to_mpf(*_unit(zs.points, policy.precision_bits))
         for u, v in zip(zs.values, zs.values[1:]):
@@ -527,7 +533,8 @@ def zeros_golub_welsch(family: RecurrenceFamily, n: int, policy: TolerancePolicy
                     f"abs_tol {mp.nstr(policy.abs_tol, 6)} is at least the gap {mp.nstr(gap / scale, 6)} "
                     f"between two zeros of {family.label} degree {n}, relative to {mp.nstr(scale, 6)}"
                 )
-        return zs
+    spectrum.passed.add(policy.abs_tol)
+    return zs
 
 
 def gauss_rule(family: RecurrenceFamily, n: int, policy: TolerancePolicy = DEFAULT_POLICY):
@@ -651,46 +658,62 @@ def _double(m: int, e: int, span: int):
 
 
 # Doubles decide for a G of degree at most _MAX_DEGREE (the 2**-40 slack covers its (d + 1) 2**-52 roundings)
-# whose coefficients, and g and g', have leading bits within +-_SPAN, at an x within +-_SPAN / max(1, deg G).
-# Then S, mu and a nonzero g are normal doubles, above 2**-940, an underflow in Horner's products costs below
-# 2**-490 S, and a right side of the g test that underflows lies far below |g|, or overflows and declines.
+# whose coefficients have leading bits within +-_SPAN, at an x within +-_SPAN / max(1, deg G).  Then S and mu are
+# normal doubles, above 2**-940, and an underflow in Horner's products costs below 2**-490 S.  g's test needs
+# abs_tol max(unit, |x|) normal (abs_tol unit is checked once) and |g| above _LOW: an underflow on its right side
+# then costs below 2**-1074, far below the 2**-40 |g| of its slack, and a side that overflows declines.
 _SPAN = 256
 _MAX_DEGREE = 64
+_LOW = 2.0**-1000
+
+
+def _doubles(g) -> list:
+    """The rows (v, d, ev, ed) that :func:`_decided` reads for g's rows: those a ``families._Rows`` carries, or
+    each kernel row (vm, ve, dm, de) as its nearest doubles with their conversion bound 2**-53 |v| and 2**-53 |d|
+    (``families._DECLINED`` outside the doubles' range)."""
+    if isinstance(g, _Rows):
+        return g.doubles
+    out = []
+    for vm, ve, dm, de in g:
+        v, d = _double(vm, ve, _RANGE), _double(dm, de, _RANGE)
+        out.append(_DECLINED if v is None or d is None else (v, d, abs(v) * 2.0**-53, abs(d) * 2.0**-53))
+    return out
 
 
 def _decided(G: Polynomial, g, outer: ZeroSet, abs_tol, unit) -> list:
     """Per zero x of ``outer``, the sign of the q = G g of :func:`_q_at` where doubles certify it and that
     :func:`_is_zero` is False for g's row there, else 0.
 
-    G's coefficients, x (``outer.doubles``), g(x), g'(x) and ``unit`` are read as the nearest doubles (each within
-    2**-53).  Horner gives y ~ G(x) with Higham's running error bound mu (Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., Algorithm 5.1) and S = sum |G_j| |x|**j; B = mu + (d + 1) 2**-50 S also covers the inputs' roundings and
-    the kernel Horner's, so |y| > B gives G's sign as ``_horner`` computes it.  |g| > abs_tol max(unit, |x|) |g'|,
-    each side moved by 2**-40 for the roundings, makes ``_is_zero`` False.  A zero g, an input outside its span
-    (see ``_SPAN``), and an abs_tol or unit that is no normal double decline.
+    g holds per zero the row (v, d, ev, ed) of :func:`_doubles`: g(x) and g'(x) in doubles, each within its bound
+    of the kernel row that the exact route reads.  G's coefficients, x (``outer.doubles``), abs_tol and ``unit`` are
+    read as the nearest doubles (each within 2**-53).  Horner gives y ~ G(x) with Higham's running error bound mu
+    (Accuracy and Stability of Numerical Algorithms, 2nd ed., Algorithm 5.1) and S = sum |G_j| |x|**j;
+    B = mu + (d + 1) 2**-50 S also covers the inputs' roundings and the kernel Horner's, so |y| > B gives G's sign
+    as ``_horner`` computes it.  |v| - ev > abs_tol max(unit, |x|) (|d| + ed), each side moved by 2**-40 for the
+    roundings, gives g's sign and makes ``_is_zero`` False.  An input outside its span (see ``_SPAN``), a bound
+    that is not finite, and an abs_tol, a unit or a product abs_tol unit that is no normal double decline.
     """
     signs = [0] * len(outer)
     d = len(G._pairs) - 1
     tol, u = _double(*_unpack(abs_tol._mpf_), 1021), _double(*unit, 1021)
     coeffs = [_double(m, e, _SPAN) for m, e in reversed(G._pairs)]
-    if d > _MAX_DEGREE or tol is None or not u or None in coeffs:
+    if d > _MAX_DEGREE or tol is None or not u or not tol * u >= 2.0**-1022 or None in coeffs:
         return signs
     lead, rest = coeffs[0], [(c, abs(c)) for c in coeffs[1:]]
     span, slack = _SPAN // max(d, 1), (d + 1) * 2.0**-50
-    for i, ((x, top), (vm, ve, dm, de)) in enumerate(zip(outer.doubles, g)):
-        v, dv = _double(vm, ve, _SPAN), _double(dm, de, _SPAN)
-        if not v or dv is None or not -span < top <= span:
+    for i, ((x, top), (v, dv, ev, ed)) in enumerate(zip(outer.doubles, g)):
+        av, ax = abs(v), abs(x)
+        if not (av > _LOW and -span < top <= span and av * (1 - 2.0**-40) > ev + tol * max(u, ax) * (abs(dv) + ed) * (1 + 2.0**-40)):
             continue
-        ax, y, s = abs(x), lead, abs(lead)
+        y, s = lead, abs(lead)
         mu = s / 2
         for c, a in rest:
             s = ax * s + a
             y = x * y + c
             mu = ax * mu + abs(y)
         ay = abs(y)
-        signed = ay > (2 * mu - ay) * 2.0**-53 + slack * s
-        if signed and abs(v) * (1 - 2.0**-40) > tol * max(u, ax) * abs(dv) * (1 + 2.0**-40):
-            signs[i] = 1 if (y > 0) == (vm > 0) else -1
+        if ay > (2 * mu - ay) * 2.0**-53 + slack * s:
+            signs[i] = 1 if (y > 0) == (v > 0) else -1
     return signs
 
 
@@ -708,7 +731,7 @@ def interlace_strict(G: Polynomial, g, degree: int, outer: ZeroSet, policy: Tole
     """Whether the zeros of q = G g strictly interlace the zeros in ``outer``.
 
     g, of degree ``degree``, is its sweep rows: the kernel pairs (vm, ve, dm, de) of g(x) and
-    g'(x) at each zero x of ``outer`` in order.  A q of degree len(outer) - 1 interlaces
+    g'(x) at each zero x of ``outer`` in order, or a ``families._Rows``, which sweeps them when read.  A q of degree len(outer) - 1 interlaces
     exactly when q(x_i) q(x_{i+1}) < 0 for every i (Markov's sign argument
     and its converse, Wendroff 1961), read off the mantissas' signs; for any
     other degree, and for q = 0 (G = 0), which has no zeros, the signs prove nothing, so that raises
@@ -718,7 +741,8 @@ def interlace_strict(G: Polynomial, g, degree: int, outer: ZeroSet, policy: Tole
     ``outer`` (:func:`_unit`), are reported in ``common`` and make the verdict non-strict.
 
     The signs are those of q formed on kernel pairs (:func:`_q_at`), but doubles with an error bound decide
-    them and g's test first (:func:`_decided`), and only the zeros they leave open take that route.
+    them and g's test first (:func:`_decided`, on the rows of :func:`_doubles`), and only the zeros they leave
+    open take that route, the only rows of g read.
     """
     if not isinstance(outer, ZeroSet):
         raise ValueError(f"outer zeros must be a ZeroSet, got {type(outer).__name__}")
@@ -733,7 +757,7 @@ def interlace_strict(G: Polynomial, g, degree: int, outer: ZeroSet, policy: Tole
     if G.degree + degree != len(outer) - 1:
         raise ValueError(f"q must have degree {len(outer) - 1} to interlace {len(outer)} zeros, got {G.degree + degree}")
     unit = _unit(outer.points, policy.precision_bits)
-    signs = _decided(G, g, outer, policy.abs_tol, unit)
+    signs = _decided(G, _doubles(g), outer, policy.abs_tol, unit)
     left = [i for i, s in enumerate(signs) if not s]
     for i, (qm, _) in zip(left, _q_at(G, [g[i] for i in left], [outer.points[i] for i in left], policy.precision_bits)):
         signs[i] = qm
@@ -742,17 +766,17 @@ def interlace_strict(G: Polynomial, g, degree: int, outer: ZeroSet, policy: Tole
     return InterlaceVerdict(strict=alternates and not common, common=common)
 
 
-def _grid_interlace(G: Polynomial, n: int, m: int, k: int, zp: ZeroSet, rows, policy: TolerancePolicy) -> str:
+def _grid_interlace(G: Polynomial, n: int, m: int, k: int, zp: ZeroSet, g: _Rows, policy: TolerancePolicy) -> str:
     """The verdict of the paper's theorem on grid cell (n, m, k): whether G g_{n-m,k} interlaces the zeros ``zp`` of p_n.
 
-    ``rows[i]`` holds the shifted family's sweep rows at zp[i], (g_{j,k}, g_{j,k}') as kernel pairs
-    (m, e, dm, de) for j = 0, 1, ... (``families._sweep_rows``): a Sturm sequence of g, with n - m sign changes
-    at -inf and none at inf.  A failed cell is named by counts alone: G's nonreal roots, and the real roots of G
-    and g inside and outside [x_1, x_n] (``core._root_counts``, ``core._beyond``); no root is solved for.
+    g is g_{n-m,k} at the zeros ``zp``, a ``families._Rows``.  The kernel rows (g_{j,k}, g_{j,k}'), j = 0..n - m,
+    at x_1 and x_n (``_Rows.sweep``) are a Sturm sequence of g, with n - m sign changes at -inf and none at inf.  A
+    failed cell is named by counts alone: G's nonreal roots, and the real roots of G and g inside and outside
+    [x_1, x_n] (``core._root_counts``, ``core._beyond``); no root is solved for.
     """
     verdict = None
     if G.degree == m - 1:
-        verdict = interlace_strict(G, [row[n - m] for row in rows], n - m, zp, policy)
+        verdict = interlace_strict(G, g, n - m, zp, policy)
         if verdict.strict:
             return "holds"
     label = f"connection coefficient G of cell (n, m, k) = {(n, m, k)}"
@@ -761,7 +785,7 @@ def _grid_interlace(G: Polynomial, n: int, m: int, k: int, zp: ZeroSet, rows, po
         return f"fails({G.degree - real} nonreal G roots)"
     if verdict is not None:
         return "fails(common zeros)" if verdict.common else "fails"
-    outside = below + above + sum(_beyond(*([r[0] for r in row[n - m :: -1]] for row in (rows[0], rows[-1])), (n - m, 0)))
+    outside = below + above + sum(_beyond(*([r[0] for r in g.sweep(i)[::-1]] for i in (0, -1)), (n - m, 0)))
     return f"fails(size {n - m + real} vs {len(zp) - 1}, {outside} outside span)"
 
 
@@ -771,8 +795,9 @@ def cell_verdict(family: RecurrenceFamily, n: int, m: int, k: int, zp: ZeroSet, 
     The theorem: G g_{n-m,k} interlaces the zeros ``zp`` of p_n exactly when deg G = m - 1, which the law gives
     for every k <= m.  Those cells are checked, and so are the (m, k) = (2, 3) cells, which must fail: their
     product has too many zeros.
-    ``sweeps`` maps k to the shifted family's sweep rows at ``zp``; a missing or short entry is swept here to
-    degree n - m, so a caller keeping the dict per n, with each k's gaps m rising, sweeps each (n, k) once.
+    ``sweeps`` maps k to the shifted family's rows in doubles at ``zp`` (``families._sweep_rows``); a missing or
+    short entry is swept here to degree n - m, so a caller keeping the dict per n, with each k's gaps m rising,
+    sweeps each (n, k) once.  The kernel sweeps g_{n-m,k} only where the cell reads it (``families._Rows``).
     """
     from .transform import canonical_decompose
 
@@ -780,9 +805,11 @@ def cell_verdict(family: RecurrenceFamily, n: int, m: int, k: int, zp: ZeroSet, 
     theorem = decomp.G_poly.degree == m - 1
     if not (theorem or (m, k) == (2, 3)):
         return CellVerdict(decomp, "n/a", decomp.ok)
+    shifted, prec = family.shifted(k), policy.precision_bits
     if k not in sweeps or len(sweeps[k][0]) <= n - m:
-        sweeps[k] = list(_sweep_rows(family.shifted(k), n - m, zp.points, policy.precision_bits))
-    interlace = _grid_interlace(decomp.G_poly, n, m, k, zp, sweeps[k], policy)
+        sweeps[k] = list(_sweep_rows(shifted, n - m, zp.points, prec))
+    g = _Rows(shifted, n - m, zp.points, prec, [rows[n - m] for rows in sweeps[k]])
+    interlace = _grid_interlace(decomp.G_poly, n, m, k, zp, g, policy)
     return CellVerdict(decomp, interlace, decomp.ok and (interlace == "holds") == theorem)
 
 
@@ -825,6 +852,13 @@ def bound_separation(family: RecurrenceFamily, n: int, policy: TolerancePolicy =
         return BoundReport(bounds=bounds, x_min=x_min, x_max=x_max, separated=separated, ordering_ok=bool(ordering))
 
 
+def _g_zeros(g: _Rows, outer: ZeroSet, unit, policy: TolerancePolicy) -> list:
+    """The indices of the zeros of ``outer`` where g's row passes :func:`_is_zero`: doubles reject the test first
+    (:func:`_decided` with G = 1), and only the rows they leave open are swept on the kernel."""
+    clear = _decided(Polynomial._of([(1, 0)]), g.doubles, outer, policy.abs_tol, unit)
+    return [j for j, p in enumerate(outer.points) if not clear[j] and _is_zero(*g[j], *p, unit, policy)]
+
+
 def stieltjes_check(family: RecurrenceFamily, k: int, n: int, policy: TolerancePolicy = DEFAULT_POLICY) -> StieltjesVerdict:
     """Gap-2 Stieltjes interlacing checks between p_n and the order-k modified g_{n-2}.
 
@@ -833,31 +867,33 @@ def stieltjes_check(family: RecurrenceFamily, k: int, n: int, policy: ToleranceP
     Common-zero branch: exactly one shared zero, equal to B_n(k), interior;
     the n-2 zeros of g interlace the n-1 non-common zeros of p_n.
 
-    g is evaluated at the zeros of p_n by its recurrence sweep, on kernel
-    pairs; common zeros are read off those values by :func:`interlace_strict`'s rule, and both claims
-    are :func:`interlace_strict` on them (G = x - B_n(k), or G = 1 over the non-common zeros), so no zero of g is solved for.
-    A common zero x_j equals B_n(k) when x - B_n(k), of slope 1, passes that same zero test at x_j.
+    g is evaluated at the zeros of p_n by its recurrence sweep, in doubles with an error bound, and on kernel
+    pairs only where those leave its zero test open (``families._Rows``, :func:`_g_zeros`); common zeros
+    are read off those values by :func:`interlace_strict`'s rule, and both claims are :func:`interlace_strict` on
+    them (G = x - B_n(k), or G = 1 over the non-common zeros), so no zero of g is solved for.  g at B_n(k) takes the
+    same two routes.  A common zero x_j equals B_n(k) when x - B_n(k), of slope 1, passes that same zero test at x_j.
     """
     _order(k, "modifier order k", 0, 2)
     family.require_degree(n, 2)
     shifted = family.shifted(k)  # in range to n - 2: PJ's order-k shift lowers its top degree by k <= 2, MP has none
     prec = policy.precision_bits
-    rows = shifted.kernel_rows(n - 2, prec)
+    shifted.kernel_rows(n - 2, prec)  # its rows are checked before anything is solved
     with policy.workprec():
         bound = inner_bound(family, n, k, policy)
         bm, be = _point(bound, policy)
         zp = zeros_golub_welsch(family, n, policy)
-        g_at = [row[n - 2] for row in _sweep_rows(shifted, n - 2, zp.points, prec)]
+        g = _Rows(shifted, n - 2, zp.points, prec)
         unit = _unit(zp.points, prec)
-        shared = [j for j, (v, p) in enumerate(zip(g_at, zp.points)) if _is_zero(*v, *p, unit, policy)]
+        shared = _g_zeros(g, zp, unit, policy)
         common = tuple(zp[j] for j in shared)
         violations = []
         if not shared:
             branch = "coprime"
-            if _is_zero(*_sweep(rows, n - 2, bm, be, prec), bm, be, unit, policy):
+            at_bound = ZeroSet((bound,), "B")
+            if _g_zeros(_Rows(shifted, n - 2, at_bound.points, prec), at_bound, unit, policy):
                 violations.append("bound coincides with a zero of the modified polynomial")
             # with shared empty, q = (x - B) g is 0 at a zero of p_n only where it is B, and fails the signs there
-            if not interlace_strict(Polynomial._of([(-bm, be), (1, 0)]), g_at, n - 2, zp, policy).strict:
+            if not interlace_strict(Polynomial._of([(-bm, be), (1, 0)]), g, n - 2, zp, policy).strict:
                 violations.append("zeros of (x-B) g do not interlace the zeros of p_n")
         else:
             branch = "common_zero"
@@ -874,7 +910,8 @@ def stieltjes_check(family: RecurrenceFamily, k: int, n: int, policy: ToleranceP
             if len(shared) == 1:
                 rest = [i for i in range(n) if i != shared[0]]
                 outer = ZeroSet([zp[i] for i in rest], zp.label)
-                if not interlace_strict(Polynomial._of([(1, 0)]), [g_at[i] for i in rest], n - 2, outer, policy).strict:
+                g_rest = _Rows(shifted, n - 2, outer.points, prec, [g.doubles[i] for i in rest])
+                if not interlace_strict(Polynomial._of([(1, 0)]), g_rest, n - 2, outer, policy).strict:
                     violations.append("zeros of g do not interlace the non-common zeros of p_n")
         if not zp[0] < bound < zp[-1]:
             violations.append("bound is not strictly inside the extreme zeros")

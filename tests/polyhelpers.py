@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import io
 import re
@@ -33,7 +34,7 @@ from christoffel import (
     to_scalar,
     zeros_golub_welsch,
 )
-from christoffel import cli, zeros
+from christoffel import cli, families, zeros
 from christoffel.core import _to_mpf, _unpack
 from christoffel.families import CUSTOM, MEIXNER_POLLACZEK, _ladder, _point, _snapped_cot, _sweep
 from christoffel.transform import DegenerateTransformError, _cofactor_minors, _node_rows
@@ -624,10 +625,25 @@ def _declining(G, g, outer, abs_tol, unit) -> list:
     return [0] * len(outer)
 
 
-def exact_verdict(G, g, degree, outer, policy):
-    """``interlace_strict``'s verdict with the double certificate declining at every zero, so that each takes ``_q_at``."""
+def _declined_rows(family, n, points, prec):
+    for _ in points:
+        yield [families._DECLINED] * (n + 1)
+
+
+@contextlib.contextmanager
+def exact_route():
+    """Both double certificates decline, G's and g's (``zeros._decided``, and ``families._sweep_rows``, whose rows
+    then bound nothing): every sign and zero test reads g's kernel row, swept at every zero."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(zeros, "_decided", _declining)
+        for module in (zeros, families):
+            patch.setattr(module, "_sweep_rows", _declined_rows)
+        yield
+
+
+def exact_verdict(G, g, degree, outer, policy):
+    """``interlace_strict``'s verdict on :func:`exact_route`, so that each zero takes ``_q_at``."""
+    with exact_route():
         return interlace_strict(G, g, degree, outer, policy)
 
 
@@ -638,7 +654,7 @@ def assert_certificate_agrees(calls) -> int:
     left = 0
     for G, g, degree, outer, policy in calls:
         unit = _unit(outer.points, policy.precision_bits)
-        signs = zeros._decided(G, g, outer, policy.abs_tol, unit)
+        signs = zeros._decided(G, zeros._doubles(g), outer, policy.abs_tol, unit)
         for s, (qm, _), row, x in zip(signs, _q_at(G, g, outer.points, policy.precision_bits), g, outer.points):
             assert not s or (s * qm > 0 and not _is_zero(*row, *x, unit, policy)), (G, _to_mpf(*x))
         left += signs.count(0)
@@ -662,8 +678,7 @@ def certified_and_exact_reports(argv) -> tuple:
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(zeros, "interlace_strict", lambda *args: calls.append(args) or interlace(*args))
         certified = _report(argv)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(zeros, "_decided", _declining)
+    with exact_route():
         exact = _report(argv)
     return certified, exact, assert_certificate_agrees(calls)
 

@@ -33,11 +33,13 @@ GRIDS = (
 )
 
 # {dotted name: tally}: a tally maps a call's arguments to its count, None counts 1.  The interlacing routes: the
-# points swept for g's rows, which families makes, and the verdict's work on them, all of it in zeros
+# points swept in doubles for g's rows, which families makes, the verdict's work on them in zeros, and the zeros
+# whose g row the doubles left to the kernel (a _Rows row read for the first time)
 ROUTES = {
     "families._sweep_rows": lambda family, n, points, prec: len(points),
     "zeros.interlace_strict": lambda G, g, degree, outer, *rest: len(outer),
     "zeros._q_at": lambda G, g, points, prec: len(points),
+    "families._Rows.__getitem__": lambda rows, i: i not in rows._kernel,
     "core._root_counts": None,
 }
 ENCLOSURES = dict.fromkeys(("zeros._enclose", "zeros._count_below", "zeros._count_pairs"))
@@ -156,8 +158,9 @@ def main() -> None:
     for argv in (TABLES[0], TABLES[3], GRIDS[0]):
         print(subprocess.run([sys.executable, "-c", PEAK, *argv], check=True, stdout=subprocess.PIPE, text=True).stdout, end="")
 
-    log_counts("Interlacing routes: points swept for g's rows, zeros handed to interlace_strict, those left open by"
-               " doubles for _q_at, and the Sturm chains of G that name the failed cells", GRIDS, ROUTES)
+    log_counts("Interlacing routes: points swept in doubles for g's rows, zeros handed to interlace_strict, those left"
+               " open by doubles for _q_at, g rows the doubles left to the kernel, and the Sturm chains of G that name"
+               " the failed cells", (*GRIDS, TABLES[3]), ROUTES)
     log_counts("Enclosures, and Sturm counts in doubles and on kernel pairs", TABLES, ENCLOSURES)
     log_counts("Fresh-family work: families built, recurrence rows built, complex Horner calls", (*TABLES, GRIDS[0]), FRESH)
     log_counts("Determinant transforms: Bareiss entry updates and complex magnitudes", TABLES, BAREISS)

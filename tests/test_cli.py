@@ -40,7 +40,7 @@ from christoffel.cli import (
     main,
 )
 from christoffel.core import _root_counts, _sign_changes
-from christoffel.families import _point, _sweep_rows
+from christoffel.families import _Rows, _point
 
 from polyhelpers import assert_grid_q_is_the_mpf_route
 from polyhelpers import solved_span_label as _solved_span_label
@@ -580,9 +580,9 @@ def test_default_grid_names_its_m2_k3_failures_by_solved_counts(default_grid, po
 
 
 def test_sweep_sign_changes_count_the_zeros_above(policy):
-    # Sturm property: sign changes of p_0(x), ..., p_d(x), zero entries
-    # dropped, count the zeros of p_d above x.  With C = 0 and Lambda = 1,
-    # p_j(0) = 0 for every odd j, so the zero entries are exact.
+    # Sturm property: sign changes of p_0(x), ..., p_d(x) on the kernel rows that zeros._beyond reads, zero
+    # entries dropped, count the zeros of p_d above x.  With C = 0 and Lambda = 1, p_j(0) = 0 for every odd j,
+    # so the zero entries are exact.
     fam = custom_family(lambda j: mp.mpf(0), lambda j: mp.mpf(1))
     for d in range(1, 8):
         zs = zeros_golub_welsch(fam, d, policy)
@@ -590,8 +590,7 @@ def test_sweep_sign_changes_count_the_zeros_above(policy):
             near = [z + s * mp.mpf("1e-9") for z in zs.values for s in (-1, 1)]
             points = [mp.mpf(0), mp.mpf(-3), mp.mpf(3), mp.mpf("0.3"), *near]
             for x in points:
-                [rows] = _sweep_rows(fam, d, [_point(x, policy)], policy.precision_bits)
-                values = [row[0] for row in rows]
+                values = [row[0] for row in _Rows(fam, d, [_point(x, policy)], policy.precision_bits).sweep(0)]
                 assert _sign_changes(values) == sum(1 for z in zs.values if z > x and abs(z - x) > policy.abs_tol)
 
 
@@ -605,7 +604,7 @@ def test_cli_holds_no_kernel_plumbing():
     assert imported.isdisjoint({"_horner", "_round", "_add", "_unpack"})
     # nor does it decide a cell: the grid asks zeros.cell_verdict, which sweeps g and states the interlacing field,
     # and --decompose reads the pair's own verdict, so neither row function compares a degree or a residual
-    assert imported.isdisjoint({"_grid_interlace", "_sweep_rows", "connection_degree_law"})
+    assert imported.isdisjoint({"_grid_interlace", "_sweep_rows", "_Rows", "connection_degree_law"})
     assert "cell_verdict" in imported
     rows_of = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name in ("_grid_rows", "_decompose_rows")]
     assert len(rows_of) == 2
@@ -614,9 +613,9 @@ def test_cli_holds_no_kernel_plumbing():
         assert not any(word in operands for word in ("rel_tol", "residual", "deg", "law")), operands
 
 
-def _kernel_sweeps(fam, d, zp, policy) -> list:
-    """``zeros._grid_interlace``'s rows: fam's sweep rows at the zeros zp, as kernel pairs."""
-    return list(_sweep_rows(fam, d, zp.points, policy.precision_bits))
+def _kernel_sweeps(fam, d, zp, policy) -> _Rows:
+    """``zeros._grid_interlace``'s g: p_d of fam at the zeros zp, whose kernel rows (m, e, dm, de) it sweeps when read."""
+    return _Rows(fam, d, zp.points, policy.precision_bits)
 
 
 def test_grid_span_count_keeps_zeros_at_the_extremes_inside(policy):
@@ -626,7 +625,7 @@ def test_grid_span_count_keeps_zeros_at_the_extremes_inside(policy):
     g_fam = custom_family(lambda j: mp.mpf(0), lambda j: mp.mpf(1))
     zp = zeros.ZeroSet((mp.mpf(0), mp.mpf(1)), "span")
     rows = _kernel_sweeps(g_fam, 5, zp, policy)
-    assert rows[0][5][0] == rows[1][5][0] == 0
+    assert rows[0][0] == rows[1][0] == 0 and rows.sweep(0)[5] == rows[0] and rows.sweep(1)[5] == rows[1]
     assert zeros._grid_interlace(Polynomial([1]), 7, 2, 3, zp, rows, policy) == "fails(size 5 vs 1, 3 outside span)"
 
 
@@ -658,7 +657,7 @@ def test_grid_interlace_keeps_a_genuine_common_zero(policy):
         decomp = connection_decompose(fam, even_modifier(fam, k, policy), n, m, policy)
         zp = zeros_golub_welsch(fam, n, policy)
         rows = _kernel_sweeps(fam.shifted(k), n - m, zp, policy)
-        assert zp[n // 2] == 0 and rows[n // 2][n - m][0] == 0
+        assert zp[n // 2] == 0 and rows[n // 2][0] == 0
         assert zeros._grid_interlace(decomp.G_poly, n, m, k, zp, rows, policy) == "fails(common zeros)"
 
 

@@ -526,8 +526,9 @@ def _mp_at_half_pi(pol):
     ids=["MP", "PJ", "MP-half-pi"],
 )
 def test_sweep_rows_are_eval_with_derivative_bit_for_bit(make, bits):
-    # row j of one sweep to degree n has the bits of a sweep to degree j, so the grid reads every g_{n-m,k} off
-    # the rows swept to its first cell's degree; and the bits of the recurrence written with mpf operations
+    # row j of one kernel sweep to degree n has the bits of a sweep to degree j, so the grid reads every g_{n-m,k}
+    # off the rows swept to its first cell's degree; and the bits of the recurrence written with mpf operations.
+    # The rows in doubles lie within their bounds of those bits.
     pol = TolerancePolicy(precision_bits=bits)
     fam, n = make(pol), 16
     C, _ = fam.recurrence(n, bits)
@@ -536,12 +537,16 @@ def test_sweep_rows_are_eval_with_derivative_bit_for_bit(make, bits):
     with pol.workprec():
         ones = mp.ldexp(mp.ldexp(1, bits) - 1, 3 - bits)  # a mantissa of bits ones, just below 8
     for x in ("-3.7", "0.25", "11", 11, -2, C[5], C[16], ones, wide):
-        [rows] = families._sweep_rows(fam, n, [families._point(x, pol)], bits)
-        assert len(rows) == n + 1
-        for j, (vm, ve, dm, de) in enumerate(rows):
+        point = families._point(x, pol)
+        rows = families._Rows(fam, n, [point], bits).sweep(0)
+        [doubles] = families._sweep_rows(fam, n, [point], bits)
+        assert len(rows) == len(doubles) == n + 1
+        for j, ((vm, ve, dm, de), (dv, dd, bv, bd)) in enumerate(zip(rows, doubles)):
             v, d = _to_mpf(vm, ve), _to_mpf(dm, de)
             for ev, ed in (eval_with_derivative(fam, j, x, pol), _recurrence_value_and_derivative(fam, j, x, pol)):
                 assert (v._mpf_, d._mpf_) == (ev._mpf_, ed._mpf_)
+            assert abs(Fraction(dv) - Fraction(vm) * Fraction(2) ** ve) <= bv
+            assert abs(Fraction(dd) - Fraction(dm) * Fraction(2) ** de) <= bd
 
 
 @pytest.mark.parametrize(
@@ -555,8 +560,8 @@ def test_sweep_rejects_a_nonfinite_point(x, policy):
 
 
 def test_sweep_rows_are_collected_in_one_place():
-    # only families._sweep_rows passes _sweep the list it appends its rows to, so only families makes the rows
-    # (m, e, dm, de) and only zeros reads them
+    # only families._Rows.sweep passes _sweep the list it appends its rows to, so only families makes the kernel
+    # rows (m, e, dm, de) of every degree at a point, and only zeros reads them
     src = Path(families.__file__).parent
     collecting = []
     for path in sorted(src.glob("*.py")):
@@ -566,7 +571,7 @@ def test_sweep_rows_are_collected_in_one_place():
                 if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_sweep":
                     if len(call.args) > 5 or any(kw.arg == "out" for kw in call.keywords):
                         collecting.append((path.name, func.name))
-    assert collecting == [("families.py", "_sweep_rows")]
+    assert collecting == [("families.py", "sweep")]
 
 
 @pytest.mark.parametrize(

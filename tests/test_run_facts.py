@@ -19,14 +19,14 @@ def _held() -> list:
 
 def test_every_count_reads_its_work():
     # --verify reaches every count but _q_at and _root_counts, for doubles decide all its interlacing and it has no
-    # grid cells; this grid leaves one zero to _q_at and counts G's roots in its 8 cells of m = 2, k = 3, the only
-    # cells that do not hold
+    # grid cells, and its two exact common zeros at 0 leave g's row to the kernel; this grid leaves one zero to _q_at
+    # and counts G's roots in its 8 cells of m = 2, k = 3, the only cells that do not hold
     held = _held()
     with counting(COUNTS) as seen:
         assert quiet(["--verify"]) == 0
         assert quiet(["--grid", "--n", "11"]) == 0
     assert all(seen[name] > 0 for name in COUNTS), seen
-    assert seen["zeros._q_at"] == 1 and seen["core._root_counts"] == 8
+    assert seen["zeros._q_at"] == 1 and seen["core._root_counts"] == 8 and seen["families._Rows.__getitem__"] == 3
     assert _held() == held
 
 

@@ -8,6 +8,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 from mpmath import mp
 
 from christoffel import (
@@ -32,12 +33,13 @@ from christoffel import (
 from christoffel import cli, zeros
 from christoffel.cli import main
 from christoffel.core import Polynomial, TolerancePolicy, _add, _to_mpf, _unpack
-from christoffel.families import _gershgorin, _jacobi_frame
+from christoffel.families import _DECLINED, _Rows, _gershgorin, _jacobi_frame, _sweep_rows
 
 from polyhelpers import (
     assert_bound_extremes_are_the_full_solve,
     assert_certificate_agrees,
     bound_families,
+    certified_and_exact_reports,
     mpf_g,
     mpf_grid_q,
     mpf_count_below,
@@ -283,6 +285,25 @@ def test_cached_zeros_are_checked_under_each_tolerance(policy, monkeypatch):
         zeros_golub_welsch(fam, n, loose)
     assert calls == []
     assert zeros_golub_welsch(fam, n, policy) is zs
+
+
+def test_simple_zero_check_runs_once_per_passing_tolerance(policy, monkeypatch):
+    # the spectrum keeps each abs_tol its check passed, so a repeated call skips the O(n) mpf loop; a larger abs_tol
+    # that the gaps fail still raises after it, on every call and with the same message
+    fam, n = pj_family(-35, 8, policy), 25
+    units, unit = [], zeros._unit
+    monkeypatch.setattr(zeros, "_unit", lambda *args: units.append(args) or unit(*args))
+    zs = zeros_golub_welsch(fam, n, policy)
+    assert zeros_golub_welsch(fam, n, policy) is zs and len(units) == 1
+    with policy.workprec():
+        gap = min(b - a for a, b in zip(zs.values, zs.values[1:]))
+    loose, messages = TolerancePolicy(precision_bits=policy.precision_bits, abs_tol=2 * gap), []
+    for _ in range(2):
+        with pytest.raises(ValueError, match="abs_tol .* is at least the gap") as raised:
+            zeros_golub_welsch(fam, n, loose)
+        messages.append(str(raised.value))
+    assert messages[0] == messages[1] and len(units) == 3
+    assert zeros_golub_welsch(fam, n, policy) is zs and len(units) == 3
 
 
 def _jacobi_eigenvalues(fam, n, policy):
@@ -1006,12 +1027,27 @@ def test_stieltjes_failure_path_reports_violations(policy, monkeypatch):
     )
 
 
+def _replace_g(monkeypatch, replace) -> None:
+    """g's rows in the Stieltjes check (``zeros._Rows``), with the kernel row ``replace(xm)`` at each zero xm 2**xe
+    it is not None for, and the doubles declined there, so that every test reads the row replaced."""
+    rows_of = zeros._Rows
+
+    class Replaced(rows_of):
+        def __init__(self, fam, d, points, prec, doubles=None):
+            super().__init__(fam, d, points, prec, doubles)
+            for i, (xm, _) in enumerate(points):
+                row = replace(xm)
+                if row is not None:
+                    self.doubles[i], self._kernel[i] = _DECLINED, row
+
+    monkeypatch.setattr(zeros, "_Rows", Replaced)
+
+
 def test_stieltjes_common_zero_failures_report_violations(policy, monkeypatch):
     # PJ(-5.5, 0) at n = 5 shares its middle zero 0 with g_{3,1}, and B_5(1) = 0
     fam, k, n = pj_family("-5.5", "0", policy), 1, 5
     zp = zeros_golub_welsch(fam, n, policy)
     assert stieltjes_check(fam, k, n, policy).ok
-    sweep_rows = zeros._sweep_rows
 
     monkeypatch.setattr(zeros, "inner_bound", lambda *args: mp.mpf("0.25"))
     verdict = stieltjes_check(fam, k, n, policy)
@@ -1020,7 +1056,7 @@ def test_stieltjes_common_zero_failures_report_violations(policy, monkeypatch):
     monkeypatch.undo()
 
     # g vanishing at every zero of p_n
-    monkeypatch.setattr(zeros, "_sweep_rows", lambda fam, d, points, prec: [[(0, 0, 1, 0)] * (d + 1) for _ in points])
+    _replace_g(monkeypatch, lambda xm: (0, 0, 1, 0))
     verdict = stieltjes_check(fam, k, n, policy)
     assert verdict.ok is False and verdict.branch == "common_zero"
     x = [mp.nstr(z, 10) for z in zp.values]
@@ -1035,11 +1071,7 @@ def test_stieltjes_common_zero_failures_report_violations(policy, monkeypatch):
     )
 
     # g of one sign at the four zeros of p_n it does not share
-    monkeypatch.setattr(
-        zeros, "_sweep_rows", lambda fam, d, points, prec: [
-            rows if not xm else [(1, 0, 0, 0)] * (d + 1) for (xm, _), rows in zip(points, sweep_rows(fam, d, points, prec))
-        ]
-    )
+    _replace_g(monkeypatch, lambda xm: (1, 0, 0, 0) if xm else None)
     verdict = stieltjes_check(fam, k, n, policy)
     assert verdict.ok is False and verdict.branch == "common_zero"
     assert verdict.violations == ("zeros of g do not interlace the non-common zeros of p_n",)
@@ -1123,10 +1155,18 @@ def test_double_certificate_agrees_on_the_default_grid_and_verify(default_grid, 
     assert assert_certificate_agrees(calls) == 0
 
 
+def test_reports_are_the_all_exact_route_on_the_default_grid_and_verify():
+    # with both double certificates declining, G's and g's, every g row is swept on the kernel: the reports are
+    # byte for byte the same, and --verify leaves no zero to _q_at
+    for argv, open_zeros in ((("--grid",), 2), (("--verify",), 0)):
+        certified, exact, left = certified_and_exact_reports(argv)
+        assert certified == exact and left == open_zeros
+
+
 def _declined(G, g, outer, policy) -> list:
     """The indices of the outer zeros the double certificate leaves to the exact route."""
     unit = zeros._unit(outer.points, policy.precision_bits)
-    return [i for i, s in enumerate(zeros._decided(G, g, outer, policy.abs_tol, unit)) if not s]
+    return [i for i, s in enumerate(zeros._decided(G, zeros._doubles(g), outer, policy.abs_tol, unit)) if not s]
 
 
 def test_double_certificate_declines_where_doubles_cannot_decide(policy):
@@ -1179,6 +1219,68 @@ def test_zero_test_reads_the_spectrum_scale():
         outer = zeros_golub_welsch(fam, 12, pol)
         verdict = interlace_strict(Polynomial([1]), _rows(fam, 11, outer, pol), 11, outer, pol)
         assert verdict.strict and verdict.common == ()
+
+
+def _assert_rows_bound_the_kernel(fam, n: int, points, bits: int) -> list:
+    """Every row (v, d, ev, ed) of ``families._sweep_rows`` at ``points`` lies within ev and ed of the kernel sweep's
+    value and slope, exactly; returns the rows."""
+    swept = list(_sweep_rows(fam, n, points, bits))
+    kernel = _Rows(fam, n, points, bits)
+    for i, doubles in enumerate(swept):
+        for j, ((v, d, ev, ed), (vm, ve, dm, de)) in enumerate(zip(doubles, kernel.sweep(i))):
+            for double, m, e, bound in ((v, vm, ve, ev), (d, dm, de, ed)):
+                assert abs(Fraction(double) - Fraction(m) * Fraction(2) ** e) <= bound, (fam.label, bits, i, j)
+    return swept
+
+
+@pytest.mark.parametrize("bits", [64, 113, 256, 512])
+@given(
+    st.sampled_from(["mp", "pj"]),
+    st.floats(0, 1),
+    st.floats(0, 1),
+    st.integers(2, 16),
+    st.integers(0, 2),
+    st.floats(-1.5, 1.5),
+)
+def test_sweep_rows_bound_the_kernel_sweep(bits, kind, s, t, n, k, where):
+    # the rows in doubles against the kernel's, at every row j, for the value and the slope: p_n at its own zeros,
+    # where the value cancels, g = p_{n-2} of the order-k shift there, as the interlacing checks read it, and both
+    # at a point in or beyond the spectrum
+    pol = TolerancePolicy(precision_bits=bits)
+    if kind == "mp":
+        fam = mp_family(0.05 + 12 * s, 0.2 + 2.7 * t, pol)
+    else:
+        fam = pj_family(-(n + 3) - 100 * s, 18 * t - 9, pol)
+    zp = zeros_golub_welsch(fam, n, pol)
+    with pol.workprec():
+        point = _unpack((zp[0] + where * (zp[-1] - zp[0]))._mpf_)
+    for points in (zp.points, [point]):
+        _assert_rows_bound_the_kernel(fam, n, points, bits)
+        _assert_rows_bound_the_kernel(fam.shifted(k), n - 2, points, bits)
+
+
+@pytest.mark.parametrize("bits", [64, 113, 256, 512])
+def test_sweep_rows_bound_exact_zeros_and_decline_outside_the_doubles(bits):
+    # exact common zeros at x = 0: g_{3,1} of PJ(-5.5, 0) and g_{7,2} of MP(0.5, pi/2) vanish there in both sweeps
+    pol = TolerancePolicy(precision_bits=bits)
+    with pol.workprec():
+        right_angle = mp.pi / 2
+    for fam, k, n in ((pj_family("-5.5", "0", pol), 1, 5), (mp_family("0.5", right_angle, pol), 2, 9)):
+        zp = zeros_golub_welsch(fam, n, pol)
+        rows = _assert_rows_bound_the_kernel(fam.shifted(k), n - 2, zp.points, bits)
+        assert zp.points[n // 2] == (0, 0) and rows[n // 2][n - 2][0] == 0
+    # the extreme scales: recurrences near 1e+-400 lie outside the doubles, and every row declines; zeros 1e10
+    # or 1e30 from the origin (solved without the gap check, which 1e30 fails below 256 bits) are swept, within
+    # bounds that certify nothing at 1e30
+    for i, (C, Lam, abs_tol) in enumerate(_EXTREME_SCALES[:4] if bits == 64 else _EXTREME_SCALES):
+        pol = TolerancePolicy(precision_bits=bits, abs_tol=abs_tol)
+        fam = custom_family(C, Lam)
+        zp = zeros.ZeroSet(_solved(fam, 12, pol), fam.label)
+        rows = _assert_rows_bound_the_kernel(fam, 11, zp.points, bits)
+        if i < 3:
+            assert rows == [[_DECLINED] * 12] * 12
+        elif i == 4:
+            assert all(abs(v) <= ev for v, _, ev, _ in (r[11] for r in rows))
 
 
 def test_double_certificate_agrees_at_64_bits(monkeypatch):
